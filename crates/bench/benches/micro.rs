@@ -77,13 +77,9 @@ fn bench_window(c: &mut Criterion) {
         let cache: Vec<(ItemId, SimTime)> = (0..200)
             .map(|i| (ItemId(i * 31 % 10_000), t(805.0)))
             .collect();
-        group.bench_with_input(
-            BenchmarkId::new("decide_indexed", records),
-            &records,
-            |b, _| {
-                b.iter(|| black_box(report.decide_indexed(t(900.0), cache.iter().copied())));
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("decide", records), &records, |b, _| {
+            b.iter(|| black_box(report.decide(t(900.0), cache.iter().copied())));
+        });
         group.bench_with_input(BenchmarkId::new("size_bits", records), &records, |b, _| {
             b.iter(|| black_box(report.size_bits(&p)));
         });
@@ -91,10 +87,10 @@ fn bench_window(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tick fan-out: ONE report applied by MANY clients. The legacy path
-/// rescans the record list per cached item per client; the shared-index
-/// path builds the sorted index once and gives every client an
-/// `O(|cache| · log |records|)` allocation-free pass.
+/// The tick fan-out through the linear reference: ONE report applied by
+/// MANY clients, each rescanning the record list per cached item. (The
+/// simulator's plan arms are timed by `report_pipeline`'s `invplan`
+/// section.)
 fn bench_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("fanout");
     group.warm_up_time(Duration::from_millis(300));
@@ -122,22 +118,7 @@ fn bench_fanout(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     for cache in &caches {
-                        black_box(report.decide_linear(t(900.0), cache.iter().copied()));
-                    }
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("window_shared_index_200c", records),
-            &records,
-            |b, _| {
-                let mut stale = Vec::new();
-                b.iter(|| {
-                    let idx = report.index();
-                    for cache in &caches {
-                        stale.clear();
-                        idx.stale_into(cache.iter().copied(), &mut stale);
-                        black_box(stale.len());
+                        black_box(report.decide(t(900.0), cache.iter().copied()));
                     }
                 });
             },

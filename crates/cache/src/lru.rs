@@ -162,6 +162,16 @@ impl LruCache {
         &self.member
     }
 
+    /// `true` when `item` is resident (any state): one membership-bitmap
+    /// bit test, no item-table lookup.
+    #[inline]
+    pub fn is_resident(&self, item: ItemId) -> bool {
+        let i = item.0 as usize;
+        self.member
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 != 0)
+    }
+
     /// Maximum number of entries.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -421,6 +421,13 @@ proptest! {
                 cache.member_words(), expect.as_slice(),
                 "bitmap diverged from slab at step {} ({:?})", step, op
             );
+            // Ids past the bitmap's grown words read as absent.
+            for id in 0..100 {
+                prop_assert_eq!(
+                    cache.is_resident(ItemId(id)),
+                    cache.peek(ItemId(id)).is_some()
+                );
+            }
             cache.check_invariants();
         }
     }

@@ -13,7 +13,7 @@ use crate::pop::ClientPop;
 use crate::query::QueryOutcome;
 use mobicache_cache::LruCache;
 use mobicache_model::{CheckingMode, ClientId, ItemId, RetryPolicy, Scheme, UplinkKind};
-use mobicache_reports::{PreparedReport, ReportPayload};
+use mobicache_reports::ReportPayload;
 use mobicache_sim::SimTime;
 
 /// Static client configuration.
@@ -153,28 +153,26 @@ impl Client {
 
     /// Processes a broadcast invalidation report.
     ///
-    /// Compatibility form of [`Client::on_report_into`]: indexes the
-    /// report for this one client and allocates the action list. The
-    /// simulator threads one [`PreparedReport`] and one action buffer
-    /// through the whole broadcast fan-out instead.
+    /// Compatibility form of [`Client::on_report_into`] that allocates
+    /// the action list.
     pub fn on_report(&mut self, now: SimTime, payload: &ReportPayload) -> Vec<ClientAction> {
         let mut actions = Vec::new();
-        self.on_report_into(now, &payload.prepare(), &mut actions);
+        self.on_report_into(now, payload, &mut actions);
         actions
     }
 
-    /// Processes a broadcast invalidation report through a shared
-    /// [`PreparedReport`], appending the resulting actions to `actions`
-    /// (which is *not* cleared).
+    /// Processes a broadcast invalidation report, appending the
+    /// resulting actions to `actions` (which is *not* cleared). The
+    /// report is decoded into a throwaway plan for this one client; the
+    /// simulator decodes one plan per broadcast for the whole fan-out
+    /// instead.
     pub fn on_report_into(
         &mut self,
         now: SimTime,
-        prepared: &PreparedReport<'_>,
+        payload: &ReportPayload,
         actions: &mut Vec<ClientAction>,
     ) {
-        self.pop
-            .client_mut(0)
-            .on_report_into(now, prepared, actions);
+        self.pop.client_mut(0).on_report_into(now, payload, actions);
     }
 
     /// Processes a downloaded data item (`version` = the update timestamp

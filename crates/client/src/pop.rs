@@ -25,9 +25,7 @@ use crate::machine::{ClientAction, ClientConfig, ClientCounters};
 use crate::query::{PendingItem, PendingState, QueryHeader};
 use mobicache_cache::{EntryState, LruCache};
 use mobicache_model::{CheckingMode, ItemId, Scheme, UplinkKind};
-use mobicache_reports::{
-    BsSelect, PlanCache, PlanStats, PreparedReport, ReportPayload, SigDecision,
-};
+use mobicache_reports::{BsSelect, PlanCache, PlanStats, ReportPayload, SigDecision};
 use mobicache_sim::SimTime;
 use std::collections::HashSet;
 
@@ -545,54 +543,80 @@ impl ClientMut<'_> {
         self.disconnected_at.take().map_or(0.0, |at| now - at)
     }
 
-    /// Processes a broadcast invalidation report through a shared
-    /// [`PreparedReport`], appending the resulting actions to `actions`
-    /// (which is *not* cleared).
-    ///
-    /// The fan-out hot path: one report is applied by every connected
-    /// client, so with the index built once this pass is
-    /// `O(|cache| · log |report|)` and allocation-free (stale lists land
-    /// in a buffer owned by the client, actions in the caller's).
+    /// Processes a broadcast invalidation report outside a tick fan-out,
+    /// appending the resulting actions to `actions` (which is *not*
+    /// cleared): decodes a throwaway plan for this client's own
+    /// effective `Tlb`, then applies it like the engine does.
     pub fn on_report_into(
         &mut self,
         now: SimTime,
-        prepared: &PreparedReport<'_>,
+        payload: &ReportPayload,
         actions: &mut Vec<ClientAction>,
     ) {
-        let mut stats = PlanStats::default();
-        self.on_report_planned(now, prepared, None, actions, &mut stats);
+        let plan = PlanCache::for_report(payload, self.effective_tlb());
+        self.on_report_planned(now, payload, &plan, actions, &mut PlanStats::default());
     }
 
-    /// [`ClientMut::on_report_into`] with an optional pre-decoded
-    /// invalidation plan: when `plan` holds this report's bitmap for the
-    /// client's `Tlb` bucket, the stale set comes from a word-wise
-    /// `plan & member` intersection instead of the per-item index walk —
-    /// same stale set, same actions, same counters (the plan is an
-    /// evaluation strategy, pinned by the `plan ≡ decide` proptests and
-    /// the engine's golden digests). Hit/fallback tallies land in
-    /// `stats` (not cleared).
+    /// Processes a broadcast invalidation report through `plan`, this
+    /// tick's decode of `payload` shared by the whole fan-out, appending
+    /// the resulting actions to `actions` (which is *not* cleared).
+    ///
+    /// The fan-out hot path, allocation-free: stale lists land in a
+    /// buffer owned by the client, actions in the caller's. Which plan
+    /// arm served the client is tallied in `stats` (not cleared); the
+    /// arms yield the same stale set, pinned by the `plan ≡ decide`
+    /// proptests and the engine's golden digests.
     pub fn on_report_planned(
         &mut self,
         now: SimTime,
-        prepared: &PreparedReport<'_>,
-        plan: Option<&PlanCache>,
+        payload: &ReportPayload,
+        plan: &PlanCache,
         actions: &mut Vec<ClientAction>,
         stats: &mut PlanStats,
     ) {
         assert!(*self.connected, "report delivered to a disconnected client");
-        self.apply_report(now, prepared, plan, actions, stats);
-        *self.tlb = prepared.payload().broadcast_at();
+        self.apply_report(now, payload, plan, actions, stats);
+        *self.tlb = payload.broadcast_at();
         self.resolve_query(now, actions);
         self.retry_pending_requests(now, actions);
     }
 
-    /// Whether applying `plan` beats the per-item walk for this cache:
-    /// the word loop touches `min(|member|, |plan|)` words, the per-item
-    /// walk does `|cache|` binary searches. A pure function of
-    /// client-local state, so the choice is identical at every thread
-    /// count.
+    /// Whether the word arm beats the per-item arm for this cache: the
+    /// word loop touches `min(|member|, |plan|)` words, the per-item arm
+    /// probes `|cache|` plan bits. A pure function of client-local
+    /// state, so the choice is identical at every thread count.
     fn plan_profitable(plan: &PlanCache, cache: &LruCache) -> bool {
         plan.words().len().min(cache.member_words().len()) <= 8 * cache.len() + 4
+    }
+
+    /// Collects the cached items `plan` marks stale into the scratch
+    /// buffer through the cheaper arm, and tallies which arm ran. Under
+    /// a window plan an item is stale only if its cached version
+    /// predates the listed update.
+    fn collect_stale(&mut self, plan: &PlanCache, stats: &mut PlanStats) {
+        let window = plan.window_active();
+        let cache = &*self.cache;
+        if Self::plan_profitable(plan, cache) {
+            plan.intersect_into(cache.member_words(), self.stale_scratch, |item| {
+                !window
+                    || cache
+                        .peek(item)
+                        .is_some_and(|e| e.version < plan.listed_ts(item))
+            });
+            stats.hits += 1;
+        } else {
+            for (item, version) in cache.items_iter() {
+                let stale = if window {
+                    plan.window_stale(item, version)
+                } else {
+                    plan.contains(item)
+                };
+                if stale {
+                    self.stale_scratch.push(item);
+                }
+            }
+            stats.misses += 1;
+        }
     }
 
     /// Processes a downloaded data item, appending the resulting actions
@@ -769,12 +793,11 @@ impl ClientMut<'_> {
     fn apply_report(
         &mut self,
         now: SimTime,
-        prepared: &PreparedReport<'_>,
-        plan: Option<&PlanCache>,
+        payload: &ReportPayload,
+        plan: &PlanCache,
         actions: &mut Vec<ClientAction>,
         stats: &mut PlanStats,
     ) {
-        let payload = prepared.payload();
         let etlb = self.effective_tlb();
         debug_assert!(self.stale_scratch.is_empty(), "scratch not drained");
         // A report vouches for the database state at its *broadcast* time,
@@ -810,26 +833,9 @@ impl ClientMut<'_> {
             ReportPayload::Window(w) => {
                 // Provably stale entries always go, covered or not. The
                 // window plan is Tlb-independent (listed bitmap + dense
-                // timestamps), so every client can take it; the per-item
-                // `is_stale` test (`version < t_listed`) becomes the
-                // `keep` filter over the few intersection survivors.
-                let idx = prepared.window_index().expect("window report was prepared");
-                match plan {
-                    Some(p) if p.window_active() && Self::plan_profitable(p, self.cache) => {
-                        let cache = &*self.cache;
-                        p.intersect_into(cache.member_words(), self.stale_scratch, |item| {
-                            cache
-                                .peek(item)
-                                .is_some_and(|e| e.version < p.listed_ts(item))
-                        });
-                        stats.hits += 1;
-                    }
-                    Some(_) => {
-                        idx.stale_into(self.cache.items_iter(), self.stale_scratch);
-                        stats.misses += 1;
-                    }
-                    None => idx.stale_into(self.cache.items_iter(), self.stale_scratch),
-                }
+                // timestamps), so every client takes it.
+                debug_assert!(plan.window_active(), "window report without its plan");
+                self.collect_stale(plan, stats);
                 self.cache.invalidate_many(self.stale_scratch.drain(..));
                 if w.covers(etlb) {
                     self.resolve_gap();
@@ -842,38 +848,25 @@ impl ClientMut<'_> {
                 // BS staleness is pure prefix membership, so the memo key
                 // is the selected prefix length: a client whose `select`
                 // lands on the plan's pre-decoded bucket (the dominant
-                // Tlb — everyone who heard the previous report) takes the
-                // bitmap; other buckets fall back to `is_marked` per
-                // item. Clean/DropAll verdicts are O(1) either way.
-                let idx = prepared.bs_index().expect("BS report was prepared");
-                let sel = match plan {
-                    Some(p) => {
-                        let sel = bs.select(etlb);
-                        if let BsSelect::Prefix(prefix) = sel {
-                            if p.bs_prefix() == Some(prefix) && Self::plan_profitable(p, self.cache)
-                            {
-                                p.intersect_into(
-                                    self.cache.member_words(),
-                                    self.stale_scratch,
-                                    |_| true,
-                                );
-                                stats.hits += 1;
-                            } else {
-                                for (item, _) in self.cache.items_iter() {
-                                    if idx.is_marked(item, prefix) {
-                                        self.stale_scratch.push(item);
-                                    }
-                                }
-                                stats.misses += 1;
-                            }
-                        }
-                        sel
+                // Tlb — everyone who heard the previous report) reads the
+                // plan. Another bucket walks its own marked prefix and
+                // tests the membership bitmap — Figure 2's `decide` with
+                // the bitmap for its `HashSet`. Clean/DropAll are O(1).
+                let sel = bs.select(etlb);
+                if let BsSelect::Prefix(prefix) = sel {
+                    if plan.bs_prefix() == Some(prefix) {
+                        self.collect_stale(plan, stats);
+                    } else {
+                        let cache = &*self.cache;
+                        self.stale_scratch.extend(
+                            bs.recency[..prefix.min(bs.recency.len())]
+                                .iter()
+                                .map(|&(item, _)| item)
+                                .filter(|&item| cache.is_resident(item)),
+                        );
+                        stats.misses += 1;
                     }
-                    None => {
-                        let cached = self.cache.items_iter().map(|(i, _)| i);
-                        bs.decide_with(idx, etlb, cached, self.stale_scratch)
-                    }
-                };
+                }
                 match sel {
                     BsSelect::Clean => {
                         self.resolve_gap();
@@ -897,31 +890,9 @@ impl ClientMut<'_> {
                 // The AT listed-item bitmap is Tlb-independent; coverage
                 // stays a scalar check (an uncovered client drops its
                 // whole cache without touching the plan).
-                let idx = prepared.at_index().expect("AT report was prepared");
-                let covered = match plan {
-                    Some(p) if at.covers(etlb) => {
-                        if p.at_active() && Self::plan_profitable(p, self.cache) {
-                            p.intersect_into(self.cache.member_words(), self.stale_scratch, |_| {
-                                true
-                            });
-                            stats.hits += 1;
-                        } else {
-                            for (item, _) in self.cache.items_iter() {
-                                if idx.contains(item) {
-                                    self.stale_scratch.push(item);
-                                }
-                            }
-                            stats.misses += 1;
-                        }
-                        true
-                    }
-                    Some(_) => false,
-                    None => {
-                        let cached = self.cache.items_iter().map(|(i, _)| i);
-                        at.decide_with(idx, etlb, cached, self.stale_scratch)
-                    }
-                };
-                if covered {
+                if at.covers(etlb) {
+                    debug_assert!(plan.at_active(), "AT report without its plan");
+                    self.collect_stale(plan, stats);
                     self.cache.invalidate_many(self.stale_scratch.drain(..));
                     self.resolve_gap();
                     self.cache.revalidate_all(report_asof);
@@ -1368,9 +1339,8 @@ mod tests {
                             Vec::new()
                         }
                         Step::Report(payload) => {
-                            let prepared = payload.prepare();
                             pop.client_mut(i)
-                                .on_report_into(now, &prepared, &mut pop_actions);
+                                .on_report_into(now, payload, &mut pop_actions);
                             solo[i].on_report(now, payload)
                         }
                         Step::Data(item, v) => {
@@ -1438,12 +1408,11 @@ mod tests {
         assert!(after_first >= 7, "two blocks allocated");
         // Complete client 1's query, then issue a bigger one: the block
         // must grow, and client 0's pending items must be untouched.
-        let prepared = ReportPayload::BitSeq(mobicache_reports::BitSequences::from_recency(
+        let prep = ReportPayload::BitSeq(mobicache_reports::BitSequences::from_recency(
             t(20.0),
             64,
             vec![],
         ));
-        let prep = prepared.prepare();
         let mut acts = Vec::new();
         pop.client_mut(1).on_report_into(t(20.0), &prep, &mut acts);
         for k in 0..5 {
@@ -1539,14 +1508,13 @@ mod tests {
             pop.start_query(i, t(1.0), &[ItemId(i as u32)]);
         }
         let payload = window(20.0, -180.0, vec![]);
-        let prepared = payload.prepare();
         let ptr = pop.as_ptr();
         let mut actions: Vec<Vec<ClientAction>> = vec![Vec::new(); 4];
         for (i, acts) in actions.iter_mut().enumerate() {
             // SAFETY: indices are disjoint and the pop is not otherwise
             // touched while the views are live.
             let mut view = unsafe { ptr.client_mut(i) };
-            view.on_report_into(t(20.0), &prepared, acts);
+            view.on_report_into(t(20.0), &payload, acts);
         }
         for (i, acts) in actions.iter().enumerate() {
             assert_eq!(

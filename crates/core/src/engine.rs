@@ -21,7 +21,7 @@ use mobicache_client::{ClientAction, ClientConfig, ClientCounters, ClientPop, Po
 use mobicache_model::msg::{DownlinkKind, SizeParams, UplinkKind, CLASS_CHECK, CLASS_REPORT};
 use mobicache_model::{ChannelFaults, ClientId, ConfigError, DownlinkTopology, ItemId, SimConfig};
 use mobicache_net::Channel;
-use mobicache_reports::{BsIndex, PlanCache, PlanStats, PreparedReport, ReportPayload};
+use mobicache_reports::{PlanCache, PlanStats, ReportPayload};
 use mobicache_server::{Server, ServerCounters};
 use mobicache_sim::pool::{shard_count, SendPtr, WorkerPool};
 use mobicache_sim::{Exp, Histogram, OnlineStats, Scheduler, SimRng, SimTime, StreamId};
@@ -189,7 +189,7 @@ struct ShardOutcome {
     before: Option<(ClientCounters, u64)>,
 }
 
-/// Phase-1 worker for the report fan-out: applies one prepared report
+/// Phase-1 worker for the report fan-out: applies one broadcast report
 /// to a contiguous client index range of the population. Touches
 /// nothing but the range's own column cells and the shard's own scratch
 /// — no scheduler, channel, RNG or stats access — which is what makes
@@ -209,8 +209,8 @@ fn run_report_shard(
     start: usize,
     end: usize,
     deliver: &[u64],
-    prepared: &PreparedReport<'_>,
-    plan: Option<&PlanCache>,
+    payload: &ReportPayload,
+    plan: &PlanCache,
     probing: bool,
     scratch: &mut ShardScratch,
 ) {
@@ -236,7 +236,7 @@ fn run_report_shard(
             let mut client = unsafe { pop.client_mut(i) };
             let before = probing.then(|| (client.counters(), client.cache().evictions()));
             let a0 = scratch.actions.len();
-            client.on_report_planned(now, prepared, plan, &mut scratch.actions, &mut scratch.plan);
+            client.on_report_planned(now, payload, plan, &mut scratch.actions, &mut scratch.plan);
             scratch.outcomes.push(ShardOutcome {
                 client: i,
                 actions: (scratch.actions.len() - a0) as u32,
@@ -425,9 +425,11 @@ pub struct Simulation<'p> {
     /// fan-out — the dominant `Tlb` bucket for that cell's next plan
     /// decode (every client that heard it holds exactly this `Tlb`).
     prev_report_at: Vec<SimTime>,
-    /// Report applications served by the plan bitmap (cumulative).
+    /// Report applications served by the word-wise plan intersection
+    /// (cumulative).
     plan_hits: u64,
-    /// Report applications that fell back to the per-item path.
+    /// Report applications served per item: small caches, or an
+    /// off-bucket BS prefix (cumulative).
     plan_misses: u64,
     /// Zero delivery-mask words skipped by the broadcast fan-outs —
     /// 64 clients apiece that cost one word load instead of 64 branches.
@@ -1064,23 +1066,6 @@ impl<'p> Simulation<'p> {
                 // (downlinks are laid out cell-major), so the payload
                 // needs no cell tag.
                 let cell = self.cell_of_downlink(idx);
-                // Index the report once; every client of the fan-out
-                // shares it (the tentpole of the report pipeline). The
-                // BS index — the one kind whose build is O(N) in the
-                // database — is built through the pool, sharded over
-                // the recency list.
-                let prepared = match &*report {
-                    ReportPayload::BitSeq(bs) => PreparedReport::with_bs_index(
-                        &report,
-                        BsIndex::build_sharded(
-                            bs,
-                            &self.pool,
-                            self.shards.len(),
-                            self.cfg.pool_min_shard_items as usize,
-                        ),
-                    ),
-                    _ => report.prepare(),
-                };
                 // Phase 0 (serial): decide who hears this broadcast,
                 // building the delivery mask as bitmap words. Fault
                 // coins and the rx-bits accumulation stay in
@@ -1185,6 +1170,7 @@ impl<'p> Simulation<'p> {
                 }
                 let pop = self.clients.as_ptr();
                 {
+                    let payload: &ReportPayload = &report;
                     let plan_ref = &plan;
                     let deliver_ref = &deliver;
                     fan_out_shards(
@@ -1199,8 +1185,8 @@ impl<'p> Simulation<'p> {
                                 start,
                                 end,
                                 deliver_ref,
-                                &prepared,
-                                Some(plan_ref),
+                                payload,
+                                plan_ref,
                                 probing,
                                 sh,
                             );

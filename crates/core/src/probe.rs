@@ -282,12 +282,14 @@ pub struct IntervalSnapshot {
     /// plan. Decode-once/apply-many means this stays at ~1 per tick
     /// regardless of population size.
     pub plan_decodes: u64,
-    /// Report applications served by a memoized plan bitmap so far
-    /// (absolute, cumulative).
+    /// Report applications served by the word-wise plan intersection so
+    /// far (absolute, cumulative).
     pub plan_hits: u64,
-    /// Report applications that fell back to the per-item path so far
-    /// (absolute, cumulative): the client's `Tlb` bucket missed the
-    /// pre-decoded plan, or its cache was too small to profit.
+    /// Report applications served per item so far (absolute,
+    /// cumulative): a cache too small for the word arm to profit (one
+    /// plan-bit probe per cached item), or a BS client whose `Tlb`
+    /// selects a prefix off the pre-decoded bucket (a walk of that
+    /// prefix against the cache's membership bitmap).
     pub plan_misses: u64,
     /// Zero delivery-mask words the broadcast fan-outs skipped so far
     /// (absolute, cumulative) — 64 dozing/unlucky clients apiece that

@@ -299,10 +299,6 @@ pub struct SimConfig {
     /// yield smaller chunks run serially on the calling thread. Purely a
     /// wall-time knob — results are bit-identical at any value.
     pub pool_min_shard_clients: u32,
-    /// Minimum recency entries per worker chunk before the shared
-    /// bit-sequences index build is sharded over the pool. Purely a
-    /// wall-time knob — results are bit-identical at any value.
-    pub pool_min_shard_items: u32,
     /// Fault-injection plan: bursty downlink loss (generalising
     /// [`SimConfig::p_report_loss`]), uplink loss with client
     /// retry/backoff, and scheduled server crashes. The default
@@ -455,7 +451,6 @@ impl SimConfig {
             snoop_broadcasts: false,
             threads: 1,
             pool_min_shard_clients: 1,
-            pool_min_shard_items: 1024,
             faults: FaultPlan::none(),
             cells: CellTopology::single(),
             seed: 0x1997_AD07,
@@ -510,14 +505,6 @@ impl SimConfig {
     /// (see [`SimConfig::pool_min_shard_clients`]). Wall-time only.
     pub fn with_pool_min_shard_clients(mut self, min: u32) -> Self {
         self.pool_min_shard_clients = min;
-        self
-    }
-
-    /// Builder-style override of the minimum recency entries per worker
-    /// chunk for the BS index build (see
-    /// [`SimConfig::pool_min_shard_items`]). Wall-time only.
-    pub fn with_pool_min_shard_items(mut self, min: u32) -> Self {
-        self.pool_min_shard_items = min;
         self
     }
 
@@ -636,7 +623,6 @@ impl SimConfig {
             });
         }
         count("pool_min_shard_clients", self.pool_min_shard_clients as u64)?;
-        count("pool_min_shard_items", self.pool_min_shard_items as u64)?;
         count("gcore_groups", self.gcore_groups as u64)?;
         count(
             "gcore_retention_intervals",
@@ -697,12 +683,10 @@ mod tests {
             .with_db_size(2_000)
             .with_num_clients(25)
             .with_threads(4)
-            .with_pool_min_shard_clients(64)
-            .with_pool_min_shard_items(4096);
+            .with_pool_min_shard_clients(64);
         assert_eq!(cfg.scheme, Scheme::Bs);
         assert_eq!(cfg.threads, 4);
         assert_eq!(cfg.pool_min_shard_clients, 64);
-        assert_eq!(cfg.pool_min_shard_items, 4096);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.workload.query, Pattern::paper_hotcold());
         assert_eq!(cfg.sim_time_secs, 5_000.0);
@@ -736,15 +720,6 @@ mod tests {
             c.validate(),
             Err(ConfigError::ZeroCount {
                 field: "pool_min_shard_clients"
-            })
-        );
-
-        let mut c = SimConfig::paper_default();
-        c.pool_min_shard_items = 0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::ZeroCount {
-                field: "pool_min_shard_items"
             })
         );
 

@@ -37,30 +37,6 @@ pub enum AtDecision {
     Invalidate(Vec<ItemId>),
 }
 
-/// A build-once membership index over an [`AtReport`]'s item list:
-/// sorted ids, queried by binary search. Shared across the broadcast
-/// fan-out so each client's pass is `O(|cache| · log |items|)` with no
-/// per-client `HashSet`.
-#[derive(Clone, Debug)]
-pub struct AtIndex {
-    sorted: Vec<ItemId>,
-}
-
-impl AtIndex {
-    /// Builds the index: `O(|items| · log |items|)`, once per report.
-    pub fn build(report: &AtReport) -> Self {
-        let mut sorted = report.items.clone();
-        sorted.sort_unstable();
-        AtIndex { sorted }
-    }
-
-    /// `true` when the report lists `item` as updated.
-    #[inline]
-    pub fn contains(&self, item: ItemId) -> bool {
-        self.sorted.binary_search(&item).is_ok()
-    }
-}
-
 impl AtReport {
     /// `true` when a client whose last report was at `tlb` can use this
     /// report (it heard the immediately preceding one).
@@ -84,38 +60,6 @@ impl AtReport {
                 .filter(|item| listed.contains(item))
                 .collect(),
         )
-    }
-
-    /// Builds the shared membership index for this report. Build once,
-    /// apply to every client of the broadcast fan-out.
-    pub fn index(&self) -> AtIndex {
-        AtIndex::build(self)
-    }
-
-    /// The fan-out form of [`AtReport::decide`]: same verdict through a
-    /// prebuilt [`AtIndex`] (`idx` must be built from this report). When
-    /// covered, the listed cached items are appended to `out` (not
-    /// cleared) in `cached` order and `true` is returned; otherwise `out`
-    /// is untouched and `false` is returned (full drop).
-    pub fn decide_with<I>(
-        &self,
-        idx: &AtIndex,
-        tlb: SimTime,
-        cached: I,
-        out: &mut Vec<ItemId>,
-    ) -> bool
-    where
-        I: IntoIterator<Item = ItemId>,
-    {
-        if !self.covers(tlb) {
-            return false;
-        }
-        for item in cached {
-            if idx.contains(item) {
-                out.push(item);
-            }
-        }
-        true
     }
 
     /// Report body size: the current timestamp plus one id per listed

@@ -30,7 +30,6 @@
 use mobicache_model::msg::SizeParams;
 use mobicache_model::units::{bits_per_id, Bits};
 use mobicache_model::ItemId;
-use mobicache_sim::pool::{shard_count, SendPtr, WorkerPool};
 use mobicache_sim::SimTime;
 
 /// One level of the hierarchy: the `prefix_len` most recently updated
@@ -122,112 +121,6 @@ pub enum BsSelect {
     /// The smallest covering level marks this many most-recent items:
     /// a cached item is stale iff its recency rank is below this.
     Prefix(usize),
-}
-
-/// A build-once lookup index over a [`BitSequences`] report: each listed
-/// item's recency rank, sorted by item id. A cached item is stale at a
-/// selected level exactly when its rank is inside the level's prefix, so
-/// the per-client pass is `O(|cache| · log |recency|)` with no
-/// allocation — no per-client `HashSet` of the whole cache.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BsIndex {
-    /// `(item, recency rank)`, sorted by item id.
-    by_id: Vec<(ItemId, u32)>,
-}
-
-impl BsIndex {
-    /// Builds the index: `O(|recency| · log |recency|)`, once per report.
-    pub fn build(report: &BitSequences) -> Self {
-        let mut by_id: Vec<(ItemId, u32)> = report
-            .recency
-            .iter()
-            .enumerate()
-            .map(|(rank, &(id, _))| (id, rank as u32))
-            .collect();
-        by_id.sort_unstable_by_key(|&(id, _)| id);
-        BsIndex { by_id }
-    }
-
-    /// The sorted `(item, recency rank)` pairs — exposed so tests can
-    /// compare a sharded build against a serial one structurally.
-    pub fn entries(&self) -> &[(ItemId, u32)] {
-        &self.by_id
-    }
-
-    /// [`BsIndex::build`] sharded over `pool`: the recency list is split
-    /// into contiguous chunks (so ranks stay a pure function of position),
-    /// each chunk sorted by item id in parallel, then reduced by a serial
-    /// k-way merge in chunk order. Item ids are unique within a report
-    /// (the server's recency index lists each item once), so the merge is
-    /// deterministic and equals the full sort — bit-identical to
-    /// [`BsIndex::build`] whatever the shard geometry.
-    pub fn build_sharded(
-        report: &BitSequences,
-        pool: &WorkerPool,
-        max_shards: usize,
-        min_per_shard: usize,
-    ) -> Self {
-        let recency = &report.recency;
-        let n = recency.len();
-        let t = shard_count(max_shards, n, min_per_shard);
-        if t <= 1 {
-            return Self::build(report);
-        }
-        let chunk = n.div_ceil(t);
-        let mut parts: Vec<Vec<(ItemId, u32)>> = (0..t).map(|_| Vec::new()).collect();
-        let parts_ptr = SendPtr(parts.as_mut_ptr());
-        pool.run(t, &|i| {
-            let start = i * chunk;
-            if start >= n {
-                return;
-            }
-            let end = (start + chunk).min(n);
-            // SAFETY: chunk `i` writes only to slot `i`.
-            let slot = unsafe { &mut *parts_ptr.get().add(i) };
-            *slot = recency[start..end]
-                .iter()
-                .enumerate()
-                .map(|(off, &(id, _))| (id, (start + off) as u32))
-                .collect();
-            slot.sort_unstable_by_key(|&(id, _)| id);
-        });
-        let mut by_id = Vec::with_capacity(n);
-        let mut heads = vec![0usize; parts.len()];
-        loop {
-            let mut best: Option<usize> = None;
-            for (k, part) in parts.iter().enumerate() {
-                if heads[k] < part.len()
-                    && best.is_none_or(|b| part[heads[k]].0 < parts[b][heads[b]].0)
-                {
-                    best = Some(k);
-                }
-            }
-            match best {
-                Some(b) => {
-                    by_id.push(parts[b][heads[b]]);
-                    heads[b] += 1;
-                }
-                None => break,
-            }
-        }
-        debug_assert_eq!(by_id.len(), n);
-        BsIndex { by_id }
-    }
-
-    /// The recency rank of `item` (0 = most recently updated), if listed.
-    #[inline]
-    pub fn rank(&self, item: ItemId) -> Option<u32> {
-        self.by_id
-            .binary_search_by_key(&item, |&(id, _)| id)
-            .ok()
-            .map(|pos| self.by_id[pos].1)
-    }
-
-    /// `true` when `item` is marked at a level of `prefix_len` "1"s.
-    #[inline]
-    pub fn is_marked(&self, item: ItemId, prefix_len: usize) -> bool {
-        self.rank(item).is_some_and(|r| (r as usize) < prefix_len)
-    }
 }
 
 impl BitSequences {
@@ -346,7 +239,8 @@ impl BitSequences {
     /// The cache-independent half of [`BitSequences::decide`]: resolves
     /// `Tlb` to Clean / DropAll / the smallest covering level's prefix
     /// length. Shared across the whole fan-out — each client then only
-    /// tests its own cached items against the prefix via [`BsIndex`].
+    /// tests its own cached items against the prefix, through the
+    /// invalidation plan (`crate::PlanCache`).
     pub fn select(&self, tlb: SimTime) -> BsSelect {
         match self.latest_update {
             None => return BsSelect::Clean,
@@ -358,37 +252,6 @@ impl BitSequences {
             Some(level) => BsSelect::Prefix(level.prefix_len as usize),
             None => BsSelect::DropAll,
         }
-    }
-
-    /// Builds the shared id→rank index for this report. Build once, apply
-    /// to every client of the broadcast fan-out.
-    pub fn index(&self) -> BsIndex {
-        BsIndex::build(self)
-    }
-
-    /// The fan-out form of [`BitSequences::decide`]: same verdict through
-    /// a prebuilt [`BsIndex`] (`idx` must be built from this report).
-    /// Under `Prefix`, the stale items are appended to `out` (not
-    /// cleared) in `cached` order; otherwise `out` is untouched.
-    pub fn decide_with<I>(
-        &self,
-        idx: &BsIndex,
-        tlb: SimTime,
-        cached: I,
-        out: &mut Vec<ItemId>,
-    ) -> BsSelect
-    where
-        I: IntoIterator<Item = ItemId>,
-    {
-        let sel = self.select(tlb);
-        if let BsSelect::Prefix(prefix) = sel {
-            for item in cached {
-                if idx.is_marked(item, prefix) {
-                    out.push(item);
-                }
-            }
-        }
-        sel
     }
 
     /// Report body size per the paper's formula: `2N + b_T · log₂N` bits
@@ -615,44 +478,30 @@ mod tests {
         assert_eq!(top.cut, Some(t(1000.0 - 8.0 * 10.0)));
     }
 
+    /// A plan decoded for a client's `Tlb` bucket marks exactly what the
+    /// Figure-2 `decide` invalidates, and decodes nothing for the Clean
+    /// and DropAll verdicts.
     #[test]
     fn indexed_fanout_matches_decide() {
         let bs = BitSequences::from_recency(t(2000.0), 16, recency(9));
-        let idx = bs.index();
+        let payload = crate::ReportPayload::BitSeq(bs.clone());
         let caches: [&[u32]; 4] = [&[0, 1, 5], &[0, 3, 5], &[4], &[9, 12]];
         for (tlb, cached) in [(995.0, 0), (975.0, 1), (955.0, 2), (1500.0, 3), (900.0, 0)]
             .map(|(tlb, ci)| (tlb, caches[ci]))
         {
             let items: Vec<ItemId> = cached.iter().map(|&i| ItemId(i)).collect();
-            let mut out = Vec::new();
-            let sel = bs.decide_with(&idx, t(tlb), items.iter().copied(), &mut out);
-            match bs.decide(t(tlb), items) {
-                BsDecision::Clean => assert_eq!(sel, BsSelect::Clean),
-                BsDecision::DropAll => assert_eq!(sel, BsSelect::DropAll),
+            let plan = crate::PlanCache::for_report(&payload, t(tlb));
+            match bs.decide(t(tlb), items.iter().copied()) {
+                BsDecision::Clean | BsDecision::DropAll => assert_eq!(plan.bs_prefix(), None),
                 BsDecision::Invalidate(mut stale) => {
-                    assert!(matches!(sel, BsSelect::Prefix(_)));
+                    assert!(plan.bs_prefix().is_some());
+                    let mut marked: Vec<ItemId> =
+                        items.into_iter().filter(|&i| plan.contains(i)).collect();
                     stale.sort_unstable();
-                    out.sort_unstable();
-                    assert_eq!(out, stale, "tlb {tlb}");
+                    marked.sort_unstable();
+                    assert_eq!(marked, stale, "tlb {tlb}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn sharded_index_build_matches_serial() {
-        let pool = WorkerPool::new(3);
-        // Sizes chosen to exercise empty, single-entry, non-dividing and
-        // larger-than-shard-count recency lists.
-        for n in [0usize, 1, 2, 7, 8, 40] {
-            let bs = BitSequences::from_recency(t(2000.0), 128, recency(n));
-            let serial = BsIndex::build(&bs);
-            for shards in [1usize, 2, 3, 5, 16] {
-                let sharded = BsIndex::build_sharded(&bs, &pool, shards, 1);
-                assert_eq!(serial, sharded, "n={n} shards={shards}");
-            }
-            // A min-items threshold changes who builds, never the result.
-            assert_eq!(serial, BsIndex::build_sharded(&bs, &pool, 4, 16));
         }
     }
 

@@ -13,6 +13,9 @@
 //! * [`sig`] — the *signatures* scheme of Barbara & Imielinski: combined
 //!   signatures over pseudo-random item subsets (group testing).
 //! * [`payload`] — the [`ReportPayload`] sum type the simulator broadcasts.
+//! * [`plan`] — the [`PlanCache`]: a report decoded once per broadcast
+//!   into a dense stale bitmap, the simulator's only way of applying it.
+//!   Each kind's linear `decide` is the plan's test oracle.
 //!
 //! All client-side logic here is **pure**: a report plus the client's
 //! last-report timestamp (`Tlb`) and a view of its cache produce a
@@ -28,9 +31,9 @@ pub mod plan;
 pub mod sig;
 pub mod window;
 
-pub use at::{AtDecision, AtIndex, AtReport};
-pub use bitseq::{BitSequences, BsDecision, BsIndex, BsSelect};
-pub use payload::{PreparedReport, ReportPayload};
+pub use at::{AtDecision, AtReport};
+pub use bitseq::{BitSequences, BsDecision, BsSelect};
+pub use payload::ReportPayload;
 pub use plan::{PlanCache, PlanStats};
 pub use sig::{SigDecision, SigReport, Signer};
-pub use window::{WindowDecision, WindowIndex, WindowReport};
+pub use window::{WindowDecision, WindowReport};

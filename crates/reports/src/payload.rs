@@ -4,10 +4,10 @@
 //! so the downlink carries a sum type. Size dispatch lives here so the
 //! simulator charges every kind through one call.
 
-use crate::at::{AtIndex, AtReport};
-use crate::bitseq::{BitSequences, BsIndex};
+use crate::at::AtReport;
+use crate::bitseq::BitSequences;
 use crate::sig::{SigReport, Signer};
-use crate::window::{WindowIndex, WindowReport};
+use crate::window::WindowReport;
 use mobicache_model::msg::SizeParams;
 use mobicache_model::units::Bits;
 use mobicache_sim::SimTime;
@@ -59,92 +59,20 @@ impl ReportPayload {
         matches!(self, ReportPayload::Window(w) if w.dummy.is_some())
     }
 
-    /// Builds the per-kind shared lookup index for this report —
-    /// [`PreparedReport::new`] in method form.
-    pub fn prepare(&self) -> PreparedReport<'_> {
-        PreparedReport::new(self)
+    /// Does nothing: a report is no longer pre-indexed, its only decoded
+    /// form is the invalidation plan (`crate::PlanCache`). Kept only
+    /// because the `mobibench` harness still times this call
+    /// (`mobibench/src/layers.rs`); it goes when that call goes.
+    #[doc(hidden)]
+    pub fn prepare(&self) -> Unprepared {
+        Unprepared
     }
 }
 
-/// The per-kind shared lookup index of one broadcast report.
-enum PreparedIndex {
-    Window(WindowIndex),
-    BitSeq(BsIndex),
-    At(AtIndex),
-    /// Signature reports are applied via the signer directly; there is
-    /// nothing to pre-index.
-    Sig,
-}
-
-/// A [`ReportPayload`] paired with its build-once lookup index.
-///
-/// One broadcast report is applied by every connected client, so the
-/// simulator prepares the report once per delivery and routes the whole
-/// fan-out through the shared index: each client's pass is then
-/// `O(|cache| · log |report|)` with no per-client sorting, hashing or
-/// allocation.
-pub struct PreparedReport<'a> {
-    payload: &'a ReportPayload,
-    index: PreparedIndex,
-}
-
-impl<'a> PreparedReport<'a> {
-    /// Indexes `payload` — `O(|report| · log |report|)`, once per
-    /// broadcast delivery.
-    pub fn new(payload: &'a ReportPayload) -> Self {
-        let index = match payload {
-            ReportPayload::Window(w) => PreparedIndex::Window(w.index()),
-            ReportPayload::BitSeq(bs) => PreparedIndex::BitSeq(bs.index()),
-            ReportPayload::At(at) => PreparedIndex::At(at.index()),
-            ReportPayload::Sig(..) => PreparedIndex::Sig,
-        };
-        PreparedReport { payload, index }
-    }
-
-    /// Pairs a [`ReportPayload::BitSeq`] with an externally built index —
-    /// the engine builds it through the worker pool via
-    /// [`BsIndex::build_sharded`]. For any other payload kind the index
-    /// argument is meaningless, so this falls back to
-    /// [`PreparedReport::new`].
-    pub fn with_bs_index(payload: &'a ReportPayload, index: BsIndex) -> Self {
-        match payload {
-            ReportPayload::BitSeq(_) => PreparedReport {
-                payload,
-                index: PreparedIndex::BitSeq(index),
-            },
-            _ => PreparedReport::new(payload),
-        }
-    }
-
-    /// The underlying report.
-    pub fn payload(&self) -> &'a ReportPayload {
-        self.payload
-    }
-
-    /// The shared window index ([`ReportPayload::Window`] only).
-    pub fn window_index(&self) -> Option<&WindowIndex> {
-        match &self.index {
-            PreparedIndex::Window(idx) => Some(idx),
-            _ => None,
-        }
-    }
-
-    /// The shared bit-sequences index ([`ReportPayload::BitSeq`] only).
-    pub fn bs_index(&self) -> Option<&BsIndex> {
-        match &self.index {
-            PreparedIndex::BitSeq(idx) => Some(idx),
-            _ => None,
-        }
-    }
-
-    /// The shared AT membership index ([`ReportPayload::At`] only).
-    pub fn at_index(&self) -> Option<&AtIndex> {
-        match &self.index {
-            PreparedIndex::At(idx) => Some(idx),
-            _ => None,
-        }
-    }
-}
+/// What [`ReportPayload::prepare`] returns. Not `Copy`, so the harness's
+/// `drop(black_box(report.prepare()))` still builds warning-free.
+#[doc(hidden)]
+pub struct Unprepared;
 
 #[cfg(test)]
 mod tests {

@@ -1,15 +1,18 @@
 //! Per-tick invalidation **plans**: one report decoded once into a dense
-//! stale bitmap over `ItemId`, applied to each cache by a word-wise AND.
+//! stale bitmap over `ItemId` — the only decoded form of a report.
 //!
-//! The per-item fan-out path (`WindowIndex::is_stale` /
-//! `BsIndex::is_marked` per cached entry) pays `O(|cache| · log |report|)`
-//! per client even though almost every connected client holds the same
-//! effective `Tlb` (the previous report's timestamp) and therefore
-//! computes the *same* stale set. A [`PlanCache`] flips the loop: decode
-//! the report into `db_size` bits once per tick, memoized by the `Tlb`
-//! bucket the decode depends on, then each client intersects the plan
-//! with its own cache-membership bitmap — visiting only non-zero words —
-//! instead of re-deriving the decision item by item.
+//! Almost every connected client holds the same effective `Tlb` (the
+//! previous report's timestamp) and therefore computes the *same* stale
+//! set, so a [`PlanCache`] decodes the report into `db_size` bits once
+//! per tick, memoized by the `Tlb` bucket the decode depends on. Each
+//! client then reads the plan through one of two arms, whichever its
+//! cache size makes cheaper:
+//!
+//! * the word arm — [`PlanCache::intersect_into`] ANDs the plan with the
+//!   cache's membership bitmap, visiting only non-zero words;
+//! * the per-item arm — one O(1) [`PlanCache::contains`] bit probe per
+//!   cached item (plus [`PlanCache::window_stale`]'s version test under
+//!   a window plan).
 //!
 //! Per report kind the `Tlb` bucket degenerates differently:
 //!
@@ -21,16 +24,17 @@
 //!   of `select(tlb)` alone, so the bucket key is the selected prefix
 //!   length. The engine pre-decodes the dominant bucket (the previous
 //!   report's broadcast time — every client that heard it lands there);
-//!   other buckets fall back to the per-item path.
+//!   a client in another bucket walks its own selected prefix of the
+//!   report against its cache-membership bitmap instead.
 //! * **AT** — the listed-item bitmap is `Tlb`-independent; coverage is a
 //!   scalar check, an uncovered client drops its whole cache anyway.
 //! * **SIG** — no plan: the verdict depends on each client's stored
 //!   signature baseline, which is per-client by construction.
 //!
-//! The plan is an *evaluation strategy*, never a behavioural change: the
-//! bitmap intersection yields exactly the stale **set** the per-item
-//! walk yields (pinned by the `plan ≡ decide` proptests), and the engine
-//! golden digests stay bit-identical.
+//! The plan is an *evaluation strategy*, never a behavioural change:
+//! either arm yields exactly the stale **set** the linear `decide` of
+//! each report kind yields (pinned by the `plan ≡ decide` proptests),
+//! and the engine golden digests stay bit-identical.
 
 use crate::bitseq::BsSelect;
 use crate::payload::ReportPayload;
@@ -58,10 +62,12 @@ enum PlanKind {
 /// counters are thread-invariant).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanStats {
-    /// Report applications served by a memoized plan bitmap.
+    /// Report applications served by the word-wise plan intersection.
     pub hits: u64,
-    /// Applications that fell back to the per-item path (plan absent for
-    /// the client's bucket, or the cache too small to profit).
+    /// Applications served per item: a cache too small for the word arm
+    /// to profit (one plan-bit probe per cached item), or a BS client
+    /// whose selected prefix is off the plan's bucket (a walk of that
+    /// prefix against the cache's membership bitmap).
     pub misses: u64,
 }
 
@@ -69,8 +75,9 @@ pub struct PlanStats {
 ///
 /// `decode_for_tick` turns one [`ReportPayload`] into a dense stale
 /// bitmap (`db_size.div_ceil(64)` words of `u64`); `intersect_into`
-/// applies it to one cache's membership bitmap. The buffers persist
-/// across ticks, so steady state allocates nothing.
+/// applies it to one cache's membership bitmap and `contains` probes it
+/// one item at a time. The buffers persist across ticks, so steady state
+/// allocates nothing.
 ///
 /// Shared immutably across the engine's fan-out shards: after the serial
 /// phase-0 decode every read is lock-free (`&PlanCache` is `Sync` — the
@@ -94,6 +101,22 @@ impl PlanCache {
         Self::default()
     }
 
+    /// A one-off plan for a single client whose effective `Tlb` is
+    /// `tlb`, for callers outside a tick fan-out. They do not know the
+    /// database size, so the plan spans the report's highest listed item
+    /// id; a cached item beyond it is unlisted.
+    pub fn for_report(payload: &ReportPayload, tlb: SimTime) -> Self {
+        let highest = match payload {
+            ReportPayload::Window(w) => w.records.iter().map(|&(item, _)| item).max(),
+            ReportPayload::At(at) => at.items.iter().copied().max(),
+            ReportPayload::BitSeq(bs) => bs.recency.iter().map(|&(item, _)| item).max(),
+            ReportPayload::Sig(..) => None,
+        };
+        let mut plan = Self::new();
+        plan.decode_for_tick(payload, tlb, highest.map_or(0, |item| item.0 + 1));
+        plan
+    }
+
     /// Zeroes the bitmap at `words` words, keeping the allocation.
     fn reset_bits(&mut self, words: usize) {
         self.bits.clear();
@@ -114,8 +137,8 @@ impl PlanCache {
     /// report's broadcast time (every client that heard it selects this
     /// bucket). Window and AT decodes are `Tlb`-independent. A SIG
     /// payload, or a BS dominant bucket resolving to Clean/DropAll,
-    /// leaves the plan empty (every client falls back per-item — both
-    /// non-prefix BS verdicts are O(1) anyway).
+    /// leaves the plan empty (both non-prefix BS verdicts are O(1), and
+    /// a client with a prefix walks it itself).
     pub fn decode_for_tick(
         &mut self,
         payload: &ReportPayload,
@@ -187,11 +210,29 @@ impl PlanCache {
         &self.bits
     }
 
+    /// `true` when the plan's bit for `item` is set: listed by a window
+    /// or AT report, or inside the decoded BS prefix. Items beyond the
+    /// decoded span are unset.
+    #[inline]
+    pub fn contains(&self, item: ItemId) -> bool {
+        let i = item.0 as usize;
+        self.bits
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 != 0)
+    }
+
     /// The listed update timestamp of `item` under a window plan.
     /// Meaningful only for items whose plan bit is set.
     #[inline]
     pub fn listed_ts(&self, item: ItemId) -> SimTime {
         self.ts[item.0 as usize]
+    }
+
+    /// Figure 1's per-item test under a window plan: the report lists
+    /// `item` with an update newer than the cached `version`.
+    #[inline]
+    pub fn window_stale(&self, item: ItemId, version: SimTime) -> bool {
+        self.contains(item) && version < self.listed_ts(item)
     }
 
     /// Word-wise `plan & member` intersection: for every set bit of the
@@ -276,6 +317,36 @@ mod tests {
             t(930.0) < plan.listed_ts(i) // only 3 (950) qualifies
         });
         assert_eq!(out, vec![ItemId(3)]);
+    }
+
+    #[test]
+    fn per_item_probes_agree_with_the_bitmap() {
+        let mut plan = PlanCache::new();
+        plan.decode_for_tick(&window(vec![(3, 950.0), (70, 920.0)]), t(0.0), 128);
+        assert!(plan.contains(ItemId(3)) && plan.contains(ItemId(70)));
+        assert!(!plan.contains(ItemId(5)));
+        // Past the decoded span: unset, not a panic.
+        assert!(!plan.contains(ItemId(4_000)));
+        assert!(plan.window_stale(ItemId(3), t(940.0)));
+        assert!(
+            !plan.window_stale(ItemId(3), t(950.0)),
+            "equal version is fresh"
+        );
+        assert!(
+            !plan.window_stale(ItemId(5), t(0.0)),
+            "unlisted is never stale"
+        );
+    }
+
+    #[test]
+    fn one_off_plan_spans_the_highest_listed_item() {
+        let plan = PlanCache::for_report(&window(vec![(3, 950.0), (70, 920.0)]), t(900.0));
+        assert!(plan.window_active());
+        assert_eq!(plan.words().len(), 2, "ids up to 70 fit in two words");
+        assert!(plan.contains(ItemId(70)));
+        let empty = PlanCache::for_report(&window(vec![]), t(900.0));
+        assert!(empty.window_active() && empty.words().is_empty());
+        assert!(!empty.contains(ItemId(0)));
     }
 
     #[test]

@@ -78,58 +78,6 @@ pub enum WindowDecision {
     Invalidate(Vec<ItemId>),
 }
 
-/// A build-once lookup index over a [`WindowReport`]'s records: the
-/// records sorted by item id, queried by binary search.
-///
-/// One report is applied by every connected client each broadcast
-/// period, so the simulator builds this once per delivered report and
-/// shares it across the whole fan-out — each client's Figure-1 pass is
-/// then `O(|cache| · log |records|)` with no per-client allocation,
-/// instead of the reference algorithm's `O(|cache| · |records|)` scan.
-#[derive(Clone, Debug)]
-pub struct WindowIndex {
-    /// Records sorted by item id (at most one record per item).
-    sorted: Vec<(ItemId, SimTime)>,
-}
-
-impl WindowIndex {
-    /// Builds the index: `O(|records| · log |records|)`, once per report.
-    pub fn build(report: &WindowReport) -> Self {
-        let mut sorted = report.records.clone();
-        sorted.sort_unstable_by_key(|&(id, _)| id);
-        WindowIndex { sorted }
-    }
-
-    /// The listed update timestamp for `item`, if the window lists it.
-    #[inline]
-    pub fn updated_at(&self, item: ItemId) -> Option<SimTime> {
-        self.sorted
-            .binary_search_by_key(&item, |&(id, _)| id)
-            .ok()
-            .map(|pos| self.sorted[pos].1)
-    }
-
-    /// `true` when the report proves a cached copy at `version` stale.
-    #[inline]
-    pub fn is_stale(&self, item: ItemId, version: SimTime) -> bool {
-        self.updated_at(item).is_some_and(|t| version < t)
-    }
-
-    /// Appends every provably stale cached entry to `out` (which is not
-    /// cleared) — the allocation-free fan-out primitive behind
-    /// [`WindowReport::stale_items`].
-    pub fn stale_into<I>(&self, cached: I, out: &mut Vec<ItemId>)
-    where
-        I: IntoIterator<Item = (ItemId, SimTime)>,
-    {
-        for (item, version) in cached {
-            if self.is_stale(item, version) {
-                out.push(item);
-            }
-        }
-    }
-}
-
 impl WindowReport {
     /// `true` when this report's history reaches back to `tlb`, i.e. every
     /// update that happened after `tlb` is listed.
@@ -147,12 +95,6 @@ impl WindowReport {
         }
     }
 
-    /// Builds the shared lookup index for this report. Build once, apply
-    /// to every client of the broadcast fan-out.
-    pub fn index(&self) -> WindowIndex {
-        WindowIndex::build(self)
-    }
-
     /// Runs the Figure-1 client algorithm for a client whose last report
     /// was at `tlb`, over a cache view of `(item, version)` pairs, where
     /// `version` is the timestamp of the last update the cached copy
@@ -162,22 +104,10 @@ impl WindowReport {
     /// vouch for the missed period; the caller decides between dropping
     /// (plain `TS`) and uplinking `Tlb` (adaptive schemes).
     ///
-    /// Thin wrapper over the indexed path (builds a throwaway
-    /// [`WindowIndex`]); callers applying one report to many caches
-    /// should build the index once and use [`WindowReport::decide_with`].
+    /// The obviously-correct linear form — a `records` scan per cached
+    /// item, `O(|cache| · |records|)` — and the test oracle for the
+    /// simulator's invalidation plan (`crate::PlanCache`).
     pub fn decide<I>(&self, tlb: SimTime, cached: I) -> WindowDecision
-    where
-        I: IntoIterator<Item = (ItemId, SimTime)>,
-    {
-        self.decide_with(&self.index(), tlb, cached)
-    }
-
-    /// The obviously-correct reference implementation of
-    /// [`WindowReport::decide`]: a linear `records` scan per cached item,
-    /// `O(|cache| · |records|)`. Kept for property tests (the indexed
-    /// path must agree with it exactly) and as the baseline side of the
-    /// tick fan-out micro-benchmark.
-    pub fn decide_linear<I>(&self, tlb: SimTime, cached: I) -> WindowDecision
     where
         I: IntoIterator<Item = (ItemId, SimTime)>,
     {
@@ -195,49 +125,6 @@ impl WindowReport {
         WindowDecision::Invalidate(stale)
     }
 
-    /// Like [`WindowReport::decide`] but with an index for large reports —
-    /// `O(cache · log records)` instead of `O(cache · records)`. Builds
-    /// the index per call; [`WindowReport::decide_with`] amortizes it.
-    pub fn decide_indexed<I>(&self, tlb: SimTime, cached: I) -> WindowDecision
-    where
-        I: IntoIterator<Item = (ItemId, SimTime)>,
-    {
-        self.decide_with(&self.index(), tlb, cached)
-    }
-
-    /// The fan-out form of [`WindowReport::decide`]: applies this report
-    /// through a prebuilt [`WindowIndex`] (`idx` must be built from this
-    /// report).
-    pub fn decide_with<I>(&self, idx: &WindowIndex, tlb: SimTime, cached: I) -> WindowDecision
-    where
-        I: IntoIterator<Item = (ItemId, SimTime)>,
-    {
-        if !self.covers(tlb) {
-            return WindowDecision::NotCovered;
-        }
-        let mut stale = Vec::new();
-        idx.stale_into(cached, &mut stale);
-        WindowDecision::Invalidate(stale)
-    }
-
-    /// Lists the cached entries this report *proves* stale — a pure
-    /// version comparison against the records, ignoring coverage. Always
-    /// sound to apply: a record `(oid, t)` with `t >` the cached version
-    /// is a definite update the copy misses. Used for partial application
-    /// while a reconnection gap is pending (the gap only prevents
-    /// *re-validating* entries, not dropping provably stale ones).
-    ///
-    /// Builds a throwaway index; the fan-out path uses
-    /// [`WindowIndex::stale_into`] with a shared index and scratch buffer.
-    pub fn stale_items<I>(&self, cached: I) -> Vec<ItemId>
-    where
-        I: IntoIterator<Item = (ItemId, SimTime)>,
-    {
-        let mut stale = Vec::new();
-        self.index().stale_into(cached, &mut stale);
-        stale
-    }
-
     /// Report body size in bits: `n_w · (log₂N + b_T)` (§3.1) plus the
     /// current timestamp, plus one more record if the dummy is present.
     pub fn size_bits(&self, p: &SizeParams) -> Bits {
@@ -249,6 +136,8 @@ impl WindowReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::ReportPayload;
+    use crate::plan::PlanCache;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -322,6 +211,9 @@ mod tests {
         }
     }
 
+    /// The report's decoded plan yields the linear reference's stale set
+    /// through both of its arms: per-item probes and the word-wise
+    /// intersection with a membership bitmap.
     #[test]
     fn indexed_matches_reference() {
         let r = report(vec![(5, 990.0), (1, 950.0), (3, 810.0)]);
@@ -331,39 +223,57 @@ mod tests {
             (ItemId(3), t(500.0)),
             (ItemId(5), t(985.0)),
         ];
+        let reference = r.decide(t(900.0), cache.clone());
         assert_eq!(
-            r.decide_linear(t(900.0), cache.clone()),
-            r.decide_indexed(t(900.0), cache.clone())
+            reference,
+            WindowDecision::Invalidate(vec![ItemId(3), ItemId(5)])
         );
-        assert_eq!(
-            r.decide_linear(t(900.0), cache.clone()),
-            r.decide(t(900.0), cache)
-        );
+        let plan = PlanCache::for_report(&ReportPayload::Window(r), t(900.0));
+        let probed: Vec<ItemId> = cache
+            .iter()
+            .filter(|&&(item, version)| plan.window_stale(item, version))
+            .map(|&(item, _)| item)
+            .collect();
+        assert_eq!(WindowDecision::Invalidate(probed), reference);
+        let member = [cache.iter().fold(0u64, |w, &(item, _)| w | 1 << item.0)];
+        let mut intersected = Vec::new();
+        plan.intersect_into(&member, &mut intersected, |item| {
+            cache
+                .iter()
+                .any(|&(i, version)| i == item && plan.window_stale(item, version))
+        });
+        assert_eq!(WindowDecision::Invalidate(intersected), reference);
     }
 
+    /// One decoded plan serves every client of a broadcast: each cache
+    /// probes the same bitmap, and coverage stays a per-client check.
     #[test]
     fn shared_index_reuses_across_clients() {
         let r = report(vec![(5, 990.0), (1, 950.0), (3, 810.0)]);
-        let idx = r.index();
-        assert_eq!(idx.updated_at(ItemId(5)), Some(t(990.0)));
-        assert_eq!(idx.updated_at(ItemId(4)), None);
-        assert!(idx.is_stale(ItemId(1), t(940.0)));
-        assert!(!idx.is_stale(ItemId(1), t(950.0)), "equal version is fresh");
-        // Two different caches through one index, scratch reused.
-        let mut scratch = Vec::new();
-        idx.stale_into(vec![(ItemId(1), t(940.0))], &mut scratch);
-        assert_eq!(scratch, vec![ItemId(1)]);
-        scratch.clear();
-        idx.stale_into(vec![(ItemId(3), t(900.0))], &mut scratch);
-        assert!(scratch.is_empty());
-        assert_eq!(
-            r.decide_with(&idx, t(900.0), vec![(ItemId(5), t(100.0))]),
-            WindowDecision::Invalidate(vec![ItemId(5)])
+        let mut plan = PlanCache::new();
+        plan.decode_for_tick(&ReportPayload::Window(r.clone()), SimTime::ZERO, 64);
+        assert_eq!(plan.listed_ts(ItemId(5)), t(990.0));
+        assert!(!plan.contains(ItemId(4)));
+        assert!(
+            !plan.window_stale(ItemId(1), t(950.0)),
+            "equal version is fresh"
         );
-        assert_eq!(
-            r.decide_with(&idx, t(700.0), vec![(ItemId(5), t(100.0))]),
-            WindowDecision::NotCovered
-        );
+        let clients = [
+            (900.0, vec![(ItemId(1), t(940.0))]),
+            (850.0, vec![(ItemId(3), t(900.0)), (ItemId(5), t(100.0))]),
+            (700.0, vec![(ItemId(5), t(100.0))]),
+        ];
+        for (tlb, cache) in clients {
+            let probed: Vec<ItemId> = cache
+                .iter()
+                .filter(|&&(item, version)| plan.window_stale(item, version))
+                .map(|&(item, _)| item)
+                .collect();
+            match r.decide(t(tlb), cache) {
+                WindowDecision::Invalidate(reference) => assert_eq!(probed, reference),
+                WindowDecision::NotCovered => assert!(!r.covers(t(tlb)), "tlb {tlb}"),
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Property tests pinning the `plan ≡ decide` equivalence: the bitmap
-//! invalidation plan ([`PlanCache`]) applied through a cache-membership
-//! bitmap must produce exactly the stale **set** the per-item
-//! `decide_with` walk produces, for every report shape that admits a
-//! plan. The engine relies on this to swap evaluation strategies without
-//! moving the golden digests.
+//! invalidation plan ([`PlanCache`]), read through either of its arms —
+//! the word-wise intersection with a cache-membership bitmap or one bit
+//! probe per cached item — must produce exactly the stale **set** the
+//! linear `decide` of each report kind produces. The engine relies on
+//! this to evaluate every report through the plan without moving the
+//! golden digests.
 
 use mobicache_model::ItemId;
 use mobicache_reports::{
-    AtReport, BitSequences, BsSelect, PlanCache, ReportPayload, WindowDecision, WindowReport,
+    AtDecision, AtReport, BitSequences, BsDecision, BsSelect, PlanCache, ReportPayload,
+    WindowDecision, WindowReport,
 };
 use mobicache_sim::SimTime;
 use proptest::prelude::*;
@@ -38,20 +40,12 @@ fn last_updates(history: &[(f64, u32)]) -> HashMap<u32, f64> {
 
 /// Builds the `TS` window report the server would broadcast at `HORIZON`.
 fn window_report(history: &[(f64, u32)], window_start: f64) -> WindowReport {
-    let mut latest_in_window: HashMap<u32, f64> = HashMap::new();
-    for &(ts, item) in history {
-        if ts > window_start {
-            let e = latest_in_window.entry(item).or_insert(ts);
-            if ts > *e {
-                *e = ts;
-            }
-        }
-    }
     WindowReport {
         broadcast_at: t(HORIZON),
         window_start: t(window_start),
-        records: latest_in_window
+        records: last_updates(history)
             .into_iter()
+            .filter(|&(_, ts)| ts > window_start)
             .map(|(i, ts)| (ItemId(i), t(ts)))
             .collect(),
         dummy: None,
@@ -77,15 +71,35 @@ fn member_of(ids: impl IntoIterator<Item = u32>, db: u32) -> Vec<u64> {
     words
 }
 
+/// The plan's stale set through both arms, which must agree; sorted.
+/// `stale(item)` is the per-item test for an item whose plan bit is set.
+fn both_arms(
+    plan: &PlanCache,
+    cached: impl IntoIterator<Item = u32> + Clone,
+    db: u32,
+    stale: impl Fn(ItemId) -> bool,
+) -> Vec<ItemId> {
+    let mut words = Vec::new();
+    plan.intersect_into(&member_of(cached.clone(), db), &mut words, &stale);
+    let mut probed: Vec<ItemId> = cached
+        .into_iter()
+        .map(ItemId)
+        .filter(|&i| plan.contains(i) && stale(i))
+        .collect();
+    probed.sort_unstable();
+    assert_eq!(words, probed, "word and per-item arms disagree");
+    words
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Window plan ≡ `WindowReport::decide_with`: for a covered client,
-    /// the word-wise intersection filtered by the listed-timestamp check
-    /// yields exactly the per-item stale set — for *arbitrary* cached
-    /// versions, not just histories a well-behaved client could hold.
+    /// Window plan ≡ `WindowReport::decide`: for a covered client, both
+    /// arms filtered by the listed-timestamp check yield exactly the
+    /// linear stale set — for *arbitrary* cached versions, not just
+    /// histories a well-behaved client could hold.
     #[test]
-    fn window_plan_matches_decide_with(
+    fn window_plan_matches_decide(
         history in history_strategy(128),
         window_start in 0.0..HORIZON,
         tlb in 0.0..HORIZON,
@@ -100,34 +114,28 @@ proptest! {
 
         let entries: Vec<(ItemId, SimTime)> =
             cached.iter().map(|(&i, &v)| (ItemId(i), t(v))).collect();
-        let reference = report.decide_with(&report.index(), t(tlb), entries.clone());
-
-        let member = member_of(cached.keys().copied(), 128);
-        let mut planned = Vec::new();
-        plan.intersect_into(&member, &mut planned, |item| {
-            t(cached[&item.0]) < plan.listed_ts(item)
+        let planned = both_arms(&plan, cached.keys().copied(), 128, |item| {
+            plan.window_stale(item, t(cached[&item.0]))
         });
-
-        match reference {
+        match report.decide(t(tlb), entries) {
             WindowDecision::NotCovered => {
-                // The engine never applies a window plan to an uncovered
-                // client (`covers` is checked per client first); nothing
-                // to compare.
+                // The client drops (or limbos) its cache whatever the
+                // plan says; nothing to compare.
                 prop_assert!(!report.covers(t(tlb)));
             }
             WindowDecision::Invalidate(mut stale) => {
                 stale.sort_unstable();
-                planned.sort_unstable();
                 prop_assert_eq!(stale, planned);
             }
         }
     }
 
-    /// BS plan ≡ `BitSequences::decide_with`: whenever the client's
-    /// selected prefix bucket matches the plan's decoded bucket, the
-    /// prefix bitmap intersection yields exactly the per-item marked set.
+    /// BS plan ≡ `BitSequences::decide`: whenever the client's selected
+    /// prefix bucket matches the plan's decoded bucket, both arms yield
+    /// exactly the marked cached set. (Off-bucket clients walk their own
+    /// prefix; the client-level proptest covers them.)
     #[test]
-    fn bs_plan_matches_decide_with(
+    fn bs_plan_matches_decide(
         history in history_strategy(128),
         dominant in 0.0..HORIZON,
         tlb in 0.0..HORIZON,
@@ -143,32 +151,24 @@ proptest! {
             _ => prop_assert_eq!(plan.bs_prefix(), None),
         }
 
-        let idx = report.index();
-        let mut reference = Vec::new();
-        let sel = report.decide_with(
-            &idx,
-            t(tlb),
-            cached_items.iter().copied().map(ItemId),
-            &mut reference,
-        );
-        let (BsSelect::Prefix(p), Some(decoded)) = (sel, plan.bs_prefix()) else {
-            return Ok(()); // Clean/DropAll verdicts, or no plan: per-item path.
+        let reference = report.decide(t(tlb), cached_items.iter().copied().map(ItemId));
+        let (BsDecision::Invalidate(mut stale), BsSelect::Prefix(p)) =
+            (reference, report.select(t(tlb)))
+        else {
+            return Ok(()); // Clean/DropAll: O(1) verdicts, no plan read.
         };
-        if p != decoded {
-            return Ok(()); // bucket mismatch: the engine falls back per-item.
+        if plan.bs_prefix() != Some(p) {
+            return Ok(()); // off the decoded bucket.
         }
-        let member = member_of(cached_items.iter().copied(), 128);
-        let mut planned = Vec::new();
-        plan.intersect_into(&member, &mut planned, |_| true);
-        reference.sort_unstable();
-        planned.sort_unstable();
-        prop_assert_eq!(reference, planned);
+        let planned = both_arms(&plan, cached_items.iter().copied(), 128, |_| true);
+        stale.sort_unstable();
+        prop_assert_eq!(stale, planned);
     }
 
-    /// AT plan ≡ `AtReport::decide_with`: for a covered client the listed
-    /// bitmap intersection yields exactly the per-item membership set.
+    /// AT plan ≡ `AtReport::decide`: for a covered client both arms of
+    /// the listed bitmap yield exactly the linear membership set.
     #[test]
-    fn at_plan_matches_decide_with(
+    fn at_plan_matches_decide(
         history in history_strategy(128),
         prev in 0.0..HORIZON,
         tlb in 0.0..HORIZON,
@@ -188,24 +188,15 @@ proptest! {
         plan.decode_for_tick(&ReportPayload::At(report.clone()), t(0.0), 128);
         prop_assert!(plan.at_active());
 
-        let idx = report.index();
-        let mut reference = Vec::new();
-        let covered = report.decide_with(
-            &idx,
-            t(tlb),
-            cached_items.iter().copied().map(ItemId),
-            &mut reference,
-        );
-        if !covered {
+        let AtDecision::Invalidate(mut stale) =
+            report.decide(t(tlb), cached_items.iter().copied().map(ItemId))
+        else {
             // Uncovered AT clients drop the whole cache; the plan is
             // never consulted.
             return Ok(());
-        }
-        let member = member_of(cached_items.iter().copied(), 128);
-        let mut planned = Vec::new();
-        plan.intersect_into(&member, &mut planned, |_| true);
-        reference.sort_unstable();
-        planned.sort_unstable();
-        prop_assert_eq!(reference, planned);
+        };
+        let planned = both_arms(&plan, cached_items.iter().copied(), 128, |_| true);
+        stale.sort_unstable();
+        prop_assert_eq!(stale, planned);
     }
 }

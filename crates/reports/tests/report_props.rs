@@ -9,9 +9,7 @@
 //! stale ones).
 
 use mobicache_model::ItemId;
-use mobicache_reports::{
-    AtDecision, AtReport, BitSequences, BsDecision, WindowDecision, WindowReport,
-};
+use mobicache_reports::{BitSequences, BsDecision, WindowDecision, WindowReport};
 use mobicache_sim::SimTime;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -115,110 +113,6 @@ proptest! {
                 "item {:?}: version {} truth {}",
                 item, version.as_secs(), truth
             );
-        }
-    }
-
-    /// The indexed fast path agrees with the linear reference
-    /// implementation, and `decide` (now a thin wrapper over the index)
-    /// agrees with both.
-    #[test]
-    fn window_indexed_matches_reference(
-        history in history_strategy(64),
-        window_start in 0.0..HORIZON,
-        tlb in 0.0..HORIZON,
-        cached_items in prop::collection::hash_set(0u32..64, 0..20),
-    ) {
-        let last = last_updates(&history);
-        let cache: Vec<(ItemId, SimTime)> = cached_items
-            .iter()
-            .map(|&i| (ItemId(i), t(version_asof(&last, &history, i, tlb))))
-            .collect();
-        let report = window_report(&history, window_start);
-        let linear = report.decide_linear(t(tlb), cache.clone());
-        let indexed = report.decide_indexed(t(tlb), cache.clone());
-        let wrapper = report.decide(t(tlb), cache);
-        // Order within the stale list may differ; compare as sets.
-        let canon = |d: WindowDecision| match d {
-            WindowDecision::Invalidate(mut x) => {
-                x.sort_unstable();
-                WindowDecision::Invalidate(x)
-            }
-            other => other,
-        };
-        let (linear, indexed, wrapper) = (canon(linear), canon(indexed), canon(wrapper));
-        prop_assert_eq!(&linear, &indexed);
-        prop_assert_eq!(&linear, &wrapper);
-    }
-
-    /// The shared BS fan-out index produces the same verdict and stale
-    /// set as the per-client `decide`.
-    #[test]
-    fn bitseq_indexed_matches_decide(
-        history in history_strategy(64),
-        tlb in 0.0..HORIZON,
-        cached_items in prop::collection::hash_set(0u32..64, 0..32),
-    ) {
-        let report = bs_report(&history, 64);
-        let cache: Vec<ItemId> = cached_items.iter().copied().map(ItemId).collect();
-        let reference = report.decide(t(tlb), cache.clone());
-        let idx = report.index();
-        let mut out = Vec::new();
-        let select = report.decide_with(&idx, t(tlb), cache.iter().copied(), &mut out);
-        match (reference, select) {
-            (BsDecision::Clean, mobicache_reports::BsSelect::Clean) => {
-                prop_assert!(out.is_empty());
-            }
-            (BsDecision::DropAll, mobicache_reports::BsSelect::DropAll) => {
-                prop_assert!(out.is_empty());
-            }
-            (BsDecision::Invalidate(mut stale), mobicache_reports::BsSelect::Prefix(_)) => {
-                stale.sort_unstable();
-                out.sort_unstable();
-                prop_assert_eq!(stale, out);
-            }
-            (r, s) => {
-                return Err(TestCaseError::fail(format!(
-                    "verdict mismatch: decide {r:?} vs select {s:?}"
-                )));
-            }
-        }
-    }
-
-    /// The shared AT membership index produces the same verdict and stale
-    /// set as the per-client `decide`.
-    #[test]
-    fn at_indexed_matches_decide(
-        history in history_strategy(64),
-        prev in 0.0..HORIZON,
-        tlb in 0.0..HORIZON,
-        cached_items in prop::collection::hash_set(0u32..64, 0..32),
-    ) {
-        let items: Vec<ItemId> = last_updates(&history)
-            .iter()
-            .filter(|&(_, &ts)| ts > prev)
-            .map(|(&i, _)| ItemId(i))
-            .collect();
-        let report = AtReport {
-            broadcast_at: t(HORIZON),
-            prev_broadcast: t(prev),
-            items,
-        };
-        let cache: Vec<ItemId> = cached_items.iter().copied().map(ItemId).collect();
-        let reference = report.decide(t(tlb), cache.clone());
-        let idx = report.index();
-        let mut out = Vec::new();
-        let covered = report.decide_with(&idx, t(tlb), cache.iter().copied(), &mut out);
-        match reference {
-            AtDecision::NotCovered => {
-                prop_assert!(!covered);
-                prop_assert!(out.is_empty());
-            }
-            AtDecision::Invalidate(mut stale) => {
-                prop_assert!(covered);
-                stale.sort_unstable();
-                out.sort_unstable();
-                prop_assert_eq!(stale, out);
-            }
         }
     }
 

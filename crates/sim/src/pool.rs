@@ -80,7 +80,7 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 /// big. Returns ≥ 1; `1` means "run serially on the caller".
 ///
 /// Chunk geometry is part of the determinism argument, so every sharded
-/// phase (engine fan-out, oracle scan, `BsIndex` build) derives its
+/// phase (engine fan-out, wake-up burst, oracle scan) derives its
 /// chunk count through this one function.
 pub fn shard_count(max_shards: usize, len: usize, min_per_shard: usize) -> usize {
     let by_work = if min_per_shard > 1 {

@@ -56,6 +56,13 @@ done
 echo "==> cell equivalence suite (under timeout)"
 timeout 600 cargo test -q --release --test cells
 
+# The benchmark harness in mobibench/ builds against the library crates
+# by path: its tests pin 1/50-horizon digests of every workload at 1 and
+# 2 threads and compile against the plan API, so a library change that
+# breaks the benchmark fails here first.
+echo "==> mobibench harness tests"
+cargo test -q --offline --manifest-path mobibench/Cargo.toml
+
 # Pool lifecycle tests under a hard timeout: their failure mode is a
 # wedged barrier or an unjoined worker, which must fail fast instead of
 # hanging the suite.
@@ -102,17 +109,16 @@ timeout 300 ./target/release/report_pipeline \
 echo "==> sched smoke: heap-vs-wheel micro-benchmark"
 timeout 300 ./target/release/report_pipeline --smoke-sched
 
-# Invalidation-plan legs: the invplan smoke re-runs the 100k-client
-# plan-vs-per-item micro-benchmark and fails if the bitmap plan stops
-# beating the per-item walk or drops below half the committed speedup
-# (a ratio of two timed paths carries both runs' noise, hence the wider
-# margin than the 10% throughput gates). The e2e smoke closes the old
-# gap where the e2e section had no gate at all: it re-runs the full AAW
-# fig05 sweep against the committed e2e row with an 80% floor (e2e wall
-# times are tens of milliseconds, so proportional noise is larger).
-echo "==> invplan smoke: plan-vs-per-item at 100k clients"
-timeout 300 ./target/release/report_pipeline \
-  --smoke-invplan --check-against BENCH_report_pipeline.json
+# Invalidation-plan leg: the invplan smoke times the plan's two arms in
+# one process at the stress shape's 800-item caches (10k clients) and
+# fails if the word-wise intersection, which the client selection picks
+# there, stops beating the per-item plan-bit probes. Same-process, so
+# it needs no committed numbers. The e2e smoke closes the old gap where
+# the e2e section had no gate at all: it re-runs the full AAW fig05
+# sweep against the committed e2e row with an 80% floor (e2e wall times
+# are tens of milliseconds, so proportional noise is larger).
+echo "==> invplan smoke: word arm vs per-item arm at 10k clients"
+timeout 300 ./target/release/report_pipeline --smoke-invplan
 
 echo "==> e2e smoke: AAW fig05 sweep vs committed BENCH_report_pipeline.json"
 timeout 300 ./target/release/report_pipeline \
