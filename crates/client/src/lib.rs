@@ -32,9 +32,10 @@
 //! cell's client state as parallel columns plus one shared
 //! [`PendingArena`] of pending-query nodes, and the scheme handlers run
 //! against [`ClientMut`] accessor views (or read-only [`ClientRef`]s).
-//! The engine's sharded phases walk contiguous column ranges through a
-//! [`PopPtr`]. [`Client`] remains as a single-client facade over a
-//! population of one.
+//! The engine's sharded phases walk contiguous column ranges through
+//! [`ClientPop::for_each_delivered`], which keeps the raw column
+//! pointers it shards with private to the population. [`Client`]
+//! remains as a single-client facade over a population of one.
 //!
 //! Migration note: the owning `QueryState` type was removed with this
 //! redesign — per-item progress lives in the arena and the per-query
@@ -47,5 +48,5 @@ mod pop;
 mod query;
 
 pub use machine::{Client, ClientAction, ClientConfig, ClientCounters};
-pub use pop::{ClientMut, ClientPop, ClientRef, PendingArena, PopPtr};
+pub use pop::{ClientMut, ClientPop, ClientRef, PendingArena};
 pub use query::{PendingItem, PendingState, QueryHeader, QueryOutcome};

@@ -26,6 +26,7 @@ use crate::query::{PendingItem, PendingState, QueryHeader};
 use mobicache_cache::{EntryState, LruCache};
 use mobicache_model::{CheckingMode, ItemId, Scheme, UplinkKind};
 use mobicache_reports::{BsSelect, PlanCache, PlanStats, ReportPayload, SigDecision};
+use mobicache_sim::pool::{for_each_set_bit, WorkerPool};
 use mobicache_sim::SimTime;
 use std::collections::HashSet;
 
@@ -104,8 +105,9 @@ impl PendingArena {
 ///
 /// All clients share one [`ClientConfig`]; per-client state lives in
 /// parallel columns indexed by `ClientId::index()`. Mutating access
-/// goes through [`ClientPop::client_mut`] (serial) or a [`PopPtr`]
-/// (sharded phases over disjoint index ranges).
+/// goes through [`ClientPop::client_mut`] (serial) or
+/// [`ClientPop::for_each_delivered`] (sharded over disjoint index
+/// ranges).
 pub struct ClientPop {
     cfg: ClientConfig,
     caches: Vec<LruCache>,
@@ -341,14 +343,51 @@ impl ClientPop {
         }
     }
 
-    /// Raw column pointers for the sharded tick phases.
+    /// Visits every client whose bit is set in `words` (bit `i` of word
+    /// `i / 64` is client `i`), sharded over `pool` through
+    /// [`WorkerPool::for_each_chunk`]: `visit(i, view, slot)` gets the
+    /// client index, a mutable view of that client, and the slot of the
+    /// chunk holding `i`. Within a chunk clients are visited in
+    /// ascending index order, so merging the slots in index order
+    /// afterwards replays the serial visit order at any geometry.
     ///
-    /// # Safety contract (checked by the callers)
-    /// Shards derived from one `PopPtr` must touch **disjoint** client
-    /// index ranges, and no serial-phase method that can move a column
-    /// (`start_query`'s arena growth) may run while the pointer is
-    /// live.
-    pub fn as_ptr(&mut self) -> PopPtr {
+    /// The visitor must touch nothing but its client and its slot —
+    /// which is what makes the broadcast fan-out embarrassingly parallel
+    /// and bit-identical to a serial walk.
+    ///
+    /// # Panics
+    /// Panics if `words` holds fewer than `self.len().div_ceil(64)`
+    /// words, or if `slots` is empty on a non-empty population.
+    pub fn for_each_delivered<S, F>(
+        &mut self,
+        pool: &WorkerPool,
+        words: &[u64],
+        slots: &mut [S],
+        visit: F,
+    ) where
+        S: Send,
+        F: Fn(usize, ClientMut<'_>, &mut S) + Sync,
+    {
+        let len = self.len();
+        let pop = self.as_ptr();
+        pool.for_each_chunk(len, slots, |range, slot| {
+            for_each_set_bit(words, range, |i| {
+                // SAFETY: `i` lies in this chunk's range, and the chunks
+                // of one `for_each_chunk` call are disjoint, so no two
+                // live views share an index. `self` stays mutably
+                // borrowed for the whole walk, so no column or arena
+                // slab can move while views are live.
+                let client = unsafe { pop.client_mut(i) };
+                visit(i, client, slot);
+            });
+        });
+    }
+
+    /// Raw column pointers for [`ClientPop::for_each_delivered`]. Views
+    /// derived from one `PopPtr` must touch **disjoint** client indices,
+    /// and no method that can move a column (`start_query`'s arena
+    /// growth) may run while the pointer is live.
+    fn as_ptr(&mut self) -> PopPtr {
         PopPtr {
             cfg: &self.cfg,
             caches: self.caches.as_mut_ptr(),
@@ -427,11 +466,10 @@ pub struct ClientMut<'a> {
     counters: &'a mut ClientCounters,
 }
 
-/// Raw pointers into every [`ClientPop`] column, `Copy + Send`, for the
-/// engine's sharded phases. Each worker derives [`ClientMut`] views for
-/// the client indices of its own chunk only.
-#[derive(Clone, Copy)]
-pub struct PopPtr {
+/// Raw pointers into every [`ClientPop`] column, shared by the chunks of
+/// [`ClientPop::for_each_delivered`]. Each chunk derives [`ClientMut`]
+/// views for the client indices of its own range only.
+struct PopPtr {
     cfg: *const ClientConfig,
     caches: *mut LruCache,
     tlb: *mut SimTime,
@@ -448,19 +486,22 @@ pub struct PopPtr {
     blocks: *const Block,
 }
 
-// SAFETY: a PopPtr is only ever dereferenced through `client_mut` on
-// disjoint index ranges (one shard per range), which is exactly the
-// discipline `&mut [Client]` chunking used to enforce statically.
-unsafe impl Send for PopPtr {}
+// SAFETY: every field is a column pointer (or the shared config) of
+// one population, and a PopPtr is only ever dereferenced through
+// `client_mut` on disjoint index ranges (one chunk per range), which is
+// exactly the discipline `&mut [Client]` chunking would enforce
+// statically. Every column type is `Send`, and the config, only ever
+// read, is `Sync`.
 unsafe impl Sync for PopPtr {}
 
 impl PopPtr {
     /// A mutable view of client `i`.
     ///
     /// # Safety
-    /// The population must outlive `'a`, no two live views may share an
-    /// index, and the arena slab must not move while views are live.
-    pub unsafe fn client_mut<'a>(self, i: usize) -> ClientMut<'a> {
+    /// `i` must be below the population length, the population must
+    /// outlive `'a`, no two live views may share an index, and the arena
+    /// slab must not move while views are live.
+    unsafe fn client_mut<'a>(&self, i: usize) -> ClientMut<'a> {
         let b = *self.blocks.add(i);
         ClientMut {
             cfg: &*self.cfg,
@@ -1500,29 +1541,51 @@ mod tests {
         assert_eq!(single.cell_words(0), single.connected_words());
     }
 
-    /// `PopPtr` views over disjoint indices mirror `client_mut`.
+    /// The sharded walk visits exactly the masked clients, in index
+    /// order once slots are concatenated, and leaves every client in the
+    /// state a serial `client_mut` walk leaves it — at one thread and at
+    /// three, over a mask that skips clients.
     #[test]
-    fn pop_ptr_views_match_serial_views() {
-        let mut pop = ClientPop::new(cfg(Scheme::SimpleChecking), 4);
-        for i in 0..4 {
-            pop.start_query(i, t(1.0), &[ItemId(i as u32)]);
-        }
+    fn for_each_delivered_matches_serial_views() {
+        let n: usize = 200;
         let payload = window(20.0, -180.0, vec![]);
-        let ptr = pop.as_ptr();
-        let mut actions: Vec<Vec<ClientAction>> = vec![Vec::new(); 4];
-        for (i, acts) in actions.iter_mut().enumerate() {
-            // SAFETY: indices are disjoint and the pop is not otherwise
-            // touched while the views are live.
-            let mut view = unsafe { ptr.client_mut(i) };
-            view.on_report_into(t(20.0), &payload, acts);
+        let words: Vec<u64> = {
+            let mut w = vec![0u64; n.div_ceil(64)];
+            for i in (0..n).filter(|i| i % 3 != 1 && !(70..140).contains(i)) {
+                w[i / 64] |= 1 << (i % 64);
+            }
+            w
+        };
+        let fresh = || {
+            let mut pop = ClientPop::new(cfg(Scheme::SimpleChecking), n);
+            for i in 0..n {
+                pop.start_query(i, t(1.0), &[ItemId(i as u32)]);
+            }
+            pop
+        };
+        let mut serial_pop = fresh();
+        let mut serial = Vec::new();
+        for i in 0..n {
+            if words[i / 64] & (1 << (i % 64)) != 0 {
+                let mut acts = Vec::new();
+                serial_pop
+                    .client_mut(i)
+                    .on_report_into(t(20.0), &payload, &mut acts);
+                serial.push((i, acts));
+            }
         }
-        for (i, acts) in actions.iter().enumerate() {
-            assert_eq!(
-                acts,
-                &vec![ClientAction::Uplink(UplinkKind::QueryRequest {
-                    item: ItemId(i as u32)
-                })]
-            );
+        for threads in [1, 3] {
+            let pool = WorkerPool::new(threads);
+            let mut pop = fresh();
+            let mut slots: Vec<Vec<(usize, Vec<ClientAction>)>> = vec![Vec::new(); threads];
+            pop.for_each_delivered(&pool, &words, &mut slots, |i, mut client, slot| {
+                let mut acts = Vec::new();
+                client.on_report_into(t(20.0), &payload, &mut acts);
+                slot.push((i, acts));
+            });
+            assert_eq!(slots.concat(), serial, "threads={threads}");
+            assert_eq!(pop.counters_col(), serial_pop.counters_col());
+            assert_eq!(pop.tlb, serial_pop.tlb, "threads={threads}");
         }
     }
 }

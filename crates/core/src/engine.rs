@@ -17,13 +17,13 @@
 use crate::metrics::{ClientStats, FaultMetrics, Metrics, MobilityMetrics};
 use crate::oracle::Oracle;
 use crate::probe::{CacheEventKind, IntervalSnapshot, Probe, ProbeEvent, ReportKind, RunTotals};
-use mobicache_client::{ClientAction, ClientConfig, ClientCounters, ClientPop, PopPtr};
+use mobicache_client::{ClientAction, ClientConfig, ClientCounters, ClientPop};
 use mobicache_model::msg::{DownlinkKind, SizeParams, UplinkKind, CLASS_CHECK, CLASS_REPORT};
 use mobicache_model::{ChannelFaults, ClientId, ConfigError, DownlinkTopology, ItemId, SimConfig};
 use mobicache_net::Channel;
 use mobicache_reports::{PlanCache, PlanStats, ReportPayload};
 use mobicache_server::{Server, ServerCounters};
-use mobicache_sim::pool::{shard_count, SendPtr, WorkerPool};
+use mobicache_sim::pool::WorkerPool;
 use mobicache_sim::{Exp, Histogram, OnlineStats, Scheduler, SimRng, SimTime, StreamId};
 use mobicache_workload::{GapKind, GapProcess, QueryGen, UpdateGen};
 use std::sync::Arc;
@@ -164,9 +164,11 @@ struct UpMsg {
     lost: bool,
 }
 
-/// Shard-local scratch for the parallel tick phases. Workers append
-/// here and nowhere else; the engine replays the contents serially in
-/// client-index order.
+/// Shard-local scratch for the report fan-out, one slot per chunk of
+/// [`ClientPop::for_each_delivered`]. A chunk's clients append here and
+/// nowhere else — no scheduler, channel, RNG or stats access — and the
+/// engine replays the contents serially in client-index order, which is
+/// what keeps the merged result bit-identical to the serial engine.
 #[derive(Default)]
 struct ShardScratch {
     /// Actions appended by this shard's clients, in client-index order.
@@ -187,142 +189,6 @@ struct ShardOutcome {
     client: usize,
     actions: u32,
     before: Option<(ClientCounters, u64)>,
-}
-
-/// Phase-1 worker for the report fan-out: applies one broadcast report
-/// to a contiguous client index range of the population. Touches
-/// nothing but the range's own column cells and the shard's own scratch
-/// — no scheduler, channel, RNG or stats access — which is what makes
-/// the fan-out embarrassingly parallel and the merged result
-/// bit-identical to the serial engine.
-///
-/// `deliver` is the whole population's delivery mask as bitmap words;
-/// the shard walks only its own `[start, end)` range (`start` is
-/// word-aligned — see [`fan_out_shards`]), extracting set bits with
-/// `trailing_zeros` so a word of 64 dozing or unlucky clients costs one
-/// load instead of 64 branches. `plan` is the tick's pre-decoded
-/// invalidation plan, shared immutably across shards (lock-free reads).
-#[allow(clippy::too_many_arguments)]
-fn run_report_shard(
-    now: SimTime,
-    pop: PopPtr,
-    start: usize,
-    end: usize,
-    deliver: &[u64],
-    payload: &ReportPayload,
-    plan: &PlanCache,
-    probing: bool,
-    scratch: &mut ShardScratch,
-) {
-    debug_assert!(start.is_multiple_of(64), "shard start must be word-aligned");
-    for (wi, &word) in deliver
-        .iter()
-        .enumerate()
-        .take(end.div_ceil(64))
-        .skip(start / 64)
-    {
-        let mut w = word;
-        if (wi + 1) * 64 > end {
-            // Final partial word: bits past `end` belong to the next
-            // shard (or past the population) — mask them off.
-            w &= (1u64 << (end - wi * 64)) - 1;
-        }
-        while w != 0 {
-            let i = wi * 64 + w.trailing_zeros() as usize;
-            w &= w - 1;
-            // SAFETY: the fan-out hands each shard a disjoint index
-            // range, and no serial-phase arena growth runs while shards
-            // are live.
-            let mut client = unsafe { pop.client_mut(i) };
-            let before = probing.then(|| (client.counters(), client.cache().evictions()));
-            let a0 = scratch.actions.len();
-            client.on_report_planned(now, payload, plan, &mut scratch.actions, &mut scratch.plan);
-            scratch.outcomes.push(ShardOutcome {
-                client: i,
-                actions: (scratch.actions.len() - a0) as u32,
-                before,
-            });
-        }
-    }
-}
-
-/// Phase-1 worker for broadcast snooping: overheard items only touch
-/// each client's own cache, so no scratch is needed at all. Same
-/// word-wise mask walk as the report shard.
-fn run_snoop_shard(
-    now: SimTime,
-    pop: PopPtr,
-    start: usize,
-    end: usize,
-    deliver: &[u64],
-    item: ItemId,
-    version: SimTime,
-) {
-    debug_assert!(start.is_multiple_of(64), "shard start must be word-aligned");
-    for (wi, &word) in deliver
-        .iter()
-        .enumerate()
-        .take(end.div_ceil(64))
-        .skip(start / 64)
-    {
-        let mut w = word;
-        if (wi + 1) * 64 > end {
-            w &= (1u64 << (end - wi * 64)) - 1;
-        }
-        while w != 0 {
-            let i = wi * 64 + w.trailing_zeros() as usize;
-            w &= w - 1;
-            // SAFETY: disjoint index range per shard (see fan-out).
-            let mut client = unsafe { pop.client_mut(i) };
-            client.on_snooped_data(now, item, version);
-        }
-    }
-}
-
-/// Splits the client population into contiguous index-range chunks (at
-/// most `shards.len()`, thinned by the `min_per_shard` knob) and runs
-/// `work` on each through the persistent pool — chunk `i` gets shard
-/// scratch `i`, whichever thread claims it. With one effective shard
-/// this degenerates to a plain serial call that never touches the pool.
-///
-/// `work` receives the chunk's `[start, end)` client index range;
-/// chunks are rounded up to 64-client multiples so every shard starts
-/// on a delivery-bitmap word boundary and the workers can walk whole
-/// words without cross-shard overlap. (Chunk geometry is wall-time
-/// only — the knob-invariance golden tests pin that digests never
-/// depend on it.) Workers reach the columns through a captured
-/// [`PopPtr`], staying inside their own index range.
-fn fan_out_shards<W>(
-    pool: &WorkerPool,
-    min_per_shard: usize,
-    len: usize,
-    shards: &mut [ShardScratch],
-    work: W,
-) where
-    W: Fn(usize, usize, &mut ShardScratch) + Sync,
-{
-    if len == 0 {
-        return;
-    }
-    let t = shard_count(shards.len(), len, min_per_shard);
-    if t == 1 {
-        work(0, len, &mut shards[0]);
-        return;
-    }
-    let chunk = len.div_ceil(t).next_multiple_of(64);
-    let shards_ptr = SendPtr(shards.as_mut_ptr());
-    pool.run(t, &|i| {
-        let start = i * chunk;
-        if start >= len {
-            return;
-        }
-        let end = (start + chunk).min(len);
-        // SAFETY: chunks are disjoint contiguous index ranges, and
-        // shard scratch `i` is written by chunk `i` alone; the pool's
-        // barrier keeps both alive until every chunk has completed.
-        let shard = unsafe { &mut *shards_ptr.get().add(i) };
-        work(start, end, shard);
-    });
 }
 
 /// A fully wired simulation, ready to run.
@@ -413,9 +279,6 @@ pub struct Simulation<'p> {
     /// Reusable per-client delivery mask for the broadcast phases, as
     /// bitmap words (bit `i` = client `i` hears this transmission).
     deliver_words: Vec<u64>,
-    /// Reusable bool expansion of a word mask for the oracle's
-    /// `scan_cols`, and the all-true mask of full-population checks.
-    deliver_scratch: Vec<bool>,
     /// The per-tick invalidation-plan caches, one per cell: each cell's
     /// report is decoded once into a dense stale bitmap in serial
     /// phase 0, then shared immutably across the fan-out shards (see
@@ -482,9 +345,6 @@ impl<'p> Simulation<'p> {
             retry: cfg.faults.is_active().then_some(cfg.faults.retry),
         };
         let mut sched = Scheduler::new();
-        let mut rng_clients: Vec<SimRng> = (0..cfg.num_clients)
-            .map(|c| SimRng::for_stream(cfg.seed, StreamId::Client(c)))
-            .collect();
 
         // First broadcast at t = L; first update per the update process;
         // each client's first query after an initial think period.
@@ -510,63 +370,60 @@ impl<'p> Simulation<'p> {
                 Ev::ServerRecover,
             );
         }
+        // Asked only when needed: on Linux the answer reads cgroup files
+        // (tens of microseconds), a visible share of a small engine's
+        // set-up.
+        let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
         let threads = match cfg.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            0 => cores(),
             n => n as usize,
         }
         .min(cfg.num_clients as usize)
         .max(1);
+        // `threads` fixes the chunk geometry (and with it nothing but
+        // wall time); the pool only lends execution lanes, so it never
+        // needs more than the host has — which also keeps a large
+        // validated `threads` from exhausting the process's thread limit.
         let pool = match &opts.worker_pool {
             Some(pool) => Arc::clone(pool),
-            None => Arc::new(WorkerPool::new(threads)),
+            None if threads == 1 => Arc::new(WorkerPool::new(1)),
+            None => Arc::new(WorkerPool::new(threads.min(cores()))),
         };
 
-        // One wake-up per client: every client samples its first think
-        // period from its own RNG stream, so the sampling shards across
-        // the pool; the per-shard `(time, client)` scratch is replayed
-        // serially in client-index order through `schedule_batch`, which
-        // hands out the same sequence numbers `num_clients` individual
+        // One wake-up per client: every client seeds its own RNG stream
+        // and samples its first think period from it, so the burst
+        // shards across the pool. Each chunk slot holds its clients'
+        // streams and `(time, client)` wake-ups; concatenated in chunk
+        // order they give the client-index order `schedule_batch` needs
+        // to hand out the same sequence numbers `num_clients` individual
         // calls would (the FIFO tie-break contract).
         let think = mobicache_sim::Exp::with_mean(cfg.mean_think_secs);
         let n = cfg.num_clients as usize;
-        let t = shard_count(threads, n, cfg.pool_min_shard_clients as usize);
-        if t <= 1 {
-            sched.schedule_batch((0..cfg.num_clients).map(|c| {
-                let first = think.sample(&mut rng_clients[c as usize]);
-                (SimTime::from_secs(first), Ev::QueryArrival(ClientId(c)))
-            }));
-        } else {
-            let chunk = n.div_ceil(t);
-            let mut wake: Vec<Vec<(SimTime, u32)>> = (0..t).map(|_| Vec::new()).collect();
-            let wake_ptr = SendPtr(wake.as_mut_ptr());
-            let rng_ptr = SendPtr(rng_clients.as_mut_ptr());
-            let think_ref = &think;
-            pool.run(t, &|i| {
-                let start = i * chunk;
-                if start >= n {
-                    return;
-                }
-                let end = (start + chunk).min(n);
-                // SAFETY: disjoint contiguous RNG ranges; wake slot `i`
-                // is written by chunk `i` alone.
-                let rngs = unsafe {
-                    std::slice::from_raw_parts_mut(rng_ptr.get().add(start), end - start)
-                };
-                let out = unsafe { &mut *wake_ptr.get().add(i) };
-                out.reserve(end - start);
-                for (off, rng) in rngs.iter_mut().enumerate() {
-                    let first = think_ref.sample(rng);
-                    out.push((SimTime::from_secs(first), (start + off) as u32));
-                }
-            });
-            sched.reserve(n);
-            for shard in &mut wake {
-                sched.schedule_batch(
-                    shard
-                        .drain(..)
-                        .map(|(at, c)| (at, Ev::QueryArrival(ClientId(c)))),
-                );
+        let mut wake = vec![(Vec::new(), Vec::new()); threads];
+        pool.for_each_chunk(n, &mut wake, |range, (rngs, times)| {
+            rngs.reserve_exact(range.len());
+            times.reserve_exact(range.len());
+            for c in range {
+                let mut rng = SimRng::for_stream(cfg.seed, StreamId::Client(c as u32));
+                times.push((SimTime::from_secs(think.sample(&mut rng)), c as u32));
+                rngs.push(rng);
             }
+        });
+        // The first chunk's streams become the column itself, so a
+        // one-chunk burst copies nothing.
+        let mut rng_clients: Vec<SimRng> = Vec::new();
+        sched.reserve(n);
+        for (mut rngs, times) in wake {
+            if rng_clients.is_empty() {
+                rng_clients = rngs;
+            } else {
+                rng_clients.append(&mut rngs);
+            }
+            sched.schedule_batch(
+                times
+                    .into_iter()
+                    .map(|(at, c)| (at, Ev::QueryArrival(ClientId(c)))),
+            );
         }
 
         // Mobility: each client's residency clock starts at t = 0 and
@@ -668,7 +525,6 @@ impl<'p> Simulation<'p> {
             snap_index: 0,
             action_scratch: Vec::new(),
             deliver_words: Vec::new(),
-            deliver_scratch: Vec::new(),
             plans: (0..cells).map(|_| PlanCache::new()).collect(),
             prev_report_at: vec![SimTime::ZERO; cells],
             plan_hits: 0,
@@ -840,16 +696,17 @@ impl<'p> Simulation<'p> {
         self.check_all_consistency();
     }
 
-    /// Full-population oracle scan (crash/recovery boundaries).
+    /// Full-population oracle scan (crash/recovery boundaries), over an
+    /// all-ones mask in the reusable delivery-word buffer.
     fn check_all_consistency(&mut self) {
         if self.oracle.is_none() {
             return;
         }
-        let mut all = std::mem::take(&mut self.deliver_scratch);
+        let mut all = std::mem::take(&mut self.deliver_words);
         all.clear();
-        all.resize(self.clients.len(), true);
-        self.check_consistency_masked(&all);
-        self.deliver_scratch = all;
+        all.resize(self.clients.len().div_ceil(64), !0);
+        self.check_consistency_sharded(&all);
+        self.deliver_words = all;
     }
 
     /// Forwards a typed event to the attached probe, if any.
@@ -1168,31 +1025,28 @@ impl<'p> Simulation<'p> {
                     sh.outcomes.clear();
                     sh.plan = PlanStats::default();
                 }
-                let pop = self.clients.as_ptr();
-                {
-                    let payload: &ReportPayload = &report;
-                    let plan_ref = &plan;
-                    let deliver_ref = &deliver;
-                    fan_out_shards(
-                        &self.pool,
-                        self.cfg.pool_min_shard_clients as usize,
-                        self.clients.len(),
-                        &mut shards,
-                        |start, end, sh| {
-                            run_report_shard(
-                                now,
-                                pop,
-                                start,
-                                end,
-                                deliver_ref,
-                                payload,
-                                plan_ref,
-                                probing,
-                                sh,
-                            );
-                        },
-                    );
-                }
+                self.clients.for_each_delivered(
+                    &self.pool,
+                    &deliver,
+                    &mut shards,
+                    |i, mut client, sh| {
+                        let before =
+                            probing.then(|| (client.counters(), client.cache().evictions()));
+                        let a0 = sh.actions.len();
+                        client.on_report_planned(
+                            now,
+                            &report,
+                            &plan,
+                            &mut sh.actions,
+                            &mut sh.plan,
+                        );
+                        sh.outcomes.push(ShardOutcome {
+                            client: i,
+                            actions: (sh.actions.len() - a0) as u32,
+                            before,
+                        });
+                    },
+                );
                 self.plans[cell] = plan;
                 self.prev_report_at[cell] = report.broadcast_at();
                 // Phase 2 (serial merge, client-index order): replay
@@ -1271,19 +1125,12 @@ impl<'p> Simulation<'p> {
                         }
                     }
                     self.fanout_words_skipped += deliver.iter().filter(|&&w| w == 0).count() as u64;
-                    let mut shards = std::mem::take(&mut self.shards);
-                    let pop = self.clients.as_ptr();
-                    let deliver_ref = &deliver;
-                    fan_out_shards(
+                    self.clients.for_each_delivered(
                         &self.pool,
-                        self.cfg.pool_min_shard_clients as usize,
-                        self.clients.len(),
-                        &mut shards,
-                        |start, end, _| {
-                            run_snoop_shard(now, pop, start, end, deliver_ref, item, version);
-                        },
+                        &deliver,
+                        &mut self.shards,
+                        |_, mut client, _| client.on_snooped_data(now, item, version),
                     );
-                    self.shards = shards;
                     self.check_consistency_sharded(&deliver);
                     self.deliver_words = deliver;
                 }
@@ -1580,25 +1427,7 @@ impl<'p> Simulation<'p> {
     /// shard geometry), so the first one re-raised here is the same
     /// panic, with the same message, the per-client serial check
     /// produced.
-    fn check_consistency_sharded(&mut self, deliver_words: &[u64]) {
-        if self.oracle.is_none() {
-            return;
-        }
-        // Expand the word mask into the oracle's bool view (the scan
-        // itself branches per client anyway — a full cache walk apiece —
-        // so the expansion is noise there).
-        let mut mask = std::mem::take(&mut self.deliver_scratch);
-        mask.clear();
-        mask.resize(self.clients.len(), false);
-        for (i, b) in mask.iter_mut().enumerate() {
-            *b = deliver_words[i / 64] & (1u64 << (i % 64)) != 0;
-        }
-        self.check_consistency_masked(&mask);
-        self.deliver_scratch = mask;
-    }
-
-    /// The bool-mask core of the sharded oracle pass.
-    fn check_consistency_masked(&mut self, deliver: &[bool]) {
+    fn check_consistency_sharded(&mut self, deliver: &[u64]) {
         let Some(oracle) = self.oracle.as_ref() else {
             return;
         };
@@ -1609,7 +1438,6 @@ impl<'p> Simulation<'p> {
             deliver,
             &self.pool,
             self.shards.len(),
-            self.cfg.pool_min_shard_clients as usize,
         );
         self.oracle
             .as_mut()
@@ -1634,26 +1462,12 @@ impl<'p> Simulation<'p> {
         }
         let horizon = self.horizon;
         let up = self.uplink.stats(horizon);
+        let totals = self.current_totals();
         let mut clients = ClientStats::default();
-        let mut issued = 0u64;
-        let mut answered = 0u64;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut evictions = 0u64;
         let mut faults = self.faults;
-        for (c, cache) in self
-            .clients
-            .counters_col()
-            .iter()
-            .zip(self.clients.caches_col())
-        {
+        faults.retries_sent = totals.fault_retries;
+        for c in self.clients.counters_col() {
             clients.absorb(c);
-            issued += c.queries_issued;
-            answered += c.queries_answered;
-            hits += c.item_hits;
-            misses += c.item_misses;
-            evictions += cache.evictions();
-            faults.retries_sent += c.retries_sent;
             faults.backoff_exhaustions += c.backoff_exhaustions;
         }
         if self.cfg.faults.is_active() {
@@ -1688,6 +1502,11 @@ impl<'p> Simulation<'p> {
         let validity_bits = up.bits_by_class[CLASS_CHECK];
         let energy_total =
             self.tx_bits * self.cfg.energy_tx_per_bit + self.rx_bits * self.cfg.energy_rx_per_bit;
+        let (answered, hits, misses) = (
+            totals.queries_answered,
+            totals.item_hits,
+            totals.item_misses,
+        );
         let metrics = Metrics {
             queries_answered: answered,
             uplink_validity_bits_per_query: if answered == 0 {
@@ -1695,7 +1514,7 @@ impl<'p> Simulation<'p> {
             } else {
                 validity_bits / answered as f64
             },
-            queries_issued: issued,
+            queries_issued: totals.queries_issued,
             item_hits: hits,
             item_misses: misses,
             hit_ratio: if hits + misses == 0 {
@@ -1724,7 +1543,7 @@ impl<'p> Simulation<'p> {
             reports_lost: self.reports_lost,
             server: self.server_counters().into(),
             clients,
-            cache_evictions: evictions,
+            cache_evictions: totals.cache_evictions,
             disconnections: self.disconnections,
             events_processed: self.sched.events_delivered(),
             sim_time_secs: self.cfg.sim_time_secs,
@@ -1818,6 +1637,30 @@ mod tests {
         assert_eq!(
             format!("{:?}", serial.metrics),
             format!("{:?}", sharded.metrics)
+        );
+    }
+
+    #[test]
+    fn pool_lanes_are_capped_by_the_host() {
+        // 64 requested threads split 500 clients into 8 chunks of 64,
+        // but the engine's own pool spawns no more lanes than the host
+        // has cores — so a large validated `threads` cannot exhaust the
+        // process's thread limit — and the digest is the serial one.
+        let mut cfg = short_cfg(Scheme::Aaw);
+        cfg.num_clients = 500;
+        cfg.sim_time_secs = 1_000.0;
+        let serial = run(&cfg, RunOptions::new().check_consistency(true)).unwrap();
+        let sim = Simulation::new(
+            &cfg.clone().with_threads(64),
+            RunOptions::new().check_consistency(true),
+        )
+        .unwrap();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(sim.pool.threads() <= cores, "{} lanes", sim.pool.threads());
+        assert_eq!(sim.shards.len(), 64);
+        assert_eq!(
+            format!("{:?}", serial.metrics),
+            format!("{:?}", sim.run_to_completion().metrics)
         );
     }
 

@@ -270,18 +270,6 @@ impl ClientStats {
         self.limbo_dropped += c.limbo_dropped;
         self.limbo_episodes += c.limbo_episodes;
     }
-
-    /// Folds another partial aggregate into this one. Every field is a
-    /// plain sum, so shard-local aggregates built over disjoint client
-    /// ranges merge into exactly the serial total, in any order.
-    pub fn merge(&mut self, other: &ClientStats) {
-        self.tlbs_sent += other.tlbs_sent;
-        self.checks_sent += other.checks_sent;
-        self.full_drops += other.full_drops;
-        self.salvaged += other.salvaged;
-        self.limbo_dropped += other.limbo_dropped;
-        self.limbo_episodes += other.limbo_episodes;
-    }
 }
 
 impl Metrics {
@@ -355,35 +343,5 @@ mod tests {
         s.absorb(&c);
         assert_eq!(s.tlbs_sent, 4);
         assert_eq!(s.limbo_episodes, 12);
-    }
-
-    #[test]
-    fn client_stats_merge_equals_serial_absorb() {
-        let counters: Vec<ClientCounters> = (0..6)
-            .map(|i| ClientCounters {
-                tlbs_sent: i,
-                checks_sent: 2 * i,
-                salvaged: i * i,
-                limbo_episodes: 1,
-                ..ClientCounters::default()
-            })
-            .collect();
-        let mut serial = ClientStats::default();
-        for c in &counters {
-            serial.absorb(c);
-        }
-        // Two shards over disjoint halves, merged.
-        let mut lo = ClientStats::default();
-        let mut hi = ClientStats::default();
-        for c in &counters[..3] {
-            lo.absorb(c);
-        }
-        for c in &counters[3..] {
-            hi.absorb(c);
-        }
-        let mut merged = ClientStats::default();
-        merged.merge(&lo);
-        merged.merge(&hi);
-        assert_eq!(merged, serial);
     }
 }

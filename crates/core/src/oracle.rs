@@ -16,7 +16,7 @@
 
 use mobicache_cache::{EntryState, LruCache};
 use mobicache_model::{ClientId, ItemId};
-use mobicache_sim::pool::{shard_count, SendPtr, WorkerPool};
+use mobicache_sim::pool::{for_each_set_bit, WorkerPool};
 use mobicache_sim::SimTime;
 use std::collections::HashMap;
 use std::fmt;
@@ -131,103 +131,28 @@ impl Oracle {
         self.checks += n;
     }
 
-    /// Scans many caches, sharded over `pool` in contiguous chunks of
-    /// `caches`. Returns the total evaluation count and every violation
-    /// in `caches`-index (then cache-entry) order — byte-identical to a
-    /// serial pass, whatever the shard geometry: each chunk appends to
-    /// its own slot, and slots are concatenated in chunk order.
-    pub fn scan(
-        &self,
-        caches: &[(ClientId, &LruCache)],
-        pool: &WorkerPool,
-        max_shards: usize,
-        min_per_shard: usize,
-    ) -> (u64, Vec<Violation>) {
-        let n = caches.len();
-        if n == 0 {
-            return (0, Vec::new());
-        }
-        let t = shard_count(max_shards, n, min_per_shard);
-        if t <= 1 {
-            let mut out = Vec::new();
-            let mut checks = 0;
-            for &(client, cache) in caches {
-                checks += self.collect_violations(client, cache, &mut out);
-            }
-            return (checks, out);
-        }
-        let chunk = n.div_ceil(t);
-        let mut parts: Vec<(u64, Vec<Violation>)> = (0..t).map(|_| (0, Vec::new())).collect();
-        let parts_ptr = SendPtr(parts.as_mut_ptr());
-        pool.run(t, &|i| {
-            let start = i * chunk;
-            if start >= n {
-                return;
-            }
-            let end = (start + chunk).min(n);
-            // SAFETY: chunk `i` writes only to slot `i`.
-            let slot = unsafe { &mut *parts_ptr.get().add(i) };
-            for &(client, cache) in &caches[start..end] {
-                slot.0 += self.collect_violations(client, cache, &mut slot.1);
-            }
-        });
-        let mut checks = 0;
-        let mut out = Vec::new();
-        for (c, mut v) in parts {
-            checks += c;
-            out.append(&mut v);
-        }
-        (checks, out)
-    }
-
-    /// Scans a whole cache column masked by `deliver`, sharded over
-    /// `pool` in contiguous index chunks. The column index *is* the
+    /// Scans every cache of a column whose bit is set in `deliver` (bit
+    /// `i` of word `i / 64` is client `i`), sharded over `pool` in at
+    /// most `shards` contiguous index chunks. The column index *is* the
     /// client id, so no `(ClientId, &cache)` pair list is ever built —
     /// the struct-of-arrays engine calls this straight on its cache
-    /// column every broadcast tick. Returns the total evaluation count
-    /// and every violation in column-index (then cache-entry) order,
-    /// byte-identical to a serial pass whatever the shard geometry.
+    /// column with its delivery words every broadcast tick. Returns the
+    /// total evaluation count and every violation in column-index (then
+    /// cache-entry) order, byte-identical to a serial pass whatever the
+    /// shard geometry: each chunk appends to its own slot, and slots are
+    /// concatenated in chunk order.
     pub fn scan_cols(
         &self,
         caches: &[LruCache],
-        deliver: &[bool],
+        deliver: &[u64],
         pool: &WorkerPool,
-        max_shards: usize,
-        min_per_shard: usize,
+        shards: usize,
     ) -> (u64, Vec<Violation>) {
-        debug_assert_eq!(caches.len(), deliver.len());
-        let n = caches.len();
-        if n == 0 {
-            return (0, Vec::new());
-        }
-        let t = shard_count(max_shards, n, min_per_shard);
-        if t <= 1 {
-            let mut out = Vec::new();
-            let mut checks = 0;
-            for (i, cache) in caches.iter().enumerate() {
-                if deliver[i] {
-                    checks += self.collect_violations(ClientId(i as u32), cache, &mut out);
-                }
-            }
-            return (checks, out);
-        }
-        let chunk = n.div_ceil(t);
-        let mut parts: Vec<(u64, Vec<Violation>)> = (0..t).map(|_| (0, Vec::new())).collect();
-        let parts_ptr = SendPtr(parts.as_mut_ptr());
-        pool.run(t, &|i| {
-            let start = i * chunk;
-            if start >= n {
-                return;
-            }
-            let end = (start + chunk).min(n);
-            // SAFETY: chunk `i` writes only to slot `i`.
-            let slot = unsafe { &mut *parts_ptr.get().add(i) };
-            for (j, cache) in caches[start..end].iter().enumerate() {
-                if deliver[start + j] {
-                    slot.0 +=
-                        self.collect_violations(ClientId((start + j) as u32), cache, &mut slot.1);
-                }
-            }
+        let mut parts: Vec<(u64, Vec<Violation>)> = (0..shards).map(|_| (0, Vec::new())).collect();
+        pool.for_each_chunk(caches.len(), &mut parts, |range, (checks, out)| {
+            for_each_set_bit(deliver, range, |i| {
+                *checks += self.collect_violations(ClientId(i as u32), &caches[i], out);
+            });
         });
         let mut checks = 0;
         let mut out = Vec::new();
@@ -299,47 +224,53 @@ mod tests {
         for k in 0..8u32 {
             o.record_update(t(10.0 + k as f64), ItemId(k));
         }
-        // Build 7 caches (non-dividing under 2/3 shards); odd clients
-        // hold a stale-valid entry for their own item index.
-        let caches: Vec<LruCache> = (0..7u32)
+        // 150 caches, so 2 and 3 shards really split (chunks are
+        // 64-aligned); every seventh client holds a stale-valid entry.
+        let n: usize = 150;
+        let caches: Vec<LruCache> = (0..n)
             .map(|c| {
                 let mut cache = LruCache::new(4);
-                let version = if c % 2 == 1 { SimTime::ZERO } else { t(50.0) };
-                cache.insert(ItemId(c), version, t(40.0));
+                let version = if c % 7 == 1 { SimTime::ZERO } else { t(50.0) };
+                cache.insert(ItemId(c as u32 % 8), version, t(40.0));
                 cache
             })
             .collect();
-        let refs: Vec<(ClientId, &LruCache)> = caches
-            .iter()
-            .enumerate()
-            .map(|(i, cache)| (ClientId(i as u32), cache))
-            .collect();
+        // The reference: a plain serial loop over the masked clients.
+        let serial = |mask: &dyn Fn(usize) -> bool| {
+            let mut out = Vec::new();
+            let mut checks = 0;
+            for (i, cache) in caches.iter().enumerate().filter(|&(i, _)| mask(i)) {
+                checks += o.collect_violations(ClientId(i as u32), cache, &mut out);
+            }
+            (checks, out)
+        };
+        let words = |mask: &dyn Fn(usize) -> bool| {
+            let mut w = vec![0u64; n.div_ceil(64)];
+            for i in (0..n).filter(|&i| mask(i)) {
+                w[i / 64] |= 1 << (i % 64);
+            }
+            w
+        };
         let pool = WorkerPool::new(3);
-        let serial = o.scan(&refs, &pool, 1, 1);
-        assert_eq!(serial.0, 7);
-        assert_eq!(
-            serial.1.iter().map(|v| v.client).collect::<Vec<_>>(),
-            vec![ClientId(1), ClientId(3), ClientId(5)]
-        );
-        for shards in [2usize, 3, 5, 7, 16] {
-            assert_eq!(o.scan(&refs, &pool, shards, 1), serial, "shards={shards}");
-        }
-        // The work threshold only changes who scans, never the result.
-        assert_eq!(o.scan(&refs, &pool, 4, 4), serial);
-        // The columnar mask scan agrees with the pair-list scan at every
-        // geometry, including a partial mask.
-        let all = vec![true; caches.len()];
+        let all = serial(&|_| true);
+        assert_eq!(all.0, n as u64);
+        assert_eq!(all.1.len(), (0..n).filter(|c| c % 7 == 1).count());
+        // Hide client 1 and everything in 64..100 from the mask.
+        let partial: &dyn Fn(usize) -> bool = &|i| i != 1 && !(64..100).contains(&i);
+        let masked = serial(partial);
+        assert_eq!(masked.1.first().map(|v| v.client), Some(ClientId(8)));
         for shards in [1usize, 2, 3, 5, 16] {
-            assert_eq!(o.scan_cols(&caches, &all, &pool, shards, 1), serial);
+            assert_eq!(
+                o.scan_cols(&caches, &words(&|_| true), &pool, shards),
+                all,
+                "shards={shards}"
+            );
+            assert_eq!(
+                o.scan_cols(&caches, &words(partial), &pool, shards),
+                masked,
+                "masked, shards={shards}"
+            );
         }
-        let mut mask = all.clone();
-        mask[1] = false; // hide one violating client
-        let masked = o.scan_cols(&caches, &mask, &pool, 3, 1);
-        assert_eq!(masked.0, 6);
-        assert_eq!(
-            masked.1.iter().map(|v| v.client).collect::<Vec<_>>(),
-            vec![ClientId(3), ClientId(5)]
-        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! report exactly what their serial counterparts report, in the same
 //! order.
 //!
-//! The consistency oracle's full-cache scan ([`Oracle::scan`]) carries
-//! real reduction logic — violations concatenated in client-index order
-//! across chunks — and gets pinned here.
+//! The consistency oracle's masked column scan ([`Oracle::scan_cols`])
+//! carries real reduction logic — violations concatenated in
+//! client-index order across chunks — and gets pinned here against a
+//! plain serial loop over [`Oracle::collect_violations`].
 //!
 //! The report fan-out itself is pinned end-to-end by the golden-digest
 //! thread matrix in `tests/determinism.rs`.
@@ -46,19 +47,20 @@ fn build_caches(specs: &CacheSpec) -> Vec<LruCache> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharded oracle scan ≡ serial scan: same evaluation count, same
+    /// Sharded oracle scan ≡ serial loop: same evaluation count, same
     /// violations, same order — over random update histories, random
-    /// cache contents (including limbo-exempt clients) and every shard
-    /// geometry from serial to more shards than clients.
+    /// cache contents (including limbo-exempt clients), random delivery
+    /// masks, and every shard geometry from serial to more shards than
+    /// 64-client chunks.
     #[test]
     fn sharded_oracle_scan_matches_serial(
         updates in prop::collection::vec((0u32..48, 0u16..500), 1..120),
         specs in prop::collection::vec(
-            (prop::collection::vec((0u32..48, 0u16..500, 0u16..500), 0..16), any::<bool>()),
-            1..24,
+            (prop::collection::vec((0u32..48, 0u16..500, 0u16..500), 0..6), any::<bool>()),
+            1..300,
         ),
+        mask_seed in any::<u64>(),
         max_shards in 1usize..9,
-        min_per_shard in 1usize..6,
     ) {
         let mut oracle = Oracle::new();
         let mut history = updates.clone();
@@ -67,39 +69,44 @@ proptest! {
             oracle.record_update(t(ts as f64), ItemId(item));
         }
         let caches = build_caches(&specs);
-        let refs: Vec<(ClientId, &LruCache)> = caches
-            .iter()
-            .enumerate()
-            .map(|(i, cache)| (ClientId(i as u32), cache))
-            .collect();
+        let n = caches.len();
         let pool = WorkerPool::new(3);
-        let serial = oracle.scan(&refs, &pool, 1, 1);
-        let sharded = oracle.scan(&refs, &pool, max_shards, min_per_shard);
-        prop_assert_eq!(&serial.0, &sharded.0, "check counts diverged");
-        prop_assert_eq!(&serial.1, &sharded.1, "violation lists diverged");
-        // The columnar mask scan (the struct-of-arrays engine's path)
-        // must agree with the pair-list scan: all-true mask equals the
-        // unmasked scan, and a partial mask equals the masked serial
-        // reference, at every geometry.
-        let all = vec![true; caches.len()];
-        let cols = oracle.scan_cols(&caches, &all, &pool, max_shards, min_per_shard);
-        prop_assert_eq!(&serial, &cols, "columnar all-true scan diverged");
-        let mask: Vec<bool> = (0..caches.len()).map(|i| i % 2 == 0).collect();
-        let mut masked_out = Vec::new();
-        let mut masked_checks = 0;
-        for (i, cache) in caches.iter().enumerate() {
-            if mask[i] {
-                masked_checks += oracle.collect_violations(ClientId(i as u32), cache, &mut masked_out);
+        // The reference: a plain serial loop over the masked clients.
+        let serial = |mask: &[u64]| {
+            let mut out = Vec::new();
+            let mut checks = 0;
+            for (i, cache) in caches.iter().enumerate() {
+                if mask[i / 64] & (1 << (i % 64)) != 0 {
+                    checks += oracle.collect_violations(ClientId(i as u32), cache, &mut out);
+                }
             }
+            (checks, out)
+        };
+        // An all-ones mask (stray bits past the population included, as
+        // the engine's full-population check passes) and a random one.
+        let all = vec![!0u64; n.div_ceil(64)];
+        let mut state = mask_seed | 1;
+        let random: Vec<u64> = all
+            .iter()
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            })
+            .collect();
+        for mask in [&all, &random] {
+            let reference = serial(mask);
+            let sharded = oracle.scan_cols(&caches, mask, &pool, max_shards);
+            prop_assert_eq!(&reference.0, &sharded.0, "check counts diverged");
+            prop_assert_eq!(&reference.1, &sharded.1, "violation lists diverged");
         }
-        let masked = oracle.scan_cols(&caches, &mask, &pool, max_shards, min_per_shard);
-        prop_assert_eq!((masked_checks, masked_out), masked, "masked columnar scan diverged");
-        // And the serial scan must agree with the panicking per-client
+        // And the full scan must agree with the panicking per-client
         // API about whether the state is consistent at all.
-        let clean = serial.1.is_empty();
+        let clean = serial(&all).1.is_empty();
         let per_client = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for &(client, cache) in &refs {
-                oracle.assert_cache_consistent(client, cache);
+            for (i, cache) in caches.iter().enumerate() {
+                oracle.assert_cache_consistent(ClientId(i as u32), cache);
             }
         }));
         prop_assert_eq!(clean, per_client.is_ok());

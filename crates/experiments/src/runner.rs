@@ -47,9 +47,11 @@ pub enum CoreSplitPolicy {
     PointsOnly,
 }
 
-/// Engine threads only pay off on populations big enough to shard; the
-/// engine's own `pool_min_shard_clients` floor runs phases serially
-/// below roughly this size anyway, so splitting would waste cores.
+/// Engine threads only pay off on populations big enough to shard: the
+/// engine splits clients into 64-client-aligned chunks, and a small
+/// population's tick phases are too short to repay the pool's wake-up
+/// and barrier, so splitting would idle cores that concurrent points
+/// could use.
 const ENGINE_SPLIT_MIN_CLIENTS: u32 = 2_048;
 
 /// Divides a core budget of `budget` across up to `jobs` concurrent

@@ -287,18 +287,15 @@ pub struct SimConfig {
     /// Off in the paper's model.
     pub snoop_broadcasts: bool,
     /// Worker threads for the embarrassingly-parallel tick phases
-    /// (report fan-out and data snooping). `1` (the default) runs fully
-    /// serial; `0` means auto (one per available core). Any value yields
-    /// **bit-identical** results: clients are sharded into contiguous
-    /// index ranges and shard outputs are merged in client-index order
-    /// before the scheduler or any RNG stream is touched.
+    /// (report fan-out, data snooping, the wake-up burst and the oracle
+    /// scan). `1` (the default) runs fully serial; `0` means auto (one
+    /// per available core). The value sets how many chunks the clients
+    /// are split into; the engine's own pool never spawns more lanes
+    /// than the host has cores. Any value yields **bit-identical**
+    /// results: clients are sharded into contiguous index ranges and
+    /// shard outputs are merged in client-index order before the
+    /// scheduler or any RNG stream is touched.
     pub threads: u32,
-    /// Minimum clients per worker chunk before a client-sharded phase
-    /// (report fan-out, snoop delivery, the wake-up burst, the oracle
-    /// scan) fans out to the worker pool; phases whose population would
-    /// yield smaller chunks run serially on the calling thread. Purely a
-    /// wall-time knob — results are bit-identical at any value.
-    pub pool_min_shard_clients: u32,
     /// Fault-injection plan: bursty downlink loss (generalising
     /// [`SimConfig::p_report_loss`]), uplink loss with client
     /// retry/backoff, and scheduled server crashes. The default
@@ -450,7 +447,6 @@ impl SimConfig {
             gcore_retention_intervals: 100,
             snoop_broadcasts: false,
             threads: 1,
-            pool_min_shard_clients: 1,
             faults: FaultPlan::none(),
             cells: CellTopology::single(),
             seed: 0x1997_AD07,
@@ -498,13 +494,6 @@ impl SimConfig {
     /// wall time.
     pub fn with_threads(mut self, threads: u32) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Builder-style override of the minimum clients per worker chunk
-    /// (see [`SimConfig::pool_min_shard_clients`]). Wall-time only.
-    pub fn with_pool_min_shard_clients(mut self, min: u32) -> Self {
-        self.pool_min_shard_clients = min;
         self
     }
 
@@ -622,7 +611,6 @@ impl SimConfig {
                 value: self.energy_rx_per_bit,
             });
         }
-        count("pool_min_shard_clients", self.pool_min_shard_clients as u64)?;
         count("gcore_groups", self.gcore_groups as u64)?;
         count(
             "gcore_retention_intervals",
@@ -682,11 +670,9 @@ mod tests {
             .with_sim_time(5_000.0)
             .with_db_size(2_000)
             .with_num_clients(25)
-            .with_threads(4)
-            .with_pool_min_shard_clients(64);
+            .with_threads(4);
         assert_eq!(cfg.scheme, Scheme::Bs);
         assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.pool_min_shard_clients, 64);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.workload.query, Pattern::paper_hotcold());
         assert_eq!(cfg.sim_time_secs, 5_000.0);
@@ -712,15 +698,6 @@ mod tests {
         assert_eq!(
             c.validate(),
             Err(ConfigError::ZeroCount { field: "db_size" })
-        );
-
-        let mut c = SimConfig::paper_default();
-        c.pool_min_shard_clients = 0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::ZeroCount {
-                field: "pool_min_shard_clients"
-            })
         );
 
         let c = SimConfig::paper_default()

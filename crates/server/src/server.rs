@@ -312,7 +312,7 @@ impl Server {
         self.combined = None;
         // Forgetting the last broadcast makes the next AT report cover
         // the whole history — conservative (clients invalidate more than
-        // strictly needed) but never unsafe.
+        // strictly needed) but never lets a stale entry through.
         self.prev_broadcast = SimTime::ZERO;
         dropped
     }

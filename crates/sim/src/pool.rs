@@ -10,11 +10,12 @@
 //!
 //! Determinism contract: the pool decides **who** executes a chunk,
 //! never **what** a chunk is. Chunk geometry is a pure function of the
-//! caller's inputs (population size, configured shard count), each
-//! chunk writes only to its own slot, and the caller merges slots in
-//! chunk-index order after `run` returns — so results are bit-identical
-//! whether a chunk ran on a worker, on the caller, or everything ran
-//! inline on a pool with zero workers.
+//! caller's inputs (range length, slot count), decided in one place —
+//! [`WorkerPool::for_each_chunk`], which every sharded phase goes
+//! through — each chunk writes only to its own slot, and the caller
+//! merges slots in chunk-index order afterwards — so results are
+//! bit-identical whether a chunk ran on a worker, on the caller, or
+//! everything ran inline on a pool with zero workers.
 //!
 //! Scheduling is work-claiming rather than work-assigning: chunks are
 //! claimed from a shared atomic counter by the caller *and* the
@@ -29,67 +30,83 @@
 //! and [`WorkerPool::run`] re-raises the first payload on the calling
 //! thread. Dropping the pool signals shutdown and joins every worker.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// A raw pointer wrapper asserting `Send`/`Sync`, for chunk tasks that
-/// address disjoint per-chunk slots of a caller-owned buffer.
+/// Delivery-bitmap word size: every chunk [`WorkerPool::for_each_chunk`]
+/// hands out starts on a multiple of this, so a chunk walks whole words
+/// of a per-client bitmap without sharing one with its neighbour.
+pub const CHUNK_ALIGN: usize = 64;
+
+/// Length of every chunk but the last when `len` items are split into
+/// at most `max_shards` contiguous chunks: the even split rounded up to
+/// a multiple of [`CHUNK_ALIGN`].
+fn chunk_len(max_shards: usize, len: usize) -> usize {
+    len.div_ceil(max_shards.max(1))
+        .next_multiple_of(CHUNK_ALIGN)
+}
+
+/// Number of non-empty chunks the [`chunk_len`] geometry yields (0 for
+/// an empty range).
+fn shard_count(max_shards: usize, len: usize) -> usize {
+    if len == 0 {
+        0
+    } else {
+        len.div_ceil(chunk_len(max_shards, len))
+    }
+}
+
+/// Calls `f(i)` for every set bit `i` of the bitmap `words` (bit `i`
+/// lives in word `i / 64`) with `i` in `range`, in ascending order. A
+/// zero word costs one load instead of 64 branches, which is what makes
+/// a walk over a mostly-silent population cheap.
 ///
-/// # Safety contract (on the user)
-/// Tasks must only dereference the pointer at offsets owned by their
-/// own chunk, and the pointee must outlive the [`WorkerPool::run`]
-/// call — which it does when it lives on the caller's stack, because
-/// `run` does not return (even by unwinding) until every chunk has
-/// completed and every worker has released the job.
-pub struct SendPtr<T>(pub *mut T);
+/// # Panics
+/// Panics if `words` holds fewer than `range.end.div_ceil(64)` words.
+#[inline]
+pub fn for_each_set_bit(words: &[u64], range: Range<usize>, mut f: impl FnMut(usize)) {
+    let (start, end) = (range.start, range.end);
+    let first = start / 64;
+    for (k, &word) in words[first..end.div_ceil(64)].iter().enumerate() {
+        let base = (first + k) * 64;
+        let mut w = word;
+        if base < start {
+            w &= !0u64 << (start - base);
+        }
+        if base + 64 > end {
+            w &= (1u64 << (end - base)) - 1;
+        }
+        while w != 0 {
+            f(base + w.trailing_zeros() as usize);
+            w &= w - 1;
+        }
+    }
+}
+
+/// A raw pointer that chunk tasks may share, for handing chunk `i` the
+/// `i`-th slot of a caller-owned buffer.
+struct SendPtr<T>(*mut T);
 
 impl<T> SendPtr<T> {
     /// The wrapped pointer. Inside a chunk closure, always go through
     /// this method rather than field access: under RFC 2229 disjoint
-    /// capture, `ptr.0` would capture only the raw (non-`Send`) field
+    /// capture, `ptr.0` would capture only the raw (non-`Sync`) field
     /// and the closure would stop being `Sync`, while a method call
     /// captures the whole wrapper.
     #[inline]
-    pub fn get(self) -> *mut T {
+    fn get(&self) -> *mut T {
         self.0
     }
 }
 
-// Manual impls: the wrapper is a pointer copy regardless of `T`
-// (derives would demand `T: Copy`).
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-impl<T> std::fmt::Debug for SendPtr<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("SendPtr").field(&self.0).finish()
-    }
-}
-
-unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: the only field is the pointer. Tasks dereference it at the
+// offset of their own chunk alone (see `for_each_chunk`), so sharing
+// the wrapper hands each `T` to one thread at a time, which `T: Send`
+// permits.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-/// Number of contiguous chunks a population of `len` items should be
-/// split into: at most `max_shards`, at most one per item, and — when
-/// `min_per_shard > 1` — only as many as keep every chunk at least that
-/// big. Returns ≥ 1; `1` means "run serially on the caller".
-///
-/// Chunk geometry is part of the determinism argument, so every sharded
-/// phase (engine fan-out, wake-up burst, oracle scan) derives its
-/// chunk count through this one function.
-pub fn shard_count(max_shards: usize, len: usize, min_per_shard: usize) -> usize {
-    let by_work = if min_per_shard > 1 {
-        (len / min_per_shard).max(1)
-    } else {
-        len
-    };
-    max_shards.min(len).min(by_work).max(1)
-}
 
 /// One published job: `chunks` work descriptors claimed from `next`,
 /// completion tracked in `done`. Lives on the stack of the `run` call
@@ -262,6 +279,70 @@ impl WorkerPool {
             resume_unwind(payload);
         }
     }
+
+    /// Splits `0..len` into at most `slots.len()` contiguous chunks and
+    /// runs `task(range, &mut slots[i])` for chunk `i`, each exactly
+    /// once, returning when all have completed. Every sharded phase goes
+    /// through here, so this is the one place chunk geometry is decided:
+    /// every chunk starts on a multiple of [`CHUNK_ALIGN`], and all but
+    /// the last hold the same number of items. Slots past the last chunk
+    /// are not touched. A single chunk runs inline on the caller without
+    /// touching the pool; an empty range runs nothing.
+    ///
+    /// Chunk `i` writes slot `i` alone, whichever thread runs it, so
+    /// merging the slots in index order afterwards gives the same result
+    /// at any pool size.
+    ///
+    /// # Panics
+    /// Panics if `len > 0` and `slots` is empty. Re-raises the first
+    /// panic any chunk produced, as [`WorkerPool::run`] does.
+    pub fn for_each_chunk<S, F>(&self, len: usize, slots: &mut [S], task: F)
+    where
+        S: Send,
+        F: Fn(Range<usize>, &mut S) + Sync,
+    {
+        let chunks = shard_count(slots.len(), len);
+        if chunks == 0 {
+            return;
+        }
+        // The slot handout below relies on this; the geometry guarantees
+        // it for any non-empty `slots`.
+        assert!(
+            chunks <= slots.len(),
+            "for_each_chunk needs a slot per chunk"
+        );
+        let chunk = chunk_len(slots.len(), len);
+        let range = |i: usize| i * chunk..((i + 1) * chunk).min(len);
+        if cfg!(debug_assertions) {
+            // The claim ledger: the chunks partition `0..len` into
+            // non-empty, word-aligned ranges. Disjoint views built on top
+            // of this method (the client fan-out) rest on it.
+            let mut next = 0;
+            for i in 0..chunks {
+                let r = range(i);
+                assert!(
+                    r.start == next && r.start < r.end && r.start.is_multiple_of(CHUNK_ALIGN),
+                    "chunk {i} = {r:?} breaks the partition of 0..{len}"
+                );
+                next = r.end;
+            }
+            assert_eq!(next, len, "chunks do not cover 0..{len}");
+        }
+        if chunks == 1 {
+            task(0..len, &mut slots[0]);
+            return;
+        }
+        let base = SendPtr(slots.as_mut_ptr());
+        self.run(chunks, &|i| {
+            // SAFETY: `run` passes every index in `0..chunks` exactly
+            // once and `chunks <= slots.len()`, so slot `i` is borrowed
+            // by chunk `i` alone. `slots` stays mutably borrowed for this
+            // whole call, and `run` returns only after every chunk has
+            // finished.
+            let slot = unsafe { &mut *base.get().add(i) };
+            task(range(i), slot);
+        });
+    }
 }
 
 impl Drop for WorkerPool {
@@ -338,15 +419,18 @@ mod tests {
 
     #[test]
     fn shard_count_geometry() {
-        assert_eq!(shard_count(4, 100, 1), 4);
-        assert_eq!(shard_count(4, 3, 1), 3);
-        assert_eq!(shard_count(4, 0, 1), 1);
-        assert_eq!(shard_count(1, 100, 1), 1);
-        // Work threshold: 100 items at ≥ 64 per shard -> 1 shard;
-        // 1000 items -> capped by max_shards again.
-        assert_eq!(shard_count(4, 100, 64), 1);
-        assert_eq!(shard_count(4, 129, 64), 2);
-        assert_eq!(shard_count(4, 1_000, 64), 4);
+        // 64-aligned chunks: 100 items over 4 shards -> 64 + 36.
+        assert_eq!(chunk_len(4, 100), 64);
+        assert_eq!(shard_count(4, 100), 2);
+        assert_eq!(shard_count(4, 3), 1);
+        assert_eq!(shard_count(4, 0), 0);
+        assert_eq!(shard_count(1, 100), 1);
+        assert_eq!(shard_count(4, 129), 3);
+        // 1000 items -> 4 chunks of 256 (the last 232).
+        assert_eq!(chunk_len(4, 1_000), 256);
+        assert_eq!(shard_count(4, 1_000), 4);
+        // A zero cap behaves as one shard.
+        assert_eq!(shard_count(0, 1_000), 1);
     }
 
     #[test]

@@ -14,6 +14,26 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# `unsafe` stays confined to the worker pool's per-chunk slot handout
+# and the client population's disjoint column views; every sharded
+# phase reaches them through `WorkerPool::for_each_chunk` and
+# `ClientPop::for_each_delivered`. (The `:(glob)` form makes `**` match
+# files below each `src`; a bare `crates/*/src` pathspec matches none.)
+echo "==> unsafe confinement"
+stray=$(git grep -l unsafe -- ':(glob)crates/*/src/**' |
+  grep -v -x -e crates/sim/src/pool.rs -e crates/client/src/pop.rs || true)
+if [ -n "$stray" ]; then
+  echo "unsafe outside crates/sim/src/pool.rs and crates/client/src/pop.rs:"
+  git grep -n unsafe -- $stray
+  exit 1
+fi
+
+# The size the roadmap tracks: non-test lines in crates/*/src, counting
+# each file up to its first #[cfg(test)].
+echo "==> non-test lines in crates/*/src"
+git ls-files ':(glob)crates/*/src/**/*.rs' |
+  xargs awk 'FNR == 1 { skip = 0 } /#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n }'
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 

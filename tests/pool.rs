@@ -22,7 +22,9 @@ fn cfg(scheme: Scheme, sim_time_secs: f64) -> SimConfig {
     let mut cfg = SimConfig::paper_default().with_scheme(scheme);
     cfg.sim_time_secs = sim_time_secs;
     cfg.db_size = 1_000;
-    cfg.num_clients = 20;
+    // 200 clients over 4 threads is 4 word-aligned chunks (64, 64, 64
+    // and 8 clients), so every sharded phase really splits.
+    cfg.num_clients = 200;
     cfg.threads = 4;
     cfg
 }
@@ -54,11 +56,39 @@ fn panicking_worker_task_propagates_without_hang() {
         total.fetch_add(i as u64, Ordering::Relaxed);
     });
     assert_eq!(total.into_inner(), 28);
+
+    // The same contract through the chunk primitive every sharded phase
+    // uses: 1 000 items in 16 slots is 16 chunks of 64 (the last 40).
+    let mut slots = vec![0u64; 16];
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        pool.for_each_chunk(1_000, &mut slots, |range, slot| {
+            if range.start == 320 {
+                panic!("poisoned range {range:?}");
+            }
+            *slot = range.len() as u64;
+        });
+    }));
+    let payload = result.expect_err("chunk panic must reach the caller");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        msg.contains("poisoned range 320..384"),
+        "unexpected payload: {msg}"
+    );
+    // Every healthy chunk wrote its own slot before the re-raise.
+    assert_eq!(slots[5], 0);
+    assert_eq!(slots.iter().sum::<u64>(), 1_000 - 64);
+    // And the pool keeps serving the primitive afterwards.
+    pool.for_each_chunk(1_000, &mut slots, |range, slot| *slot = range.start as u64);
+    assert_eq!(slots[15], 960);
 }
 
 #[test]
 fn engine_drop_joins_all_workers() {
-    // Each Simulation spawns threads-1 = 3 workers; leaking them across
+    // Each Simulation spawns up to threads-1 = 3 workers (one per core
+    // beyond the caller's, so fewer on small hosts); leaking them across
     // 40 create/drop cycles would blow well past any sane thread count
     // and hang process exit. Completion of this loop (plus a run to
     // prove the pool works right up to the drop) is the assertion.
