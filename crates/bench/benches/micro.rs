@@ -5,6 +5,7 @@ use mobicache::{RunOptions, Simulation};
 use mobicache_model::msg::SizeParams;
 use mobicache_model::{ItemId, Scheme, SimConfig};
 use mobicache_reports::{BitSequences, SigReport, Signer, WindowReport};
+use mobicache_server::Server;
 use mobicache_sim::{Facility, FacilityConfig, Job, SimRng, SimTime};
 use std::hint::black_box;
 use std::time::Duration;
@@ -36,7 +37,30 @@ fn bench_bitseq(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(300));
     for &db in &[1_000u32, 10_000, 80_000] {
         let hist = recency(db / 2 + 1);
+        // The per-tick build as the server runs it: k = 5 updates since
+        // the previous report (dropped, as the engine drops it once
+        // delivered), then a report sharing the log's index.
+        let mut server = Server::new(Scheme::Bs, db, 200.0, size_params(u64::from(db)));
+        for &(item, ts) in hist.iter().rev() {
+            server.apply_txn(ts, &[item]);
+        }
+        let mut now = 100_000.0;
+        let mut next = 0u32;
         group.bench_with_input(BenchmarkId::new("build", db), &db, |b, &db| {
+            b.iter(|| {
+                now += 20.0;
+                let items: Vec<ItemId> = (0..5)
+                    .map(|_| {
+                        next = next.wrapping_mul(2_654_435_761).wrapping_add(1) % db;
+                        ItemId(next)
+                    })
+                    .collect();
+                server.apply_txn(t(now - 10.0), &items);
+                black_box(server.build_report_shared(t(now)))
+            });
+        });
+        // The from-scratch reference: copying the N/2 + 1 newest updates.
+        group.bench_with_input(BenchmarkId::new("build_from_scratch", db), &db, |b, &db| {
             b.iter(|| {
                 black_box(BitSequences::from_recency(
                     t(200_000.0),

@@ -65,14 +65,20 @@
 //!   the committed e2e row; fails on a >20 % regression (e2e wall times
 //!   are tens of milliseconds, so scheduling noise is proportionally
 //!   larger than in the stress/popscale gates).
+//! * `--smoke-bsbuild` — the stress shape's update stream replayed
+//!   through a BS server; fails unless the per-tick shared-index build
+//!   is at least 10× faster than a from-scratch `from_recency` build of
+//!   the same log state, both timed in one process.
 
 use mobicache::{run, IntervalSampler, RunOptions};
 use mobicache_cache::LruCache;
 use mobicache_experiments::figures::fig05;
 use mobicache_experiments::{run_figure_with, CoreSplitPolicy, RunReporting, RunScale};
+use mobicache_model::msg::SizeParams;
 use mobicache_model::{CellTopology, ItemId, Scheme, SimConfig};
-use mobicache_reports::{PlanCache, ReportPayload, WindowReport};
-use mobicache_sim::{Scheduler, SimTime};
+use mobicache_reports::{BitSequences, PlanCache, ReportPayload, WindowReport};
+use mobicache_server::Server;
+use mobicache_sim::{Scheduler, SimRng, SimTime};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::fmt::Write as _;
@@ -921,6 +927,73 @@ fn smoke_e2e(check_against: &str) -> i32 {
     0
 }
 
+/// One replay of the stress shape's update stream (its database, txn
+/// size and rate, broadcast period and horizon; fixed interarrivals,
+/// uniform items) through a BS server. Returns the host seconds spent
+/// in the per-tick `build_report_shared` and in a from-scratch
+/// `BitSequences::from_recency` of the same log state.
+fn bsbuild_once(seed: u64) -> (f64, f64) {
+    let cfg = stress_cfg(Scheme::Bs, false);
+    let params = SizeParams {
+        db_size: u64::from(cfg.db_size),
+        group_count: u64::from(cfg.gcore_groups),
+        timestamp_bits: cfg.timestamp_bits,
+        header_bits: cfg.header_bits,
+        control_bytes: cfg.control_bytes,
+        item_bytes: cfg.item_bytes,
+    };
+    let mut server = Server::new(Scheme::Bs, cfg.db_size, cfg.window_secs(), params);
+    let mut rng = SimRng::new(seed);
+    let txn_items = cfg.items_per_update_mean.round() as usize;
+    let mut next_update = cfg.mean_update_interarrival_secs;
+    let (mut shared, mut scratch) = (0.0, 0.0);
+    let mut now = cfg.broadcast_period_secs;
+    while now <= cfg.sim_time_secs {
+        while next_update < now {
+            let items: Vec<ItemId> = (0..txn_items)
+                .map(|_| ItemId(rng.next_below(u64::from(cfg.db_size)) as u32))
+                .collect();
+            server.apply_txn(SimTime::from_secs(next_update), &items);
+            next_update += cfg.mean_update_interarrival_secs;
+        }
+        let at = SimTime::from_secs(now);
+        let started = Instant::now();
+        let report = server.build_report_shared(at);
+        shared += started.elapsed().as_secs_f64();
+        drop(black_box(report));
+        let started = Instant::now();
+        let rebuilt = BitSequences::from_recency(at, cfg.db_size, server.log().recency_desc());
+        scratch += started.elapsed().as_secs_f64();
+        drop(black_box(rebuilt));
+        now += cfg.broadcast_period_secs;
+    }
+    (shared, scratch)
+}
+
+/// The BS build CI smoke: the shared-index build must beat the
+/// from-scratch build by at least 10× (best of three replays per side,
+/// timed in one process, so no committed numbers are needed).
+fn smoke_bsbuild() -> i32 {
+    let (mut shared, mut scratch) = (f64::INFINITY, f64::INFINITY);
+    for seed in 0..3 {
+        let (a, b) = bsbuild_once(seed);
+        shared = shared.min(a);
+        scratch = scratch.min(b);
+    }
+    let ratio = scratch / shared;
+    let line = format!(
+        "shared build {:.2} ms vs from-scratch build {:.2} ms per replay ({ratio:.1}x)",
+        shared * 1e3,
+        scratch * 1e3
+    );
+    if ratio < 10.0 {
+        eprintln!("smoke-bsbuild: REGRESSION — {line}, below the 10x floor");
+        return 1;
+    }
+    eprintln!("smoke-bsbuild: ok — {line}");
+    0
+}
+
 /// The scheduler CI smoke: the 10k-pending `sched` row must show the
 /// wheel at least matching the heap baseline (the committed full run
 /// pins the ≥2x margin at 1M pending; this leg catches a wheel that
@@ -1138,6 +1211,9 @@ fn main() {
     }
     if args.iter().any(|a| a == "--smoke-invplan") {
         std::process::exit(smoke_invplan());
+    }
+    if args.iter().any(|a| a == "--smoke-bsbuild") {
+        std::process::exit(smoke_bsbuild());
     }
     if args.iter().any(|a| a == "--smoke-e2e") {
         let check_against = args

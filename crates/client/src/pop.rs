@@ -889,22 +889,19 @@ impl ClientMut<'_> {
                 // BS staleness is pure prefix membership, so the memo key
                 // is the selected prefix length: a client whose `select`
                 // lands on the plan's pre-decoded bucket (the dominant
-                // Tlb — everyone who heard the previous report) reads the
-                // plan. Another bucket walks its own marked prefix and
-                // tests the membership bitmap — Figure 2's `decide` with
-                // the bitmap for its `HashSet`. Clean/DropAll are O(1).
-                let sel = bs.select(etlb);
+                // Tlb — everyone who heard the previous report; the plan
+                // memoizes its selection) reads the plan. Another bucket
+                // walks its own marked prefix and tests the membership
+                // bitmap — Figure 2's `decide` with the bitmap for its
+                // `HashSet`.
+                let sel = plan.bs_select(bs, etlb);
                 if let BsSelect::Prefix(prefix) = sel {
                     if plan.bs_prefix() == Some(prefix) {
                         self.collect_stale(plan, stats);
                     } else {
                         let cache = &*self.cache;
-                        self.stale_scratch.extend(
-                            bs.recency[..prefix.min(bs.recency.len())]
-                                .iter()
-                                .map(|&(item, _)| item)
-                                .filter(|&item| cache.is_resident(item)),
-                        );
+                        self.stale_scratch
+                            .extend(bs.marked(prefix).filter(|&item| cache.is_resident(item)));
                         stats.misses += 1;
                     }
                 }

@@ -5,14 +5,19 @@
 //! `on_report_planned` holds exactly what applying the linear `decide`
 //! verdict leaves. A BS client whose `Tlb` selects a prefix other than
 //! the decoded bucket takes the off-bucket prefix walk, which no
-//! report-level property reaches.
+//! report-level property reaches; one on the bucket takes the plan's
+//! memoized selection. BS reports come both from a plain recency list
+//! and from a `Server`, whose reports share its update log's index
+//! while later updates wait to be folded in.
 
 use mobicache_client::{ClientConfig, ClientPop};
+use mobicache_model::msg::SizeParams;
 use mobicache_model::{CheckingMode, ItemId, Scheme};
 use mobicache_reports::{
     AtDecision, AtReport, BitSequences, BsDecision, PlanCache, PlanStats, ReportPayload,
     WindowDecision, WindowReport,
 };
+use mobicache_server::Server;
 use mobicache_sim::SimTime;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -23,10 +28,10 @@ fn t(s: f64) -> SimTime {
     SimTime::from_secs(s)
 }
 
-/// The report of `kind` (0 = window, 1 = BS, 2 = AT) broadcast at
-/// `HORIZON` over a `db`-item database with the given last-update
-/// times. `since` is the window start (window) or the previous
-/// broadcast (AT).
+/// The report of `kind` (0 = window, 1 = BS, 2 = AT, 3 = BS built by a
+/// `Server`) broadcast at `HORIZON` over a `db`-item database with the
+/// given last-update times. `since` is the window start (window) or the
+/// previous broadcast (AT).
 fn report(kind: u32, last: &BTreeMap<u32, f64>, db: u32, since: f64) -> ReportPayload {
     let listed = last.iter().filter(|&(_, &ts)| ts > since);
     match kind {
@@ -42,12 +47,45 @@ fn report(kind: u32, last: &BTreeMap<u32, f64>, db: u32, since: f64) -> ReportPa
             recency.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             ReportPayload::BitSeq(BitSequences::from_recency(t(HORIZON), db, recency))
         }
-        _ => ReportPayload::At(AtReport {
+        2 => ReportPayload::At(AtReport {
             broadcast_at: t(HORIZON),
             prev_broadcast: t(since),
             items: listed.map(|(&i, _)| ItemId(i)).collect(),
         }),
+        _ => server_bs(last, db),
     }
+}
+
+/// A BS report built by a `Server` that applied `last` in time order.
+/// A report built halfway through is held across the second half, so
+/// those updates wait and the final build folds them into a copy; the
+/// final report is then held across two more updates, which it must
+/// never show.
+fn server_bs(last: &BTreeMap<u32, f64>, db: u32) -> ReportPayload {
+    let params = SizeParams {
+        db_size: u64::from(db),
+        group_count: 64,
+        timestamp_bits: 48.0,
+        header_bits: 64.0,
+        control_bytes: 512,
+        item_bytes: 8192,
+    };
+    let mut server = Server::new(Scheme::Bs, db, 200.0, params);
+    let mut history: Vec<(f64, u32)> = last.iter().map(|(&i, &ts)| (ts, i)).collect();
+    history.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let half = history.len() / 2;
+    let mut held = None;
+    for (k, &(ts, item)) in history.iter().enumerate() {
+        if k == half {
+            held = Some(server.build_report_shared(t(ts)).0);
+        }
+        server.apply_txn(t(ts), &[ItemId(item)]);
+    }
+    let (report, _) = server.build_report_shared(t(HORIZON));
+    drop(held);
+    server.apply_txn(t(HORIZON), &[ItemId(0), ItemId(db - 1)]);
+    server.apply_txn(t(HORIZON + 1.0), &[ItemId(db / 2)]);
+    (*report).clone()
 }
 
 /// A cache's `(item, version)` entries.
@@ -94,6 +132,12 @@ fn apply(
 
     let mut plan = PlanCache::new();
     plan.decode_for_tick(payload, t(dominant), db);
+    if let ReportPayload::BitSeq(bs) = payload {
+        // The memoized dominant bucket and a lazily computed selection
+        // agree.
+        assert_eq!(plan.bs_select(bs, t(dominant)), bs.select(t(dominant)));
+        assert_eq!(plan.bs_select(bs, t(tlb)), bs.select(t(tlb)));
+    }
     let mut stats = PlanStats::default();
     client.on_report_planned(t(HORIZON), payload, &plan, &mut actions, &mut stats);
     let mut after: Vec<(ItemId, SimTime)> = client.cache().items_iter().collect();
@@ -138,7 +182,7 @@ proptest! {
 
     #[test]
     fn planned_application_matches_linear_decide(
-        kind in 0u32..3,
+        kind in 0u32..4,
         db in 64u32..4_096,
         updates in prop::collection::vec((0.0..HORIZON, 0.0..1.0f64), 0..160),
         since in 0.0..HORIZON,
@@ -201,5 +245,19 @@ fn every_arm_is_exercised() {
     let (before, after, stats) = apply(&bs, 4_096, 538.5, 510.0, &dense);
     assert_eq!((stats.hits, stats.misses), (0, 1), "off-bucket prefix walk");
     assert!(after.len() < before.len(), "the walk invalidates");
+    assert_eq!(after, expected(&bs, 510.0, &before));
+
+    // A server-built report: a client on the dominant bucket reads the
+    // plan through the memoized selection, one off it walks its prefix.
+    let bs = report(3, &last, 4_096, 0.0);
+    let (before, after, stats) = apply(&bs, 4_096, 538.5, 538.5, &dense);
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (1, 0),
+        "memoized bucket, word arm"
+    );
+    assert_eq!(after, expected(&bs, 538.5, &before));
+    let (before, after, stats) = apply(&bs, 4_096, 538.5, 510.0, &dense);
+    assert_eq!((stats.hits, stats.misses), (0, 1), "off-bucket prefix walk");
     assert_eq!(after, expected(&bs, 510.0, &before));
 }

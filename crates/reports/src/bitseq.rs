@@ -11,12 +11,15 @@
 //! the time of the most recent update (nothing changed after it).
 //!
 //! Observation used throughout this implementation: the entire structure
-//! is equivalent to the **recency-ordered prefix list** of updated items
-//! with cut timestamps at halving prefix lengths. The "1"s of `B_k` are
-//! exactly the `|B_k|/2` most recently updated items, so a level is fully
-//! described by `(prefix_len, cut_ts)` over one shared recency-sorted
-//! array. The bit-level wire encoding (for size verification) is produced
-//! by [`BitSequences::encode_wire`].
+//! is equivalent to the **recency-ordered list** of updated items with
+//! cut timestamps at halving prefix lengths. The "1"s of `B_k` are
+//! exactly the `|B_k|/2` most recently updated items, and a level of
+//! `len` marks covers a client's `Tlb` iff at most `len` items were
+//! updated after `Tlb`. So the report needs nothing but the server's
+//! recency index ([`RecencyIndex`]), which it shares rather than copies:
+//! building a report is `O(1)`, and [`BitSequences::select`] resolves a
+//! `Tlb` with one capped rank count. The bit-level wire encoding (for
+//! size verification) is produced by [`BitSequences::encode_wire`].
 //!
 //! Client algorithm (Figure 2 of the paper):
 //!
@@ -27,33 +30,12 @@
 //!       invalidate every item marked in B_j
 //! ```
 
+use crate::recency::RecencyIndex;
 use mobicache_model::msg::SizeParams;
 use mobicache_model::units::{bits_per_id, Bits};
 use mobicache_model::ItemId;
 use mobicache_sim::SimTime;
-
-/// One level of the hierarchy: the `prefix_len` most recently updated
-/// items were all updated after `cut`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Level {
-    /// Number of marked ("1") items at this level.
-    pub prefix_len: u32,
-    /// `TS(B_k)`: `None` means the level reaches back to the beginning of
-    /// time (fewer items have ever been updated than the level can mark),
-    /// so it covers any `Tlb`.
-    pub cut: Option<SimTime>,
-}
-
-impl Level {
-    /// `true` when this level's history reaches back to `tlb`.
-    #[inline]
-    fn covers(&self, tlb: SimTime) -> bool {
-        match self.cut {
-            None => true,
-            Some(cut) => cut <= tlb,
-        }
-    }
-}
+use std::sync::Arc;
 
 /// A bit-sequences invalidation report.
 ///
@@ -78,21 +60,27 @@ impl Level {
 /// // A fully current client is told its cache is clean.
 /// assert_eq!(bs.decide(t(95.0), vec![ItemId(3)]), BsDecision::Clean);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct BitSequences {
     /// Broadcast timestamp `T_i`.
     pub broadcast_at: SimTime,
     /// Database size `N` (determines the level geometry and wire size).
     pub db_size: u32,
-    /// `TS(B_0)`: time of the most recent update; `None` when no item has
-    /// ever been updated.
-    pub latest_update: Option<SimTime>,
-    /// Updated items, most recent first, truncated to `N/2` entries
-    /// (the "1"s of `B_n`).
-    pub recency: Vec<(ItemId, SimTime)>,
-    /// Levels ordered from the smallest prefix (`B_1`) to the largest
-    /// (`B_n`).
-    pub levels: Vec<Level>,
+    /// The updated items, most recent first: the server's index as of
+    /// the build, shared and never mutated while this handle lives.
+    index: Arc<RecencyIndex>,
+}
+
+/// Two reports are equal when they say the same thing: same broadcast
+/// time and geometry, and the same `N/2 + 1` newest updates (which fix
+/// every mark and every cut).
+impl PartialEq for BitSequences {
+    fn eq(&self, other: &Self) -> bool {
+        let top = self.top() + 1;
+        self.broadcast_at == other.broadcast_at
+            && self.db_size == other.db_size
+            && self.index.desc().take(top).eq(other.index.desc().take(top))
+    }
 }
 
 /// What a client should do with its cache after receiving a
@@ -142,10 +130,21 @@ impl BitSequences {
         lens
     }
 
+    /// A report over the server's recency index, sharing it: `O(1)`.
+    /// The caller must not mutate the index while this report lives —
+    /// the server's update log enforces that by copy-on-write.
+    pub fn shared(broadcast_at: SimTime, db_size: u32, index: Arc<RecencyIndex>) -> Self {
+        BitSequences {
+            broadcast_at,
+            db_size,
+            index,
+        }
+    }
+
     /// Builds the structure from a **recency-descending** iterator of
-    /// `(item, last update time)` — the server's update index. The
-    /// iterator may yield more than `N/2` entries; extras beyond the
-    /// largest level (plus the one needed for its cut) are ignored.
+    /// `(item, last update time)`, copying the `N/2 + 1` newest entries
+    /// (the largest level plus the one that fixes its cut); the rest are
+    /// ignored. The from-scratch reference for [`BitSequences::shared`].
     ///
     /// # Panics
     /// Debug-panics if the input is not sorted by descending timestamp.
@@ -153,57 +152,31 @@ impl BitSequences {
     where
         I: IntoIterator<Item = (ItemId, SimTime)>,
     {
-        let lens = Self::level_lengths(db_size);
-        let top = lens.last().copied().unwrap_or(0) as usize;
-        // Keep one extra entry: the (top+1)-th item's timestamp is TS(B_n).
-        let mut recency: Vec<(ItemId, SimTime)> = Vec::with_capacity(top + 1);
-        for entry in iter {
-            if let Some(last) = recency.last() {
-                debug_assert!(
-                    last.1 >= entry.1,
-                    "recency input must be sorted by descending timestamp"
-                );
-            }
-            recency.push(entry);
-            if recency.len() > top {
-                break;
-            }
-        }
-        let latest_update = recency.first().map(|&(_, ts)| ts);
-        let overflow = recency.len() > top;
-        let overflow_ts = if overflow { Some(recency[top].1) } else { None };
-        recency.truncate(top);
+        let cap = (db_size / 2) as usize + 1;
+        let index = RecencyIndex::from_desc(db_size, cap, iter);
+        Self::shared(broadcast_at, db_size, Arc::new(index))
+    }
 
-        let levels = lens
-            .iter()
-            .map(|&len| {
-                let cut = if (len as usize) < recency.len() {
-                    Some(recency[len as usize].1)
-                } else if (len as usize) == recency.len() {
-                    // Exactly filled: the cut is the next (excluded) update
-                    // if one exists, otherwise the beginning of time.
-                    overflow_ts.filter(|_| len as usize == top).or(
-                        // A non-top level exactly filled means there were
-                        // no further updates at all.
-                        None,
-                    )
-                } else {
-                    None
-                };
-                Level {
-                    prefix_len: len,
-                    cut,
-                }
-            })
-            .collect();
+    /// `N/2`: the number of items the largest level marks.
+    #[inline]
+    fn top(&self) -> usize {
+        (self.db_size / 2) as usize
+    }
 
-        BitSequences {
-            broadcast_at,
-            db_size,
-            latest_update,
-            recency,
-            levels,
-        }
+    /// `TS(B_0)`: time of the most recent update; `None` when no item has
+    /// ever been updated.
+    pub fn latest_update(&self) -> Option<SimTime> {
+        self.index.latest()
+    }
+
+    /// The `p` most recently updated items (capped at `N/2`, the marks
+    /// of `B_n`), newest first: the items marked by a level of length
+    /// `p`.
+    pub fn marked(&self, p: usize) -> impl Iterator<Item = ItemId> + '_ {
+        self.index
+            .desc()
+            .take(p.min(self.top()))
+            .map(|(item, _)| item)
     }
 
     /// Runs the Figure-2 client algorithm for a client whose last report
@@ -222,15 +195,13 @@ impl BitSequences {
             BsSelect::DropAll => return BsDecision::DropAll,
             BsSelect::Prefix(p) => p,
         };
-        let marked: &[(ItemId, SimTime)] = &self.recency[..prefix.min(self.recency.len())];
         // O(cache + prefix): membership set over the (possibly large)
         // cache, then one scan of the marked prefix. Keeps the common
         // connected-client case (tiny prefix) cheap and the long-reconnect
         // case (prefix up to N/2) linear.
         let cached_set: std::collections::HashSet<ItemId> = cached.into_iter().collect();
-        let stale: Vec<ItemId> = marked
-            .iter()
-            .map(|&(id, _)| id)
+        let stale: Vec<ItemId> = self
+            .marked(prefix)
             .filter(|id| cached_set.contains(id))
             .collect();
         BsDecision::Invalidate(stale)
@@ -241,16 +212,22 @@ impl BitSequences {
     /// length. Shared across the whole fan-out — each client then only
     /// tests its own cached items against the prefix, through the
     /// invalidation plan (`crate::PlanCache`).
+    ///
+    /// A level of `len` marks covers `Tlb` iff at most `len` items were
+    /// updated after it, so the smallest covering level is the count of
+    /// those items rounded up to the next level length, and no level
+    /// covers once the count exceeds `N/2`. The count stops at `N/2 + 1`:
+    /// `O(log U + min(k, N/2))` for `k` updates after `Tlb`.
     pub fn select(&self, tlb: SimTime) -> BsSelect {
-        match self.latest_update {
+        match self.latest_update() {
             None => return BsSelect::Clean,
             Some(latest) if latest <= tlb => return BsSelect::Clean,
             _ => {}
         }
-        // Smallest level whose cut reaches back to tlb.
-        match self.levels.iter().find(|l| l.covers(tlb)) {
-            Some(level) => BsSelect::Prefix(level.prefix_len as usize),
-            None => BsSelect::DropAll,
+        let top = self.top();
+        match self.index.count_since_capped(tlb, top) {
+            k if k > top => BsSelect::DropAll,
+            k => BsSelect::Prefix(k.next_power_of_two().min(top)),
         }
     }
 
@@ -266,45 +243,41 @@ impl BitSequences {
     pub fn exact_size_bits(&self, p: &SizeParams) -> Bits {
         // The bitmap of each level is one bit per "1" of the level above:
         // the top level (`B_n`) spans the whole database; level `i` spans
-        // `levels[i+1].prefix_len` bits.
-        let bitmap_bits: u64 = self
-            .levels
-            .iter()
-            .enumerate()
-            .map(|(i, _)| match self.levels.get(i + 1) {
-                Some(parent) => parent.prefix_len as u64,
-                None => self.db_size as u64,
-            })
+        // `lens[i+1]` bits.
+        let lens = Self::level_lengths(self.db_size);
+        let bitmap_bits: u64 = (0..lens.len())
+            .map(|i| lens.get(i + 1).map_or(self.db_size, |&l| l) as u64)
             .sum();
-        bitmap_bits as f64 + (self.levels.len() as f64 + 1.0) * p.timestamp_bits
+        bitmap_bits as f64 + (lens.len() as f64 + 1.0) * p.timestamp_bits
     }
 
     /// Produces the literal bit-sequence encoding: for each level from
     /// `B_n` down to `B_1`, its bitmap (`B_n` over item ids ascending;
     /// deeper levels over the "1" positions of the level above, in the
-    /// same order), each preceded by its 64-bit cut timestamp; then
-    /// `TS(B_0)`. Used by tests to validate the size formulas and the
-    /// hierarchy's self-consistency; the simulator itself only charges
-    /// sizes.
+    /// same order), each preceded by its 64-bit cut timestamp `TS(B_k)`
+    /// (negative infinity when the level reaches back to the beginning of
+    /// time); then `TS(B_0)`. Used by tests to validate the size formulas
+    /// and the hierarchy's self-consistency; the simulator itself only
+    /// charges sizes.
     pub fn encode_wire(&self) -> Vec<u8> {
         let mut out = Vec::new();
         let encode_ts = |out: &mut Vec<u8>, ts: Option<SimTime>| {
             out.extend_from_slice(&ts.map_or(f64::NEG_INFINITY, SimTime::as_secs).to_be_bytes());
         };
+        // The newest N/2 + 1 updates fix every mark and every cut: level
+        // `len`'s cut is the timestamp of the (len + 1)-th newest.
+        let newest: Vec<(ItemId, SimTime)> = self.index.desc().take(self.top() + 1).collect();
         // Current members, ordered by item id, of the level above;
         // starts as the whole database for B_n.
         let mut above: Vec<ItemId> = (0..self.db_size).map(ItemId).collect();
-        for level in self.levels.iter().rev() {
-            encode_ts(&mut out, level.cut);
-            let prefix = level.prefix_len as usize;
-            let marked: Vec<ItemId> = {
-                let mut m: Vec<ItemId> = self.recency[..prefix.min(self.recency.len())]
-                    .iter()
-                    .map(|&(id, _)| id)
-                    .collect();
-                m.sort_unstable();
-                m
-            };
+        for &len in Self::level_lengths(self.db_size).iter().rev() {
+            let prefix = len as usize;
+            encode_ts(&mut out, newest.get(prefix).map(|&(_, ts)| ts));
+            let mut marked: Vec<ItemId> = newest[..prefix.min(newest.len())]
+                .iter()
+                .map(|&(id, _)| id)
+                .collect();
+            marked.sort_unstable();
             // Bitmap over `above`, one bit per member.
             let mut byte = 0u8;
             let mut nbits = 0;
@@ -327,7 +300,7 @@ impl BitSequences {
             }
             above = next_above;
         }
-        encode_ts(&mut out, self.latest_update);
+        encode_ts(&mut out, self.latest_update());
         out
     }
 }
@@ -374,7 +347,7 @@ mod tests {
     #[test]
     fn clean_on_virgin_database() {
         let bs = BitSequences::from_recency(t(100.0), 16, vec![]);
-        assert_eq!(bs.latest_update, None);
+        assert_eq!(bs.latest_update(), None);
         assert_eq!(bs.decide(t(0.0), vec![ItemId(1)]), BsDecision::Clean);
     }
 
@@ -472,10 +445,11 @@ mod tests {
         // DB 16, 20 updates: recency truncated to 8, cut of level 8 = ts
         // of the 9th most recent.
         let bs = BitSequences::from_recency(t(2000.0), 16, recency(20));
-        assert_eq!(bs.recency.len(), 8);
-        let top = bs.levels.last().unwrap();
-        assert_eq!(top.prefix_len, 8);
-        assert_eq!(top.cut, Some(t(1000.0 - 8.0 * 10.0)));
+        assert_eq!(bs.marked(usize::MAX).count(), 8);
+        // B_n covers a Tlb at its cut, not one just before it.
+        let cut = t(1000.0 - 8.0 * 10.0);
+        assert_eq!(bs.select(cut), BsSelect::Prefix(8));
+        assert_eq!(bs.select(t(1000.0 - 8.5 * 10.0)), BsSelect::DropAll);
     }
 
     /// A plan decoded for a client's `Tlb` bucket marks exactly what the

@@ -9,7 +9,11 @@
 //!   the previous report.
 //! * [`bitseq`] — the *bit-sequences* structure of Jing et al. (§2.3): a
 //!   hierarchy of bit sequences `B_n … B_1` plus the dummy `B_0`, able to
-//!   salvage a cache after arbitrarily long disconnections.
+//!   salvage a cache after arbitrarily long disconnections. A report
+//!   shares the server's [`recency`] index instead of copying it.
+//! * [`recency`] — the [`RecencyIndex`]: updated items in last-update
+//!   order, the one structure behind the server's update log and every
+//!   BS report.
 //! * [`sig`] — the *signatures* scheme of Barbara & Imielinski: combined
 //!   signatures over pseudo-random item subsets (group testing).
 //! * [`payload`] — the [`ReportPayload`] sum type the simulator broadcasts.
@@ -28,6 +32,7 @@ pub mod at;
 pub mod bitseq;
 pub mod payload;
 pub mod plan;
+pub mod recency;
 pub mod sig;
 pub mod window;
 
@@ -35,5 +40,6 @@ pub use at::{AtDecision, AtReport};
 pub use bitseq::{BitSequences, BsDecision, BsSelect};
 pub use payload::ReportPayload;
 pub use plan::{PlanCache, PlanStats};
+pub use recency::RecencyIndex;
 pub use sig::{SigDecision, SigReport, Signer};
 pub use window::{WindowDecision, WindowReport};

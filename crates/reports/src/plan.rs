@@ -23,8 +23,10 @@
 //! * **Bit-sequences** — staleness is pure prefix membership, a function
 //!   of `select(tlb)` alone, so the bucket key is the selected prefix
 //!   length. The engine pre-decodes the dominant bucket (the previous
-//!   report's broadcast time — every client that heard it lands there);
-//!   a client in another bucket walks its own selected prefix of the
+//!   report's broadcast time — every client that heard it lands there)
+//!   and memoizes its selection, so such a client resolves its `Tlb`
+//!   with no rank count ([`PlanCache::bs_select`]); a client in another
+//!   bucket selects for itself and walks its own marked prefix of the
 //!   report against its cache-membership bitmap instead.
 //! * **AT** — the listed-item bitmap is `Tlb`-independent; coverage is a
 //!   scalar check, an uncovered client drops its whole cache anyway.
@@ -36,7 +38,7 @@
 //! each report kind yields (pinned by the `plan ≡ decide` proptests),
 //! and the engine golden digests stay bit-identical.
 
-use crate::bitseq::BsSelect;
+use crate::bitseq::{BitSequences, BsSelect};
 use crate::payload::ReportPayload;
 use mobicache_model::ItemId;
 use mobicache_sim::SimTime;
@@ -52,9 +54,9 @@ enum PlanKind {
     Window,
     /// AT report: bitmap of listed items.
     At,
-    /// BS report: bitmap of the first `prefix` recency entries, decoded
-    /// for this one prefix bucket.
-    Bs(usize),
+    /// BS report: the dominant bucket's `Tlb` and its selection; for a
+    /// `Prefix(p)` selection the bitmap holds the `p` marked items.
+    Bs(SimTime, BsSelect),
 }
 
 /// Per-client plan-application tallies, accumulated shard-locally by the
@@ -103,17 +105,18 @@ impl PlanCache {
 
     /// A one-off plan for a single client whose effective `Tlb` is
     /// `tlb`, for callers outside a tick fan-out. They do not know the
-    /// database size, so the plan spans the report's highest listed item
-    /// id; a cached item beyond it is unlisted.
+    /// database size, so a window or AT plan spans the report's highest
+    /// listed item id (a cached item beyond it is unlisted); a BS report
+    /// carries its own.
     pub fn for_report(payload: &ReportPayload, tlb: SimTime) -> Self {
-        let highest = match payload {
-            ReportPayload::Window(w) => w.records.iter().map(|&(item, _)| item).max(),
-            ReportPayload::At(at) => at.items.iter().copied().max(),
-            ReportPayload::BitSeq(bs) => bs.recency.iter().map(|&(item, _)| item).max(),
+        let span = match payload {
+            ReportPayload::Window(w) => w.records.iter().map(|&(item, _)| item.0 + 1).max(),
+            ReportPayload::At(at) => at.items.iter().map(|item| item.0 + 1).max(),
+            ReportPayload::BitSeq(bs) => Some(bs.db_size),
             ReportPayload::Sig(..) => None,
         };
         let mut plan = Self::new();
-        plan.decode_for_tick(payload, tlb, highest.map_or(0, |item| item.0 + 1));
+        plan.decode_for_tick(payload, tlb, span.unwrap_or(0));
         plan
     }
 
@@ -135,10 +138,11 @@ impl PlanCache {
     ///
     /// `dominant_tlb` keys the BS prefix bucket: pass the previous
     /// report's broadcast time (every client that heard it selects this
-    /// bucket). Window and AT decodes are `Tlb`-independent. A SIG
-    /// payload, or a BS dominant bucket resolving to Clean/DropAll,
-    /// leaves the plan empty (both non-prefix BS verdicts are O(1), and
-    /// a client with a prefix walks it itself).
+    /// bucket), whose BS selection is memoized for
+    /// [`PlanCache::bs_select`]. Window and AT decodes are
+    /// `Tlb`-independent. A SIG payload, or a BS dominant bucket
+    /// resolving to Clean/DropAll, leaves the bitmap empty (a client
+    /// with another prefix walks it itself).
     pub fn decode_for_tick(
         &mut self,
         payload: &ReportPayload,
@@ -169,14 +173,15 @@ impl PlanCache {
                 self.decodes += 1;
             }
             ReportPayload::BitSeq(bs) => {
-                if let BsSelect::Prefix(p) = bs.select(dominant_tlb) {
+                let sel = bs.select(dominant_tlb);
+                if let BsSelect::Prefix(p) = sel {
                     self.reset_bits(words);
-                    for &(item, _) in &bs.recency[..p.min(bs.recency.len())] {
+                    for item in bs.marked(p) {
                         self.set(item);
                     }
-                    self.kind = PlanKind::Bs(p);
                     self.decodes += 1;
                 }
+                self.kind = PlanKind::Bs(dominant_tlb, sel);
             }
             ReportPayload::Sig(..) => {}
         }
@@ -200,8 +205,19 @@ impl PlanCache {
     /// The decoded BS prefix bucket, when one is loaded.
     pub fn bs_prefix(&self) -> Option<usize> {
         match self.kind {
-            PlanKind::Bs(p) => Some(p),
+            PlanKind::Bs(_, BsSelect::Prefix(p)) => Some(p),
             _ => None,
+        }
+    }
+
+    /// `bs.select(tlb)`, answered from the memo when `tlb` is the
+    /// dominant `Tlb` this plan was decoded for. `bs` must be the report
+    /// the plan was decoded from.
+    #[inline]
+    pub fn bs_select(&self, bs: &BitSequences, tlb: SimTime) -> BsSelect {
+        match self.kind {
+            PlanKind::Bs(dominant, sel) if dominant == tlb => sel,
+            _ => bs.select(tlb),
         }
     }
 
@@ -264,7 +280,6 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::at::AtReport;
-    use crate::bitseq::BitSequences;
     use crate::window::WindowReport;
 
     fn t(s: f64) -> SimTime {
@@ -392,10 +407,8 @@ mod tests {
         let ReportPayload::BitSeq(bs) = &payload else {
             unreachable!()
         };
-        let marked: Vec<ItemId> = bs.recency[..p.min(bs.recency.len())]
-            .iter()
-            .map(|&(i, _)| i)
-            .collect();
+        let marked: Vec<ItemId> = bs.marked(p).collect();
+        assert_eq!(plan.bs_select(bs, t(90.0)), sel, "memoized bucket");
         for i in &out {
             assert!(marked.contains(i));
         }

@@ -209,7 +209,7 @@ proptest! {
         let wire_bits = report.encode_wire().len() as f64 * 8.0;
         // Padding adds at most 7 bits per level plus one per timestamp
         // widened to 64 bits; allow that slack.
-        let levels = report.levels.len() as f64;
+        let levels = BitSequences::level_lengths(64).len() as f64;
         prop_assert!(
             report.exact_size_bits(&p) <= wire_bits + levels * 7.0,
             "exact {} wire {}",

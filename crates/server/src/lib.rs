@@ -5,9 +5,10 @@
 //! simply periodically broadcasts an invalidation report containing the
 //! data items that have been updated recently."*
 //!
-//! * [`log`] — the update history: per-item last-update timestamps plus a
-//!   recency index, supporting window extraction (`IR(w)`), bit-sequence
-//!   construction, and validity checking.
+//! * [`log`] — the update history: per-item last-update timestamps plus
+//!   the recency index, supporting window extraction (`IR(w)`) and
+//!   validity checking; every bit-sequences report shares the index
+//!   instead of copying it.
 //! * [`server`] — the server itself: applies update transactions, builds
 //!   the per-scheme invalidation report each broadcast period (including
 //!   the AFW/AAW adaptive choice driven by client-uplinked `Tlb`s),

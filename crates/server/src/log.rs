@@ -1,46 +1,41 @@
 //! The server's update history.
 //!
-//! Three access paths, all cheap:
+//! Two access paths, both cheap:
 //!
 //! * **point lookup** — the current version (last update time) of an item,
 //!   for data delivery and validity checking: `O(1)`;
 //! * **window extraction** — every item updated after a timestamp, for
-//!   `TS` window reports (plain, enlarged, and `AT`): `O(log U + k)` via a
-//!   recency-ordered index (`U` = items ever updated, `k` = result size);
-//! * **recency scan** — items ordered most-recently-updated first, for
-//!   bit-sequence construction: iterator over the same index.
+//!   `TS` window reports (plain, enlarged, and `AT`): `O(log U + k)` via
+//!   the shared [`RecencyIndex`] (`U` = items ever updated, `k` = result
+//!   size).
 //!
-//! The recency index is a dense sorted `Vec<(SimTime, ItemId)>` rather
-//! than a tree: simulation time only moves forward, so every new entry
-//! lands in (or just inside) the tail, and a re-updated item's old entry
-//! becomes a *tombstone* — it keeps its slot and its sort key, but the
-//! per-item position table no longer points at it. Scans skip dead
-//! entries; when more than half the index is dead it is compacted in
-//! place. Compared to the previous `BTreeSet`, a window extraction is a
-//! binary search plus a contiguous forward walk — no pointer chasing —
-//! and the whole history for a large database sits in two flat arrays.
+//! A bit-sequences report is not extracted at all: it holds a second
+//! handle to the same index ([`UpdateLog::share`]). An update folds into
+//! the index in place whenever the log holds the only handle. While a
+//! report still holds one, the update waits in a short pending list, and
+//! [`UpdateLog::settle`] folds the pending updates in before the next
+//! read — copying the index only if a report is *still* held then. Either
+//! way a held report never sees an update applied after it was built.
 
 use mobicache_model::ItemId;
+use mobicache_reports::RecencyIndex;
 use mobicache_sim::SimTime;
+use std::sync::Arc;
 
-/// Sentinel for "item has no live recency entry".
-const NIL: u32 = u32::MAX;
-
-/// Per-item last-update times with a recency index.
+/// Per-item last-update times with a shared recency index.
 pub struct UpdateLog {
     db_size: u32,
     /// Last update time per item; `None` until first updated. Initial
     /// versions are [`SimTime::ZERO`] — matching clients, which treat a
     /// never-updated item's version as zero.
     last_update: Vec<Option<SimTime>>,
-    /// `(last_update, item)` ordered index over ever-updated items,
-    /// ascending, including tombstones (entries `pos` no longer points
-    /// at). Ties break item-ascending, exactly like the old tree.
-    recency: Vec<(SimTime, ItemId)>,
-    /// Per-item position of the live recency entry (`NIL` if none).
-    pos: Vec<u32>,
-    /// Tombstone count in `recency`.
-    dead: usize,
+    /// The recency index, shared with every live BS report built from it.
+    index: Arc<RecencyIndex>,
+    /// Updates applied while a report held the index, oldest first; not
+    /// yet in `index`.
+    pending: Vec<(SimTime, ItemId)>,
+    /// Index copies forced by folding into a still-shared index.
+    copies: u64,
     total_updates: u64,
 }
 
@@ -51,9 +46,9 @@ impl UpdateLog {
         UpdateLog {
             db_size,
             last_update: vec![None; db_size as usize],
-            recency: Vec::new(),
-            pos: vec![NIL; db_size as usize],
-            dead: 0,
+            index: Arc::new(RecencyIndex::new(db_size)),
+            pending: Vec::new(),
+            copies: 0,
             total_updates: 0,
         }
     }
@@ -68,34 +63,17 @@ impl UpdateLog {
         self.total_updates
     }
 
-    /// Number of items updated at least once.
-    pub fn distinct_updated(&self) -> usize {
-        self.recency.len() - self.dead
-    }
-
-    /// `true` when the entry at `j` is the live one for its item.
-    #[inline]
-    fn live(&self, j: usize) -> bool {
-        self.pos[self.recency[j].1.index()] == j as u32
-    }
-
-    /// Drops every tombstone, keeping live entries in order.
-    fn compact(&mut self) {
-        let mut w = 0usize;
-        for j in 0..self.recency.len() {
-            if self.live(j) {
-                let e = self.recency[j];
-                self.recency[w] = e;
-                self.pos[e.1.index()] = w as u32;
-                w += 1;
-            }
-        }
-        self.recency.truncate(w);
-        self.dead = 0;
+    /// Times a fold had to copy the index because a report still held it
+    /// (observability only).
+    pub fn recency_copies(&self) -> u64 {
+        self.copies
     }
 
     /// Records an update of `item` at time `now`. Returns the item's
     /// previous version (`SimTime::ZERO` if never updated).
+    ///
+    /// The index takes the update at once when no report shares it;
+    /// otherwise the update is queued for [`UpdateLog::settle`].
     ///
     /// # Panics
     /// Panics if `item` is out of range or time goes backwards for the
@@ -105,33 +83,62 @@ impl UpdateLog {
         let prev = match *slot {
             Some(prev) => {
                 assert!(prev <= now, "update time went backwards for {item:?}");
-                // The old entry becomes a tombstone: it keeps its slot
-                // and key (so the vec stays sorted) but stops being the
-                // item's position.
-                self.dead += 1;
                 prev
             }
             None => SimTime::ZERO,
         };
         *slot = Some(now);
-        // Time is globally monotone, so the insertion point is in the
-        // tail's equal-timestamp run; ties order item-ascending. Only
-        // that run shifts, so only its items' positions need bumping.
-        let key = (now, item);
-        let at = self.recency.partition_point(|e| *e < key);
-        for j in at..self.recency.len() {
-            let it = self.recency[j].1.index();
-            if self.pos[it] == j as u32 {
-                self.pos[it] = (j + 1) as u32;
-            }
-        }
-        self.recency.insert(at, key);
-        self.pos[item.index()] = at as u32;
         self.total_updates += 1;
-        if self.dead * 2 > self.recency.len() {
-            self.compact();
+        match Arc::get_mut(&mut self.index) {
+            Some(index) => {
+                for (ts, queued) in self.pending.drain(..) {
+                    index.insert(ts, queued);
+                }
+                index.insert(now, item);
+            }
+            None => self.pending.push((now, item)),
         }
         prev
+    }
+
+    /// Folds the pending updates into the index, copying it first if a
+    /// report still shares it. `O(k)` for `k` pending updates when
+    /// nothing is shared. Index reads (window extraction, counts, the
+    /// recency walk) panic on an unsettled log; versions never wait.
+    pub fn settle(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        if Arc::get_mut(&mut self.index).is_none() {
+            self.copies += 1;
+        }
+        let index = Arc::make_mut(&mut self.index);
+        for (ts, item) in self.pending.drain(..) {
+            index.insert(ts, item);
+        }
+    }
+
+    /// A handle to the settled index, for a report to hold: `O(k)` for
+    /// `k` pending updates, plus an index copy if an older report still
+    /// holds it.
+    pub fn share(&mut self) -> Arc<RecencyIndex> {
+        self.settle();
+        Arc::clone(&self.index)
+    }
+
+    /// The index, which must be settled.
+    #[inline]
+    fn settled(&self) -> &RecencyIndex {
+        assert!(
+            self.pending.is_empty(),
+            "UpdateLog index read with unsettled updates; call settle() first"
+        );
+        &self.index
+    }
+
+    /// Number of items updated at least once.
+    pub fn distinct_updated(&self) -> usize {
+        self.settled().live_len()
     }
 
     /// The item's current version: its last update time, or
@@ -149,31 +156,18 @@ impl UpdateLog {
 
     /// Time of the most recent update anywhere, if any (`TS(B_0)`).
     pub fn latest_update(&self) -> Option<SimTime> {
-        // The newest entry is always live (tombstones are strictly older
-        // re-updates of the same item, and an equal-time re-update
-        // inserts the live entry at or after the dead one), but walk
-        // defensively anyway — the scan stops at the first live slot.
-        (0..self.recency.len())
-            .rev()
-            .find(|&j| self.live(j))
-            .map(|j| self.recency[j].0)
+        self.settled().latest()
     }
 
     /// Every item updated strictly after `since`, as `(item, ts)` pairs
     /// (ascending timestamp, item-ascending within ties), without
-    /// allocating: one binary search plus a contiguous forward walk —
-    /// `O(log U + k)` for `k` results plus skipped tombstones.
+    /// allocating: `O(log U + k)` for `k` results plus skipped
+    /// tombstones.
     pub fn updates_since_iter(
         &self,
         since: SimTime,
     ) -> impl Iterator<Item = (ItemId, SimTime)> + '_ {
-        let start = self.recency.partition_point(|&(ts, _)| ts <= since);
-        self.recency[start..]
-            .iter()
-            .enumerate()
-            .filter_map(move |(k, &(ts, item))| {
-                (self.pos[item.index()] == (start + k) as u32).then_some((item, ts))
-            })
+        self.settled().since(since)
     }
 
     /// Number of items updated strictly after `since`: `O(log U + k)` —
@@ -190,18 +184,12 @@ impl UpdateLog {
     /// `Tlb` every period; the cap keeps that test from scanning the whole
     /// history when the `Tlb` is ancient.
     pub fn count_since_capped(&self, since: SimTime, cap: usize) -> usize {
-        self.updates_since_iter(since).take(cap + 1).count()
+        self.settled().count_since_capped(since, cap)
     }
 
     /// Items ordered most recently updated first.
     pub fn recency_desc(&self) -> impl Iterator<Item = (ItemId, SimTime)> + '_ {
-        self.recency
-            .iter()
-            .enumerate()
-            .rev()
-            .filter_map(|(j, &(ts, item))| {
-                (self.pos[item.index()] == j as u32).then_some((item, ts))
-            })
+        self.settled().desc()
     }
 }
 
@@ -300,7 +288,40 @@ mod tests {
         assert_eq!(log.total_updates(), 50);
         assert_eq!(log.count_since(SimTime::ZERO), 2);
         // Compaction kept the index smaller than the update count.
-        assert!(log.recency.len() <= 4, "tombstones never compacted");
+        assert!(log.index.slots() <= 4, "tombstones never compacted");
+    }
+
+    #[test]
+    fn a_shared_index_defers_updates_until_settled() {
+        let mut log = UpdateLog::new(8);
+        log.apply_update(t(1.0), ItemId(1));
+        let held = log.share();
+        // Versions move at once; the index waits.
+        assert_eq!(log.apply_update(t(2.0), ItemId(2)), SimTime::ZERO);
+        assert_eq!(log.version(ItemId(2)), t(2.0));
+        assert_eq!(log.pending.len(), 1);
+        // Settling while the report is held copies; the held snapshot
+        // keeps saying what it said.
+        log.settle();
+        assert_eq!(log.recency_copies(), 1);
+        assert_eq!(held.desc().collect::<Vec<_>>(), vec![(ItemId(1), t(1.0))]);
+        assert_eq!(log.count_since(SimTime::ZERO), 2);
+        // Released before the next update: it folds in place.
+        let held = log.share();
+        drop(held);
+        log.apply_update(t(3.0), ItemId(3));
+        assert!(log.pending.is_empty());
+        log.settle();
+        assert_eq!(log.recency_copies(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "unsettled")]
+    fn reading_an_unsettled_log_panics() {
+        let mut log = UpdateLog::new(8);
+        let _held = log.share();
+        log.apply_update(t(1.0), ItemId(1));
+        log.count_since(SimTime::ZERO);
     }
 
     #[test]

@@ -120,12 +120,10 @@ pub struct GroupVerdict {
 /// Between broadcasts with no intervening update the report's *content*
 /// is unchanged — only its timestamps move — so the server rebases the
 /// cached payload instead of re-extracting the window or rebuilding the
-/// bit sequences. Validity is keyed on [`UpdateLog::total_updates`] plus,
-/// for window reports, the history bound the records were extracted from.
+/// report. Any applied update drops the cache; a window report is also
+/// keyed on the history bound its records were extracted from.
 struct CachedReport {
     payload: Arc<ReportPayload>,
-    /// `UpdateLog::total_updates` when the payload was built.
-    total_updates: u64,
     /// Window reports: `records == updates_since(history_since)`.
     history_since: SimTime,
     /// Window reports: oldest record timestamp (`None` when empty). A
@@ -210,6 +208,7 @@ impl Server {
                 stale: Vec::new(),
             };
         }
+        self.log.settle();
         let mut stale = Vec::new();
         for &(group, tlb) in groups {
             for (item, _) in self.log.updates_since_iter(tlb) {
@@ -238,7 +237,8 @@ impl Server {
     }
 
     /// Read access to the update history (the simulation oracle uses
-    /// this as ground truth).
+    /// this as ground truth). Its index reads need a settled log, which
+    /// every report build leaves behind.
     pub fn log(&self) -> &UpdateLog {
         &self.log
     }
@@ -255,9 +255,22 @@ impl Server {
         self.report_cache_hits
     }
 
+    /// Times the update log copied its recency index because a BS report
+    /// still held it when updates had to be folded in (see
+    /// [`UpdateLog::settle`]). Observability only, like
+    /// [`Server::report_cache_hits`].
+    pub fn recency_copies(&self) -> u64 {
+        self.log.recency_copies()
+    }
+
     /// Applies one update transaction touching `items` at time `now`.
     pub fn apply_txn(&mut self, now: SimTime, items: &[ItemId]) {
         self.counters.txns_applied += 1;
+        if !items.is_empty() {
+            // The cached report is stale now — and a cached BS report
+            // would keep the recency index shared, forcing a copy.
+            self.cached_report = None;
+        }
         for &item in items {
             let prev = self.log.apply_update(now, item);
             self.counters.updates_applied += 1;
@@ -323,10 +336,9 @@ impl Server {
     /// rebuild (it is maintained incrementally in steady state).
     pub fn recover(&mut self) {
         if self.scheme == Scheme::Sig {
-            let mut versions = vec![SimTime::ZERO; self.log.db_size() as usize];
-            for (item, version) in self.log.recency_desc() {
-                versions[item.0 as usize] = version;
-            }
+            let versions: Vec<SimTime> = (0..self.log.db_size())
+                .map(|i| self.log.version(ItemId(i)))
+                .collect();
             self.combined = Some(self.signer.combine(&versions));
         }
     }
@@ -371,10 +383,9 @@ impl Server {
         history_since: SimTime,
         dummy: Option<SimTime>,
     ) -> Arc<ReportPayload> {
-        let total = self.log.total_updates();
         let window_start = self.window_start(now);
         let reusable = match &self.cached_report {
-            Some(c) if c.total_updates == total && c.history_since <= history_since => {
+            Some(c) if c.history_since <= history_since => {
                 matches!(&*c.payload, ReportPayload::Window(_))
                     && c.min_record.is_none_or(|ts| ts > history_since)
             }
@@ -404,7 +415,6 @@ impl Server {
         }));
         self.cached_report = Some(CachedReport {
             payload: Arc::clone(&payload),
-            total_updates: total,
             history_since,
             min_record,
         });
@@ -413,11 +423,10 @@ impl Server {
 
     /// A bit-sequences report for the broadcast at `now`, served from the
     /// cache when possible. The structure depends only on the recency
-    /// index, so with no intervening update only `broadcast_at` moves.
+    /// index, so with no intervening update only `broadcast_at` moves;
+    /// otherwise the report shares the log's settled index, `O(1)`.
     fn cached_bs(&mut self, now: SimTime) -> Arc<ReportPayload> {
-        let total = self.log.total_updates();
-        let reusable = matches!(&self.cached_report,
-            Some(c) if c.total_updates == total && c.payload.is_bitseq());
+        let reusable = matches!(&self.cached_report, Some(c) if c.payload.is_bitseq());
         if reusable {
             self.report_cache_hits += 1;
             let cache = self.cached_report.as_mut().expect("reusable cache");
@@ -429,11 +438,10 @@ impl Server {
             cache.payload = Arc::clone(&payload);
             return payload;
         }
-        let bs = BitSequences::from_recency(now, self.log.db_size(), self.log.recency_desc());
+        let bs = BitSequences::shared(now, self.log.db_size(), self.log.share());
         let payload = Arc::new(ReportPayload::BitSeq(bs));
         self.cached_report = Some(CachedReport {
             payload: Arc::clone(&payload),
-            total_updates: total,
             history_since: SimTime::ZERO,
             min_record: None,
         });
@@ -444,9 +452,8 @@ impl Server {
     /// cache when possible (the combined signatures change only with
     /// updates).
     fn cached_sig(&mut self, now: SimTime) -> Arc<ReportPayload> {
-        let total = self.log.total_updates();
-        let reusable = matches!(&self.cached_report,
-            Some(c) if c.total_updates == total && matches!(&*c.payload, ReportPayload::Sig(..)));
+        let reusable =
+            matches!(&self.cached_report, Some(c) if matches!(&*c.payload, ReportPayload::Sig(..)));
         if reusable {
             self.report_cache_hits += 1;
             let cache = self.cached_report.as_mut().expect("reusable cache");
@@ -467,7 +474,6 @@ impl Server {
         ));
         self.cached_report = Some(CachedReport {
             payload: Arc::clone(&payload),
-            total_updates: total,
             history_since: SimTime::ZERO,
             min_record: None,
         });
@@ -528,6 +534,7 @@ impl Server {
         &mut self,
         now: SimTime,
     ) -> (Arc<ReportPayload>, Option<AdaptiveDecision>) {
+        self.log.settle();
         let mut decision = None;
         let report = match self.scheme {
             Scheme::TsNoCheck | Scheme::SimpleChecking | Scheme::Gcore => {
@@ -1027,14 +1034,59 @@ mod tests {
         let (ReportPayload::BitSeq(a), ReportPayload::BitSeq(b)) = (&*first, &*second) else {
             panic!("expected BS");
         };
-        assert_eq!(a.levels, b.levels);
-        assert_eq!(a.recency, b.recency);
+        assert!(a.marked(usize::MAX).eq(b.marked(usize::MAX)));
         assert_eq!(b.broadcast_at, t(40.0));
         // The rebased report still invalidates the stale client.
         match b.decide(t(5.0), vec![ItemId(3)]) {
             BsDecision::Invalidate(stale) => assert_eq!(stale, vec![ItemId(3)]),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn bs_reports_share_the_log_index_without_copying() {
+        // The bigdb shape: 40 000 items, a 5-item txn every 5 s, a BS
+        // report every 20 s, each report dropped before the next tick.
+        let db = 40_000;
+        let mut s = server(Scheme::Bs, db);
+        let mut rng = mobicache_sim::SimRng::new(7);
+        for tick in 1..=500u32 {
+            for k in 0..4u32 {
+                let at = t(f64::from(tick * 20 - 15 + k * 5));
+                let items: Vec<ItemId> = (0..5)
+                    .map(|_| ItemId(rng.next_below(u64::from(db)) as u32))
+                    .collect();
+                s.apply_txn(at, &items);
+            }
+            let (report, _) = s.build_report_shared(t(f64::from(tick * 20)));
+            assert!(report.is_bitseq());
+        }
+        assert_eq!(
+            s.recency_copies(),
+            0,
+            "a dropped report must not force a copy"
+        );
+
+        // A report held across an update and the next build: exactly
+        // one copy, and the held report keeps its content.
+        let (held, _) = s.build_report_shared(t(10_020.0));
+        s.apply_txn(t(10_025.0), &[ItemId(3)]);
+        let (next, _) = s.build_report_shared(t(10_040.0));
+        assert_eq!(s.recency_copies(), 1);
+        let (ReportPayload::BitSeq(a), ReportPayload::BitSeq(b)) = (&*held, &*next) else {
+            panic!("expected BS");
+        };
+        assert_eq!(
+            a.marked(1).next(),
+            b.marked(2).nth(1),
+            "item 3 is new to `next` only"
+        );
+        assert_eq!(b.marked(1).next(), Some(ItemId(3)));
+        // Released again: updates fold in place.
+        drop((held, next));
+        s.apply_txn(t(10_045.0), &[ItemId(4)]);
+        s.build_report_shared(t(10_060.0));
+        assert_eq!(s.recency_copies(), 1);
     }
 
     #[test]

@@ -2,19 +2,25 @@
 //! representation must behave exactly like the obvious reference model —
 //! a `BTreeMap<ItemId, SimTime>` of latest versions plus a
 //! `BTreeSet<(SimTime, ItemId)>` recency index — under arbitrary
-//! time-monotone update sequences and arbitrary query points.
+//! time-monotone update sequences and arbitrary query points, also while
+//! handles to its index are shared out and updates wait to be folded in.
 
 use mobicache_model::ItemId;
+use mobicache_reports::RecencyIndex;
 use mobicache_server::UpdateLog;
 use mobicache_sim::SimTime;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 const DB: u32 = 48;
 
 fn t(s: f64) -> SimTime {
     SimTime::from_secs(s)
 }
+
+/// A recency list, newest first.
+type Recency = Vec<(ItemId, SimTime)>;
 
 /// The reference model the dense log must agree with.
 #[derive(Default)]
@@ -115,5 +121,65 @@ proptest! {
         // Full recency walk, newest first.
         let desc: Vec<_> = log.recency_desc().collect();
         prop_assert_eq!(desc, model.recency_desc());
+    }
+
+    /// Updates applied while the index is shared wait, then fold in:
+    /// after `settle` the log matches the model exactly as an unshared
+    /// one does, every handle still shows the history it was shared at,
+    /// and the index is copied only when a fold finds a handle to the
+    /// current index still held.
+    #[test]
+    fn shared_log_matches_btree_model(
+        // (time-delta, item, action): 0 = update only, 1 = share and hold
+        // a handle, 2 = drop the oldest held handle, 3 = settle.
+        steps in prop::collection::vec((0u16..20, 0u32..DB, 0u8..4), 1..200),
+    ) {
+        let mut log = UpdateLog::new(DB);
+        let mut model = Model::default();
+        // Each handle with its snapshot and the index generation it
+        // shares; a copy starts a new generation.
+        let mut held: Vec<(Arc<RecencyIndex>, Recency, u64)> = Vec::new();
+        let mut generation = 0;
+        let mut pending = false;
+        let mut now = 0.0;
+        for &(delta, item, action) in &steps {
+            now += delta as f64;
+            let got = log.apply_update(t(now), ItemId(item));
+            prop_assert_eq!(got, model.apply(t(now), ItemId(item)));
+            prop_assert_eq!(log.version(ItemId(item)), t(now));
+            let shared = held.iter().any(|h| h.2 == generation);
+            // An update waits while the index is shared; one applied
+            // while it is not folds everything waiting in place.
+            pending = shared;
+            if action == 1 || action == 3 {
+                if pending && shared {
+                    generation += 1;
+                }
+                pending = false;
+                if action == 1 {
+                    held.push((log.share(), model.recency_desc(), generation));
+                } else {
+                    log.settle();
+                    prop_assert_eq!(log.recency_desc().collect::<Vec<_>>(), model.recency_desc());
+                }
+            } else if action == 2 && !held.is_empty() {
+                held.remove(0);
+            }
+            for (index, snapshot, _) in &held {
+                prop_assert_eq!(&index.desc().collect::<Vec<_>>(), snapshot);
+            }
+        }
+        if pending && held.iter().any(|h| h.2 == generation) {
+            generation += 1;
+        }
+        log.settle();
+        prop_assert_eq!(log.recency_copies(), generation);
+        prop_assert_eq!(log.total_updates(), model.total);
+        prop_assert_eq!(log.distinct_updated(), model.latest.len());
+        for since in [0.0, now / 3.0, now / 2.0, now] {
+            let got: Vec<_> = log.updates_since_iter(t(since)).collect();
+            prop_assert_eq!(got, model.updates_since(t(since)));
+        }
+        prop_assert_eq!(log.recency_desc().collect::<Vec<_>>(), model.recency_desc());
     }
 }

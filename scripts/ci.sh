@@ -140,6 +140,13 @@ timeout 300 ./target/release/report_pipeline --smoke-sched
 echo "==> invplan smoke: word arm vs per-item arm at 10k clients"
 timeout 300 ./target/release/report_pipeline --smoke-invplan
 
+# BS build leg: the stress shape's update stream replayed through a BS
+# server, timing the per-tick shared-index report build against a
+# from-scratch `from_recency` build of the same log state in one
+# process; fails unless the shared build is at least 10x faster.
+echo "==> bsbuild smoke: shared-index BS build vs from-scratch build"
+timeout 300 ./target/release/report_pipeline --smoke-bsbuild
+
 echo "==> e2e smoke: AAW fig05 sweep vs committed BENCH_report_pipeline.json"
 timeout 300 ./target/release/report_pipeline \
   --smoke-e2e --check-against BENCH_report_pipeline.json
