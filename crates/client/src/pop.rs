@@ -1,8 +1,9 @@
 //! The struct-of-arrays client population.
 //!
 //! A cell serves thousands to millions of mobile hosts, and the
-//! engine's sharded tick phases walk *every* client once per broadcast.
-//! Scattering per-client state across individually boxed `Client`
+//! engine's sharded tick phases walk every client a broadcast can change
+//! (a *quiet* client, see [`ClientPop::stamp_quiet`], only takes the new
+//! `Tlb`). Scattering per-client state across individually boxed `Client`
 //! structs makes that walk a pointer chase; [`ClientPop`] instead keeps
 //! one column per field — disconnect epoch, last-report time, cache,
 //! gap/retry state, counters — plus a shared [`PendingArena`] holding
@@ -136,6 +137,11 @@ pub struct ClientPop {
     /// Per-scheme column group: stored combined signatures, materialized
     /// only under [`Scheme::Sig`].
     sig_baselines: Option<Vec<Option<Vec<u64>>>>,
+    /// `quiet[i]`: no report of any kind can change client `i` beyond
+    /// its `Tlb` (see [`quiet_predicate`]), so the fan-out stamps it instead
+    /// of walking it. Recomputed only by `ClientMut`'s `Drop`, and
+    /// cleared by [`ClientPop::start_query`].
+    quiet: Vec<bool>,
     arena: PendingArena,
 }
 
@@ -183,6 +189,7 @@ impl ClientPop {
             cell,
             cell_bits,
             sig_baselines: (cfg.scheme == Scheme::Sig).then(|| vec![None; n]),
+            quiet: vec![cfg.scheme != Scheme::Sig; n],
             arena: PendingArena::with_clients(n),
             cfg,
         }
@@ -312,6 +319,48 @@ impl ClientPop {
         &self.arena
     }
 
+    /// The stored quiet flag of client `i`: `true` when a report of any
+    /// kind would change nothing of it but its `Tlb`.
+    pub fn is_quiet(&self, i: usize) -> bool {
+        self.quiet[i]
+    }
+
+    /// The quiet predicate re-derived from client `i`'s columns; the
+    /// stored flag must always equal it.
+    pub fn quiet_from_columns(&self, i: usize) -> bool {
+        let b = self.arena.blocks[i];
+        quiet_predicate(
+            &self.cfg,
+            &self.caches[i],
+            &self.gap[i],
+            self.reconnect_pending[i],
+            &self.header[i],
+            &self.arena.nodes[b.start as usize..(b.start + b.cap) as usize],
+        )
+    }
+
+    /// Applies a report broadcast at `at` to every quiet client set in
+    /// `words` — which, for a quiet client, is exactly `Tlb ← at` — and
+    /// clears their bits, leaving the clients a report can change.
+    /// Returns the number of clients stamped. Serial-phase only.
+    pub fn stamp_quiet(&mut self, words: &mut [u64], at: SimTime) -> u64 {
+        let mut stamped = 0;
+        for (k, word) in words.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let i = k * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.quiet[i] {
+                    debug_assert!(self.quiet_from_columns(i), "client {i} flagged quiet");
+                    self.tlb[i] = at;
+                    *word &= !(1u64 << (i % 64));
+                    stamped += 1;
+                }
+            }
+        }
+        stamped
+    }
+
     /// A read-only view of client `i`.
     pub fn client_ref(&self, i: usize) -> ClientRef<'_> {
         ClientRef {
@@ -340,6 +389,7 @@ impl ClientPop {
             sig_baseline: self.sig_baselines.as_mut().map(|col| &mut col[i]),
             stale_scratch: &mut self.stale_scratch[i],
             counters: &mut self.counters[i],
+            quiet: &mut self.quiet[i],
         }
     }
 
@@ -403,6 +453,7 @@ impl ClientPop {
                 .sig_baselines
                 .as_mut()
                 .map_or(std::ptr::null_mut(), |col| col.as_mut_ptr()),
+            quiet: self.quiet.as_mut_ptr(),
             nodes: self.arena.nodes.as_mut_ptr(),
             blocks: self.arena.blocks.as_ptr(),
         }
@@ -417,6 +468,7 @@ impl ClientPop {
     pub fn start_query(&mut self, i: usize, now: SimTime, items: &[ItemId]) {
         assert!(self.connected[i], "query while disconnected");
         assert!(self.header[i].is_none(), "overlapping queries");
+        self.quiet[i] = false;
         self.counters[i].queries_issued += 1;
         let n = items.len() as u32;
         self.header[i] = Some(QueryHeader::new(now, n));
@@ -464,6 +516,52 @@ pub struct ClientMut<'a> {
     sig_baseline: Option<&'a mut Option<Vec<u64>>>,
     stale_scratch: &'a mut Vec<ItemId>,
     counters: &'a mut ClientCounters,
+    quiet: &'a mut bool,
+}
+
+/// The quiet predicate: a report of any kind can change nothing of the
+/// client but its `Tlb`. With an empty cache, no gap and no pending
+/// reconnection, every report arm invalidates, revalidates, drops or
+/// salvages nothing, and an uncovered window opens and closes a gap in
+/// one step; with no query waiting on a report and no retry policy to
+/// re-send requests, the query phases emit nothing. `SIG` is never
+/// quiet: it stores a baseline on every report.
+fn quiet_predicate(
+    cfg: &ClientConfig,
+    cache: &LruCache,
+    gap: &Option<GapState>,
+    reconnect_pending: bool,
+    header: &Option<QueryHeader>,
+    items: &[PendingItem],
+) -> bool {
+    cfg.scheme != Scheme::Sig
+        && cache.is_empty()
+        && gap.is_none()
+        && !reconnect_pending
+        && header.as_ref().is_none_or(|q| {
+            cfg.retry.is_none()
+                && items
+                    .iter()
+                    .take(q.len as usize)
+                    .all(|p| p.state != PendingState::WaitReport)
+        })
+}
+
+/// Every handler runs through a view, so refreshing the quiet flag when
+/// the view goes away keeps it exact for serial and sharded paths alike.
+/// The predicate cannot panic, as `Drop` also runs while a handler
+/// unwinds.
+impl Drop for ClientMut<'_> {
+    fn drop(&mut self) {
+        *self.quiet = quiet_predicate(
+            self.cfg,
+            self.cache,
+            self.gap,
+            *self.reconnect_pending,
+            self.header,
+            self.items,
+        );
+    }
 }
 
 /// Raw pointers into every [`ClientPop`] column, shared by the chunks of
@@ -482,6 +580,7 @@ struct PopPtr {
     stale_scratch: *mut Vec<ItemId>,
     /// Null when the SIG column is not materialized.
     sig: *mut Option<Vec<u64>>,
+    quiet: *mut bool,
     nodes: *mut PendingItem,
     blocks: *const Block,
 }
@@ -520,6 +619,7 @@ impl PopPtr {
             },
             stale_scratch: &mut *self.stale_scratch.add(i),
             counters: &mut *self.counters.add(i),
+            quiet: &mut *self.quiet.add(i),
         }
     }
 }

@@ -173,8 +173,15 @@ struct UpMsg {
 struct ShardScratch {
     /// Actions appended by this shard's clients, in client-index order.
     actions: Vec<ClientAction>,
-    /// One record per client that processed the message.
+    /// One record per walked client that appended actions — per walked
+    /// client when a probe is attached. A client with neither is a
+    /// no-op in the merge, so it leaves no record.
     outcomes: Vec<ShardOutcome>,
+    /// Probe only: each recorded client's counters and cache evictions
+    /// captured just before it processed the message, parallel to
+    /// `outcomes`, so the serial merge emits exactly the probe events
+    /// the serial loop would.
+    before: Vec<(ClientCounters, u64)>,
     /// Plan-application tallies for this shard's clients; summed into
     /// the engine counters during the serial merge (u64 sums are
     /// order-free, so the totals are thread-invariant).
@@ -182,13 +189,10 @@ struct ShardScratch {
 }
 
 /// What one client's parallel report application produced: how many
-/// actions it appended to its shard's buffer, plus (when a probe is
-/// attached) the counter state captured just before, so the serial
-/// merge emits exactly the probe events the serial loop would.
+/// actions it appended to its shard's buffer.
 struct ShardOutcome {
-    client: usize,
+    client: u32,
     actions: u32,
-    before: Option<(ClientCounters, u64)>,
 }
 
 /// A fully wired simulation, ready to run.
@@ -279,6 +283,9 @@ pub struct Simulation<'p> {
     /// Reusable per-client delivery mask for the broadcast phases, as
     /// bitmap words (bit `i` = client `i` hears this transmission).
     deliver_words: Vec<u64>,
+    /// Reusable walk mask of the report fan-out: the delivery mask minus
+    /// the quiet clients, whose report is a `Tlb` stamp.
+    walk_words: Vec<u64>,
     /// The per-tick invalidation-plan caches, one per cell: each cell's
     /// report is decoded once into a dense stale bitmap in serial
     /// phase 0, then shared immutably across the fan-out shards (see
@@ -297,6 +304,11 @@ pub struct Simulation<'p> {
     /// Zero delivery-mask words skipped by the broadcast fan-outs —
     /// 64 clients apiece that cost one word load instead of 64 branches.
     fanout_words_skipped: u64,
+    /// Report deliveries served by a `Tlb` stamp: the client was quiet
+    /// (cumulative).
+    fanout_quiet: u64,
+    /// Report deliveries walked through the client handler (cumulative).
+    fanout_walked: u64,
     /// One scratch per worker thread (`shards.len()` is the resolved
     /// thread count); reused across ticks so steady state allocates
     /// nothing.
@@ -525,11 +537,14 @@ impl<'p> Simulation<'p> {
             snap_index: 0,
             action_scratch: Vec::new(),
             deliver_words: Vec::new(),
+            walk_words: Vec::new(),
             plans: (0..cells).map(|_| PlanCache::new()).collect(),
             prev_report_at: vec![SimTime::ZERO; cells],
             plan_hits: 0,
             plan_misses: 0,
             fanout_words_skipped: 0,
+            fanout_quiet: 0,
+            fanout_walked: 0,
             shards: (0..threads).map(|_| ShardScratch::default()).collect(),
             pool,
             sched,
@@ -785,6 +800,8 @@ impl<'p> Simulation<'p> {
             plan_hits: self.plan_hits,
             plan_misses: self.plan_misses,
             fanout_words_skipped: self.fanout_words_skipped,
+            fanout_quiet: self.fanout_quiet,
+            fanout_walked: self.fanout_walked,
         };
         if let Some(p) = self.opts.probe.as_mut() {
             p.on_snapshot(&snap);
@@ -1015,23 +1032,33 @@ impl<'p> Simulation<'p> {
                 // time. Shards then read the plan lock-free.
                 let mut plan = std::mem::take(&mut self.plans[cell]);
                 plan.decode_for_tick(&report, self.prev_report_at[cell], self.cfg.db_size);
+                // Serial stamp: a quiet client (empty cache, no gap,
+                // nothing waiting on a report) can only take the new
+                // `Tlb`, so it gets exactly that and leaves the walk.
+                let mut walk = std::mem::take(&mut self.walk_words);
+                walk.clone_from(&deliver);
+                self.fanout_quiet += self.clients.stamp_quiet(&mut walk, report.broadcast_at());
+                self.fanout_walked += walk.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
                 // Phase 1 (parallel): each shard applies the report to
-                // its contiguous client range, touching only its own
-                // clients and scratch.
+                // the rest of its contiguous client range, touching only
+                // its own clients and scratch.
                 let probing = self.opts.probe.is_some();
                 let mut shards = std::mem::take(&mut self.shards);
                 for sh in &mut shards {
                     sh.actions.clear();
                     sh.outcomes.clear();
+                    sh.before.clear();
                     sh.plan = PlanStats::default();
                 }
                 self.clients.for_each_delivered(
                     &self.pool,
-                    &deliver,
+                    &walk,
                     &mut shards,
                     |i, mut client, sh| {
-                        let before =
-                            probing.then(|| (client.counters(), client.cache().evictions()));
+                        if probing {
+                            sh.before
+                                .push((client.counters(), client.cache().evictions()));
+                        }
                         let a0 = sh.actions.len();
                         client.on_report_planned(
                             now,
@@ -1040,13 +1067,16 @@ impl<'p> Simulation<'p> {
                             &mut sh.actions,
                             &mut sh.plan,
                         );
-                        sh.outcomes.push(ShardOutcome {
-                            client: i,
-                            actions: (sh.actions.len() - a0) as u32,
-                            before,
-                        });
+                        let actions = (sh.actions.len() - a0) as u32;
+                        if actions > 0 || probing {
+                            sh.outcomes.push(ShardOutcome {
+                                client: i as u32,
+                                actions,
+                            });
+                        }
                     },
                 );
+                self.walk_words = walk;
                 self.plans[cell] = plan;
                 self.prev_report_at[cell] = report.broadcast_at();
                 // Phase 2 (serial merge, client-index order): replay
@@ -1058,16 +1088,20 @@ impl<'p> Simulation<'p> {
                     self.plan_hits += shard.plan.hits;
                     self.plan_misses += shard.plan.misses;
                     let ShardScratch {
-                        actions, outcomes, ..
+                        actions,
+                        outcomes,
+                        before,
+                        ..
                     } = shard;
                     let mut acts = actions.drain(..);
+                    let mut before = before.drain(..);
                     for o in outcomes.drain(..) {
-                        let c = ClientId(o.client as u32);
+                        let c = ClientId(o.client);
                         for _ in 0..o.actions {
                             let action = acts.next().expect("shard recorded action count");
                             self.apply_action(now, c, action);
                         }
-                        self.post_observe(now, c, o.before);
+                        self.post_observe(now, c, before.next());
                     }
                 }
                 self.shards = shards;

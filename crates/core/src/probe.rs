@@ -295,6 +295,15 @@ pub struct IntervalSnapshot {
     /// (absolute, cumulative) — 64 dozing/unlucky clients apiece that
     /// cost one word load instead of 64 per-client branches.
     pub fanout_words_skipped: u64,
+    /// Report deliveries served by a `Tlb` stamp so far (absolute,
+    /// cumulative): the client was quiet — empty cache, no open gap,
+    /// nothing waiting on a report — so the report could change nothing
+    /// else. Quiet clients are not plan applications.
+    pub fanout_quiet: u64,
+    /// Report deliveries walked through the client handler so far
+    /// (absolute, cumulative). `fanout_quiet + fanout_walked` is the
+    /// number of report deliveries.
+    pub fanout_walked: u64,
 }
 
 impl IntervalSnapshot {
@@ -318,7 +327,8 @@ impl IntervalSnapshot {
                 "\"queue_high_water\":{},\"slot_high_water\":{},",
                 "\"sched_cascades\":{},",
                 "\"plan_decodes\":{},\"plan_hits\":{},\"plan_misses\":{},",
-                "\"fanout_words_skipped\":{}}}"
+                "\"fanout_words_skipped\":{},",
+                "\"fanout_quiet\":{},\"fanout_walked\":{}}}"
             ),
             self.index,
             self.start_secs,
@@ -348,6 +358,8 @@ impl IntervalSnapshot {
             self.plan_hits,
             self.plan_misses,
             self.fanout_words_skipped,
+            self.fanout_quiet,
+            self.fanout_walked,
         )
     }
 }
@@ -495,6 +507,8 @@ mod tests {
             plan_hits: 90,
             plan_misses: 3,
             fanout_words_skipped: 6,
+            fanout_quiet: 11,
+            fanout_walked: 13,
         }
     }
 
@@ -553,6 +567,8 @@ mod tests {
         assert!(lines[0].contains("\"plan_hits\":90"));
         assert!(lines[0].contains("\"plan_misses\":3"));
         assert!(lines[0].contains("\"fanout_words_skipped\":6"));
+        assert!(lines[0].contains("\"fanout_quiet\":11"));
+        assert!(lines[0].contains("\"fanout_walked\":13"));
     }
 
     #[test]

@@ -271,3 +271,54 @@ fn sampler_final_interval_is_partial_when_horizon_misses_the_stride() {
     let body_span = snaps[1].end_secs - snaps[1].start_secs;
     assert!(last.end_secs - last.start_secs < body_span);
 }
+
+/// The fan-out counters split the report deliveries: a quiet client is
+/// stamped, every other one walked. On a population-shaped AAW run
+/// (many clients, a small database) almost every delivery is quiet, and
+/// the plan arms tally walked clients only.
+#[test]
+fn fanout_counters_split_report_deliveries() {
+    let population = |p_disconnect: f64| {
+        let mut cfg = SimConfig::paper_default()
+            .with_scheme(Scheme::Aaw)
+            .with_sim_time(2_000.0)
+            .with_db_size(1_000)
+            .with_num_clients(2_000);
+        cfg.p_disconnect = p_disconnect;
+        let mut sampler = IntervalSampler::every(10);
+        let m = run(&cfg, RunOptions::new().probe(&mut sampler))
+            .expect("valid config")
+            .metrics;
+        let reports = m.server.window_reports + m.server.enlarged_reports + m.server.bs_reports;
+        let last = *sampler.snapshots().last().expect("non-empty series");
+        (last, reports)
+    };
+    for p_disconnect in [0.0, 0.1] {
+        let (s, reports) = population(p_disconnect);
+        let delivered = s.fanout_quiet + s.fanout_walked;
+        assert!(delivered <= 2_000 * reports, "{s:?}");
+        if p_disconnect == 0.0 {
+            // Nobody dozes, so every report reaches every client, and
+            // nobody falls behind a window, so every report is a window
+            // report and decodes one plan on delivery.
+            assert_eq!(delivered, 2_000 * s.plan_decodes);
+        }
+        let share = s.fanout_quiet as f64 / delivered as f64;
+        assert!(
+            share >= 0.9,
+            "quiet share {share} at p_disconnect {p_disconnect}"
+        );
+        assert!(s.plan_hits + s.plan_misses <= s.fanout_walked, "{s:?}");
+    }
+
+    // SIG stores a baseline on every report: no client is ever quiet.
+    let mut sampler = IntervalSampler::every(10);
+    run(
+        &short_cfg(Scheme::Sig),
+        RunOptions::new().probe(&mut sampler),
+    )
+    .expect("valid config");
+    let s = sampler.snapshots().last().expect("non-empty series");
+    assert_eq!(s.fanout_quiet, 0);
+    assert!(s.fanout_walked > 0);
+}
