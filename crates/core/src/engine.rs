@@ -13,18 +13,26 @@
 //!   efficiency ("the power needed for transmission is proportional to
 //!   the fourth power of the distance"); the driver charges every client
 //!   transmission and reception against the configured per-bit costs.
+//!
+//! [`Simulation`] keeps one owned sub-state per concern: `Broadcast`
+//! (the fan-out), `Accounting` (run accumulators) and the `Faults` and
+//! `Mobility` layers, which are `None` — no state, no question asked —
+//! when their concern is off.
 
-use crate::metrics::{ClientStats, FaultMetrics, Metrics, MobilityMetrics};
+use crate::broadcast::{Before, Broadcast};
+use crate::faults::Faults;
+use crate::metrics::{Accounting, ClientStats, FaultMetrics, Metrics};
+use crate::mobility::Mobility;
 use crate::oracle::Oracle;
 use crate::probe::{CacheEventKind, IntervalSnapshot, Probe, ProbeEvent, ReportKind, RunTotals};
-use mobicache_client::{ClientAction, ClientConfig, ClientCounters, ClientPop};
+use mobicache_client::{ClientAction, ClientConfig, ClientMut, ClientPop};
 use mobicache_model::msg::{DownlinkKind, SizeParams, UplinkKind, CLASS_CHECK, CLASS_REPORT};
-use mobicache_model::{ChannelFaults, ClientId, ConfigError, DownlinkTopology, ItemId, SimConfig};
+use mobicache_model::{ClientId, ConfigError, DownlinkTopology, ItemId, SimConfig};
 use mobicache_net::Channel;
-use mobicache_reports::{PlanCache, PlanStats, ReportPayload};
-use mobicache_server::{Server, ServerCounters};
+use mobicache_reports::ReportPayload;
+use mobicache_server::{GroupVerdict, Server, ServerCounters, ValidityVerdict};
 use mobicache_sim::pool::WorkerPool;
-use mobicache_sim::{Exp, Histogram, OnlineStats, Scheduler, SimRng, SimTime, StreamId};
+use mobicache_sim::{Scheduler, SimRng, SimTime, StreamId};
 use mobicache_workload::{GapKind, GapProcess, QueryGen, UpdateGen};
 use std::sync::Arc;
 
@@ -85,6 +93,18 @@ impl<'p> RunOptions<'p> {
         self.worker_pool = Some(pool);
         self
     }
+
+    /// Forwards a typed event to the attached probe, if any.
+    fn emit(&mut self, now: SimTime, event: ProbeEvent) {
+        if let Some(p) = self.probe.as_mut() {
+            p.on_event(now, &event);
+        }
+    }
+
+    /// The attached probe's snapshot stride, if it wants snapshots.
+    fn snapshot_every(&self) -> Option<u32> {
+        self.probe.as_ref()?.snapshot_every()
+    }
 }
 
 impl std::fmt::Debug for RunOptions<'_> {
@@ -140,18 +160,9 @@ enum DownPayload {
     /// A data item for one client.
     Data { item: ItemId, dest: ClientId },
     /// A validity verdict for one client.
-    Validity {
-        dest: ClientId,
-        asof: SimTime,
-        valid: Vec<ItemId>,
-    },
+    Validity(ClientId, ValidityVerdict),
     /// A grouped-checking verdict for one client.
-    GroupVerdict {
-        dest: ClientId,
-        asof: SimTime,
-        covered: bool,
-        stale: Vec<ItemId>,
-    },
+    GroupVerdict(ClientId, GroupVerdict),
 }
 
 /// An uplink message in flight: who sent it, what it is, and whether a
@@ -164,35 +175,12 @@ struct UpMsg {
     lost: bool,
 }
 
-/// Shard-local scratch for the report fan-out, one slot per chunk of
-/// [`ClientPop::for_each_delivered`]. A chunk's clients append here and
-/// nowhere else — no scheduler, channel, RNG or stats access — and the
-/// engine replays the contents serially in client-index order, which is
-/// what keeps the merged result bit-identical to the serial engine.
-#[derive(Default)]
-struct ShardScratch {
-    /// Actions appended by this shard's clients, in client-index order.
-    actions: Vec<ClientAction>,
-    /// One record per walked client that appended actions — per walked
-    /// client when a probe is attached. A client with neither is a
-    /// no-op in the merge, so it leaves no record.
-    outcomes: Vec<ShardOutcome>,
-    /// Probe only: each recorded client's counters and cache evictions
-    /// captured just before it processed the message, parallel to
-    /// `outcomes`, so the serial merge emits exactly the probe events
-    /// the serial loop would.
-    before: Vec<(ClientCounters, u64)>,
-    /// Plan-application tallies for this shard's clients; summed into
-    /// the engine counters during the serial merge (u64 sums are
-    /// order-free, so the totals are thread-invariant).
-    plan: PlanStats,
-}
-
-/// What one client's parallel report application produced: how many
-/// actions it appended to its shard's buffer.
-struct ShardOutcome {
-    client: u32,
-    actions: u32,
+/// `(key, seconds)` pairs off the wire as `(key, SimTime)`.
+fn timed<K: Copy>(pairs: &[(K, f64)]) -> Vec<(K, SimTime)> {
+    pairs
+        .iter()
+        .map(|&(k, secs)| (k, SimTime::from_secs(secs)))
+        .collect()
 }
 
 /// A fully wired simulation, ready to run.
@@ -214,105 +202,22 @@ pub struct Simulation<'p> {
     /// under [`DownlinkTopology::Dedicated`]. The single-cell topology
     /// degenerates to the legacy one- or two-channel layout.
     downlinks: Vec<Channel<DownPayload>>,
-    /// Downlink channels per cell (see [`Simulation::downlinks`]).
-    per_cell_downlinks: usize,
     uplink: Channel<UpMsg>,
     update_gen: UpdateGen,
     query_gen: QueryGen,
     gap_proc: GapProcess,
     rng_update: SimRng,
     rng_clients: Vec<SimRng>,
-    /// Per-client fault streams (Gilbert–Elliott transitions, downlink-
-    /// and uplink-loss coins), advanced only in the serial phases so
-    /// enabling faults never perturbs the workload streams and the coin
-    /// schedule is thread-invariant. Untouched while no fault is active.
-    rng_faults: Vec<SimRng>,
-    /// Per-client Gilbert–Elliott channel state (`true` = in a burst).
-    ge_bad: Vec<bool>,
-    /// Per-client mobility streams (cell residency, roam choice) —
-    /// empty in the single-cell topology, so legacy runs derive no
-    /// mobility stream and stay bit-identical.
-    rng_mobility: Vec<SimRng>,
-    /// Cell-residency distribution; `None` in the single-cell topology
-    /// (whose residency knobs are inert and unvalidated).
-    residency: Option<Exp>,
-    /// Clients whose think-scheduled query arrival landed inside their
-    /// own handoff blackout; the query is re-issued at handoff arrival.
-    /// Empty in the single-cell topology (a legacy doze always delivers
-    /// `Reconnect` before the same-instant `QueryArrival`).
-    query_after_handoff: Vec<bool>,
-    /// Mobility tallies accumulated during the run.
-    mobility: MobilityMetrics,
-    /// The downlink fault chain with the legacy `p_report_loss` knob
-    /// folded in as an independent loss source.
-    eff_downlink: ChannelFaults,
-    /// Nesting depth of in-progress server crash windows (0 = up).
-    down_depth: u32,
-    /// Earliest unacknowledged crash instant — measured (and cleared)
-    /// at the first successful post-recovery broadcast.
-    crash_pending_since: Option<SimTime>,
-    /// Sum of crash → first-post-recovery-broadcast latencies.
-    recovery_latency_sum: f64,
-    /// Data responses currently queued or in flight on the downlink,
-    /// keyed by `(requester, item)`. Retry-armed clients cannot tell a
-    /// lost request from queueing delay, so the server ignores a
-    /// duplicate request whose answer is already on its way instead of
-    /// re-sending a full item. Empty while no fault is active.
-    inflight_data: std::collections::HashSet<(ClientId, ItemId)>,
-    /// Fault tallies accumulated during the run.
-    faults: FaultMetrics,
-    latency: OnlineStats,
-    latency_hist: Histogram,
+    /// The fault layer; `None` when no fault can fire.
+    faults: Option<Faults>,
+    /// The mobility layer; `None` in the single-cell topology.
+    mobility: Option<Mobility>,
+    broadcast: Broadcast,
+    acct: Accounting,
     oracle: Option<Oracle>,
-    disconnections: u64,
-    reports_lost: u64,
-    /// Client-radio energy accounting (bits).
-    tx_bits: f64,
-    rx_bits: f64,
-    /// Broadcast periods completed (snapshot stride counter).
-    ticks: u64,
-    /// Cumulative counters at the last interval snapshot.
-    snap_prev: RunTotals,
-    /// Simulated second of the last interval snapshot.
-    snap_prev_secs: f64,
-    /// Next interval snapshot index.
-    snap_index: u32,
-    /// Reusable client-action buffer, threaded through every message
+    /// Reusable client-action buffer, threaded through every addressed
     /// delivery so the hot paths never allocate an action list.
     action_scratch: Vec<ClientAction>,
-    /// Reusable per-client delivery mask for the broadcast phases, as
-    /// bitmap words (bit `i` = client `i` hears this transmission).
-    deliver_words: Vec<u64>,
-    /// Reusable walk mask of the report fan-out: the delivery mask minus
-    /// the quiet clients, whose report is a `Tlb` stamp.
-    walk_words: Vec<u64>,
-    /// The per-tick invalidation-plan caches, one per cell: each cell's
-    /// report is decoded once into a dense stale bitmap in serial
-    /// phase 0, then shared immutably across the fan-out shards (see
-    /// `mobicache_reports::plan`).
-    plans: Vec<PlanCache>,
-    /// Broadcast time of the last report each cell handed to the
-    /// fan-out — the dominant `Tlb` bucket for that cell's next plan
-    /// decode (every client that heard it holds exactly this `Tlb`).
-    prev_report_at: Vec<SimTime>,
-    /// Report applications served by the word-wise plan intersection
-    /// (cumulative).
-    plan_hits: u64,
-    /// Report applications served per item: small caches, or an
-    /// off-bucket BS prefix (cumulative).
-    plan_misses: u64,
-    /// Zero delivery-mask words skipped by the broadcast fan-outs —
-    /// 64 clients apiece that cost one word load instead of 64 branches.
-    fanout_words_skipped: u64,
-    /// Report deliveries served by a `Tlb` stamp: the client was quiet
-    /// (cumulative).
-    fanout_quiet: u64,
-    /// Report deliveries walked through the client handler (cumulative).
-    fanout_walked: u64,
-    /// One scratch per worker thread (`shards.len()` is the resolved
-    /// thread count); reused across ticks so steady state allocates
-    /// nothing.
-    shards: Vec<ShardScratch>,
     /// Persistent worker pool for the sharded tick phases: spawned once
     /// per simulation (or shared via [`RunOptions::worker_pool`]) and
     /// reused every tick, so no phase ever pays a thread spawn. Joined
@@ -438,31 +343,19 @@ impl<'p> Simulation<'p> {
             );
         }
 
-        // Mobility: each client's residency clock starts at t = 0 and
-        // runs on its own dedicated stream, so enabling more cells (or
-        // more clients) never perturbs the workload or fault streams.
-        // Single-cell topologies derive no stream and schedule nothing.
-        let cells = cfg.cells.cells as usize;
-        let mut rng_mobility: Vec<SimRng> = if cfg.cells.is_multi() {
-            (0..cfg.num_clients)
-                .map(|c| SimRng::for_stream(cfg.seed, StreamId::Mobility(c)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let residency = cfg
-            .cells
-            .is_multi()
-            .then(|| Exp::with_mean(cfg.cells.mean_residency_secs));
-        if let Some(res) = &residency {
-            sched.schedule_batch((0..cfg.num_clients).map(|c| {
-                let first = res.sample(&mut rng_mobility[c as usize]);
-                (SimTime::from_secs(first), Ev::Handoff(ClientId(c)))
-            }));
+        // Each client's residency clock starts at t = 0.
+        let mut mobility = Mobility::new(cfg);
+        if let Some(m) = &mut mobility {
+            sched.schedule_batch(
+                m.first_expiries()
+                    .enumerate()
+                    .map(|(c, secs)| (SimTime::from_secs(secs), Ev::Handoff(ClientId(c as u32)))),
+            );
         }
 
         // Cell-major downlink layout: each cell broadcasts on its own
         // channel(s); one cell reproduces the legacy layout exactly.
+        let cells = cfg.cells.cells as usize;
         let mut downlinks = Vec::with_capacity(cells * 2);
         for _ in 0..cells {
             match cfg.downlink_topology {
@@ -473,7 +366,6 @@ impl<'p> Simulation<'p> {
                 }
             }
         }
-        let per_cell_downlinks = downlinks.len() / cells;
 
         let servers: Vec<Server> = (0..cells)
             .map(|_| {
@@ -490,9 +382,8 @@ impl<'p> Simulation<'p> {
             sp,
             horizon: SimTime::from_secs(cfg.sim_time_secs),
             servers,
-            clients: ClientPop::with_cells(client_cfg, cfg.num_clients as usize, cfg.cells.cells),
+            clients: ClientPop::with_cells(client_cfg, n, cfg.cells.cells),
             downlinks,
-            per_cell_downlinks,
             uplink: Channel::new(cfg.uplink_bps),
             update_gen,
             query_gen: QueryGen::new(cfg.workload.query, cfg.db_size, cfg.items_per_query_mean),
@@ -503,49 +394,12 @@ impl<'p> Simulation<'p> {
             ),
             rng_update,
             rng_clients,
-            rng_faults: (0..cfg.num_clients)
-                .map(|c| SimRng::for_stream(cfg.seed, StreamId::Fault(c)))
-                .collect(),
-            ge_bad: vec![false; cfg.num_clients as usize],
-            rng_mobility,
-            residency,
-            query_after_handoff: vec![
-                false;
-                if cfg.cells.is_multi() {
-                    cfg.num_clients as usize
-                } else {
-                    0
-                }
-            ],
-            mobility: MobilityMetrics::default(),
-            eff_downlink: cfg.faults.downlink.with_independent_loss(cfg.p_report_loss),
-            down_depth: 0,
-            crash_pending_since: None,
-            recovery_latency_sum: 0.0,
-            inflight_data: std::collections::HashSet::new(),
-            faults: FaultMetrics::default(),
-            latency: OnlineStats::new(),
-            latency_hist: Histogram::new(0.0, 2_000.0, 200),
+            faults: Faults::new(cfg),
+            mobility,
+            broadcast: Broadcast::new(cfg.db_size, cells, threads),
+            acct: Accounting::new(),
             oracle: opts.check_consistency.then(Oracle::new),
-            disconnections: 0,
-            reports_lost: 0,
-            tx_bits: 0.0,
-            rx_bits: 0.0,
-            ticks: 0,
-            snap_prev: RunTotals::default(),
-            snap_prev_secs: 0.0,
-            snap_index: 0,
             action_scratch: Vec::new(),
-            deliver_words: Vec::new(),
-            walk_words: Vec::new(),
-            plans: (0..cells).map(|_| PlanCache::new()).collect(),
-            prev_report_at: vec![SimTime::ZERO; cells],
-            plan_hits: 0,
-            plan_misses: 0,
-            fanout_words_skipped: 0,
-            fanout_quiet: 0,
-            fanout_walked: 0,
-            shards: (0..threads).map(|_| ShardScratch::default()).collect(),
             pool,
             sched,
             cfg: cfg.clone(),
@@ -553,40 +407,22 @@ impl<'p> Simulation<'p> {
         })
     }
 
-    /// The downlink channel a message of `class` travels on within
-    /// `cell`'s channel group.
-    fn downlink_index(&self, cell: usize, class: usize) -> usize {
-        let base = cell * self.per_cell_downlinks;
-        if self.per_cell_downlinks == 1 || class == CLASS_REPORT {
-            base
-        } else {
-            base + 1
-        }
-    }
-
-    /// The cell that owns downlink channel `idx`.
-    fn cell_of_downlink(&self, idx: usize) -> usize {
-        idx / self.per_cell_downlinks
-    }
-
+    /// Puts a `kind` message carrying `payload` on `cell`'s downlink: a
+    /// report on the cell's first channel, anything else on its last.
     fn send_downlink(
         &mut self,
         now: SimTime,
-        kind_bits: f64,
-        class: usize,
+        kind: &DownlinkKind,
         cell: usize,
         payload: DownPayload,
     ) {
-        let idx = self.downlink_index(cell, class);
-        if let Some(c) = self.downlinks[idx].send(now, kind_bits, class, payload) {
+        let class = kind.class();
+        let per_cell = self.downlinks.len() / self.servers.len();
+        let idx = cell * per_cell + (per_cell - 1) * usize::from(class != CLASS_REPORT);
+        let bits = kind.size_bits(&self.sp);
+        if let Some(c) = self.downlinks[idx].send(now, bits, class, payload) {
             self.sched.schedule(c.at, Ev::DownlinkDone(idx, c.token));
         }
-    }
-
-    /// The cell `client` is currently associated with (where its uplink
-    /// traffic lands and its downlink responses originate).
-    fn cell_of(&self, client: ClientId) -> usize {
-        self.clients.cell_of(client.index()) as usize
     }
 
     /// Runs the event loop to the horizon and collects metrics.
@@ -601,7 +437,7 @@ impl<'p> Simulation<'p> {
                 Ev::QueryArrival(c) => self.on_query_arrival(now, c),
                 Ev::Reconnect(c) => {
                     let offline_secs = self.clients.reconnect(c.index(), now);
-                    self.emit(
+                    self.opts.emit(
                         now,
                         ProbeEvent::Reconnect {
                             client: c,
@@ -625,7 +461,7 @@ impl<'p> Simulation<'p> {
         // (and the snapshot stride with it); clients experience the
         // silent interval exactly like a lost report and fall back on
         // their gap/retry machinery.
-        if self.down_depth == 0 {
+        if self.faults.as_ref().is_none_or(Faults::server_up) {
             // Every cell's server broadcasts its own report on its own
             // downlink, in cell order (one cell = the legacy sequence).
             for cell in 0..self.servers.len() {
@@ -633,44 +469,35 @@ impl<'p> Simulation<'p> {
                 let kind = DownlinkKind::InvalidationReport {
                     content_bits: report.size_bits(&self.sp),
                 };
-                let bits = kind.size_bits(&self.sp);
                 if self.opts.probe.is_some() {
-                    let report_kind = ReportKind::of(&report);
                     let window_start_secs = match &*report {
                         ReportPayload::Window(w) => Some(w.window_start.as_secs()),
                         _ => None,
                     };
-                    self.emit(
+                    self.opts.emit(
                         now,
                         ProbeEvent::ReportBroadcast {
-                            kind: report_kind,
-                            bits,
+                            kind: ReportKind::of(&report),
+                            bits: kind.size_bits(&self.sp),
                             window_start_secs,
                         },
                     );
                     if let Some(d) = decision {
-                        self.emit(now, ProbeEvent::AdaptiveDecision(d));
+                        self.opts.emit(now, ProbeEvent::AdaptiveDecision(d));
                     }
                 }
-                self.send_downlink(now, bits, kind.class(), cell, DownPayload::Report(report));
+                self.send_downlink(now, &kind, cell, DownPayload::Report(report));
             }
-            if let Some(since) = self.crash_pending_since.take() {
-                // Recovery completes, from the clients' point of view,
-                // with the first report built after the server came back.
-                let offline_secs = now - since;
-                self.faults.recoveries += 1;
-                self.recovery_latency_sum += offline_secs;
-                self.emit(now, ProbeEvent::ServerRecovered { offline_secs });
+            if let Some(offline_secs) = self.faults.as_mut().and_then(|f| f.broadcast_resumed(now))
+            {
+                self.opts
+                    .emit(now, ProbeEvent::ServerRecovered { offline_secs });
             }
         }
         self.sched
             .schedule_in(self.cfg.broadcast_period_secs, Ev::Tick);
-        self.ticks += 1;
-        let stride = self.opts.probe.as_ref().and_then(|p| p.snapshot_every());
-        if let Some(k) = stride {
-            if self.ticks.is_multiple_of(u64::from(k.max(1))) {
-                self.take_snapshot(now.as_secs());
-            }
+        if self.acct.tick(self.opts.snapshot_every()) {
+            self.take_snapshot(now.as_secs());
         }
     }
 
@@ -682,13 +509,12 @@ impl<'p> Simulation<'p> {
         // whole fixed network here, so every cell's server goes down
         // together (and the tick loop stays silent while any is down).
         let dropped = self.servers.iter_mut().map(Server::crash).sum::<u64>();
-        self.down_depth += 1;
-        self.faults.server_crashes += 1;
-        self.faults.crash_dropped_tlbs += dropped;
-        if self.crash_pending_since.is_none() {
-            self.crash_pending_since = Some(now);
+        // Crash events come only from a fault plan, so the layer is
+        // present.
+        if let Some(faults) = &mut self.faults {
+            faults.crash(now, dropped);
         }
-        self.emit(
+        self.opts.emit(
             now,
             ProbeEvent::ServerCrash {
                 dropped_tlbs: dropped,
@@ -702,8 +528,7 @@ impl<'p> Simulation<'p> {
     /// The crashed server finishes replaying its durable update log and
     /// comes back online (broadcasts resume at the next tick).
     fn on_server_recover(&mut self, _now: SimTime) {
-        self.down_depth = self.down_depth.saturating_sub(1);
-        if self.down_depth == 0 {
+        if self.faults.as_mut().is_some_and(Faults::recover) {
             for server in &mut self.servers {
                 server.recover();
             }
@@ -712,22 +537,11 @@ impl<'p> Simulation<'p> {
     }
 
     /// Full-population oracle scan (crash/recovery boundaries), over an
-    /// all-ones mask in the reusable delivery-word buffer.
+    /// all-ones delivery mask.
     fn check_all_consistency(&mut self) {
-        if self.oracle.is_none() {
-            return;
-        }
-        let mut all = std::mem::take(&mut self.deliver_words);
-        all.clear();
-        all.resize(self.clients.len().div_ceil(64), !0);
-        self.check_consistency_sharded(&all);
-        self.deliver_words = all;
-    }
-
-    /// Forwards a typed event to the attached probe, if any.
-    fn emit(&mut self, now: SimTime, event: ProbeEvent) {
-        if let Some(p) = self.opts.probe.as_mut() {
-            p.on_event(now, &event);
+        if self.oracle.is_some() {
+            self.broadcast.all_listeners(self.clients.len());
+            self.check_delivered();
         }
     }
 
@@ -746,6 +560,7 @@ impl<'p> Simulation<'p> {
     /// [`Simulation::finish`] folds into [`Metrics`]).
     fn current_totals(&self) -> RunTotals {
         let sc = self.server_counters();
+        let faults = self.faults.as_ref().map(|f| f.metrics).unwrap_or_default();
         let mut t = RunTotals {
             reports_broadcast: sc.window_reports
                 + sc.enlarged_reports
@@ -754,15 +569,16 @@ impl<'p> Simulation<'p> {
                 + sc.sig_reports,
             tlbs_received: sc.tlbs_received,
             checks_processed: sc.checks_processed,
-            disconnections: self.disconnections,
-            reports_lost: self.reports_lost,
-            uplink_losses: self.faults.uplink_losses,
-            server_crashes: self.faults.server_crashes,
-            handoffs: self.mobility.handoffs,
-            client_tx_bits: self.tx_bits,
-            client_rx_bits: self.rx_bits,
+            reports_lost: faults.downlink_losses_good + faults.downlink_losses_burst,
+            uplink_losses: faults.uplink_losses,
+            server_crashes: faults.server_crashes,
+            handoffs: self.mobility.as_ref().map_or(0, |m| m.metrics.handoffs),
             events_scheduled: self.sched.events_scheduled(),
             events_delivered: self.sched.events_delivered(),
+            disconnections: self.acct.disconnections,
+            client_tx_bits: self.acct.client_tx_bits,
+            client_rx_bits: self.acct.client_rx_bits,
+            // The client-column sums below.
             ..RunTotals::default()
         };
         // Dense column scan: two contiguous slices, no per-client view
@@ -788,27 +604,26 @@ impl<'p> Simulation<'p> {
     /// delta to the probe.
     fn take_snapshot(&mut self, end_secs: f64) {
         let totals = self.current_totals();
+        let (index, start_secs, delta) = self.acct.close_interval(totals, end_secs);
+        let b = &self.broadcast;
         let snap = IntervalSnapshot {
-            index: self.snap_index,
-            start_secs: self.snap_prev_secs,
+            index,
+            start_secs,
             end_secs,
-            delta: totals.delta_since(&self.snap_prev),
+            delta,
             queue_high_water: self.sched.queue_high_water(),
             slot_high_water: self.sched.slot_high_water(),
             sched_cascades: self.sched.cascades(),
-            plan_decodes: self.plans.iter().map(PlanCache::decodes).sum(),
-            plan_hits: self.plan_hits,
-            plan_misses: self.plan_misses,
-            fanout_words_skipped: self.fanout_words_skipped,
-            fanout_quiet: self.fanout_quiet,
-            fanout_walked: self.fanout_walked,
+            plan_decodes: b.plan_decodes(),
+            plan_hits: b.plan_hits,
+            plan_misses: b.plan_misses,
+            fanout_words_skipped: b.fanout_words_skipped,
+            fanout_quiet: b.fanout_quiet,
+            fanout_walked: b.fanout_walked,
         };
         if let Some(p) = self.opts.probe.as_mut() {
             p.on_snapshot(&snap);
         }
-        self.snap_prev = totals;
-        self.snap_prev_secs = end_secs;
-        self.snap_index += 1;
     }
 
     fn on_update(&mut self, now: SimTime) {
@@ -834,9 +649,17 @@ impl<'p> Simulation<'p> {
             // Only a handoff blackout can strand a think-scheduled
             // arrival on a disconnected client (a legacy doze delivers
             // `Reconnect` before the same-instant `QueryArrival`); park
-            // it and re-issue when the client reaches its new cell.
-            self.query_after_handoff[c.index()] = true;
-            return;
+            // it and re-issue when the client reaches its new cell. A
+            // single-cell run never gets here; should it, the query
+            // starts as usual rather than vanish.
+            debug_assert!(
+                self.mobility.is_some(),
+                "query arrival on dozing {c:?} in a single-cell run"
+            );
+            if let Some(mobility) = &mut self.mobility {
+                mobility.park_query(c.index());
+                return;
+            }
         }
         let items = self
             .query_gen
@@ -845,57 +668,26 @@ impl<'p> Simulation<'p> {
         // The query waits for the next broadcast report (§2).
     }
 
-    /// A client's cell residency expired. If the client is mid-flight —
-    /// resolving a query, dozing, or holding an unresolved reconnection
-    /// gap — the handoff is deferred by a fresh residency period so no
-    /// in-flight traffic or salvage state crosses a cell boundary.
-    /// Otherwise the roam coin picks a destination (possibly the same
-    /// cell: a stay is a zero-distance handoff), the radio goes dark for
-    /// the handoff blackout, and arrival is scheduled. Both arms of the
-    /// coin draw and disconnect identically, which is what lets the
-    /// equivalence battery compare `p_roam = 1` against `p_roam = 0`
-    /// runs bit-for-bit.
+    /// A client's cell residency expired (see [`Mobility::on_expiry`]).
     fn on_handoff(&mut self, now: SimTime, c: ClientId) {
-        let i = c.index();
-        if self.clients.has_pending_query(i)
-            || !self.clients.is_connected(i)
-            || self.clients.has_open_gap(i)
-        {
-            self.mobility.handoffs_deferred += 1;
-            let res = self.residency.as_ref().expect("mobility event armed");
-            let next = res.sample(&mut self.rng_mobility[i]);
-            self.sched.schedule_in(next, Ev::Handoff(c));
+        // Handoff events come only from the mobility layer.
+        let Some(mobility) = &mut self.mobility else {
             return;
-        }
-        let topo = self.cfg.cells;
-        let rng = &mut self.rng_mobility[i];
-        let roam = rng.coin(topo.p_roam);
-        let from_cell = self.clients.cell_of(i);
-        let dest = if !roam {
-            from_cell
-        } else if topo.cells == 2 {
-            1 - from_cell
-        } else {
-            // Uniform over the other cells: draw in [0, cells-1) and
-            // skip past the current cell.
-            let r = rng.next_below(u64::from(topo.cells) - 1) as u32;
-            if r >= from_cell {
-                r + 1
-            } else {
-                r
-            }
         };
-        let next_residency = self
-            .residency
-            .as_ref()
-            .expect("mobility event armed")
-            .sample(&mut self.rng_mobility[i]);
-        self.clients.disconnect(i, now);
-        self.sched
-            .schedule_in(topo.handoff_secs, Ev::HandoffArrive(c, dest));
-        // The next residency clock starts at arrival.
-        self.sched
-            .schedule_in(topo.handoff_secs + next_residency, Ev::Handoff(c));
+        let i = c.index();
+        let busy = self.clients.has_pending_query(i)
+            || !self.clients.is_connected(i)
+            || self.clients.has_open_gap(i);
+        let (dest, mut next_secs) = mobility.on_expiry(i, self.clients.cell_of(i), busy);
+        if let Some(dest) = dest {
+            let blackout_secs = self.cfg.cells.handoff_secs;
+            self.clients.disconnect(i, now);
+            self.sched
+                .schedule_in(blackout_secs, Ev::HandoffArrive(c, dest));
+            // The next residency clock starts at arrival.
+            next_secs += blackout_secs;
+        }
+        self.sched.schedule_in(next_secs, Ev::Handoff(c));
     }
 
     /// The handoff blackout ended: re-associate with the destination
@@ -910,8 +702,8 @@ impl<'p> Simulation<'p> {
         let from_cell = self.clients.cell_of(i);
         self.clients.handoff(i, dest);
         let offline_secs = self.clients.reconnect(i, now);
-        self.mobility.handoffs += 1;
-        self.emit(
+        let parked_query = self.mobility.as_mut().is_some_and(|m| m.arrive(i));
+        self.opts.emit(
             now,
             ProbeEvent::Handoff {
                 client: c,
@@ -920,7 +712,7 @@ impl<'p> Simulation<'p> {
                 offline_secs,
             },
         );
-        if std::mem::take(&mut self.query_after_handoff[i]) {
+        if parked_query {
             // The think period expired mid-blackout: the parked query
             // is issued now, at the new cell.
             self.on_query_arrival(now, c);
@@ -934,279 +726,120 @@ impl<'p> Simulation<'p> {
         if let Some(c) = delivered.next {
             self.sched.schedule(c.at, Ev::DownlinkDone(idx, c.token));
         }
+        // Downlinks are laid out cell-major, so the channel index names
+        // the transmitting cell and payloads need no cell tag.
+        let cell = idx * self.servers.len() / self.downlinks.len();
         match delivered.msg {
             DownPayload::Report(report) => {
-                // The broadcasting cell is encoded by the channel index
-                // (downlinks are laid out cell-major), so the payload
-                // needs no cell tag.
-                let cell = self.cell_of_downlink(idx);
-                // Phase 0 (serial): decide who hears this broadcast,
-                // building the delivery mask as bitmap words. Fault
-                // coins and the rx-bits accumulation stay in
-                // client-index order on dedicated per-client streams, so
-                // the coin schedule and the float addition order match
-                // the serial engine bit for bit at any thread count.
-                let mut deliver = std::mem::take(&mut self.deliver_words);
-                deliver.clear();
-                deliver.resize(self.clients.len().div_ceil(64), 0);
-                if !self.eff_downlink.is_active() {
-                    // Every connected member of the broadcasting cell
-                    // hears it: the mask is the word-wise intersection
-                    // of the connected bitmap and the cell-membership
-                    // bitmap (all-ones at one cell, so this is exactly
-                    // the legacy connected copy). rx-bits accumulates
-                    // the same constant once per set bit — the identical
-                    // sequence of additions the per-client loop
-                    // performed.
-                    for ((d, &cw), &mw) in deliver
-                        .iter_mut()
-                        .zip(self.clients.connected_words())
-                        .zip(self.clients.cell_words(cell as u32))
-                    {
-                        *d = cw & mw;
-                    }
-                    for &w in &deliver {
-                        for _ in 0..w.count_ones() {
-                            self.rx_bits += delivered.bits;
-                        }
-                    }
-                } else {
-                    let df = self.eff_downlink;
-                    let p_exit = df.p_exit_burst();
-                    for i in 0..self.clients.len() {
-                        if self.clients.cell_of(i) != cell as u32 {
-                            // Another cell's broadcast: this client's
-                            // radio path is not involved at all. Its
-                            // chain evolves once per tick on its OWN
-                            // cell's broadcast, so the per-client draw
-                            // schedule stays aligned with that cell's
-                            // broadcast clock (and is untouched at one
-                            // cell, where this arm never fires).
-                            continue;
-                        }
-                        // The Gilbert–Elliott chain evolves for every
-                        // member of the cell, listening or not —
-                        // burstiness is a property of the radio path,
-                        // and a draw schedule independent of
-                        // connectivity keeps each client's stream
-                        // aligned with the broadcast clock.
-                        let bad = if self.ge_bad[i] {
-                            !self.rng_faults[i].coin(p_exit)
-                        } else {
-                            df.p_enter_burst > 0.0 && self.rng_faults[i].coin(df.p_enter_burst)
-                        };
-                        self.ge_bad[i] = bad;
-                        if !self.clients.is_connected(i) {
-                            continue; // dozing clients miss the broadcast
-                        }
-                        let p = if bad { df.p_loss_bad } else { df.p_loss_good };
-                        if p > 0.0 && self.rng_faults[i].coin(p) {
-                            self.reports_lost += 1;
-                            if bad {
-                                self.faults.downlink_losses_burst += 1;
-                            } else {
-                                self.faults.downlink_losses_good += 1;
-                            }
-                            if self.clients.has_pending_query(i) {
-                                // The query must now wait at least one
-                                // more interval for a report.
-                                self.faults.queries_stretched += 1;
-                            }
-                            self.emit(
-                                now,
-                                ProbeEvent::ReportLost {
-                                    client: ClientId(i as u32),
-                                    in_burst: bad,
-                                },
-                            );
-                            continue;
-                        }
-                        self.rx_bits += delivered.bits;
-                        deliver[i / 64] |= 1u64 << (i % 64);
-                    }
+                // Phase 0 (serial): the cell's connected members hear it,
+                // minus the fault layer's losses, whose coins fall in
+                // client-index order on per-client streams.
+                let mask = self.broadcast.listeners(&self.clients, cell as u32);
+                if let Some(faults) = &mut self.faults {
+                    let opts = &mut self.opts;
+                    faults.drop_lost(&self.clients, cell as u32, mask, |client, in_burst| {
+                        opts.emit(now, ProbeEvent::ReportLost { client, in_burst });
+                    });
                 }
-                self.fanout_words_skipped += deliver.iter().filter(|&&w| w == 0).count() as u64;
-                // Decode this tick's invalidation plan once (serial),
-                // keyed by the dominant Tlb bucket: every client that
-                // heard the previous report holds exactly its broadcast
-                // time. Shards then read the plan lock-free.
-                let mut plan = std::mem::take(&mut self.plans[cell]);
-                plan.decode_for_tick(&report, self.prev_report_at[cell], self.cfg.db_size);
-                // Serial stamp: a quiet client (empty cache, no gap,
-                // nothing waiting on a report) can only take the new
-                // `Tlb`, so it gets exactly that and leaves the walk.
-                let mut walk = std::mem::take(&mut self.walk_words);
-                walk.clone_from(&deliver);
-                self.fanout_quiet += self.clients.stamp_quiet(&mut walk, report.broadcast_at());
-                self.fanout_walked += walk.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-                // Phase 1 (parallel): each shard applies the report to
-                // the rest of its contiguous client range, touching only
-                // its own clients and scratch.
-                let probing = self.opts.probe.is_some();
-                let mut shards = std::mem::take(&mut self.shards);
-                for sh in &mut shards {
-                    sh.actions.clear();
-                    sh.outcomes.clear();
-                    sh.before.clear();
-                    sh.plan = PlanStats::default();
-                }
-                self.clients.for_each_delivered(
+                self.acct
+                    .charge_rx(delivered.bits, self.broadcast.count_listeners());
+                // Phase 1 (parallel): plan decode, quiet stamp, sharded
+                // report application.
+                let mut merge = self.broadcast.apply_report(
+                    &mut self.clients,
                     &self.pool,
-                    &walk,
-                    &mut shards,
-                    |i, mut client, sh| {
-                        if probing {
-                            sh.before
-                                .push((client.counters(), client.cache().evictions()));
-                        }
-                        let a0 = sh.actions.len();
-                        client.on_report_planned(
-                            now,
-                            &report,
-                            &plan,
-                            &mut sh.actions,
-                            &mut sh.plan,
-                        );
-                        let actions = (sh.actions.len() - a0) as u32;
-                        if actions > 0 || probing {
-                            sh.outcomes.push(ShardOutcome {
-                                client: i as u32,
-                                actions,
-                            });
-                        }
-                    },
+                    cell,
+                    &report,
+                    now,
+                    self.opts.probe.is_some(),
                 );
-                self.walk_words = walk;
-                self.plans[cell] = plan;
-                self.prev_report_at[cell] = report.broadcast_at();
                 // Phase 2 (serial merge, client-index order): replay
                 // each client's actions and observations exactly as the
                 // serial loop interleaved them — the scheduler, the
                 // channels, the stats and the per-client RNG streams
                 // are only touched here.
-                for shard in &mut shards {
-                    self.plan_hits += shard.plan.hits;
-                    self.plan_misses += shard.plan.misses;
-                    let ShardScratch {
-                        actions,
-                        outcomes,
-                        before,
-                        ..
-                    } = shard;
-                    let mut acts = actions.drain(..);
-                    let mut before = before.drain(..);
-                    for o in outcomes.drain(..) {
-                        let c = ClientId(o.client);
-                        for _ in 0..o.actions {
-                            let action = acts.next().expect("shard recorded action count");
-                            self.apply_action(now, c, action);
-                        }
-                        self.post_observe(now, c, before.next());
+                merge.drain(|c, actions, before| {
+                    for action in actions {
+                        self.apply_action(now, c, action);
                     }
-                }
-                self.shards = shards;
+                    self.post_observe(now, c, before);
+                });
+                self.broadcast.end_merge(merge);
                 // Oracle pass after the merge (actions never touch a
                 // cache, so checking here sees exactly the state the
                 // per-client serial check saw), sharded over the pool.
-                self.check_consistency_sharded(&deliver);
-                self.deliver_words = deliver;
+                self.check_delivered();
             }
             DownPayload::Data { item, dest } => {
-                // The response left the downlink: a later re-request for
-                // this item is a fresh request, not a duplicate.
-                self.inflight_data.remove(&(dest, item));
+                if let Some(faults) = &mut self.faults {
+                    faults.data_delivered(dest, item);
+                }
                 // Delivered copies reflect the version current at delivery
                 // (see DESIGN.md §3: this removes the report/fetch race a
                 // bit-level model would have to resolve with torn reads).
-                // The serving cell is the channel's cell; under zero
-                // cross-cell skew every server holds the same version.
-                let version = self.servers[self.cell_of_downlink(idx)].version(item);
-                self.rx_bits += delivered.bits;
-                let before = self.pre_observe(dest.index());
-                let mut actions = std::mem::take(&mut self.action_scratch);
-                self.clients.client_mut(dest.index()).on_data_into(
-                    now,
-                    item,
-                    version,
-                    &mut actions,
-                );
-                self.process_actions(now, dest, &mut actions);
-                self.action_scratch = actions;
-                self.post_observe(now, dest, before);
-                self.check_consistency(dest.index());
+                // Under zero cross-cell skew every server holds the same
+                // version.
+                let version = self.servers[cell].version(item);
+                self.deliver_to(now, dest, delivered.bits, |mut client, actions| {
+                    client.on_data_into(now, item, version, actions);
+                });
                 // Snooping extension: the downlink is a broadcast medium,
-                // so every other connected client overhears the item.
-                // Same three-phase split as the report fan-out, minus
-                // the merge: snooped items produce no actions.
+                // so every other connected member of the serving cell
+                // overhears the item. Same phases as the report fan-out,
+                // minus the merge: snooped items produce no actions.
                 if self.cfg.snoop_broadcasts {
-                    // Connected members of the serving cell minus the
-                    // addressed client (a downlink only covers its own
-                    // cell); the rx-bits additions are the same sequence
-                    // the per-client loop performed (one constant per
-                    // set bit, ascending index).
-                    let cell = self.cell_of_downlink(idx);
-                    let mut deliver = std::mem::take(&mut self.deliver_words);
-                    deliver.clear();
-                    deliver.extend_from_slice(self.clients.connected_words());
-                    for (d, &mw) in deliver.iter_mut().zip(self.clients.cell_words(cell as u32)) {
-                        *d &= mw;
-                    }
+                    let mask = self.broadcast.listeners(&self.clients, cell as u32);
                     let d = dest.index();
-                    deliver[d / 64] &= !(1u64 << (d % 64));
-                    for &w in &deliver {
-                        for _ in 0..w.count_ones() {
-                            self.rx_bits += delivered.bits;
-                        }
-                    }
-                    self.fanout_words_skipped += deliver.iter().filter(|&&w| w == 0).count() as u64;
-                    self.clients.for_each_delivered(
-                        &self.pool,
-                        &deliver,
-                        &mut self.shards,
-                        |_, mut client, _| client.on_snooped_data(now, item, version),
-                    );
-                    self.check_consistency_sharded(&deliver);
-                    self.deliver_words = deliver;
+                    mask[d / 64] &= !(1u64 << (d % 64));
+                    self.acct
+                        .charge_rx(delivered.bits, self.broadcast.count_listeners());
+                    self.broadcast
+                        .apply_snoop(&mut self.clients, &self.pool, |mut client| {
+                            client.on_snooped_data(now, item, version)
+                        });
+                    self.check_delivered();
                 }
             }
-            DownPayload::Validity { dest, asof, valid } => {
-                if !self.clients.is_connected(dest.index()) {
-                    return; // verdict lost; the client will re-check
-                }
-                self.rx_bits += delivered.bits;
-                let before = self.pre_observe(dest.index());
-                let mut actions = std::mem::take(&mut self.action_scratch);
-                self.clients.client_mut(dest.index()).on_validity_into(
-                    now,
-                    asof,
-                    &valid,
-                    &mut actions,
-                );
-                self.process_actions(now, dest, &mut actions);
-                self.action_scratch = actions;
-                self.post_observe(now, dest, before);
-                self.check_consistency(dest.index());
+            DownPayload::Validity(dest, v) if self.clients.is_connected(dest.index()) => {
+                self.deliver_to(now, dest, delivered.bits, |mut client, actions| {
+                    client.on_validity_into(now, v.asof, &v.valid, actions);
+                });
             }
-            DownPayload::GroupVerdict {
-                dest,
-                asof,
-                covered,
-                stale,
-            } => {
-                if !self.clients.is_connected(dest.index()) {
-                    return; // verdict lost; the client will re-check
-                }
-                self.rx_bits += delivered.bits;
-                let before = self.pre_observe(dest.index());
-                let mut actions = std::mem::take(&mut self.action_scratch);
-                self.clients
-                    .client_mut(dest.index())
-                    .on_group_validity_into(now, asof, covered, &stale, &mut actions);
-                self.process_actions(now, dest, &mut actions);
-                self.action_scratch = actions;
-                self.post_observe(now, dest, before);
-                self.check_consistency(dest.index());
+            DownPayload::GroupVerdict(dest, v) if self.clients.is_connected(dest.index()) => {
+                self.deliver_to(now, dest, delivered.bits, |mut client, actions| {
+                    client.on_group_validity_into(now, v.asof, v.covered, &v.stale, actions);
+                });
             }
+            // A verdict for a dozing client is lost; it will re-check.
+            DownPayload::Validity(..) | DownPayload::GroupVerdict(..) => {}
+        }
+    }
+
+    /// Delivers an addressed `bits`-bit message to `dest` through the
+    /// client handler `handle`, then applies, observes and checks.
+    fn deliver_to(
+        &mut self,
+        now: SimTime,
+        dest: ClientId,
+        bits: f64,
+        handle: impl FnOnce(ClientMut<'_>, &mut Vec<ClientAction>),
+    ) {
+        let i = dest.index();
+        self.acct.client_rx_bits += bits;
+        let before = self
+            .opts
+            .probe
+            .is_some()
+            .then(|| (self.clients.counters(i), self.clients.cache(i).evictions()));
+        let mut actions = std::mem::take(&mut self.action_scratch);
+        handle(self.clients.client_mut(i), &mut actions);
+        for action in actions.drain(..) {
+            self.apply_action(now, dest, action);
+        }
+        self.action_scratch = actions;
+        self.post_observe(now, dest, before);
+        if let Some(oracle) = &mut self.oracle {
+            oracle.assert_cache_consistent(dest, self.clients.cache(i));
         }
     }
 
@@ -1218,103 +851,57 @@ impl<'p> Simulation<'p> {
             self.sched.schedule(c.at, Ev::UplinkDone(c.token));
         }
         let UpMsg { from, kind, lost } = delivered.msg;
-        if lost {
-            return; // the fault coin fell at send time; tallied there
-        }
-        if self.down_depth > 0 {
-            // The request reaches a crashed server: dead air. The
-            // client's retry machinery (or graceful degradation) takes
-            // it from here.
-            self.faults.crash_dropped_uplinks += 1;
+        // A message the fault coin doomed at send time (tallied there),
+        // or one reaching a crashed server, goes unanswered.
+        if lost
+            || self
+                .faults
+                .as_mut()
+                .is_some_and(Faults::server_drops_uplink)
+        {
             return;
         }
         // Uplink traffic is routed at delivery to the sender's CURRENT
         // cell: that server answers, on that cell's downlink group. (A
         // client with in-flight traffic defers its handoff, so the cell
         // cannot change between send and delivery.)
-        let cell = self.cell_of(from);
+        let cell = self.clients.cell_of(from.index()) as usize;
         match kind {
             UplinkKind::QueryRequest { item } => {
-                // Retry-armed clients cannot distinguish a lost request
-                // from downlink queueing delay, so duplicates of a
-                // request whose answer is already queued are expected;
-                // answering each would flood the saturated downlink
-                // with repeated full items. The set stays empty (and
-                // this path untouched) while no fault is active.
-                if self.cfg.faults.is_active() && !self.inflight_data.insert((from, item)) {
-                    self.faults.duplicate_requests_ignored += 1;
+                // Duplicates of a request whose answer is already queued
+                // are ignored: answering each would flood the saturated
+                // downlink with repeated full items.
+                if self
+                    .faults
+                    .as_mut()
+                    .is_some_and(|f| f.is_duplicate_request(from, item))
+                {
                     return;
                 }
                 let dk = DownlinkKind::DataItem { item };
-                let bits = dk.size_bits(&self.sp);
-                self.send_downlink(
-                    now,
-                    bits,
-                    dk.class(),
-                    cell,
-                    DownPayload::Data { item, dest: from },
-                );
+                self.send_downlink(now, &dk, cell, DownPayload::Data { item, dest: from });
             }
             UplinkKind::TlbReport { tlb_secs } => {
                 self.servers[cell].receive_tlb(SimTime::from_secs(tlb_secs));
             }
             UplinkKind::CheckRequest { entries } => {
-                let typed: Vec<(ItemId, SimTime)> = entries
-                    .iter()
-                    .map(|&(item, secs)| (item, SimTime::from_secs(secs)))
-                    .collect();
-                let verdict = self.servers[cell].process_check(now, &typed);
+                let verdict = self.servers[cell].process_check(now, &timed(&entries));
                 let dk = DownlinkKind::ValidityReport {
                     checked: verdict.checked,
                     valid: verdict.valid.clone(),
                     asof_secs: verdict.asof.as_secs(),
                 };
-                let bits = dk.size_bits(&self.sp);
-                self.send_downlink(
-                    now,
-                    bits,
-                    dk.class(),
-                    cell,
-                    DownPayload::Validity {
-                        dest: from,
-                        asof: verdict.asof,
-                        valid: verdict.valid,
-                    },
-                );
+                self.send_downlink(now, &dk, cell, DownPayload::Validity(from, verdict));
             }
             UplinkKind::GroupCheckRequest { groups } => {
-                let typed: Vec<(u32, SimTime)> = groups
-                    .iter()
-                    .map(|&(g, secs)| (g, SimTime::from_secs(secs)))
-                    .collect();
-                let verdict = self.servers[cell].process_group_check(now, &typed);
+                let verdict = self.servers[cell].process_group_check(now, &timed(&groups));
                 let dk = DownlinkKind::GroupValidity {
                     stale: verdict.stale.clone(),
                     covered: verdict.covered,
                     asof_secs: verdict.asof.as_secs(),
                 };
-                let bits = dk.size_bits(&self.sp);
-                self.send_downlink(
-                    now,
-                    bits,
-                    dk.class(),
-                    cell,
-                    DownPayload::GroupVerdict {
-                        dest: from,
-                        asof: verdict.asof,
-                        covered: verdict.covered,
-                        stale: verdict.stale,
-                    },
-                );
+                self.send_downlink(now, &dk, cell, DownPayload::GroupVerdict(from, verdict));
             }
-        }
-    }
-
-    /// Applies (and drains) a client's pending actions; `actions` is
-    /// always left empty, ready for the next delivery.
-    fn process_actions(&mut self, now: SimTime, c: ClientId, actions: &mut Vec<ClientAction>) {
-        for action in actions.drain(..) {
-            self.apply_action(now, c, action);
         }
     }
 
@@ -1327,16 +914,13 @@ impl<'p> Simulation<'p> {
             ClientAction::Uplink(kind) => {
                 let bits = kind.size_bits(&self.sp);
                 let class = kind.class();
-                self.tx_bits += bits;
-                // Uplink-fault coin, drawn from the sender's dedicated
-                // stream — `apply_action` only ever runs in the serial
-                // phases, so the schedule is thread-invariant. A lost
-                // message still charges the radio and the channel.
-                let p = self.cfg.faults.p_uplink_loss;
-                let lost = p > 0.0 && self.rng_faults[c.index()].coin(p);
+                self.acct.client_tx_bits += bits;
+                let lost = self
+                    .faults
+                    .as_mut()
+                    .is_some_and(|f| f.uplink_lost(c.index()));
                 if lost {
-                    self.faults.uplink_losses += 1;
-                    self.emit(now, ProbeEvent::UplinkLost { client: c });
+                    self.opts.emit(now, ProbeEvent::UplinkLost { client: c });
                 }
                 let completion = self.uplink.send(
                     now,
@@ -1354,9 +938,9 @@ impl<'p> Simulation<'p> {
             }
             ClientAction::QueryDone(outcome) => {
                 let latency = outcome.completed_at - outcome.issued_at;
-                self.latency.record(latency);
-                self.latency_hist.record(latency);
-                self.emit(
+                self.acct.latency.record(latency);
+                self.acct.latency_hist.record(latency);
+                self.opts.emit(
                     now,
                     ProbeEvent::QueryResolved {
                         client: c,
@@ -1374,9 +958,9 @@ impl<'p> Simulation<'p> {
                             .schedule_in(gap.duration_secs, Ev::QueryArrival(c));
                     }
                     GapKind::Disconnect => {
-                        self.disconnections += 1;
+                        self.acct.disconnections += 1;
                         self.clients.disconnect(c.index(), now);
-                        self.emit(
+                        self.opts.emit(
                             now,
                             ProbeEvent::Disconnect {
                                 client: c,
@@ -1395,30 +979,21 @@ impl<'p> Simulation<'p> {
         }
     }
 
-    /// Counter state captured before a client processes a message, so
-    /// limbo salvage and cache-population changes surface as probe
-    /// events without threading observers through the client crate.
-    /// `None` (no probe attached) makes the pre/post pair free.
-    fn pre_observe(&self, idx: usize) -> Option<(ClientCounters, u64)> {
-        self.opts.probe.as_ref()?;
-        Some((
-            self.clients.counters(idx),
-            self.clients.cache(idx).evictions(),
-        ))
-    }
-
-    /// Emits events for whatever the paired [`Simulation::pre_observe`]
-    /// saw change.
-    fn post_observe(&mut self, now: SimTime, c: ClientId, before: Option<(ClientCounters, u64)>) {
+    /// Emits events for whatever changed in a client since `before`: its
+    /// counters and cache evictions captured before it processed a
+    /// message, so limbo salvage and cache-population changes surface
+    /// as probe events without threading observers through the client
+    /// crate. `None` (no probe attached) makes the pair free.
+    fn post_observe(&mut self, now: SimTime, c: ClientId, before: Option<Before>) {
         let Some((before, ev_before)) = before else {
             return;
         };
         let after = self.clients.counters(c.index());
-        let ev_after = self.clients.cache(c.index()).evictions();
+        let evicted = self.clients.cache(c.index()).evictions() - ev_before;
         let salvaged = after.salvaged - before.salvaged;
         let dropped = after.limbo_dropped - before.limbo_dropped;
         if salvaged + dropped > 0 {
-            self.emit(
+            self.opts.emit(
                 now,
                 ProbeEvent::LimboSalvage {
                     client: c,
@@ -1427,56 +1002,33 @@ impl<'p> Simulation<'p> {
                 },
             );
         }
-        if after.full_drops > before.full_drops {
-            self.emit(
-                now,
-                ProbeEvent::CacheEvent {
-                    client: c,
-                    kind: CacheEventKind::FullDrop,
-                },
-            );
-        }
-        if ev_after > ev_before {
-            self.emit(
-                now,
-                ProbeEvent::CacheEvent {
-                    client: c,
-                    kind: CacheEventKind::Evictions {
-                        count: ev_after - ev_before,
-                    },
-                },
-            );
+        let kinds = [
+            (after.full_drops > before.full_drops).then_some(CacheEventKind::FullDrop),
+            (evicted > 0).then_some(CacheEventKind::Evictions { count: evicted }),
+        ];
+        for kind in kinds.into_iter().flatten() {
+            self.opts
+                .emit(now, ProbeEvent::CacheEvent { client: c, kind });
         }
     }
 
-    fn check_consistency(&mut self, idx: usize) {
-        if let Some(oracle) = &mut self.oracle {
-            oracle.assert_cache_consistent(ClientId(idx as u32), self.clients.cache(idx));
-        }
-    }
-
-    /// Oracle pass over every client marked in `deliver` — the
+    /// Oracle pass over every client in the delivery mask — the
     /// read-only full-cache scans of a broadcast tick, sharded over the
     /// pool. Violations come back in client-index order (whatever the
     /// shard geometry), so the first one re-raised here is the same
     /// panic, with the same message, the per-client serial check
     /// produced.
-    fn check_consistency_sharded(&mut self, deliver: &[u64]) {
-        let Some(oracle) = self.oracle.as_ref() else {
+    fn check_delivered(&mut self) {
+        let Some(oracle) = self.oracle.as_mut() else {
             return;
         };
         // Columnar scan: no per-call `(ClientId, &cache)` list — the
-        // oracle walks the cache column directly, masked by `deliver`.
-        let (checks, violations) = oracle.scan_cols(
-            self.clients.caches_col(),
-            deliver,
-            &self.pool,
-            self.shards.len(),
-        );
-        self.oracle
-            .as_mut()
-            .expect("checked above")
-            .note_checks(checks);
+        // oracle walks the cache column directly, masked by the
+        // delivery mask.
+        let (mask, chunks) = self.broadcast.mask();
+        let (checks, violations) =
+            oracle.scan_cols(self.clients.caches_col(), mask, &self.pool, chunks);
+        oracle.note_checks(checks);
         if let Some(v) = violations.first() {
             panic!("{v}");
         }
@@ -1485,38 +1037,22 @@ impl<'p> Simulation<'p> {
     fn finish(mut self) -> RunResult {
         // Close the last (possibly partial) interval so snapshot deltas
         // telescope exactly to the final metrics.
-        let wants_snapshots = self
-            .opts
-            .probe
-            .as_ref()
-            .and_then(|p| p.snapshot_every())
-            .is_some();
-        if wants_snapshots {
+        if self.opts.snapshot_every().is_some() {
             self.take_snapshot(self.horizon.as_secs());
         }
         let horizon = self.horizon;
         let up = self.uplink.stats(horizon);
         let totals = self.current_totals();
+        let sc = self.server_counters();
         let mut clients = ClientStats::default();
-        let mut faults = self.faults;
+        let mut faults = self
+            .faults
+            .map_or_else(FaultMetrics::default, |f| f.finish(sc.duplicate_tlbs));
         faults.retries_sent = totals.fault_retries;
         for c in self.clients.counters_col() {
             clients.absorb(c);
             faults.backoff_exhaustions += c.backoff_exhaustions;
         }
-        if self.cfg.faults.is_active() {
-            // Duplicate Tlbs also occur naturally (two clients sharing a
-            // last-report time reconnect in one interval); they only
-            // belong in the *fault* report when a fault plan could have
-            // caused them — and recording them unconditionally would
-            // surface a `faults` field in fault-free legacy renderings.
-            faults.duplicate_tlbs_ignored = self.server_counters().duplicate_tlbs;
-        }
-        faults.mean_recovery_latency_secs = if faults.recoveries == 0 {
-            0.0
-        } else {
-            self.recovery_latency_sum / faults.recoveries as f64
-        };
         // Aggregate downlink accounting across channels; utilization is
         // bandwidth-weighted so a Shared run and a Dedicated run report
         // comparable figures.
@@ -1534,30 +1070,22 @@ impl<'p> Simulation<'p> {
             preemptions += s.preemptions;
         }
         let validity_bits = up.bits_by_class[CLASS_CHECK];
-        let energy_total =
-            self.tx_bits * self.cfg.energy_tx_per_bit + self.rx_bits * self.cfg.energy_rx_per_bit;
-        let (answered, hits, misses) = (
-            totals.queries_answered,
-            totals.item_hits,
-            totals.item_misses,
-        );
+        let energy_total = totals.client_tx_bits * self.cfg.energy_tx_per_bit
+            + totals.client_rx_bits * self.cfg.energy_rx_per_bit;
+        // A ratio over a count, zero when nothing was counted.
+        let per = |x: f64, n: u64| if n == 0 { 0.0 } else { x / n as f64 };
         let metrics = Metrics {
-            queries_answered: answered,
-            uplink_validity_bits_per_query: if answered == 0 {
-                0.0
-            } else {
-                validity_bits / answered as f64
-            },
+            queries_answered: totals.queries_answered,
+            uplink_validity_bits_per_query: per(validity_bits, totals.queries_answered),
             queries_issued: totals.queries_issued,
-            item_hits: hits,
-            item_misses: misses,
-            hit_ratio: if hits + misses == 0 {
-                0.0
-            } else {
-                hits as f64 / (hits + misses) as f64
-            },
-            mean_query_latency_secs: self.latency.mean(),
-            p95_query_latency_secs: self.latency_hist.quantile(0.95),
+            item_hits: totals.item_hits,
+            item_misses: totals.item_misses,
+            hit_ratio: per(
+                totals.item_hits as f64,
+                totals.item_hits + totals.item_misses,
+            ),
+            mean_query_latency_secs: self.acct.latency.mean(),
+            p95_query_latency_secs: self.acct.latency_hist.quantile(0.95),
             uplink_validity_bits: validity_bits,
             uplink_total_bits: up.bits_by_class.iter().sum(),
             downlink_report_bits: down_bits[0],
@@ -1566,23 +1094,19 @@ impl<'p> Simulation<'p> {
             downlink_utilization: down_util_weighted / total_bw,
             uplink_utilization: up.utilization,
             downlink_preemptions: preemptions,
-            client_tx_bits: self.tx_bits,
-            client_rx_bits: self.rx_bits,
+            client_tx_bits: totals.client_tx_bits,
+            client_rx_bits: totals.client_rx_bits,
             energy_total,
-            energy_per_query: if answered == 0 {
-                0.0
-            } else {
-                energy_total / answered as f64
-            },
-            reports_lost: self.reports_lost,
-            server: self.server_counters().into(),
+            energy_per_query: per(energy_total, totals.queries_answered),
+            reports_lost: totals.reports_lost,
+            server: sc.into(),
             clients,
             cache_evictions: totals.cache_evictions,
-            disconnections: self.disconnections,
+            disconnections: totals.disconnections,
             events_processed: self.sched.events_delivered(),
             sim_time_secs: self.cfg.sim_time_secs,
             faults,
-            mobility: self.mobility,
+            mobility: self.mobility.map(|m| m.metrics).unwrap_or_default(),
         };
         RunResult {
             config: self.cfg,
@@ -1594,7 +1118,7 @@ impl<'p> Simulation<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobicache_model::{Scheme, Workload};
+    use mobicache_model::{CellTopology, ChannelFaults, Scheme, Workload};
 
     fn short_cfg(scheme: Scheme) -> SimConfig {
         let mut cfg = SimConfig::paper_default().with_scheme(scheme);
@@ -1691,7 +1215,7 @@ mod tests {
         .unwrap();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert!(sim.pool.threads() <= cores, "{} lanes", sim.pool.threads());
-        assert_eq!(sim.shards.len(), 64);
+        assert_eq!(sim.broadcast.mask().1, 64);
         assert_eq!(
             format!("{:?}", serial.metrics),
             format!("{:?}", sim.run_to_completion().metrics)
@@ -1891,6 +1415,26 @@ mod tests {
         let cfg = short_cfg(Scheme::Aaw);
         let a = run(&cfg, RunOptions::default()).unwrap();
         assert_eq!(a.metrics.reports_lost, 0);
+    }
+
+    #[test]
+    fn fault_and_mobility_layers_are_absent_when_off() {
+        let sim = |cfg: &SimConfig| Simulation::new(cfg, RunOptions::default()).unwrap();
+        let plain = sim(&short_cfg(Scheme::Aaw));
+        assert!(plain.faults.is_none());
+        assert!(plain.mobility.is_none());
+        // The bare legacy loss knob is a loss chain without a fault plan.
+        let mut lossy = short_cfg(Scheme::Aaw);
+        lossy.p_report_loss = 0.1;
+        assert!(sim(&lossy).faults.is_some());
+        assert!(sim(&faulty_cfg(Scheme::Aaw)).faults.is_some());
+        let multi = short_cfg(Scheme::Aaw).with_cells(CellTopology {
+            cells: 2,
+            ..CellTopology::single()
+        });
+        let multi = sim(&multi);
+        assert!(multi.mobility.is_some());
+        assert!(multi.faults.is_none());
     }
 
     #[test]

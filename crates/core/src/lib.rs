@@ -35,8 +35,11 @@
 //! into a runnable [`Simulation`] with [`Metrics`] collection and an
 //! optional ground-truth consistency [`oracle`](RunOptions::check_consistency).
 
+mod broadcast;
 mod engine;
+mod faults;
 mod metrics;
+mod mobility;
 pub mod oracle;
 pub mod probe;
 

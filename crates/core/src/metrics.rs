@@ -7,147 +7,188 @@
 //! answered query**. Everything else here is supporting diagnostics used
 //! by the extended experiments and the tests.
 
+use crate::probe::RunTotals;
 use mobicache_client::ClientCounters;
 use mobicache_server::ServerCounters;
+use mobicache_sim::{Histogram, OnlineStats};
 use std::fmt;
 
-/// Aggregated results of one simulation run.
-///
-/// `Debug` is implemented by hand (not derived) so that the [`faults`]
-/// section only appears when fault injection actually recorded
-/// something: the golden-digest determinism suite hashes the `Debug`
-/// rendering, and fault-free runs must reproduce historical digests
-/// byte-for-byte.
-///
-/// [`faults`]: Metrics::faults
-#[derive(Clone, Default)]
-pub struct Metrics {
+/// The engine's own run accumulators and the interval snapshot cursor.
+pub(crate) struct Accounting {
+    pub(crate) latency: OnlineStats,
+    pub(crate) latency_hist: Histogram,
+    /// The run counters the engine moves itself; the other layers keep
+    /// their own. Client disconnections (dozes and handoffs).
+    pub(crate) disconnections: u64,
+    /// Bits transmitted by client radios.
+    pub(crate) client_tx_bits: f64,
+    /// Bits received by client radios.
+    pub(crate) client_rx_bits: f64,
+    /// Broadcast periods completed (snapshot stride counter).
+    ticks: u64,
+    /// The open snapshot interval: its index, start (simulated seconds)
+    /// and the cumulative counters at its start.
+    interval: (u32, f64, RunTotals),
+}
+
+impl Accounting {
+    pub(crate) fn new() -> Self {
+        Accounting {
+            latency: OnlineStats::new(),
+            latency_hist: Histogram::new(0.0, 2_000.0, 200),
+            disconnections: 0,
+            client_tx_bits: 0.0,
+            client_rx_bits: 0.0,
+            ticks: 0,
+            interval: (0, 0.0, RunTotals::default()),
+        }
+    }
+
+    /// Charges `listeners` receptions of `bits` bits, one addition each:
+    /// the additions of a per-client loop, so the sum is bit-identical.
+    pub(crate) fn charge_rx(&mut self, bits: f64, listeners: u64) {
+        for _ in 0..listeners {
+            self.client_rx_bits += bits;
+        }
+    }
+
+    /// Counts one broadcast period; `true` when it closes an interval.
+    pub(crate) fn tick(&mut self, stride: Option<u32>) -> bool {
+        self.ticks += 1;
+        stride.is_some_and(|k| self.ticks.is_multiple_of(u64::from(k.max(1))))
+    }
+
+    /// Closes the open interval at `end_secs`, where the cumulative
+    /// counters read `totals`: returns its index, start and deltas.
+    pub(crate) fn close_interval(
+        &mut self,
+        totals: RunTotals,
+        end_secs: f64,
+    ) -> (u32, f64, RunTotals) {
+        let next = (self.interval.0 + 1, end_secs, totals);
+        let (index, start_secs, prev) = std::mem::replace(&mut self.interval, next);
+        (index, start_secs, totals.delta_since(&prev))
+    }
+}
+
+/// Declares [`Metrics`] and its `Debug` from one field list; the fields
+/// after the `;` are rendered only while non-default.
+macro_rules! metrics {
+    (
+        $( $(#[$doc:meta])* $field:ident: $ty:ty, )*
+        ;
+        $( $(#[$odoc:meta])* $opt:ident: $oty:ty, )*
+    ) => {
+        /// Aggregated results of one simulation run.
+        ///
+        /// `Debug` leaves out the [`faults`] and [`mobility`] sections
+        /// while they are all-zero: the golden-digest determinism suite
+        /// hashes the `Debug` rendering, and fault-free single-cell runs
+        /// must reproduce historical digests byte-for-byte.
+        ///
+        /// [`faults`]: Metrics::faults
+        /// [`mobility`]: Metrics::mobility
+        #[derive(Clone, Default)]
+        pub struct Metrics {
+            $( $(#[$doc])* pub $field: $ty, )*
+            $( $(#[$odoc])* pub $opt: $oty, )*
+        }
+
+        impl fmt::Debug for Metrics {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let mut s = f.debug_struct("Metrics");
+                $( s.field(stringify!($field), &self.$field); )*
+                $(
+                    if self.$opt != <$oty>::default() {
+                        s.field(stringify!($opt), &self.$opt);
+                    }
+                )*
+                s.finish()
+            }
+        }
+    };
+}
+
+metrics! {
     // ---- the paper's headline metrics ----
     /// Queries fully answered within the horizon (Figures 5, 7, 9, 11,
     /// 13, 15, 16).
-    pub queries_answered: u64,
+    queries_answered: u64,
     /// Validity-checking uplink traffic (`Tlb` reports + check requests)
     /// divided by answered queries (Figures 6, 8, 10, 12, 14).
-    pub uplink_validity_bits_per_query: f64,
+    uplink_validity_bits_per_query: f64,
 
     // ---- load and cache behaviour ----
     /// Queries issued (answered + still in flight at the horizon).
-    pub queries_issued: u64,
+    queries_issued: u64,
     /// Referenced items answered from cache.
-    pub item_hits: u64,
+    item_hits: u64,
     /// Referenced items downloaded from the server.
-    pub item_misses: u64,
+    item_misses: u64,
     /// `item_hits / (item_hits + item_misses)`.
-    pub hit_ratio: f64,
+    hit_ratio: f64,
     /// Mean query latency (issue → last item resolved), seconds.
-    pub mean_query_latency_secs: f64,
+    mean_query_latency_secs: f64,
     /// 95th-percentile query latency, seconds (histogram estimate).
-    pub p95_query_latency_secs: f64,
+    p95_query_latency_secs: f64,
 
     // ---- channel accounting (bits fully transmitted) ----
     /// Total validity-checking uplink bits (class 1: `Tlb` + checks).
-    pub uplink_validity_bits: f64,
+    uplink_validity_bits: f64,
     /// Total uplink bits of every class.
-    pub uplink_total_bits: f64,
+    uplink_total_bits: f64,
     /// Invalidation-report downlink bits (class 0).
-    pub downlink_report_bits: f64,
+    downlink_report_bits: f64,
     /// Validity-report downlink bits (class 1).
-    pub downlink_validity_bits: f64,
+    downlink_validity_bits: f64,
     /// Data-item downlink bits (class 2).
-    pub downlink_data_bits: f64,
+    downlink_data_bits: f64,
     /// Downlink busy fraction over the horizon.
-    pub downlink_utilization: f64,
+    downlink_utilization: f64,
     /// Uplink busy fraction over the horizon.
-    pub uplink_utilization: f64,
+    uplink_utilization: f64,
     /// Data transmissions interrupted by a broadcast report.
-    pub downlink_preemptions: u64,
+    downlink_preemptions: u64,
 
     // ---- client radio energy (extension; §1 motivates power efficiency) ----
     /// Bits transmitted by client radios (uplink messages).
-    pub client_tx_bits: f64,
+    client_tx_bits: f64,
     /// Bits received by client radios (reports heard + addressed
     /// downlink traffic).
-    pub client_rx_bits: f64,
+    client_rx_bits: f64,
     /// Total client energy: `tx_bits·e_tx + rx_bits·e_rx` in abstract
     /// units (defaults make transmission 100× reception).
-    pub energy_total: f64,
+    energy_total: f64,
     /// Energy per answered query.
-    pub energy_per_query: f64,
+    energy_per_query: f64,
     /// Broadcast reports individually missed due to fading
     /// (`p_report_loss` extension).
-    pub reports_lost: u64,
+    reports_lost: u64,
 
     // ---- scheme behaviour ----
     /// Server-side report/decision counters.
-    pub server: ServerStats,
+    server: ServerStats,
     /// Client-side counters summed over all clients.
-    pub clients: ClientStats,
+    clients: ClientStats,
     /// Cache evictions summed over all clients.
-    pub cache_evictions: u64,
+    cache_evictions: u64,
     /// Disconnection gaps taken (count of disconnect decisions).
-    pub disconnections: u64,
+    disconnections: u64,
     /// Events processed by the kernel (progress/debug metric).
-    pub events_processed: u64,
+    events_processed: u64,
     /// Simulated horizon, seconds.
-    pub sim_time_secs: f64,
-
+    sim_time_secs: f64,
+    ;
     // ---- fault injection (robustness extension) ----
     /// Fault-injection outcomes; all-zero unless the run's
     /// [`FaultPlan`](mobicache_model::FaultPlan) injected something.
-    pub faults: FaultMetrics,
+    faults: FaultMetrics,
 
     // ---- client mobility (multi-cell extension) ----
     /// Handoff outcomes; all-zero unless the run's
     /// [`CellTopology`](mobicache_model::CellTopology) has more than one
     /// cell.
-    pub mobility: MobilityMetrics,
-}
-
-impl fmt::Debug for Metrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Mirrors the derived output field-for-field; `faults` is
-        // appended only when non-default so fault-free renderings (and
-        // therefore golden digests) are unchanged from before the fault
-        // layer existed.
-        let mut s = f.debug_struct("Metrics");
-        s.field("queries_answered", &self.queries_answered)
-            .field(
-                "uplink_validity_bits_per_query",
-                &self.uplink_validity_bits_per_query,
-            )
-            .field("queries_issued", &self.queries_issued)
-            .field("item_hits", &self.item_hits)
-            .field("item_misses", &self.item_misses)
-            .field("hit_ratio", &self.hit_ratio)
-            .field("mean_query_latency_secs", &self.mean_query_latency_secs)
-            .field("p95_query_latency_secs", &self.p95_query_latency_secs)
-            .field("uplink_validity_bits", &self.uplink_validity_bits)
-            .field("uplink_total_bits", &self.uplink_total_bits)
-            .field("downlink_report_bits", &self.downlink_report_bits)
-            .field("downlink_validity_bits", &self.downlink_validity_bits)
-            .field("downlink_data_bits", &self.downlink_data_bits)
-            .field("downlink_utilization", &self.downlink_utilization)
-            .field("uplink_utilization", &self.uplink_utilization)
-            .field("downlink_preemptions", &self.downlink_preemptions)
-            .field("client_tx_bits", &self.client_tx_bits)
-            .field("client_rx_bits", &self.client_rx_bits)
-            .field("energy_total", &self.energy_total)
-            .field("energy_per_query", &self.energy_per_query)
-            .field("reports_lost", &self.reports_lost)
-            .field("server", &self.server)
-            .field("clients", &self.clients)
-            .field("cache_evictions", &self.cache_evictions)
-            .field("disconnections", &self.disconnections)
-            .field("events_processed", &self.events_processed)
-            .field("sim_time_secs", &self.sim_time_secs);
-        if self.faults != FaultMetrics::default() {
-            s.field("faults", &self.faults);
-        }
-        if self.mobility != MobilityMetrics::default() {
-            s.field("mobility", &self.mobility);
-        }
-        s.finish()
-    }
+    mobility: MobilityMetrics,
 }
 
 /// Outcomes of the mobility process over one run. All-zero in the

@@ -18,6 +18,7 @@ use mobicache_model::ClientId;
 use mobicache_reports::ReportPayload;
 use mobicache_server::AdaptiveDecision;
 use mobicache_sim::SimTime;
+use std::fmt::Write;
 
 /// The kind of invalidation report broadcast in a period.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,206 +163,155 @@ pub enum ProbeEvent {
     },
 }
 
-/// Cumulative run counters, sampled at snapshot boundaries.
-///
-/// `IntervalSnapshot` stores the *delta* between two of these, so the
-/// per-interval series telescopes back to the run totals.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RunTotals {
-    /// Queries issued.
-    pub queries_issued: u64,
-    /// Queries fully answered.
-    pub queries_answered: u64,
-    /// Items answered from cache.
-    pub item_hits: u64,
-    /// Items fetched from the server.
-    pub item_misses: u64,
-    /// Invalidation reports broadcast (all kinds).
-    pub reports_broadcast: u64,
-    /// `Tlb` messages the server received.
-    pub tlbs_received: u64,
-    /// Validity checks the server processed.
-    pub checks_processed: u64,
-    /// Cache evictions across all clients.
-    pub cache_evictions: u64,
-    /// Disconnection gaps taken.
-    pub disconnections: u64,
-    /// Broadcast reports individually missed to fading.
-    pub reports_lost: u64,
-    /// Uplink messages lost to fault injection.
-    pub uplink_losses: u64,
-    /// Client re-uplinks triggered by retry timeouts.
-    pub fault_retries: u64,
-    /// Scheduled server crashes executed.
-    pub server_crashes: u64,
-    /// Mobility handoffs completed.
-    pub handoffs: u64,
-    /// Bits transmitted by client radios.
-    pub client_tx_bits: f64,
-    /// Bits received by client radios.
-    pub client_rx_bits: f64,
-    /// Events pushed onto the future event list.
-    pub events_scheduled: u64,
-    /// Events delivered by the kernel.
-    pub events_delivered: u64,
-}
-
-impl RunTotals {
-    /// Field-wise `self - prev` (counter deltas over an interval).
-    pub fn delta_since(&self, prev: &RunTotals) -> RunTotals {
-        RunTotals {
-            queries_issued: self.queries_issued - prev.queries_issued,
-            queries_answered: self.queries_answered - prev.queries_answered,
-            item_hits: self.item_hits - prev.item_hits,
-            item_misses: self.item_misses - prev.item_misses,
-            reports_broadcast: self.reports_broadcast - prev.reports_broadcast,
-            tlbs_received: self.tlbs_received - prev.tlbs_received,
-            checks_processed: self.checks_processed - prev.checks_processed,
-            cache_evictions: self.cache_evictions - prev.cache_evictions,
-            disconnections: self.disconnections - prev.disconnections,
-            reports_lost: self.reports_lost - prev.reports_lost,
-            uplink_losses: self.uplink_losses - prev.uplink_losses,
-            fault_retries: self.fault_retries - prev.fault_retries,
-            server_crashes: self.server_crashes - prev.server_crashes,
-            handoffs: self.handoffs - prev.handoffs,
-            client_tx_bits: self.client_tx_bits - prev.client_tx_bits,
-            client_rx_bits: self.client_rx_bits - prev.client_rx_bits,
-            events_scheduled: self.events_scheduled - prev.events_scheduled,
-            events_delivered: self.events_delivered - prev.events_delivered,
+/// Declares [`RunTotals`] from one field list: the struct, its
+/// field-wise diff and sum, and its trace JSON all come from it, so a
+/// new counter is one doc comment and one line here.
+macro_rules! run_totals {
+    ($( $(#[$doc:meta])* $field:ident: $ty:ty, )*) => {
+        /// Cumulative run counters, sampled at snapshot boundaries.
+        ///
+        /// `IntervalSnapshot` stores the *delta* between two of these, so the
+        /// per-interval series telescopes back to the run totals.
+        #[derive(Clone, Copy, Debug, Default, PartialEq)]
+        pub struct RunTotals {
+            $( $(#[$doc])* pub $field: $ty, )*
         }
-    }
 
-    /// Field-wise accumulation (the inverse of [`RunTotals::delta_since`]).
-    pub fn accumulate(&mut self, d: &RunTotals) {
-        self.queries_issued += d.queries_issued;
-        self.queries_answered += d.queries_answered;
-        self.item_hits += d.item_hits;
-        self.item_misses += d.item_misses;
-        self.reports_broadcast += d.reports_broadcast;
-        self.tlbs_received += d.tlbs_received;
-        self.checks_processed += d.checks_processed;
-        self.cache_evictions += d.cache_evictions;
-        self.disconnections += d.disconnections;
-        self.reports_lost += d.reports_lost;
-        self.uplink_losses += d.uplink_losses;
-        self.fault_retries += d.fault_retries;
-        self.server_crashes += d.server_crashes;
-        self.handoffs += d.handoffs;
-        self.client_tx_bits += d.client_tx_bits;
-        self.client_rx_bits += d.client_rx_bits;
-        self.events_scheduled += d.events_scheduled;
-        self.events_delivered += d.events_delivered;
-    }
+        impl RunTotals {
+            /// Field-wise `self - prev` (counter deltas over an interval).
+            pub fn delta_since(&self, prev: &RunTotals) -> RunTotals {
+                RunTotals { $( $field: self.$field - prev.$field, )* }
+            }
+
+            /// Field-wise accumulation (the inverse of [`RunTotals::delta_since`]).
+            pub fn accumulate(&mut self, d: &RunTotals) {
+                $( self.$field += d.$field; )*
+            }
+
+            /// Appends every counter as `,"name":value`, in declaration order.
+            fn write_json_fields(&self, out: &mut String) {
+                $( let _ = write!(out, concat!(",\"", stringify!($field), "\":{}"), self.$field); )*
+            }
+        }
+    };
 }
 
-/// One interval of a run: counter deltas between two snapshot points.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct IntervalSnapshot {
-    /// Zero-based interval index.
-    pub index: u32,
-    /// Interval start, simulated seconds (inclusive).
-    pub start_secs: f64,
-    /// Interval end, simulated seconds (the snapshot instant).
-    pub end_secs: f64,
-    /// Counter deltas over `[start_secs, end_secs]`.
-    pub delta: RunTotals,
+run_totals! {
+    /// Queries issued.
+    queries_issued: u64,
+    /// Queries fully answered.
+    queries_answered: u64,
+    /// Items answered from cache.
+    item_hits: u64,
+    /// Items fetched from the server.
+    item_misses: u64,
+    /// Invalidation reports broadcast (all kinds).
+    reports_broadcast: u64,
+    /// `Tlb` messages the server received.
+    tlbs_received: u64,
+    /// Validity checks the server processed.
+    checks_processed: u64,
+    /// Cache evictions across all clients.
+    cache_evictions: u64,
+    /// Disconnection gaps taken.
+    disconnections: u64,
+    /// Broadcast reports individually missed to fading.
+    reports_lost: u64,
+    /// Uplink messages lost to fault injection.
+    uplink_losses: u64,
+    /// Client re-uplinks triggered by retry timeouts.
+    fault_retries: u64,
+    /// Scheduled server crashes executed.
+    server_crashes: u64,
+    /// Mobility handoffs completed.
+    handoffs: u64,
+    /// Bits transmitted by client radios.
+    client_tx_bits: f64,
+    /// Bits received by client radios.
+    client_rx_bits: f64,
+    /// Events pushed onto the future event list.
+    events_scheduled: u64,
+    /// Events delivered by the kernel.
+    events_delivered: u64,
+}
+
+/// Declares [`IntervalSnapshot`] and its trace JSON from the list of its
+/// absolute fields (high-water marks and cumulative counters).
+macro_rules! interval_snapshot {
+    ($( $(#[$doc:meta])* $field:ident: $ty:ty, )*) => {
+        /// One interval of a run: counter deltas between two snapshot points.
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        pub struct IntervalSnapshot {
+            /// Zero-based interval index.
+            pub index: u32,
+            /// Interval start, simulated seconds (inclusive).
+            pub start_secs: f64,
+            /// Interval end, simulated seconds (the snapshot instant).
+            pub end_secs: f64,
+            /// Counter deltas over `[start_secs, end_secs]`.
+            pub delta: RunTotals,
+            $( $(#[$doc])* pub $field: $ty, )*
+        }
+
+        impl IntervalSnapshot {
+            /// One JSON object (single line, no trailing newline) for JSONL
+            /// traces, fields in declaration order. Hand-rolled: every field
+            /// is a number, and Rust's `f64` `Display` for finite values is
+            /// valid JSON.
+            pub fn to_json(&self) -> String {
+                let mut out = format!(
+                    "{{\"interval\":{},\"start_secs\":{},\"end_secs\":{}",
+                    self.index, self.start_secs, self.end_secs
+                );
+                self.delta.write_json_fields(&mut out);
+                $( let _ = write!(out, concat!(",\"", stringify!($field), "\":{}"), self.$field); )*
+                out.push('}');
+                out
+            }
+        }
+    };
+}
+
+interval_snapshot! {
     /// Largest pending-event-list depth seen so far (absolute, not a
     /// delta — a high-water mark only ratchets up).
-    pub queue_high_water: usize,
+    queue_high_water: usize,
     /// Largest single timing-wheel slot occupancy seen so far (absolute
     /// high-water mark, like `queue_high_water`) — how bursty the
     /// schedule is at slot granularity.
-    pub slot_high_water: usize,
+    slot_high_water: usize,
     /// Timing-wheel overflow cascades performed so far (absolute,
     /// cumulative): coarse slots redistributed into finer levels as the
     /// clock crossed window boundaries. Structural work only — cascades
     /// never reorder deliveries.
-    pub sched_cascades: u64,
+    sched_cascades: u64,
     /// Invalidation-plan bitmap decodes performed so far (absolute,
     /// cumulative): one per broadcast report whose payload yields a
     /// plan. Decode-once/apply-many means this stays at ~1 per tick
     /// regardless of population size.
-    pub plan_decodes: u64,
+    plan_decodes: u64,
     /// Report applications served by the word-wise plan intersection so
     /// far (absolute, cumulative).
-    pub plan_hits: u64,
+    plan_hits: u64,
     /// Report applications served per item so far (absolute,
     /// cumulative): a cache too small for the word arm to profit (one
     /// plan-bit probe per cached item), or a BS client whose `Tlb`
     /// selects a prefix off the pre-decoded bucket (a walk of that
     /// prefix against the cache's membership bitmap).
-    pub plan_misses: u64,
+    plan_misses: u64,
     /// Zero delivery-mask words the broadcast fan-outs skipped so far
     /// (absolute, cumulative) — 64 dozing/unlucky clients apiece that
     /// cost one word load instead of 64 per-client branches.
-    pub fanout_words_skipped: u64,
+    fanout_words_skipped: u64,
     /// Report deliveries served by a `Tlb` stamp so far (absolute,
     /// cumulative): the client was quiet — empty cache, no open gap,
     /// nothing waiting on a report — so the report could change nothing
     /// else. Quiet clients are not plan applications.
-    pub fanout_quiet: u64,
+    fanout_quiet: u64,
     /// Report deliveries walked through the client handler so far
     /// (absolute, cumulative). `fanout_quiet + fanout_walked` is the
     /// number of report deliveries.
-    pub fanout_walked: u64,
-}
-
-impl IntervalSnapshot {
-    /// One JSON object (single line, no trailing newline) for JSONL
-    /// traces. Hand-rolled: every field is a number, and Rust's `f64`
-    /// `Display` for finite values is valid JSON.
-    pub fn to_json(&self) -> String {
-        let d = &self.delta;
-        format!(
-            concat!(
-                "{{\"interval\":{},\"start_secs\":{},\"end_secs\":{},",
-                "\"queries_issued\":{},\"queries_answered\":{},",
-                "\"item_hits\":{},\"item_misses\":{},",
-                "\"reports_broadcast\":{},\"tlbs_received\":{},",
-                "\"checks_processed\":{},\"cache_evictions\":{},",
-                "\"disconnections\":{},\"reports_lost\":{},",
-                "\"uplink_losses\":{},\"fault_retries\":{},",
-                "\"server_crashes\":{},\"handoffs\":{},",
-                "\"client_tx_bits\":{},\"client_rx_bits\":{},",
-                "\"events_scheduled\":{},\"events_delivered\":{},",
-                "\"queue_high_water\":{},\"slot_high_water\":{},",
-                "\"sched_cascades\":{},",
-                "\"plan_decodes\":{},\"plan_hits\":{},\"plan_misses\":{},",
-                "\"fanout_words_skipped\":{},",
-                "\"fanout_quiet\":{},\"fanout_walked\":{}}}"
-            ),
-            self.index,
-            self.start_secs,
-            self.end_secs,
-            d.queries_issued,
-            d.queries_answered,
-            d.item_hits,
-            d.item_misses,
-            d.reports_broadcast,
-            d.tlbs_received,
-            d.checks_processed,
-            d.cache_evictions,
-            d.disconnections,
-            d.reports_lost,
-            d.uplink_losses,
-            d.fault_retries,
-            d.server_crashes,
-            d.handoffs,
-            d.client_tx_bits,
-            d.client_rx_bits,
-            d.events_scheduled,
-            d.events_delivered,
-            self.queue_high_water,
-            self.slot_high_water,
-            self.sched_cascades,
-            self.plan_decodes,
-            self.plan_hits,
-            self.plan_misses,
-            self.fanout_words_skipped,
-            self.fanout_quiet,
-            self.fanout_walked,
-        )
-    }
+    fanout_walked: u64,
 }
 
 /// A run observer.

@@ -1,37 +1,9 @@
 //! Typed channel over the preemptive-priority facility.
 
-use mobicache_model::msg::{DownlinkKind, UplinkKind, NUM_CLASSES};
+use mobicache_model::msg::NUM_CLASSES;
 use mobicache_model::units::Bits;
-use mobicache_model::ClientId;
 use mobicache_sim::{Completion, Facility, FacilityConfig, Job, SimTime};
 use std::collections::HashMap;
-
-/// Addressing of a downlink message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Dest {
-    /// Received by every connected client (invalidation reports).
-    Broadcast,
-    /// Addressed to one client (data items, validity reports).
-    Unicast(ClientId),
-}
-
-/// A downlink transmission: what is sent, and to whom.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DownlinkMsg {
-    /// Message content.
-    pub kind: DownlinkKind,
-    /// Delivery target.
-    pub dest: Dest,
-}
-
-/// An uplink transmission: what is sent, and by which client.
-#[derive(Clone, Debug, PartialEq)]
-pub struct UplinkMsg {
-    /// Message content.
-    pub kind: UplinkKind,
-    /// Originating client.
-    pub from: ClientId,
-}
 
 /// A completed transmission handed back to the driver.
 #[derive(Clone, Debug, PartialEq)]
@@ -142,7 +114,6 @@ impl<M> Channel<M> {
 mod tests {
     use super::*;
     use mobicache_model::msg::{CLASS_CHECK, CLASS_DATA, CLASS_REPORT};
-    use mobicache_model::ItemId;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -163,30 +134,20 @@ mod tests {
 
     #[test]
     fn report_preempts_data_item() {
-        let mut ch: Channel<DownlinkMsg> = Channel::new(10_000.0);
-        let data = DownlinkMsg {
-            kind: DownlinkKind::DataItem { item: ItemId(1) },
-            dest: Dest::Unicast(ClientId(3)),
-        };
-        let c_data = ch.send(t(0.0), 65_536.0, CLASS_DATA, data).unwrap();
-        let ir = DownlinkMsg {
-            kind: DownlinkKind::InvalidationReport {
-                content_bits: 1000.0,
-            },
-            dest: Dest::Broadcast,
-        };
+        let mut ch: Channel<&str> = Channel::new(10_000.0);
+        let c_data = ch.send(t(0.0), 65_536.0, CLASS_DATA, "data").unwrap();
         // Broadcast tick at t=2 preempts the 6.55 s data transmission.
-        let c_ir = ch.send(t(2.0), 1000.0, CLASS_REPORT, ir).unwrap();
+        let c_ir = ch.send(t(2.0), 1000.0, CLASS_REPORT, "report").unwrap();
         assert!((c_ir.at.as_secs() - 2.1).abs() < 1e-9);
         // Stale data completion is dropped.
         assert!(ch.complete(c_data.at, c_data.token).is_none());
         let d = ch.complete(c_ir.at, c_ir.token).unwrap();
-        assert_eq!(d.msg.dest, Dest::Broadcast);
+        assert_eq!(d.msg, "report");
         // Data resumes and finishes 65536/10000 s of total service time.
         let resumed = d.next.expect("data resumes");
         assert!((resumed.at.as_secs() - (2.1 + 4.5536)).abs() < 1e-6);
         let d2 = ch.complete(resumed.at, resumed.token).unwrap();
-        assert_eq!(d2.msg.dest, Dest::Unicast(ClientId(3)));
+        assert_eq!(d2.msg, "data");
         assert_eq!(ch.stats(resumed.at).preemptions, 1);
     }
 

@@ -19,4 +19,4 @@
 
 mod channel;
 
-pub use channel::{Channel, ChannelStats, Delivered, Dest, DownlinkMsg, UplinkMsg};
+pub use channel::{Channel, ChannelStats, Delivered};

@@ -34,6 +34,18 @@ echo "==> non-test lines in crates/*/src"
 git ls-files ':(glob)crates/*/src/**/*.rs' |
   xargs awk 'FNR == 1 { skip = 0 } /#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n }'
 
+# The panic count the roadmap tracks: non-test panic!, .expect(,
+# .unwrap( and unreachable! sites per crate, with the same cut-off
+# (comment lines, doc examples included, do not count). Print-only.
+echo "==> non-test panic sites per crate in crates/*/src"
+git ls-files ':(glob)crates/*/src/**/*.rs' |
+  xargs awk 'FNR == 1 { skip = 0 } /#\[cfg\(test\)\]/ { skip = 1 }
+    !skip && !/^[[:space:]]*\/\// {
+      split(FILENAME, path, "/")
+      n[path[2]] += gsub(/panic!|\.expect\(|\.unwrap\(|unreachable!/, "&")
+    }
+    END { for (c in n) print c, n[c] }' | sort
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 

@@ -16,7 +16,9 @@
 //! these digests: that is the point of the test.
 
 use mobicache::{run, RunOptions};
-use mobicache_model::{CellTopology, Scheme, SimConfig};
+use mobicache_model::{
+    CellTopology, ChannelFaults, DownlinkTopology, FaultPlan, Scheme, SimConfig, Workload,
+};
 use proptest::prelude::*;
 
 /// FNV-1a, 64-bit: tiny, dependency-free and stable across platforms.
@@ -146,13 +148,10 @@ fn golden_digest_across_thread_matrix() {
     );
 }
 
-/// Fault injection draws every coin in the serial tick phases on
-/// per-client streams, so a high-fault run must be bit-identical across
-/// thread counts too — CI runs this leg at `MOBICACHE_THREADS` 1 and 4.
-#[test]
-fn fault_injection_digests_are_thread_invariant() {
-    use mobicache_model::{ChannelFaults, FaultPlan};
-    let plan = FaultPlan {
+/// Bursty downlink loss, uplink loss and two crash windows: the fault
+/// plan every pinned faulty run below uses.
+fn high_fault_plan() -> FaultPlan {
+    FaultPlan {
         downlink: ChannelFaults {
             p_enter_burst: 0.15,
             mean_burst_intervals: 4.0,
@@ -163,11 +162,91 @@ fn fault_injection_digests_are_thread_invariant() {
         crashes: vec![800.0, 2_200.0],
         recovery_secs: 90.0,
         ..FaultPlan::none()
+    }
+}
+
+/// One cell under [`high_fault_plan`], with disconnections frequent
+/// enough to exercise the retry and reconnection paths.
+fn high_fault_cfg(scheme: Scheme) -> SimConfig {
+    let mut cfg = short_cfg(scheme);
+    cfg.faults = high_fault_plan();
+    cfg.p_disconnect = 0.3;
+    cfg
+}
+
+/// The single-cell arms of the broadcast, loss and downlink paths, by
+/// name: every scheme under [`high_fault_plan`], the bare legacy
+/// `p_report_loss` knob (a loss chain without a fault plan, so no
+/// retries), snooping (the second fan-out) and the dedicated broadcast
+/// channel (two downlinks per cell).
+fn fault_path_cases() -> Vec<(String, SimConfig)> {
+    let mut cases: Vec<(String, SimConfig)> = Scheme::ALL
+        .iter()
+        .map(|&scheme| (format!("{scheme:?} high-fault"), high_fault_cfg(scheme)))
+        .collect();
+    let mut loss = short_cfg(Scheme::Aaw);
+    loss.p_report_loss = 0.1;
+    cases.push(("Aaw report-loss".into(), loss));
+    let mut snoop = short_cfg(Scheme::Aaw).with_workload(Workload::hotcold());
+    snoop.snoop_broadcasts = true;
+    cases.push(("Aaw hotcold snoop".into(), snoop));
+    let mut dedicated = short_cfg(Scheme::Bs);
+    dedicated.downlink_topology = DownlinkTopology::Dedicated {
+        broadcast_share: 0.3,
     };
+    cases.push(("Bs dedicated".into(), dedicated));
+    cases
+}
+
+/// Digests of `{metrics:?}` for [`fault_path_cases`], in case order.
+/// Captured at the commit before the engine's fault, mobility and
+/// broadcast state moved into their own sub-states, so they pin that
+/// the move changed no behaviour.
+const FAULT_PATH_GOLDEN: &[(&str, u64)] = &[
+    ("TsNoCheck high-fault", 0x2bc8_79b6_f113_e451),
+    ("At high-fault", 0xfb74_ab6a_249e_cca9),
+    ("SimpleChecking high-fault", 0x248e_7013_ccdd_28fd),
+    ("Bs high-fault", 0x3226_1c71_4bb0_afc7),
+    ("Afw high-fault", 0xade4_8591_5453_5218),
+    ("Aaw high-fault", 0xc126_c753_6b15_fa5b),
+    ("Sig high-fault", 0x07f0_b6c0_9040_24f0),
+    ("Gcore high-fault", 0xef83_b07f_a075_00ac),
+    ("Aaw report-loss", 0x7f7c_c4af_46db_fc55),
+    ("Aaw hotcold snoop", 0x946c_46aa_7448_2a1e),
+    ("Bs dedicated", 0xe163_8f51_288c_e140),
+];
+
+/// Each single-cell fault, loss, snoop and dedicated-channel arm hits
+/// its pinned digest. The thread count comes from `MOBICACHE_THREADS`,
+/// and `fault` in the name puts this test in the fault legs of
+/// `scripts/ci.sh`, which run it at 1 and 4 threads.
+#[test]
+fn fault_path_golden_digests() {
+    let cases = fault_path_cases();
+    assert_eq!(cases.len(), FAULT_PATH_GOLDEN.len());
+    let mut mismatches = Vec::new();
+    for ((name, cfg), &(pinned_name, expected)) in cases.iter().zip(FAULT_PATH_GOLDEN) {
+        assert_eq!(name, pinned_name, "case order moved");
+        let result = run(cfg, RunOptions::default()).expect("valid config");
+        let got = fnv1a(format!("{:?}", result.metrics).as_bytes());
+        println!("    (\"{name}\", {got:#018x}),");
+        if got != expected {
+            mismatches.push((name.clone(), expected, got));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "fault-path digests moved (case, expected, got): {mismatches:#x?}"
+    );
+}
+
+/// Fault injection draws every coin in the serial tick phases on
+/// per-client streams, so a high-fault run must be bit-identical across
+/// thread counts too — CI runs this leg at `MOBICACHE_THREADS` 1 and 4.
+#[test]
+fn fault_injection_digests_are_thread_invariant() {
     for scheme in Scheme::ALL {
-        let mut cfg = short_cfg(scheme);
-        cfg.faults = plan.clone();
-        cfg.p_disconnect = 0.3;
+        let cfg = high_fault_cfg(scheme);
         let digest_at = |threads: u32| {
             let result = run(&cfg.clone().with_threads(threads), RunOptions::default())
                 .expect("valid config");
@@ -223,19 +302,7 @@ fn mobile_cfg(scheme: Scheme, cells: u32, faults: bool) -> SimConfig {
     });
     cfg.p_disconnect = 0.2;
     if faults {
-        use mobicache_model::{ChannelFaults, FaultPlan};
-        cfg.faults = FaultPlan {
-            downlink: ChannelFaults {
-                p_enter_burst: 0.15,
-                mean_burst_intervals: 4.0,
-                p_loss_good: 0.05,
-                p_loss_bad: 0.9,
-            },
-            p_uplink_loss: 0.3,
-            crashes: vec![800.0, 2_200.0],
-            recovery_secs: 90.0,
-            ..FaultPlan::none()
-        };
+        cfg.faults = high_fault_plan();
     }
     cfg
 }

@@ -2,8 +2,8 @@
 //! snapshot conservation, and the bit-identical-run guarantee.
 
 use mobicache::{
-    run, AdaptiveDecision, IntervalSampler, IntervalSnapshot, Probe, ProbeEvent, RunOptions,
-    Scheme, SimConfig, SimTime, Workload,
+    run, AdaptiveDecision, CellTopology, ChannelFaults, FaultPlan, IntervalSampler,
+    IntervalSnapshot, Probe, ProbeEvent, RunOptions, Scheme, SimConfig, SimTime, Workload,
 };
 
 fn short_cfg(scheme: Scheme) -> SimConfig {
@@ -142,52 +142,122 @@ fn limbo_salvage_events_match_client_counters() {
     );
 }
 
+/// Two roaming cells under bursty loss, uplink loss and a crash: a run
+/// that moves every fault and mobility counter.
+fn faulty_two_cell_cfg() -> SimConfig {
+    let mut cfg = short_cfg(Scheme::Aaw).with_cells(CellTopology {
+        cells: 2,
+        mean_residency_secs: 300.0,
+        handoff_secs: 12.0,
+        p_roam: 0.8,
+    });
+    cfg.p_disconnect = 0.2;
+    cfg.faults = FaultPlan {
+        downlink: ChannelFaults {
+            p_enter_burst: 0.15,
+            mean_burst_intervals: 4.0,
+            p_loss_good: 0.05,
+            p_loss_bad: 0.9,
+        },
+        p_uplink_loss: 0.3,
+        crashes: vec![800.0, 2_200.0],
+        recovery_secs: 90.0,
+        ..FaultPlan::none()
+    };
+    cfg
+}
+
 #[test]
 fn interval_snapshot_deltas_sum_to_final_metrics() {
-    for scheme in [Scheme::Afw, Scheme::SimpleChecking] {
+    let cases = [
+        ("Afw", short_cfg(Scheme::Afw)),
+        ("SimpleChecking", short_cfg(Scheme::SimpleChecking)),
+        ("Aaw faulty 2-cell", faulty_two_cell_cfg()),
+    ];
+    for (name, cfg) in cases {
         let mut sampler = IntervalSampler::every(5);
-        let m = run(&short_cfg(scheme), RunOptions::new().probe(&mut sampler))
+        let m = run(&cfg, RunOptions::new().probe(&mut sampler))
             .expect("valid config")
             .metrics;
         let snaps = sampler.snapshots();
-        assert!(snaps.len() > 2, "{scheme:?}: expected a time series");
+        assert!(snaps.len() > 2, "{name}: expected a time series");
         // Boundaries are contiguous and ordered.
         let mut prev_end = 0.0;
         for (i, s) in snaps.iter().enumerate() {
             assert_eq!(s.index as usize, i);
-            assert_eq!(s.start_secs, prev_end, "{scheme:?}: gap between intervals");
+            assert_eq!(s.start_secs, prev_end, "{name}: gap between intervals");
             assert!(s.end_secs >= s.start_secs);
             prev_end = s.end_secs;
         }
         assert_eq!(
             prev_end, m.sim_time_secs,
-            "{scheme:?}: last interval ends at horizon"
+            "{name}: last interval ends at horizon"
         );
         // Integer counters telescope exactly to the run totals.
         let sum = sampler.summed_totals();
-        assert_eq!(sum.queries_issued, m.queries_issued, "{scheme:?}");
-        assert_eq!(sum.queries_answered, m.queries_answered, "{scheme:?}");
-        assert_eq!(sum.item_hits, m.item_hits, "{scheme:?}");
-        assert_eq!(sum.item_misses, m.item_misses, "{scheme:?}");
-        assert_eq!(sum.cache_evictions, m.cache_evictions, "{scheme:?}");
-        assert_eq!(sum.disconnections, m.disconnections, "{scheme:?}");
-        assert_eq!(sum.reports_lost, m.reports_lost, "{scheme:?}");
-        assert_eq!(sum.events_delivered, m.events_processed, "{scheme:?}");
+        assert_eq!(sum.queries_issued, m.queries_issued, "{name}");
+        assert_eq!(sum.queries_answered, m.queries_answered, "{name}");
+        assert_eq!(sum.item_hits, m.item_hits, "{name}");
+        assert_eq!(sum.item_misses, m.item_misses, "{name}");
+        assert_eq!(sum.cache_evictions, m.cache_evictions, "{name}");
+        assert_eq!(sum.disconnections, m.disconnections, "{name}");
+        assert_eq!(sum.reports_lost, m.reports_lost, "{name}");
+        assert_eq!(sum.events_delivered, m.events_processed, "{name}");
         let server_reports = m.server.window_reports
             + m.server.enlarged_reports
             + m.server.bs_reports
             + m.server.at_reports
             + m.server.sig_reports;
-        assert_eq!(sum.reports_broadcast, server_reports, "{scheme:?}");
-        assert_eq!(sum.tlbs_received, m.server.tlbs_received, "{scheme:?}");
-        assert_eq!(
-            sum.checks_processed, m.server.checks_processed,
-            "{scheme:?}"
-        );
+        assert_eq!(sum.reports_broadcast, server_reports, "{name}");
+        assert_eq!(sum.tlbs_received, m.server.tlbs_received, "{name}");
+        assert_eq!(sum.checks_processed, m.server.checks_processed, "{name}");
+        assert_eq!(sum.uplink_losses, m.faults.uplink_losses, "{name}");
+        assert_eq!(sum.server_crashes, m.faults.server_crashes, "{name}");
+        assert_eq!(sum.fault_retries, m.faults.retries_sent, "{name}");
+        assert_eq!(sum.handoffs, m.mobility.handoffs, "{name}");
+        if cfg.cells.is_multi() {
+            // The faulty case must actually move the counters it pins.
+            assert!(sum.uplink_losses > 0, "{name}");
+            assert!(sum.server_crashes > 0, "{name}");
+            assert!(sum.fault_retries > 0, "{name}");
+            assert!(sum.handoffs > 0, "{name}");
+        }
         // Float accumulators telescope up to rounding.
         assert!((sum.client_tx_bits - m.client_tx_bits).abs() < 1e-6 * (1.0 + m.client_tx_bits));
         assert!((sum.client_rx_bits - m.client_rx_bits).abs() < 1e-6 * (1.0 + m.client_rx_bits));
     }
+}
+
+/// One complete trace line of a fixed short AAW run, captured before
+/// the counter list moved into one declaration: key names, key order
+/// and number formatting are the trace schema, so any change to them
+/// shows up here.
+#[test]
+fn snapshot_jsonl_line_is_pinned() {
+    let mut sampler = IntervalSampler::every(10);
+    run(
+        &short_cfg(Scheme::Aaw),
+        RunOptions::new().probe(&mut sampler),
+    )
+    .expect("valid config");
+    let jsonl = sampler.to_jsonl();
+    let line = jsonl.lines().nth(2).expect("at least three intervals");
+    assert_eq!(
+        line,
+        concat!(
+            "{\"interval\":2,\"start_secs\":400,\"end_secs\":600,",
+            "\"queries_issued\":29,\"queries_answered\":28,\"item_hits\":0,",
+            "\"item_misses\":28,\"reports_broadcast\":10,\"tlbs_received\":0,",
+            "\"checks_processed\":0,\"cache_evictions\":0,\"disconnections\":4,",
+            "\"reports_lost\":0,\"uplink_losses\":0,\"fault_retries\":0,",
+            "\"server_crashes\":0,\"handoffs\":0,\"client_tx_bits\":108160,",
+            "\"client_rx_bits\":1989480,\"events_scheduled\":114,",
+            "\"events_delivered\":111,\"queue_high_water\":26,",
+            "\"slot_high_water\":11,\"sched_cascades\":9,\"plan_decodes\":29,",
+            "\"plan_hits\":388,\"plan_misses\":44,\"fanout_words_skipped\":0,",
+            "\"fanout_quiet\":91,\"fanout_walked\":432}",
+        )
+    );
 }
 
 #[test]
