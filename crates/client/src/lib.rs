@@ -1,9 +1,9 @@
 //! # mobicache-client — the mobile host state machine
 //!
-//! One [`Client`] per mobile host. The client is written as a pure state
-//! machine: the simulation core feeds it events (a broadcast report
-//! arrived, a data item arrived, a validity report arrived, a query was
-//! issued, connect/disconnect transitions) and it returns
+//! A [`ClientPop`] holds every mobile host of a cell. Each client is a
+//! pure state machine: the simulation core feeds it events (a broadcast
+//! report arrived, a data item arrived, a validity report arrived, a
+//! query was issued, connect/disconnect transitions) and it returns
 //! [`ClientAction`]s (uplink messages to send, completed queries to
 //! account). This keeps every scheme's client protocol — the trickiest
 //! logic in the paper — unit-testable without channels or an event loop.
@@ -29,24 +29,19 @@
 //! ## Scaling: the struct-of-arrays population
 //!
 //! The per-client layer is columnar: a [`ClientPop`] stores the whole
-//! cell's client state as parallel columns plus one shared
-//! [`PendingArena`] of pending-query nodes, and the scheme handlers run
-//! against [`ClientMut`] accessor views (or read-only [`ClientRef`]s).
-//! The engine's sharded phases walk contiguous column ranges through
-//! [`ClientPop::for_each_delivered`], which keeps the raw column
-//! pointers it shards with private to the population. [`Client`]
-//! remains as a single-client facade over a population of one.
-//!
-//! Migration note: the owning `QueryState` type was removed with this
-//! redesign — per-item progress lives in the arena and the per-query
-//! scalars in the Copy [`QueryHeader`]. Snapshot-style accessors that
-//! cloned per-client vectors are gone with it; iterate the columns
-//! (`caches_col`, `counters_col`) or use the view types instead.
+//! cell's client state as parallel columns — the pending query's items
+//! included, one `Vec` per client that keeps its capacity across
+//! queries — and the scheme handlers run against [`ClientMut`] accessor
+//! views. [`ClientPop::client_mut`] views one client; the engine's
+//! sharded phases walk contiguous column ranges through
+//! [`ClientPop::for_each_delivered`], which hands each chunk of the
+//! worker pool the column slices of its own clients. A single client is
+//! a population of one.
 
 mod machine;
 mod pop;
 mod query;
 
-pub use machine::{Client, ClientAction, ClientConfig, ClientCounters};
-pub use pop::{ClientMut, ClientPop, ClientRef, PendingArena};
+pub use machine::{ClientAction, ClientConfig, ClientCounters};
+pub use pop::{ClientMut, ClientPop};
 pub use query::{PendingItem, PendingState, QueryHeader, QueryOutcome};

@@ -1,20 +1,12 @@
-//! The per-scheme client state machine.
-//!
-//! Since the struct-of-arrays redesign the scheme logic itself lives in
-//! [`crate::pop`], written once against the [`ClientMut`] accessor
-//! view. This module keeps the shared configuration/action/counter
-//! types and the classic single-client [`Client`] facade — a
-//! one-element [`ClientPop`] under the hood, so a standalone client and
-//! a population member are the same code path by construction.
+//! The client's vocabulary: its static configuration, the actions it
+//! asks of the outside world, and its behaviour counters. The scheme
+//! logic itself lives in [`crate::pop`], written once against the
+//! [`ClientMut`] accessor view.
 //!
 //! [`ClientMut`]: crate::pop::ClientMut
 
-use crate::pop::ClientPop;
 use crate::query::QueryOutcome;
-use mobicache_cache::LruCache;
-use mobicache_model::{CheckingMode, ClientId, ItemId, RetryPolicy, Scheme, UplinkKind};
-use mobicache_reports::ReportPayload;
-use mobicache_sim::SimTime;
+use mobicache_model::{CheckingMode, RetryPolicy, Scheme, UplinkKind};
 
 /// Static client configuration.
 #[derive(Clone, Copy, Debug)]
@@ -75,206 +67,88 @@ pub struct ClientCounters {
     pub backoff_exhaustions: u64,
 }
 
-/// One mobile host: the single-client facade over [`ClientPop`].
-///
-/// Engine code scales by holding one [`ClientPop`] for the whole cell;
-/// this wrapper keeps the ergonomic per-client API for tests, examples
-/// and small harnesses, delegating every call to a population of one.
-pub struct Client {
-    id: ClientId,
-    pop: ClientPop,
-}
-
-impl Client {
-    /// A fresh, connected client with an empty cache.
-    pub fn new(id: ClientId, cfg: ClientConfig) -> Self {
-        Client {
-            id,
-            pop: ClientPop::new(cfg, 1),
-        }
-    }
-
-    /// This client's id.
-    pub fn id(&self) -> ClientId {
-        self.id
-    }
-
-    /// Behaviour counters.
-    pub fn counters(&self) -> ClientCounters {
-        self.pop.counters(0)
-    }
-
-    /// Read access to the cache (tests and the consistency oracle).
-    pub fn cache(&self) -> &LruCache {
-        self.pop.cache(0)
-    }
-
-    /// `true` while listening to broadcasts.
-    pub fn is_connected(&self) -> bool {
-        self.pop.is_connected(0)
-    }
-
-    /// Timestamp of the last report received.
-    pub fn tlb(&self) -> SimTime {
-        self.pop.tlb(0)
-    }
-
-    /// `true` while a query is being resolved.
-    pub fn has_pending_query(&self) -> bool {
-        self.pop.has_pending_query(0)
-    }
-
-    /// Enters doze mode. The caller must not route broadcasts here while
-    /// disconnected.
-    ///
-    /// # Panics
-    /// Panics if a query is still in flight (the model only disconnects
-    /// between queries).
-    pub fn disconnect(&mut self, now: SimTime) {
-        self.pop.disconnect(0, now);
-    }
-
-    /// Wakes up from doze mode, returning the length of the doze period
-    /// in seconds. Cache reconciliation happens at the next broadcast
-    /// report.
-    pub fn reconnect(&mut self, now: SimTime) -> f64 {
-        self.pop.reconnect(0, now)
-    }
-
-    /// Issues a query referencing `items`. The query waits for the next
-    /// invalidation report (§2 of the paper) before touching the cache.
-    ///
-    /// # Panics
-    /// Panics if a query is already in flight or the client is
-    /// disconnected.
-    pub fn start_query(&mut self, now: SimTime, items: Vec<ItemId>) {
-        self.pop.start_query(0, now, &items);
-    }
-
-    /// Processes a broadcast invalidation report.
-    ///
-    /// Compatibility form of [`Client::on_report_into`] that allocates
-    /// the action list.
-    pub fn on_report(&mut self, now: SimTime, payload: &ReportPayload) -> Vec<ClientAction> {
-        let mut actions = Vec::new();
-        self.on_report_into(now, payload, &mut actions);
-        actions
-    }
-
-    /// Processes a broadcast invalidation report, appending the
-    /// resulting actions to `actions` (which is *not* cleared). The
-    /// report is decoded into a throwaway plan for this one client; the
-    /// simulator decodes one plan per broadcast for the whole fan-out
-    /// instead.
-    pub fn on_report_into(
-        &mut self,
-        now: SimTime,
-        payload: &ReportPayload,
-        actions: &mut Vec<ClientAction>,
-    ) {
-        self.pop.client_mut(0).on_report_into(now, payload, actions);
-    }
-
-    /// Processes a downloaded data item (`version` = the update timestamp
-    /// the delivered copy reflects).
-    ///
-    /// Compatibility form of [`Client::on_data_into`].
-    pub fn on_data(&mut self, now: SimTime, item: ItemId, version: SimTime) -> Vec<ClientAction> {
-        let mut actions = Vec::new();
-        self.on_data_into(now, item, version, &mut actions);
-        actions
-    }
-
-    /// Processes a downloaded data item, appending the resulting actions
-    /// to `actions` (which is *not* cleared).
-    pub fn on_data_into(
-        &mut self,
-        now: SimTime,
-        item: ItemId,
-        version: SimTime,
-        actions: &mut Vec<ClientAction>,
-    ) {
-        self.pop
-            .client_mut(0)
-            .on_data_into(now, item, version, actions);
-    }
-
-    /// Opportunistically caches a data item overheard on the broadcast
-    /// downlink (snooping extension). Unlike [`Client::on_data`] this
-    /// never touches the pending query — the item was addressed to
-    /// someone else.
-    pub fn on_snooped_data(&mut self, now: SimTime, item: ItemId, version: SimTime) {
-        self.pop.client_mut(0).on_snooped_data(now, item, version);
-    }
-
-    /// Processes a validity report (answer to a check request): `valid`
-    /// lists the checked items that are still current as of `asof`.
-    ///
-    /// Compatibility form of [`Client::on_validity_into`].
-    pub fn on_validity(
-        &mut self,
-        now: SimTime,
-        asof: SimTime,
-        valid: &[ItemId],
-    ) -> Vec<ClientAction> {
-        let mut actions = Vec::new();
-        self.on_validity_into(now, asof, valid, &mut actions);
-        actions
-    }
-
-    /// Processes a validity report, appending the resulting actions to
-    /// `actions` (which is *not* cleared).
-    pub fn on_validity_into(
-        &mut self,
-        now: SimTime,
-        asof: SimTime,
-        valid: &[ItemId],
-        actions: &mut Vec<ClientAction>,
-    ) {
-        self.pop
-            .client_mut(0)
-            .on_validity_into(now, asof, valid, actions);
-    }
-
-    /// Processes a grouped-checking verdict (answer to a
-    /// [`UplinkKind::GroupCheckRequest`]): `stale` lists the checked
-    /// groups' items updated since the request's `Tlb`; `covered = false`
-    /// means the retention window was exceeded and nothing can be
-    /// salvaged.
-    ///
-    /// Compatibility form of [`Client::on_group_validity_into`].
-    pub fn on_group_validity(
-        &mut self,
-        now: SimTime,
-        asof: SimTime,
-        covered: bool,
-        stale: &[ItemId],
-    ) -> Vec<ClientAction> {
-        let mut actions = Vec::new();
-        self.on_group_validity_into(now, asof, covered, stale, &mut actions);
-        actions
-    }
-
-    /// Processes a grouped-checking verdict, appending the resulting
-    /// actions to `actions` (which is *not* cleared).
-    pub fn on_group_validity_into(
-        &mut self,
-        now: SimTime,
-        asof: SimTime,
-        covered: bool,
-        stale: &[ItemId],
-        actions: &mut Vec<ClientAction>,
-    ) {
-        self.pop
-            .client_mut(0)
-            .on_group_validity_into(now, asof, covered, stale, actions);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobicache_reports::WindowReport;
+    use crate::pop::{ClientMut, ClientPop};
+    use mobicache_cache::LruCache;
+    use mobicache_model::ItemId;
+    use mobicache_reports::{ReportPayload, WindowReport};
+    use mobicache_sim::SimTime;
+
+    /// One client: a population of one, driven through
+    /// `ClientPop::client_mut(0)`, whose handlers return their actions.
+    struct Solo(ClientPop);
+
+    impl Solo {
+        fn new(cfg: ClientConfig) -> Self {
+            Solo(ClientPop::new(cfg, 1))
+        }
+
+        fn cache(&self) -> &LruCache {
+            self.0.cache(0)
+        }
+
+        fn counters(&self) -> ClientCounters {
+            self.0.counters(0)
+        }
+
+        fn has_pending_query(&self) -> bool {
+            self.0.has_pending_query(0)
+        }
+
+        fn disconnect(&mut self, now: SimTime) {
+            self.0.disconnect(0, now);
+        }
+
+        fn reconnect(&mut self, now: SimTime) -> f64 {
+            self.0.reconnect(0, now)
+        }
+
+        fn start_query(&mut self, now: SimTime, items: Vec<ItemId>) {
+            self.0.start_query(0, now, &items);
+        }
+
+        fn act(
+            &mut self,
+            f: impl FnOnce(ClientMut<'_>, &mut Vec<ClientAction>),
+        ) -> Vec<ClientAction> {
+            let mut actions = Vec::new();
+            f(self.0.client_mut(0), &mut actions);
+            actions
+        }
+
+        fn on_report(&mut self, now: SimTime, payload: &ReportPayload) -> Vec<ClientAction> {
+            self.act(|mut c, a| c.on_report_into(now, payload, a))
+        }
+
+        fn on_data(&mut self, now: SimTime, item: ItemId, version: SimTime) -> Vec<ClientAction> {
+            self.act(|mut c, a| c.on_data_into(now, item, version, a))
+        }
+
+        fn on_snooped_data(&mut self, now: SimTime, item: ItemId, version: SimTime) {
+            self.0.client_mut(0).on_snooped_data(now, item, version);
+        }
+
+        fn on_validity(
+            &mut self,
+            now: SimTime,
+            asof: SimTime,
+            valid: &[ItemId],
+        ) -> Vec<ClientAction> {
+            self.act(|mut c, a| c.on_validity_into(now, asof, valid, a))
+        }
+
+        fn on_group_validity(
+            &mut self,
+            now: SimTime,
+            asof: SimTime,
+            covered: bool,
+            stale: &[ItemId],
+        ) -> Vec<ClientAction> {
+            self.act(|mut c, a| c.on_group_validity_into(now, asof, covered, stale, a))
+        }
+    }
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -304,7 +178,7 @@ mod tests {
     }
 
     /// Warm a client: fetch `item` so it is cached valid.
-    fn warm(c: &mut Client, at: f64, item: u32) {
+    fn warm(c: &mut Solo, at: f64, item: u32) {
         c.start_query(t(at), vec![ItemId(item)]);
         let acts = c.on_report(t(at) + 1.0, &window(at + 1.0, at - 199.0, vec![]));
         assert!(matches!(
@@ -317,7 +191,7 @@ mod tests {
 
     #[test]
     fn cold_query_goes_uplink_then_completes_on_data() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::SimpleChecking));
+        let mut c = Solo::new(cfg(Scheme::SimpleChecking));
         c.start_query(t(5.0), vec![ItemId(3)]);
         assert!(c.has_pending_query());
         let acts = c.on_report(t(20.0), &window(20.0, -180.0, vec![]));
@@ -342,7 +216,7 @@ mod tests {
 
     #[test]
     fn warm_query_hits_cache_at_next_report() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::SimpleChecking));
+        let mut c = Solo::new(cfg(Scheme::SimpleChecking));
         warm(&mut c, 20.0, 3);
         c.start_query(t(30.0), vec![ItemId(3)]);
         let acts = c.on_report(t(40.0), &window(40.0, -160.0, vec![]));
@@ -355,7 +229,7 @@ mod tests {
 
     #[test]
     fn report_invalidates_updated_item() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::SimpleChecking));
+        let mut c = Solo::new(cfg(Scheme::SimpleChecking));
         warm(&mut c, 20.0, 3); // version ZERO
                                // Item 3 updated at t=30; next report lists it.
         c.start_query(t(35.0), vec![ItemId(3)]);
@@ -371,7 +245,7 @@ mod tests {
 
     #[test]
     fn ts_no_check_drops_cache_after_long_disconnection() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::TsNoCheck));
+        let mut c = Solo::new(cfg(Scheme::TsNoCheck));
         warm(&mut c, 20.0, 3);
         c.disconnect(t(30.0));
         c.reconnect(t(800.0));
@@ -384,7 +258,7 @@ mod tests {
 
     #[test]
     fn simple_checking_sends_full_cache_check_and_salvages() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::SimpleChecking));
+        let mut c = Solo::new(cfg(Scheme::SimpleChecking));
         warm(&mut c, 20.0, 3);
         warm(&mut c, 40.0, 4);
         c.disconnect(t(50.0));
@@ -410,7 +284,7 @@ mod tests {
 
     #[test]
     fn limbo_entry_does_not_answer_query_before_verdict() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::SimpleChecking));
+        let mut c = Solo::new(cfg(Scheme::SimpleChecking));
         warm(&mut c, 20.0, 3);
         c.disconnect(t(30.0));
         c.reconnect(t(800.0));
@@ -433,13 +307,10 @@ mod tests {
 
     #[test]
     fn queried_items_mode_checks_lazily() {
-        let mut c = Client::new(
-            ClientId(0),
-            ClientConfig {
-                checking_mode: CheckingMode::QueriedItems,
-                ..cfg(Scheme::SimpleChecking)
-            },
-        );
+        let mut c = Solo::new(ClientConfig {
+            checking_mode: CheckingMode::QueriedItems,
+            ..cfg(Scheme::SimpleChecking)
+        });
         warm(&mut c, 20.0, 3);
         warm(&mut c, 40.0, 4);
         c.disconnect(t(50.0));
@@ -473,7 +344,7 @@ mod tests {
 
     #[test]
     fn adaptive_client_sends_tlb_once_and_salvages_from_bs() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::Afw));
+        let mut c = Solo::new(cfg(Scheme::Afw));
         warm(&mut c, 20.0, 3);
         c.disconnect(t(30.0));
         c.reconnect(t(800.0));
@@ -501,7 +372,7 @@ mod tests {
 
     #[test]
     fn adaptive_client_gives_up_after_grace() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::Afw));
+        let mut c = Solo::new(cfg(Scheme::Afw));
         warm(&mut c, 20.0, 3);
         c.disconnect(t(30.0));
         c.reconnect(t(800.0));
@@ -520,7 +391,7 @@ mod tests {
 
     #[test]
     fn aaw_enlarged_window_salvages_without_bs() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::Aaw));
+        let mut c = Solo::new(cfg(Scheme::Aaw));
         warm(&mut c, 20.0, 3);
         warm(&mut c, 40.0, 5);
         c.disconnect(t(50.0));
@@ -550,7 +421,7 @@ mod tests {
 
     #[test]
     fn bs_client_never_goes_limbo() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::Bs));
+        let mut c = Solo::new(cfg(Scheme::Bs));
         // Warm via BS reports.
         c.start_query(t(5.0), vec![ItemId(3)]);
         let empty_bs = |at: f64| {
@@ -579,7 +450,7 @@ mod tests {
 
     #[test]
     fn bs_drop_all_clears_cache() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::Bs));
+        let mut c = Solo::new(cfg(Scheme::Bs));
         c.start_query(t(5.0), vec![ItemId(3)]);
         let bs0 = ReportPayload::BitSeq(mobicache_reports::BitSequences::from_recency(
             t(20.0),
@@ -607,7 +478,7 @@ mod tests {
 
     #[test]
     fn multi_item_query_mixes_hits_and_misses() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::SimpleChecking));
+        let mut c = Solo::new(cfg(Scheme::SimpleChecking));
         warm(&mut c, 20.0, 3);
         c.start_query(t(30.0), vec![ItemId(3), ItemId(7)]);
         let acts = c.on_report(t(40.0), &window(40.0, -160.0, vec![]));
@@ -626,7 +497,7 @@ mod tests {
 
     #[test]
     fn gcore_client_checks_groups_not_items() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::Gcore));
+        let mut c = Solo::new(cfg(Scheme::Gcore));
         // Items 1 and 5 share group 1 (mod 4); item 2 is group 2.
         warm(&mut c, 20.0, 1);
         warm(&mut c, 40.0, 5);
@@ -655,7 +526,7 @@ mod tests {
 
     #[test]
     fn gcore_uncovered_verdict_drops_cache() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::Gcore));
+        let mut c = Solo::new(cfg(Scheme::Gcore));
         warm(&mut c, 20.0, 1);
         c.disconnect(t(30.0));
         c.reconnect(t(790.0));
@@ -668,7 +539,7 @@ mod tests {
 
     #[test]
     fn gcore_query_on_limbo_item_waits_for_group_verdict() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::Gcore));
+        let mut c = Solo::new(cfg(Scheme::Gcore));
         warm(&mut c, 20.0, 1);
         c.disconnect(t(30.0));
         c.reconnect(t(790.0));
@@ -693,7 +564,7 @@ mod tests {
         // up to the last report heard; a second disconnection must put it
         // back into limbo, or it can sail past updates broadcast while the
         // client dozed.
-        let mut c = Client::new(ClientId(0), cfg(Scheme::Afw));
+        let mut c = Solo::new(cfg(Scheme::Afw));
         warm(&mut c, 20.0, 3);
         c.disconnect(t(30.0));
         c.reconnect(t(790.0));
@@ -739,7 +610,7 @@ mod tests {
         // If the first report after the second reconnection covers tlb,
         // the valid entries stay valid (the report's stale list is
         // sufficient) and only the original limbo persists.
-        let mut c = Client::new(ClientId(0), cfg(Scheme::Afw));
+        let mut c = Solo::new(cfg(Scheme::Afw));
         warm(&mut c, 20.0, 3);
         c.disconnect(t(30.0));
         c.reconnect(t(790.0));
@@ -766,14 +637,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "overlapping")]
     fn overlapping_queries_rejected() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::Bs));
+        let mut c = Solo::new(cfg(Scheme::Bs));
         c.start_query(t(1.0), vec![ItemId(1)]);
         c.start_query(t(2.0), vec![ItemId(2)]);
     }
 
     #[test]
     fn at_client_invalidates_listed_and_drops_on_missed_report() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::At));
+        let mut c = Solo::new(cfg(Scheme::At));
         let at = |at: f64, prev: f64, items: Vec<u32>| {
             ReportPayload::At(mobicache_reports::AtReport {
                 broadcast_at: t(at),
@@ -805,7 +676,7 @@ mod tests {
 
     #[test]
     fn ts_no_check_invalidates_normally_within_window() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::TsNoCheck));
+        let mut c = Solo::new(cfg(Scheme::TsNoCheck));
         warm(&mut c, 20.0, 3);
         warm(&mut c, 40.0, 4);
         // Short disconnection, still inside the window: normal TS logic,
@@ -823,13 +694,10 @@ mod tests {
         // A queried limbo entry can be evicted (by fetches for other
         // items) before its verdict arrives; the verdict must then route
         // the query to a fresh fetch rather than a phantom hit.
-        let mut c = Client::new(
-            ClientId(0),
-            ClientConfig {
-                cache_capacity: 1,
-                ..cfg(Scheme::SimpleChecking)
-            },
-        );
+        let mut c = Solo::new(ClientConfig {
+            cache_capacity: 1,
+            ..cfg(Scheme::SimpleChecking)
+        });
         warm(&mut c, 20.0, 3);
         c.disconnect(t(30.0));
         c.reconnect(t(790.0));
@@ -854,7 +722,7 @@ mod tests {
 
     #[test]
     fn snooped_data_does_not_preempt_inflight_fetch() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::SimpleChecking));
+        let mut c = Solo::new(cfg(Scheme::SimpleChecking));
         c.start_query(t(5.0), vec![ItemId(3)]);
         let acts = c.on_report(t(20.0), &window(20.0, -180.0, vec![]));
         assert!(matches!(
@@ -874,7 +742,7 @@ mod tests {
 
     #[test]
     fn sig_client_uses_baseline() {
-        let mut c = Client::new(ClientId(0), cfg(Scheme::Sig));
+        let mut c = Solo::new(cfg(Scheme::Sig));
         let signer = mobicache_reports::Signer::new(16, 32, 1);
         let versions = vec![SimTime::ZERO; 32];
         let sig0 = ReportPayload::Sig(
@@ -937,7 +805,7 @@ mod tests {
 
     #[test]
     fn adaptive_client_retries_tlb_with_backoff_then_degrades() {
-        let mut c = Client::new(ClientId(0), cfg_retry(Scheme::Afw, 1, 2));
+        let mut c = Solo::new(cfg_retry(Scheme::Afw, 1, 2));
         warm(&mut c, 20.0, 3);
         c.disconnect(t(30.0));
         c.reconnect(t(800.0));
@@ -971,7 +839,7 @@ mod tests {
 
     #[test]
     fn checking_client_retries_check_then_degrades() {
-        let mut c = Client::new(ClientId(0), cfg_retry(Scheme::SimpleChecking, 1, 1));
+        let mut c = Solo::new(cfg_retry(Scheme::SimpleChecking, 1, 1));
         warm(&mut c, 20.0, 3);
         c.disconnect(t(30.0));
         c.reconnect(t(800.0));
@@ -994,7 +862,7 @@ mod tests {
 
     #[test]
     fn lost_data_request_is_retried_until_answered() {
-        let mut c = Client::new(ClientId(0), cfg_retry(Scheme::Afw, 1, 2));
+        let mut c = Solo::new(cfg_retry(Scheme::Afw, 1, 2));
         c.start_query(t(5.0), vec![ItemId(7)]);
         let acts = c.on_report(t(21.0), &window(21.0, -179.0, vec![]));
         assert!(matches!(
@@ -1024,13 +892,10 @@ mod tests {
 
     #[test]
     fn stuck_validity_wait_falls_back_to_data_fetch() {
-        let mut c = Client::new(
-            ClientId(0),
-            ClientConfig {
-                checking_mode: CheckingMode::QueriedItems,
-                ..cfg_retry(Scheme::SimpleChecking, 1, 2)
-            },
-        );
+        let mut c = Solo::new(ClientConfig {
+            checking_mode: CheckingMode::QueriedItems,
+            ..cfg_retry(Scheme::SimpleChecking, 1, 2)
+        });
         warm(&mut c, 20.0, 3);
         c.disconnect(t(30.0));
         c.reconnect(t(800.0));

@@ -3,31 +3,33 @@
 //! A cell serves thousands to millions of mobile hosts, and the
 //! engine's sharded tick phases walk every client a broadcast can change
 //! (a *quiet* client, see [`ClientPop::stamp_quiet`], only takes the new
-//! `Tlb`). Scattering per-client state across individually boxed `Client`
+//! `Tlb`). Scattering per-client state across individually boxed client
 //! structs makes that walk a pointer chase; [`ClientPop`] instead keeps
 //! one column per field — disconnect epoch, last-report time, cache,
-//! gap/retry state, counters — plus a shared [`PendingArena`] holding
-//! every client's pending-query nodes in one contiguous slab. The
-//! sharded phases then scan contiguous column ranges.
+//! gap/retry state, pending query, counters — so the sharded phases scan
+//! contiguous column ranges.
 //!
-//! The state-machine handlers themselves are written once, against the
-//! [`ClientMut`] accessor view (per-field `&mut` borrows into the
-//! columns), so the scheme logic never sees column indices. A
-//! single-client population backs the classic [`Client`] wrapper, which
-//! keeps the old per-client API (and its tests) intact.
+//! The columns are declared once, in `client_columns!`. That one list
+//! gives the population its `Vec` fields, `Cols` its slices (the columns
+//! of a contiguous client range) and [`ClientMut`] its per-client `&mut`
+//! cells. The state-machine handlers are written once, against
+//! [`ClientMut`], so the scheme logic never sees column indices, and
+//! every view is built by `Cols::view`: [`ClientPop::client_mut`] views
+//! one client of the whole population, and
+//! [`ClientPop::for_each_delivered`] splits the columns at the worker
+//! pool's chunk boundaries, so each chunk can view only its own clients
+//! and the borrow checker proves the chunks disjoint.
 //!
 //! Per-scheme column groups are materialized only for the active
 //! scheme: the `SIG` baseline column exists only when the population
 //! runs [`Scheme::Sig`], so the other seven schemes pay nothing for it.
-//!
-//! [`Client`]: crate::Client
 
 use crate::machine::{ClientAction, ClientConfig, ClientCounters};
 use crate::query::{PendingItem, PendingState, QueryHeader};
 use mobicache_cache::{EntryState, LruCache};
 use mobicache_model::{CheckingMode, ItemId, Scheme, UplinkKind};
 use mobicache_reports::{BsSelect, PlanCache, PlanStats, ReportPayload, SigDecision};
-use mobicache_sim::pool::{for_each_set_bit, WorkerPool};
+use mobicache_sim::pool::{chunk_ranges, for_each_set_bit, WorkerPool};
 use mobicache_sim::SimTime;
 use std::collections::HashSet;
 
@@ -44,62 +46,145 @@ pub(crate) struct GapState {
     retries: u32,
 }
 
-/// One client's region of the pending arena.
-#[derive(Clone, Copy, Debug, Default)]
-struct Block {
-    /// First node of the block in [`PendingArena::nodes`].
-    start: u32,
-    /// Capacity in nodes. The active query uses the first
-    /// `QueryHeader::len` of them.
-    cap: u32,
+/// What the lost-reply re-arm timer makes of an open gap's salvage
+/// request (see `ClientMut::rearm`).
+enum Rearm {
+    /// The request is out and within its grace.
+    Waiting,
+    /// Send the request: the gap has none out, or a lost one is re-armed
+    /// (`retried` when the fault policy counts it as a retry). Carries
+    /// the gap to store, stamped, once the request goes up.
+    Resend { gap: GapState, retried: bool },
+    /// The fault policy's retry budget ran out.
+    Exhausted,
+    /// An adaptive client's grace ran out with no fault policy.
+    GiveUp,
 }
 
-/// The shared slab of pending-query nodes, keyed by client index.
-///
-/// Each client owns one contiguous grow-only block; blocks are resized
-/// only from the serial [`ClientPop::start_query`] path (a block that
-/// outgrows its capacity is re-allocated at the tail and the old region
-/// retired), so the parallel tick phases may freely mutate their own
-/// clients' nodes through raw column pointers without ever moving the
-/// slab.
-#[derive(Debug, Default)]
-pub struct PendingArena {
-    nodes: Vec<PendingItem>,
-    blocks: Vec<Block>,
+/// Declares the per-client columns once. Each `name: Type = init` entry
+/// becomes a `Vec<Type>` field of `Columns` holding `init` for every
+/// fresh client (`$cfg` names the shared configuration there), a
+/// `&mut [Type]` field of `Cols`, and a `&mut Type` field of
+/// [`ClientMut`]. The SIG baseline column is written out beside the
+/// list, as it is materialized only under [`Scheme::Sig`].
+macro_rules! client_columns {
+    ($cfg:ident => $( $(#[$doc:meta])* $col:ident: $ty:ty = $init:expr, )*) => {
+        /// Every per-client column, indexed by client.
+        struct Columns {
+            $( $(#[$doc])* $col: Vec<$ty>, )*
+            /// Stored combined signatures; `None` unless the scheme is
+            /// [`Scheme::Sig`].
+            sig_baseline: Option<Vec<Option<Vec<u64>>>>,
+        }
+
+        impl Columns {
+            /// The columns of `n` fresh clients.
+            fn new($cfg: &ClientConfig, n: usize) -> Self {
+                Columns {
+                    $( $col: (0..n).map(|_| $init).collect(), )*
+                    sig_baseline: ($cfg.scheme == Scheme::Sig).then(|| vec![None; n]),
+                }
+            }
+
+            /// Every column of every client.
+            #[inline]
+            fn cols<'a>(&'a mut self, cfg: &'a ClientConfig) -> Cols<'a> {
+                Cols {
+                    cfg,
+                    $( $col: &mut self.$col, )*
+                    sig_baseline: self.sig_baseline.as_deref_mut(),
+                }
+            }
+        }
+
+        /// The columns of a contiguous range of clients, as disjoint
+        /// `&mut` slices: what the sharded walk hands each chunk.
+        struct Cols<'a> {
+            cfg: &'a ClientConfig,
+            $( $col: &'a mut [$ty], )*
+            sig_baseline: Option<&'a mut [Option<Vec<u64>>]>,
+        }
+
+        impl<'a> Cols<'a> {
+            /// Splits the range before its `mid`-th client.
+            #[inline]
+            fn split_at_mut(self, mid: usize) -> (Cols<'a>, Cols<'a>) {
+                let Cols { cfg, $( $col, )* sig_baseline } = self;
+                $( let $col = $col.split_at_mut(mid); )*
+                let sig = sig_baseline.map(|col| col.split_at_mut(mid)).unzip();
+                (
+                    Cols { cfg, $( $col: $col.0, )* sig_baseline: sig.0 },
+                    Cols { cfg, $( $col: $col.1, )* sig_baseline: sig.1 },
+                )
+            }
+
+            /// The same range, borrowed for a shorter lifetime.
+            // `reborrow` and `view` run once per walked client: out of
+            // line, the call and the returned view cost the fan-out a
+            // few per cent of a small population's run time.
+            #[inline(always)]
+            fn reborrow(&mut self) -> Cols<'_> {
+                Cols {
+                    cfg: self.cfg,
+                    $( $col: &mut *self.$col, )*
+                    sig_baseline: self.sig_baseline.as_deref_mut(),
+                }
+            }
+
+            /// The view of the range's `i`-th client: the one place a
+            /// [`ClientMut`] is built.
+            #[inline(always)]
+            fn view(self, i: usize) -> ClientMut<'a> {
+                let Cols { cfg, $( $col, )* sig_baseline } = self;
+                ClientMut {
+                    cfg,
+                    $( $col: &mut $col[i], )*
+                    sig_baseline: sig_baseline.map(|col| &mut col[i]),
+                }
+            }
+        }
+
+        /// A mutable per-client accessor view: one `&mut` per column cell,
+        /// so the scheme handlers read like a self-contained client while
+        /// the state lives in the population columns.
+        pub struct ClientMut<'a> {
+            cfg: &'a ClientConfig,
+            $( $col: &'a mut $ty, )*
+            /// `None` unless the population materialized the SIG column.
+            sig_baseline: Option<&'a mut Option<Vec<u64>>>,
+        }
+    };
 }
 
-impl PendingArena {
-    fn with_clients(n: usize) -> Self {
-        PendingArena {
-            nodes: Vec::new(),
-            blocks: vec![Block::default(); n],
-        }
-    }
-
-    /// Ensures client `i`'s block holds at least `need` nodes and
-    /// returns its start index. Serial-phase only: may move the slab.
-    fn ensure(&mut self, i: usize, need: u32) -> usize {
-        let b = self.blocks[i];
-        if b.cap < need {
-            // Grow-only: the new block lands at the tail; the old region
-            // is retired in place (bounded by the sum of growth steps).
-            let cap = need.next_power_of_two().max(4);
-            let start = self.nodes.len() as u32;
-            self.nodes.extend(std::iter::repeat_n(
-                PendingItem::fresh(ItemId(0)),
-                cap as usize,
-            ));
-            self.blocks[i] = Block { start, cap };
-            start as usize
-        } else {
-            b.start as usize
-        }
-    }
-
-    /// Total nodes allocated (diagnostics).
-    pub fn nodes_allocated(&self) -> usize {
-        self.nodes.len()
-    }
+client_columns! {
+    cfg =>
+    /// The client's cache.
+    cache: LruCache = LruCache::new(cfg.cache_capacity),
+    /// Timestamp of the last report received.
+    tlb: SimTime = SimTime::ZERO,
+    /// `true` while listening to broadcasts.
+    connected: bool = true,
+    /// Reconnected, and no report has been applied since.
+    reconnect_pending: bool = false,
+    /// When the current doze began.
+    disconnected_at: Option<SimTime> = None,
+    /// The open reconnection gap, if any.
+    gap: Option<GapState> = None,
+    /// The per-query scalars of the query in flight, if any.
+    header: Option<QueryHeader> = None,
+    /// The query in flight's items, empty when there is none. The `Vec`
+    /// keeps its capacity across queries.
+    pending: Vec<PendingItem> = Vec::new(),
+    /// Stale items found while applying a report, drained before the
+    /// handler returns.
+    stale_scratch: Vec<ItemId> = Vec::new(),
+    /// Behaviour counters.
+    counters: ClientCounters = ClientCounters::default(),
+    /// No report of any kind can change the client beyond its `Tlb` (see
+    /// `quiet_predicate`), so the fan-out stamps it instead of walking
+    /// it. Recomputed only by `ClientMut`'s `Drop`, and cleared by
+    /// [`ClientPop::start_query`].
+    quiet: bool = cfg.scheme != Scheme::Sig,
 }
 
 /// A struct-of-arrays population of mobile clients.
@@ -111,21 +196,14 @@ impl PendingArena {
 /// ranges).
 pub struct ClientPop {
     cfg: ClientConfig,
-    caches: Vec<LruCache>,
-    tlb: Vec<SimTime>,
-    connected: Vec<bool>,
-    /// Dense mirror of `connected`: bit `i` set iff client `i` listens.
-    /// The fan-out copies this as its delivery-mask seed, so shards skip
-    /// 64 disconnected clients per zero word instead of branching each.
-    /// Maintained only by the pop-level [`ClientPop::disconnect`] /
-    /// [`ClientPop::reconnect`] wrappers (serial phases).
+    col: Columns,
+    /// Dense mirror of the `connected` column: bit `i` set iff client `i`
+    /// listens. The fan-out copies this as its delivery-mask seed, so
+    /// shards skip 64 disconnected clients per zero word instead of
+    /// branching each. Maintained only by [`ClientPop::disconnect`] and
+    /// [`ClientPop::reconnect`] (serial phases), the only ways to doze
+    /// and wake a client.
     connected_bits: Vec<u64>,
-    reconnect_pending: Vec<bool>,
-    disconnected_at: Vec<Option<SimTime>>,
-    gap: Vec<Option<GapState>>,
-    header: Vec<Option<QueryHeader>>,
-    counters: Vec<ClientCounters>,
-    stale_scratch: Vec<Vec<ItemId>>,
     /// Which cell each client is currently associated with (all zero in
     /// the single-cell topology).
     cell: Vec<u32>,
@@ -134,15 +212,6 @@ pub struct ClientPop {
     /// intersects this with `connected_bits` for its delivery mask.
     /// Maintained only by the serial [`ClientPop::handoff`] wrapper.
     cell_bits: Vec<Vec<u64>>,
-    /// Per-scheme column group: stored combined signatures, materialized
-    /// only under [`Scheme::Sig`].
-    sig_baselines: Option<Vec<Option<Vec<u64>>>>,
-    /// `quiet[i]`: no report of any kind can change client `i` beyond
-    /// its `Tlb` (see [`quiet_predicate`]), so the fan-out stamps it instead
-    /// of walking it. Recomputed only by `ClientMut`'s `Drop`, and
-    /// cleared by [`ClientPop::start_query`].
-    quiet: Vec<bool>,
-    arena: PendingArena,
 }
 
 impl ClientPop {
@@ -168,9 +237,7 @@ impl ClientPop {
             cell_bits[c as usize][i / 64] |= 1u64 << (i % 64);
         }
         ClientPop {
-            caches: (0..n).map(|_| LruCache::new(cfg.cache_capacity)).collect(),
-            tlb: vec![SimTime::ZERO; n],
-            connected: vec![true; n],
+            col: Columns::new(&cfg, n),
             connected_bits: {
                 let mut words = vec![u64::MAX; words];
                 if !n.is_multiple_of(64) {
@@ -180,29 +247,20 @@ impl ClientPop {
                 }
                 words
             },
-            reconnect_pending: vec![false; n],
-            disconnected_at: vec![None; n],
-            gap: vec![None; n],
-            header: vec![None; n],
-            counters: vec![ClientCounters::default(); n],
-            stale_scratch: (0..n).map(|_| Vec::new()).collect(),
             cell,
             cell_bits,
-            sig_baselines: (cfg.scheme == Scheme::Sig).then(|| vec![None; n]),
-            quiet: vec![cfg.scheme != Scheme::Sig; n],
-            arena: PendingArena::with_clients(n),
             cfg,
         }
     }
 
     /// Number of clients in the population.
     pub fn len(&self) -> usize {
-        self.caches.len()
+        self.col.cache.len()
     }
 
     /// `true` for the empty population.
     pub fn is_empty(&self) -> bool {
-        self.caches.is_empty()
+        self.col.cache.is_empty()
     }
 
     /// The shared static configuration.
@@ -212,17 +270,17 @@ impl ClientPop {
 
     /// Read access to client `i`'s cache.
     pub fn cache(&self, i: usize) -> &LruCache {
-        &self.caches[i]
+        &self.col.cache[i]
     }
 
     /// The whole cache column (sharded oracle scans walk this).
     pub fn caches_col(&self) -> &[LruCache] {
-        &self.caches
+        &self.col.cache
     }
 
     /// The whole connected column.
     pub fn connected_col(&self) -> &[bool] {
-        &self.connected
+        &self.col.connected
     }
 
     /// The connected set as bitmap words (bit `i` = client `i` listens).
@@ -264,7 +322,7 @@ impl ClientPop {
     /// process defers handoffs while a gap is open so no in-flight
     /// salvage traffic crosses a cell boundary.
     pub fn has_open_gap(&self, i: usize) -> bool {
-        self.gap[i].is_some()
+        self.col.gap[i].is_some()
     }
 
     /// Disconnects client `i`, keeping the connected bitmap in sync.
@@ -291,51 +349,51 @@ impl ClientPop {
     /// The whole counters column — snapshot samplers sum straight over
     /// this contiguous slice, no per-client cloning.
     pub fn counters_col(&self) -> &[ClientCounters] {
-        &self.counters
+        &self.col.counters
     }
 
     /// Client `i`'s behaviour counters.
     pub fn counters(&self, i: usize) -> ClientCounters {
-        self.counters[i]
+        self.col.counters[i]
     }
 
     /// `true` while client `i` listens to broadcasts.
     pub fn is_connected(&self, i: usize) -> bool {
-        self.connected[i]
+        self.col.connected[i]
     }
 
     /// Timestamp of the last report client `i` received.
     pub fn tlb(&self, i: usize) -> SimTime {
-        self.tlb[i]
+        self.col.tlb[i]
     }
 
     /// `true` while client `i` resolves a query.
     pub fn has_pending_query(&self, i: usize) -> bool {
-        self.header[i].is_some()
+        self.col.header[i].is_some()
     }
 
-    /// The pending arena (diagnostics).
-    pub fn arena(&self) -> &PendingArena {
-        &self.arena
+    /// The items of client `i`'s query in flight and how far each has
+    /// got; empty when there is none.
+    pub fn pending_items(&self, i: usize) -> &[PendingItem] {
+        &self.col.pending[i]
     }
 
     /// The stored quiet flag of client `i`: `true` when a report of any
     /// kind would change nothing of it but its `Tlb`.
     pub fn is_quiet(&self, i: usize) -> bool {
-        self.quiet[i]
+        self.col.quiet[i]
     }
 
     /// The quiet predicate re-derived from client `i`'s columns; the
     /// stored flag must always equal it.
     pub fn quiet_from_columns(&self, i: usize) -> bool {
-        let b = self.arena.blocks[i];
         quiet_predicate(
             &self.cfg,
-            &self.caches[i],
-            &self.gap[i],
-            self.reconnect_pending[i],
-            &self.header[i],
-            &self.arena.nodes[b.start as usize..(b.start + b.cap) as usize],
+            &self.col.cache[i],
+            &self.col.gap[i],
+            self.col.reconnect_pending[i],
+            &self.col.header[i],
+            &self.col.pending[i],
         )
     }
 
@@ -350,9 +408,9 @@ impl ClientPop {
             while bits != 0 {
                 let i = k * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if self.quiet[i] {
+                if self.col.quiet[i] {
                     debug_assert!(self.quiet_from_columns(i), "client {i} flagged quiet");
-                    self.tlb[i] = at;
+                    self.col.tlb[i] = at;
                     *word &= !(1u64 << (i % 64));
                     stamped += 1;
                 }
@@ -361,36 +419,9 @@ impl ClientPop {
         stamped
     }
 
-    /// A read-only view of client `i`.
-    pub fn client_ref(&self, i: usize) -> ClientRef<'_> {
-        ClientRef {
-            cache: &self.caches[i],
-            tlb: self.tlb[i],
-            connected: self.connected[i],
-            counters: &self.counters[i],
-            has_pending_query: self.header[i].is_some(),
-        }
-    }
-
     /// A mutable accessor view of client `i` (serial paths).
     pub fn client_mut(&mut self, i: usize) -> ClientMut<'_> {
-        let b = self.arena.blocks[i];
-        let (start, end) = (b.start as usize, (b.start + b.cap) as usize);
-        ClientMut {
-            cfg: &self.cfg,
-            cache: &mut self.caches[i],
-            tlb: &mut self.tlb[i],
-            connected: &mut self.connected[i],
-            reconnect_pending: &mut self.reconnect_pending[i],
-            disconnected_at: &mut self.disconnected_at[i],
-            gap: &mut self.gap[i],
-            header: &mut self.header[i],
-            items: &mut self.arena.nodes[start..end],
-            sig_baseline: self.sig_baselines.as_mut().map(|col| &mut col[i]),
-            stale_scratch: &mut self.stale_scratch[i],
-            counters: &mut self.counters[i],
-            quiet: &mut self.quiet[i],
-        }
+        self.col.cols(&self.cfg).view(i)
     }
 
     /// Visits every client whose bit is set in `words` (bit `i` of word
@@ -401,9 +432,11 @@ impl ClientPop {
     /// ascending index order, so merging the slots in index order
     /// afterwards replays the serial visit order at any geometry.
     ///
-    /// The visitor must touch nothing but its client and its slot —
-    /// which is what makes the broadcast fan-out embarrassingly parallel
-    /// and bit-identical to a serial walk.
+    /// Chunk `k` gets slot `k` and the columns of its own clients, split
+    /// off at the pool's chunk boundaries, so the visitor can touch
+    /// nothing but its client and its slot — which is what makes the
+    /// broadcast fan-out embarrassingly parallel and bit-identical to a
+    /// serial walk.
     ///
     /// # Panics
     /// Panics if `words` holds fewer than `self.len().div_ceil(64)`
@@ -419,104 +452,38 @@ impl ClientPop {
         F: Fn(usize, ClientMut<'_>, &mut S) + Sync,
     {
         let len = self.len();
-        let pop = self.as_ptr();
-        pool.for_each_chunk(len, slots, |range, slot| {
+        // One part per slot, so `for_each_chunk` splits `0..len` at the
+        // same `chunk_ranges` and chunk `k` gets part `k`: its slot and
+        // the columns of exactly its own clients.
+        let mut ranges = chunk_ranges(slots.len(), len);
+        let mut rest = self.col.cols(&self.cfg);
+        let mut parts = Vec::with_capacity(slots.len());
+        for slot in slots {
+            let (part, tail) = rest.split_at_mut(ranges.next().map_or(0, |r| r.len()));
+            parts.push((part, slot));
+            rest = tail;
+        }
+        pool.for_each_chunk(len, &mut parts, |range, (cols, slot)| {
+            let first = range.start;
             for_each_set_bit(words, range, |i| {
-                // SAFETY: `i` lies in this chunk's range, and the chunks
-                // of one `for_each_chunk` call are disjoint, so no two
-                // live views share an index. `self` stays mutably
-                // borrowed for the whole walk, so no column or arena
-                // slab can move while views are live.
-                let client = unsafe { pop.client_mut(i) };
-                visit(i, client, slot);
+                visit(i, cols.reborrow().view(i - first), slot);
             });
         });
     }
 
-    /// Raw column pointers for [`ClientPop::for_each_delivered`]. Views
-    /// derived from one `PopPtr` must touch **disjoint** client indices,
-    /// and no method that can move a column (`start_query`'s arena
-    /// growth) may run while the pointer is live.
-    fn as_ptr(&mut self) -> PopPtr {
-        PopPtr {
-            cfg: &self.cfg,
-            caches: self.caches.as_mut_ptr(),
-            tlb: self.tlb.as_mut_ptr(),
-            connected: self.connected.as_mut_ptr(),
-            reconnect_pending: self.reconnect_pending.as_mut_ptr(),
-            disconnected_at: self.disconnected_at.as_mut_ptr(),
-            gap: self.gap.as_mut_ptr(),
-            header: self.header.as_mut_ptr(),
-            counters: self.counters.as_mut_ptr(),
-            stale_scratch: self.stale_scratch.as_mut_ptr(),
-            sig: self
-                .sig_baselines
-                .as_mut()
-                .map_or(std::ptr::null_mut(), |col| col.as_mut_ptr()),
-            quiet: self.quiet.as_mut_ptr(),
-            nodes: self.arena.nodes.as_mut_ptr(),
-            blocks: self.arena.blocks.as_ptr(),
-        }
-    }
-
     /// Issues a query for client `i` referencing `items`. Serial-phase
-    /// only: the arena block may grow (and the slab move).
+    /// only.
     ///
     /// # Panics
     /// Panics if a query is already in flight, the client is
     /// disconnected, or `items` is empty.
     pub fn start_query(&mut self, i: usize, now: SimTime, items: &[ItemId]) {
-        assert!(self.connected[i], "query while disconnected");
-        assert!(self.header[i].is_none(), "overlapping queries");
-        self.quiet[i] = false;
-        self.counters[i].queries_issued += 1;
-        let n = items.len() as u32;
-        self.header[i] = Some(QueryHeader::new(now, n));
-        let start = self.arena.ensure(i, n);
-        for (slot, &item) in self.arena.nodes[start..start + items.len()]
-            .iter_mut()
-            .zip(items)
-        {
-            *slot = PendingItem::fresh(item);
-        }
+        assert!(self.col.connected[i], "query while disconnected");
+        assert!(self.col.header[i].is_none(), "overlapping queries");
+        self.col.quiet[i] = false;
+        self.col.counters[i].queries_issued += 1;
+        self.col.header[i] = Some(QueryHeader::new(now, items, &mut self.col.pending[i]));
     }
-}
-
-/// A read-only per-client view over the population columns.
-#[derive(Clone, Copy)]
-pub struct ClientRef<'a> {
-    /// The client's cache.
-    pub cache: &'a LruCache,
-    /// Timestamp of the last report received.
-    pub tlb: SimTime,
-    /// `true` while listening to broadcasts.
-    pub connected: bool,
-    /// Behaviour counters.
-    pub counters: &'a ClientCounters,
-    /// `true` while a query is being resolved.
-    pub has_pending_query: bool,
-}
-
-/// A mutable per-client accessor view: one `&mut` per column cell, so
-/// the scheme handlers read exactly like the old self-contained
-/// `Client` while the state actually lives in the population columns.
-pub struct ClientMut<'a> {
-    cfg: &'a ClientConfig,
-    cache: &'a mut LruCache,
-    tlb: &'a mut SimTime,
-    connected: &'a mut bool,
-    reconnect_pending: &'a mut bool,
-    disconnected_at: &'a mut Option<SimTime>,
-    gap: &'a mut Option<GapState>,
-    header: &'a mut Option<QueryHeader>,
-    /// The client's full arena block; the active query occupies the
-    /// first `QueryHeader::len` nodes.
-    items: &'a mut [PendingItem],
-    /// `None` unless the population materialized the SIG column.
-    sig_baseline: Option<&'a mut Option<Vec<u64>>>,
-    stale_scratch: &'a mut Vec<ItemId>,
-    counters: &'a mut ClientCounters,
-    quiet: &'a mut bool,
 }
 
 /// The quiet predicate: a report of any kind can change nothing of the
@@ -532,18 +499,14 @@ fn quiet_predicate(
     gap: &Option<GapState>,
     reconnect_pending: bool,
     header: &Option<QueryHeader>,
-    items: &[PendingItem],
+    pending: &[PendingItem],
 ) -> bool {
     cfg.scheme != Scheme::Sig
         && cache.is_empty()
         && gap.is_none()
         && !reconnect_pending
-        && header.as_ref().is_none_or(|q| {
-            cfg.retry.is_none()
-                && items
-                    .iter()
-                    .take(q.len as usize)
-                    .all(|p| p.state != PendingState::WaitReport)
+        && header.is_none_or(|_| {
+            cfg.retry.is_none() && pending.iter().all(|p| p.state != PendingState::WaitReport)
         })
 }
 
@@ -559,68 +522,8 @@ impl Drop for ClientMut<'_> {
             self.gap,
             *self.reconnect_pending,
             self.header,
-            self.items,
+            self.pending,
         );
-    }
-}
-
-/// Raw pointers into every [`ClientPop`] column, shared by the chunks of
-/// [`ClientPop::for_each_delivered`]. Each chunk derives [`ClientMut`]
-/// views for the client indices of its own range only.
-struct PopPtr {
-    cfg: *const ClientConfig,
-    caches: *mut LruCache,
-    tlb: *mut SimTime,
-    connected: *mut bool,
-    reconnect_pending: *mut bool,
-    disconnected_at: *mut Option<SimTime>,
-    gap: *mut Option<GapState>,
-    header: *mut Option<QueryHeader>,
-    counters: *mut ClientCounters,
-    stale_scratch: *mut Vec<ItemId>,
-    /// Null when the SIG column is not materialized.
-    sig: *mut Option<Vec<u64>>,
-    quiet: *mut bool,
-    nodes: *mut PendingItem,
-    blocks: *const Block,
-}
-
-// SAFETY: every field is a column pointer (or the shared config) of
-// one population, and a PopPtr is only ever dereferenced through
-// `client_mut` on disjoint index ranges (one chunk per range), which is
-// exactly the discipline `&mut [Client]` chunking would enforce
-// statically. Every column type is `Send`, and the config, only ever
-// read, is `Sync`.
-unsafe impl Sync for PopPtr {}
-
-impl PopPtr {
-    /// A mutable view of client `i`.
-    ///
-    /// # Safety
-    /// `i` must be below the population length, the population must
-    /// outlive `'a`, no two live views may share an index, and the arena
-    /// slab must not move while views are live.
-    unsafe fn client_mut<'a>(&self, i: usize) -> ClientMut<'a> {
-        let b = *self.blocks.add(i);
-        ClientMut {
-            cfg: &*self.cfg,
-            cache: &mut *self.caches.add(i),
-            tlb: &mut *self.tlb.add(i),
-            connected: &mut *self.connected.add(i),
-            reconnect_pending: &mut *self.reconnect_pending.add(i),
-            disconnected_at: &mut *self.disconnected_at.add(i),
-            gap: &mut *self.gap.add(i),
-            header: &mut *self.header.add(i),
-            items: std::slice::from_raw_parts_mut(self.nodes.add(b.start as usize), b.cap as usize),
-            sig_baseline: if self.sig.is_null() {
-                None
-            } else {
-                Some(&mut *self.sig.add(i))
-            },
-            stale_scratch: &mut *self.stale_scratch.add(i),
-            counters: &mut *self.counters.add(i),
-            quiet: &mut *self.quiet.add(i),
-        }
     }
 }
 
@@ -661,13 +564,13 @@ impl ClientMut<'_> {
         self.gap.map_or(*self.tlb, |g| g.since)
     }
 
-    /// Enters doze mode. The caller must not route broadcasts here while
-    /// disconnected.
+    /// Enters doze mode; reached only through [`ClientPop::disconnect`],
+    /// which keeps the connected bitmap in sync.
     ///
     /// # Panics
     /// Panics if a query is still in flight (the model only disconnects
     /// between queries).
-    pub fn disconnect(&mut self, now: SimTime) {
+    fn disconnect(&mut self, now: SimTime) {
         assert!(self.header.is_none(), "disconnect with a query in flight");
         assert!(*self.connected, "already disconnected");
         *self.connected = false;
@@ -675,9 +578,9 @@ impl ClientMut<'_> {
     }
 
     /// Wakes up from doze mode, returning the length of the doze period
-    /// in seconds. Cache reconciliation happens at the next broadcast
-    /// report.
-    pub fn reconnect(&mut self, now: SimTime) -> f64 {
+    /// in seconds; reached only through [`ClientPop::reconnect`]. Cache
+    /// reconciliation happens at the next broadcast report.
+    fn reconnect(&mut self, now: SimTime) -> f64 {
         assert!(!*self.connected, "already connected");
         *self.connected = true;
         *self.reconnect_pending = true;
@@ -771,8 +674,7 @@ impl ClientMut<'_> {
     ) {
         self.cache.insert(item, version, now);
         if let Some(q) = self.header.as_mut() {
-            let n = q.len as usize;
-            q.resolve(&mut self.items[..n], item, PendingState::WaitData, false);
+            q.resolve(self.pending, item, PendingState::WaitData, false);
         }
         self.try_finish(now, actions);
     }
@@ -785,12 +687,10 @@ impl ClientMut<'_> {
     /// delivery.
     pub fn on_snooped_data(&mut self, now: SimTime, item: ItemId, version: SimTime) {
         // Don't interfere with an in-flight fetch of the same item.
-        let awaiting = match self.header.as_ref() {
-            Some(q) => self.items[..q.len as usize]
-                .iter()
-                .any(|p| p.item == item && p.state != PendingState::Done),
-            None => false,
-        };
+        let awaiting = self
+            .pending
+            .iter()
+            .any(|p| p.item == item && p.state != PendingState::Done);
         if !awaiting {
             self.cache.insert(item, version, now);
         }
@@ -821,16 +721,11 @@ impl ClientMut<'_> {
             CheckingMode::QueriedItems => {
                 // Only the pending query's items were checked.
                 let checked: Vec<ItemId> = self
-                    .header
-                    .as_ref()
-                    .map(|q| {
-                        self.items[..q.len as usize]
-                            .iter()
-                            .filter(|p| p.state == PendingState::WaitValidity)
-                            .map(|p| p.item)
-                            .collect()
-                    })
-                    .unwrap_or_default();
+                    .pending
+                    .iter()
+                    .filter(|p| p.state == PendingState::WaitValidity)
+                    .map(|p| p.item)
+                    .collect();
                 for item in checked {
                     let ok = valid_set.contains(&item);
                     if self.cache.salvage_item(item, ok, asof) {
@@ -886,18 +781,18 @@ impl ClientMut<'_> {
     /// Resolve query items that were waiting on a validity/group verdict.
     fn resolve_validity_waiters(&mut self, now: SimTime, actions: &mut Vec<ClientAction>) {
         if let Some(q) = self.header.as_mut() {
-            let n = q.len as usize;
-            let waiting: Vec<ItemId> = self.items[..n]
+            let waiting: Vec<ItemId> = self
+                .pending
                 .iter()
                 .filter(|p| p.state == PendingState::WaitValidity)
                 .map(|p| p.item)
                 .collect();
             for item in waiting {
                 if self.cache.get_valid(item).is_some() {
-                    q.resolve(&mut self.items[..n], item, PendingState::WaitValidity, true);
+                    q.resolve(self.pending, item, PendingState::WaitValidity, true);
                 } else {
                     q.transition_at(
-                        &mut self.items[..n],
+                        self.pending,
                         item,
                         PendingState::WaitValidity,
                         PendingState::WaitData,
@@ -905,20 +800,6 @@ impl ClientMut<'_> {
                     );
                     actions.push(ClientAction::Uplink(UplinkKind::QueryRequest { item }));
                 }
-            }
-        }
-    }
-
-    fn enter_gap(&mut self, _now: SimTime) {
-        if self.gap.is_none() {
-            *self.gap = Some(GapState {
-                since: *self.tlb,
-                sent_at: None,
-                retries: 0,
-            });
-            if !self.cache.is_empty() {
-                self.cache.mark_all_limbo();
-                self.counters.limbo_episodes += 1;
             }
         }
     }
@@ -1093,6 +974,74 @@ impl ClientMut<'_> {
         *self.gap = None;
     }
 
+    /// Opens a gap if none is open (sending the cache to limbo), then
+    /// runs the lost-reply re-arm timer of its salvage request against a
+    /// report built at `built_at`. With no request out, one goes up.
+    /// With one out, the client waits [`Self::gap_grace_secs`] for a
+    /// covering report; once that lapses the request or its reply was
+    /// lost (e.g. the client dozed off while the reply was in flight),
+    /// so the request is re-sent, or the client gives up or degrades.
+    fn rearm(&mut self, built_at: SimTime) -> Rearm {
+        if self.gap.is_none() && !self.cache.is_empty() {
+            self.cache.mark_all_limbo();
+            self.counters.limbo_episodes += 1;
+        }
+        let since = *self.tlb;
+        let gap = self.gap.get_or_insert(GapState {
+            since,
+            sent_at: None,
+            retries: 0,
+        });
+        let Some(sent_at) = gap.sent_at else {
+            return Rearm::Resend {
+                gap: *gap,
+                retried: false,
+            };
+        };
+        if built_at.as_secs() < sent_at.as_secs() + Self::gap_grace_secs(self.cfg, gap.retries) {
+            return Rearm::Waiting;
+        }
+        match self.cfg.retry {
+            None if matches!(self.cfg.scheme, Scheme::Afw | Scheme::Aaw) => Rearm::GiveUp,
+            // Legacy: a checking client sends its check again.
+            None => Rearm::Resend {
+                gap: *gap,
+                retried: false,
+            },
+            Some(p) if gap.retries >= p.max_retries => Rearm::Exhausted,
+            Some(_) => {
+                gap.retries += 1;
+                Rearm::Resend {
+                    gap: *gap,
+                    retried: true,
+                }
+            }
+        }
+    }
+
+    /// Puts a gap's salvage request on the uplink and restarts the gap's
+    /// re-arm timer.
+    fn send_salvage(
+        &mut self,
+        now: SimTime,
+        gap: GapState,
+        retried: bool,
+        request: UplinkKind,
+        actions: &mut Vec<ClientAction>,
+    ) {
+        if matches!(request, UplinkKind::TlbReport { .. }) {
+            self.counters.tlbs_sent += 1;
+        } else {
+            self.counters.checks_sent += 1;
+        }
+        self.counters.retries_sent += u64::from(retried);
+        *self.gap = Some(GapState {
+            sent_at: Some(now),
+            ..gap
+        });
+        actions.push(ClientAction::Uplink(request));
+    }
+
     /// A window report arrived that does not reach back to the gap —
     /// the scheme-defining moment (see the crate docs table).
     fn on_uncovered_window(
@@ -1110,154 +1059,75 @@ impl ClientMut<'_> {
                 self.cache.clear();
                 *self.gap = None;
             }
-            Scheme::Gcore => {
-                self.enter_gap(now);
-                let gap = self.gap.as_mut().expect("just entered");
-                let mut retried = false;
-                // Same lost-reply re-arm as simple checking.
-                if let Some(sent_at) = gap.sent_at {
-                    let grace = Self::gap_grace_secs(self.cfg, gap.retries);
-                    if report_built_at.as_secs() >= sent_at.as_secs() + grace {
-                        match self.cfg.retry {
-                            Some(p) if gap.retries >= p.max_retries => {
-                                self.degrade_exhausted();
-                                return;
+            Scheme::Gcore | Scheme::SimpleChecking => {
+                match self.rearm(report_built_at) {
+                    Rearm::Resend { gap, retried } if !self.cache.is_empty() => {
+                        let request = match self.cfg.scheme {
+                            // One (group, Tlb) record per cached group —
+                            // the whole point of grouping: the uplink
+                            // scales with the number of groups touched,
+                            // not the cache size.
+                            Scheme::Gcore => {
+                                let mut groups: Vec<(u32, f64)> = self
+                                    .cache
+                                    .items_iter()
+                                    .map(|(item, _)| item.0 % self.cfg.gcore_groups)
+                                    .collect::<std::collections::BTreeSet<u32>>()
+                                    .into_iter()
+                                    .map(|g| (g, gap.since.as_secs()))
+                                    .collect();
+                                groups.sort_unstable_by_key(|&(g, _)| g);
+                                Some(UplinkKind::GroupCheckRequest { groups })
                             }
-                            policy => {
-                                gap.sent_at = None;
-                                if policy.is_some() {
-                                    gap.retries += 1;
-                                    retried = true;
-                                }
+                            _ if self.cfg.checking_mode == CheckingMode::FullCache => {
+                                let entries: Vec<(ItemId, f64)> = self
+                                    .cache
+                                    .items_iter()
+                                    .map(|(i, v)| (i, v.as_secs()))
+                                    .collect();
+                                Some(UplinkKind::CheckRequest { entries })
                             }
+                            // Lazy checking: queries check their own
+                            // items (`resolve_query`).
+                            _ => None,
+                        };
+                        if let Some(request) = request {
+                            self.send_salvage(now, gap, retried, request, actions);
                         }
                     }
-                }
-                let gap = self.gap.as_mut().expect("still open");
-                if gap.sent_at.is_none() && !self.cache.is_empty() {
-                    let since = gap.since;
-                    // One (group, Tlb) record per cached group — the
-                    // whole point of grouping: the uplink scales with the
-                    // number of groups touched, not the cache size.
-                    let mut groups: Vec<(u32, f64)> = self
-                        .cache
-                        .items_iter()
-                        .map(|(item, _)| item.0 % self.cfg.gcore_groups)
-                        .collect::<std::collections::BTreeSet<u32>>()
-                        .into_iter()
-                        .map(|g| (g, since.as_secs()))
-                        .collect();
-                    groups.sort_unstable_by_key(|&(g, _)| g);
-                    actions.push(ClientAction::Uplink(UplinkKind::GroupCheckRequest {
-                        groups,
-                    }));
-                    let gap = self.gap.as_mut().expect("still open");
-                    gap.sent_at = Some(now);
-                    self.counters.checks_sent += 1;
-                    self.counters.retries_sent += u64::from(retried);
-                }
-                if self.cache.is_empty() {
-                    *self.gap = None;
-                }
-            }
-            Scheme::SimpleChecking => {
-                self.enter_gap(now);
-                let gap = self.gap.as_mut().expect("just entered");
-                let mut retried = false;
-                // Re-arm a check whose validity report was lost (e.g. the
-                // client dozed off while the reply was in flight): after a
-                // grace of two periods (or the fault policy's backoff
-                // schedule) with limbo still unresolved, send the check
-                // again.
-                if let Some(sent_at) = gap.sent_at {
-                    let grace = Self::gap_grace_secs(self.cfg, gap.retries);
-                    if report_built_at.as_secs() >= sent_at.as_secs() + grace {
-                        match self.cfg.retry {
-                            Some(p) if gap.retries >= p.max_retries => {
-                                self.degrade_exhausted();
-                                return;
-                            }
-                            policy => {
-                                gap.sent_at = None;
-                                if policy.is_some() {
-                                    gap.retries += 1;
-                                    retried = true;
-                                }
-                            }
-                        }
-                    }
-                }
-                let gap = self.gap.as_mut().expect("still open");
-                if self.cfg.checking_mode == CheckingMode::FullCache
-                    && gap.sent_at.is_none()
-                    && !self.cache.is_empty()
-                {
-                    let entries: Vec<(ItemId, f64)> = self
-                        .cache
-                        .items_iter()
-                        .map(|(i, v)| (i, v.as_secs()))
-                        .collect();
-                    actions.push(ClientAction::Uplink(UplinkKind::CheckRequest { entries }));
-                    let gap = self.gap.as_mut().expect("still open");
-                    gap.sent_at = Some(now);
-                    self.counters.checks_sent += 1;
-                    self.counters.retries_sent += u64::from(retried);
+                    Rearm::Exhausted => self.degrade_exhausted(),
+                    Rearm::Resend { .. } | Rearm::Waiting | Rearm::GiveUp => {}
                 }
                 if self.cache.is_empty() {
                     // Nothing to salvage; the gap is moot.
                     *self.gap = None;
                 }
             }
-            Scheme::Afw | Scheme::Aaw => {
-                self.enter_gap(now);
-                let gap = self.gap.as_mut().expect("just entered");
-                match gap.sent_at {
-                    None => {
-                        if self.cache.is_empty() {
-                            *self.gap = None;
-                        } else {
-                            actions.push(ClientAction::Uplink(UplinkKind::TlbReport {
-                                tlb_secs: gap.since.as_secs(),
-                            }));
-                            gap.sent_at = Some(now);
-                            self.counters.tlbs_sent += 1;
-                        }
-                    }
-                    Some(sent_at) => {
-                        // Legacy: give up once a report built comfortably
-                        // after our Tlb reached the server still does not
-                        // cover us — the server judged BS unable to help
-                        // (our Tlb predates TS(B_n)), so the limbo entries
-                        // are unsalvageable. Under fault injection the
-                        // uncovering report may instead mean the Tlb was
-                        // *lost* on the uplink, so the policy re-sends it
-                        // (idempotent at the server) with capped
-                        // exponential backoff before degrading.
-                        let grace = Self::gap_grace_secs(self.cfg, gap.retries);
-                        if report_built_at.as_secs() >= sent_at.as_secs() + grace {
-                            match self.cfg.retry {
-                                None => {
-                                    let dropped = self.cache.drop_limbo();
-                                    self.counters.limbo_dropped += dropped as u64;
-                                    *self.gap = None;
-                                }
-                                Some(p) if gap.retries >= p.max_retries => {
-                                    self.degrade_exhausted();
-                                }
-                                Some(_) => {
-                                    actions.push(ClientAction::Uplink(UplinkKind::TlbReport {
-                                        tlb_secs: gap.since.as_secs(),
-                                    }));
-                                    gap.sent_at = Some(now);
-                                    gap.retries += 1;
-                                    self.counters.tlbs_sent += 1;
-                                    self.counters.retries_sent += 1;
-                                }
-                            }
-                        }
-                    }
+            Scheme::Afw | Scheme::Aaw => match self.rearm(report_built_at) {
+                Rearm::Waiting => {}
+                Rearm::Resend { retried: false, .. } if self.cache.is_empty() => *self.gap = None,
+                // The first Tlb, or a re-send: under fault injection an
+                // uncovering report past the grace may mean the Tlb was
+                // *lost* on the uplink, so the policy re-sends it
+                // (idempotent at the server) with capped exponential
+                // backoff before degrading.
+                Rearm::Resend { gap, retried } => {
+                    let request = UplinkKind::TlbReport {
+                        tlb_secs: gap.since.as_secs(),
+                    };
+                    self.send_salvage(now, gap, retried, request, actions);
                 }
-            }
+                // Legacy: give up once a report built comfortably after
+                // our Tlb reached the server still does not cover us —
+                // the server judged BS unable to help (our Tlb predates
+                // TS(B_n)), so the limbo entries are unsalvageable.
+                Rearm::GiveUp => {
+                    let dropped = self.cache.drop_limbo();
+                    self.counters.limbo_dropped += dropped as u64;
+                    *self.gap = None;
+                }
+                Rearm::Exhausted => self.degrade_exhausted(),
+            },
             // BS / AT / SIG clients never receive window reports.
             other => panic!("window report under scheme {other:?}"),
         }
@@ -1269,41 +1139,42 @@ impl ClientMut<'_> {
         let Some(q) = self.header.as_mut() else {
             return;
         };
-        let n = q.len as usize;
         let mut check_entries: Vec<(ItemId, f64)> = Vec::new();
-        let waiting: Vec<ItemId> = self.items[..n]
+        let waiting: Vec<ItemId> = self
+            .pending
             .iter()
             .filter(|p| p.state == PendingState::WaitReport)
             .map(|p| p.item)
             .collect();
         for item in waiting {
             if self.cache.get_valid(item).is_some() {
-                q.resolve(&mut self.items[..n], item, PendingState::WaitReport, true);
+                q.resolve(self.pending, item, PendingState::WaitReport, true);
                 continue;
             }
             let limbo = self
                 .cache
                 .peek(item)
-                .is_some_and(|e| e.state == EntryState::Limbo);
-            if limbo && matches!(self.cfg.scheme, Scheme::SimpleChecking | Scheme::Gcore) {
+                .filter(|e| e.state == EntryState::Limbo);
+            if let Some(entry) =
+                limbo.filter(|_| matches!(self.cfg.scheme, Scheme::SimpleChecking | Scheme::Gcore))
+            {
                 // A verdict is (or will be) on its way: under FullCache
                 // the gap check already covers this item; under
                 // QueriedItems we check it now, targeted.
+                if self.cfg.checking_mode == CheckingMode::QueriedItems {
+                    check_entries.push((item, entry.version.as_secs()));
+                }
                 q.transition_at(
-                    &mut self.items[..n],
+                    self.pending,
                     item,
                     PendingState::WaitReport,
                     PendingState::WaitValidity,
                     now,
                 );
-                if self.cfg.checking_mode == CheckingMode::QueriedItems {
-                    let version = self.cache.peek(item).expect("limbo entry").version;
-                    check_entries.push((item, version.as_secs()));
-                }
             } else {
                 // Absent, or limbo under a scheme that fetches fresh.
                 q.transition_at(
-                    &mut self.items[..n],
+                    self.pending,
                     item,
                     PendingState::WaitReport,
                     PendingState::WaitData,
@@ -1333,11 +1204,8 @@ impl ClientMut<'_> {
     /// terminates once the channel heals or the server recovers.
     fn retry_pending_requests(&mut self, now: SimTime, actions: &mut Vec<ClientAction>) {
         let Some(policy) = self.cfg.retry else { return };
-        let Some(q) = self.header.as_ref() else {
-            return;
-        };
         let l = self.cfg.broadcast_period_secs;
-        for p in &mut self.items[..q.len as usize] {
+        for p in self.pending.iter_mut() {
             let Some(at) = p.requested_at else { continue };
             let wait = f64::from(policy.timeout_intervals_for(p.retries)) * l;
             if now.as_secs() < at.as_secs() + wait {
@@ -1359,13 +1227,10 @@ impl ClientMut<'_> {
     }
 
     fn try_finish(&mut self, now: SimTime, actions: &mut Vec<ClientAction>) {
-        let complete = self
-            .header
-            .as_ref()
-            .is_some_and(|q| q.is_complete(&self.items[..q.len as usize]));
-        if complete {
-            let q = self.header.take().expect("checked above");
-            let outcome = q.outcome(&self.items[..q.len as usize], now);
+        let pending = &mut *self.pending;
+        if let Some(q) = self.header.take_if(|q| q.is_complete(pending)) {
+            let outcome = q.outcome(pending, now);
+            pending.clear();
             self.counters.queries_answered += 1;
             self.counters.item_hits += outcome.hits as u64;
             self.counters.item_misses += outcome.misses as u64;
@@ -1377,8 +1242,6 @@ impl ClientMut<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Client;
-    use mobicache_model::ClientId;
     use mobicache_reports::WindowReport;
 
     fn t(s: f64) -> SimTime {
@@ -1408,8 +1271,8 @@ mod tests {
         })
     }
 
-    /// One scripted step applied identically to a pop member and a
-    /// standalone `Client`.
+    /// One scripted step applied identically to a member of a population
+    /// and to a population of one.
     #[derive(Clone)]
     enum Step {
         Query(Vec<u32>),
@@ -1421,10 +1284,46 @@ mod tests {
         Validity(Vec<u32>),
     }
 
-    /// The SoA population must be observationally identical to N
-    /// standalone clients running the same scripts: same actions, same
-    /// counters, same cache contents. This pins the shared-arena block
-    /// bookkeeping (growth, reuse, neighbours not clobbered).
+    /// Applies `step` to client `i` of `pop` at `clock` and returns the
+    /// actions it emitted. Dozing and waking go through the pop-level
+    /// calls, the only ones that keep the connected bitmap in sync.
+    fn apply(pop: &mut ClientPop, i: usize, step: &Step, clock: f64) -> Vec<ClientAction> {
+        let now = t(clock);
+        let ids = |items: &[u32]| items.iter().map(|&x| ItemId(x)).collect::<Vec<_>>();
+        let mut actions = Vec::new();
+        match step {
+            Step::Query(items) => pop.start_query(i, now, &ids(items)),
+            Step::Report(payload) => pop.client_mut(i).on_report_into(now, payload, &mut actions),
+            Step::Data(item, v) => {
+                pop.client_mut(i)
+                    .on_data_into(now, ItemId(*item), t(*v), &mut actions);
+            }
+            Step::Snoop(item, v) => pop.client_mut(i).on_snooped_data(now, ItemId(*item), t(*v)),
+            Step::Disconnect => pop.disconnect(i, now),
+            Step::Reconnect => {
+                pop.reconnect(i, now);
+            }
+            Step::Validity(valid) => {
+                pop.client_mut(i)
+                    .on_validity_into(now, t(clock - 0.5), &ids(valid), &mut actions);
+            }
+        }
+        actions
+    }
+
+    /// The connected bitmap mirrors the connected column.
+    fn assert_bitmap_mirrors(pop: &ClientPop) {
+        for i in 0..pop.len() {
+            let bit = pop.connected_words()[i / 64] & (1 << (i % 64)) != 0;
+            assert_eq!(bit, pop.is_connected(i), "client {i}");
+        }
+    }
+
+    /// An N-client population must be observationally identical to N
+    /// one-client populations running the same scripts: same actions,
+    /// same counters, same cache contents, and a connected bitmap that
+    /// tracks every doze and wake. This pins the per-client column
+    /// bookkeeping (neighbours never clobbered).
     #[test]
     fn population_matches_independent_clients() {
         let schemes = [Scheme::SimpleChecking, Scheme::Afw, Scheme::Gcore];
@@ -1457,9 +1356,7 @@ mod tests {
             ];
             let n = scripts.len();
             let mut pop = ClientPop::new(cfg(scheme), n);
-            let mut solo: Vec<Client> = (0..n)
-                .map(|i| Client::new(ClientId(i as u32), cfg(scheme)))
-                .collect();
+            let mut solo: Vec<ClientPop> = (0..n).map(|_| ClientPop::new(cfg(scheme), 1)).collect();
             let mut clock = 0.0;
             for step_idx in 0..scripts.iter().map(Vec::len).max().unwrap() {
                 for (i, script) in scripts.iter().enumerate() {
@@ -1467,66 +1364,21 @@ mod tests {
                         continue;
                     };
                     clock += 1.0;
-                    let now = t(clock);
-                    let mut pop_actions = Vec::new();
-                    let solo_actions = match step {
-                        Step::Query(items) => {
-                            let ids: Vec<ItemId> = items.iter().map(|&x| ItemId(x)).collect();
-                            pop.start_query(i, now, &ids);
-                            solo[i].start_query(now, ids.clone());
-                            Vec::new()
-                        }
-                        Step::Report(payload) => {
-                            pop.client_mut(i)
-                                .on_report_into(now, payload, &mut pop_actions);
-                            solo[i].on_report(now, payload)
-                        }
-                        Step::Data(item, v) => {
-                            pop.client_mut(i).on_data_into(
-                                now,
-                                ItemId(*item),
-                                t(*v),
-                                &mut pop_actions,
-                            );
-                            solo[i].on_data(now, ItemId(*item), t(*v))
-                        }
-                        Step::Snoop(item, v) => {
-                            pop.client_mut(i).on_snooped_data(now, ItemId(*item), t(*v));
-                            solo[i].on_snooped_data(now, ItemId(*item), t(*v));
-                            Vec::new()
-                        }
-                        Step::Disconnect => {
-                            pop.client_mut(i).disconnect(now);
-                            solo[i].disconnect(now);
-                            Vec::new()
-                        }
-                        Step::Reconnect => {
-                            pop.client_mut(i).reconnect(now);
-                            solo[i].reconnect(now);
-                            Vec::new()
-                        }
-                        Step::Validity(valid) => {
-                            let ids: Vec<ItemId> = valid.iter().map(|&x| ItemId(x)).collect();
-                            pop.client_mut(i).on_validity_into(
-                                now,
-                                t(clock - 0.5),
-                                &ids,
-                                &mut pop_actions,
-                            );
-                            solo[i].on_validity(now, t(clock - 0.5), &ids)
-                        }
-                    };
+                    let pop_actions = apply(&mut pop, i, step, clock);
+                    let solo_actions = apply(&mut solo[i], 0, step, clock);
                     assert_eq!(pop_actions, solo_actions, "{scheme:?} client {i}");
+                    assert_bitmap_mirrors(&pop);
+                    assert_bitmap_mirrors(&solo[i]);
                 }
             }
             for (i, solo_client) in solo.iter().enumerate() {
                 assert_eq!(
                     pop.counters(i),
-                    solo_client.counters(),
+                    solo_client.counters(0),
                     "{scheme:?} client {i}"
                 );
                 let mut a: Vec<(ItemId, SimTime)> = pop.cache(i).items_iter().collect();
-                let mut b: Vec<(ItemId, SimTime)> = solo_client.cache().items_iter().collect();
+                let mut b: Vec<(ItemId, SimTime)> = solo_client.cache(0).items_iter().collect();
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "{scheme:?} client {i} cache diverged");
@@ -1534,44 +1386,49 @@ mod tests {
         }
     }
 
-    /// Arena blocks grow without clobbering neighbours and reuse their
-    /// capacity for later, smaller queries.
+    /// A client's pending column grows once, for its largest query, and
+    /// a shorter later query reuses that capacity; neighbours keep their
+    /// own items throughout.
     #[test]
-    fn arena_blocks_grow_and_reuse() {
+    fn pending_column_grows_once_and_is_reused() {
         let mut pop = ClientPop::new(cfg(Scheme::Bs), 3);
-        let items: Vec<ItemId> = (0..6).map(ItemId).collect();
-        pop.start_query(0, t(1.0), &items[..2]);
-        pop.start_query(1, t(1.0), &items[..5]);
-        let after_first = pop.arena().nodes_allocated();
-        assert!(after_first >= 7, "two blocks allocated");
-        // Complete client 1's query, then issue a bigger one: the block
-        // must grow, and client 0's pending items must be untouched.
+        let items: Vec<ItemId> = (0..9).map(ItemId).collect();
         let prep = ReportPayload::BitSeq(mobicache_reports::BitSequences::from_recency(
             t(20.0),
             64,
             vec![],
         ));
         let mut acts = Vec::new();
-        pop.client_mut(1).on_report_into(t(20.0), &prep, &mut acts);
-        for k in 0..5 {
-            pop.client_mut(1)
-                .on_data_into(t(21.0), ItemId(k), SimTime::ZERO, &mut acts);
-        }
-        assert!(!pop.has_pending_query(1));
-        pop.client_mut(0).on_report_into(t(20.0), &prep, &mut acts);
-        pop.start_query(1, t(25.0), &(0..9).map(ItemId).collect::<Vec<_>>());
-        assert!(pop.arena().nodes_allocated() > after_first, "block grew");
-        // A follow-up query that fits reuses the block: no new nodes.
-        let sized = pop.arena().nodes_allocated();
-        pop.client_mut(1).on_report_into(t(40.0), &prep, &mut acts);
-        for k in 0..9 {
-            pop.client_mut(1)
-                .on_data_into(t(41.0), ItemId(k), SimTime::ZERO, &mut acts);
-        }
+        let mut answer = |pop: &mut ClientPop, at: f64, n: u32| {
+            pop.client_mut(1).on_report_into(t(at), &prep, &mut acts);
+            for k in 0..n {
+                pop.client_mut(1)
+                    .on_data_into(t(at + 1.0), ItemId(k), SimTime::ZERO, &mut acts);
+            }
+            assert!(!pop.has_pending_query(1));
+            assert!(pop.pending_items(1).is_empty(), "emptied on completion");
+        };
+        pop.start_query(0, t(1.0), &items[..2]);
+        pop.start_query(1, t(1.0), &items[..5]);
+        assert_eq!(pop.pending_items(1).len(), 5);
+        let small = pop.col.pending[1].capacity();
+        answer(&mut pop, 20.0, 5);
+        pop.start_query(1, t(25.0), &items);
+        let grown = pop.col.pending[1].capacity();
+        assert!(grown >= 9 && grown > small, "column grew");
+        answer(&mut pop, 40.0, 9);
         pop.start_query(1, t(45.0), &items[..3]);
-        assert_eq!(pop.arena().nodes_allocated(), sized, "capacity reused");
+        assert_eq!(pop.pending_items(1).len(), 3);
+        assert_eq!(pop.col.pending[1].capacity(), grown, "capacity reused");
         // Client 0 still tracks its own two items.
         assert!(pop.has_pending_query(0));
+        assert_eq!(
+            pop.pending_items(0)
+                .iter()
+                .map(|p| p.item)
+                .collect::<Vec<_>>(),
+            items[..2]
+        );
     }
 
     /// The connected bitmap mirrors the bool column through the
@@ -1682,7 +1539,7 @@ mod tests {
             });
             assert_eq!(slots.concat(), serial, "threads={threads}");
             assert_eq!(pop.counters_col(), serial_pop.counters_col());
-            assert_eq!(pop.tlb, serial_pop.tlb, "threads={threads}");
+            assert_eq!(pop.col.tlb, serial_pop.col.tlb, "threads={threads}");
         }
     }
 }

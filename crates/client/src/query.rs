@@ -1,12 +1,11 @@
 //! Pending query bookkeeping.
 //!
-//! Since the struct-of-arrays client core, per-item progress lives in a
-//! shared [`PendingArena`](crate::PendingArena) (one contiguous block
-//! per client) and the per-query scalars live in a small Copy
-//! [`QueryHeader`]. The header's methods take the client's item slice
-//! as a parameter instead of owning a `Vec<PendingItem>`, so a million
-//! concurrent queries cost zero per-query allocations. (The previous
-//! owning `QueryState` type was removed in this redesign.)
+//! A query in progress is two columns of the client population: the
+//! per-query scalars in a small Copy [`QueryHeader`], and per-item
+//! progress in the client's `Vec<PendingItem>`, whose length is the
+//! active query's. The header's methods take that item slice as a
+//! parameter. The `Vec` keeps its capacity from query to query, so after
+//! warm-up a query allocates nothing.
 
 use mobicache_model::ItemId;
 use mobicache_sim::SimTime;
@@ -69,16 +68,12 @@ pub struct QueryOutcome {
 /// The per-query scalars of a query in progress.
 ///
 /// The referenced items themselves live in the owning population's
-/// pending arena; the header only knows how many there are. Every
-/// method that inspects or advances per-item state takes the client's
-/// item slice (exactly `len` entries) as a parameter.
+/// pending column. Every method that inspects or advances per-item state
+/// takes the client's item slice as a parameter.
 #[derive(Clone, Copy, Debug)]
 pub struct QueryHeader {
     /// When the query was issued.
     pub issued_at: SimTime,
-    /// Number of referenced items (the length of the arena block's
-    /// active prefix).
-    pub len: u32,
     /// Cache hits so far.
     pub hits: u32,
     /// Downloads so far.
@@ -86,12 +81,25 @@ pub struct QueryHeader {
 }
 
 impl QueryHeader {
-    /// A fresh header over `len` items.
-    pub fn new(issued_at: SimTime, len: u32) -> Self {
-        assert!(len > 0, "a query must reference at least one item");
+    /// A fresh header for a query over `items`, whose wait-for-report
+    /// entries replace the contents of `pending` (keeping its capacity).
+    ///
+    /// # Panics
+    /// Panics if `items` is empty.
+    pub fn new(issued_at: SimTime, items: &[ItemId], pending: &mut Vec<PendingItem>) -> Self {
+        assert!(
+            !items.is_empty(),
+            "a query must reference at least one item"
+        );
+        pending.clear();
+        // Grow to the query's exact size rather than `Vec`'s minimum of
+        // four: the common one-item query then takes a 32-byte block,
+        // which a million-client population allocates and frees far
+        // faster than 128-byte ones.
+        pending.reserve_exact(items.len());
+        pending.extend(items.iter().map(|&item| PendingItem::fresh(item)));
         QueryHeader {
             issued_at,
-            len,
             hits: 0,
             misses: 0,
         }
@@ -99,7 +107,6 @@ impl QueryHeader {
 
     /// `true` when every referenced item is resolved.
     pub fn is_complete(&self, items: &[PendingItem]) -> bool {
-        debug_assert_eq!(items.len(), self.len as usize);
         items.iter().all(|p| p.state == PendingState::Done)
     }
 
@@ -188,8 +195,9 @@ mod tests {
     }
 
     fn query(issued_at: SimTime, ids: &[u32]) -> (QueryHeader, Vec<PendingItem>) {
-        let items: Vec<PendingItem> = ids.iter().map(|&i| PendingItem::fresh(ItemId(i))).collect();
-        (QueryHeader::new(issued_at, items.len() as u32), items)
+        let ids: Vec<ItemId> = ids.iter().map(|&i| ItemId(i)).collect();
+        let mut items = Vec::new();
+        (QueryHeader::new(issued_at, &ids, &mut items), items)
     }
 
     #[test]
@@ -252,6 +260,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one item")]
     fn empty_query_rejected() {
-        QueryHeader::new(t(0.0), 0);
+        QueryHeader::new(t(0.0), &[], &mut Vec::new());
     }
 }

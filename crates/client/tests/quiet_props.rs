@@ -7,10 +7,13 @@
 //! without a retry policy, under both checking modes; after every step
 //! the stored flag must equal the predicate re-derived from the columns.
 //! A population-level case runs the stamp-plus-walk fan-out against
-//! walking every delivered client.
+//! walking every delivered client, and the sharded walk against a serial
+//! `client_mut` loop over the same mask.
 
 use mobicache_cache::CacheEntry;
-use mobicache_client::{ClientAction, ClientConfig, ClientCounters, ClientPop};
+use mobicache_client::{
+    ClientAction, ClientConfig, ClientCounters, ClientMut, ClientPop, PendingItem,
+};
 use mobicache_model::{CheckingMode, ItemId, RetryPolicy, Scheme};
 use mobicache_reports::{
     AtReport, BitSequences, BsSelect, PlanCache, PlanStats, ReportPayload, SigReport, Signer,
@@ -64,10 +67,12 @@ fn hears_windows(scheme: Scheme) -> bool {
     )
 }
 
-/// Whether the fan-out stamps a quiet client or walks it like the rest.
+/// Whether the fan-out stamps a quiet client or walks it like the rest,
+/// and whether the walk is sharded or a serial `client_mut` loop.
 #[derive(Clone, Copy)]
 enum Fanout {
     Stamp,
+    StampSerial,
     WalkAll,
 }
 
@@ -92,6 +97,9 @@ struct Harness {
     signer: Signer,
     plan: PlanCache,
     prev_at: SimTime,
+    /// The last broadcast's `(client, actions)` record of every walked
+    /// client, in index order.
+    walked: Vec<(usize, Vec<ClientAction>)>,
 }
 
 impl Harness {
@@ -105,6 +113,7 @@ impl Harness {
             signer: Signer::new(8, 16, 7),
             plan: PlanCache::new(),
             prev_at: SimTime::ZERO,
+            walked: Vec::new(),
         }
     }
 
@@ -177,8 +186,8 @@ impl Harness {
     }
 
     /// Delivers `payload` to every connected client, stamping the quiet
-    /// ones under [`Fanout::Stamp`], and returns the non-empty action
-    /// lists in client order.
+    /// ones unless under [`Fanout::WalkAll`], and returns the non-empty
+    /// action lists in client order.
     fn broadcast(
         &mut self,
         payload: &ReportPayload,
@@ -191,27 +200,32 @@ impl Harness {
         self.plan.decode_for_tick(payload, self.prev_at, DB);
         self.prev_at = at;
         let mut walk = self.pop.connected_words().to_vec();
-        if let Fanout::Stamp = fanout {
+        if let Fanout::Stamp | Fanout::StampSerial = fanout {
             let quiet = (0..self.pop.len())
                 .filter(|&i| self.pop.is_connected(i) && self.pop.is_quiet(i))
                 .count();
             assert_eq!(self.pop.stamp_quiet(&mut walk, at), quiet as u64);
         }
         let plan = &self.plan;
-        let mut slots: Vec<Vec<(usize, Vec<ClientAction>)>> = vec![Vec::new(); pool.threads()];
-        self.pop
-            .for_each_delivered(pool, &walk, &mut slots, |i, mut client, slot| {
-                let mut actions = Vec::new();
-                client.on_report_planned(
-                    at,
-                    payload,
-                    plan,
-                    &mut actions,
-                    &mut PlanStats::default(),
-                );
-                slot.push((i, actions));
-            });
-        let mut out = slots.concat();
+        let apply = |mut client: ClientMut<'_>| {
+            let mut actions = Vec::new();
+            client.on_report_planned(at, payload, plan, &mut actions, &mut PlanStats::default());
+            actions
+        };
+        self.walked = if let Fanout::StampSerial = fanout {
+            (0..self.pop.len())
+                .filter(|&i| walk[i / 64] & (1 << (i % 64)) != 0)
+                .map(|i| (i, apply(self.pop.client_mut(i))))
+                .collect()
+        } else {
+            let mut slots: Vec<Vec<(usize, Vec<ClientAction>)>> = vec![Vec::new(); pool.threads()];
+            self.pop
+                .for_each_delivered(pool, &walk, &mut slots, |i, client, slot| {
+                    slot.push((i, apply(client)));
+                });
+            slots.concat()
+        };
+        let mut out = self.walked.clone();
         out.retain(|(_, a)| !a.is_empty());
         out
     }
@@ -319,6 +333,7 @@ struct Observed {
     pending_query: bool,
     open_gap: bool,
     quiet: bool,
+    pending: Vec<PendingItem>,
     counters: ClientCounters,
     evictions: u64,
     cache: Vec<(ItemId, CacheEntry)>,
@@ -337,6 +352,7 @@ fn observe(pop: &ClientPop, i: usize) -> Observed {
         pending_query: pop.has_pending_query(i),
         open_gap: pop.has_open_gap(i),
         quiet: pop.is_quiet(i),
+        pending: pop.pending_items(i).to_vec(),
         counters: pop.counters(i),
         evictions: cache.evictions(),
         cache: entries,
@@ -512,6 +528,10 @@ proptest! {
     /// A whole population, stamping its quiet clients and walking the
     /// rest, emits the same actions and ends every step in the same
     /// state as one walking every delivered client — serial and sharded.
+    /// The sharded walk, which hands each chunk its own column slices,
+    /// also matches a serial `client_mut` loop over the same mask, record
+    /// for record and column for column, at population sizes that leave
+    /// a partial last bitmap word.
     #[test]
     fn stamp_plus_walk_equals_walking_everyone(
         scheme in 0usize..8,
@@ -521,18 +541,26 @@ proptest! {
         threads in 1usize..4,
         steps in prop::collection::vec((0usize..140, 0u32..8, 0.0..1.0f64, 0.0..1.0f64), 0..500),
     ) {
+        let n = n + usize::from(n % 64 == 0);
         let cfg = cfg(SCHEMES[scheme], retry, full_cache);
         let pool = WorkerPool::new(threads);
         let mut stamped = Harness::new(cfg, n);
+        let mut serial = Harness::new(cfg, n);
         let mut walked = Harness::new(cfg, n);
         for s in &steps {
             let x = stamped.step(s, Fanout::Stamp, &pool);
+            let z = serial.step(s, Fanout::StampSerial, &pool);
             let y = walked.step(s, Fanout::WalkAll, &pool);
+            prop_assert_eq!(&stamped.walked, &serial.walked);
+            prop_assert_eq!(&x, &z);
             prop_assert_eq!(x, y);
             for i in 0..n {
-                prop_assert_eq!(observe(&stamped.pop, i), observe(&walked.pop, i), "client {}", i);
+                let o = observe(&stamped.pop, i);
+                prop_assert_eq!(&o, &observe(&serial.pop, i), "client {}", i);
+                prop_assert_eq!(o, observe(&walked.pop, i), "client {}", i);
             }
             flags_exact(&stamped.pop)?;
+            flags_exact(&serial.pop)?;
             flags_exact(&walked.pop)?;
         }
     }

@@ -50,14 +50,11 @@ pub use probe::{
     RunTotals,
 };
 
-// The struct-of-arrays client population and its accessor views are the
-// public way to inspect per-client state (e.g. from probes). The former
-// `Vec<Client>` snapshot accessors are gone — migrate via
-// `ClientPop`/`ClientRef`: where code held a `&Client`, take a
-// `ClientRef` from `pop.client(i)`; columnar aggregates read the dense
-// columns (`counters_col`, `caches_col`) instead of cloning per-client
-// vectors.
-pub use mobicache_client::{ClientMut, ClientPop, ClientRef};
+// The struct-of-arrays client population and its mutable view are the
+// public way to reach per-client state (e.g. from probes): `ClientPop`'s
+// per-client getters read one client, and columnar aggregates read the
+// dense columns (`counters_col`, `caches_col`).
+pub use mobicache_client::{ClientMut, ClientPop};
 // Re-export the configuration vocabulary so downstream users need only
 // this crate plus `mobicache-model`.
 pub use mobicache_model::{

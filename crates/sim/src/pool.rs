@@ -11,11 +11,11 @@
 //! Determinism contract: the pool decides **who** executes a chunk,
 //! never **what** a chunk is. Chunk geometry is a pure function of the
 //! caller's inputs (range length, slot count), decided in one place —
-//! [`WorkerPool::for_each_chunk`], which every sharded phase goes
-//! through — each chunk writes only to its own slot, and the caller
-//! merges slots in chunk-index order afterwards — so results are
-//! bit-identical whether a chunk ran on a worker, on the caller, or
-//! everything ran inline on a pool with zero workers.
+//! [`chunk_ranges`], which [`WorkerPool::for_each_chunk`], the entry of
+//! every sharded phase, follows — each chunk writes only to its own
+//! slot, and the caller merges slots in chunk-index order afterwards —
+//! so results are bit-identical whether a chunk ran on a worker, on the
+//! caller, or everything ran inline on a pool with zero workers.
 //!
 //! Scheduling is work-claiming rather than work-assigning: chunks are
 //! claimed from a shared atomic counter by the caller *and* the
@@ -57,6 +57,21 @@ fn shard_count(max_shards: usize, len: usize) -> usize {
     } else {
         len.div_ceil(chunk_len(max_shards, len))
     }
+}
+
+/// Chunk `i` of the [`chunk_len`] geometry.
+fn chunk_range(max_shards: usize, len: usize, i: usize) -> Range<usize> {
+    let chunk = chunk_len(max_shards, len);
+    i * chunk..((i + 1) * chunk).min(len)
+}
+
+/// The chunks [`WorkerPool::for_each_chunk`] splits `0..len` into when
+/// handed `max_shards` slots, in slot order: chunk `i` goes to slot `i`.
+/// Callers that hand each chunk a matching part of their own data (the
+/// client fan-out splits its columns here) use this instead of
+/// re-deriving the geometry.
+pub fn chunk_ranges(max_shards: usize, len: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..shard_count(max_shards, len)).map(move |i| chunk_range(max_shards, len, i))
 }
 
 /// Calls `f(i)` for every set bit `i` of the bitmap `words` (bit `i`
@@ -283,7 +298,7 @@ impl WorkerPool {
     /// Splits `0..len` into at most `slots.len()` contiguous chunks and
     /// runs `task(range, &mut slots[i])` for chunk `i`, each exactly
     /// once, returning when all have completed. Every sharded phase goes
-    /// through here, so this is the one place chunk geometry is decided:
+    /// through here, and the chunks are exactly [`chunk_ranges`]`(slots.len(), len)`:
     /// every chunk starts on a multiple of [`CHUNK_ALIGN`], and all but
     /// the last hold the same number of items. Slots past the last chunk
     /// are not touched. A single chunk runs inline on the caller without
@@ -301,25 +316,20 @@ impl WorkerPool {
         S: Send,
         F: Fn(Range<usize>, &mut S) + Sync,
     {
-        let chunks = shard_count(slots.len(), len);
+        let shards = slots.len();
+        let chunks = shard_count(shards, len);
         if chunks == 0 {
             return;
         }
         // The slot handout below relies on this; the geometry guarantees
         // it for any non-empty `slots`.
-        assert!(
-            chunks <= slots.len(),
-            "for_each_chunk needs a slot per chunk"
-        );
-        let chunk = chunk_len(slots.len(), len);
-        let range = |i: usize| i * chunk..((i + 1) * chunk).min(len);
+        assert!(chunks <= shards, "for_each_chunk needs a slot per chunk");
+        let range = |i: usize| chunk_range(shards, len, i);
         if cfg!(debug_assertions) {
             // The claim ledger: the chunks partition `0..len` into
-            // non-empty, word-aligned ranges. Disjoint views built on top
-            // of this method (the client fan-out) rest on it.
+            // non-empty, word-aligned ranges.
             let mut next = 0;
-            for i in 0..chunks {
-                let r = range(i);
+            for (i, r) in chunk_ranges(shards, len).enumerate() {
                 assert!(
                     r.start == next && r.start < r.end && r.start.is_multiple_of(CHUNK_ALIGN),
                     "chunk {i} = {r:?} breaks the partition of 0..{len}"

@@ -3,10 +3,8 @@
 //! single import root. Library users should depend on the `mobicache`
 //! crate directly.
 //!
-//! Since the struct-of-arrays client refactor, per-client state is
-//! exposed through the columnar [`ClientPop`] population and its
-//! [`ClientRef`]/[`ClientMut`] accessor views (re-exported here); the
-//! old snapshot-style `Vec<Client>` accessors no longer exist.
+//! Per-client state is exposed through the columnar [`ClientPop`]
+//! population and its [`ClientMut`] accessor view (re-exported here).
 
 pub use mobicache::*;
 pub use mobicache_experiments as experiments;
