@@ -42,33 +42,16 @@
 //!
 //! Run via `scripts/bench.sh`, which writes the JSON to the repo root.
 //! `--quick` shrinks every section for the CI smoke step; `--out PATH`
-//! writes the JSON file (otherwise it goes to stdout); `--threads N`
-//! runs the e2e/stress/popscale sections with `N` engine worker threads.
+//! writes the JSON file (otherwise stdout); `--threads N` gives the
+//! stress, handoff, popscale and probe runs `N` engine worker threads.
 //!
-//! CI regression gates (each runs one section and exits non-zero on a
-//! miss):
-//! * `--smoke-popscale CLIENTS --check-against PATH` — the popscale
-//!   configuration at `CLIENTS` vs the committed JSON's matching row;
-//!   fails on a >10 % events/second regression.
-//! * `--smoke-stress --check-against PATH` — the heavy AAW stress point
-//!   vs the committed top-level stress row; fails on a >10 % regression.
-//! * `--smoke-handoff --check-against PATH` — the heavy AAW multi-cell
-//!   handoff point vs the committed top-level handoff row; fails on a
-//!   >10 % events/second regression.
-//! * `--smoke-sched` — the 10 k-pending sched row; fails if the wheel
-//!   drops below the heap baseline.
-//! * `--smoke-invplan` — a 10 k-client invplan row; fails if the word
-//!   arm stops beating the per-item arm at the stress shape's 800-item
-//!   caches, where the selection picks the word arm. Both arms are timed
-//!   in one process, so the check compares like with like on any host.
-//! * `--smoke-e2e --check-against PATH` — the full AAW `fig05` sweep vs
-//!   the committed e2e row; fails on a >20 % regression (e2e wall times
-//!   are tens of milliseconds, so scheduling noise is proportionally
-//!   larger than in the stress/popscale gates).
-//! * `--smoke-bsbuild` — the stress shape's update stream replayed
-//!   through a BS server; fails unless the per-tick shared-index build
-//!   is at least 10× faster than a from-scratch `from_recency` build of
-//!   the same log state, both timed in one process.
+//! CI regression gates each run one section and exit non-zero on a
+//! miss. `--smoke-popscale CLIENTS`, `--smoke-stress`, `--smoke-handoff`
+//! and `--smoke-e2e` need at least 90 % (e2e: 80 %, its wall times being
+//! tens of milliseconds) of the matching row's events/second in the
+//! committed JSON named by `--check-against PATH`; `--smoke-sched`,
+//! `--smoke-invplan` and `--smoke-bsbuild` compare two paths timed in
+//! one process, so they hold on any host.
 
 use mobicache::{run, IntervalSampler, RunOptions};
 use mobicache_cache::LruCache;
@@ -81,7 +64,6 @@ use mobicache_server::Server;
 use mobicache_sim::{Scheduler, SimRng, SimTime};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -103,63 +85,130 @@ const BASELINE_BEFORE: &str = r#"  "baseline_before": {
   },
 "#;
 
-struct E2eRow {
-    scheme: Scheme,
-    points: usize,
-    wall_secs: f64,
-    events: u64,
-    events_per_sec: f64,
+/// Wall seconds of one call to `f`, and its result (dropped outside
+/// the measurement).
+fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
+    let started = Instant::now();
+    let out = f();
+    (started.elapsed().as_secs_f64(), out)
 }
 
-/// Best-of-`reps` wall time for one scheme's `fig05` sweep.
-fn bench_e2e(quick: bool) -> Vec<E2eRow> {
-    let schemes = [Scheme::Bs, Scheme::Aaw, Scheme::SimpleChecking];
-    let reps = if quick { 1 } else { 3 };
-    let scale = RunScale {
+/// Best-of-`reps` wall seconds of `job`, which runs the measured work
+/// once and returns its event count; also returns the last run's events.
+fn best_of(reps: usize, mut job: impl FnMut() -> u64) -> (f64, u64) {
+    let mut best = (f64::INFINITY, 0);
+    for _ in 0..reps {
+        let (wall, events) = timed(&mut job);
+        best = (best.0.min(wall), events);
+    }
+    best
+}
+
+/// Runs one simulation and returns its event count. A multi-cell
+/// configuration that never hands a client off would time the
+/// single-cell path under a multi-cell name, so that fails loudly.
+fn sim_events(cfg: &SimConfig) -> u64 {
+    let metrics = run(cfg, RunOptions::default())
+        .expect("bench config validates")
+        .metrics;
+    assert!(
+        cfg.cells.cells == 1 || metrics.mobility.handoffs > 0,
+        "a multi-cell bench must actually hand off"
+    );
+    metrics.events_processed
+}
+
+/// One row of a JSON section, formatted as one object.
+trait JsonRow: Sized {
+    fn json(&self) -> String;
+
+    /// Logs the row to stderr under `section` as it is measured.
+    fn logged(self, section: &str) -> Self {
+        eprintln!("{section}: {}", self.json());
+        self
+    }
+}
+
+/// Declares a JSON row type once: each field with the format of its
+/// JSON column, in column order.
+macro_rules! json_row {
+    ($(#[$doc:meta])* $name:ident { $($field:ident: $ty:ty => $fmt:literal,)* }) => {
+        $(#[$doc])*
+        struct $name {
+            $($field: $ty,)*
+        }
+
+        impl JsonRow for $name {
+            fn json(&self) -> String {
+                let columns = [$(
+                    format!(concat!("\"", stringify!($field), "\": ", $fmt), self.$field),
+                )*];
+                format!("{{ {} }}", columns.join(", "))
+            }
+        }
+    };
+}
+
+json_row! {
+    /// One scheme's row of the `e2e`, `stress` and `handoff` sections.
+    E2eRow {
+        scheme: Scheme => "\"{:?}\"",
+        points: usize => "{}",
+        wall_secs: f64 => "{:.3}",
+        events: u64 => "{}",
+        events_per_sec: f64 => "{:.0}",
+    }
+}
+
+impl E2eRow {
+    /// The row for one `best_of` result, logged to stderr.
+    fn from_best(section: &str, scheme: Scheme, points: usize, best: (f64, u64)) -> Self {
+        let (wall_secs, events) = best;
+        E2eRow {
+            scheme,
+            points,
+            wall_secs,
+            events,
+            events_per_sec: events as f64 / wall_secs,
+        }
+        .logged(section)
+    }
+}
+
+/// The `fig05` sweep's scale: serial engines, as every committed e2e
+/// number was measured.
+fn e2e_scale(quick: bool) -> RunScale {
+    RunScale {
         time_factor: if quick { 0.01 } else { 0.05 },
         max_threads: Some(1),
         replications: 1,
-        // Serial engines, as every committed e2e number was measured.
         split: CoreSplitPolicy::PointsOnly,
-    };
-    let mut rows = Vec::new();
-    for scheme in schemes {
-        let mut spec = fig05::spec();
-        spec.schemes = vec![scheme];
-        if quick {
-            spec.points.truncate(2);
-        }
-        let mut best_wall = f64::INFINITY;
-        let mut events = 0u64;
-        let mut points = 0usize;
-        for _ in 0..reps {
-            let started = Instant::now();
-            let result = run_figure_with(&spec, scale, RunReporting::default())
-                .expect("fig05 spec validates");
-            let wall = started.elapsed().as_secs_f64();
-            best_wall = best_wall.min(wall);
-            events = result
-                .series
-                .iter()
-                .flat_map(|s| &s.points)
-                .map(|p| p.metrics.events_processed)
-                .sum();
-            points = result.series.iter().map(|s| s.points.len()).sum();
-        }
-        eprintln!(
-            "e2e {scheme:?}: {points} points, {best_wall:.3}s wall (best of {reps}), \
-             {events} events ({:.0} ev/s)",
-            events as f64 / best_wall
-        );
-        rows.push(E2eRow {
-            scheme,
-            points,
-            wall_secs: best_wall,
-            events,
-            events_per_sec: events as f64 / best_wall,
-        });
     }
-    rows
+}
+
+/// Best-of-`reps` wall time for each scheme's `fig05` sweep.
+fn bench_e2e(schemes: &[Scheme], quick: bool, reps: usize) -> Vec<E2eRow> {
+    let scale = e2e_scale(quick);
+    schemes
+        .iter()
+        .map(|&scheme| {
+            let mut spec = fig05::spec();
+            spec.schemes = vec![scheme];
+            if quick {
+                spec.points.truncate(2);
+            }
+            let best = best_of(reps, || {
+                run_figure_with(&spec, scale, RunReporting::default())
+                    .expect("fig05 spec validates")
+                    .series
+                    .iter()
+                    .flat_map(|s| &s.points)
+                    .map(|p| p.metrics.events_processed)
+                    .sum()
+            });
+            E2eRow::from_best("e2e", scheme, spec.points.len(), best)
+        })
+        .collect()
 }
 
 /// One heavy point per scheme: big database (large caches and BS
@@ -172,37 +221,6 @@ fn stress_cfg(scheme: Scheme, quick: bool) -> SimConfig {
     cfg.num_clients = 200;
     cfg.mean_update_interarrival_secs = 5.0;
     cfg
-}
-
-fn bench_stress(quick: bool, threads: u32) -> Vec<E2eRow> {
-    let schemes = [Scheme::Bs, Scheme::Aaw, Scheme::SimpleChecking];
-    let reps = if quick { 1 } else { 3 };
-    let mut rows = Vec::new();
-    for scheme in schemes {
-        let cfg = stress_cfg(scheme, quick).with_threads(threads);
-        let mut best_wall = f64::INFINITY;
-        let mut events = 0u64;
-        for _ in 0..reps {
-            let started = Instant::now();
-            let result = run(&cfg, RunOptions::default()).expect("stress config validates");
-            let wall = started.elapsed().as_secs_f64();
-            best_wall = best_wall.min(wall);
-            events = result.metrics.events_processed;
-        }
-        eprintln!(
-            "stress {scheme:?}: {best_wall:.3}s wall (best of {reps}), \
-             {events} events ({:.0} ev/s)",
-            events as f64 / best_wall
-        );
-        rows.push(E2eRow {
-            scheme,
-            points: 1,
-            wall_secs: best_wall,
-            events,
-            events_per_sec: events as f64 / best_wall,
-        });
-    }
-    rows
 }
 
 /// The multi-cell mobility stress point: the heavy stress shape spread
@@ -222,47 +240,23 @@ fn handoff_cfg(scheme: Scheme, quick: bool) -> SimConfig {
     cfg
 }
 
-fn bench_handoff(quick: bool, threads: u32) -> Vec<E2eRow> {
-    let schemes = [Scheme::Bs, Scheme::Aaw];
-    let reps = if quick { 1 } else { 3 };
-    let mut rows = Vec::new();
-    for scheme in schemes {
-        let cfg = handoff_cfg(scheme, quick).with_threads(threads);
-        let mut best_wall = f64::INFINITY;
-        let mut events = 0u64;
-        let mut handoffs = 0u64;
-        for _ in 0..reps {
-            let started = Instant::now();
-            let result = run(&cfg, RunOptions::default()).expect("handoff config validates");
-            let wall = started.elapsed().as_secs_f64();
-            best_wall = best_wall.min(wall);
-            events = result.metrics.events_processed;
-            handoffs = result.metrics.mobility.handoffs;
-        }
-        assert!(handoffs > 0, "handoff bench must actually hand off");
-        eprintln!(
-            "handoff {scheme:?}: {best_wall:.3}s wall (best of {reps}), \
-             {events} events, {handoffs} handoffs ({:.0} ev/s)",
-            events as f64 / best_wall
-        );
-        rows.push(E2eRow {
-            scheme,
-            points: 1,
-            wall_secs: best_wall,
-            events,
-            events_per_sec: events as f64 / best_wall,
-        });
-    }
-    rows
+/// A single-configuration section (`stress`, `handoff`): best of `reps`
+/// runs of each scheme's configuration.
+fn bench_single(section: &str, cfgs: &[SimConfig], reps: usize) -> Vec<E2eRow> {
+    cfgs.iter()
+        .map(|cfg| E2eRow::from_best(section, cfg.scheme, 1, best_of(reps, || sim_events(cfg))))
+        .collect()
 }
 
-struct ScalingRow {
-    clients: u32,
-    threads: u32,
-    wall_secs: f64,
-    events: u64,
-    events_per_sec: f64,
-    speedup_vs_1t: f64,
+json_row! {
+    ScalingRow {
+        clients: u32 => "{}",
+        threads: u32 => "{}",
+        wall_secs: f64 => "{:.3}",
+        events: u64 => "{}",
+        events_per_sec: f64 => "{:.0}",
+        speedup_vs_1t: f64 => "{:.2}",
+    }
 }
 
 /// The sharded engine under a fan-out-dominated load (AAW, frequent
@@ -277,6 +271,7 @@ fn bench_scaling(quick: bool) -> Vec<ScalingRow> {
         &[100, 1_000, 10_000]
     };
     let thread_counts: &[u32] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
+    let reps = if quick { 1 } else { 2 };
     let mut rows = Vec::new();
     for &clients in client_counts {
         let mut base_wall = f64::NAN;
@@ -288,44 +283,33 @@ fn bench_scaling(quick: bool) -> Vec<ScalingRow> {
             cfg.db_size = 10_000;
             cfg.num_clients = clients;
             cfg.mean_update_interarrival_secs = 5.0;
-            let reps = if quick { 1 } else { 2 };
-            let mut best_wall = f64::INFINITY;
-            let mut events = 0u64;
-            for _ in 0..reps {
-                let started = Instant::now();
-                let result = run(&cfg, RunOptions::default()).expect("scaling config validates");
-                best_wall = best_wall.min(started.elapsed().as_secs_f64());
-                events = result.metrics.events_processed;
-            }
+            let (wall_secs, events) = best_of(reps, || sim_events(&cfg));
             if threads == 1 {
-                base_wall = best_wall;
+                base_wall = wall_secs;
             }
-            let speedup = base_wall / best_wall;
-            eprintln!(
-                "scaling {clients}c x {threads}t: {best_wall:.3}s wall, {events} events \
-                 ({:.0} ev/s, {speedup:.2}x vs 1t)",
-                events as f64 / best_wall
-            );
-            rows.push(ScalingRow {
+            let row = ScalingRow {
                 clients,
                 threads,
-                wall_secs: best_wall,
+                wall_secs,
                 events,
-                events_per_sec: events as f64 / best_wall,
-                speedup_vs_1t: speedup,
-            });
+                events_per_sec: events as f64 / wall_secs,
+                speedup_vs_1t: base_wall / wall_secs,
+            };
+            rows.push(row.logged("scaling"));
         }
     }
     rows
 }
 
-struct PopRow {
-    clients: u32,
-    threads: u32,
-    wall_secs: f64,
-    events: u64,
-    events_per_sec: f64,
-    peak_rss_mb: f64,
+json_row! {
+    PopRow {
+        clients: u32 => "{}",
+        threads: u32 => "{}",
+        wall_secs: f64 => "{:.3}",
+        events: u64 => "{}",
+        events_per_sec: f64 => "{:.0}",
+        peak_rss_mb: f64 => "{:.0}",
+    }
 }
 
 /// The process peak resident set (`VmHWM`) in KiB. Monotone over the
@@ -356,24 +340,16 @@ fn popscale_cfg(clients: u32, threads: u32) -> SimConfig {
 
 fn run_popscale_once(clients: u32, threads: u32) -> PopRow {
     let cfg = popscale_cfg(clients, threads);
-    let started = Instant::now();
-    let result = run(&cfg, RunOptions::default()).expect("popscale config validates");
-    let wall = started.elapsed().as_secs_f64();
-    let events = result.metrics.events_processed;
-    let peak_rss_mb = peak_rss_kb().map_or(f64::NAN, |kb| kb as f64 / 1024.0);
-    eprintln!(
-        "popscale {clients}c x {threads}t: {wall:.3}s wall, {events} events \
-         ({:.0} ev/s), peak RSS {peak_rss_mb:.0} MiB",
-        events as f64 / wall
-    );
+    let (wall_secs, events) = best_of(1, || sim_events(&cfg));
     PopRow {
         clients,
         threads,
-        wall_secs: wall,
+        wall_secs,
         events,
-        events_per_sec: events as f64 / wall,
-        peak_rss_mb,
+        events_per_sec: events as f64 / wall_secs,
+        peak_rss_mb: peak_rss_kb().map_or(f64::NAN, |kb| kb as f64 / 1024.0),
     }
+    .logged("popscale")
 }
 
 /// Ascending populations so each row's `VmHWM` reading is its own peak;
@@ -393,6 +369,7 @@ fn bench_popscale(quick: bool, threads: u32) -> Vec<PopRow> {
 /// `(at, seq)` comparator reversed for min-first pops. Kept here as the
 /// `sched` section's baseline now that the live scheduler is a timing
 /// wheel.
+#[derive(Default)]
 struct HeapSched {
     heap: BinaryHeap<HeapEntry>,
     now: SimTime,
@@ -480,11 +457,13 @@ fn drive_event_list(s: &mut impl EventList, n: usize) {
     }
 }
 
-struct SchedRow {
-    pending: usize,
-    heap_ns_per_op: f64,
-    wheel_ns_per_op: f64,
-    speedup: f64,
+json_row! {
+    SchedRow {
+        pending: usize => "{}",
+        heap_ns_per_op: f64 => "{:.1}",
+        wheel_ns_per_op: f64 => "{:.1}",
+        speedup: f64 => "{:.2}",
+    }
 }
 
 /// Scheduler micro-benchmark: the heap baseline vs the timing wheel on
@@ -497,59 +476,48 @@ fn bench_sched(quick: bool) -> Vec<SchedRow> {
         &[10_000, 100_000, 1_000_000]
     };
     let reps = if quick { 2 } else { 3 };
-    let mut rows = Vec::new();
-    for &n in sizes {
+    let rows = sizes.iter().map(|&n| {
         let ops = (4 * n) as f64;
         let mut heap_ns = f64::INFINITY;
         let mut wheel_ns = f64::INFINITY;
         for _ in 0..reps {
-            let mut heap = HeapSched {
-                heap: BinaryHeap::new(),
-                now: SimTime::ZERO,
-                seq: 0,
-            };
-            let started = Instant::now();
-            drive_event_list(&mut heap, n);
-            heap_ns = heap_ns.min(started.elapsed().as_nanos() as f64);
-
+            let mut heap = HeapSched::default();
+            heap_ns = heap_ns.min(timed(|| drive_event_list(&mut heap, n)).0 * 1e9);
             let mut wheel: Scheduler<u64> = Scheduler::new();
-            let started = Instant::now();
-            drive_event_list(&mut wheel, n);
-            wheel_ns = wheel_ns.min(started.elapsed().as_nanos() as f64);
+            wheel_ns = wheel_ns.min(timed(|| drive_event_list(&mut wheel, n)).0 * 1e9);
         }
-        let speedup = heap_ns / wheel_ns;
-        eprintln!(
-            "sched {n} pending: heap {:.1} ns/op, wheel {:.1} ns/op ({speedup:.2}x)",
-            heap_ns / ops,
-            wheel_ns / ops
-        );
-        rows.push(SchedRow {
+        SchedRow {
             pending: n,
             heap_ns_per_op: heap_ns / ops,
             wheel_ns_per_op: wheel_ns / ops,
-            speedup,
-        });
+            speedup: heap_ns / wheel_ns,
+        }
+        .logged("sched")
+    });
+    rows.collect()
+}
+
+json_row! {
+    InvplanRow {
+        clients: u32 => "{}",
+        cache_len: u32 => "{}",
+        per_item_ns_per_client: f64 => "{:.1}",
+        plan_ns_per_client: f64 => "{:.1}",
+        speedup: f64 => "{:.2}",
     }
-    rows
 }
 
-struct InvplanRow {
-    clients: u32,
-    cache_len: u32,
-    per_item_ns_per_client: f64,
-    plan_ns_per_client: f64,
-    speedup: f64,
-}
-
-/// Plan-cache effectiveness observed by a probed short AAW run.
-struct InvplanProbe {
-    clients: u32,
-    sim_secs: f64,
-    plan_decodes: u64,
-    plan_hits: u64,
-    plan_misses: u64,
-    hit_rate: f64,
-    fanout_words_skipped: u64,
+json_row! {
+    /// Plan-cache effectiveness observed by a probed short AAW run.
+    InvplanProbe {
+        clients: u32 => "{}",
+        sim_secs: f64 => "{:.0}",
+        plan_decodes: u64 => "{}",
+        plan_hits: u64 => "{}",
+        plan_misses: u64 => "{}",
+        hit_rate: f64 => "{:.4}",
+        fanout_words_skipped: u64 => "{}",
+    }
 }
 
 /// The AAW stress shape (`stress_cfg`: db 40 000, paper cache fraction →
@@ -644,18 +612,14 @@ fn run_invplan_once(clients: u32, reps: usize) -> InvplanRow {
     }
 
     let n = f64::from(clients);
-    let row = InvplanRow {
+    InvplanRow {
         clients,
         cache_len: (db as f64 * 0.02) as u32,
         per_item_ns_per_client: per_item_ns / n,
         plan_ns_per_client: plan_ns / n,
         speedup: per_item_ns / plan_ns,
-    };
-    eprintln!(
-        "invplan {clients}c: per-item {:.0} ns/client, plan {:.0} ns/client ({:.1}x)",
-        row.per_item_ns_per_client, row.plan_ns_per_client, row.speedup
-    );
-    row
+    }
+    .logged("invplan")
 }
 
 /// The plan hit rate in vivo: a probed AAW run at the popscale shape,
@@ -670,31 +634,16 @@ fn invplan_probe(quick: bool, threads: u32) -> InvplanProbe {
         .snapshots()
         .last()
         .expect("probed run emits snapshots");
-    let applied = last.plan_hits + last.plan_misses;
-    let probe = InvplanProbe {
+    InvplanProbe {
         clients,
         sim_secs: cfg.sim_time_secs,
         plan_decodes: last.plan_decodes,
         plan_hits: last.plan_hits,
         plan_misses: last.plan_misses,
-        hit_rate: if applied == 0 {
-            0.0
-        } else {
-            last.plan_hits as f64 / applied as f64
-        },
+        hit_rate: last.plan_hits as f64 / (last.plan_hits + last.plan_misses).max(1) as f64,
         fanout_words_skipped: last.fanout_words_skipped,
-    };
-    eprintln!(
-        "invplan probe {clients}c x {:.0}s: {} decodes, {} hits / {} misses \
-         (hit rate {:.4}), {} fan-out words skipped",
-        probe.sim_secs,
-        probe.plan_decodes,
-        probe.plan_hits,
-        probe.plan_misses,
-        probe.hit_rate,
-        probe.fanout_words_skipped
-    );
-    probe
+    }
+    .logged("invplan probe")
 }
 
 fn bench_invplan(quick: bool) -> Vec<InvplanRow> {
@@ -709,154 +658,46 @@ fn bench_invplan(quick: bool) -> Vec<InvplanRow> {
         .collect()
 }
 
-/// The number after `"key":` inside one JSON row fragment.
-fn num_in_row(row: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let v = &row[row.find(&needle)? + needle.len()..];
-    v.trim_start()
-        .split(|c: char| c != '.' && !c.is_ascii_digit())
+/// The committed events/second of the `section` row that opens with
+/// `row` (e.g. `"clients": 100000` or `"scheme": "Aaw"`) in the JSON at
+/// `path`. Reads the *last* `section` key, skipping `baseline_before`'s
+/// `"e2e"` and `"stress"`, up to its closing `]`. A hand-rolled scan —
+/// the repo vendors no JSON parser and the bench file's shape is ours.
+fn committed_rate(path: &str, section: &str, row: &str) -> Option<f64> {
+    let body = std::fs::read_to_string(path).ok()?;
+    let section = &body[body.rfind(&format!("\"{section}\":"))?..];
+    let section = &section[..section.find(']')?];
+    let row = &section[section.find(&format!("{{ {row},"))?..];
+    let row = &row[..row.find('}')?];
+    let key = "\"events_per_sec\":";
+    row[row.find(key)? + key.len()..]
+        .split(',')
         .next()?
+        .trim()
         .parse()
         .ok()
 }
 
-/// The `events_per_sec` number inside one JSON row fragment.
-fn rate_in_row(row: &str) -> Option<f64> {
-    num_in_row(row, "events_per_sec")
-}
-
-/// The committed events/second for `clients` in the popscale section of
-/// the JSON at `path`. A hand-rolled scan — the repo vendors no JSON
-/// parser and the bench file's shape is ours to pin.
-fn committed_popscale_rate(path: &str, clients: u32) -> Option<f64> {
-    let body = std::fs::read_to_string(path).ok()?;
-    let section = &body[body.find("\"popscale\"")?..];
-    let needle = format!("\"clients\": {clients},");
-    let row = &section[section.find(&needle)?..];
-    rate_in_row(&row[..row.find('}')?])
-}
-
-/// The committed events/second for `scheme` in the *top-level* stress
-/// section of the JSON at `path`. `baseline_before` embeds an earlier
-/// `"stress"` key, so the top-level section is the last occurrence.
-fn committed_stress_rate(path: &str, scheme: Scheme) -> Option<f64> {
-    let body = std::fs::read_to_string(path).ok()?;
-    let section = &body[body.rfind("\"stress\"")?..];
-    let needle = format!("\"scheme\": \"{scheme:?}\"");
-    let row = &section[section.find(&needle)?..];
-    rate_in_row(&row[..row.find('}')?])
-}
-
-/// The committed events/second for `scheme` in the top-level handoff
-/// section of the JSON at `path` (last occurrence, like the stress
-/// lookup, to stay robust against future embedded baselines).
-fn committed_handoff_rate(path: &str, scheme: Scheme) -> Option<f64> {
-    let body = std::fs::read_to_string(path).ok()?;
-    let section = &body[body.rfind("\"handoff\"")?..];
-    let needle = format!("\"scheme\": \"{scheme:?}\"");
-    let row = &section[section.find(&needle)?..];
-    rate_in_row(&row[..row.find('}')?])
-}
-
-/// The committed events/second for `scheme` in the *top-level* e2e
-/// section of the JSON at `path`. `baseline_before` embeds an earlier
-/// `"e2e"` key, so the top-level section is the last occurrence.
-fn committed_e2e_rate(path: &str, scheme: Scheme) -> Option<f64> {
-    let body = std::fs::read_to_string(path).ok()?;
-    let section = &body[body.rfind("\"e2e\"")?..];
-    let needle = format!("\"scheme\": \"{scheme:?}\"");
-    let row = &section[section.find(&needle)?..];
-    rate_in_row(&row[..row.find('}')?])
-}
-
-/// The CI regression gate: one popscale run vs the committed rate.
-/// Returns the process exit code.
-fn smoke_popscale(clients: u32, threads: u32, check_against: &str) -> i32 {
-    let row = run_popscale_once(clients, threads);
-    let Some(committed) = committed_popscale_rate(check_against, clients) else {
-        eprintln!("smoke-popscale: no committed {clients}-client row in {check_against}");
+/// A committed-number CI gate: `rate` passes at or above `floor` times
+/// the `committed` events/second. Returns the process exit code.
+fn floor_gate(name: &str, rate: f64, committed: Option<f64>, floor: f64) -> i32 {
+    let Some(committed) = committed else {
+        eprintln!("{name}: no committed row to check against");
         return 1;
     };
-    let floor = committed * 0.9;
-    if row.events_per_sec < floor {
-        eprintln!(
-            "smoke-popscale: REGRESSION — {:.0} ev/s is below 90% of the committed \
-             {committed:.0} ev/s (floor {floor:.0})",
-            row.events_per_sec
-        );
-        return 1;
-    }
-    eprintln!(
-        "smoke-popscale: ok — {:.0} ev/s vs committed {committed:.0} ev/s (floor {floor:.0})",
-        row.events_per_sec
-    );
-    0
+    let min = committed * floor;
+    let line = format!("{rate:.0} ev/s vs committed {committed:.0} ev/s (floor {min:.0})");
+    verdict(name, rate >= min, &line)
 }
 
-/// The stress-section CI regression gate: one heavy AAW run (the
-/// scheme most sensitive to scheduler and report-pipeline throughput)
-/// vs the committed rate. Returns the process exit code.
-fn smoke_stress(threads: u32, check_against: &str) -> i32 {
-    let scheme = Scheme::Aaw;
-    let cfg = stress_cfg(scheme, false).with_threads(threads);
-    let mut best_wall = f64::INFINITY;
-    let mut events = 0u64;
-    for _ in 0..2 {
-        let started = Instant::now();
-        let result = run(&cfg, RunOptions::default()).expect("stress config validates");
-        best_wall = best_wall.min(started.elapsed().as_secs_f64());
-        events = result.metrics.events_processed;
-    }
-    let rate = events as f64 / best_wall;
-    let Some(committed) = committed_stress_rate(check_against, scheme) else {
-        eprintln!("smoke-stress: no committed {scheme:?} stress row in {check_against}");
-        return 1;
-    };
-    let floor = committed * 0.9;
-    if rate < floor {
-        eprintln!(
-            "smoke-stress: REGRESSION — {rate:.0} ev/s is below 90% of the committed \
-             {committed:.0} ev/s (floor {floor:.0})"
-        );
-        return 1;
-    }
+/// Prints a CI gate's `ok` or `REGRESSION` line and returns the process
+/// exit code.
+fn verdict(name: &str, pass: bool, line: &str) -> i32 {
     eprintln!(
-        "smoke-stress: ok — {rate:.0} ev/s vs committed {committed:.0} ev/s (floor {floor:.0})"
+        "{name}: {} — {line}",
+        if pass { "ok" } else { "REGRESSION" }
     );
-    0
-}
-
-/// The multi-cell CI regression gate: the heavy AAW handoff point (4
-/// cells, migrating clients, per-cell fan-out and update replay) vs the
-/// committed rate. Returns the process exit code.
-fn smoke_handoff(threads: u32, check_against: &str) -> i32 {
-    let scheme = Scheme::Aaw;
-    let cfg = handoff_cfg(scheme, false).with_threads(threads);
-    let mut best_wall = f64::INFINITY;
-    let mut events = 0u64;
-    for _ in 0..2 {
-        let started = Instant::now();
-        let result = run(&cfg, RunOptions::default()).expect("handoff config validates");
-        best_wall = best_wall.min(started.elapsed().as_secs_f64());
-        events = result.metrics.events_processed;
-    }
-    let rate = events as f64 / best_wall;
-    let Some(committed) = committed_handoff_rate(check_against, scheme) else {
-        eprintln!("smoke-handoff: no committed {scheme:?} handoff row in {check_against}");
-        return 1;
-    };
-    let floor = committed * 0.9;
-    if rate < floor {
-        eprintln!(
-            "smoke-handoff: REGRESSION — {rate:.0} ev/s is below 90% of the committed \
-             {committed:.0} ev/s (floor {floor:.0})"
-        );
-        return 1;
-    }
-    eprintln!(
-        "smoke-handoff: ok — {rate:.0} ev/s vs committed {committed:.0} ev/s (floor {floor:.0})"
-    );
-    0
+    i32::from(!pass)
 }
 
 /// The invalidation-plan CI smoke: at the stress shape's 800-item
@@ -866,65 +707,11 @@ fn smoke_handoff(threads: u32, check_against: &str) -> i32 {
 /// population would.
 fn smoke_invplan() -> i32 {
     let row = run_invplan_once(10_000, 3);
-    if row.speedup <= 1.0 {
-        eprintln!(
-            "smoke-invplan: REGRESSION — word arm {:.0} ns/client is not faster than \
-             per-item arm {:.0} ns/client ({:.2}x)",
-            row.plan_ns_per_client, row.per_item_ns_per_client, row.speedup
-        );
-        return 1;
-    }
-    eprintln!(
-        "smoke-invplan: ok — word arm {:.0} ns/client vs per-item arm {:.0} ns/client ({:.2}x)",
+    let line = format!(
+        "word arm {:.0} ns/client vs per-item arm {:.0} ns/client ({:.2}x)",
         row.plan_ns_per_client, row.per_item_ns_per_client, row.speedup
     );
-    0
-}
-
-/// The e2e CI regression gate: the full AAW `fig05` sweep (the committed
-/// rows were measured non-quick, serial, best-of-3; this reruns one
-/// scheme best-of-2) vs the committed e2e row. e2e wall times are tens
-/// of milliseconds, so the floor is 80% rather than the stress gate's
-/// 90% — proportional scheduling noise is larger here.
-fn smoke_e2e(check_against: &str) -> i32 {
-    let scheme = Scheme::Aaw;
-    let scale = RunScale {
-        time_factor: 0.05,
-        max_threads: Some(1),
-        replications: 1,
-        split: CoreSplitPolicy::PointsOnly,
-    };
-    let mut spec = fig05::spec();
-    spec.schemes = vec![scheme];
-    let mut best_wall = f64::INFINITY;
-    let mut events = 0u64;
-    for _ in 0..2 {
-        let started = Instant::now();
-        let result =
-            run_figure_with(&spec, scale, RunReporting::default()).expect("fig05 spec validates");
-        best_wall = best_wall.min(started.elapsed().as_secs_f64());
-        events = result
-            .series
-            .iter()
-            .flat_map(|s| &s.points)
-            .map(|p| p.metrics.events_processed)
-            .sum();
-    }
-    let rate = events as f64 / best_wall;
-    let Some(committed) = committed_e2e_rate(check_against, scheme) else {
-        eprintln!("smoke-e2e: no committed {scheme:?} e2e row in {check_against}");
-        return 1;
-    };
-    let floor = committed * 0.8;
-    if rate < floor {
-        eprintln!(
-            "smoke-e2e: REGRESSION — {rate:.0} ev/s is below 80% of the committed \
-             {committed:.0} ev/s (floor {floor:.0})"
-        );
-        return 1;
-    }
-    eprintln!("smoke-e2e: ok — {rate:.0} ev/s vs committed {committed:.0} ev/s (floor {floor:.0})");
-    0
+    verdict("smoke-invplan", row.speedup > 1.0, &line)
 }
 
 /// One replay of the stress shape's update stream (its database, txn
@@ -957,13 +744,12 @@ fn bsbuild_once(seed: u64) -> (f64, f64) {
             next_update += cfg.mean_update_interarrival_secs;
         }
         let at = SimTime::from_secs(now);
-        let started = Instant::now();
-        let report = server.build_report_shared(at);
-        shared += started.elapsed().as_secs_f64();
+        let (secs, report) = timed(|| server.build_report_shared(at));
+        shared += secs;
         drop(black_box(report));
-        let started = Instant::now();
-        let rebuilt = BitSequences::from_recency(at, cfg.db_size, server.log().recency_desc());
-        scratch += started.elapsed().as_secs_f64();
+        let (secs, rebuilt) =
+            timed(|| BitSequences::from_recency(at, cfg.db_size, server.log().recency_desc()));
+        scratch += secs;
         drop(black_box(rebuilt));
         now += cfg.broadcast_period_secs;
     }
@@ -986,12 +772,7 @@ fn smoke_bsbuild() -> i32 {
         shared * 1e3,
         scratch * 1e3
     );
-    if ratio < 10.0 {
-        eprintln!("smoke-bsbuild: REGRESSION — {line}, below the 10x floor");
-        return 1;
-    }
-    eprintln!("smoke-bsbuild: ok — {line}");
-    0
+    verdict("smoke-bsbuild", ratio >= 10.0, &line)
 }
 
 /// The scheduler CI smoke: the 10k-pending `sched` row must show the
@@ -999,257 +780,207 @@ fn smoke_bsbuild() -> i32 {
 /// pins the ≥2x margin at 1M pending; this leg catches a wheel that
 /// regressed to worse-than-heap without burning CI minutes).
 fn smoke_sched() -> i32 {
-    let rows = bench_sched(true);
-    let row = &rows[0];
-    if row.speedup < 1.0 {
-        eprintln!(
-            "smoke-sched: REGRESSION — wheel {:.1} ns/op vs heap {:.1} ns/op ({:.2}x)",
-            row.wheel_ns_per_op, row.heap_ns_per_op, row.speedup
-        );
-        return 1;
-    }
-    eprintln!(
-        "smoke-sched: ok — wheel {:.1} ns/op vs heap {:.1} ns/op ({:.2}x)",
+    let row = &bench_sched(true)[0];
+    let line = format!(
+        "wheel {:.1} ns/op vs heap {:.1} ns/op ({:.2}x)",
         row.wheel_ns_per_op, row.heap_ns_per_op, row.speedup
     );
-    0
+    verdict("smoke-sched", row.speedup >= 1.0, &line)
 }
 
-fn write_rows(out: &mut String, rows: &[E2eRow]) {
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{ \"scheme\": \"{:?}\", \"points\": {}, \"wall_secs\": {:.3}, \
-             \"events\": {}, \"events_per_sec\": {:.0} }}",
-            r.scheme, r.points, r.wall_secs, r.events, r.events_per_sec
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
+/// `rows` one per line at `indent`, comma-separated.
+fn json_lines(rows: &[impl JsonRow], indent: &str) -> String {
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|r| format!("{indent}{}", r.json()))
+        .collect();
+    lines.join(",\n")
 }
 
-#[allow(clippy::too_many_arguments)]
-fn json(
-    popscale: &[PopRow],
-    sched: &[SchedRow],
-    e2e: &[E2eRow],
-    stress: &[E2eRow],
-    handoff: &[E2eRow],
-    invplan: &[InvplanRow],
-    invprobe: &InvplanProbe,
-    scaling: &[ScalingRow],
-    quick: bool,
-    engine_threads: u32,
-) -> String {
+/// An array section of scheme rows: `"name": [ … ]`.
+fn rows_section(name: &str, rows: &[E2eRow]) -> String {
+    format!("  \"{name}\": [\n{}\n  ]", json_lines(rows, "    "))
+}
+
+/// A section with a note: `"name": { "note": …, <head>"rows": [ … ]<tail> }`.
+fn note_section(name: &str, note: &str, head: &str, rows: &[impl JsonRow], tail: &str) -> String {
+    let rows = json_lines(rows, "      ");
+    format!("  \"{name}\": {{\n    \"note\": \"{note}\",\n{head}    \"rows\": [\n{rows}\n    ]{tail}\n  }}")
+}
+
+/// The AAW row of a scheme-keyed section, as `committed_rate` finds it.
+const AAW_ROW: &str = "\"scheme\": \"Aaw\"";
+/// The `"scheme"` line of the all-AAW sections.
+const AAW_HEAD: &str = "    \"scheme\": \"Aaw\",\n";
+
+const POPSCALE_NOTE: &str = "struct-of-arrays population sweep: one AAW run per \
+    population (horizon shrinks as clients grow), pinning throughput and \
+    peak RSS. Runs first, populations ascending, because peak_rss_mb is \
+    VmHWM — the process-lifetime high-water mark.";
+
+const SCHED_NOTE: &str = "future-event-list micro-benchmark: the retired \
+    BinaryHeap scheduler vs the live hierarchical timing wheel on the \
+    same deterministic fill/churn/drain workload (4n ops at n pending, \
+    10000 s horizon). ns amortized per push/pop op, best-of-reps.";
+
+const INVPLAN_NOTE: &str = "invalidation-plan micro-benchmark: one AAW-shaped window \
+    report at the stress shape (db 40000, 40 records, 800-item caches) \
+    applied to N real LruCaches through the two arms a client selects \
+    between: one plan-bit probe per cached item (per_item) vs the \
+    word-wise PlanCache bitmap intersection (plan), each decoding the \
+    plan once per pass, ns per client best-of-reps. hit_rate_probe is a \
+    probed AAW run at the popscale shape reading the cumulative plan \
+    counters off the last interval snapshot.";
+
+/// Runs every section in file order — popscale first and ascending,
+/// because its peak-RSS column reads `VmHWM` — and returns the JSON.
+fn bench_all(quick: bool, threads: u32) -> String {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"report_pipeline\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(out, "  \"engine_threads\": {engine_threads},");
-    let _ = writeln!(
-        out,
-        "  \"scale\": {{ \"figure\": \"fig05\", \"time_factor\": {}, \"threads\": 1 }},",
-        if quick { 0.01 } else { 0.05 }
-    );
-    out.push_str(BASELINE_BEFORE);
-    out.push_str("  \"popscale\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"note\": \"struct-of-arrays population sweep: one AAW run per \
-         population (horizon shrinks as clients grow), pinning throughput and \
-         peak RSS. Runs first, populations ascending, because peak_rss_mb is \
-         VmHWM — the process-lifetime high-water mark.\","
-    );
-    let _ = writeln!(out, "    \"scheme\": \"Aaw\",");
-    out.push_str("    \"rows\": [\n");
-    for (i, r) in popscale.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      {{ \"clients\": {}, \"threads\": {}, \"wall_secs\": {:.3}, \
-             \"events\": {}, \"events_per_sec\": {:.0}, \"peak_rss_mb\": {:.0} }}",
-            r.clients, r.threads, r.wall_secs, r.events, r.events_per_sec, r.peak_rss_mb
-        );
-        out.push_str(if i + 1 < popscale.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("    ]\n  },\n");
-    out.push_str("  \"sched\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"note\": \"future-event-list micro-benchmark: the retired \
-         BinaryHeap scheduler vs the live hierarchical timing wheel on the \
-         same deterministic fill/churn/drain workload (4n ops at n pending, \
-         10000 s horizon). ns amortized per push/pop op, best-of-reps.\","
-    );
-    out.push_str("    \"rows\": [\n");
-    for (i, r) in sched.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      {{ \"pending\": {}, \"heap_ns_per_op\": {:.1}, \
-             \"wheel_ns_per_op\": {:.1}, \"speedup\": {:.2} }}",
-            r.pending, r.heap_ns_per_op, r.wheel_ns_per_op, r.speedup
-        );
-        out.push_str(if i + 1 < sched.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("    ]\n  },\n");
-    out.push_str("  \"e2e\": [\n");
-    write_rows(&mut out, e2e);
-    out.push_str("  ],\n");
-    out.push_str("  \"stress\": [\n");
-    write_rows(&mut out, stress);
-    out.push_str("  ],\n");
-    out.push_str("  \"handoff\": [\n");
-    write_rows(&mut out, handoff);
-    out.push_str("  ],\n");
-    out.push_str("  \"invplan\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"note\": \"invalidation-plan micro-benchmark: one AAW-shaped window \
-         report at the stress shape (db 40000, 40 records, 800-item caches) \
-         applied to N real LruCaches through the two arms a client selects \
-         between: one plan-bit probe per cached item (per_item) vs the \
-         word-wise PlanCache bitmap intersection (plan), each decoding the \
-         plan once per pass, ns per client best-of-reps. hit_rate_probe is a \
-         probed AAW run at the popscale shape reading the cumulative plan \
-         counters off the last interval snapshot.\","
-    );
-    out.push_str("    \"rows\": [\n");
-    for (i, r) in invplan.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      {{ \"clients\": {}, \"cache_len\": {}, \
-             \"per_item_ns_per_client\": {:.1}, \"plan_ns_per_client\": {:.1}, \
-             \"speedup\": {:.2} }}",
-            r.clients, r.cache_len, r.per_item_ns_per_client, r.plan_ns_per_client, r.speedup
-        );
-        out.push_str(if i + 1 < invplan.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("    ],\n");
-    let _ = writeln!(
-        out,
-        "    \"hit_rate_probe\": {{ \"clients\": {}, \"sim_secs\": {:.0}, \
-         \"plan_decodes\": {}, \"plan_hits\": {}, \"plan_misses\": {}, \
-         \"hit_rate\": {:.4}, \"fanout_words_skipped\": {} }}",
-        invprobe.clients,
-        invprobe.sim_secs,
-        invprobe.plan_decodes,
-        invprobe.plan_hits,
-        invprobe.plan_misses,
-        invprobe.hit_rate,
-        invprobe.fanout_words_skipped
-    );
-    out.push_str("  },\n");
-    out.push_str("  \"scaling\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"note\": \"full AAW simulation, clients x engine worker threads; \
+    let all = [Scheme::Bs, Scheme::Aaw, Scheme::SimpleChecking];
+    let reps = if quick { 1 } else { 3 };
+    let stress = |scheme| stress_cfg(scheme, quick).with_threads(threads);
+    let handoff = |scheme| handoff_cfg(scheme, quick).with_threads(threads);
+    let scaling_note = format!(
+        "full AAW simulation, clients x engine worker threads; \
          speedup_vs_1t compares against the same population single-threaded. \
          Workers persist across ticks (spawned once per engine), so per-tick \
-         overhead is a wake/claim handshake, not thread creation. With \
-         host_cores = 1 the shards interleave on one core, so ~1.0x is \
-         the expected ceiling and the column verifies overhead, not speedup; \
-         values above 1.0x on such hosts are run-ordering warm-up artifacts.\","
+         overhead is a wake/claim handshake, not thread creation. Measured \
+         with host_cores = {host_cores}; rows with more threads than cores \
+         verify overhead, not speedup."
     );
-    let _ = writeln!(out, "    \"scheme\": \"Aaw\",");
-    out.push_str("    \"rows\": [\n");
-    for (i, r) in scaling.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      {{ \"clients\": {}, \"threads\": {}, \"wall_secs\": {:.3}, \
-             \"events\": {}, \"events_per_sec\": {:.0}, \"speedup_vs_1t\": {:.2} }}",
-            r.clients, r.threads, r.wall_secs, r.events, r.events_per_sec, r.speedup_vs_1t
-        );
-        out.push_str(if i + 1 < scaling.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("    ]\n  }\n}\n");
-    out
+    let sections = [
+        note_section(
+            "popscale",
+            POPSCALE_NOTE,
+            AAW_HEAD,
+            &bench_popscale(quick, threads),
+            "",
+        ),
+        note_section("sched", SCHED_NOTE, "", &bench_sched(quick), ""),
+        rows_section("e2e", &bench_e2e(&all, quick, reps)),
+        rows_section("stress", &bench_single("stress", &all.map(stress), reps)),
+        rows_section(
+            "handoff",
+            &bench_single("handoff", &[Scheme::Bs, Scheme::Aaw].map(handoff), reps),
+        ),
+        note_section(
+            "invplan",
+            INVPLAN_NOTE,
+            "",
+            &bench_invplan(quick),
+            &format!(
+                ",\n    \"hit_rate_probe\": {}",
+                invplan_probe(quick, threads).json()
+            ),
+        ),
+        note_section(
+            "scaling",
+            &scaling_note,
+            AAW_HEAD,
+            &bench_scaling(quick),
+            "",
+        ),
+    ];
+    format!(
+        "{{\n  \"bench\": \"report_pipeline\",\n  \"quick\": {quick},\n  \
+         \"host_cores\": {host_cores},\n  \"engine_threads\": {threads},\n  \
+         \"scale\": {{ \"figure\": \"fig05\", \"time_factor\": {}, \"threads\": 1 }},\n\
+         {BASELINE_BEFORE}{}\n}}\n",
+        e2e_scale(quick).time_factor,
+        sections.join(",\n")
+    )
+}
+
+/// The value after flag `name` on the command line, parsed; `None` when
+/// the flag is absent.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    let value = args.get(i + 1).and_then(|v| v.parse().ok());
+    Some(value.unwrap_or_else(|| panic!("{name} takes a valid value")))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1));
-    let engine_threads: u32 = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map_or(1, |v| v.parse().expect("--threads takes a number"));
+    let has = |name: &str| args.iter().any(|a| a == name);
+    let threads = flag(&args, "--threads").unwrap_or(1);
+    let gate = |section: &str, row: &str, rate: f64, floor: f64| {
+        let path: String =
+            flag(&args, "--check-against").expect("this gate needs --check-against PATH");
+        let committed = committed_rate(&path, section, row);
+        floor_gate(&format!("smoke-{section}"), rate, committed, floor)
+    };
 
-    if let Some(i) = args.iter().position(|a| a == "--smoke-popscale") {
-        let clients: u32 = args
-            .get(i + 1)
-            .map(|v| v.parse().expect("--smoke-popscale takes a client count"))
-            .expect("--smoke-popscale takes a client count");
-        let check_against = args
-            .iter()
-            .position(|a| a == "--check-against")
-            .and_then(|i| args.get(i + 1))
-            .expect("--smoke-popscale requires --check-against PATH");
-        std::process::exit(smoke_popscale(clients, engine_threads, check_against));
-    }
-    if args.iter().any(|a| a == "--smoke-stress") {
-        let check_against = args
-            .iter()
-            .position(|a| a == "--check-against")
-            .and_then(|i| args.get(i + 1))
-            .expect("--smoke-stress requires --check-against PATH");
-        std::process::exit(smoke_stress(engine_threads, check_against));
-    }
-    if args.iter().any(|a| a == "--smoke-handoff") {
-        let check_against = args
-            .iter()
-            .position(|a| a == "--check-against")
-            .and_then(|i| args.get(i + 1))
-            .expect("--smoke-handoff requires --check-against PATH");
-        std::process::exit(smoke_handoff(engine_threads, check_against));
-    }
-    if args.iter().any(|a| a == "--smoke-sched") {
-        std::process::exit(smoke_sched());
-    }
-    if args.iter().any(|a| a == "--smoke-invplan") {
-        std::process::exit(smoke_invplan());
-    }
-    if args.iter().any(|a| a == "--smoke-bsbuild") {
-        std::process::exit(smoke_bsbuild());
-    }
-    if args.iter().any(|a| a == "--smoke-e2e") {
-        let check_against = args
-            .iter()
-            .position(|a| a == "--check-against")
-            .and_then(|i| args.get(i + 1))
-            .expect("--smoke-e2e requires --check-against PATH");
-        std::process::exit(smoke_e2e(check_against));
-    }
-
-    // popscale first, ascending: its peak-RSS column reads VmHWM.
-    let popscale = bench_popscale(quick, engine_threads);
-    let sched = bench_sched(quick);
-    let e2e = bench_e2e(quick);
-    let stress = bench_stress(quick, engine_threads);
-    let handoff = bench_handoff(quick, engine_threads);
-    let invplan = bench_invplan(quick);
-    let invprobe = invplan_probe(quick, engine_threads);
-    let scaling = bench_scaling(quick);
-    let body = json(
-        &popscale,
-        &sched,
-        &e2e,
-        &stress,
-        &handoff,
-        &invplan,
-        &invprobe,
-        &scaling,
-        quick,
-        engine_threads,
-    );
-    match out_path {
-        Some(path) => {
-            std::fs::write(path, &body).expect("write bench json");
-            eprintln!("wrote {path}");
+    let code = if let Some(clients) = flag(&args, "--smoke-popscale") {
+        let rate = run_popscale_once(clients, threads).events_per_sec;
+        gate("popscale", &format!("\"clients\": {clients}"), rate, 0.9)
+    } else if has("--smoke-stress") {
+        let cfg = stress_cfg(Scheme::Aaw, false).with_threads(threads);
+        let rows = bench_single("stress", &[cfg], 2);
+        gate("stress", AAW_ROW, rows[0].events_per_sec, 0.9)
+    } else if has("--smoke-handoff") {
+        let cfg = handoff_cfg(Scheme::Aaw, false).with_threads(threads);
+        let rows = bench_single("handoff", &[cfg], 2);
+        gate("handoff", AAW_ROW, rows[0].events_per_sec, 0.9)
+    } else if has("--smoke-sched") {
+        smoke_sched()
+    } else if has("--smoke-invplan") {
+        smoke_invplan()
+    } else if has("--smoke-bsbuild") {
+        smoke_bsbuild()
+    } else if has("--smoke-e2e") {
+        let rows = bench_e2e(&[Scheme::Aaw], false, 2);
+        gate("e2e", AAW_ROW, rows[0].events_per_sec, 0.8)
+    } else {
+        let body = bench_all(has("--quick"), threads);
+        match flag::<String>(&args, "--out") {
+            Some(path) => {
+                std::fs::write(&path, &body).expect("write bench json");
+                eprintln!("wrote {path}");
+            }
+            None => print!("{body}"),
         }
-        None => print!("{body}"),
+        return;
+    };
+    std::process::exit(code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COMMITTED: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_report_pipeline.json"
+    );
+
+    #[test]
+    fn committed_rate_reads_the_gated_rows() {
+        let rate = |section, row| committed_rate(COMMITTED, section, row);
+        assert_eq!(rate("popscale", "\"clients\": 100000"), Some(228_451.0));
+        // The top-level rows, not `baseline_before`'s 37 412 and 461 185.
+        assert_eq!(rate("stress", AAW_ROW), Some(577_672.0));
+        assert_eq!(rate("e2e", AAW_ROW), Some(1_379_102.0));
+        assert_eq!(rate("handoff", AAW_ROW), Some(465_404.0));
+    }
+
+    #[test]
+    fn committed_rate_is_none_for_a_missing_row_section_or_file() {
+        let rate = |section, row| committed_rate(COMMITTED, section, row);
+        assert_eq!(rate("handoff", "\"scheme\": \"SimpleChecking\""), None);
+        // A prefix of the 10 000 row, and a row only `scaling` has.
+        assert_eq!(rate("popscale", "\"clients\": 1000"), None);
+        assert_eq!(rate("nosuch", AAW_ROW), None);
+        assert_eq!(committed_rate("no/such/file.json", "e2e", AAW_ROW), None);
+    }
+
+    #[test]
+    fn floor_gate_passes_at_the_floor_and_fails_just_below() {
+        let committed = Some(577_672.0);
+        let at_floor = 577_672.0 * 0.9;
+        assert_eq!(floor_gate("smoke-test", at_floor, committed, 0.9), 0);
+        // The next float below the floor.
+        let below = f64::from_bits(at_floor.to_bits() - 1);
+        assert_eq!(floor_gate("smoke-test", below, committed, 0.9), 1);
+        assert_eq!(floor_gate("smoke-test", f64::INFINITY, None, 0.9), 1);
     }
 }

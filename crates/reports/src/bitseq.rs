@@ -234,7 +234,14 @@ impl BitSequences {
     /// Report body size per the paper's formula: `2N + b_T · log₂N` bits
     /// (§3.1). This is what the simulator charges the downlink.
     pub fn size_bits(&self, p: &SizeParams) -> Bits {
-        2.0 * self.db_size as f64 + p.timestamp_bits * bits_per_id(self.db_size as u64)
+        Self::size_bits_of(self.db_size, p)
+    }
+
+    /// The size [`BitSequences::size_bits`] charges a report over a
+    /// `db_size`-item database, so a server can price BS without
+    /// building it.
+    pub fn size_bits_of(db_size: u32, p: &SizeParams) -> Bits {
+        2.0 * db_size as f64 + p.timestamp_bits * bits_per_id(db_size as u64)
     }
 
     /// Exact size of the wire encoding produced by

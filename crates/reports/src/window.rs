@@ -128,8 +128,14 @@ impl WindowReport {
     /// Report body size in bits: `n_w · (log₂N + b_T)` (§3.1) plus the
     /// current timestamp, plus one more record if the dummy is present.
     pub fn size_bits(&self, p: &SizeParams) -> Bits {
-        let n_records = self.records.len() as f64 + if self.dummy.is_some() { 1.0 } else { 0.0 };
-        p.timestamp_bits + n_records * p.record_bits()
+        Self::size_bits_of(self.records.len() + usize::from(self.dummy.is_some()), p)
+    }
+
+    /// The size [`WindowReport::size_bits`] charges a report of
+    /// `records` records (the AAW dummy counting as one), so a server can
+    /// price a candidate window without building it.
+    pub fn size_bits_of(records: usize, p: &SizeParams) -> Bits {
+        p.timestamp_bits + records as f64 * p.record_bits()
     }
 }
 

@@ -377,6 +377,10 @@ impl Server {
     /// history bound, and none of them falls out of the requested bound —
     /// then `records == updates_since(history_since)` still holds and only
     /// the timestamps (and AAW dummy) need rebasing.
+    ///
+    /// Every cached kind is rebased in place through the cache's own
+    /// handle: the kind is matched on `Arc::make_mut`'s result, which
+    /// copies the payload only while an earlier broadcast still holds it.
     fn cached_window(
         &mut self,
         now: SimTime,
@@ -384,26 +388,17 @@ impl Server {
         dummy: Option<SimTime>,
     ) -> Arc<ReportPayload> {
         let window_start = self.window_start(now);
-        let reusable = match &self.cached_report {
-            Some(c) if c.history_since <= history_since => {
-                matches!(&*c.payload, ReportPayload::Window(_))
-                    && c.min_record.is_none_or(|ts| ts > history_since)
+        if let Some(cache) = self.cached_report.as_mut().filter(|c| {
+            c.history_since <= history_since && c.min_record.is_none_or(|ts| ts > history_since)
+        }) {
+            if let ReportPayload::Window(w) = Arc::make_mut(&mut cache.payload) {
+                w.broadcast_at = now;
+                w.window_start = window_start;
+                w.dummy = dummy;
+                cache.history_since = history_since;
+                self.report_cache_hits += 1;
+                return Arc::clone(&cache.payload);
             }
-            _ => false,
-        };
-        if reusable {
-            self.report_cache_hits += 1;
-            let cache = self.cached_report.as_mut().expect("reusable cache");
-            let mut payload = Arc::clone(&cache.payload);
-            let ReportPayload::Window(w) = Arc::make_mut(&mut payload) else {
-                unreachable!("reusable cache holds a window report");
-            };
-            w.broadcast_at = now;
-            w.window_start = window_start;
-            w.dummy = dummy;
-            cache.payload = Arc::clone(&payload);
-            cache.history_since = history_since;
-            return payload;
         }
         let records: Vec<(ItemId, SimTime)> = self.log.updates_since_iter(history_since).collect();
         let min_record = records.iter().map(|&(_, ts)| ts).min();
@@ -426,17 +421,12 @@ impl Server {
     /// index, so with no intervening update only `broadcast_at` moves;
     /// otherwise the report shares the log's settled index, `O(1)`.
     fn cached_bs(&mut self, now: SimTime) -> Arc<ReportPayload> {
-        let reusable = matches!(&self.cached_report, Some(c) if c.payload.is_bitseq());
-        if reusable {
-            self.report_cache_hits += 1;
-            let cache = self.cached_report.as_mut().expect("reusable cache");
-            let mut payload = Arc::clone(&cache.payload);
-            let ReportPayload::BitSeq(bs) = Arc::make_mut(&mut payload) else {
-                unreachable!("reusable cache holds a BS report");
-            };
-            bs.broadcast_at = now;
-            cache.payload = Arc::clone(&payload);
-            return payload;
+        if let Some(cache) = &mut self.cached_report {
+            if let ReportPayload::BitSeq(bs) = Arc::make_mut(&mut cache.payload) {
+                bs.broadcast_at = now;
+                self.report_cache_hits += 1;
+                return Arc::clone(&cache.payload);
+            }
         }
         let bs = BitSequences::shared(now, self.log.db_size(), self.log.share());
         let payload = Arc::new(ReportPayload::BitSeq(bs));
@@ -452,18 +442,12 @@ impl Server {
     /// cache when possible (the combined signatures change only with
     /// updates).
     fn cached_sig(&mut self, now: SimTime) -> Arc<ReportPayload> {
-        let reusable =
-            matches!(&self.cached_report, Some(c) if matches!(&*c.payload, ReportPayload::Sig(..)));
-        if reusable {
-            self.report_cache_hits += 1;
-            let cache = self.cached_report.as_mut().expect("reusable cache");
-            let mut payload = Arc::clone(&cache.payload);
-            let ReportPayload::Sig(sig, _) = Arc::make_mut(&mut payload) else {
-                unreachable!("reusable cache holds a SIG report");
-            };
-            sig.broadcast_at = now;
-            cache.payload = Arc::clone(&payload);
-            return payload;
+        if let Some(cache) = &mut self.cached_report {
+            if let ReportPayload::Sig(sig, _) = Arc::make_mut(&mut cache.payload) {
+                sig.broadcast_at = now;
+                self.report_cache_hits += 1;
+                return Arc::clone(&cache.payload);
+            }
         }
         let payload = Arc::new(ReportPayload::Sig(
             SigReport {
@@ -502,34 +486,16 @@ impl Server {
         (count, oldest)
     }
 
-    /// Builds the invalidation report for the broadcast at `now`,
-    /// consuming the period's pending `Tlb`s.
-    ///
-    /// Compatibility form of [`Server::build_report_shared`]; it clones
-    /// the payload out of the shared handle.
-    pub fn build_report(&mut self, now: SimTime) -> ReportPayload {
-        self.build_report_observed(now).0
-    }
-
-    /// Like [`Server::build_report`], but also reports the adaptive
-    /// decision taken this period (AFW BS-trigger, AAW enlargement or
-    /// fallback), if any, for observers.
-    pub fn build_report_observed(
-        &mut self,
-        now: SimTime,
-    ) -> (ReportPayload, Option<AdaptiveDecision>) {
-        let (report, decision) = self.build_report_shared(now);
-        ((*report).clone(), decision)
-    }
-
     /// Builds the invalidation report for the broadcast at `now` behind a
-    /// shared handle, consuming the period's pending `Tlb`s.
+    /// shared handle, consuming the period's pending `Tlb`s, and reports
+    /// the adaptive decision taken this period (AFW BS-trigger, AAW
+    /// enlargement or fallback), if any, for observers.
     ///
-    /// This is the simulator's path: the returned [`Arc`] is delivered to
-    /// the whole broadcast fan-out without copying, and across quiet
-    /// periods (no update applied, same report kind and window reach) the
-    /// server rebases the previously built report instead of rebuilding
-    /// it — see [`Server::report_cache_hits`].
+    /// The returned [`Arc`] is delivered to the whole broadcast fan-out
+    /// without copying, and across quiet periods (no update applied, same
+    /// report kind and window reach) the server rebases the previously
+    /// built report instead of rebuilding it — see
+    /// [`Server::report_cache_hits`].
     pub fn build_report_shared(
         &mut self,
         now: SimTime,
@@ -571,21 +537,16 @@ impl Server {
                 match oldest {
                     Some(oldest) => {
                         self.counters.bs_reports += 1;
-                        let payload = self.cached_bs(now);
-                        let ReportPayload::BitSeq(bs) = &*payload else {
-                            unreachable!("cached_bs returns a BS report");
-                        };
                         // The window report is priced without being built:
                         // its size is a pure function of its record count.
-                        let window_records = self.log.count_since(self.window_start(now)) as f64;
+                        let window_records = self.log.count_since(self.window_start(now));
                         decision = Some(AdaptiveDecision::AfwBsTrigger {
                             eligible,
                             oldest_tlb_secs: oldest.as_secs(),
-                            bs_bits: bs.size_bits(&self.params),
-                            window_bits: self.params.timestamp_bits
-                                + window_records * self.params.record_bits(),
+                            bs_bits: BitSequences::size_bits_of(self.log.db_size(), &self.params),
+                            window_bits: WindowReport::size_bits_of(window_records, &self.params),
                         });
-                        payload
+                        self.cached_bs(now)
                     }
                     None => {
                         self.counters.window_reports += 1;
@@ -602,12 +563,13 @@ impl Server {
                         self.cached_window(now, self.window_start(now), None)
                     }
                     Some(min_tlb) => {
-                        let n_enlarged = self.log.count_since(min_tlb) as f64 + 1.0;
-                        let enlarged_bits =
-                            self.params.timestamp_bits + n_enlarged * self.params.record_bits();
-                        let bs_bits = 2.0 * self.log.db_size() as f64
-                            + self.params.timestamp_bits
-                                * mobicache_model::units::bits_per_id(self.log.db_size() as u64);
+                        // The enlarged window lists every update since the
+                        // Tlb plus the dummy record.
+                        let enlarged_bits = WindowReport::size_bits_of(
+                            self.log.count_since(min_tlb) + 1,
+                            &self.params,
+                        );
+                        let bs_bits = BitSequences::size_bits_of(self.log.db_size(), &self.params);
                         if enlarged_bits <= bs_bits {
                             self.counters.enlarged_reports += 1;
                             decision = Some(AdaptiveDecision::AawEnlarge {
@@ -664,8 +626,8 @@ mod tests {
         let mut s = server(Scheme::SimpleChecking, 100);
         s.apply_txn(t(100.0), &[ItemId(1)]);
         s.apply_txn(t(900.0), &[ItemId(2)]);
-        let r = s.build_report(t(1000.0));
-        match r {
+        let (r, _) = s.build_report_shared(t(1000.0));
+        match &*r {
             ReportPayload::Window(w) => {
                 assert_eq!(w.window_start, t(800.0));
                 assert_eq!(w.records, vec![(ItemId(2), t(900.0))]);
@@ -680,7 +642,7 @@ mod tests {
     fn afw_broadcasts_window_without_pending_tlbs() {
         let mut s = server(Scheme::Afw, 100);
         assert!(matches!(
-            s.build_report(t(1000.0)),
+            *s.build_report_shared(t(1000.0)).0,
             ReportPayload::Window(_)
         ));
     }
@@ -691,11 +653,11 @@ mod tests {
         s.apply_txn(t(500.0), &[ItemId(1)]);
         // Tlb = 300 < window start (800) and only 1 item updated since.
         s.receive_tlb(t(300.0));
-        let r = s.build_report(t(1000.0));
+        let (r, _) = s.build_report_shared(t(1000.0));
         assert!(r.is_bitseq(), "eligible Tlb must trigger BS, got {r:?}");
         // The pending Tlb is consumed: next period reverts to the window.
         assert!(matches!(
-            s.build_report(t(1020.0)),
+            *s.build_report_shared(t(1020.0)).0,
             ReportPayload::Window(_)
         ));
         assert_eq!(s.counters().bs_reports, 1);
@@ -707,7 +669,7 @@ mod tests {
         let mut s = server(Scheme::Afw, 100);
         s.receive_tlb(t(900.0)); // inside [800, 1000]
         assert!(matches!(
-            s.build_report(t(1000.0)),
+            *s.build_report_shared(t(1000.0)).0,
             ReportPayload::Window(_)
         ));
     }
@@ -722,7 +684,7 @@ mod tests {
         }
         s.receive_tlb(t(100.0));
         assert!(matches!(
-            s.build_report(t(1000.0)),
+            *s.build_report_shared(t(1000.0)).0,
             ReportPayload::Window(_)
         ));
     }
@@ -732,8 +694,8 @@ mod tests {
         let mut s = server(Scheme::Aaw, 10_000);
         s.apply_txn(t(500.0), &[ItemId(1), ItemId(2)]);
         s.receive_tlb(t(300.0));
-        let r = s.build_report(t(1000.0));
-        match r {
+        let (r, _) = s.build_report_shared(t(1000.0));
+        match &*r {
             ReportPayload::Window(w) => {
                 assert_eq!(w.dummy, Some(t(300.0)));
                 // Enlarged history reaches back to the Tlb.
@@ -754,7 +716,7 @@ mod tests {
             s.apply_txn(t(500.0 + i as f64), &[ItemId(i)]);
         }
         s.receive_tlb(t(100.0));
-        let r = s.build_report(t(1000.0));
+        let (r, _) = s.build_report_shared(t(1000.0));
         assert!(r.is_bitseq(), "expected BS, got {r:?}");
     }
 
@@ -763,8 +725,8 @@ mod tests {
         let mut s = server(Scheme::Aaw, 10_000);
         s.apply_txn(t(500.0), &[ItemId(7)]);
         s.receive_tlb(t(300.0));
-        let r = s.build_report(t(1000.0));
-        let ReportPayload::Window(w) = r else {
+        let (r, _) = s.build_report_shared(t(1000.0));
+        let ReportPayload::Window(w) = &*r else {
             panic!("expected window")
         };
         // A client at Tlb=300 caching item 7 (version 0) and item 9.
@@ -783,16 +745,23 @@ mod tests {
     fn observed_report_surfaces_adaptive_decisions() {
         // Plain window period under AFW: no decision to report.
         let mut s = server(Scheme::Afw, 100);
-        let (r, d) = s.build_report_observed(t(1000.0));
-        assert!(matches!(r, ReportPayload::Window(_)));
+        let (r, d) = s.build_report_shared(t(1000.0));
+        assert!(matches!(*r, ReportPayload::Window(_)));
         assert_eq!(d, None);
 
         // Eligible Tlb under AFW: the BS trigger records the candidate
-        // sizes it weighed.
+        // sizes it weighed, each the size the channel would charge.
         s.apply_txn(t(1100.0), &[ItemId(1)]);
+        s.apply_txn(t(1900.0), &[ItemId(2)]);
         s.receive_tlb(t(1050.0));
-        let (r, d) = s.build_report_observed(t(2000.0));
+        let (r, d) = s.build_report_shared(t(2000.0));
         assert!(r.is_bitseq());
+        // The same history without the Tlb broadcasts the plain window.
+        let mut plain = server(Scheme::Afw, 100);
+        plain.apply_txn(t(1100.0), &[ItemId(1)]);
+        plain.apply_txn(t(1900.0), &[ItemId(2)]);
+        let (w, _) = plain.build_report_shared(t(2000.0));
+        assert!(matches!(*w, ReportPayload::Window(_)));
         match d {
             Some(AdaptiveDecision::AfwBsTrigger {
                 eligible,
@@ -804,6 +773,7 @@ mod tests {
                 assert_eq!(oldest_tlb_secs, 1050.0);
                 assert_eq!(bs_bits, r.size_bits(&s.params));
                 assert!(window_bits > 0.0);
+                assert_eq!(window_bits, w.size_bits(&s.params));
             }
             other => panic!("{other:?}"),
         }
@@ -812,7 +782,7 @@ mod tests {
         let mut s = server(Scheme::Aaw, 10_000);
         s.apply_txn(t(500.0), &[ItemId(1)]);
         s.receive_tlb(t(300.0));
-        let (r, d) = s.build_report_observed(t(1000.0));
+        let (r, d) = s.build_report_shared(t(1000.0));
         match d {
             Some(AdaptiveDecision::AawEnlarge {
                 tlb_secs,
@@ -821,7 +791,8 @@ mod tests {
             }) => {
                 assert_eq!(tlb_secs, 300.0);
                 assert!(enlarged_bits <= bs_bits);
-                assert!(matches!(r, ReportPayload::Window(_)));
+                assert!(matches!(*r, ReportPayload::Window(_)));
+                assert_eq!(enlarged_bits, r.size_bits(&s.params));
             }
             other => panic!("{other:?}"),
         }
@@ -832,21 +803,24 @@ mod tests {
             s.apply_txn(t(500.0 + f64::from(i)), &[ItemId(i)]);
         }
         s.receive_tlb(t(100.0));
-        let (r, d) = s.build_report_observed(t(1000.0));
+        let (r, d) = s.build_report_shared(t(1000.0));
         assert!(r.is_bitseq());
         match d {
             Some(AdaptiveDecision::AawBsFallback {
                 enlarged_bits,
                 bs_bits,
                 ..
-            }) => assert!(enlarged_bits > bs_bits),
+            }) => {
+                assert!(enlarged_bits > bs_bits);
+                assert_eq!(bs_bits, r.size_bits(&s.params));
+            }
             other => panic!("{other:?}"),
         }
 
         // Non-adaptive schemes never report a decision.
         let mut s = server(Scheme::Bs, 64);
         s.receive_tlb(t(5.0));
-        let (_, d) = s.build_report_observed(t(20.0));
+        let (_, d) = s.build_report_shared(t(20.0));
         assert_eq!(d, None);
     }
 
@@ -854,8 +828,8 @@ mod tests {
     fn bs_scheme_always_broadcasts_bs() {
         let mut s = server(Scheme::Bs, 64);
         s.apply_txn(t(10.0), &[ItemId(3)]);
-        let r = s.build_report(t(20.0));
-        let ReportPayload::BitSeq(bs) = r else {
+        let (r, _) = s.build_report_shared(t(20.0));
+        let ReportPayload::BitSeq(bs) = &*r else {
             panic!("expected BS")
         };
         assert_eq!(bs.decide(t(10.0), vec![ItemId(3)]), BsDecision::Clean);
@@ -869,10 +843,10 @@ mod tests {
     fn at_report_lists_only_last_interval() {
         let mut s = server(Scheme::At, 100);
         s.apply_txn(t(5.0), &[ItemId(1)]);
-        s.build_report(t(20.0));
+        s.build_report_shared(t(20.0));
         s.apply_txn(t(25.0), &[ItemId(2)]);
-        let r = s.build_report(t(40.0));
-        let ReportPayload::At(at) = r else {
+        let (r, _) = s.build_report_shared(t(40.0));
+        let ReportPayload::At(at) = &*r else {
             panic!("expected AT")
         };
         assert_eq!(at.items, vec![ItemId(2)]);
@@ -940,7 +914,7 @@ mod tests {
     fn gcore_scheme_broadcasts_plain_windows() {
         let mut s = server(Scheme::Gcore, 100);
         assert!(matches!(
-            s.build_report(t(1000.0)),
+            *s.build_report_shared(t(1000.0)).0,
             ReportPayload::Window(_)
         ));
     }
@@ -950,8 +924,8 @@ mod tests {
         let mut s = server(Scheme::Sig, 50);
         s.apply_txn(t(5.0), &[ItemId(1), ItemId(30)]);
         s.apply_txn(t(9.0), &[ItemId(1)]);
-        let r = s.build_report(t(20.0));
-        let ReportPayload::Sig(sig, signer) = r else {
+        let (r, _) = s.build_report_shared(t(20.0));
+        let ReportPayload::Sig(sig, signer) = &*r else {
             panic!("expected SIG")
         };
         let mut versions = vec![SimTime::ZERO; 50];
@@ -1164,9 +1138,9 @@ mod tests {
         let mut s = server(Scheme::Afw, 100);
         s.apply_txn(t(500.0), &[ItemId(1)]);
         s.receive_tlb(t(300.0));
-        assert!(s.build_report(t(1000.0)).is_bitseq());
+        assert!(s.build_report_shared(t(1000.0)).0.is_bitseq());
         // Same Tlb not re-broadcast: buffer is per-period.
-        assert!(!s.build_report(t(1020.0)).is_bitseq());
+        assert!(!s.build_report_shared(t(1020.0)).0.is_bitseq());
         assert_eq!(s.counters().tlbs_received, 1);
     }
 
@@ -1183,7 +1157,7 @@ mod tests {
             assert_eq!(s.counters().tlbs_received, 2, "{scheme:?}");
             assert_eq!(s.counters().duplicate_tlbs, 1, "{scheme:?}");
             assert_eq!(s.pending_tlbs, vec![t(300.0)], "{scheme:?}");
-            let (r, d) = s.build_report_observed(t(1000.0));
+            let (r, d) = s.build_report_shared(t(1000.0));
             match scheme {
                 Scheme::Afw => {
                     assert!(r.is_bitseq(), "{scheme:?}: one BS trigger, not two");
@@ -1193,7 +1167,7 @@ mod tests {
                     assert_eq!(eligible, 1, "duplicate must not inflate eligibility");
                 }
                 _ => {
-                    let ReportPayload::Window(w) = &r else {
+                    let ReportPayload::Window(w) = &*r else {
                         panic!("{scheme:?}: expected enlarged window, got {r:?}");
                     };
                     assert_eq!(w.dummy, Some(t(300.0)));
@@ -1201,7 +1175,7 @@ mod tests {
             }
             // Consumed as usual: next period reverts to the plain window.
             assert!(matches!(
-                s.build_report(t(1020.0)),
+                *s.build_report_shared(t(1020.0)).0,
                 ReportPayload::Window(_)
             ));
         }
@@ -1239,7 +1213,7 @@ mod tests {
         let mut s = server(Scheme::Afw, 100);
         s.apply_txn(t(500.0), &[ItemId(1), ItemId(2)]);
         s.receive_tlb(t(300.0));
-        s.build_report(t(1000.0));
+        s.build_report_shared(t(1000.0));
         let base = s.counters();
         let mut sum = base;
         sum.absorb(&ServerCounters::default());
@@ -1258,8 +1232,8 @@ mod tests {
         s.apply_txn(t(9.0), &[ItemId(1)]);
         s.crash();
         s.recover();
-        let r = s.build_report(t(20.0));
-        let ReportPayload::Sig(sig, signer) = r else {
+        let (r, _) = s.build_report_shared(t(20.0));
+        let ReportPayload::Sig(sig, signer) = &*r else {
             panic!("expected SIG")
         };
         // The rebuilt index matches a batch recomputation over the

@@ -43,7 +43,7 @@ fn build(
     for &tlb in tlbs {
         server.receive_tlb(t(tlb));
     }
-    let report = server.build_report(t(now));
+    let report = (*server.build_report_shared(t(now)).0).clone();
     (server, report)
 }
 

@@ -13,21 +13,25 @@
 #   sched           — heap-vs-timing-wheel scheduler micro-benchmark
 #   e2e             — fig05 sweep per scheme: wall secs, events, events/sec
 #   stress          — heavy single-run config per scheme (40k db, 200 clients)
+#   handoff         — the stress shape over 4 cells with migrating clients
+#                     (BS and AAW)
 #   invplan         — bitmap invalidation plans at the stress shape (40k db,
 #                     800-item caches): the per-item plan-bit probe arm vs
 #                     the word-wise PlanCache intersection arm, ns/client
 #                     at 10k/100k/1M clients, plus a probed AAW run's
 #                     plan-cache hit rate
 #   scaling         — full AAW runs, clients x engine worker threads
-#                     (host_cores recorded; on a 1-core host ~1.0x is the
-#                     expected ceiling)
+#                     (host_cores recorded; rows with more threads than
+#                     cores verify overhead, not speedup)
 #
-# Several rows double as CI regression floors: ci.sh re-runs the popscale
-# 100k row (--smoke-popscale, >10% events/sec drop fails), the heavy AAW
-# stress point (--smoke-stress) and the AAW e2e sweep (--smoke-e2e, 80%
-# floor), all via `--check-against BENCH_report_pipeline.json`. The
-# invplan smoke (--smoke-invplan) needs no committed numbers: it fails
-# when the word arm stops beating the per-item arm in the same process.
+# ci.sh runs seven gates on this binary. Four re-time one row against
+# `--check-against BENCH_report_pipeline.json` and fail below a floor of
+# its events/sec: --smoke-popscale 100000 (90%), --smoke-stress (90%),
+# --smoke-handoff (90%) and --smoke-e2e (80%, the noise-prone AAW fig05
+# sweep). Three need no committed numbers, timing two paths in one
+# process: --smoke-sched (wheel at least matches heap), --smoke-invplan
+# (word arm beats per-item arm) and --smoke-bsbuild (shared-index BS
+# build at least 10x a from-scratch build).
 #
 # Criterion micro-benchmarks live separately under
 # `cargo bench -p mobicache-bench --bench micro`.

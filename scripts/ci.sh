@@ -107,9 +107,23 @@ timeout 300 cargo test -q --release --test pool
 echo "==> quiet-client proptest suite (release, under timeout)"
 timeout 600 cargo test -q --release -p mobicache-client --test quiet_props
 
+# crates/bench is outside default-members, so tier-1 never compiles its
+# tests: the harness's committed-row lookup and floor gate are tested
+# here, against the committed BENCH_report_pipeline.json.
+echo "==> report_pipeline harness tests"
+cargo test -q --release -p mobicache-bench --bin report_pipeline
+
 echo "==> bench smoke: report_pipeline --quick --threads 2"
 cargo build --release -p mobicache-bench
 ./target/release/report_pipeline --quick --threads 2 --out /tmp/bench_smoke.json
+# The JSON writer must keep every section, key and row column: the smoke
+# output carries exactly the committed file's set of distinct keys.
+json_keys() { grep -o '"[^"]*":' "$1" | sort -u; }
+if [ "$(json_keys /tmp/bench_smoke.json)" != "$(json_keys BENCH_report_pipeline.json)" ]; then
+  echo "bench smoke JSON keys differ from BENCH_report_pipeline.json:"
+  diff <(json_keys BENCH_report_pipeline.json) <(json_keys /tmp/bench_smoke.json) || true
+  exit 1
+fi
 rm -f /tmp/bench_smoke.json
 
 # Population-scale leg for the struct-of-arrays client core. (The
