@@ -1,4 +1,16 @@
 //! LRU cache with per-entry validity state.
+//!
+//! Every covering report ends with the Figure-1 step `tc_j ← T_i`: every
+//! remaining entry becomes valid as of the report. The cache does that
+//! in O(1) with a **vouch epoch**. Each slot records the epoch of its
+//! last write (`insert`, `mark_all_limbo`, a salvage);
+//! [`LruCache::revalidate_all`] bumps the cache's epoch and records the
+//! report's time as `vouched_at`. A slot from an older epoch reads as
+//! `Valid` with `validated_at = vouched_at`; a slot of the current epoch
+//! reads as stored. The newer of the two writes wins, exactly as if
+//! `revalidate_all` had rewritten every slot — including when it runs
+//! at an earlier time than an insert it follows (data can land while a
+//! report is on the air).
 
 use mobicache_model::ItemId;
 use mobicache_sim::SimTime;
@@ -33,11 +45,14 @@ const NIL: u32 = u32::MAX;
 /// One resident entry plus its intrusive recency links (slab indices).
 struct Slot {
     item: ItemId,
+    /// The entry as last written; read it through [`LruCache::entry`].
     entry: CacheEntry,
     /// Towards the MRU end (`NIL` at the head).
     prev: u32,
     /// Towards the LRU end (`NIL` at the tail).
     next: u32,
+    /// The cache's vouch epoch at this slot's last write.
+    epoch: u32,
 }
 
 /// Deterministic multiply-mix hasher for the compact item table. Item ids
@@ -77,7 +92,10 @@ type IdBuildHasher = BuildHasherDefault<IdHasher>;
 /// capacity) threaded by an intrusive doubly-linked recency list, with a
 /// compact item table mapping ids to slab positions. Touch, insert,
 /// evict and invalidate are all `O(1)` with zero allocation after the
-/// first fill — the per-report client pass iterates the slab directly.
+/// first fill, and so is [`LruCache::revalidate_all`]: it bumps a vouch
+/// epoch instead of rewriting every slot, so a report costs a cache only
+/// the entries it drops. Between a `revalidate_all` and a slot write the
+/// later call wins, whatever their times (see the module docs).
 ///
 /// ```
 /// use mobicache_cache::LruCache;
@@ -97,6 +115,12 @@ type IdBuildHasher = BuildHasherDefault<IdHasher>;
 /// assert!(cache.get_valid(ItemId(1)).is_none());
 /// cache.salvage_limbo(t(20.0), |_| true);
 /// assert!(cache.get_valid(ItemId(1)).is_some());
+/// // A covering report vouches for every entry as of its broadcast
+/// // time; a fetch that lands afterwards is the later write.
+/// cache.revalidate_all(t(24.0));
+/// cache.insert(ItemId(3), t(23.0), t(25.0));
+/// assert_eq!(cache.peek(ItemId(1)).unwrap().validated_at, t(24.0));
+/// assert_eq!(cache.peek(ItemId(3)).unwrap().validated_at, t(25.0));
 /// ```
 pub struct LruCache {
     capacity: usize,
@@ -113,6 +137,11 @@ pub struct LruCache {
     /// report's stale bitmap word-wise instead of walking the slab.
     member: Vec<u64>,
     evictions: u64,
+    /// The vouch epoch: a slot whose `epoch` is older reads as `Valid`
+    /// as of `vouched_at`.
+    epoch: u32,
+    /// When the latest `revalidate_all` vouched for every entry.
+    vouched_at: SimTime,
 }
 
 impl LruCache {
@@ -136,7 +165,50 @@ impl LruCache {
             tail: NIL,
             member: Vec::new(),
             evictions: 0,
+            epoch: 0,
+            vouched_at: SimTime::ZERO,
         }
+    }
+
+    /// Slot `i`'s effective entry: as stored when written in the current
+    /// epoch, otherwise vouched valid by the latest `revalidate_all`.
+    #[inline]
+    fn entry(&self, i: usize) -> CacheEntry {
+        let slot = &self.slots[i];
+        if slot.epoch == self.epoch {
+            slot.entry
+        } else {
+            CacheEntry {
+                validated_at: self.vouched_at,
+                state: EntryState::Valid,
+                ..slot.entry
+            }
+        }
+    }
+
+    /// The effective state of slot `i` (see [`LruCache::entry`]).
+    #[inline]
+    fn is_limbo(&self, i: usize) -> bool {
+        let slot = &self.slots[i];
+        slot.epoch == self.epoch && slot.entry.state == EntryState::Limbo
+    }
+
+    /// Writes `entry` into slot `i` in the current epoch.
+    #[inline]
+    fn write(&mut self, i: usize, entry: CacheEntry) {
+        let slot = &mut self.slots[i];
+        slot.entry = entry;
+        slot.epoch = self.epoch;
+    }
+
+    /// Makes limbo slot `i` valid as of `now`.
+    fn salvage(&mut self, i: usize, now: SimTime) {
+        let entry = CacheEntry {
+            validated_at: now,
+            state: EntryState::Valid,
+            ..self.slots[i].entry
+        };
+        self.write(i, entry);
     }
 
     /// Sets `item`'s membership bit, growing the bitmap to reach it.
@@ -274,7 +346,7 @@ impl LruCache {
     /// not be used).
     pub fn get_valid(&mut self, item: ItemId) -> Option<CacheEntry> {
         let i = *self.index.get(&item)?;
-        let entry = self.slots[i as usize].entry;
+        let entry = self.entry(i as usize);
         if entry.state != EntryState::Valid {
             return None;
         }
@@ -283,9 +355,9 @@ impl LruCache {
     }
 
     /// Peeks at an entry (any state) without touching recency.
-    pub fn peek(&self, item: ItemId) -> Option<&CacheEntry> {
+    pub fn peek(&self, item: ItemId) -> Option<CacheEntry> {
         let i = *self.index.get(&item)?;
-        Some(&self.slots[i as usize].entry)
+        Some(self.entry(i as usize))
     }
 
     /// Inserts (or replaces) an item just fetched from the server,
@@ -298,7 +370,7 @@ impl LruCache {
             state: EntryState::Valid,
         };
         if let Some(&i) = self.index.get(&item) {
-            self.slots[i as usize].entry = entry;
+            self.write(i as usize, entry);
             self.touch(i);
             return;
         }
@@ -314,6 +386,7 @@ impl LruCache {
             entry,
             prev: NIL,
             next: NIL,
+            epoch: self.epoch,
         });
         self.push_front(i);
         self.index.insert(item, i);
@@ -350,21 +423,40 @@ impl LruCache {
         self.member.fill(0);
     }
 
-    /// Marks every entry limbo (validity unknown after reconnection).
+    /// Marks every entry limbo (validity unknown after reconnection),
+    /// keeping each entry's effective `validated_at`.
     pub fn mark_all_limbo(&mut self) {
-        for slot in &mut self.slots {
-            slot.entry.state = EntryState::Limbo;
+        for i in 0..self.slots.len() {
+            let entry = CacheEntry {
+                state: EntryState::Limbo,
+                ..self.entry(i)
+            };
+            self.write(i, entry);
         }
     }
 
     /// Revalidates every remaining entry as of `now` (after the stale
     /// ones were dropped by a covering report) — the `tc_j ← T_i` step of
     /// the Figure-1 client algorithm. Limbo entries become valid again.
+    /// O(1): a new vouch epoch (see the module docs). Once in `u32::MAX`
+    /// calls the epoch is rebased, which writes every slot once.
     pub fn revalidate_all(&mut self, now: SimTime) {
-        for slot in &mut self.slots {
-            slot.entry.state = EntryState::Valid;
-            slot.entry.validated_at = now;
+        if self.epoch == u32::MAX {
+            self.rebase_epoch();
         }
+        self.epoch += 1;
+        self.vouched_at = now;
+    }
+
+    /// Writes every slot's effective entry back in epoch 0 and restarts
+    /// the epoch there.
+    fn rebase_epoch(&mut self) {
+        for i in 0..self.slots.len() {
+            let entry = self.entry(i);
+            self.slots[i].entry = entry;
+            self.slots[i].epoch = 0;
+        }
+        self.epoch = 0;
     }
 
     /// Salvages limbo entries given a validity verdict per item: entries
@@ -380,14 +472,12 @@ impl LruCache {
         let mut dropped = 0;
         let mut i = 0;
         while i < self.slots.len() {
-            let slot = &mut self.slots[i];
-            if slot.entry.state != EntryState::Limbo {
+            if !self.is_limbo(i) {
                 i += 1;
                 continue;
             }
-            if is_valid(slot.item) {
-                slot.entry.state = EntryState::Valid;
-                slot.entry.validated_at = now;
+            if is_valid(self.slots[i].item) {
+                self.salvage(i, now);
                 salvaged += 1;
                 i += 1;
             } else {
@@ -407,13 +497,11 @@ impl LruCache {
         let Some(&i) = self.index.get(&item) else {
             return false;
         };
-        let entry = &mut self.slots[i as usize].entry;
-        if entry.state != EntryState::Limbo {
+        if !self.is_limbo(i as usize) {
             return false;
         }
         if valid {
-            entry.state = EntryState::Valid;
-            entry.validated_at = now;
+            self.salvage(i as usize, now);
         } else {
             self.remove_slot(i);
         }
@@ -426,7 +514,7 @@ impl LruCache {
         let mut dropped = 0;
         let mut i = 0;
         while i < self.slots.len() {
-            if self.slots[i].entry.state == EntryState::Limbo {
+            if self.is_limbo(i) {
                 self.remove_slot(i as u32);
                 dropped += 1;
             } else {
@@ -443,24 +531,22 @@ impl LruCache {
         self.slots.iter().map(|s| (s.item, s.entry.version))
     }
 
-    /// All entries with their full state, without allocating (the
-    /// consistency oracle's view).
-    pub fn entries_iter(&self) -> impl Iterator<Item = (ItemId, &CacheEntry)> + '_ {
-        self.slots.iter().map(|s| (s.item, &s.entry))
+    /// All entries with their full effective state, without allocating
+    /// (the consistency oracle's view).
+    pub fn entries_iter(&self) -> impl Iterator<Item = (ItemId, CacheEntry)> + '_ {
+        (0..self.slots.len()).map(|i| (self.slots[i].item, self.entry(i)))
     }
+
     /// Items currently in limbo, without allocating.
     pub fn limbo_iter(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.slots
-            .iter()
-            .filter(|s| s.entry.state == EntryState::Limbo)
-            .map(|s| s.item)
+        (0..self.slots.len())
+            .filter(|&i| self.is_limbo(i))
+            .map(|i| self.slots[i].item)
     }
 
     /// `true` when any entry is in limbo.
     pub fn has_limbo(&self) -> bool {
-        self.slots
-            .iter()
-            .any(|s| s.entry.state == EntryState::Limbo)
+        (0..self.slots.len()).any(|i| self.is_limbo(i))
     }
 
     /// Internal-consistency check used by tests and debug assertions.
@@ -676,6 +762,82 @@ mod tests {
         assert!(c.peek(ItemId(1)).is_some());
         assert_eq!(c.evictions(), 1);
         c.check_invariants();
+    }
+
+    #[test]
+    fn slot_stays_forty_bytes() {
+        // The epoch lives in padding the slot already had.
+        assert_eq!(std::mem::size_of::<Slot>(), 40);
+    }
+
+    #[test]
+    fn last_write_wins_between_insert_and_revalidate() {
+        let mut c = LruCache::new(4);
+        c.insert(ItemId(1), t(1.0), t(10.0));
+        // A report broadcast at 8 s arrives after data landed at 10 s:
+        // the report's vouch is the later write.
+        c.revalidate_all(t(8.0));
+        assert_eq!(c.peek(ItemId(1)).unwrap().validated_at, t(8.0));
+        c.insert(ItemId(2), t(2.0), t(12.0));
+        assert_eq!(c.peek(ItemId(2)).unwrap().validated_at, t(12.0));
+        c.mark_all_limbo();
+        let e1 = c.peek(ItemId(1)).unwrap();
+        assert_eq!((e1.state, e1.validated_at), (EntryState::Limbo, t(8.0)));
+        c.revalidate_all(t(20.0));
+        for (_, e) in c.entries_iter() {
+            assert_eq!((e.state, e.validated_at), (EntryState::Valid, t(20.0)));
+        }
+        assert!(!c.has_limbo());
+    }
+
+    #[test]
+    fn epoch_rebases_at_u32_max() {
+        let mut c = LruCache::new(4);
+        c.epoch = u32::MAX - 2;
+        c.insert(ItemId(1), t(1.0), t(1.0));
+        c.revalidate_all(t(5.0)); // epoch MAX - 1
+        c.insert(ItemId(2), t(2.0), t(6.0));
+        c.revalidate_all(t(7.0)); // epoch MAX
+        c.insert(ItemId(3), t(3.0), t(8.0));
+        c.mark_all_limbo();
+        c.salvage_item(ItemId(3), true, t(9.0));
+        c.insert(ItemId(4), t(4.0), t(10.0));
+        let before: Vec<_> = c.entries_iter().collect();
+        assert_eq!(c.epoch, u32::MAX);
+        // Rebase, then the bump: every slot was written back in epoch 0,
+        // so all of them now read as vouched at 11 s.
+        c.revalidate_all(t(11.0));
+        assert_eq!(c.epoch, 1);
+        assert!(c.slots.iter().all(|s| s.epoch == 0));
+        for ((item, old), (same, new)) in before.into_iter().zip(c.entries_iter()) {
+            assert_eq!(item, same);
+            assert_eq!(new.version, old.version);
+            assert_eq!((new.state, new.validated_at), (EntryState::Valid, t(11.0)));
+        }
+        c.insert(ItemId(5), t(5.0), t(12.0));
+        c.mark_all_limbo();
+        assert_eq!(c.limbo_iter().count(), 4);
+        let e5 = c.peek(ItemId(5)).unwrap();
+        assert_eq!((e5.state, e5.validated_at), (EntryState::Limbo, t(12.0)));
+        let e2 = c.peek(ItemId(2)).unwrap();
+        assert_eq!((e2.state, e2.validated_at), (EntryState::Limbo, t(11.0)));
+        c.check_invariants();
+    }
+
+    #[test]
+    fn rebase_keeps_current_epoch_writes() {
+        let mut c = LruCache::new(4);
+        c.epoch = u32::MAX - 1;
+        c.insert(ItemId(1), t(1.0), t(1.0));
+        c.revalidate_all(t(3.0)); // epoch MAX
+        c.insert(ItemId(2), t(2.0), t(4.0));
+        c.mark_all_limbo();
+        c.rebase_epoch();
+        assert_eq!(c.epoch, 0);
+        let e1 = c.peek(ItemId(1)).unwrap();
+        assert_eq!((e1.state, e1.validated_at), (EntryState::Limbo, t(3.0)));
+        let e2 = c.peek(ItemId(2)).unwrap();
+        assert_eq!((e2.state, e2.validated_at), (EntryState::Limbo, t(4.0)));
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! implementation (the design the dense-slab rewrite replaced), which
 //! additionally pins down the eviction counter and the wider API
 //! surface (`salvage_item`, `drop_limbo`, `invalidate_many`).
+//!
+//! Both models also track each entry's `validated_at`. Time advances
+//! every step, and `revalidate_all` sometimes vouches as of a time
+//! earlier than a preceding insert (a report still on the air when the
+//! data landed): the later *write* wins, not the later time, which is
+//! what the cache's O(1) vouch epoch must reproduce.
 
 use mobicache_cache::{EntryState, LruCache};
 use mobicache_model::ItemId;
@@ -11,13 +17,25 @@ use mobicache_sim::SimTime;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
+/// Step `step`'s clock: one second per step.
+fn now_at(step: usize) -> SimTime {
+    SimTime::from_secs(10.0 + step as f64)
+}
+
+/// A `revalidate_all` time `lag` half-seconds before the step's clock,
+/// so a vouch can predate the inserts of the last steps.
+fn vouch_at(step: usize, lag: u8) -> SimTime {
+    SimTime::from_secs(10.0 + step as f64 - 0.5 * f64::from(lag))
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Insert(u32),
     Get(u32),
     Invalidate(u32),
     MarkAllLimbo,
-    RevalidateAll,
+    /// Revalidate as of `lag` half-seconds before the step's clock.
+    RevalidateAll(u8),
     SalvageEven,
     Clear,
 }
@@ -28,62 +46,66 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         4 => (0u32..32).prop_map(Op::Get),
         1 => (0u32..32).prop_map(Op::Invalidate),
         1 => Just(Op::MarkAllLimbo),
-        1 => Just(Op::RevalidateAll),
+        2 => (0u8..5).prop_map(Op::RevalidateAll),
         1 => Just(Op::SalvageEven),
         1 => Just(Op::Clear),
     ]
 }
 
-/// Reference model: most-recently-used last.
+/// Reference model: most-recently-used last; `(id, state, validated_at)`.
 #[derive(Default)]
 struct Model {
-    entries: Vec<(u32, EntryState)>,
+    entries: Vec<(u32, EntryState, SimTime)>,
     capacity: usize,
 }
 
 impl Model {
     fn touch(&mut self, id: u32) {
-        if let Some(pos) = self.entries.iter().position(|&(i, _)| i == id) {
+        if let Some(pos) = self.entries.iter().position(|&(i, ..)| i == id) {
             let e = self.entries.remove(pos);
             self.entries.push(e);
         }
     }
 
-    fn apply(&mut self, op: &Op) {
+    fn apply(&mut self, op: &Op, step: usize) {
+        let now = now_at(step);
         match *op {
             Op::Insert(id) => {
-                if let Some(pos) = self.entries.iter().position(|&(i, _)| i == id) {
+                if let Some(pos) = self.entries.iter().position(|&(i, ..)| i == id) {
                     self.entries.remove(pos);
                 } else if self.entries.len() == self.capacity {
                     self.entries.remove(0);
                 }
-                self.entries.push((id, EntryState::Valid));
+                self.entries.push((id, EntryState::Valid, now));
             }
             Op::Get(id) => {
                 let valid = self
                     .entries
                     .iter()
-                    .any(|&(i, s)| i == id && s == EntryState::Valid);
+                    .any(|&(i, s, _)| i == id && s == EntryState::Valid);
                 if valid {
                     self.touch(id);
                 }
             }
-            Op::Invalidate(id) => self.entries.retain(|&(i, _)| i != id),
+            Op::Invalidate(id) => self.entries.retain(|&(i, ..)| i != id),
             Op::MarkAllLimbo => {
                 for e in &mut self.entries {
                     e.1 = EntryState::Limbo;
                 }
             }
-            Op::RevalidateAll => {
+            Op::RevalidateAll(lag) => {
                 for e in &mut self.entries {
                     e.1 = EntryState::Valid;
+                    e.2 = vouch_at(step, lag);
                 }
             }
             Op::SalvageEven => {
                 self.entries
-                    .retain(|&(i, s)| s == EntryState::Valid || i % 2 == 0);
+                    .retain(|&(i, s, _)| s == EntryState::Valid || i % 2 == 0);
                 for e in &mut self.entries {
-                    e.1 = EntryState::Valid;
+                    if e.1 == EntryState::Limbo {
+                        *e = (e.0, EntryState::Valid, now);
+                    }
                 }
             }
             Op::Clear => self.entries.clear(),
@@ -95,11 +117,12 @@ impl Model {
 /// entries in a `HashMap<ItemId, (state, seq)>`, recency tracked by a
 /// `BTreeMap<seq, ItemId>` keyed by a monotonically increasing sequence
 /// number (smallest = least recently used). Every observable behaviour
-/// of the slab — membership, states, get results, return values, and
-/// the eviction counter — must match this model exactly.
+/// of the slab — membership, states, `validated_at`, get results,
+/// return values, and the eviction counter — must match this model
+/// exactly. Entries are `(state, seq, validated_at)`.
 struct MapLru {
     capacity: usize,
-    map: HashMap<ItemId, (EntryState, u64)>,
+    map: HashMap<ItemId, (EntryState, u64, SimTime)>,
     recency: BTreeMap<u64, ItemId>,
     next_seq: u64,
     evictions: u64,
@@ -117,7 +140,7 @@ impl MapLru {
     }
 
     fn touch(&mut self, item: ItemId) {
-        if let Some((_, seq)) = self.map.get_mut(&item) {
+        if let Some((_, seq, _)) = self.map.get_mut(&item) {
             self.recency.remove(seq);
             *seq = self.next_seq;
             self.next_seq += 1;
@@ -125,9 +148,10 @@ impl MapLru {
         }
     }
 
-    fn insert(&mut self, item: ItemId) {
-        if let Some((state, _)) = self.map.get_mut(&item) {
+    fn insert(&mut self, item: ItemId, now: SimTime) {
+        if let Some((state, _, at)) = self.map.get_mut(&item) {
             *state = EntryState::Valid;
+            *at = now;
             self.touch(item);
             return;
         }
@@ -139,13 +163,13 @@ impl MapLru {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.map.insert(item, (EntryState::Valid, seq));
+        self.map.insert(item, (EntryState::Valid, seq, now));
         self.recency.insert(seq, item);
     }
 
     fn get_valid(&mut self, item: ItemId) -> bool {
         match self.map.get(&item) {
-            Some(&(EntryState::Valid, _)) => {
+            Some(&(EntryState::Valid, ..)) => {
                 self.touch(item);
                 true
             }
@@ -155,7 +179,7 @@ impl MapLru {
 
     fn invalidate(&mut self, item: ItemId) -> bool {
         match self.map.remove(&item) {
-            Some((_, seq)) => {
+            Some((_, seq, _)) => {
                 self.recency.remove(&seq);
                 true
             }
@@ -164,28 +188,36 @@ impl MapLru {
     }
 
     fn mark_all_limbo(&mut self) {
-        for (state, _) in self.map.values_mut() {
+        for (state, ..) in self.map.values_mut() {
             *state = EntryState::Limbo;
         }
     }
 
-    fn revalidate_all(&mut self) {
-        for (state, _) in self.map.values_mut() {
+    fn revalidate_all(&mut self, now: SimTime) {
+        for (state, _, at) in self.map.values_mut() {
             *state = EntryState::Valid;
+            *at = now;
         }
     }
 
-    fn salvage_limbo<F: FnMut(ItemId) -> bool>(&mut self, mut is_valid: F) -> (usize, usize) {
-        let limbo: Vec<ItemId> = self
-            .map
+    fn limbo_items(&self) -> Vec<ItemId> {
+        self.map
             .iter()
-            .filter(|(_, &(s, _))| s == EntryState::Limbo)
+            .filter(|(_, &(s, ..))| s == EntryState::Limbo)
             .map(|(&i, _)| i)
-            .collect();
+            .collect()
+    }
+
+    fn salvage_limbo<F: FnMut(ItemId) -> bool>(
+        &mut self,
+        now: SimTime,
+        mut is_valid: F,
+    ) -> (usize, usize) {
         let (mut salvaged, mut dropped) = (0, 0);
-        for item in limbo {
+        for item in self.limbo_items() {
             if is_valid(item) {
-                self.map.get_mut(&item).expect("limbo entry").0 = EntryState::Valid;
+                let entry = self.map.get_mut(&item).expect("limbo entry");
+                (entry.0, entry.2) = (EntryState::Valid, now);
                 salvaged += 1;
             } else {
                 self.invalidate(item);
@@ -195,11 +227,11 @@ impl MapLru {
         (salvaged, dropped)
     }
 
-    fn salvage_item(&mut self, item: ItemId, valid: bool) -> bool {
+    fn salvage_item(&mut self, item: ItemId, valid: bool, now: SimTime) -> bool {
         match self.map.get_mut(&item) {
-            Some((state, _)) if *state == EntryState::Limbo => {
+            Some((state, _, at)) if *state == EntryState::Limbo => {
                 if valid {
-                    *state = EntryState::Valid;
+                    (*state, *at) = (EntryState::Valid, now);
                 } else {
                     self.invalidate(item);
                 }
@@ -210,12 +242,7 @@ impl MapLru {
     }
 
     fn drop_limbo(&mut self) -> usize {
-        let limbo: Vec<ItemId> = self
-            .map
-            .iter()
-            .filter(|(_, &(s, _))| s == EntryState::Limbo)
-            .map(|(&i, _)| i)
-            .collect();
+        let limbo = self.limbo_items();
         for &item in &limbo {
             self.invalidate(item);
         }
@@ -237,7 +264,8 @@ enum SlabOp {
     Invalidate(u32),
     InvalidateMany(Vec<u32>),
     MarkAllLimbo,
-    RevalidateAll,
+    /// Revalidate as of `lag` half-seconds before the step's clock.
+    RevalidateAll(u8),
     SalvageOdd,
     SalvageItem(u32, bool),
     DropLimbo,
@@ -251,7 +279,7 @@ fn slab_op_strategy() -> impl Strategy<Value = SlabOp> {
         2 => (0u32..24).prop_map(SlabOp::Invalidate),
         1 => prop::collection::vec(0u32..24, 0..6).prop_map(SlabOp::InvalidateMany),
         1 => Just(SlabOp::MarkAllLimbo),
-        1 => Just(SlabOp::RevalidateAll),
+        2 => (0u8..5).prop_map(SlabOp::RevalidateAll),
         1 => Just(SlabOp::SalvageOdd),
         2 => ((0u32..24), any::<bool>()).prop_map(|(i, v)| SlabOp::SalvageItem(i, v)),
         1 => Just(SlabOp::DropLimbo),
@@ -269,8 +297,8 @@ proptest! {
     ) {
         let mut cache = LruCache::new(capacity);
         let mut model = Model { capacity, ..Model::default() };
-        let now = SimTime::from_secs(1.0);
         for (step, op) in ops.iter().enumerate() {
+            let now = now_at(step);
             match *op {
                 Op::Insert(id) => cache.insert(ItemId(id), now, now),
                 Op::Get(id) => {
@@ -278,23 +306,29 @@ proptest! {
                     let expect = model
                         .entries
                         .iter()
-                        .any(|&(i, s)| i == id && s == EntryState::Valid);
+                        .any(|&(i, s, _)| i == id && s == EntryState::Valid);
                     prop_assert_eq!(got, expect, "get mismatch at step {}", step);
                 }
                 Op::Invalidate(id) => { cache.invalidate(ItemId(id)); }
                 Op::MarkAllLimbo => cache.mark_all_limbo(),
-                Op::RevalidateAll => cache.revalidate_all(now),
+                Op::RevalidateAll(lag) => cache.revalidate_all(vouch_at(step, lag)),
                 Op::SalvageEven => { cache.salvage_limbo(now, |i| i.0 % 2 == 0); }
                 Op::Clear => cache.clear(),
             }
-            model.apply(op);
+            model.apply(op, step);
             cache.check_invariants();
             prop_assert_eq!(cache.len(), model.entries.len(), "len mismatch at step {}", step);
-            // Same membership and states.
-            for &(id, state) in &model.entries {
+            // Same membership, states and vouch times, through both
+            // read paths.
+            for &(id, state, at) in &model.entries {
                 let entry = cache.peek(ItemId(id));
                 prop_assert!(entry.is_some(), "missing {} at step {}", id, step);
-                prop_assert_eq!(entry.unwrap().state, state, "state of {} at step {}", id, step);
+                let entry = entry.unwrap();
+                prop_assert_eq!(entry.state, state, "state of {} at step {}", id, step);
+                prop_assert_eq!(entry.validated_at, at, "validated_at of {} at step {}", id, step);
+            }
+            for (item, entry) in cache.entries_iter() {
+                prop_assert_eq!(Some(entry), cache.peek(item), "entries_iter at step {}", step);
             }
         }
     }
@@ -310,12 +344,12 @@ proptest! {
     ) {
         let mut cache = LruCache::new(capacity);
         let mut old = MapLru::new(capacity);
-        let now = SimTime::from_secs(1.0);
         for (step, op) in ops.iter().enumerate() {
+            let now = now_at(step);
             match op {
                 SlabOp::Insert(id) => {
                     cache.insert(ItemId(*id), now, now);
-                    old.insert(ItemId(*id));
+                    old.insert(ItemId(*id), now);
                 }
                 SlabOp::Get(id) => {
                     let got = cache.get_valid(ItemId(*id)).is_some();
@@ -336,18 +370,18 @@ proptest! {
                     cache.mark_all_limbo();
                     old.mark_all_limbo();
                 }
-                SlabOp::RevalidateAll => {
-                    cache.revalidate_all(now);
-                    old.revalidate_all();
+                SlabOp::RevalidateAll(lag) => {
+                    cache.revalidate_all(vouch_at(step, *lag));
+                    old.revalidate_all(vouch_at(step, *lag));
                 }
                 SlabOp::SalvageOdd => {
                     let got = cache.salvage_limbo(now, |i| i.0 % 2 == 1);
-                    let expect = old.salvage_limbo(|i| i.0 % 2 == 1);
+                    let expect = old.salvage_limbo(now, |i| i.0 % 2 == 1);
                     prop_assert_eq!(got, expect, "salvage counts mismatch at step {}", step);
                 }
                 SlabOp::SalvageItem(id, valid) => {
                     let got = cache.salvage_item(ItemId(*id), *valid, now);
-                    let expect = old.salvage_item(ItemId(*id), *valid);
+                    let expect = old.salvage_item(ItemId(*id), *valid, now);
                     prop_assert_eq!(got, expect, "salvage_item mismatch at step {}", step);
                 }
                 SlabOp::DropLimbo => {
@@ -366,19 +400,26 @@ proptest! {
                 cache.evictions(), old.evictions,
                 "eviction counter mismatch at step {}", step
             );
-            for (&item, &(state, _)) in &old.map {
+            for (&item, &(state, _, at)) in &old.map {
                 let entry = cache.peek(item);
                 prop_assert!(entry.is_some(), "missing {:?} at step {}", item, step);
+                let entry = entry.unwrap();
+                prop_assert_eq!(entry.state, state, "state of {:?} at step {}", item, step);
                 prop_assert_eq!(
-                    entry.unwrap().state, state,
-                    "state of {:?} at step {}", item, step
+                    entry.validated_at, at,
+                    "validated_at of {:?} at step {}", item, step
                 );
             }
             prop_assert_eq!(
                 cache.has_limbo(),
-                old.map.values().any(|&(s, _)| s == EntryState::Limbo),
+                old.map.values().any(|&(s, ..)| s == EntryState::Limbo),
                 "has_limbo mismatch at step {}", step
             );
+            let mut limbo: Vec<ItemId> = cache.limbo_iter().collect();
+            let mut expect_limbo = old.limbo_items();
+            limbo.sort_unstable();
+            expect_limbo.sort_unstable();
+            prop_assert_eq!(limbo, expect_limbo, "limbo_iter mismatch at step {}", step);
         }
     }
 
@@ -404,7 +445,7 @@ proptest! {
                     cache.invalidate_many(ids.iter().map(|&i| ItemId(i)));
                 }
                 SlabOp::MarkAllLimbo => cache.mark_all_limbo(),
-                SlabOp::RevalidateAll => cache.revalidate_all(now),
+                SlabOp::RevalidateAll(_) => cache.revalidate_all(now),
                 SlabOp::SalvageOdd => { cache.salvage_limbo(now, |i| i.0 % 2 == 1); }
                 SlabOp::SalvageItem(id, valid) => {
                     cache.salvage_item(ItemId(*id), *valid, now);

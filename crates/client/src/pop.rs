@@ -626,9 +626,11 @@ impl ClientMut<'_> {
     }
 
     /// Whether the word arm beats the per-item arm for this cache: the
-    /// word loop touches `min(|member|, |plan|)` words, the per-item arm
-    /// probes `|cache|` plan bits. A pure function of client-local
-    /// state, so the choice is identical at every thread count.
+    /// word loop is charged `min(|member|, |plan|)` words, an upper bound
+    /// (it ANDs only the plan's non-zero words below `|member|`), the
+    /// per-item arm probes `|cache|` plan bits. A pure function of
+    /// client-local state, so the choice is identical at every thread
+    /// count.
     fn plan_profitable(plan: &PlanCache, cache: &LruCache) -> bool {
         plan.words().len().min(cache.member_words().len()) <= 8 * cache.len() + 4
     }

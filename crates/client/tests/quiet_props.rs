@@ -343,7 +343,7 @@ fn observe(pop: &ClientPop, i: usize) -> Observed {
     let cache = pop.cache(i);
     let mut entries: Vec<(ItemId, CacheEntry)> = cache
         .items_iter()
-        .map(|(item, _)| (item, *cache.peek(item).expect("resident")))
+        .map(|(item, _)| (item, cache.peek(item).expect("resident")))
         .collect();
     entries.sort_unstable_by_key(|&(item, _)| item);
     Observed {

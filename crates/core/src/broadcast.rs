@@ -73,11 +73,10 @@ pub(crate) struct Broadcast {
     /// decode (every client that heard it holds exactly this `Tlb`).
     prev_report_at: Vec<SimTime>,
     /// Delivery mask of the current transmission, as bitmap words
-    /// (bit `i` = client `i` hears it).
+    /// (bit `i` = client `i` hears it). A report fan-out thins it to its
+    /// walk mask: the quiet clients, whose report is a `Tlb` stamp,
+    /// leave it.
     deliver_words: Vec<u64>,
-    /// Walk mask of the report fan-out: the delivery mask minus the
-    /// quiet clients, whose report is a `Tlb` stamp.
-    walk_words: Vec<u64>,
     /// One scratch per chunk (`shards.len()` is the resolved thread
     /// count); reused across ticks so steady state allocates nothing.
     shards: Vec<ShardScratch>,
@@ -133,7 +132,9 @@ impl Broadcast {
     }
 
     /// Applies `cell`'s `report` to the delivery mask's clients and
-    /// returns their actions for the engine's serial merge.
+    /// returns their actions for the engine's serial merge. The quiet
+    /// clients are stamped and leave the mask, so afterwards it holds
+    /// the walked clients only.
     pub(crate) fn apply_report(
         &mut self,
         clients: &mut ClientPop,
@@ -153,8 +154,7 @@ impl Broadcast {
         // Serial stamp: a quiet client (empty cache, no gap, nothing
         // waiting on a report) can only take the new `Tlb`, so it gets
         // exactly that and leaves the walk.
-        let walk = &mut self.walk_words;
-        walk.clone_from(&self.deliver_words);
+        let walk = &mut self.deliver_words;
         self.fanout_quiet += clients.stamp_quiet(walk, report.broadcast_at());
         self.fanout_walked += walk.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
         // Parallel: each shard applies the report to the rest of its

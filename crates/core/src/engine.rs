@@ -427,6 +427,12 @@ impl<'p> Simulation<'p> {
 
     /// Runs the event loop to the horizon and collects metrics.
     pub fn run_to_completion(mut self) -> RunResult {
+        self.run_events();
+        self.finish()
+    }
+
+    /// Delivers every event up to the horizon.
+    fn run_events(&mut self) {
         while let Some((now, ev)) = self.sched.pop() {
             if now > self.horizon {
                 break;
@@ -453,7 +459,6 @@ impl<'p> Simulation<'p> {
                 Ev::HandoffArrive(c, dest) => self.on_handoff_arrive(now, c, dest),
             }
         }
-        self.finish()
     }
 
     fn on_tick(&mut self, now: SimTime) {
@@ -768,6 +773,8 @@ impl<'p> Simulation<'p> {
                 // Oracle pass after the merge (actions never touch a
                 // cache, so checking here sees exactly the state the
                 // per-client serial check saw), sharded over the pool.
+                // The mask now holds the walked clients only: a stamped
+                // quiet client has an empty cache and adds no checks.
                 self.check_delivered();
             }
             DownPayload::Data { item, dest } => {
@@ -1466,6 +1473,31 @@ mod tests {
             ..FaultPlan::none()
         };
         cfg
+    }
+
+    #[test]
+    fn oracle_checks_match_a_delivery_mask_scan() {
+        // The report's oracle pass scans the delivery mask after the
+        // fan-out has thinned it to the walked clients: a stamped quiet
+        // client has an empty cache and adds no checks. The pinned
+        // counts are those of a scan over every listener,
+        // over roaming cells with faults (crash and recovery scans
+        // included) and under snooping (its own delivery-mask scan).
+        let checks = |cfg: &SimConfig| {
+            let mut sim = Simulation::new(cfg, RunOptions::new().check_consistency(true)).unwrap();
+            sim.run_events();
+            sim.oracle.as_ref().map(Oracle::checks_performed)
+        };
+        let cells = faulty_cfg(Scheme::Aaw).with_cells(CellTopology {
+            cells: 3,
+            ..CellTopology::single()
+        });
+        let mut snoop = short_cfg(Scheme::Aaw);
+        snoop.snoop_broadcasts = true;
+        for threads in [1, 4] {
+            assert_eq!(checks(&cells.clone().with_threads(threads)), Some(8_729));
+            assert_eq!(checks(&snoop.clone().with_threads(threads)), Some(72_296));
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use crate::metrics::FaultMetrics;
 use mobicache_client::ClientPop;
 use mobicache_model::{ChannelFaults, ClientId, ItemId, SimConfig};
+use mobicache_sim::pool::for_each_set_bit;
 use mobicache_sim::{SimRng, SimTime, StreamId};
 use std::collections::HashSet;
 
@@ -75,16 +76,11 @@ impl Faults {
             return;
         }
         let p_exit = df.p_exit_burst();
-        for i in 0..clients.len() {
-            if clients.cell_of(i) != cell {
-                // Another cell's broadcast: this client's radio path is
-                // not involved at all. Its chain evolves once per tick
-                // on its OWN cell's broadcast, so the per-client draw
-                // schedule stays aligned with that cell's broadcast
-                // clock (and is untouched at one cell, where this arm
-                // never fires).
-                continue;
-            }
+        // Only the cell's members: another cell's broadcast does not
+        // involve this client's radio path at all. Its chain evolves once
+        // per tick on its OWN cell's broadcast, so the per-client draw
+        // schedule stays aligned with that cell's broadcast clock.
+        for_each_set_bit(clients.cell_words(cell), 0..clients.len(), |i| {
             // The Gilbert–Elliott chain evolves for every member of the
             // cell, listening or not — burstiness is a property of the
             // radio path, and a draw schedule independent of
@@ -99,7 +95,7 @@ impl Faults {
             self.ge_bad[i] = bad;
             let bit = 1u64 << (i % 64);
             if mask[i / 64] & bit == 0 {
-                continue; // dozing clients miss the broadcast
+                return; // dozing clients miss the broadcast
             }
             let p = if bad { df.p_loss_bad } else { df.p_loss_good };
             if p > 0.0 && rng.coin(p) {
@@ -116,7 +112,7 @@ impl Faults {
                 }
                 lost(ClientId(i as u32), bad);
             }
-        }
+        });
     }
 
     pub(crate) fn uplink_lost(&mut self, i: usize) -> bool {

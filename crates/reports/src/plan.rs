@@ -9,7 +9,7 @@
 //! cache size makes cheaper:
 //!
 //! * the word arm — [`PlanCache::intersect_into`] ANDs the plan with the
-//!   cache's membership bitmap, visiting only non-zero words;
+//!   cache's membership bitmap, visiting only the plan's non-zero words;
 //! * the per-item arm — one O(1) [`PlanCache::contains`] bit probe per
 //!   cached item (plus [`PlanCache::window_stale`]'s version test under
 //!   a window plan).
@@ -33,6 +33,18 @@
 //! * **SIG** — no plan: the verdict depends on each client's stored
 //!   signature baseline, which is per-client by construction.
 //!
+//! The plan is **two-level**: next to the stale bitmap `bits` sits a
+//! summary bitmap with bit `k` set iff `bits[k] != 0`. A report lists
+//! a handful of items (about nine at the paper's Table 1), so a plan
+//! over `N` items has a few non-zero words out of `N/64`; the summary
+//! lets the word arm AND exactly those words instead of sweeping all
+//! `N/64` for every walked client. The decode still zeroes every word
+//! (a memset is cheaper than visiting the summary's set bits), but it
+//! runs once per tick, not once per client.
+//! The summary is a bitmap rather than a list of word indices because
+//! building it costs one OR per set item and reading it back comes out
+//! ascending with no sort.
+//!
 //! The plan is an *evaluation strategy*, never a behavioural change:
 //! either arm yields exactly the stale **set** the linear `decide` of
 //! each report kind yields (pinned by the `plan ≡ decide` proptests),
@@ -41,6 +53,7 @@
 use crate::bitseq::{BitSequences, BsSelect};
 use crate::payload::ReportPayload;
 use mobicache_model::ItemId;
+use mobicache_sim::pool::for_each_set_bit;
 use mobicache_sim::SimTime;
 
 /// Which decode the plan currently holds (one report kind per tick).
@@ -89,6 +102,8 @@ pub struct PlanCache {
     kind: PlanKind,
     /// The stale bitmap, bit `i` = `ItemId(i)`.
     bits: Vec<u64>,
+    /// The summary level: bit `k` is set iff `bits[k] != 0`.
+    summary: Vec<u64>,
     /// Window plans only: `ts[i]` is the listed update timestamp of
     /// `ItemId(i)`. Only slots whose `bits` bit is set are meaningful
     /// (stale slots from earlier ticks are never read).
@@ -120,17 +135,22 @@ impl PlanCache {
         plan
     }
 
-    /// Zeroes the bitmap at `words` words, keeping the allocation.
+    /// Zeroes the bitmap and its summary at `words` words, keeping the
+    /// allocations.
     fn reset_bits(&mut self, words: usize) {
         self.bits.clear();
         self.bits.resize(words, 0);
+        self.summary.clear();
+        self.summary.resize(words.div_ceil(64), 0);
     }
 
     #[inline]
     fn set(&mut self, item: ItemId) {
         let i = item.0 as usize;
         debug_assert!(i / 64 < self.bits.len(), "item id beyond db_size");
-        self.bits[i / 64] |= 1u64 << (i % 64);
+        let k = i / 64;
+        self.bits[k] |= 1u64 << (i % 64);
+        self.summary[k / 64] |= 1u64 << (k % 64);
     }
 
     /// Decodes `payload` into this tick's plan. Serial phase-0 only —
@@ -253,9 +273,11 @@ impl PlanCache {
 
     /// Word-wise `plan & member` intersection: for every set bit of the
     /// AND (ascending item id, extracted via `trailing_zeros`), pushes
-    /// the item onto `out` if `keep` accepts it. Only non-zero words do
-    /// per-bit work; `member` is each cache's membership bitmap, grown
-    /// lazily, so the loop runs `min(|member|, |plan|)` words.
+    /// the item onto `out` if `keep` accepts it. The summary names the
+    /// plan's non-zero words, so the loop ANDs only those (ascending,
+    /// and below `|member|` — `member` is each cache's membership
+    /// bitmap, grown lazily): its cost is the plan's non-zero word count
+    /// plus one load per 64 plan words, whatever the cache holds.
     pub fn intersect_into(
         &self,
         member: &[u64],
@@ -263,16 +285,16 @@ impl PlanCache {
         mut keep: impl FnMut(ItemId) -> bool,
     ) {
         let n = member.len().min(self.bits.len());
-        for (wi, (&m, &p)) in member[..n].iter().zip(&self.bits[..n]).enumerate() {
-            let mut w = m & p;
+        for_each_set_bit(&self.summary, 0..n, |k| {
+            let mut w = member[k] & self.bits[k];
             while w != 0 {
-                let item = ItemId((wi * 64) as u32 + w.trailing_zeros());
+                let item = ItemId((k * 64) as u32 + w.trailing_zeros());
                 w &= w - 1;
                 if keep(item) {
                     out.push(item);
                 }
             }
-        }
+        });
     }
 }
 

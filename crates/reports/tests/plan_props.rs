@@ -91,8 +91,138 @@ fn both_arms(
     words
 }
 
+/// One decode of a reused plan: `kind` 0 = window, 1 = AT, 2 = BS,
+/// 3 = an empty window; `big` picks the larger database; `at` is the
+/// window start, AT previous broadcast or BS dominant `Tlb`.
+#[derive(Clone, Debug)]
+struct Decode {
+    kind: u8,
+    big: bool,
+    history: Vec<(f64, u32)>,
+    at: f64,
+}
+
+/// The two database sizes a reused plan alternates between: the larger
+/// needs two summary words, the smaller five plan words, so each size
+/// change resizes both levels.
+const SMALL_DB: u32 = 300;
+const BIG_DB: u32 = 5_000;
+
+fn decode_strategy() -> impl Strategy<Value = Decode> {
+    (
+        0u8..4,
+        any::<bool>(),
+        prop::collection::vec((0.0..HORIZON, 0..BIG_DB), 0..60),
+        0.0..HORIZON,
+    )
+        .prop_map(|(kind, big, history, at)| Decode {
+            kind,
+            big,
+            history,
+            at,
+        })
+}
+
+impl Decode {
+    fn db(&self) -> u32 {
+        if self.big {
+            BIG_DB
+        } else {
+            SMALL_DB
+        }
+    }
+
+    fn payload(&self) -> ReportPayload {
+        let db = self.db();
+        let history: Vec<(f64, u32)> = self.history.iter().map(|&(ts, i)| (ts, i % db)).collect();
+        match self.kind {
+            0 => ReportPayload::Window(window_report(&history, self.at)),
+            1 => ReportPayload::At(AtReport {
+                broadcast_at: t(HORIZON),
+                prev_broadcast: t(self.at),
+                items: last_updates(&history)
+                    .iter()
+                    .filter(|&(_, &ts)| ts > self.at)
+                    .map(|(&i, _)| ItemId(i))
+                    .collect(),
+            }),
+            2 => ReportPayload::BitSeq(bs_report(&history, db)),
+            _ => ReportPayload::Window(window_report(&[], self.at)),
+        }
+    }
+}
+
+/// `true` for a window or AT report listing nothing.
+fn payload_is_empty(payload: &ReportPayload) -> bool {
+    match payload {
+        ReportPayload::Window(w) => w.records.is_empty(),
+        ReportPayload::At(at) => at.items.is_empty(),
+        _ => false,
+    }
+}
+
+/// The dense reference of `intersect_into`: every word of
+/// `member & plan`, ascending.
+fn dense_intersect(plan: &[u64], member: &[u64], keep: impl Fn(ItemId) -> bool) -> Vec<ItemId> {
+    let mut out = Vec::new();
+    for (k, (&m, &p)) in member.iter().zip(plan).enumerate() {
+        for b in 0..64 {
+            let item = ItemId((k * 64 + b) as u32);
+            if (m & p) >> b & 1 != 0 && keep(item) {
+                out.push(item);
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One plan reused across window, AT and BS decodes over two
+    /// database sizes holds after every decode exactly what a fresh
+    /// plan would: the same words, and an `intersect_into` equal to the
+    /// dense `member & plan` walk, in order, for members shorter than,
+    /// as long as and longer than the plan (a summary that dropped a
+    /// non-zero word would lose its items here).
+    #[test]
+    fn reused_plan_matches_fresh_decodes(
+        decodes in prop::collection::vec(decode_strategy(), 1..12),
+        member in prop::collection::vec(any::<u64>(), 90..91),
+        sparse in prop::collection::vec(any::<u64>(), 90..91),
+    ) {
+        let mut plan = PlanCache::new();
+        for (step, d) in decodes.iter().enumerate() {
+            let payload = d.payload();
+            let before = plan.decodes();
+            plan.decode_for_tick(&payload, t(d.at), d.db());
+            let mut fresh = PlanCache::new();
+            fresh.decode_for_tick(&payload, t(d.at), d.db());
+            prop_assert_eq!(plan.window_active(), fresh.window_active());
+            prop_assert_eq!(plan.at_active(), fresh.at_active());
+            prop_assert_eq!(plan.bs_prefix(), fresh.bs_prefix());
+            if plan.decodes() > before {
+                prop_assert_eq!(plan.words(), fresh.words(), "words at step {}", step);
+            }
+            let words = plan.words();
+            // Dense random members, and sparse ones (one bit in four).
+            let sparse: Vec<u64> = member.iter().zip(&sparse).map(|(a, b)| a & b & (a >> 1)).collect();
+            let n = words.len();
+            for len in [0, n / 2, n, n + 3] {
+                for m in [&member[..len], &sparse[..len]] {
+                    let keep = |item: ItemId| !item.0.is_multiple_of(3);
+                    let mut out = Vec::new();
+                    plan.intersect_into(m, &mut out, keep);
+                    prop_assert_eq!(&out, &dense_intersect(words, m, keep), "len {} at step {}", len, step);
+                }
+            }
+            if payload_is_empty(&payload) {
+                let mut out = Vec::new();
+                plan.intersect_into(&member, &mut out, |_| true);
+                prop_assert!(out.is_empty(), "empty plan intersected at step {}", step);
+            }
+        }
+    }
 
     /// Window plan ≡ `WindowReport::decide`: for a covered client, both
     /// arms filtered by the listed-timestamp check yield exactly the

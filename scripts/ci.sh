@@ -107,6 +107,15 @@ timeout 300 cargo test -q --release --test pool
 echo "==> quiet-client proptest suite (release, under timeout)"
 timeout 600 cargo test -q --release -p mobicache-client --test quiet_props
 
+# Report application: the LRU cache against its reference models
+# (states and `validated_at` under the O(1) vouch epoch), the two-level
+# plan against fresh decodes and the dense intersection, and plan
+# application against the linear decide. Tier-1 runs them in debug only.
+echo "==> report-application proptests (release, under timeout)"
+timeout 600 cargo test -q --release -p mobicache-cache --test lru_props
+timeout 600 cargo test -q --release -p mobicache-reports --test plan_props
+timeout 600 cargo test -q --release -p mobicache-client --test plan_apply_props
+
 # crates/bench is outside default-members, so tier-1 never compiles its
 # tests: the harness's committed-row lookup and floor gate are tested
 # here, against the committed BENCH_report_pipeline.json.
