@@ -17,7 +17,6 @@ fn bench_figures(c: &mut Criterion) {
         time_factor: 0.01,
         max_threads: Some(1),
         replications: 1,
-        ..RunScale::default()
     };
     let mut group = c.benchmark_group("figures");
     group

@@ -14,13 +14,6 @@
 //!   migrating clients: per-cell report fan-out, per-cell update replay
 //!   and the handoff machinery (blackouts, Tlb re-announcement, parked
 //!   queries) all at once, for BS and AAW.
-//! * **scaling** — the sharded-engine sweep: clients × worker threads
-//!   for the full simulation, measuring the persistent worker pool's
-//!   overhead and scaling. Workers are spawned once per engine and fed
-//!   per-tick work descriptors, so the per-tick cost is a wake/claim
-//!   handshake rather than thread creation. `host_cores` is recorded
-//!   alongside: with a single hardware core, threads > 1 exercise
-//!   concurrency (the determinism contract) without parallel speedup.
 //! * **popscale** — the struct-of-arrays population sweep: one AAW run
 //!   at 10 k, 100 k and 1 M clients (shortening the horizon as the
 //!   population grows), pinning events/second *and* peak RSS per
@@ -42,8 +35,7 @@
 //!
 //! Run via `scripts/bench.sh`, which writes the JSON to the repo root.
 //! `--quick` shrinks every section for the CI smoke step; `--out PATH`
-//! writes the JSON file (otherwise stdout); `--threads N` gives the
-//! stress, handoff, popscale and probe runs `N` engine worker threads.
+//! writes the JSON file (otherwise stdout).
 //!
 //! CI regression gates each run one section and exit non-zero on a
 //! miss. `--smoke-popscale CLIENTS`, `--smoke-stress`, `--smoke-handoff`
@@ -56,7 +48,7 @@
 use mobicache::{run, IntervalSampler, RunOptions};
 use mobicache_cache::LruCache;
 use mobicache_experiments::figures::fig05;
-use mobicache_experiments::{run_figure_with, CoreSplitPolicy, RunReporting, RunScale};
+use mobicache_experiments::{run_figure_with, RunReporting, RunScale};
 use mobicache_model::msg::SizeParams;
 use mobicache_model::{CellTopology, ItemId, Scheme, SimConfig};
 use mobicache_reports::{BitSequences, PlanCache, ReportPayload, WindowReport};
@@ -175,14 +167,13 @@ impl E2eRow {
     }
 }
 
-/// The `fig05` sweep's scale: serial engines, as every committed e2e
-/// number was measured.
+/// The `fig05` sweep's scale: one point at a time, as every committed
+/// e2e number was measured.
 fn e2e_scale(quick: bool) -> RunScale {
     RunScale {
         time_factor: if quick { 0.01 } else { 0.05 },
         max_threads: Some(1),
         replications: 1,
-        split: CoreSplitPolicy::PointsOnly,
     }
 }
 
@@ -249,62 +240,8 @@ fn bench_single(section: &str, cfgs: &[SimConfig], reps: usize) -> Vec<E2eRow> {
 }
 
 json_row! {
-    ScalingRow {
-        clients: u32 => "{}",
-        threads: u32 => "{}",
-        wall_secs: f64 => "{:.3}",
-        events: u64 => "{}",
-        events_per_sec: f64 => "{:.0}",
-        speedup_vs_1t: f64 => "{:.2}",
-    }
-}
-
-/// The sharded engine under a fan-out-dominated load (AAW, frequent
-/// updates): every broadcast tick applies a report to every connected
-/// client, which is exactly the phase the worker shards parallelise.
-/// Sweeps the client population × thread count and reports each cell's
-/// speedup against its own threads=1 row.
-fn bench_scaling(quick: bool) -> Vec<ScalingRow> {
-    let client_counts: &[u32] = if quick {
-        &[100, 1_000]
-    } else {
-        &[100, 1_000, 10_000]
-    };
-    let thread_counts: &[u32] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let reps = if quick { 1 } else { 2 };
-    let mut rows = Vec::new();
-    for &clients in client_counts {
-        let mut base_wall = f64::NAN;
-        for &threads in thread_counts {
-            let mut cfg = SimConfig::paper_default()
-                .with_scheme(Scheme::Aaw)
-                .with_threads(threads);
-            cfg.sim_time_secs = if quick { 250.0 } else { 1_000.0 };
-            cfg.db_size = 10_000;
-            cfg.num_clients = clients;
-            cfg.mean_update_interarrival_secs = 5.0;
-            let (wall_secs, events) = best_of(reps, || sim_events(&cfg));
-            if threads == 1 {
-                base_wall = wall_secs;
-            }
-            let row = ScalingRow {
-                clients,
-                threads,
-                wall_secs,
-                events,
-                events_per_sec: events as f64 / wall_secs,
-                speedup_vs_1t: base_wall / wall_secs,
-            };
-            rows.push(row.logged("scaling"));
-        }
-    }
-    rows
-}
-
-json_row! {
     PopRow {
         clients: u32 => "{}",
-        threads: u32 => "{}",
         wall_secs: f64 => "{:.3}",
         events: u64 => "{}",
         events_per_sec: f64 => "{:.0}",
@@ -324,10 +261,8 @@ fn peak_rss_kb() -> Option<u64> {
 /// The pinned popscale configuration for one population size. The
 /// horizon shrinks as the population grows so every row costs seconds,
 /// not minutes, while still spanning many broadcast periods.
-fn popscale_cfg(clients: u32, threads: u32) -> SimConfig {
-    let mut cfg = SimConfig::paper_default()
-        .with_scheme(Scheme::Aaw)
-        .with_threads(threads);
+fn popscale_cfg(clients: u32) -> SimConfig {
+    let mut cfg = SimConfig::paper_default().with_scheme(Scheme::Aaw);
     cfg.db_size = 1_000;
     cfg.num_clients = clients;
     cfg.sim_time_secs = match clients {
@@ -338,12 +273,11 @@ fn popscale_cfg(clients: u32, threads: u32) -> SimConfig {
     cfg
 }
 
-fn run_popscale_once(clients: u32, threads: u32) -> PopRow {
-    let cfg = popscale_cfg(clients, threads);
+fn run_popscale_once(clients: u32) -> PopRow {
+    let cfg = popscale_cfg(clients);
     let (wall_secs, events) = best_of(1, || sim_events(&cfg));
     PopRow {
         clients,
-        threads,
         wall_secs,
         events,
         events_per_sec: events as f64 / wall_secs,
@@ -354,14 +288,14 @@ fn run_popscale_once(clients: u32, threads: u32) -> PopRow {
 
 /// Ascending populations so each row's `VmHWM` reading is its own peak;
 /// this section must run before the others for the same reason.
-fn bench_popscale(quick: bool, threads: u32) -> Vec<PopRow> {
+fn bench_popscale(quick: bool) -> Vec<PopRow> {
     let pops: &[u32] = if quick {
         &[10_000, 100_000]
     } else {
         &[10_000, 100_000, 1_000_000]
     };
     pops.iter()
-        .map(|&clients| run_popscale_once(clients, threads))
+        .map(|&clients| run_popscale_once(clients))
         .collect()
 }
 
@@ -624,9 +558,9 @@ fn run_invplan_once(clients: u32, reps: usize) -> InvplanRow {
 
 /// The plan hit rate in vivo: a probed AAW run at the popscale shape,
 /// reading the cumulative plan counters off the last interval snapshot.
-fn invplan_probe(quick: bool, threads: u32) -> InvplanProbe {
+fn invplan_probe(quick: bool) -> InvplanProbe {
     let clients = 10_000u32;
-    let mut cfg = popscale_cfg(clients, threads);
+    let mut cfg = popscale_cfg(clients);
     cfg.sim_time_secs = if quick { 100.0 } else { 600.0 };
     let mut sampler = IntervalSampler::every(5);
     run(&cfg, RunOptions::new().probe(&mut sampler)).expect("invplan probe config validates");
@@ -834,56 +768,43 @@ const INVPLAN_NOTE: &str = "invalidation-plan micro-benchmark: one AAW-shaped wi
 
 /// Runs every section in file order — popscale first and ascending,
 /// because its peak-RSS column reads `VmHWM` — and returns the JSON.
-fn bench_all(quick: bool, threads: u32) -> String {
+fn bench_all(quick: bool) -> String {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let all = [Scheme::Bs, Scheme::Aaw, Scheme::SimpleChecking];
     let reps = if quick { 1 } else { 3 };
-    let stress = |scheme| stress_cfg(scheme, quick).with_threads(threads);
-    let handoff = |scheme| handoff_cfg(scheme, quick).with_threads(threads);
-    let scaling_note = format!(
-        "full AAW simulation, clients x engine worker threads; \
-         speedup_vs_1t compares against the same population single-threaded. \
-         Workers persist across ticks (spawned once per engine), so per-tick \
-         overhead is a wake/claim handshake, not thread creation. Measured \
-         with host_cores = {host_cores}; rows with more threads than cores \
-         verify overhead, not speedup."
-    );
     let sections = [
         note_section(
             "popscale",
             POPSCALE_NOTE,
             AAW_HEAD,
-            &bench_popscale(quick, threads),
+            &bench_popscale(quick),
             "",
         ),
         note_section("sched", SCHED_NOTE, "", &bench_sched(quick), ""),
         rows_section("e2e", &bench_e2e(&all, quick, reps)),
-        rows_section("stress", &bench_single("stress", &all.map(stress), reps)),
+        rows_section(
+            "stress",
+            &bench_single("stress", &all.map(|s| stress_cfg(s, quick)), reps),
+        ),
         rows_section(
             "handoff",
-            &bench_single("handoff", &[Scheme::Bs, Scheme::Aaw].map(handoff), reps),
+            &bench_single(
+                "handoff",
+                &[Scheme::Bs, Scheme::Aaw].map(|s| handoff_cfg(s, quick)),
+                reps,
+            ),
         ),
         note_section(
             "invplan",
             INVPLAN_NOTE,
             "",
             &bench_invplan(quick),
-            &format!(
-                ",\n    \"hit_rate_probe\": {}",
-                invplan_probe(quick, threads).json()
-            ),
-        ),
-        note_section(
-            "scaling",
-            &scaling_note,
-            AAW_HEAD,
-            &bench_scaling(quick),
-            "",
+            &format!(",\n    \"hit_rate_probe\": {}", invplan_probe(quick).json()),
         ),
     ];
     format!(
         "{{\n  \"bench\": \"report_pipeline\",\n  \"quick\": {quick},\n  \
-         \"host_cores\": {host_cores},\n  \"engine_threads\": {threads},\n  \
+         \"host_cores\": {host_cores},\n  \
          \"scale\": {{ \"figure\": \"fig05\", \"time_factor\": {}, \"threads\": 1 }},\n\
          {BASELINE_BEFORE}{}\n}}\n",
         e2e_scale(quick).time_factor,
@@ -902,7 +823,6 @@ fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let has = |name: &str| args.iter().any(|a| a == name);
-    let threads = flag(&args, "--threads").unwrap_or(1);
     let gate = |section: &str, row: &str, rate: f64, floor: f64| {
         let path: String =
             flag(&args, "--check-against").expect("this gate needs --check-against PATH");
@@ -911,14 +831,14 @@ fn main() {
     };
 
     let code = if let Some(clients) = flag(&args, "--smoke-popscale") {
-        let rate = run_popscale_once(clients, threads).events_per_sec;
+        let rate = run_popscale_once(clients).events_per_sec;
         gate("popscale", &format!("\"clients\": {clients}"), rate, 0.9)
     } else if has("--smoke-stress") {
-        let cfg = stress_cfg(Scheme::Aaw, false).with_threads(threads);
+        let cfg = stress_cfg(Scheme::Aaw, false);
         let rows = bench_single("stress", &[cfg], 2);
         gate("stress", AAW_ROW, rows[0].events_per_sec, 0.9)
     } else if has("--smoke-handoff") {
-        let cfg = handoff_cfg(Scheme::Aaw, false).with_threads(threads);
+        let cfg = handoff_cfg(Scheme::Aaw, false);
         let rows = bench_single("handoff", &[cfg], 2);
         gate("handoff", AAW_ROW, rows[0].events_per_sec, 0.9)
     } else if has("--smoke-sched") {
@@ -931,7 +851,7 @@ fn main() {
         let rows = bench_e2e(&[Scheme::Aaw], false, 2);
         gate("e2e", AAW_ROW, rows[0].events_per_sec, 0.8)
     } else {
-        let body = bench_all(has("--quick"), threads);
+        let body = bench_all(has("--quick"));
         match flag::<String>(&args, "--out") {
             Some(path) => {
                 std::fs::write(&path, &body).expect("write bench json");
@@ -967,7 +887,7 @@ mod tests {
     fn committed_rate_is_none_for_a_missing_row_section_or_file() {
         let rate = |section, row| committed_rate(COMMITTED, section, row);
         assert_eq!(rate("handoff", "\"scheme\": \"SimpleChecking\""), None);
-        // A prefix of the 10 000 row, and a row only `scaling` has.
+        // A prefix of the 10 000 row.
         assert_eq!(rate("popscale", "\"clients\": 1000"), None);
         assert_eq!(rate("nosuch", AAW_ROW), None);
         assert_eq!(committed_rate("no/such/file.json", "e2e", AAW_ROW), None);

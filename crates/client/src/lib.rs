@@ -33,10 +33,9 @@
 //! included, one `Vec` per client that keeps its capacity across
 //! queries — and the scheme handlers run against [`ClientMut`] accessor
 //! views. [`ClientPop::client_mut`] views one client; the engine's
-//! sharded phases walk contiguous column ranges through
-//! [`ClientPop::for_each_delivered`], which hands each chunk of the
-//! worker pool the column slices of its own clients. A single client is
-//! a population of one.
+//! report fan-out walks the masked clients through
+//! [`ClientPop::for_each_delivered`]. A single client is a population of
+//! one.
 
 mod machine;
 mod pop;

@@ -1,24 +1,21 @@
 //! The struct-of-arrays client population.
 //!
 //! A cell serves thousands to millions of mobile hosts, and the
-//! engine's sharded tick phases walk every client a broadcast can change
+//! engine's report fan-out walks every client a broadcast can change
 //! (a *quiet* client, see [`ClientPop::stamp_quiet`], only takes the new
 //! `Tlb`). Scattering per-client state across individually boxed client
 //! structs makes that walk a pointer chase; [`ClientPop`] instead keeps
 //! one column per field — disconnect epoch, last-report time, cache,
-//! gap/retry state, pending query, counters — so the sharded phases scan
-//! contiguous column ranges.
+//! gap/retry state, pending query, counters — so the walk scans
+//! contiguous columns.
 //!
 //! The columns are declared once, in `client_columns!`. That one list
-//! gives the population its `Vec` fields, `Cols` its slices (the columns
-//! of a contiguous client range) and [`ClientMut`] its per-client `&mut`
-//! cells. The state-machine handlers are written once, against
-//! [`ClientMut`], so the scheme logic never sees column indices, and
-//! every view is built by `Cols::view`: [`ClientPop::client_mut`] views
-//! one client of the whole population, and
-//! [`ClientPop::for_each_delivered`] splits the columns at the worker
-//! pool's chunk boundaries, so each chunk can view only its own clients
-//! and the borrow checker proves the chunks disjoint.
+//! gives the population its `Vec` fields, `Cols` its slices and
+//! [`ClientMut`] its per-client `&mut` cells. The state-machine handlers
+//! are written once, against [`ClientMut`], so the scheme logic never
+//! sees column indices, and every view is built by `Cols::view`:
+//! [`ClientPop::client_mut`] views one client, and
+//! [`ClientPop::for_each_delivered`] views each masked client in turn.
 //!
 //! Per-scheme column groups are materialized only for the active
 //! scheme: the `SIG` baseline column exists only when the population
@@ -29,7 +26,7 @@ use crate::query::{PendingItem, PendingState, QueryHeader};
 use mobicache_cache::{EntryState, LruCache};
 use mobicache_model::{CheckingMode, ItemId, Scheme, UplinkKind};
 use mobicache_reports::{BsSelect, PlanCache, PlanStats, ReportPayload, SigDecision};
-use mobicache_sim::pool::{chunk_ranges, for_each_set_bit, WorkerPool};
+use mobicache_sim::bits::for_each_set_bit;
 use mobicache_sim::SimTime;
 use std::collections::HashSet;
 
@@ -97,8 +94,7 @@ macro_rules! client_columns {
             }
         }
 
-        /// The columns of a contiguous range of clients, as disjoint
-        /// `&mut` slices: what the sharded walk hands each chunk.
+        /// Every column, as `&mut` slices: what a view borrows from.
         struct Cols<'a> {
             cfg: &'a ClientConfig,
             $( $col: &'a mut [$ty], )*
@@ -106,19 +102,7 @@ macro_rules! client_columns {
         }
 
         impl<'a> Cols<'a> {
-            /// Splits the range before its `mid`-th client.
-            #[inline]
-            fn split_at_mut(self, mid: usize) -> (Cols<'a>, Cols<'a>) {
-                let Cols { cfg, $( $col, )* sig_baseline } = self;
-                $( let $col = $col.split_at_mut(mid); )*
-                let sig = sig_baseline.map(|col| col.split_at_mut(mid)).unzip();
-                (
-                    Cols { cfg, $( $col: $col.0, )* sig_baseline: sig.0 },
-                    Cols { cfg, $( $col: $col.1, )* sig_baseline: sig.1 },
-                )
-            }
-
-            /// The same range, borrowed for a shorter lifetime.
+            /// The same columns, borrowed for a shorter lifetime.
             // `reborrow` and `view` run once per walked client: out of
             // line, the call and the returned view cost the fan-out a
             // few per cent of a small population's run time.
@@ -131,8 +115,8 @@ macro_rules! client_columns {
                 }
             }
 
-            /// The view of the range's `i`-th client: the one place a
-            /// [`ClientMut`] is built.
+            /// The view of client `i`: the one place a [`ClientMut`] is
+            /// built.
             #[inline(always)]
             fn view(self, i: usize) -> ClientMut<'a> {
                 let Cols { cfg, $( $col, )* sig_baseline } = self;
@@ -191,18 +175,17 @@ client_columns! {
 ///
 /// All clients share one [`ClientConfig`]; per-client state lives in
 /// parallel columns indexed by `ClientId::index()`. Mutating access
-/// goes through [`ClientPop::client_mut`] (serial) or
-/// [`ClientPop::for_each_delivered`] (sharded over disjoint index
-/// ranges).
+/// goes through [`ClientPop::client_mut`] (one client) or
+/// [`ClientPop::for_each_delivered`] (every client of a mask).
 pub struct ClientPop {
     cfg: ClientConfig,
     col: Columns,
     /// Dense mirror of the `connected` column: bit `i` set iff client `i`
     /// listens. The fan-out copies this as its delivery-mask seed, so
-    /// shards skip 64 disconnected clients per zero word instead of
+    /// the walk skips 64 disconnected clients per zero word instead of
     /// branching each. Maintained only by [`ClientPop::disconnect`] and
-    /// [`ClientPop::reconnect`] (serial phases), the only ways to doze
-    /// and wake a client.
+    /// [`ClientPop::reconnect`], the only ways to doze and wake a
+    /// client.
     connected_bits: Vec<u64>,
     /// Which cell each client is currently associated with (all zero in
     /// the single-cell topology).
@@ -210,7 +193,7 @@ pub struct ClientPop {
     /// One membership bitmap per cell: bit `i` of `cell_bits[c]` is set
     /// iff client `i` is associated with cell `c`. The per-cell fan-out
     /// intersects this with `connected_bits` for its delivery mask.
-    /// Maintained only by the serial [`ClientPop::handoff`] wrapper.
+    /// Maintained only by the [`ClientPop::handoff`] wrapper.
     cell_bits: Vec<Vec<u64>>,
 }
 
@@ -273,7 +256,7 @@ impl ClientPop {
         &self.col.cache[i]
     }
 
-    /// The whole cache column (sharded oracle scans walk this).
+    /// The whole cache column (the oracle's masked scan walks this).
     pub fn caches_col(&self) -> &[LruCache] {
         &self.col.cache
     }
@@ -306,8 +289,7 @@ impl ClientPop {
     }
 
     /// Moves client `i` to cell `dest`, keeping the membership bitmaps
-    /// in sync. Serial-phase only (bitmap words span 64 clients).
-    /// Re-associating with the current cell is a no-op.
+    /// in sync. Re-associating with the current cell is a no-op.
     pub fn handoff(&mut self, i: usize, dest: u32) {
         let from = self.cell[i] as usize;
         let dest_idx = dest as usize;
@@ -326,8 +308,6 @@ impl ClientPop {
     }
 
     /// Disconnects client `i`, keeping the connected bitmap in sync.
-    /// Serial-phase only (a bitmap word spans 64 clients, so per-client
-    /// sharded views must never touch it).
     ///
     /// # Panics
     /// Panics if already disconnected or a query is in flight.
@@ -337,7 +317,7 @@ impl ClientPop {
     }
 
     /// Reconnects client `i`, keeping the connected bitmap in sync and
-    /// returning the doze period in seconds. Serial-phase only.
+    /// returning the doze period in seconds.
     ///
     /// # Panics
     /// Panics if already connected.
@@ -400,7 +380,7 @@ impl ClientPop {
     /// Applies a report broadcast at `at` to every quiet client set in
     /// `words` — which, for a quiet client, is exactly `Tlb ← at` — and
     /// clears their bits, leaving the clients a report can change.
-    /// Returns the number of clients stamped. Serial-phase only.
+    /// Returns the number of clients stamped.
     pub fn stamp_quiet(&mut self, words: &mut [u64], at: SimTime) -> u64 {
         let mut stamped = 0;
         for (k, word) in words.iter_mut().enumerate() {
@@ -419,60 +399,29 @@ impl ClientPop {
         stamped
     }
 
-    /// A mutable accessor view of client `i` (serial paths).
+    /// A mutable accessor view of client `i`.
     pub fn client_mut(&mut self, i: usize) -> ClientMut<'_> {
         self.col.cols(&self.cfg).view(i)
     }
 
     /// Visits every client whose bit is set in `words` (bit `i` of word
-    /// `i / 64` is client `i`), sharded over `pool` through
-    /// [`WorkerPool::for_each_chunk`]: `visit(i, view, slot)` gets the
-    /// client index, a mutable view of that client, and the slot of the
-    /// chunk holding `i`. Within a chunk clients are visited in
-    /// ascending index order, so merging the slots in index order
-    /// afterwards replays the serial visit order at any geometry.
-    ///
-    /// Chunk `k` gets slot `k` and the columns of its own clients, split
-    /// off at the pool's chunk boundaries, so the visitor can touch
-    /// nothing but its client and its slot — which is what makes the
-    /// broadcast fan-out embarrassingly parallel and bit-identical to a
-    /// serial walk.
+    /// `i / 64` is client `i`) in ascending index order: `visit(i, view)`
+    /// gets the client index and a mutable view of that client.
     ///
     /// # Panics
     /// Panics if `words` holds fewer than `self.len().div_ceil(64)`
-    /// words, or if `slots` is empty on a non-empty population.
-    pub fn for_each_delivered<S, F>(
+    /// words.
+    pub fn for_each_delivered(
         &mut self,
-        pool: &WorkerPool,
         words: &[u64],
-        slots: &mut [S],
-        visit: F,
-    ) where
-        S: Send,
-        F: Fn(usize, ClientMut<'_>, &mut S) + Sync,
-    {
+        mut visit: impl FnMut(usize, ClientMut<'_>),
+    ) {
         let len = self.len();
-        // One part per slot, so `for_each_chunk` splits `0..len` at the
-        // same `chunk_ranges` and chunk `k` gets part `k`: its slot and
-        // the columns of exactly its own clients.
-        let mut ranges = chunk_ranges(slots.len(), len);
-        let mut rest = self.col.cols(&self.cfg);
-        let mut parts = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let (part, tail) = rest.split_at_mut(ranges.next().map_or(0, |r| r.len()));
-            parts.push((part, slot));
-            rest = tail;
-        }
-        pool.for_each_chunk(len, &mut parts, |range, (cols, slot)| {
-            let first = range.start;
-            for_each_set_bit(words, range, |i| {
-                visit(i, cols.reborrow().view(i - first), slot);
-            });
-        });
+        let mut cols = self.col.cols(&self.cfg);
+        for_each_set_bit(words, 0..len, |i| visit(i, cols.reborrow().view(i)));
     }
 
-    /// Issues a query for client `i` referencing `items`. Serial-phase
-    /// only.
+    /// Issues a query for client `i` referencing `items`.
     ///
     /// # Panics
     /// Panics if a query is already in flight, the client is
@@ -511,7 +460,7 @@ fn quiet_predicate(
 }
 
 /// Every handler runs through a view, so refreshing the quiet flag when
-/// the view goes away keeps it exact for serial and sharded paths alike.
+/// the view goes away keeps it exact on every path.
 /// The predicate cannot panic, as `Drop` also runs while a handler
 /// unwinds.
 impl Drop for ClientMut<'_> {
@@ -628,9 +577,7 @@ impl ClientMut<'_> {
     /// Whether the word arm beats the per-item arm for this cache: the
     /// word loop is charged `min(|member|, |plan|)` words, an upper bound
     /// (it ANDs only the plan's non-zero words below `|member|`), the
-    /// per-item arm probes `|cache|` plan bits. A pure function of
-    /// client-local state, so the choice is identical at every thread
-    /// count.
+    /// per-item arm probes `|cache|` plan bits.
     fn plan_profitable(plan: &PlanCache, cache: &LruCache) -> bool {
         plan.words().len().min(cache.member_words().len()) <= 8 * cache.len() + 4
     }
@@ -1459,7 +1406,7 @@ mod tests {
     }
 
     /// Cell membership bitmaps mirror the cell column through the
-    /// serial `handoff` wrapper; exactly one cell owns each client.
+    /// `handoff` wrapper; exactly one cell owns each client.
     #[test]
     fn cell_bitmaps_mirror_column() {
         let n = 70; // crosses a word boundary
@@ -1497,10 +1444,9 @@ mod tests {
         assert_eq!(single.cell_words(0), single.connected_words());
     }
 
-    /// The sharded walk visits exactly the masked clients, in index
-    /// order once slots are concatenated, and leaves every client in the
-    /// state a serial `client_mut` walk leaves it — at one thread and at
-    /// three, over a mask that skips clients.
+    /// The masked walk visits exactly the masked clients, in index
+    /// order, and leaves every client in the state a `client_mut` loop
+    /// leaves it, over a mask that skips clients.
     #[test]
     fn for_each_delivered_matches_serial_views() {
         let n: usize = 200;
@@ -1530,18 +1476,15 @@ mod tests {
                 serial.push((i, acts));
             }
         }
-        for threads in [1, 3] {
-            let pool = WorkerPool::new(threads);
-            let mut pop = fresh();
-            let mut slots: Vec<Vec<(usize, Vec<ClientAction>)>> = vec![Vec::new(); threads];
-            pop.for_each_delivered(&pool, &words, &mut slots, |i, mut client, slot| {
-                let mut acts = Vec::new();
-                client.on_report_into(t(20.0), &payload, &mut acts);
-                slot.push((i, acts));
-            });
-            assert_eq!(slots.concat(), serial, "threads={threads}");
-            assert_eq!(pop.counters_col(), serial_pop.counters_col());
-            assert_eq!(pop.col.tlb, serial_pop.col.tlb, "threads={threads}");
-        }
+        let mut pop = fresh();
+        let mut walked = Vec::new();
+        pop.for_each_delivered(&words, |i, mut client| {
+            let mut acts = Vec::new();
+            client.on_report_into(t(20.0), &payload, &mut acts);
+            walked.push((i, acts));
+        });
+        assert_eq!(walked, serial);
+        assert_eq!(pop.counters_col(), serial_pop.counters_col());
+        assert_eq!(pop.col.tlb, serial_pop.col.tlb);
     }
 }

@@ -7,7 +7,7 @@
 //! without a retry policy, under both checking modes; after every step
 //! the stored flag must equal the predicate re-derived from the columns.
 //! A population-level case runs the stamp-plus-walk fan-out against
-//! walking every delivered client, and the sharded walk against a serial
+//! walking every delivered client, and the masked walk against a
 //! `client_mut` loop over the same mask.
 
 use mobicache_cache::CacheEntry;
@@ -19,7 +19,6 @@ use mobicache_reports::{
     AtReport, BitSequences, BsSelect, PlanCache, PlanStats, ReportPayload, SigReport, Signer,
     WindowReport,
 };
-use mobicache_sim::pool::WorkerPool;
 use mobicache_sim::SimTime;
 use proptest::prelude::*;
 
@@ -68,11 +67,11 @@ fn hears_windows(scheme: Scheme) -> bool {
 }
 
 /// Whether the fan-out stamps a quiet client or walks it like the rest,
-/// and whether the walk is sharded or a serial `client_mut` loop.
+/// and whether the walk is `for_each_delivered` or a `client_mut` loop.
 #[derive(Clone, Copy)]
 enum Fanout {
     Stamp,
-    StampSerial,
+    StampLoop,
     WalkAll,
 }
 
@@ -192,7 +191,6 @@ impl Harness {
         &mut self,
         payload: &ReportPayload,
         fanout: Fanout,
-        pool: &WorkerPool,
     ) -> Vec<(usize, Vec<ClientAction>)> {
         let at = payload.broadcast_at();
         self.tick += 1;
@@ -200,7 +198,7 @@ impl Harness {
         self.plan.decode_for_tick(payload, self.prev_at, DB);
         self.prev_at = at;
         let mut walk = self.pop.connected_words().to_vec();
-        if let Fanout::Stamp | Fanout::StampSerial = fanout {
+        if let Fanout::Stamp | Fanout::StampLoop = fanout {
             let quiet = (0..self.pop.len())
                 .filter(|&i| self.pop.is_connected(i) && self.pop.is_quiet(i))
                 .count();
@@ -212,18 +210,16 @@ impl Harness {
             client.on_report_planned(at, payload, plan, &mut actions, &mut PlanStats::default());
             actions
         };
-        self.walked = if let Fanout::StampSerial = fanout {
+        self.walked = if let Fanout::StampLoop = fanout {
             (0..self.pop.len())
                 .filter(|&i| walk[i / 64] & (1 << (i % 64)) != 0)
                 .map(|i| (i, apply(self.pop.client_mut(i))))
                 .collect()
         } else {
-            let mut slots: Vec<Vec<(usize, Vec<ClientAction>)>> = vec![Vec::new(); pool.threads()];
+            let mut walked = Vec::new();
             self.pop
-                .for_each_delivered(pool, &walk, &mut slots, |i, client, slot| {
-                    slot.push((i, apply(client)));
-                });
-            slots.concat()
+                .for_each_delivered(&walk, |i, client| walked.push((i, apply(client))));
+            walked
         };
         let mut out = self.walked.clone();
         out.retain(|(_, a)| !a.is_empty());
@@ -231,12 +227,7 @@ impl Harness {
     }
 
     /// Applies one history step and returns the actions it emitted.
-    fn step(
-        &mut self,
-        &(c, op, a, b): &Step,
-        fanout: Fanout,
-        pool: &WorkerPool,
-    ) -> Vec<(usize, Vec<ClientAction>)> {
+    fn step(&mut self, &(c, op, a, b): &Step, fanout: Fanout) -> Vec<(usize, Vec<ClientAction>)> {
         let c = c % self.pop.len();
         self.sub += 1;
         let now = self.now();
@@ -252,7 +243,7 @@ impl Harness {
             }
             1 => {
                 let payload = self.scheme_report(self.next_broadcast(), a, b);
-                return self.broadcast(&payload, fanout, pool);
+                return self.broadcast(&payload, fanout);
             }
             2 if connected && !pending => {
                 let mut items = vec![id(a), id(b), id((a + b) / 2.0)];
@@ -316,10 +307,10 @@ impl Harness {
         }
     }
 
-    fn replay(cfg: ClientConfig, steps: &[Step], pool: &WorkerPool) -> Self {
+    fn replay(cfg: ClientConfig, steps: &[Step]) -> Self {
         let mut h = Harness::new(cfg, 1);
         for s in steps {
-            h.step(s, Fanout::WalkAll, pool);
+            h.step(s, Fanout::WalkAll);
         }
         h
     }
@@ -472,7 +463,6 @@ proptest! {
         ops in prop::collection::vec((0u32..8, 0.0..1.0f64, 0.0..1.0f64), 0..28),
     ) {
         let cfg = cfg(SCHEMES[scheme], retry, full_cache);
-        let pool = WorkerPool::new(1);
         let steps: Vec<Step> = ops.iter().map(|&(op, a, b)| (0, op, a, b)).collect();
         let mut h = Harness::new(cfg, 1);
         let mut quiet_at = Vec::new();
@@ -482,13 +472,13 @@ proptest! {
                 quiet_at.push(k);
             }
             if let Some(s) = steps.get(k) {
-                h.step(s, Fanout::WalkAll, &pool);
+                h.step(s, Fanout::WalkAll);
             }
         }
         for k in quiet_at {
             for probe in PROBES.into_iter().filter(|&p| applies_to(p, cfg.scheme)) {
-                let mut stamped = Harness::replay(cfg, &steps[..k], &pool);
-                let mut handled = Harness::replay(cfg, &steps[..k], &pool);
+                let mut stamped = Harness::replay(cfg, &steps[..k]);
+                let mut handled = Harness::replay(cfg, &steps[..k]);
                 let at = handled.next_broadcast();
                 let tlb = handled.pop.tlb(0);
                 let payload = probe_report(probe, tlb.as_secs(), at);
@@ -507,16 +497,16 @@ proptest! {
                     );
                 }
                 let before = observe(&handled.pop, 0);
-                prop_assert!(stamped.broadcast(&payload, Fanout::Stamp, &pool).is_empty());
-                let actions = handled.broadcast(&payload, Fanout::WalkAll, &pool);
+                prop_assert!(stamped.broadcast(&payload, Fanout::Stamp).is_empty());
+                let actions = handled.broadcast(&payload, Fanout::WalkAll);
                 prop_assert!(actions.is_empty(), "{:?} on a quiet client: {:?}", probe, actions);
                 let after = observe(&handled.pop, 0);
                 prop_assert_eq!(&after, &Observed { tlb: t(at), ..before });
                 prop_assert_eq!(observe(&stamped.pop, 0), after);
                 flags_exact(&handled.pop)?;
                 for s in &steps[k..] {
-                    let x = stamped.step(s, Fanout::Stamp, &pool);
-                    let y = handled.step(s, Fanout::WalkAll, &pool);
+                    let x = stamped.step(s, Fanout::Stamp);
+                    let y = handled.step(s, Fanout::WalkAll);
                     prop_assert_eq!(x, y, "{:?} at step {}", probe, k);
                     prop_assert_eq!(observe(&stamped.pop, 0), observe(&handled.pop, 0));
                     flags_exact(&stamped.pop)?;
@@ -527,9 +517,8 @@ proptest! {
 
     /// A whole population, stamping its quiet clients and walking the
     /// rest, emits the same actions and ends every step in the same
-    /// state as one walking every delivered client — serial and sharded.
-    /// The sharded walk, which hands each chunk its own column slices,
-    /// also matches a serial `client_mut` loop over the same mask, record
+    /// state as one walking every delivered client. The masked walk also
+    /// matches a `client_mut` loop over the same mask, record
     /// for record and column for column, at population sizes that leave
     /// a partial last bitmap word.
     #[test]
@@ -538,29 +527,27 @@ proptest! {
         retry in any::<bool>(),
         full_cache in any::<bool>(),
         n in 1usize..140,
-        threads in 1usize..4,
         steps in prop::collection::vec((0usize..140, 0u32..8, 0.0..1.0f64, 0.0..1.0f64), 0..500),
     ) {
         let n = n + usize::from(n % 64 == 0);
         let cfg = cfg(SCHEMES[scheme], retry, full_cache);
-        let pool = WorkerPool::new(threads);
         let mut stamped = Harness::new(cfg, n);
-        let mut serial = Harness::new(cfg, n);
+        let mut looped = Harness::new(cfg, n);
         let mut walked = Harness::new(cfg, n);
         for s in &steps {
-            let x = stamped.step(s, Fanout::Stamp, &pool);
-            let z = serial.step(s, Fanout::StampSerial, &pool);
-            let y = walked.step(s, Fanout::WalkAll, &pool);
-            prop_assert_eq!(&stamped.walked, &serial.walked);
+            let x = stamped.step(s, Fanout::Stamp);
+            let z = looped.step(s, Fanout::StampLoop);
+            let y = walked.step(s, Fanout::WalkAll);
+            prop_assert_eq!(&stamped.walked, &looped.walked);
             prop_assert_eq!(&x, &z);
             prop_assert_eq!(x, y);
             for i in 0..n {
                 let o = observe(&stamped.pop, i);
-                prop_assert_eq!(&o, &observe(&serial.pop, i), "client {}", i);
+                prop_assert_eq!(&o, &observe(&looped.pop, i), "client {}", i);
                 prop_assert_eq!(o, observe(&walked.pop, i), "client {}", i);
             }
             flags_exact(&stamped.pop)?;
-            flags_exact(&serial.pop)?;
+            flags_exact(&looped.pop)?;
             flags_exact(&walked.pop)?;
         }
     }

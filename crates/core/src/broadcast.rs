@@ -1,21 +1,25 @@
-//! The broadcast fan-out: who hears a transmission, and the sharded
-//! application of a report to its listeners. The serial merge of their
-//! actions stays in the engine.
+//! The broadcast fan-out: who hears a transmission, and the walk that
+//! applies a report to its listeners. The merge of their actions stays
+//! in the engine.
 
 use mobicache_client::{ClientAction, ClientCounters, ClientMut, ClientPop};
 use mobicache_model::ClientId;
 use mobicache_reports::{PlanCache, PlanStats, ReportPayload};
-use mobicache_sim::pool::WorkerPool;
 use mobicache_sim::SimTime;
 
-/// Shard-local scratch for the report fan-out, one slot per chunk of
-/// [`ClientPop::for_each_delivered`]. A chunk's clients append here and
-/// nowhere else — no scheduler, channel, RNG or stats access — and the
-/// engine replays the contents serially in client-index order, which is
-/// what keeps the merged result bit-identical to the serial engine.
+/// A client's counters and cache evictions from just before it
+/// processed a message; the probe events are the difference.
+pub(crate) type Before = (ClientCounters, u64);
+
+/// The records of one report walk, lent to the engine by
+/// [`Broadcast::apply_report`] for the merge (which may then borrow the
+/// whole engine) and handed back by [`Broadcast::end_merge`], so steady
+/// state allocates nothing. The walk touches only its clients and these
+/// buffers — no scheduler, channel, RNG or stats — and the merge replays
+/// them in client-index order, the order the digests pin.
 #[derive(Default)]
-struct ShardScratch {
-    /// Actions appended by this shard's clients, in client-index order.
+pub(crate) struct Merge {
+    /// Actions appended by the walked clients, in client-index order.
     actions: Vec<ClientAction>,
     /// `(client, actions appended)`: one record per walked client that
     /// appended actions — per walked client when a probe is attached. A
@@ -24,20 +28,10 @@ struct ShardScratch {
     outcomes: Vec<(u32, u32)>,
     /// Probe only: each recorded client's counters and cache evictions
     /// captured just before it processed the message, parallel to
-    /// `outcomes`, so the serial merge emits exactly the probe events
-    /// the serial loop would.
+    /// `outcomes`, so the merge emits exactly the probe events a
+    /// per-client loop would.
     before: Vec<Before>,
-    plan: PlanStats,
 }
-
-/// A client's counters and cache evictions from just before it
-/// processed a message; the probe events are the difference.
-pub(crate) type Before = (ClientCounters, u64);
-
-/// The shard records of one report fan-out, lent to the engine by
-/// [`Broadcast::apply_report`] for the serial merge (which may then
-/// borrow the whole engine) and handed back by [`Broadcast::end_merge`].
-pub(crate) struct Merge(Vec<ShardScratch>);
 
 impl Merge {
     /// Drains the records in client-index order: `client` gets each
@@ -47,13 +41,11 @@ impl Merge {
         &mut self,
         mut client: impl FnMut(ClientId, &mut dyn Iterator<Item = ClientAction>, Option<Before>),
     ) {
-        for shard in &mut self.0 {
-            let mut actions = shard.actions.drain(..);
-            let mut before = shard.before.drain(..);
-            for (c, n) in shard.outcomes.drain(..) {
-                let mut own = actions.by_ref().take(n as usize);
-                client(ClientId(c), &mut own, before.next());
-            }
+        let mut actions = self.actions.drain(..);
+        let mut before = self.before.drain(..);
+        for (c, n) in self.outcomes.drain(..) {
+            let mut own = actions.by_ref().take(n as usize);
+            client(ClientId(c), &mut own, before.next());
         }
     }
 }
@@ -64,9 +56,8 @@ impl Merge {
 pub(crate) struct Broadcast {
     db_size: u32,
     /// The per-tick invalidation-plan caches, one per cell: each cell's
-    /// report is decoded once into a dense stale bitmap in the serial
-    /// phase, then shared immutably across the fan-out shards (see
-    /// `mobicache_reports::plan`).
+    /// report is decoded once into a dense stale bitmap, then read by
+    /// every walked client (see `mobicache_reports::plan`).
     plans: Vec<PlanCache>,
     /// Broadcast time of the last report each cell handed to the
     /// fan-out — the dominant `Tlb` bucket for that cell's next plan
@@ -77,9 +68,8 @@ pub(crate) struct Broadcast {
     /// walk mask: the quiet clients, whose report is a `Tlb` stamp,
     /// leave it.
     deliver_words: Vec<u64>,
-    /// One scratch per chunk (`shards.len()` is the resolved thread
-    /// count); reused across ticks so steady state allocates nothing.
-    shards: Vec<ShardScratch>,
+    /// The walk's records, reused across ticks.
+    merge: Merge,
     pub(crate) plan_hits: u64,
     pub(crate) plan_misses: u64,
     pub(crate) fanout_words_skipped: u64,
@@ -88,12 +78,11 @@ pub(crate) struct Broadcast {
 }
 
 impl Broadcast {
-    pub(crate) fn new(db_size: u32, cells: usize, chunks: usize) -> Self {
+    pub(crate) fn new(db_size: u32, cells: usize) -> Self {
         Broadcast {
             db_size,
             plans: (0..cells).map(|_| PlanCache::new()).collect(),
             prev_report_at: vec![SimTime::ZERO; cells],
-            shards: (0..chunks).map(|_| ShardScratch::default()).collect(),
             ..Broadcast::default()
         }
     }
@@ -118,9 +107,9 @@ impl Broadcast {
         self.deliver_words.resize(n.div_ceil(64), !0);
     }
 
-    /// The delivery mask and the chunk count of a walk over it.
-    pub(crate) fn mask(&self) -> (&[u64], usize) {
-        (&self.deliver_words, self.shards.len())
+    /// The delivery mask.
+    pub(crate) fn mask(&self) -> &[u64] {
+        &self.deliver_words
     }
 
     /// Tallies the delivery mask's zero words and returns how many
@@ -132,59 +121,49 @@ impl Broadcast {
     }
 
     /// Applies `cell`'s `report` to the delivery mask's clients and
-    /// returns their actions for the engine's serial merge. The quiet
-    /// clients are stamped and leave the mask, so afterwards it holds
-    /// the walked clients only.
+    /// returns their actions for the engine's merge. The quiet clients
+    /// are stamped and leave the mask, so afterwards it holds the walked
+    /// clients only.
     pub(crate) fn apply_report(
         &mut self,
         clients: &mut ClientPop,
-        pool: &WorkerPool,
         cell: usize,
         report: &ReportPayload,
         now: SimTime,
         probing: bool,
     ) -> Merge {
-        // Decode this tick's invalidation plan once (serial), keyed by
-        // the dominant Tlb bucket: every client that heard the previous
-        // report holds exactly its broadcast time. Shards then read the
-        // plan lock-free.
+        // Decode this tick's invalidation plan once, keyed by the
+        // dominant Tlb bucket: every client that heard the previous
+        // report holds exactly its broadcast time.
         let plan = &mut self.plans[cell];
         plan.decode_for_tick(report, self.prev_report_at[cell], self.db_size);
         self.prev_report_at[cell] = report.broadcast_at();
-        // Serial stamp: a quiet client (empty cache, no gap, nothing
-        // waiting on a report) can only take the new `Tlb`, so it gets
-        // exactly that and leaves the walk.
+        // Stamp: a quiet client (empty cache, no gap, nothing waiting on
+        // a report) can only take the new `Tlb`, so it gets exactly that
+        // and leaves the walk.
         let walk = &mut self.deliver_words;
         self.fanout_quiet += clients.stamp_quiet(walk, report.broadcast_at());
         self.fanout_walked += walk.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-        // Parallel: each shard applies the report to the rest of its
-        // contiguous client range, touching only its own clients and
-        // scratch.
-        for sh in &mut self.shards {
-            sh.actions.clear();
-            sh.outcomes.clear();
-            sh.before.clear();
-            sh.plan = PlanStats::default();
-        }
+        // Walk: each remaining client applies the report, touching only
+        // its own columns and the merge records.
         let plan = &*plan;
-        clients.for_each_delivered(pool, walk, &mut self.shards, |i, mut client, sh| {
+        let m = &mut self.merge;
+        let mut stats = PlanStats::default();
+        clients.for_each_delivered(walk, |i, mut client| {
             if probing {
-                sh.before
+                m.before
                     .push((client.counters(), client.cache().evictions()));
             }
-            let a0 = sh.actions.len();
-            client.on_report_planned(now, report, plan, &mut sh.actions, &mut sh.plan);
-            let actions = (sh.actions.len() - a0) as u32;
+            let a0 = m.actions.len();
+            client.on_report_planned(now, report, plan, &mut m.actions, &mut stats);
+            let actions = (m.actions.len() - a0) as u32;
             if actions > 0 || probing {
-                sh.outcomes.push((i as u32, actions));
+                m.outcomes.push((i as u32, actions));
             }
         });
-        // u64 sums are order-free, so the totals are thread-invariant.
-        for sh in &self.shards {
-            self.plan_hits += sh.plan.hits;
-            self.plan_misses += sh.plan.misses;
-        }
-        Merge(std::mem::take(&mut self.shards))
+        self.plan_hits += stats.hits;
+        self.plan_misses += stats.misses;
+        std::mem::take(&mut self.merge)
     }
 
     /// Lets every delivery-mask client overhear a data item; snooping
@@ -192,17 +171,14 @@ impl Broadcast {
     pub(crate) fn apply_snoop(
         &mut self,
         clients: &mut ClientPop,
-        pool: &WorkerPool,
-        snoop: impl Fn(ClientMut<'_>) + Sync,
+        mut snoop: impl FnMut(ClientMut<'_>),
     ) {
-        clients.for_each_delivered(pool, &self.deliver_words, &mut self.shards, |_, c, _| {
-            snoop(c)
-        });
+        clients.for_each_delivered(&self.deliver_words, |_, c| snoop(c));
     }
 
-    /// Takes the drained scratch back for the next tick.
+    /// Takes the drained records back for the next tick.
     pub(crate) fn end_merge(&mut self, merge: Merge) {
-        self.shards = merge.0;
+        self.merge = merge;
     }
 
     pub(crate) fn plan_decodes(&self) -> u64 {

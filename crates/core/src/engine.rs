@@ -31,7 +31,6 @@ use mobicache_model::{ClientId, ConfigError, DownlinkTopology, ItemId, SimConfig
 use mobicache_net::Channel;
 use mobicache_reports::ReportPayload;
 use mobicache_server::{GroupVerdict, Server, ServerCounters, ValidityVerdict};
-use mobicache_sim::pool::WorkerPool;
 use mobicache_sim::{Scheduler, SimRng, SimTime, StreamId};
 use mobicache_workload::{GapKind, GapProcess, QueryGen, UpdateGen};
 use std::sync::Arc;
@@ -55,9 +54,6 @@ pub struct RunOptions<'p> {
     check_consistency: bool,
     /// Observer receiving typed run events and interval snapshots.
     probe: Option<&'p mut dyn Probe>,
-    /// Externally owned worker pool to execute the sharded tick phases
-    /// on, instead of spawning one per simulation.
-    worker_pool: Option<Arc<WorkerPool>>,
 }
 
 impl<'p> RunOptions<'p> {
@@ -82,18 +78,6 @@ impl<'p> RunOptions<'p> {
         self
     }
 
-    /// Runs the sharded tick phases on an existing pool instead of
-    /// spawning one per simulation — for drivers that create many
-    /// short-lived engines. Chunk geometry still follows
-    /// [`SimConfig::threads`], so sharing a pool (of any size) never
-    /// changes results; the pool only supplies execution lanes and
-    /// carries no per-run state.
-    #[must_use]
-    pub fn worker_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.worker_pool = Some(pool);
-        self
-    }
-
     /// Forwards a typed event to the attached probe, if any.
     fn emit(&mut self, now: SimTime, event: ProbeEvent) {
         if let Some(p) = self.probe.as_mut() {
@@ -112,7 +96,6 @@ impl std::fmt::Debug for RunOptions<'_> {
         f.debug_struct("RunOptions")
             .field("check_consistency", &self.check_consistency)
             .field("probe", &self.probe.is_some())
-            .field("worker_pool", &self.worker_pool.is_some())
             .finish()
     }
 }
@@ -218,11 +201,6 @@ pub struct Simulation<'p> {
     /// Reusable client-action buffer, threaded through every addressed
     /// delivery so the hot paths never allocate an action list.
     action_scratch: Vec<ClientAction>,
-    /// Persistent worker pool for the sharded tick phases: spawned once
-    /// per simulation (or shared via [`RunOptions::worker_pool`]) and
-    /// reused every tick, so no phase ever pays a thread spawn. Joined
-    /// on drop.
-    pool: Arc<WorkerPool>,
 }
 
 /// Builds and runs a simulation in one call.
@@ -287,61 +265,22 @@ impl<'p> Simulation<'p> {
                 Ev::ServerRecover,
             );
         }
-        // Asked only when needed: on Linux the answer reads cgroup files
-        // (tens of microseconds), a visible share of a small engine's
-        // set-up.
-        let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = match cfg.threads {
-            0 => cores(),
-            n => n as usize,
-        }
-        .min(cfg.num_clients as usize)
-        .max(1);
-        // `threads` fixes the chunk geometry (and with it nothing but
-        // wall time); the pool only lends execution lanes, so it never
-        // needs more than the host has — which also keeps a large
-        // validated `threads` from exhausting the process's thread limit.
-        let pool = match &opts.worker_pool {
-            Some(pool) => Arc::clone(pool),
-            None if threads == 1 => Arc::new(WorkerPool::new(1)),
-            None => Arc::new(WorkerPool::new(threads.min(cores()))),
-        };
-
         // One wake-up per client: every client seeds its own RNG stream
-        // and samples its first think period from it, so the burst
-        // shards across the pool. Each chunk slot holds its clients'
-        // streams and `(time, client)` wake-ups; concatenated in chunk
-        // order they give the client-index order `schedule_batch` needs
-        // to hand out the same sequence numbers `num_clients` individual
-        // calls would (the FIFO tie-break contract).
+        // and samples its first think period from it. One batch in
+        // client-index order hands out the sequence numbers
+        // `num_clients` individual calls would (the FIFO tie-break
+        // contract).
         let think = mobicache_sim::Exp::with_mean(cfg.mean_think_secs);
         let n = cfg.num_clients as usize;
-        let mut wake = vec![(Vec::new(), Vec::new()); threads];
-        pool.for_each_chunk(n, &mut wake, |range, (rngs, times)| {
-            rngs.reserve_exact(range.len());
-            times.reserve_exact(range.len());
-            for c in range {
-                let mut rng = SimRng::for_stream(cfg.seed, StreamId::Client(c as u32));
-                times.push((SimTime::from_secs(think.sample(&mut rng)), c as u32));
-                rngs.push(rng);
-            }
-        });
-        // The first chunk's streams become the column itself, so a
-        // one-chunk burst copies nothing.
-        let mut rng_clients: Vec<SimRng> = Vec::new();
+        let (rng_clients, wake): (Vec<SimRng>, Vec<_>) = (0..cfg.num_clients)
+            .map(|c| {
+                let mut rng = SimRng::for_stream(cfg.seed, StreamId::Client(c));
+                let at = SimTime::from_secs(think.sample(&mut rng));
+                (rng, (at, Ev::QueryArrival(ClientId(c))))
+            })
+            .unzip();
         sched.reserve(n);
-        for (mut rngs, times) in wake {
-            if rng_clients.is_empty() {
-                rng_clients = rngs;
-            } else {
-                rng_clients.append(&mut rngs);
-            }
-            sched.schedule_batch(
-                times
-                    .into_iter()
-                    .map(|(at, c)| (at, Ev::QueryArrival(ClientId(c)))),
-            );
-        }
+        sched.schedule_batch(wake);
 
         // Each client's residency clock starts at t = 0.
         let mut mobility = Mobility::new(cfg);
@@ -396,11 +335,10 @@ impl<'p> Simulation<'p> {
             rng_clients,
             faults: Faults::new(cfg),
             mobility,
-            broadcast: Broadcast::new(cfg.db_size, cells, threads),
+            broadcast: Broadcast::new(cfg.db_size, cells),
             acct: Accounting::new(),
             oracle: opts.check_consistency.then(Oracle::new),
             action_scratch: Vec::new(),
-            pool,
             sched,
             cfg: cfg.clone(),
             opts,
@@ -736,7 +674,7 @@ impl<'p> Simulation<'p> {
         let cell = idx * self.servers.len() / self.downlinks.len();
         match delivered.msg {
             DownPayload::Report(report) => {
-                // Phase 0 (serial): the cell's connected members hear it,
+                // Phase 0 (mask): the cell's connected members hear it,
                 // minus the fault layer's losses, whose coins fall in
                 // client-index order on per-client streams.
                 let mask = self.broadcast.listeners(&self.clients, cell as u32);
@@ -748,20 +686,19 @@ impl<'p> Simulation<'p> {
                 }
                 self.acct
                     .charge_rx(delivered.bits, self.broadcast.count_listeners());
-                // Phase 1 (parallel): plan decode, quiet stamp, sharded
-                // report application.
+                // Phase 1 (walk): plan decode, quiet stamp, report
+                // application, recorded for the merge.
                 let mut merge = self.broadcast.apply_report(
                     &mut self.clients,
-                    &self.pool,
                     cell,
                     &report,
                     now,
                     self.opts.probe.is_some(),
                 );
-                // Phase 2 (serial merge, client-index order): replay
-                // each client's actions and observations exactly as the
-                // serial loop interleaved them — the scheduler, the
-                // channels, the stats and the per-client RNG streams
+                // Phase 2 (merge, client-index order): replay each
+                // client's actions and observations exactly as a
+                // per-client loop would interleave them — the scheduler,
+                // the channels, the stats and the per-client RNG streams
                 // are only touched here.
                 merge.drain(|c, actions, before| {
                     for action in actions {
@@ -771,8 +708,8 @@ impl<'p> Simulation<'p> {
                 });
                 self.broadcast.end_merge(merge);
                 // Oracle pass after the merge (actions never touch a
-                // cache, so checking here sees exactly the state the
-                // per-client serial check saw), sharded over the pool.
+                // cache, so checking here sees exactly the state a
+                // per-client check would see).
                 // The mask now holds the walked clients only: a stamped
                 // quiet client has an empty cache and adds no checks.
                 self.check_delivered();
@@ -800,10 +737,9 @@ impl<'p> Simulation<'p> {
                     mask[d / 64] &= !(1u64 << (d % 64));
                     self.acct
                         .charge_rx(delivered.bits, self.broadcast.count_listeners());
-                    self.broadcast
-                        .apply_snoop(&mut self.clients, &self.pool, |mut client| {
-                            client.on_snooped_data(now, item, version)
-                        });
+                    self.broadcast.apply_snoop(&mut self.clients, |mut client| {
+                        client.on_snooped_data(now, item, version)
+                    });
                     self.check_delivered();
                 }
             }
@@ -914,8 +850,8 @@ impl<'p> Simulation<'p> {
 
     /// Applies one client action to the shared simulation state. Every
     /// scheduler, channel, stats and RNG touch a client triggers funnels
-    /// through here, in client-index order — the serial half of the
-    /// sharded fan-out's determinism argument.
+    /// through here, in client-index order — the merge half of the
+    /// fan-out's determinism argument.
     fn apply_action(&mut self, now: SimTime, c: ClientId, action: ClientAction) {
         match action {
             ClientAction::Uplink(kind) => {
@@ -1020,11 +956,10 @@ impl<'p> Simulation<'p> {
     }
 
     /// Oracle pass over every client in the delivery mask — the
-    /// read-only full-cache scans of a broadcast tick, sharded over the
-    /// pool. Violations come back in client-index order (whatever the
-    /// shard geometry), so the first one re-raised here is the same
-    /// panic, with the same message, the per-client serial check
-    /// produced.
+    /// read-only full-cache scans of a broadcast tick. Violations come
+    /// back in client-index order, so the first one re-raised here is
+    /// the same panic, with the same message, a per-client check would
+    /// raise.
     fn check_delivered(&mut self) {
         let Some(oracle) = self.oracle.as_mut() else {
             return;
@@ -1032,9 +967,8 @@ impl<'p> Simulation<'p> {
         // Columnar scan: no per-call `(ClientId, &cache)` list — the
         // oracle walks the cache column directly, masked by the
         // delivery mask.
-        let (mask, chunks) = self.broadcast.mask();
         let (checks, violations) =
-            oracle.scan_cols(self.clients.caches_col(), mask, &self.pool, chunks);
+            oracle.scan_cols(self.clients.caches_col(), self.broadcast.mask());
         oracle.note_checks(checks);
         if let Some(v) = violations.first() {
             panic!("{v}");
@@ -1154,18 +1088,18 @@ mod tests {
 
     #[test]
     fn sharded_fanout_is_bit_identical_for_every_scheme() {
-        // The tentpole contract: threads only trade wall time. The full
-        // Debug rendering of the metrics (every counter and every float)
-        // must match the serial run exactly.
+        // `threads` is accepted and ignored: the full Debug rendering of
+        // the metrics (every counter and every float) must match the
+        // default run exactly at any value.
         for scheme in Scheme::ALL {
             let cfg = short_cfg(scheme);
             let serial = run(&cfg, RunOptions::default()).unwrap();
             for threads in [2, 4, 0] {
-                let sharded =
+                let threaded =
                     run(&cfg.clone().with_threads(threads), RunOptions::default()).unwrap();
                 assert_eq!(
                     format!("{:?}", serial.metrics),
-                    format!("{:?}", sharded.metrics),
+                    format!("{:?}", threaded.metrics),
                     "{scheme:?} diverged at threads={threads}"
                 );
             }
@@ -1174,14 +1108,14 @@ mod tests {
 
     #[test]
     fn sharding_is_bit_identical_under_loss_and_snooping() {
-        // Report loss draws serial coins; snooping parallelises a second
-        // phase; the oracle checks every delivery. All three must
-        // survive sharding unchanged.
+        // Report loss draws coins, snooping walks a second mask, and
+        // the oracle checks every delivery; none of them may see
+        // `threads`.
         let mut cfg = short_cfg(Scheme::Aaw);
         cfg.p_report_loss = 0.2;
         cfg.snoop_broadcasts = true;
         let serial = run(&cfg, RunOptions::new().check_consistency(true)).unwrap();
-        let sharded = run(
+        let threaded = run(
             &cfg.clone().with_threads(4),
             RunOptions::new().check_consistency(true),
         )
@@ -1189,7 +1123,7 @@ mod tests {
         assert!(serial.metrics.reports_lost > 0);
         assert_eq!(
             format!("{:?}", serial.metrics),
-            format!("{:?}", sharded.metrics)
+            format!("{:?}", threaded.metrics)
         );
     }
 
@@ -1198,34 +1132,10 @@ mod tests {
         let mut cfg = short_cfg(Scheme::Bs);
         cfg.num_clients = 3;
         let serial = run(&cfg, RunOptions::default()).unwrap();
-        let sharded = run(&cfg.clone().with_threads(64), RunOptions::default()).unwrap();
+        let threaded = run(&cfg.clone().with_threads(64), RunOptions::default()).unwrap();
         assert_eq!(
             format!("{:?}", serial.metrics),
-            format!("{:?}", sharded.metrics)
-        );
-    }
-
-    #[test]
-    fn pool_lanes_are_capped_by_the_host() {
-        // 64 requested threads split 500 clients into 8 chunks of 64,
-        // but the engine's own pool spawns no more lanes than the host
-        // has cores — so a large validated `threads` cannot exhaust the
-        // process's thread limit — and the digest is the serial one.
-        let mut cfg = short_cfg(Scheme::Aaw);
-        cfg.num_clients = 500;
-        cfg.sim_time_secs = 1_000.0;
-        let serial = run(&cfg, RunOptions::new().check_consistency(true)).unwrap();
-        let sim = Simulation::new(
-            &cfg.clone().with_threads(64),
-            RunOptions::new().check_consistency(true),
-        )
-        .unwrap();
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert!(sim.pool.threads() <= cores, "{} lanes", sim.pool.threads());
-        assert_eq!(sim.broadcast.mask().1, 64);
-        assert_eq!(
-            format!("{:?}", serial.metrics),
-            format!("{:?}", sim.run_to_completion().metrics)
+            format!("{:?}", threaded.metrics)
         );
     }
 
@@ -1585,11 +1495,11 @@ mod tests {
             cfg.p_disconnect = 0.3;
             let serial = run(&cfg, RunOptions::default()).unwrap();
             for threads in [2, 4, 0] {
-                let sharded =
+                let threaded =
                     run(&cfg.clone().with_threads(threads), RunOptions::default()).unwrap();
                 assert_eq!(
                     format!("{:?}", serial.metrics),
-                    format!("{:?}", sharded.metrics),
+                    format!("{:?}", threaded.metrics),
                     "{scheme:?} fault coins diverged at threads={threads}"
                 );
             }

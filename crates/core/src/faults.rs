@@ -6,15 +6,14 @@
 use crate::metrics::FaultMetrics;
 use mobicache_client::ClientPop;
 use mobicache_model::{ChannelFaults, ClientId, ItemId, SimConfig};
-use mobicache_sim::pool::for_each_set_bit;
+use mobicache_sim::bits::for_each_set_bit;
 use mobicache_sim::{SimRng, SimTime, StreamId};
 use std::collections::HashSet;
 
 pub(crate) struct Faults {
     /// Per-client fault streams (Gilbert–Elliott transitions, downlink-
-    /// and uplink-loss coins), advanced only in the serial phases so
-    /// enabling faults never perturbs the workload streams and the coin
-    /// schedule is thread-invariant.
+    /// and uplink-loss coins), so enabling faults never perturbs the
+    /// workload streams.
     rng: Vec<SimRng>,
     /// Per-client Gilbert–Elliott channel state (`true` = in a burst).
     ge_bad: Vec<bool>,

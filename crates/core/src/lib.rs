@@ -66,4 +66,4 @@ pub use mobicache_model::{
 pub use mobicache_server::AdaptiveDecision;
 // Probe callbacks are timestamped in simulated time; re-export so
 // implementors need not depend on `mobicache-sim`.
-pub use mobicache_sim::{SimTime, WorkerPool};
+pub use mobicache_sim::SimTime;

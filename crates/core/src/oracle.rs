@@ -16,7 +16,7 @@
 
 use mobicache_cache::{EntryState, LruCache};
 use mobicache_model::{ClientId, ItemId};
-use mobicache_sim::pool::{for_each_set_bit, WorkerPool};
+use mobicache_sim::bits::for_each_set_bit;
 use mobicache_sim::SimTime;
 use std::collections::HashMap;
 use std::fmt;
@@ -97,8 +97,7 @@ impl Oracle {
     /// Read-only invariant scan over one client's cache: violations are
     /// appended to `out` in cache-entry order, and the number of
     /// invariant evaluations is returned (fold it back in with
-    /// [`Oracle::note_checks`]). Taking `&self` is what lets the tick
-    /// scan shard across the worker pool.
+    /// [`Oracle::note_checks`]).
     pub fn collect_violations(
         &self,
         client: ClientId,
@@ -132,34 +131,19 @@ impl Oracle {
     }
 
     /// Scans every cache of a column whose bit is set in `deliver` (bit
-    /// `i` of word `i / 64` is client `i`), sharded over `pool` in at
-    /// most `shards` contiguous index chunks. The column index *is* the
-    /// client id, so no `(ClientId, &cache)` pair list is ever built —
-    /// the struct-of-arrays engine calls this straight on its cache
-    /// column with its delivery words every broadcast tick. Returns the
-    /// total evaluation count and every violation in column-index (then
-    /// cache-entry) order, byte-identical to a serial pass whatever the
-    /// shard geometry: each chunk appends to its own slot, and slots are
-    /// concatenated in chunk order.
-    pub fn scan_cols(
-        &self,
-        caches: &[LruCache],
-        deliver: &[u64],
-        pool: &WorkerPool,
-        shards: usize,
-    ) -> (u64, Vec<Violation>) {
-        let mut parts: Vec<(u64, Vec<Violation>)> = (0..shards).map(|_| (0, Vec::new())).collect();
-        pool.for_each_chunk(caches.len(), &mut parts, |range, (checks, out)| {
-            for_each_set_bit(deliver, range, |i| {
-                *checks += self.collect_violations(ClientId(i as u32), &caches[i], out);
-            });
-        });
+    /// `i` of word `i / 64` is client `i`; bits past the column are
+    /// ignored). The column index *is* the client id, so no
+    /// `(ClientId, &cache)` pair list is ever built — the
+    /// struct-of-arrays engine calls this straight on its cache column
+    /// with its delivery words every broadcast tick. Returns the total
+    /// evaluation count and every violation in column-index (then
+    /// cache-entry) order.
+    pub fn scan_cols(&self, caches: &[LruCache], deliver: &[u64]) -> (u64, Vec<Violation>) {
         let mut checks = 0;
         let mut out = Vec::new();
-        for (c, mut v) in parts {
-            checks += c;
-            out.append(&mut v);
-        }
+        for_each_set_bit(deliver, 0..caches.len(), |i| {
+            checks += self.collect_violations(ClientId(i as u32), &caches[i], &mut out);
+        });
         (checks, out)
     }
 
@@ -224,8 +208,8 @@ mod tests {
         for k in 0..8u32 {
             o.record_update(t(10.0 + k as f64), ItemId(k));
         }
-        // 150 caches, so 2 and 3 shards really split (chunks are
-        // 64-aligned); every seventh client holds a stale-valid entry.
+        // 150 caches, so the mask spans a partial last word; every
+        // seventh client holds a stale-valid entry.
         let n: usize = 150;
         let caches: Vec<LruCache> = (0..n)
             .map(|c| {
@@ -235,7 +219,7 @@ mod tests {
                 cache
             })
             .collect();
-        // The reference: a plain serial loop over the masked clients.
+        // The reference: a plain loop over the masked clients.
         let serial = |mask: &dyn Fn(usize) -> bool| {
             let mut out = Vec::new();
             let mut checks = 0;
@@ -251,7 +235,6 @@ mod tests {
             }
             w
         };
-        let pool = WorkerPool::new(3);
         let all = serial(&|_| true);
         assert_eq!(all.0, n as u64);
         assert_eq!(all.1.len(), (0..n).filter(|c| c % 7 == 1).count());
@@ -259,18 +242,8 @@ mod tests {
         let partial: &dyn Fn(usize) -> bool = &|i| i != 1 && !(64..100).contains(&i);
         let masked = serial(partial);
         assert_eq!(masked.1.first().map(|v| v.client), Some(ClientId(8)));
-        for shards in [1usize, 2, 3, 5, 16] {
-            assert_eq!(
-                o.scan_cols(&caches, &words(&|_| true), &pool, shards),
-                all,
-                "shards={shards}"
-            );
-            assert_eq!(
-                o.scan_cols(&caches, &words(partial), &pool, shards),
-                masked,
-                "masked, shards={shards}"
-            );
-        }
+        assert_eq!(o.scan_cols(&caches, &words(&|_| true)), all);
+        assert_eq!(o.scan_cols(&caches, &words(partial)), masked);
     }
 
     #[test]

@@ -1,18 +1,12 @@
-//! Property tests for the sharded tick phases: whatever the randomized
-//! state and shard geometry, the pool-sharded implementations must
-//! report exactly what their serial counterparts report, in the same
-//! order.
+//! Property test for the consistency oracle's masked column scan
+//! ([`Oracle::scan_cols`]): whatever the randomized state and delivery
+//! mask, it must report exactly what a plain loop over
+//! [`Oracle::collect_violations`] reports, in the same order.
 //!
-//! The consistency oracle's masked column scan ([`Oracle::scan_cols`])
-//! carries real reduction logic — violations concatenated in
-//! client-index order across chunks — and gets pinned here against a
-//! plain serial loop over [`Oracle::collect_violations`].
-//!
-//! The report fan-out itself is pinned end-to-end by the golden-digest
-//! thread matrix in `tests/determinism.rs`.
+//! The report fan-out itself is pinned end-to-end by the golden digests
+//! in `tests/determinism.rs`.
 
 use mobicache::oracle::Oracle;
-use mobicache::WorkerPool;
 use mobicache_cache::LruCache;
 use mobicache_model::{ClientId, ItemId};
 use mobicache_sim::SimTime;
@@ -47,11 +41,10 @@ fn build_caches(specs: &CacheSpec) -> Vec<LruCache> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharded oracle scan ≡ serial loop: same evaluation count, same
+    /// Masked oracle scan ≡ per-client loop: same evaluation count, same
     /// violations, same order — over random update histories, random
-    /// cache contents (including limbo-exempt clients), random delivery
-    /// masks, and every shard geometry from serial to more shards than
-    /// 64-client chunks.
+    /// cache contents (including limbo-exempt clients) and random
+    /// delivery masks.
     #[test]
     fn sharded_oracle_scan_matches_serial(
         updates in prop::collection::vec((0u32..48, 0u16..500), 1..120),
@@ -60,7 +53,6 @@ proptest! {
             1..300,
         ),
         mask_seed in any::<u64>(),
-        max_shards in 1usize..9,
     ) {
         let mut oracle = Oracle::new();
         let mut history = updates.clone();
@@ -70,8 +62,7 @@ proptest! {
         }
         let caches = build_caches(&specs);
         let n = caches.len();
-        let pool = WorkerPool::new(3);
-        // The reference: a plain serial loop over the masked clients.
+        // The reference: a plain loop over the masked clients.
         let serial = |mask: &[u64]| {
             let mut out = Vec::new();
             let mut checks = 0;
@@ -97,9 +88,9 @@ proptest! {
             .collect();
         for mask in [&all, &random] {
             let reference = serial(mask);
-            let sharded = oracle.scan_cols(&caches, mask, &pool, max_shards);
-            prop_assert_eq!(&reference.0, &sharded.0, "check counts diverged");
-            prop_assert_eq!(&reference.1, &sharded.1, "violation lists diverged");
+            let scanned = oracle.scan_cols(&caches, mask);
+            prop_assert_eq!(&reference.0, &scanned.0, "check counts diverged");
+            prop_assert_eq!(&reference.1, &scanned.1, "violation lists diverged");
         }
         // And the full scan must agree with the panicking per-client
         // API about whether the state is consistent at all.

@@ -8,19 +8,15 @@
 //! repro --smoke fig05       run at 1/20 horizon (quick sanity pass)
 //! repro --scale 0.2 fig05   custom horizon scale
 //! repro --out results fig05 CSV output directory (default: results)
+//! repro --threads 2 --all  run at most 2 figure points at once
+//!                           (default: one per core)
 //! repro --progress fig05    live per-job progress lines on stderr
 //! repro --trace-dir results/trace fig05
 //!                           write per-job interval-snapshot JSONL traces
-//! repro --split points fig05
-//!                           keep engines serial (one core per point);
-//!                           default `auto` hands leftover cores to the
-//!                           engines when points are scarce
 //! ```
 
 use mobicache_experiments::figures;
-use mobicache_experiments::{
-    chart, csvout, run_figure_with, CoreSplitPolicy, Progress, RunReporting, RunScale,
-};
+use mobicache_experiments::{chart, csvout, run_figure_with, Progress, RunReporting, RunScale};
 use mobicache_model::{Scheme, SimConfig, Workload};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -81,17 +77,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 scale.max_threads = Some(v);
-            }
-            "--split" => {
-                i += 1;
-                scale.split = match args.get(i).map(String::as_str) {
-                    Some("auto") => CoreSplitPolicy::Auto,
-                    Some("points") => CoreSplitPolicy::PointsOnly,
-                    _ => {
-                        eprintln!("--split needs `auto` or `points`");
-                        return ExitCode::FAILURE;
-                    }
-                };
             }
             "--out" => {
                 i += 1;
@@ -155,8 +140,8 @@ fn main() -> ExitCode {
             format!("{:.0}s", p.eta_secs)
         };
         eprintln!(
-            "   [{:>3}/{:<3}] {:?} x={} [{}t] done in {:.1}s (elapsed {:.1}s, eta {eta})",
-            p.done, p.total, p.scheme, p.x, p.engine_threads, p.job_wall_secs, p.elapsed_secs
+            "   [{:>3}/{:<3}] {:?} x={} done in {:.1}s (elapsed {:.1}s, eta {eta})",
+            p.done, p.total, p.scheme, p.x, p.job_wall_secs, p.elapsed_secs
         );
     };
 
@@ -198,8 +183,8 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: repro [--smoke|--scale F] [--reps N] [--threads N] [--split auto|points] \
-         [--out DIR] [--progress] [--trace-dir DIR] (--all | --list | --tables | IDS...)"
+        "usage: repro [--smoke|--scale F] [--reps N] [--threads N] [--out DIR] \
+          [--progress] [--trace-dir DIR] (--all | --list | --tables | IDS...)"
     );
 }
 

@@ -142,7 +142,6 @@ mod tests {
             y_stderr: 0.0,
             replications: 1,
             wall_secs: 0.0,
-            engine_threads: 1,
             metrics: Metrics::default(),
         };
         FigureResult {

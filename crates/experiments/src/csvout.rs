@@ -79,7 +79,6 @@ mod tests {
                     y_stderr: 0.5,
                     replications: 2,
                     wall_secs: 0.0,
-                    engine_threads: 1,
                     metrics: Metrics {
                         queries_answered: 7,
                         ..Metrics::default()

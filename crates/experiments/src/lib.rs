@@ -22,8 +22,5 @@ pub mod figures;
 pub mod runner;
 pub mod spec;
 
-pub use runner::{
-    run_figure, run_figure_with, split_core_budget, CoreSplitPolicy, Progress, RunReporting,
-    RunScale,
-};
+pub use runner::{run_figure, run_figure_with, Progress, RunReporting, RunScale};
 pub use spec::{FigureResult, FigureSpec, MetricKind, PointResult, SeriesResult};

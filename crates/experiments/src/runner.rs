@@ -5,96 +5,35 @@
 //! counter. Each job is an independent simulation (common random
 //! numbers: the same master seed, so streams match across schemes), so
 //! the fan-out is embarrassingly parallel; results are reassembled in
-//! spec order.
-//!
-//! The core budget is split between the two parallelism axes by
-//! [`CoreSplitPolicy`]: many jobs → point-parallel with serial engines;
-//! few huge jobs → every point in flight plus leftover cores handed to
-//! the engines as worker threads (one persistent [`WorkerPool`] per
-//! point worker, shared across all jobs it claims). Engine results are
-//! bit-identical at any thread count, so the split never changes
-//! figures — only wall clock.
+//! spec order. Each engine runs serially, so the core budget goes to
+//! `budget.min(jobs)` point workers; how jobs land on workers shapes
+//! wall clock only, never figures.
 //!
 //! [`RunReporting`] adds live progress (jobs done/total, per-job wall
 //! time, ETA) and per-job interval-snapshot traces written as JSONL —
 //! the `repro` binary's `--progress` and `--trace-dir` flags.
 
 use crate::spec::{FigureResult, FigureSpec, PointResult, SeriesResult};
-use mobicache::{run, IntervalSampler, RunOptions, WorkerPool};
+use mobicache::{run, IntervalSampler, RunOptions};
 use mobicache_model::{ConfigError, Scheme};
 use std::num::NonZeroUsize;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
-
-/// How [`run_figure_with`] divides its core budget between concurrent
-/// figure points and engine worker threads inside each point.
-///
-/// Results are identical either way — the engine is bit-deterministic
-/// at any thread count — so this is purely a wall-clock shape knob.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CoreSplitPolicy {
-    /// Decide from the job list: with at least as many jobs as cores,
-    /// run point-parallel with serial engines (maximum throughput);
-    /// with fewer jobs than cores, keep every point in flight and hand
-    /// the leftover cores to the engines as worker threads, so a few
-    /// huge points still use the whole budget.
-    #[default]
-    Auto,
-    /// The historical shape: one core per concurrent point, engines
-    /// strictly serial, leftover cores idle.
-    PointsOnly,
-}
-
-/// Engine threads only pay off on populations big enough to shard: the
-/// engine splits clients into 64-client-aligned chunks, and a small
-/// population's tick phases are too short to repay the pool's wake-up
-/// and barrier, so splitting would idle cores that concurrent points
-/// could use.
-const ENGINE_SPLIT_MIN_CLIENTS: u32 = 2_048;
-
-/// Divides a core budget of `budget` across up to `jobs` concurrent
-/// point workers. Returns one entry per spawned worker: the engine
-/// thread count that worker runs its jobs with. The entries sum to
-/// `budget` whenever the split engages (Auto with fewer jobs than
-/// cores), spreading the remainder over the earliest workers.
-pub fn split_core_budget(
-    policy: CoreSplitPolicy,
-    budget: usize,
-    jobs: usize,
-    max_clients: u32,
-) -> Vec<u32> {
-    let budget = budget.max(1);
-    let jobs = jobs.max(1);
-    match policy {
-        CoreSplitPolicy::PointsOnly => vec![1; budget.min(jobs)],
-        CoreSplitPolicy::Auto => {
-            if jobs >= budget || max_clients < ENGINE_SPLIT_MIN_CLIENTS {
-                return vec![1; budget.min(jobs)];
-            }
-            let base = (budget / jobs) as u32;
-            let rem = budget % jobs;
-            (0..jobs).map(|w| base + u32::from(w < rem)).collect()
-        }
-    }
-}
 
 /// Scales a spec for quick smoke runs and benches.
 #[derive(Clone, Copy, Debug)]
 pub struct RunScale {
     /// Multiplier on the simulated horizon (1.0 = the paper's 100 000 s).
     pub time_factor: f64,
-    /// Core budget: concurrent point workers × their engine threads
-    /// (`None` = all available cores).
+    /// Core budget: concurrent point workers (`None` = all available
+    /// cores).
     pub max_threads: Option<usize>,
     /// Independent replications per point (different derived seeds);
     /// curves report the mean and standard error. The paper plots single
     /// runs, so the default is 1.
     pub replications: u32,
-    /// How the core budget is divided between concurrent points and
-    /// engine worker threads.
-    pub split: CoreSplitPolicy,
 }
 
 impl Default for RunScale {
@@ -103,7 +42,6 @@ impl Default for RunScale {
             time_factor: 1.0,
             max_threads: None,
             replications: 1,
-            split: CoreSplitPolicy::default(),
         }
     }
 }
@@ -123,12 +61,6 @@ impl RunScale {
         self.replications = replications;
         self
     }
-
-    /// Builder-style core-split policy override.
-    pub fn with_split(mut self, split: CoreSplitPolicy) -> Self {
-        self.split = split;
-        self
-    }
 }
 
 /// A finished job, as reported to the progress callback.
@@ -144,9 +76,6 @@ pub struct Progress {
     pub x: f64,
     /// Wall-clock seconds the job took (all replications).
     pub job_wall_secs: f64,
-    /// Engine worker threads the job ran with (the core-budget split's
-    /// allocation for its worker; 1 = serial engine).
-    pub engine_threads: u32,
     /// Wall-clock seconds since the figure started.
     pub elapsed_secs: f64,
     /// Estimated seconds remaining, from the mean job rate so far.
@@ -229,21 +158,14 @@ pub fn run_figure_with(
         }
     }
 
-    // Core budget → (point workers, engine threads per worker). The
-    // engine is bit-deterministic at any thread count, so the split
-    // shapes wall clock only, never results.
+    // One point worker per core of the budget, but never more than
+    // there are jobs.
     let budget = scale.max_threads.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1)
     });
-    let max_clients = jobs
-        .iter()
-        .map(|(_, _, cfg)| cfg.num_clients)
-        .max()
-        .unwrap_or(0);
-    let alloc = split_core_budget(scale.split, budget, total, max_clients);
-    let point_workers = alloc.len();
+    let point_workers = budget.min(total).max(1);
 
     let results: Mutex<Vec<(usize, usize, PointResult)>> = Mutex::new(Vec::with_capacity(total));
     let next_job = AtomicUsize::new(0);
@@ -252,7 +174,7 @@ pub fn run_figure_with(
     let progress_gate = Mutex::new(());
 
     std::thread::scope(|scope| {
-        for &engine_threads in &alloc {
+        for _ in 0..point_workers {
             let jobs = &jobs;
             let next_job = &next_job;
             let done = &done;
@@ -261,11 +183,6 @@ pub fn run_figure_with(
             let spec = &spec;
             let reporting = &reporting;
             scope.spawn(move || {
-                // One pool per worker, shared across every job it claims
-                // (engines reset all shared state between runs, so pool
-                // reuse is free — see `RunOptions::worker_pool`).
-                let pool = (engine_threads > 1)
-                    .then(|| Arc::new(WorkerPool::new(engine_threads as usize)));
                 loop {
                     let idx = next_job.fetch_add(1, Ordering::Relaxed);
                     let Some(&(si, pi, ref cfg)) = jobs.get(idx) else {
@@ -282,19 +199,13 @@ pub fn run_figure_with(
                         .trace_dir
                         .map(|_| IntervalSampler::every(reporting.trace_every.max(1)));
                     for rep in 0..scale.replications {
-                        let mut rep_cfg = cfg
+                        let rep_cfg = cfg
                             .clone()
                             .with_seed(cfg.seed.wrapping_add(rep as u64 * 0x9E37_79B9));
-                        if engine_threads > 1 {
-                            rep_cfg = rep_cfg.with_threads(engine_threads);
-                        }
-                        let mut opts = match (rep, sampler.as_mut()) {
+                        let opts = match (rep, sampler.as_mut()) {
                             (0, Some(s)) => RunOptions::new().probe(s),
                             _ => RunOptions::default(),
                         };
-                        if let Some(p) = &pool {
-                            opts = opts.worker_pool(Arc::clone(p));
-                        }
                         // Validated above; a rejection here is a bug.
                         let outcome = run(&rep_cfg, opts)
                             .unwrap_or_else(|e| panic!("{}: invalid config: {e}", spec.id));
@@ -307,10 +218,11 @@ pub fn run_figure_with(
                     if let (Some(dir), Some(s)) = (reporting.trace_dir, sampler.as_ref()) {
                         let name = format!("{}-{:?}-p{pi}.jsonl", spec.id, scheme).to_lowercase();
                         let path = dir.join(&name);
-                        // Leading meta line records where the core budget
-                        // went for this job; snapshots follow, one per line.
+                        // Leading meta line names the job and the point
+                        // workers it shared the budget with; snapshots
+                        // follow, one per line.
                         let mut body = format!(
-                            "{{\"job\":\"{}\",\"engine_threads\":{engine_threads},\"point_workers\":{point_workers}}}\n",
+                            "{{\"job\":\"{}\",\"point_workers\":{point_workers}}}\n",
                             name.trim_end_matches(".jsonl"),
                         );
                         body.push_str(&s.to_jsonl());
@@ -336,7 +248,6 @@ pub fn run_figure_with(
                             y_stderr: stderr,
                             replications: scale.replications,
                             wall_secs: job_wall_secs,
-                            engine_threads,
                             metrics: first_metrics.expect("at least one replication"),
                         },
                     ));
@@ -352,7 +263,6 @@ pub fn run_figure_with(
                             scheme,
                             x,
                             job_wall_secs,
-                            engine_threads,
                             elapsed_secs,
                             eta_secs,
                         });
@@ -489,112 +399,8 @@ mod tests {
         // First line is the allocation meta record.
         let meta = body.lines().next().unwrap();
         assert!(meta.contains("\"job\":\"test-bs-p0\""), "{meta}");
-        assert!(meta.contains("\"engine_threads\":1"), "{meta}");
         assert!(meta.contains("\"point_workers\":"), "{meta}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn split_points_only_never_allocates_engine_threads() {
-        assert_eq!(
-            split_core_budget(CoreSplitPolicy::PointsOnly, 8, 3, 1_000_000),
-            vec![1, 1, 1]
-        );
-        assert_eq!(
-            split_core_budget(CoreSplitPolicy::PointsOnly, 2, 5, 1_000_000),
-            vec![1, 1]
-        );
-    }
-
-    #[test]
-    fn split_auto_stays_point_parallel_when_jobs_cover_budget() {
-        assert_eq!(
-            split_core_budget(CoreSplitPolicy::Auto, 4, 4, 1_000_000),
-            vec![1, 1, 1, 1]
-        );
-        assert_eq!(
-            split_core_budget(CoreSplitPolicy::Auto, 4, 40, 1_000_000),
-            vec![1, 1, 1, 1]
-        );
-    }
-
-    #[test]
-    fn split_auto_hands_leftover_cores_to_engines() {
-        // 8 cores over 3 big jobs: remainder goes to the earliest
-        // workers, and the allocation sums to the whole budget.
-        let alloc = split_core_budget(CoreSplitPolicy::Auto, 8, 3, 1_000_000);
-        assert_eq!(alloc, vec![3, 3, 2]);
-        assert_eq!(alloc.iter().sum::<u32>(), 8);
-        assert_eq!(
-            split_core_budget(CoreSplitPolicy::Auto, 6, 2, 1_000_000),
-            vec![3, 3]
-        );
-    }
-
-    #[test]
-    fn split_auto_keeps_small_populations_serial() {
-        // Tiny engines cannot shard profitably, so leftover cores stay
-        // idle rather than being burned on pool overhead.
-        assert_eq!(
-            split_core_budget(CoreSplitPolicy::Auto, 8, 3, 10),
-            vec![1, 1, 1]
-        );
-    }
-
-    #[test]
-    fn split_degenerate_inputs_yield_one_serial_worker() {
-        assert_eq!(split_core_budget(CoreSplitPolicy::Auto, 0, 0, 0), vec![1]);
-        assert_eq!(
-            split_core_budget(CoreSplitPolicy::PointsOnly, 0, 0, 0),
-            vec![1]
-        );
-    }
-
-    #[test]
-    fn auto_split_matches_points_only_results() {
-        // The split is a wall-clock knob only: a population big enough
-        // to engage engine threading must produce bit-identical curves
-        // under both policies (the engine's determinism contract).
-        let base = SimConfig::paper_default()
-            .with_sim_time(400.0)
-            .with_db_size(500)
-            .with_num_clients(2_500);
-        let spec = FigureSpec {
-            id: "split",
-            paper_ref: "none",
-            title: "split",
-            x_label: "x",
-            metric: MetricKind::QueriesAnswered,
-            schemes: vec![Scheme::Aaw],
-            points: vec![(1.0, base)],
-            expected_shape: "n/a",
-        };
-        let budget = Some(3); // 1 job < 3 cores → Auto allocates [3]
-        let auto = run_figure(
-            &spec,
-            RunScale {
-                max_threads: budget,
-                split: CoreSplitPolicy::Auto,
-                ..RunScale::default()
-            },
-        )
-        .expect("valid spec");
-        let serial = run_figure(
-            &spec,
-            RunScale {
-                max_threads: budget,
-                split: CoreSplitPolicy::PointsOnly,
-                ..RunScale::default()
-            },
-        )
-        .expect("valid spec");
-        let (a, s) = (&auto.series[0].points[0], &serial.series[0].points[0]);
-        assert_eq!(a.engine_threads, 3, "Auto hands the whole budget over");
-        assert_eq!(s.engine_threads, 1, "PointsOnly keeps engines serial");
-        assert_eq!(a.y, s.y);
-        // Full-metrics digest equality — the same pin the golden
-        // determinism suite uses.
-        assert_eq!(format!("{:?}", a.metrics), format!("{:?}", s.metrics));
     }
 
     #[test]

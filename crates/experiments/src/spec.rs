@@ -92,10 +92,6 @@ pub struct PointResult {
     pub replications: u32,
     /// Wall-clock seconds this job took (all replications).
     pub wall_secs: f64,
-    /// Engine worker threads this job ran with — what the runner's
-    /// core-budget split allocated (1 = serial engine). Results are
-    /// thread-invariant; this records where the cores went.
-    pub engine_threads: u32,
     /// The full metrics of the first replication.
     pub metrics: Metrics,
 }

@@ -33,9 +33,9 @@
 //! Every fault coin is drawn from a **dedicated per-client RNG stream**
 //! (`SimRng::stream(seed, 0xFA17… + client)`) in the engine's *serial*
 //! phases — the phase-0 delivery pass for downlink coins, the serial
-//! merge for uplink coins. Sharded tick phases never touch fault state,
-//! so golden digests are bit-identical at every worker-thread count, with
-//! faults on or off. When the plan is inactive no fault stream is ever
+//! merge for uplink coins. The fan-out walk never touches fault state,
+//! so golden digests are bit-identical with faults on or off. When the
+//! plan is inactive no fault stream is ever
 //! advanced, so `faults = off` reproduces historical digests bit-for-bit.
 //!
 //! [`p_loss_good`]: ChannelFaults::p_loss_good

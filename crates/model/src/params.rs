@@ -286,15 +286,11 @@ pub struct SimConfig {
     /// to others; with snooping on, clients opportunistically cache them.
     /// Off in the paper's model.
     pub snoop_broadcasts: bool,
-    /// Worker threads for the embarrassingly-parallel tick phases
-    /// (report fan-out, data snooping, the wake-up burst and the oracle
-    /// scan). `1` (the default) runs fully serial; `0` means auto (one
-    /// per available core). The value sets how many chunks the clients
-    /// are split into; the engine's own pool never spawns more lanes
-    /// than the host has cores. Any value yields **bit-identical**
-    /// results: clients are sharded into contiguous index ranges and
-    /// shard outputs are merged in client-index order before the
-    /// scheduler or any RNG stream is touched.
+    /// Has no effect: the engine runs every phase serially, and any
+    /// value yields the same run. It is still accepted (and
+    /// [`SimConfig::with_threads`] still sets it) only because the
+    /// frozen benchmark harness sets and asserts it; it will be removed
+    /// with the next change to that harness.
     pub threads: u32,
     /// Fault-injection plan: bursty downlink loss (generalising
     /// [`SimConfig::p_report_loss`]), uplink loss with client
@@ -489,9 +485,8 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style worker-thread override (`0` = one per core). The
-    /// result is bit-identical for every value; this knob only trades
-    /// wall time.
+    /// Builder-style override of [`SimConfig::threads`], which has no
+    /// effect.
     pub fn with_threads(mut self, threads: u32) -> Self {
         self.threads = threads;
         self

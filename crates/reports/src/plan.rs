@@ -53,7 +53,7 @@
 use crate::bitseq::{BitSequences, BsSelect};
 use crate::payload::ReportPayload;
 use mobicache_model::ItemId;
-use mobicache_sim::pool::for_each_set_bit;
+use mobicache_sim::bits::for_each_set_bit;
 use mobicache_sim::SimTime;
 
 /// Which decode the plan currently holds (one report kind per tick).
@@ -72,9 +72,8 @@ enum PlanKind {
     Bs(SimTime, BsSelect),
 }
 
-/// Per-client plan-application tallies, accumulated shard-locally by the
-/// engine fan-out and merged serially (sums are order-free, so the
-/// counters are thread-invariant).
+/// Per-client plan-application tallies, accumulated by the engine
+/// fan-out over the clients it walks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Report applications served by the word-wise plan intersection.
@@ -94,9 +93,8 @@ pub struct PlanStats {
 /// one item at a time. The buffers persist across ticks, so steady state
 /// allocates nothing.
 ///
-/// Shared immutably across the engine's fan-out shards: after the serial
-/// phase-0 decode every read is lock-free (`&PlanCache` is `Sync` — the
-/// struct is plain `Vec`s).
+/// Decoded once per tick, then read immutably by every client the
+/// engine's fan-out walks.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     kind: PlanKind,
@@ -153,8 +151,8 @@ impl PlanCache {
         self.summary[k / 64] |= 1u64 << (k % 64);
     }
 
-    /// Decodes `payload` into this tick's plan. Serial phase-0 only —
-    /// shards read the result immutably.
+    /// Decodes `payload` into this tick's plan, before the fan-out walk
+    /// reads it.
     ///
     /// `dominant_tlb` keys the BS prefix bucket: pass the previous
     /// report's broadcast time (every client that heard it selects this

@@ -556,12 +556,11 @@ mod tests {
 
     #[test]
     fn chained_shard_batches_equal_one_serial_batch() {
-        // The sharded wake-up burst's merge contract: splitting one
-        // burst into contiguous shard-local buffers and replaying them
-        // with one `schedule_batch` per shard (in shard order) must
-        // hand out exactly the sequence numbers — hence exactly the
-        // pop order — of a single serial batch, for any chunking,
-        // including chunk sizes that do not divide the burst.
+        // Batches chain: replaying one burst as contiguous pieces, one
+        // `schedule_batch` per piece (in order), must hand out exactly
+        // the sequence numbers — hence exactly the pop order — of a
+        // single batch, for any chunking, including chunk sizes that do
+        // not divide the burst.
         let burst: Vec<(SimTime, u32)> = (0..40)
             .map(|i| (SimTime::from_secs(if i % 3 == 0 { 5.0 } else { 9.0 }), i))
             .collect();
@@ -569,12 +568,12 @@ mod tests {
         serial.schedule_batch(burst.iter().copied());
         let want: Vec<_> = std::iter::from_fn(|| serial.pop()).collect();
         for chunk in [1usize, 7, 13, 40, 64] {
-            let mut sharded: Scheduler<u32> = Scheduler::new();
-            sharded.reserve(burst.len());
-            for shard in burst.chunks(chunk) {
-                sharded.schedule_batch(shard.iter().copied());
+            let mut chained: Scheduler<u32> = Scheduler::new();
+            chained.reserve(burst.len());
+            for piece in burst.chunks(chunk) {
+                chained.schedule_batch(piece.iter().copied());
             }
-            let got: Vec<_> = std::iter::from_fn(|| sharded.pop()).collect();
+            let got: Vec<_> = std::iter::from_fn(|| chained.pop()).collect();
             assert_eq!(got, want, "chunk size {chunk}");
         }
     }

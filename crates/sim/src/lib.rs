@@ -19,20 +19,18 @@
 //! * [`facility`] — a single-server queueing facility with priority classes
 //!   and preemptive-resume service, modelling a wireless channel whose
 //!   invalidation reports must go out exactly on the broadcast period.
-//! * [`pool`] — a persistent, determinism-preserving worker pool
-//!   ([`WorkerPool`]) for the engine's sharded tick phases: spawned once,
-//!   tick-barrier `run` over contiguous chunk descriptors, clean join on
-//!   drop.
+//! * [`bits`] — ascending set-bit walks over `u64` bitmaps, the shape of
+//!   the engine's per-client masks.
 //!
 //! The kernel is deliberately *event-callback* shaped rather than
 //! process-oriented: the driving loop lives in the `mobicache` core crate
 //! and dispatches on an application event enum. All components here are
 //! passive data structures, which keeps them unit-testable in isolation.
 
+pub mod bits;
 pub mod dist;
 pub mod event;
 pub mod facility;
-pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -40,7 +38,6 @@ pub mod time;
 pub use dist::{Bernoulli, Exp, Poisson, UniformRange, Zipf};
 pub use event::Scheduler;
 pub use facility::{Completion, Facility, FacilityConfig, Job};
-pub use pool::WorkerPool;
 pub use rng::{SimRng, StreamId};
 pub use stats::{Counter, Histogram, OnlineStats, TimeWeighted};
 pub use time::SimTime;

@@ -290,8 +290,8 @@ proptest! {
         }
     }
 
-    /// The sharded wake-up burst contract at the scheduler level: a
-    /// burst split into contiguous chunks and replayed with one
+    /// Batches chain: a burst split into contiguous chunks and replayed
+    /// with one
     /// `schedule_batch` per chunk (in order) hands out exactly the
     /// sequence numbers — hence exactly the pop order — of one serial
     /// batch, for any chunk size.
@@ -307,14 +307,14 @@ proptest! {
             .collect();
         let mut serial: Scheduler<u32> = Scheduler::new();
         serial.schedule_batch(events.iter().copied());
-        let mut sharded: Scheduler<u32> = Scheduler::new();
-        sharded.reserve(events.len());
-        for shard in events.chunks(chunk) {
-            sharded.schedule_batch(shard.iter().copied());
+        let mut chained: Scheduler<u32> = Scheduler::new();
+        chained.reserve(events.len());
+        for piece in events.chunks(chunk) {
+            chained.schedule_batch(piece.iter().copied());
         }
-        prop_assert_eq!(serial.events_scheduled(), sharded.events_scheduled());
+        prop_assert_eq!(serial.events_scheduled(), chained.events_scheduled());
         loop {
-            let (a, b) = (serial.pop(), sharded.pop());
+            let (a, b) = (serial.pop(), chained.pop());
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;

@@ -20,9 +20,9 @@
 #                     the word-wise PlanCache intersection arm, ns/client
 #                     at 10k/100k/1M clients, plus a probed AAW run's
 #                     plan-cache hit rate
-#   scaling         — full AAW runs, clients x engine worker threads
-#                     (host_cores recorded; rows with more threads than
-#                     cores verify overhead, not speedup)
+#
+# Every simulation in it runs on the serial engine; `host_cores` is
+# recorded beside the numbers.
 #
 # ci.sh runs seven gates on this binary. Four re-time one row against
 # `--check-against BENCH_report_pipeline.json` and fail below a floor of

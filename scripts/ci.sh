@@ -14,16 +14,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# `unsafe` stays confined to the worker pool's job dispatch and
-# per-chunk slot handout; every sharded phase reaches it through
-# `WorkerPool::for_each_chunk`. (The `:(glob)` form makes `**` match
-# files below each `src`; a bare `crates/*/src` pathspec matches none.)
-echo "==> unsafe confinement"
-stray=$(git grep -l unsafe -- ':(glob)crates/*/src/**' |
-  grep -v -x -e crates/sim/src/pool.rs || true)
-if [ -n "$stray" ]; then
-  echo "unsafe outside crates/sim/src/pool.rs:"
-  git grep -n unsafe -- $stray
+# No `unsafe` anywhere: the workspace lint (`unsafe_code = "forbid"`)
+# rejects it at compile time in every member crate, and this leg also
+# catches any tracked .rs file outside them (mobibench/, for one).
+echo "==> no unsafe in tracked .rs files"
+if git grep -n unsafe -- '*.rs'; then
+  echo "unsafe found in the files above"
   exit 1
 fi
 
@@ -51,54 +47,58 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-# The golden-digest suite must hold at any worker-thread count: the
-# persistent pool's sharded phases are bit-identical by contract. Run it
-# serial and sharded, in debug AND release — release reorders enough
-# (inlining, vectorized loops) to have caught ordering bugs debug masks.
+# The golden-digest suite in debug AND release — release reorders
+# enough (inlining, vectorized loops) to have caught ordering bugs
+# debug masks.
 for profile in "" "--release"; do
-  for t in 1 4; do
-    echo "==> determinism suite, threads=$t ${profile:-debug}"
-    MOBICACHE_THREADS=$t cargo test -q $profile --test determinism
-  done
+  echo "==> determinism suite (${profile:-debug})"
+  cargo test -q $profile --test determinism
 done
 
-# Fault matrix: the high-fault digest must be thread-invariant too (the
-# fault coins ride dedicated streams in the serial phases), and the
+# Fault leg: the high-fault digests in release, and the
 # any-fault-schedule proptests run the oracle under arbitrary fault
 # plans. Timeout because their failure mode includes a retry loop that
 # never terminates.
-for t in 1 4; do
-  echo "==> fault determinism leg, threads=$t (release)"
-  MOBICACHE_THREADS=$t cargo test -q --release --test determinism fault
-done
+echo "==> fault determinism leg (release)"
+cargo test -q --release --test determinism fault
 echo "==> fault-schedule proptest suite (under timeout)"
 timeout 600 cargo test -q --release --test faults
 
-# Multi-cell legs: the mobility digests must be thread-invariant (the
-# mobility coins ride dedicated per-cell streams), and the cell
+# Multi-cell legs: the mobility digests in release, and the cell
 # equivalence battery pins cells=1 bit-identity plus the
 # handoff-equals-disconnection contract. Timeouts because the proptests'
 # failure mode includes shrink loops over whole-simulation runs.
-for t in 1 4; do
-  echo "==> multi-cell determinism leg, threads=$t (release)"
-  MOBICACHE_THREADS=$t timeout 600 cargo test -q --release --test determinism \
-    -- multi_cell mobility
-done
+echo "==> multi-cell determinism leg (release)"
+timeout 600 cargo test -q --release --test determinism -- multi_cell mobility
 echo "==> cell equivalence suite (under timeout)"
 timeout 600 cargo test -q --release --test cells
 
+# The committed campaign regenerates: `repro --all` at full horizon into
+# a temp dir must reproduce every results/*.csv byte for byte (runs are
+# seeded, so any difference is a behaviour change that needs its own
+# justification and a regenerated CSV).
+echo "==> campaign regeneration: repro --all vs results/"
+campaign=$(mktemp -d)
+trap 'rm -rf "$campaign"' EXIT
+./target/release/repro --all --out "$campaign" > /dev/null
+committed=$(git ls-files 'results/*.csv')
+if ! diff <(echo "$committed" | sed 's|^results/||') <(ls "$campaign"); then
+  echo "repro --all wrote a different set of CSVs than results/ holds"
+  exit 1
+fi
+for f in $committed; do
+  if ! cmp "$f" "$campaign/${f#results/}"; then
+    echo "repro --all output differs from the committed $f"
+    exit 1
+  fi
+done
+
 # The benchmark harness in mobibench/ builds against the library crates
-# by path: its tests pin 1/50-horizon digests of every workload at 1 and
-# 2 threads and compile against the plan API, so a library change that
-# breaks the benchmark fails here first.
+# by path: its tests pin 1/50-horizon digests of every workload and
+# compile against the plan API, so a library change that breaks the
+# benchmark fails here first.
 echo "==> mobibench harness tests"
 cargo test -q --offline --manifest-path mobibench/Cargo.toml
-
-# Pool lifecycle tests under a hard timeout: their failure mode is a
-# wedged barrier or an unjoined worker, which must fail fast instead of
-# hanging the suite.
-echo "==> pool lifecycle suite (under timeout)"
-timeout 300 cargo test -q --release --test pool
 
 # The quiet rule of the report fan-out: random client histories over
 # every scheme, checking that a quiet client takes any report as a `Tlb`
@@ -122,9 +122,9 @@ timeout 600 cargo test -q --release -p mobicache-client --test plan_apply_props
 echo "==> report_pipeline harness tests"
 cargo test -q --release -p mobicache-bench --bin report_pipeline
 
-echo "==> bench smoke: report_pipeline --quick --threads 2"
+echo "==> bench smoke: report_pipeline --quick"
 cargo build --release -p mobicache-bench
-./target/release/report_pipeline --quick --threads 2 --out /tmp/bench_smoke.json
+./target/release/report_pipeline --quick --out /tmp/bench_smoke.json
 # The JSON writer must keep every section, key and row column: the smoke
 # output carries exactly the committed file's set of distinct keys.
 json_keys() { grep -o '"[^"]*":' "$1" | sort -u; }
@@ -136,12 +136,10 @@ fi
 rm -f /tmp/bench_smoke.json
 
 # Population-scale leg for the struct-of-arrays client core. (The
-# 100k-client determinism pin is no longer #[ignore]d: the determinism
-# suite loop above runs it in debug and in release at MOBICACHE_THREADS=1
-# and 4.) The popscale smoke re-runs the committed 100k bench row and
-# fails on a >10% events/sec regression against
-# BENCH_report_pipeline.json, under timeout: its failure mode includes a
-# wedged shard barrier.
+# 100k-client determinism pin runs in the determinism suite above, in
+# debug and in release.) The popscale smoke re-runs the committed 100k
+# bench row and fails on a >10% events/sec regression against
+# BENCH_report_pipeline.json, under timeout.
 echo "==> popscale smoke: 100k clients vs committed BENCH_report_pipeline.json"
 timeout 300 ./target/release/report_pipeline \
   --smoke-popscale 100000 --check-against BENCH_report_pipeline.json

@@ -31,23 +31,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Worker threads for the pinned runs, from `MOBICACHE_THREADS`
-/// (default 1). CI runs this suite twice — threads=1 and threads=4 —
-/// and the GOLDEN table must hold for both: the sharded fan-out is
-/// bit-identical by contract, so the digests do not depend on it.
-fn configured_threads() -> u32 {
-    std::env::var("MOBICACHE_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
 fn short_cfg(scheme: Scheme) -> SimConfig {
     let mut cfg = SimConfig::paper_default().with_scheme(scheme);
     cfg.sim_time_secs = 4_000.0;
     cfg.db_size = 1_000;
     cfg.num_clients = 20;
-    cfg.threads = configured_threads();
     cfg
 }
 
@@ -108,29 +96,10 @@ fn digest_is_stable_across_runs() {
     assert_eq!(digest_for(Scheme::Aaw), digest_for(Scheme::Aaw));
 }
 
-/// The multi-threading contract, pinned per scheme: sharding the tick
-/// fan-out across the maximum sensible worker count produces the exact
-/// digest of the fully serial engine.
-#[test]
-fn sharded_digest_equals_serial_digest_per_scheme() {
-    let max = std::thread::available_parallelism()
-        .map_or(4, |n| n.get() as u32)
-        .max(4);
-    for scheme in Scheme::ALL {
-        assert_eq!(
-            digest_with_threads(scheme, 1),
-            digest_with_threads(scheme, max),
-            "{scheme:?} diverged between threads=1 and threads={max}"
-        );
-    }
-}
-
-/// The full thread-count matrix against the GOLDEN table: every scheme,
-/// at every thread count worth worrying about — serial, even and odd
-/// shard geometries, counts that do not divide the 20-client population
-/// (3, 7), auto (0), and more threads than clients (33, a degenerate
-/// single-client-per-shard split). The persistent pool must hit the
-/// pinned digest at every point.
+/// `SimConfig::threads` is accepted and ignored: every scheme hits its
+/// GOLDEN digest at every value the knob used to take — serial, counts
+/// that do not divide the 20-client population (3, 7), auto (0), and
+/// more threads than clients (33).
 #[test]
 fn golden_digest_across_thread_matrix() {
     let mut mismatches = Vec::new();
@@ -144,7 +113,7 @@ fn golden_digest_across_thread_matrix() {
     }
     assert!(
         mismatches.is_empty(),
-        "digests moved under sharding (scheme, threads, expected, got): {mismatches:#x?}"
+        "digests moved with `threads` (scheme, threads, expected, got): {mismatches:#x?}"
     );
 }
 
@@ -217,9 +186,8 @@ const FAULT_PATH_GOLDEN: &[(&str, u64)] = &[
 ];
 
 /// Each single-cell fault, loss, snoop and dedicated-channel arm hits
-/// its pinned digest. The thread count comes from `MOBICACHE_THREADS`,
-/// and `fault` in the name puts this test in the fault legs of
-/// `scripts/ci.sh`, which run it at 1 and 4 threads.
+/// its pinned digest. `fault` in the name puts this test in the fault
+/// leg of `scripts/ci.sh`, which runs it in release.
 #[test]
 fn fault_path_golden_digests() {
     let cases = fault_path_cases();
@@ -240,9 +208,8 @@ fn fault_path_golden_digests() {
     );
 }
 
-/// Fault injection draws every coin in the serial tick phases on
-/// per-client streams, so a high-fault run must be bit-identical across
-/// thread counts too — CI runs this leg at `MOBICACHE_THREADS` 1 and 4.
+/// A high-fault run ignores `threads` too: fault coins ride per-client
+/// streams whatever the knob says.
 #[test]
 fn fault_injection_digests_are_thread_invariant() {
     for scheme in Scheme::ALL {
@@ -264,13 +231,12 @@ fn fault_injection_digests_are_thread_invariant() {
 }
 
 /// The determinism contract at population scale: a 100 000-client run on
-/// the struct-of-arrays client core must produce bit-identical metrics
-/// whether the column scans run serial or sharded across the pool.
+/// the struct-of-arrays client core reproduces itself, and ignores
+/// `threads`.
 ///
 /// Almost every client is quiet on almost every tick, so the fan-out
 /// stamps them and walks only the rest: the run is cheap enough for the
-/// debug suite. `scripts/ci.sh` also runs it in release at 1 and 4
-/// threads.
+/// debug suite. `scripts/ci.sh` also runs it in release.
 #[test]
 fn hundred_k_clients_digest_is_thread_invariant() {
     let mut cfg = SimConfig::paper_default().with_scheme(Scheme::Aaw);
@@ -323,9 +289,7 @@ const MULTI_CELL_GOLDEN: &[(Scheme, u32, bool, u64)] = &[
 
 /// The determinism contract extended to the cell topology: the pinned
 /// {2, 5}-cell runs — faults off and on — hit their golden digests at
-/// every thread count (serial, 4 workers, auto). Mobility draws ride
-/// dedicated per-client streams and handoffs are scheduled through the
-/// wheel, so migration must not introduce any thread sensitivity.
+/// every `threads` value (1, 4, auto), which the engine ignores.
 #[test]
 fn multi_cell_golden_digest_across_thread_matrix() {
     let mut mismatches = Vec::new();
@@ -351,10 +315,8 @@ fn multi_cell_golden_digest_across_thread_matrix() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Random mobility plans are thread-invariant, mirroring the random
-    /// fault-plan pin in `tests/faults.rs`: whatever the topology and
-    /// residency process do to the event schedule, sharding the fan-out
-    /// only trades wall time.
+    /// Random mobility plans ignore `threads`, mirroring the random
+    /// fault-plan pin in `tests/faults.rs`.
     #[test]
     fn random_mobility_plans_are_thread_invariant(
         cells in 2u32..7,
@@ -372,10 +334,10 @@ proptest! {
         });
         cfg.p_disconnect = p_disconnect;
         let serial = run(&cfg, RunOptions::default()).unwrap();
-        let sharded = run(&cfg.clone().with_threads(threads), RunOptions::default()).unwrap();
+        let threaded = run(&cfg.clone().with_threads(threads), RunOptions::default()).unwrap();
         prop_assert_eq!(
             format!("{:?}", serial.metrics),
-            format!("{:?}", sharded.metrics),
+            format!("{:?}", threaded.metrics),
             "mobility coins diverged at threads={} cells={}", threads, cells
         );
     }

@@ -4,9 +4,8 @@
 //! `tests/determinism.rs` — its GOLDEN digests were captured on the old
 //! `Vec<Client>` engine and still hold. This suite pins the rest of the
 //! space: over *randomized* configurations (population size, database
-//! size, seed, horizon) and every scheme, the metrics must not depend on
-//! how the columns are cut into shards — serial or any worker count —
-//! and must reproduce run-to-run.
+//! size, seed, horizon) and every scheme, the metrics must reproduce
+//! run-to-run and ignore `threads`.
 
 use mobicache::{run, RunOptions, Scheme, SimConfig};
 use proptest::prelude::*;
