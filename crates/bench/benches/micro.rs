@@ -1,9 +1,8 @@
 //! Micro-benchmarks of the simulator's hot paths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mobicache::{RunOptions, Simulation};
 use mobicache_model::msg::SizeParams;
-use mobicache_model::{ItemId, Scheme, SimConfig};
+use mobicache_model::{ItemId, Scheme};
 use mobicache_reports::{BitSequences, SigReport, Signer, WindowReport};
 use mobicache_server::Server;
 use mobicache_sim::{Facility, FacilityConfig, Job, SimRng, SimTime};
@@ -236,25 +235,6 @@ fn bench_facility(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_end_to_end(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simulation");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(8));
-    for scheme in [Scheme::Aaw, Scheme::Bs, Scheme::SimpleChecking] {
-        let mut cfg = SimConfig::paper_default().with_scheme(scheme);
-        cfg.sim_time_secs = 2_000.0;
-        group.bench_function(format!("run_2000s_{}", scheme.short()), |b| {
-            b.iter(|| {
-                let sim = Simulation::new(&cfg, RunOptions::default()).expect("valid");
-                black_box(sim.run_to_completion().metrics.queries_answered)
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_rng(c: &mut Criterion) {
     let mut group = c.benchmark_group("rng");
     group.bench_function("next_u64", |b| {
@@ -277,7 +257,6 @@ criterion_group!(
     bench_sig,
     bench_cache,
     bench_facility,
-    bench_end_to_end,
     bench_rng
 );
 criterion_main!(benches);

@@ -1,19 +1,12 @@
-//! End-to-end report-pipeline benchmark: the numbers behind
+//! Report-pipeline benchmark: the numbers behind
 //! `BENCH_report_pipeline.json`.
+//!
+//! Whole-simulation throughput is `mobibench`'s question (kernel-scaled,
+//! repeated and digest-checked); this harness times what no `mobibench`
+//! workload reaches or isolates.
 //!
 //! Sections:
 //!
-//! * **e2e** — the `fig05` sweep (one scheme per run, single worker
-//!   thread, smoke horizon) for BS, AAW and simple checking: wall
-//!   seconds and simulator events/second per scheme, best of several
-//!   repetitions.
-//! * **stress** — one heavy configuration per scheme (large database,
-//!   200 clients, fast updates) where report construction and fan-out
-//!   dominate wall time; this is where pipeline regressions are loudest.
-//! * **handoff** — the stress shape spread over a 4-cell topology with
-//!   migrating clients: per-cell report fan-out, per-cell update replay
-//!   and the handoff machinery (blackouts, Tlb re-announcement, parked
-//!   queries) all at once, for BS and AAW.
 //! * **popscale** — the struct-of-arrays population sweep: one AAW run
 //!   at 10 k, 100 k and 1 M clients (shortening the horizon as the
 //!   population grows), pinning events/second *and* peak RSS per
@@ -26,31 +19,26 @@
 //!   workload at 10 k, 100 k and 1 M pending events, in ns per push/pop
 //!   operation.
 //! * **invplan** — the invalidation-plan micro-benchmark: one AAW-shaped
-//!   window report applied to 10 k / 100 k / 1 M real `LruCache`s,
-//!   comparing the two arms a client selects between — one plan-bit
-//!   probe per cached item vs the word-wise `PlanCache` intersection —
-//!   in ns per client; plus a short probed AAW run recording the
-//!   plan-cache hit rate and the number of all-zero fan-out words
-//!   skipped.
+//!   window report applied to 10 k real `LruCache`s, comparing the two
+//!   arms a client selects between — one plan-bit probe per cached item
+//!   vs the word-wise `PlanCache` intersection — in ns per client; plus
+//!   a short probed AAW run recording the plan-cache hit rate and the
+//!   number of all-zero fan-out words skipped.
 //!
 //! Run via `scripts/bench.sh`, which writes the JSON to the repo root.
 //! `--quick` shrinks every section for the CI smoke step; `--out PATH`
 //! writes the JSON file (otherwise stdout).
 //!
-//! CI regression gates each run one section and exit non-zero on a
-//! miss. `--smoke-popscale CLIENTS`, `--smoke-stress`, `--smoke-handoff`
-//! and `--smoke-e2e` need at least 90 % (e2e: 80 %, its wall times being
-//! tens of milliseconds) of the matching row's events/second in the
-//! committed JSON named by `--check-against PATH`; `--smoke-sched`,
-//! `--smoke-invplan` and `--smoke-bsbuild` compare two paths timed in
-//! one process, so they hold on any host.
+//! CI smokes each run one section. `--smoke-sched`, `--smoke-invplan`
+//! and `--smoke-bsbuild` compare two paths timed in one process and
+//! exit non-zero on a miss, so they hold on any host.
+//! `--smoke-popscale CLIENTS` runs one popscale row and prints it; it
+//! gates nothing.
 
 use mobicache::{run, IntervalSampler, RunOptions};
 use mobicache_cache::LruCache;
-use mobicache_experiments::figures::fig05;
-use mobicache_experiments::{run_figure_with, RunReporting, RunScale};
 use mobicache_model::msg::SizeParams;
-use mobicache_model::{CellTopology, ItemId, Scheme, SimConfig};
+use mobicache_model::{ItemId, Scheme, SimConfig};
 use mobicache_reports::{BitSequences, PlanCache, ReportPayload, WindowReport};
 use mobicache_server::Server;
 use mobicache_sim::{Scheduler, SimRng, SimTime};
@@ -59,55 +47,12 @@ use std::collections::BinaryHeap;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Wall numbers measured at the commit *before* the shared-index /
-/// report-cache refactor landed, same machine, non-quick settings.
-/// Kept in the JSON so a single file shows before vs after.
-const BASELINE_BEFORE: &str = r#"  "baseline_before": {
-    "note": "pre-refactor (per-client linear scans, report rebuilt every tick)",
-    "e2e": [
-      { "scheme": "Bs", "wall_secs": 0.033, "events": 17640, "events_per_sec": 537612 },
-      { "scheme": "Aaw", "wall_secs": 0.049, "events": 22467, "events_per_sec": 461185 },
-      { "scheme": "SimpleChecking", "wall_secs": 0.041, "events": 22721, "events_per_sec": 552418 }
-    ],
-    "stress": [
-      { "scheme": "Bs", "wall_secs": 0.049, "events": 5304, "events_per_sec": 108823 },
-      { "scheme": "Aaw", "wall_secs": 0.173, "events": 6472, "events_per_sec": 37412 },
-      { "scheme": "SimpleChecking", "wall_secs": 0.134, "events": 6638, "events_per_sec": 49701 }
-    ]
-  },
-"#;
-
 /// Wall seconds of one call to `f`, and its result (dropped outside
 /// the measurement).
 fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let started = Instant::now();
     let out = f();
     (started.elapsed().as_secs_f64(), out)
-}
-
-/// Best-of-`reps` wall seconds of `job`, which runs the measured work
-/// once and returns its event count; also returns the last run's events.
-fn best_of(reps: usize, mut job: impl FnMut() -> u64) -> (f64, u64) {
-    let mut best = (f64::INFINITY, 0);
-    for _ in 0..reps {
-        let (wall, events) = timed(&mut job);
-        best = (best.0.min(wall), events);
-    }
-    best
-}
-
-/// Runs one simulation and returns its event count. A multi-cell
-/// configuration that never hands a client off would time the
-/// single-cell path under a multi-cell name, so that fails loudly.
-fn sim_events(cfg: &SimConfig) -> u64 {
-    let metrics = run(cfg, RunOptions::default())
-        .expect("bench config validates")
-        .metrics;
-    assert!(
-        cfg.cells.cells == 1 || metrics.mobility.handoffs > 0,
-        "a multi-cell bench must actually hand off"
-    );
-    metrics.events_processed
 }
 
 /// One row of a JSON section, formatted as one object.
@@ -141,102 +86,17 @@ macro_rules! json_row {
     };
 }
 
-json_row! {
-    /// One scheme's row of the `e2e`, `stress` and `handoff` sections.
-    E2eRow {
-        scheme: Scheme => "\"{:?}\"",
-        points: usize => "{}",
-        wall_secs: f64 => "{:.3}",
-        events: u64 => "{}",
-        events_per_sec: f64 => "{:.0}",
-    }
-}
-
-impl E2eRow {
-    /// The row for one `best_of` result, logged to stderr.
-    fn from_best(section: &str, scheme: Scheme, points: usize, best: (f64, u64)) -> Self {
-        let (wall_secs, events) = best;
-        E2eRow {
-            scheme,
-            points,
-            wall_secs,
-            events,
-            events_per_sec: events as f64 / wall_secs,
-        }
-        .logged(section)
-    }
-}
-
-/// The `fig05` sweep's scale: one point at a time, as every committed
-/// e2e number was measured.
-fn e2e_scale(quick: bool) -> RunScale {
-    RunScale {
-        time_factor: if quick { 0.01 } else { 0.05 },
-        max_threads: Some(1),
-        replications: 1,
-    }
-}
-
-/// Best-of-`reps` wall time for each scheme's `fig05` sweep.
-fn bench_e2e(schemes: &[Scheme], quick: bool, reps: usize) -> Vec<E2eRow> {
-    let scale = e2e_scale(quick);
-    schemes
-        .iter()
-        .map(|&scheme| {
-            let mut spec = fig05::spec();
-            spec.schemes = vec![scheme];
-            if quick {
-                spec.points.truncate(2);
-            }
-            let best = best_of(reps, || {
-                run_figure_with(&spec, scale, RunReporting::default())
-                    .expect("fig05 spec validates")
-                    .series
-                    .iter()
-                    .flat_map(|s| &s.points)
-                    .map(|p| p.metrics.events_processed)
-                    .sum()
-            });
-            E2eRow::from_best("e2e", scheme, spec.points.len(), best)
-        })
-        .collect()
-}
-
-/// One heavy point per scheme: big database (large caches and BS
-/// reports), 200 clients (wide fan-out), updates every 5 s (full
-/// windows). Report building and application dominate here.
-fn stress_cfg(scheme: Scheme, quick: bool) -> SimConfig {
-    let mut cfg = SimConfig::paper_default().with_scheme(scheme);
-    cfg.sim_time_secs = if quick { 1_000.0 } else { 8_000.0 };
+/// The stress shape: a big database (large caches and BS reports), 200
+/// clients (wide fan-out) and updates every 5 s (full windows), where
+/// report building and application dominate. `bsbuild` replays its
+/// update stream and `invplan` freezes one of its ticks.
+fn stress_cfg() -> SimConfig {
+    let mut cfg = SimConfig::paper_default();
+    cfg.sim_time_secs = 8_000.0;
     cfg.db_size = 40_000;
     cfg.num_clients = 200;
     cfg.mean_update_interarrival_secs = 5.0;
     cfg
-}
-
-/// The multi-cell mobility stress point: the heavy stress shape spread
-/// over 4 cells, residency expiring every ~250 s against the 20 s
-/// broadcast period, a 12 s blackout per handoff and a dozing
-/// population — the per-cell report fan-out, the per-cell `UpdateLog`
-/// replay (4× the txn application work) and the handoff machinery all
-/// on the clock at once.
-fn handoff_cfg(scheme: Scheme, quick: bool) -> SimConfig {
-    let mut cfg = stress_cfg(scheme, quick).with_cells(CellTopology {
-        cells: 4,
-        mean_residency_secs: 250.0,
-        handoff_secs: 12.0,
-        p_roam: 0.8,
-    });
-    cfg.p_disconnect = 0.2;
-    cfg
-}
-
-/// A single-configuration section (`stress`, `handoff`): best of `reps`
-/// runs of each scheme's configuration.
-fn bench_single(section: &str, cfgs: &[SimConfig], reps: usize) -> Vec<E2eRow> {
-    cfgs.iter()
-        .map(|cfg| E2eRow::from_best(section, cfg.scheme, 1, best_of(reps, || sim_events(cfg))))
-        .collect()
 }
 
 json_row! {
@@ -275,7 +135,12 @@ fn popscale_cfg(clients: u32) -> SimConfig {
 
 fn run_popscale_once(clients: u32) -> PopRow {
     let cfg = popscale_cfg(clients);
-    let (wall_secs, events) = best_of(1, || sim_events(&cfg));
+    let (wall_secs, events) = timed(|| {
+        run(&cfg, RunOptions::default())
+            .expect("popscale config validates")
+            .metrics
+            .events_processed
+    });
     PopRow {
         clients,
         wall_secs,
@@ -502,6 +367,11 @@ fn invplan_fixture(clients: u32, records: u32, db: u32) -> (WindowReport, Vec<Lr
     (report, caches)
 }
 
+/// The invplan population. 10 k clients hold about half a GiB of
+/// caches, which already overflows the CPU caches as a larger population
+/// would; 100 k would need about 5 GiB and 1 M about 50 GiB.
+const INVPLAN_CLIENTS: u32 = 10_000;
+
 /// One timed invplan cell: full fan-out passes over every cache, best of
 /// `reps`, both arms decoding the plan once per pass and producing the
 /// identical stale set per client.
@@ -580,50 +450,6 @@ fn invplan_probe(quick: bool) -> InvplanProbe {
     .logged("invplan probe")
 }
 
-fn bench_invplan(quick: bool) -> Vec<InvplanRow> {
-    let pops: &[u32] = if quick {
-        &[10_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-    let reps = if quick { 3 } else { 5 };
-    pops.iter()
-        .map(|&clients| run_invplan_once(clients, reps))
-        .collect()
-}
-
-/// The committed events/second of the `section` row that opens with
-/// `row` (e.g. `"clients": 100000` or `"scheme": "Aaw"`) in the JSON at
-/// `path`. Reads the *last* `section` key, skipping `baseline_before`'s
-/// `"e2e"` and `"stress"`, up to its closing `]`. A hand-rolled scan —
-/// the repo vendors no JSON parser and the bench file's shape is ours.
-fn committed_rate(path: &str, section: &str, row: &str) -> Option<f64> {
-    let body = std::fs::read_to_string(path).ok()?;
-    let section = &body[body.rfind(&format!("\"{section}\":"))?..];
-    let section = &section[..section.find(']')?];
-    let row = &section[section.find(&format!("{{ {row},"))?..];
-    let row = &row[..row.find('}')?];
-    let key = "\"events_per_sec\":";
-    row[row.find(key)? + key.len()..]
-        .split(',')
-        .next()?
-        .trim()
-        .parse()
-        .ok()
-}
-
-/// A committed-number CI gate: `rate` passes at or above `floor` times
-/// the `committed` events/second. Returns the process exit code.
-fn floor_gate(name: &str, rate: f64, committed: Option<f64>, floor: f64) -> i32 {
-    let Some(committed) = committed else {
-        eprintln!("{name}: no committed row to check against");
-        return 1;
-    };
-    let min = committed * floor;
-    let line = format!("{rate:.0} ev/s vs committed {committed:.0} ev/s (floor {min:.0})");
-    verdict(name, rate >= min, &line)
-}
-
 /// Prints a CI gate's `ok` or `REGRESSION` line and returns the process
 /// exit code.
 fn verdict(name: &str, pass: bool, line: &str) -> i32 {
@@ -636,11 +462,9 @@ fn verdict(name: &str, pass: bool, line: &str) -> i32 {
 
 /// The invalidation-plan CI smoke: at the stress shape's 800-item
 /// caches the client selection picks the word arm, so the word arm must
-/// beat the per-item arm timed in the same process. 10 k clients (about
-/// half a GiB of caches) already overflow the CPU caches as a larger
-/// population would.
+/// beat the per-item arm timed in the same process.
 fn smoke_invplan() -> i32 {
-    let row = run_invplan_once(10_000, 3);
+    let row = run_invplan_once(INVPLAN_CLIENTS, 3);
     let line = format!(
         "word arm {:.0} ns/client vs per-item arm {:.0} ns/client ({:.2}x)",
         row.plan_ns_per_client, row.per_item_ns_per_client, row.speedup
@@ -654,7 +478,7 @@ fn smoke_invplan() -> i32 {
 /// in the per-tick `build_report_shared` and in a from-scratch
 /// `BitSequences::from_recency` of the same log state.
 fn bsbuild_once(seed: u64) -> (f64, f64) {
-    let cfg = stress_cfg(Scheme::Bs, false);
+    let cfg = stress_cfg();
     let params = SizeParams {
         db_size: u64::from(cfg.db_size),
         group_count: u64::from(cfg.gcore_groups),
@@ -731,20 +555,13 @@ fn json_lines(rows: &[impl JsonRow], indent: &str) -> String {
     lines.join(",\n")
 }
 
-/// An array section of scheme rows: `"name": [ … ]`.
-fn rows_section(name: &str, rows: &[E2eRow]) -> String {
-    format!("  \"{name}\": [\n{}\n  ]", json_lines(rows, "    "))
-}
-
 /// A section with a note: `"name": { "note": …, <head>"rows": [ … ]<tail> }`.
 fn note_section(name: &str, note: &str, head: &str, rows: &[impl JsonRow], tail: &str) -> String {
     let rows = json_lines(rows, "      ");
     format!("  \"{name}\": {{\n    \"note\": \"{note}\",\n{head}    \"rows\": [\n{rows}\n    ]{tail}\n  }}")
 }
 
-/// The AAW row of a scheme-keyed section, as `committed_rate` finds it.
-const AAW_ROW: &str = "\"scheme\": \"Aaw\"";
-/// The `"scheme"` line of the all-AAW sections.
+/// The `"scheme"` line of the all-AAW popscale section.
 const AAW_HEAD: &str = "    \"scheme\": \"Aaw\",\n";
 
 const POPSCALE_NOTE: &str = "struct-of-arrays population sweep: one AAW run per \
@@ -759,19 +576,30 @@ const SCHED_NOTE: &str = "future-event-list micro-benchmark: the retired \
 
 const INVPLAN_NOTE: &str = "invalidation-plan micro-benchmark: one AAW-shaped window \
     report at the stress shape (db 40000, 40 records, 800-item caches) \
-    applied to N real LruCaches through the two arms a client selects \
+    applied to 10000 real LruCaches through the two arms a client selects \
     between: one plan-bit probe per cached item (per_item) vs the \
     word-wise PlanCache bitmap intersection (plan), each decoding the \
     plan once per pass, ns per client best-of-reps. hit_rate_probe is a \
     probed AAW run at the popscale shape reading the cumulative plan \
     counters off the last interval snapshot.";
 
+/// The CPU model `/proc/cpuinfo` reports, for the host fingerprint.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|v| v.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Runs every section in file order — popscale first and ascending,
-/// because its peak-RSS column reads `VmHWM` — and returns the JSON.
+/// because its peak-RSS column reads `VmHWM` — and returns the JSON,
+/// headed by the host fingerprint (cores and CPU model).
 fn bench_all(quick: bool) -> String {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let all = [Scheme::Bs, Scheme::Aaw, Scheme::SimpleChecking];
-    let reps = if quick { 1 } else { 3 };
     let sections = [
         note_section(
             "popscale",
@@ -781,33 +609,18 @@ fn bench_all(quick: bool) -> String {
             "",
         ),
         note_section("sched", SCHED_NOTE, "", &bench_sched(quick), ""),
-        rows_section("e2e", &bench_e2e(&all, quick, reps)),
-        rows_section(
-            "stress",
-            &bench_single("stress", &all.map(|s| stress_cfg(s, quick)), reps),
-        ),
-        rows_section(
-            "handoff",
-            &bench_single(
-                "handoff",
-                &[Scheme::Bs, Scheme::Aaw].map(|s| handoff_cfg(s, quick)),
-                reps,
-            ),
-        ),
         note_section(
             "invplan",
             INVPLAN_NOTE,
             "",
-            &bench_invplan(quick),
+            &[run_invplan_once(INVPLAN_CLIENTS, if quick { 3 } else { 5 })],
             &format!(",\n    \"hit_rate_probe\": {}", invplan_probe(quick).json()),
         ),
     ];
     format!(
         "{{\n  \"bench\": \"report_pipeline\",\n  \"quick\": {quick},\n  \
-         \"host_cores\": {host_cores},\n  \
-         \"scale\": {{ \"figure\": \"fig05\", \"time_factor\": {}, \"threads\": 1 }},\n\
-         {BASELINE_BEFORE}{}\n}}\n",
-        e2e_scale(quick).time_factor,
+         \"host_cores\": {host_cores},\n  \"cpu_model\": {:?},\n{}\n}}\n",
+        cpu_model(),
         sections.join(",\n")
     )
 }
@@ -823,33 +636,16 @@ fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let has = |name: &str| args.iter().any(|a| a == name);
-    let gate = |section: &str, row: &str, rate: f64, floor: f64| {
-        let path: String =
-            flag(&args, "--check-against").expect("this gate needs --check-against PATH");
-        let committed = committed_rate(&path, section, row);
-        floor_gate(&format!("smoke-{section}"), rate, committed, floor)
-    };
 
     let code = if let Some(clients) = flag(&args, "--smoke-popscale") {
-        let rate = run_popscale_once(clients).events_per_sec;
-        gate("popscale", &format!("\"clients\": {clients}"), rate, 0.9)
-    } else if has("--smoke-stress") {
-        let cfg = stress_cfg(Scheme::Aaw, false);
-        let rows = bench_single("stress", &[cfg], 2);
-        gate("stress", AAW_ROW, rows[0].events_per_sec, 0.9)
-    } else if has("--smoke-handoff") {
-        let cfg = handoff_cfg(Scheme::Aaw, false);
-        let rows = bench_single("handoff", &[cfg], 2);
-        gate("handoff", AAW_ROW, rows[0].events_per_sec, 0.9)
+        run_popscale_once(clients);
+        0
     } else if has("--smoke-sched") {
         smoke_sched()
     } else if has("--smoke-invplan") {
         smoke_invplan()
     } else if has("--smoke-bsbuild") {
         smoke_bsbuild()
-    } else if has("--smoke-e2e") {
-        let rows = bench_e2e(&[Scheme::Aaw], false, 2);
-        gate("e2e", AAW_ROW, rows[0].events_per_sec, 0.8)
     } else {
         let body = bench_all(has("--quick"));
         match flag::<String>(&args, "--out") {
@@ -862,45 +658,4 @@ fn main() {
         return;
     };
     std::process::exit(code);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const COMMITTED: &str = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_report_pipeline.json"
-    );
-
-    #[test]
-    fn committed_rate_reads_the_gated_rows() {
-        let rate = |section, row| committed_rate(COMMITTED, section, row);
-        assert_eq!(rate("popscale", "\"clients\": 100000"), Some(228_451.0));
-        // The top-level rows, not `baseline_before`'s 37 412 and 461 185.
-        assert_eq!(rate("stress", AAW_ROW), Some(577_672.0));
-        assert_eq!(rate("e2e", AAW_ROW), Some(1_379_102.0));
-        assert_eq!(rate("handoff", AAW_ROW), Some(465_404.0));
-    }
-
-    #[test]
-    fn committed_rate_is_none_for_a_missing_row_section_or_file() {
-        let rate = |section, row| committed_rate(COMMITTED, section, row);
-        assert_eq!(rate("handoff", "\"scheme\": \"SimpleChecking\""), None);
-        // A prefix of the 10 000 row.
-        assert_eq!(rate("popscale", "\"clients\": 1000"), None);
-        assert_eq!(rate("nosuch", AAW_ROW), None);
-        assert_eq!(committed_rate("no/such/file.json", "e2e", AAW_ROW), None);
-    }
-
-    #[test]
-    fn floor_gate_passes_at_the_floor_and_fails_just_below() {
-        let committed = Some(577_672.0);
-        let at_floor = 577_672.0 * 0.9;
-        assert_eq!(floor_gate("smoke-test", at_floor, committed, 0.9), 0);
-        // The next float below the floor.
-        let below = f64::from_bits(at_floor.to_bits() - 1);
-        assert_eq!(floor_gate("smoke-test", below, committed, 0.9), 1);
-        assert_eq!(floor_gate("smoke-test", f64::INFINITY, None, 0.9), 1);
-    }
 }

@@ -1,13 +1,13 @@
 //! # mobicache-bench
 //!
-//! Criterion benchmark targets (no library code):
+//! Benchmark targets (no library code). Whole-simulation throughput is
+//! measured by `mobibench` (its own package in `mobibench/`); this crate
+//! keeps what no whole run isolates:
 //!
-//! * `benches/figures.rs` — one benchmark per paper figure (and per
-//!   ablation), each executing that figure's full scheme × point sweep at
-//!   a reduced horizon. Regenerating a figure at paper scale is the
-//!   `repro` binary's job; these benches track the *cost* of each
-//!   experiment so simulator performance regressions are caught.
-//! * `benches/micro.rs` — micro-benchmarks of the hot algorithmic pieces:
-//!   bit-sequence construction and application, window-report decisions,
-//!   LRU operations, signature combination, the channel facility, and the
-//!   end-to-end event rate of one simulation.
+//! * `benches/micro.rs` — criterion micro-benchmarks of the hot
+//!   algorithmic pieces: bit-sequence construction and application,
+//!   window-report decisions, LRU operations, signature combination, the
+//!   channel facility and the RNG.
+//! * `src/bin/report_pipeline.rs` — the `BENCH_report_pipeline.json`
+//!   harness: the population sweep up to 1 M clients, the scheduler and
+//!   invalidation-plan micro-benchmarks, and the same-process CI smokes.

@@ -261,11 +261,6 @@ impl ClientPop {
         &self.col.cache
     }
 
-    /// The whole connected column.
-    pub fn connected_col(&self) -> &[bool] {
-        &self.col.connected
-    }
-
     /// The connected set as bitmap words (bit `i` = client `i` listens).
     /// The last word's tail bits beyond `len()` are zero.
     pub fn connected_words(&self) -> &[u64] {
@@ -1387,9 +1382,9 @@ mod tests {
         let n = 70; // crosses a word boundary
         let mut pop = ClientPop::new(cfg(Scheme::Aaw), n);
         let check = |pop: &ClientPop| {
-            for (i, &c) in pop.connected_col().iter().enumerate() {
+            for i in 0..n {
                 let bit = pop.connected_words()[i / 64] & (1 << (i % 64)) != 0;
-                assert_eq!(bit, c, "client {i}");
+                assert_eq!(bit, pop.is_connected(i), "client {i}");
             }
             let tail: u32 = pop.connected_words()[n / 64].count_ones();
             assert!(tail as usize <= n % 64, "tail bits beyond len set");

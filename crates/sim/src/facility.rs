@@ -122,7 +122,6 @@ pub struct Facility {
     current: Option<Active>,
     next_token: u64,
     // Statistics.
-    busy_since: Option<SimTime>,
     busy_time: f64,
     bits_served: Vec<f64>,
     jobs_served: Vec<u64>,
@@ -137,7 +136,6 @@ impl Facility {
             queues: (0..cfg.classes).map(|_| VecDeque::new()).collect(),
             current: None,
             next_token: 0,
-            busy_since: None,
             busy_time: 0.0,
             bits_served: vec![0.0; cfg.classes],
             jobs_served: vec![0; cfg.classes],
@@ -154,11 +152,6 @@ impl Facility {
     /// `true` while a job is in service.
     pub fn is_busy(&self) -> bool {
         self.current.is_some()
-    }
-
-    /// Jobs waiting (not in service) in the given class.
-    pub fn queue_len(&self, class: usize) -> usize {
-        self.queues[class].len()
     }
 
     /// Total jobs waiting across all classes.
@@ -213,9 +206,6 @@ impl Facility {
             resumed_at: now,
             token,
         });
-        if self.busy_since.is_none() {
-            self.busy_since = Some(now);
-        }
         Completion { at, token }
     }
 
@@ -293,9 +283,6 @@ impl Facility {
             let resumed = s.remaining_bits.max(f64::MIN_POSITIVE);
             self.start(now, s.job, resumed)
         });
-        if completion.is_none() {
-            self.busy_since = None;
-        }
         Some((active.job, completion))
     }
 }

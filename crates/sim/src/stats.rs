@@ -4,8 +4,6 @@
 //! percentiles and channel utilisation; these accumulators collect them in
 //! one pass with O(1) memory (except the histogram, which is fixed-size).
 
-use crate::time::SimTime;
-
 /// Welford single-pass mean/variance accumulator.
 #[derive(Clone, Debug, Default)]
 pub struct OnlineStats {
@@ -61,11 +59,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation, or `+inf` when empty.
     pub fn min(&self) -> f64 {
         self.min
@@ -97,54 +90,6 @@ impl OnlineStats {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal (e.g. queue length,
-/// channel busy state).
-#[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    last_t: SimTime,
-    last_v: f64,
-    weighted_sum: f64,
-    origin: SimTime,
-}
-
-impl TimeWeighted {
-    /// Starts tracking at `t0` with initial value `v0`.
-    pub fn new(t0: SimTime, v0: f64) -> Self {
-        TimeWeighted {
-            last_t: t0,
-            last_v: v0,
-            weighted_sum: 0.0,
-            origin: t0,
-        }
-    }
-
-    /// Records that the signal changed to `v` at time `t`.
-    ///
-    /// # Panics
-    /// Panics if `t` precedes the previous update.
-    pub fn update(&mut self, t: SimTime, v: f64) {
-        assert!(t >= self.last_t, "time went backwards");
-        self.weighted_sum += self.last_v * (t - self.last_t);
-        self.last_t = t;
-        self.last_v = v;
-    }
-
-    /// The current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.last_v
-    }
-
-    /// Time-weighted mean over `[origin, t]`.
-    pub fn mean_until(&self, t: SimTime) -> f64 {
-        let span = t - self.origin;
-        if span <= 0.0 {
-            return self.last_v;
-        }
-        let sum = self.weighted_sum + self.last_v * (t - self.last_t).max(0.0);
-        sum / span
-    }
-}
-
 /// A named monotone counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Counter {
@@ -161,11 +106,6 @@ impl Counter {
     pub fn add(&mut self, amount: f64) {
         debug_assert!(amount >= 0.0, "counter decrement: {amount}");
         self.value += amount;
-    }
-
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.value += 1.0;
     }
 
     /// Current value.
@@ -303,19 +243,9 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_square_wave() {
-        let t = SimTime::from_secs;
-        let mut w = TimeWeighted::new(t(0.0), 0.0);
-        w.update(t(10.0), 1.0); // 0 for 10 s
-        w.update(t(30.0), 0.0); // 1 for 20 s
-        assert!((w.mean_until(t(40.0)) - 0.5).abs() < 1e-12); // 20/40
-        assert_eq!(w.current(), 0.0);
-    }
-
-    #[test]
     fn counter_accumulates() {
         let mut c = Counter::new();
-        c.inc();
+        c.add(1.0);
         c.add(2.5);
         assert_eq!(c.get(), 3.5);
     }

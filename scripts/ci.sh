@@ -116,12 +116,6 @@ timeout 600 cargo test -q --release -p mobicache-cache --test lru_props
 timeout 600 cargo test -q --release -p mobicache-reports --test plan_props
 timeout 600 cargo test -q --release -p mobicache-client --test plan_apply_props
 
-# crates/bench is outside default-members, so tier-1 never compiles its
-# tests: the harness's committed-row lookup and floor gate are tested
-# here, against the committed BENCH_report_pipeline.json.
-echo "==> report_pipeline harness tests"
-cargo test -q --release -p mobicache-bench --bin report_pipeline
-
 echo "==> bench smoke: report_pipeline --quick"
 cargo build --release -p mobicache-bench
 ./target/release/report_pipeline --quick --out /tmp/bench_smoke.json
@@ -135,56 +129,62 @@ if [ "$(json_keys /tmp/bench_smoke.json)" != "$(json_keys BENCH_report_pipeline.
 fi
 rm -f /tmp/bench_smoke.json
 
-# Population-scale leg for the struct-of-arrays client core. (The
-# 100k-client determinism pin runs in the determinism suite above, in
-# debug and in release.) The popscale smoke re-runs the committed 100k
-# bench row and fails on a >10% events/sec regression against
-# BENCH_report_pipeline.json, under timeout.
-echo "==> popscale smoke: 100k clients vs committed BENCH_report_pipeline.json"
-timeout 300 ./target/release/report_pipeline \
-  --smoke-popscale 100000 --check-against BENCH_report_pipeline.json
-
-# Scheduler legs for the timing wheel: the stress smoke re-runs the
-# heavy AAW point against the committed stress row (a scheduler or
-# report-pipeline throughput regression fails here, not just a
-# population-scaling one), and the sched smoke re-runs the 10k-pending
-# heap-vs-wheel micro-benchmark, failing if the wheel drops below the
-# heap baseline.
-echo "==> stress smoke: heavy AAW point vs committed BENCH_report_pipeline.json"
-timeout 300 ./target/release/report_pipeline \
-  --smoke-stress --check-against BENCH_report_pipeline.json
-
-# The handoff smoke re-runs the heavy AAW multi-cell point (4 cells,
-# migrating clients, per-cell fan-out and update replay) against the
-# committed handoff row; a regression in the cell-aware broadcast path
-# or the handoff machinery fails here before it reaches a figure sweep.
-echo "==> handoff smoke: multi-cell AAW point vs committed BENCH_report_pipeline.json"
-timeout 300 ./target/release/report_pipeline \
-  --smoke-handoff --check-against BENCH_report_pipeline.json
-
+# Same-process legs: each times two paths in one process and needs no
+# committed numbers, so it holds on any host. The sched smoke re-runs
+# the 10k-pending heap-vs-wheel micro-benchmark, failing if the wheel
+# drops below the heap baseline.
 echo "==> sched smoke: heap-vs-wheel micro-benchmark"
 timeout 300 ./target/release/report_pipeline --smoke-sched
 
-# Invalidation-plan leg: the invplan smoke times the plan's two arms in
-# one process at the stress shape's 800-item caches (10k clients) and
-# fails if the word-wise intersection, which the client selection picks
-# there, stops beating the per-item plan-bit probes. Same-process, so
-# it needs no committed numbers. The e2e smoke closes the old gap where
-# the e2e section had no gate at all: it re-runs the full AAW fig05
-# sweep against the committed e2e row with an 80% floor (e2e wall times
-# are tens of milliseconds, so proportional noise is larger).
+# Invalidation-plan leg: the invplan smoke times the plan's two arms at
+# the stress shape's 800-item caches (10k clients) and fails if the
+# word-wise intersection, which the client selection picks there, stops
+# beating the per-item plan-bit probes.
 echo "==> invplan smoke: word arm vs per-item arm at 10k clients"
 timeout 300 ./target/release/report_pipeline --smoke-invplan
 
 # BS build leg: the stress shape's update stream replayed through a BS
 # server, timing the per-tick shared-index report build against a
-# from-scratch `from_recency` build of the same log state in one
-# process; fails unless the shared build is at least 10x faster.
+# from-scratch `from_recency` build of the same log state; fails unless
+# the shared build is at least 10x faster.
 echo "==> bsbuild smoke: shared-index BS build vs from-scratch build"
 timeout 300 ./target/release/report_pipeline --smoke-bsbuild
 
-echo "==> e2e smoke: AAW fig05 sweep vs committed BENCH_report_pipeline.json"
-timeout 300 ./target/release/report_pipeline \
-  --smoke-e2e --check-against BENCH_report_pipeline.json
+# The calibrated end-to-end gate. It first checks the comparison itself:
+# a reference copy with `paper` events/s raised 30 % must fail, and one
+# with another host fingerprint must skip. Then it runs the benchmark
+# command BENCHMARK.json declares on every workload (5 rounds, median,
+# host seconds scaled to a reference host by mobibench's CPU kernel),
+# which exits non-zero on any failed op, and compares its result with
+# the committed BENCH_mobibench.json under BENCHMARK.json's bounds.
+echo "==> perf_compare self-test"
+selftest=$(mktemp -d)
+jq '.metrics["paper.events_per_s"].value *= 1.3' BENCH_mobibench.json > "$selftest/raised.json"
+if out=$(./scripts/perf_compare.sh BENCHMARK.json "$selftest/raised.json" BENCH_mobibench.json) ||
+  ! grep -q 'paper.events_per_s *FAIL' <<< "$out"; then
+  echo "$out"
+  echo "perf_compare passed a 30 % events/s drop"
+  exit 1
+fi
+jq '.host.cpu = "another CPU"' BENCH_mobibench.json > "$selftest/elsewhere.json"
+if ! out=$(./scripts/perf_compare.sh BENCHMARK.json "$selftest/elsewhere.json" BENCH_mobibench.json) ||
+  ! grep -q '^SKIP' <<< "$out"; then
+  echo "$out"
+  echo "perf_compare did not skip a reference from another host"
+  exit 1
+fi
+rm -rf "$selftest"
+
+echo "==> calibrated mobibench gate: every workload vs BENCH_mobibench.json"
+mapfile -t bench_cmd < <(jq -r '.command[]' BENCHMARK.json)
+bench_out=$(mktemp)
+"${bench_cmd[@]}" --workload all --reps 5 --trace 0 | tee "$bench_out"
+fresh=$(mktemp --suffix=.json)
+cpu=$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo)
+tail -n 1 "$bench_out" |
+  jq --argjson cores "$(nproc)" --arg cpu "${cpu:-unknown}" '. + {host: {cores: $cores, cpu: $cpu}}' > "$fresh"
+rm -f "$bench_out"
+echo "fresh result: $fresh (copy it over BENCH_mobibench.json to re-baseline)"
+./scripts/perf_compare.sh BENCHMARK.json BENCH_mobibench.json "$fresh"
 
 echo "CI OK"
