@@ -217,7 +217,7 @@ fn bench_facility(c: &mut Criterion) {
                     Job {
                         bits: 1_000.0,
                         class: (i % 3) as usize,
-                        tag: i,
+                        msg: i,
                     },
                 ) {
                     pending.push(done);

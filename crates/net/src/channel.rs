@@ -3,7 +3,6 @@
 use mobicache_model::msg::NUM_CLASSES;
 use mobicache_model::units::Bits;
 use mobicache_sim::{Completion, Facility, FacilityConfig, Job, SimTime};
-use std::collections::HashMap;
 
 /// A completed transmission handed back to the driver.
 #[derive(Clone, Debug, PartialEq)]
@@ -31,9 +30,7 @@ pub struct ChannelStats {
 
 /// One simplex wireless channel carrying typed messages.
 pub struct Channel<M> {
-    facility: Facility,
-    payloads: HashMap<u64, M>,
-    next_tag: u64,
+    facility: Facility<M>,
 }
 
 impl<M> Channel<M> {
@@ -46,8 +43,6 @@ impl<M> Channel<M> {
                 classes: NUM_CLASSES,
                 preemptive_classes: 1,
             }),
-            payloads: HashMap::new(),
-            next_tag: 0,
         }
     }
 
@@ -62,10 +57,7 @@ impl<M> Channel<M> {
     /// caller must schedule a completion event for it (and must also do so
     /// for completions embedded in [`Delivered::next`]).
     pub fn send(&mut self, now: SimTime, bits: Bits, class: usize, msg: M) -> Option<Completion> {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.payloads.insert(tag, msg);
-        self.facility.submit(now, Job { bits, class, tag })
+        self.facility.submit(now, Job { bits, class, msg })
     }
 
     /// Handles a completion event. Returns `None` for stale tokens
@@ -74,12 +66,8 @@ impl<M> Channel<M> {
     /// the completion to schedule for it.
     pub fn complete(&mut self, now: SimTime, token: u64) -> Option<Delivered<M>> {
         let (job, next) = self.facility.on_complete(now, token)?;
-        let msg = self
-            .payloads
-            .remove(&job.tag)
-            .expect("completed job without payload");
         Some(Delivered {
-            msg,
+            msg: job.msg,
             bits: job.bits,
             next,
         })

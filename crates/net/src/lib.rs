@@ -10,12 +10,13 @@
 //! * the **uplink** (clients → server) carries query requests, `Tlb`
 //!   reports and checking requests.
 //!
-//! A [`Channel`] pairs the generic preemptive-priority
-//! [`Facility`](mobicache_sim::Facility) with payload storage: callers
-//! submit a typed message with its bit size and priority class, receive a
-//! `(time, token)` completion to schedule, and collect the payload back on
-//! completion. Stale completions (preempted service) return `None` and
-//! must be dropped, mirroring the facility protocol.
+//! A [`Channel`] wraps the generic preemptive-priority
+//! [`Facility`](mobicache_sim::Facility) with the paper's three classes:
+//! callers submit a typed message with its bit size and priority class,
+//! receive a `(time, token)` completion to schedule, and get the message
+//! back on completion (it waits in the facility's queue in between).
+//! Stale completions (preempted service) return `None` and must be
+//! dropped, mirroring the facility protocol.
 
 mod channel;
 

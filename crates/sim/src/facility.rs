@@ -20,7 +20,8 @@
 //! [`Completion`] `(time, token)` that the caller must turn into an event;
 //! stale completions (whose service was preempted and later rescheduled)
 //! are recognised by token mismatch and must be discarded — `on_complete`
-//! returns `None` for them.
+//! returns `None` for them. Each [`Job`] carries its message through the
+//! queues, suspension included, and `on_complete` hands it back.
 
 use crate::time::SimTime;
 use std::collections::VecDeque;
@@ -58,19 +59,19 @@ impl FacilityConfig {
     }
 }
 
-/// A unit of work: a message of `bits` bits in priority class `class`.
+/// A unit of work: a message `msg` of `bits` bits in priority class
+/// `class`.
 ///
-/// `tag` is an opaque caller-side key identifying the message payload (the
-/// caller keeps the payload in its own map, so the facility stays generic
-/// and copy-cheap).
+/// The message waits in the facility's queues with its job and comes back
+/// from [`Facility::on_complete`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Job {
+pub struct Job<M> {
     /// Message size in bits (must be positive).
     pub bits: f64,
     /// Priority class; 0 is served first.
     pub class: usize,
-    /// Opaque caller-side payload key.
-    pub tag: u64,
+    /// The message being transmitted.
+    pub msg: M,
 }
 
 /// A scheduled service completion the caller must turn into an event.
@@ -83,15 +84,15 @@ pub struct Completion {
     pub token: u64,
 }
 
-struct Active {
-    job: Job,
+struct Active<M> {
+    job: Job<M>,
     remaining_bits: f64,
     resumed_at: SimTime,
     token: u64,
 }
 
-struct Suspended {
-    job: Job,
+struct Suspended<M> {
+    job: Job<M>,
     remaining_bits: f64,
 }
 
@@ -107,19 +108,19 @@ struct Suspended {
 ///     preemptive_classes: 1,
 /// });
 /// // A 10 s data transmission starts…
-/// let data = ch.submit(t(0.0), Job { bits: 10_000.0, class: 2, tag: 1 }).unwrap();
+/// let data = ch.submit(t(0.0), Job { bits: 10_000.0, class: 2, msg: "data" }).unwrap();
 /// // …and a broadcast report preempts it at t = 4.
-/// let report = ch.submit(t(4.0), Job { bits: 1_000.0, class: 0, tag: 2 }).unwrap();
+/// let report = ch.submit(t(4.0), Job { bits: 1_000.0, class: 0, msg: "report" }).unwrap();
 /// assert_eq!(report.at, t(5.0));
 /// assert!(ch.on_complete(t(10.0), data.token).is_none(), "stale completion");
 /// let (done, resumed) = ch.on_complete(t(5.0), report.token).unwrap();
-/// assert_eq!(done.tag, 2);
+/// assert_eq!(done.msg, "report");
 /// assert_eq!(resumed.unwrap().at, t(11.0)); // 6 s of data remained
 /// ```
-pub struct Facility {
+pub struct Facility<M> {
     cfg: FacilityConfig,
-    queues: Vec<VecDeque<Suspended>>,
-    current: Option<Active>,
+    queues: Vec<VecDeque<Suspended<M>>>,
+    current: Option<Active<M>>,
     next_token: u64,
     // Statistics.
     busy_time: f64,
@@ -128,7 +129,7 @@ pub struct Facility {
     preemptions: u64,
 }
 
-impl Facility {
+impl<M> Facility<M> {
     /// A new, idle facility.
     pub fn new(cfg: FacilityConfig) -> Self {
         let cfg = cfg.validated();
@@ -196,7 +197,7 @@ impl Facility {
         self.preemptions
     }
 
-    fn start(&mut self, now: SimTime, job: Job, remaining_bits: f64) -> Completion {
+    fn start(&mut self, now: SimTime, job: Job<M>, remaining_bits: f64) -> Completion {
         let token = self.next_token;
         self.next_token += 1;
         let at = now + remaining_bits / self.cfg.rate_bps;
@@ -218,7 +219,7 @@ impl Facility {
     ///
     /// # Panics
     /// Panics on non-positive `bits` or an out-of-range class.
-    pub fn submit(&mut self, now: SimTime, job: Job) -> Option<Completion> {
+    pub fn submit(&mut self, now: SimTime, job: Job<M>) -> Option<Completion> {
         assert!(
             job.bits.is_finite() && job.bits > 0.0,
             "job must have positive size, got {} bits",
@@ -230,8 +231,9 @@ impl Facility {
             job.class
         );
 
+        let bits = job.bits;
         match &self.current {
-            None => Some(self.start(now, job, job.bits)),
+            None => Some(self.start(now, job, bits)),
             Some(active) => {
                 let preempts =
                     job.class < self.cfg.preemptive_classes && job.class < active.job.class;
@@ -248,11 +250,11 @@ impl Facility {
                         job: active.job,
                         remaining_bits: remaining,
                     });
-                    Some(self.start(now, job, job.bits))
+                    Some(self.start(now, job, bits))
                 } else {
                     self.queues[job.class].push_back(Suspended {
                         job,
-                        remaining_bits: job.bits,
+                        remaining_bits: bits,
                     });
                     None
                 }
@@ -266,7 +268,11 @@ impl Facility {
     /// preempted and rescheduled — the caller must simply drop the event).
     /// Otherwise returns the finished job plus, if another job was waiting,
     /// the completion of the newly started service.
-    pub fn on_complete(&mut self, now: SimTime, token: u64) -> Option<(Job, Option<Completion>)> {
+    pub fn on_complete(
+        &mut self,
+        now: SimTime,
+        token: u64,
+    ) -> Option<(Job<M>, Option<Completion>)> {
         let active = self.current.as_ref()?;
         if active.token != token {
             return None; // stale completion from before a preemption
@@ -291,7 +297,7 @@ impl Facility {
 mod tests {
     use super::*;
 
-    fn fac(rate: f64) -> Facility {
+    fn fac(rate: f64) -> Facility<u64> {
         Facility::new(FacilityConfig {
             rate_bps: rate,
             classes: 3,
@@ -312,13 +318,13 @@ mod tests {
                 Job {
                     bits: 500.0,
                     class: 2,
-                    tag: 1,
+                    msg: 1,
                 },
             )
             .expect("idle facility starts immediately");
         assert_eq!(c.at, t(0.5));
         let (job, next) = f.on_complete(t(0.5), c.token).expect("valid token");
-        assert_eq!(job.tag, 1);
+        assert_eq!(job.msg, 1);
         assert!(next.is_none());
         assert!(!f.is_busy());
         assert_eq!(f.bits_served(2), 500.0);
@@ -333,7 +339,7 @@ mod tests {
                 Job {
                     bits: 1000.0,
                     class: 2,
-                    tag: 1,
+                    msg: 1,
                 },
             )
             .unwrap();
@@ -343,7 +349,7 @@ mod tests {
                 Job {
                     bits: 1000.0,
                     class: 2,
-                    tag: 2
+                    msg: 2
                 }
             )
             .is_none());
@@ -353,18 +359,18 @@ mod tests {
                 Job {
                     bits: 1000.0,
                     class: 2,
-                    tag: 3
+                    msg: 3
                 }
             )
             .is_none());
         let (j1, c2) = f.on_complete(t(1.0), c1.token).unwrap();
-        assert_eq!(j1.tag, 1);
+        assert_eq!(j1.msg, 1);
         let c2 = c2.unwrap();
         assert_eq!(c2.at, t(2.0));
         let (j2, c3) = f.on_complete(t(2.0), c2.token).unwrap();
-        assert_eq!(j2.tag, 2);
+        assert_eq!(j2.msg, 2);
         let (j3, none) = f.on_complete(t(3.0), c3.unwrap().token).unwrap();
-        assert_eq!(j3.tag, 3);
+        assert_eq!(j3.msg, 3);
         assert!(none.is_none());
     }
 
@@ -377,7 +383,7 @@ mod tests {
                 Job {
                     bits: 1000.0,
                     class: 2,
-                    tag: 1,
+                    msg: 1,
                 },
             )
             .unwrap();
@@ -387,7 +393,7 @@ mod tests {
             Job {
                 bits: 100.0,
                 class: 2,
-                tag: 2,
+                msg: 2,
             },
         );
         f.submit(
@@ -395,17 +401,17 @@ mod tests {
             Job {
                 bits: 100.0,
                 class: 1,
-                tag: 3,
+                msg: 3,
             },
         );
         let (_, next) = f.on_complete(t(1.0), c.token).unwrap();
         let next = next.unwrap();
         let (mid, next2) = f.on_complete(next.at, next.token).unwrap();
-        assert_eq!(mid.tag, 3, "class 1 beats class 2");
+        assert_eq!(mid.msg, 3, "class 1 beats class 2");
         let (low, _) = f
             .on_complete(next2.unwrap().at, next2.unwrap().token)
             .unwrap();
-        assert_eq!(low.tag, 2);
+        assert_eq!(low.msg, 2);
     }
 
     #[test]
@@ -418,7 +424,7 @@ mod tests {
                 Job {
                     bits: 10_000.0,
                     class: 2,
-                    tag: 7,
+                    msg: 7,
                 },
             )
             .unwrap();
@@ -430,7 +436,7 @@ mod tests {
                 Job {
                     bits: 1000.0,
                     class: 0,
-                    tag: 8,
+                    msg: 8,
                 },
             )
             .expect("preemption returns a fresh completion");
@@ -440,11 +446,11 @@ mod tests {
         assert!(f.on_complete(t(10.0), c_data.token).is_none());
         // Report finishes; data resumes with 6 s of work left.
         let (ir, resumed) = f.on_complete(t(5.0), c_ir.token).unwrap();
-        assert_eq!(ir.tag, 8);
+        assert_eq!(ir.msg, 8);
         let resumed = resumed.unwrap();
         assert_eq!(resumed.at, t(11.0)); // 4 s done, 6 s remaining from t=5
         let (data, _) = f.on_complete(t(11.0), resumed.token).unwrap();
-        assert_eq!(data.tag, 7);
+        assert_eq!(data.msg, 7);
         assert_eq!(f.bits_served(2), 10_000.0);
     }
 
@@ -457,7 +463,7 @@ mod tests {
                 Job {
                     bits: 10_000.0,
                     class: 2,
-                    tag: 1,
+                    msg: 1,
                 },
             )
             .unwrap();
@@ -466,7 +472,7 @@ mod tests {
             Job {
                 bits: 100.0,
                 class: 2,
-                tag: 2,
+                msg: 2,
             },
         );
         let c_ir = f
@@ -475,15 +481,15 @@ mod tests {
                 Job {
                     bits: 100.0,
                     class: 0,
-                    tag: 3,
+                    msg: 3,
                 },
             )
             .unwrap();
         let (_, next) = f.on_complete(c_ir.at, c_ir.token).unwrap();
-        // The preempted tag-1 job resumes ahead of the queued tag-2 job.
+        // The preempted job 1 resumes ahead of the queued job 2.
         let next = next.unwrap();
         let (resumed, _) = f.on_complete(next.at, next.token).unwrap();
-        assert_eq!(resumed.tag, 1);
+        assert_eq!(resumed.msg, 1);
     }
 
     #[test]
@@ -495,7 +501,7 @@ mod tests {
                 Job {
                     bits: 5000.0,
                     class: 2,
-                    tag: 1,
+                    msg: 1,
                 },
             )
             .unwrap();
@@ -505,13 +511,13 @@ mod tests {
                 Job {
                     bits: 100.0,
                     class: 1,
-                    tag: 2
+                    msg: 2
                 }
             )
             .is_none());
         assert_eq!(f.preemptions(), 0);
         let (first, _) = f.on_complete(c.at, c.token).unwrap();
-        assert_eq!(first.tag, 1);
+        assert_eq!(first.msg, 1);
     }
 
     #[test]
@@ -523,7 +529,7 @@ mod tests {
                 Job {
                     bits: 5000.0,
                     class: 0,
-                    tag: 1,
+                    msg: 1,
                 },
             )
             .unwrap();
@@ -534,7 +540,7 @@ mod tests {
                 Job {
                     bits: 100.0,
                     class: 0,
-                    tag: 2
+                    msg: 2
                 }
             )
             .is_none());
@@ -550,7 +556,7 @@ mod tests {
                 Job {
                     bits: 2000.0,
                     class: 2,
-                    tag: 1,
+                    msg: 1,
                 },
             )
             .unwrap();
@@ -568,7 +574,7 @@ mod tests {
             Job {
                 bits: 4000.0,
                 class: 2,
-                tag: 1,
+                msg: 1,
             },
         )
         .unwrap();
@@ -583,7 +589,7 @@ mod tests {
             Job {
                 bits: 0.0,
                 class: 0,
-                tag: 0,
+                msg: 0,
             },
         );
     }
@@ -602,7 +608,7 @@ mod tests {
                 Job {
                     bits: 1000.0,
                     class: 2,
-                    tag: 1,
+                    msg: 1,
                 },
             )
             .unwrap();
@@ -612,7 +618,7 @@ mod tests {
                 Job {
                     bits: 100.0,
                     class: 0,
-                    tag: 2,
+                    msg: 2,
                 },
             )
             .unwrap();
@@ -624,18 +630,18 @@ mod tests {
                 Job {
                     bits: 100.0,
                     class: 0,
-                    tag: 3,
+                    msg: 3,
                 },
             )
             .unwrap();
         assert!(f.on_complete(r1.at, r1.token).is_none(), "stale resume");
         let (_, r2) = f.on_complete(ir2.at, ir2.token).unwrap();
         let r2 = r2.unwrap();
-        // Work done on tag 1: 1 s (t=0..1) + 1 s (t=2..3) = 200 bits.
+        // Work done on job 1: 1 s (t=0..1) + 1 s (t=2..3) = 200 bits.
         // Remaining 800 bits -> finishes 8 s after the resume at t=4.
         assert_eq!(r2.at, t(12.0));
         let (done, _) = f.on_complete(r2.at, r2.token).unwrap();
-        assert_eq!(done.tag, 1);
+        assert_eq!(done.msg, 1);
         let total: f64 = (0..3).map(|c| f.bits_served(c)).sum();
         assert!((total - 1200.0).abs() < 1e-9);
     }

@@ -15,7 +15,7 @@
 //!   times, Poisson transaction sizes, bounded uniforms, Bernoulli coins,
 //!   and a Zipf extension).
 //! * [`stats`] — online statistics accumulators (Welford mean/variance,
-//!   counters, histograms).
+//!   histograms).
 //! * [`facility`] — a single-server queueing facility with priority classes
 //!   and preemptive-resume service, modelling a wireless channel whose
 //!   invalidation reports must go out exactly on the broadcast period.
@@ -39,5 +39,5 @@ pub use dist::{Bernoulli, Exp, Poisson, UniformRange, Zipf};
 pub use event::Scheduler;
 pub use facility::{Completion, Facility, FacilityConfig, Job};
 pub use rng::{SimRng, StreamId};
-pub use stats::{Counter, Histogram, OnlineStats};
+pub use stats::{Histogram, OnlineStats};
 pub use time::SimTime;

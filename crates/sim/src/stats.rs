@@ -68,50 +68,6 @@ impl OnlineStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// A named monotone counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Counter {
-    value: f64,
-}
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Counter { value: 0.0 }
-    }
-
-    /// Adds `amount` (must be non-negative).
-    pub fn add(&mut self, amount: f64) {
-        debug_assert!(amount >= 0.0, "counter decrement: {amount}");
-        self.value += amount;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        self.value
-    }
 }
 
 /// Fixed-bucket histogram over `[lo, hi)` with overflow/underflow buckets.
@@ -163,21 +119,6 @@ impl Histogram {
         self.count
     }
 
-    /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the top of the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
     /// Approximate quantile (`q ∈ [0, 1]`) by linear walk over buckets;
     /// returns the lower edge of the bucket containing the quantile.
     pub fn quantile(&self, q: f64) -> f64 {
@@ -218,36 +159,13 @@ mod tests {
     }
 
     #[test]
-    fn welford_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        data.iter().for_each(|&x| whole.record(x));
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        data[..37].iter().for_each(|&x| a.record(x));
-        data[37..].iter().for_each(|&x| b.record(x));
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_stats_are_benign() {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
-        let mut a = OnlineStats::new();
-        a.merge(&s);
-        assert_eq!(a.count(), 0);
-    }
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.add(1.0);
-        c.add(2.5);
-        assert_eq!(c.get(), 3.5);
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.min(), f64::INFINITY);
+        assert_eq!(s.max(), f64::NEG_INFINITY);
     }
 
     #[test]
@@ -257,13 +175,19 @@ mod tests {
             h.record(i as f64 / 10.0); // 0.0 .. 9.9 uniformly
         }
         assert_eq!(h.count(), 100);
-        assert_eq!(h.underflow(), 0);
-        assert_eq!(h.overflow(), 0);
-        assert!(h.buckets().iter().all(|&b| b == 10));
-        assert!((h.quantile(0.5) - 4.0).abs() <= 1.0);
+        // Ten observations per bucket: the quantile halfway through the
+        // k-th tenth is the k-th bucket's lower edge.
+        for k in 1..=10 {
+            assert_eq!(h.quantile((k as f64 - 0.5) / 10.0), (k - 1) as f64);
+        }
+        // Out-of-range observations count and clamp to the range's edges:
+        // the one below keeps the median (the 51st of 102) in bucket 4, the
+        // one above puts the maximum past the top bucket.
         h.record(-1.0);
         h.record(99.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
+        assert_eq!(h.count(), 102);
+        assert_eq!(h.quantile(0.0), 0.0);
+        assert_eq!(h.quantile(0.5), 4.0);
+        assert_eq!(h.quantile(1.0), 10.0);
     }
 }

@@ -7,8 +7,14 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// A tiny driver: replays arrivals against the facility with a private
-/// event list of pending completions, returning the finish order.
-fn drive(rate: f64, preemptive: usize, arrivals: &[(f64, f64, usize)]) -> (Facility, Vec<u64>) {
+/// event list of pending completions, returning the finished jobs in
+/// finish order. Each job carries a `String` naming its arrival (see
+/// [`name`]), so a payload that comes back from the wrong job shows.
+fn drive(
+    rate: f64,
+    preemptive: usize,
+    arrivals: &[(f64, f64, usize)],
+) -> (Facility<String>, Vec<Job<String>>) {
     let mut f = Facility::new(FacilityConfig {
         rate_bps: rate,
         classes: 3,
@@ -17,20 +23,20 @@ fn drive(rate: f64, preemptive: usize, arrivals: &[(f64, f64, usize)]) -> (Facil
     // (time, token) of the single outstanding completion candidate set.
     let mut pending: BTreeMap<u64, SimTime> = BTreeMap::new();
     let mut finished = Vec::new();
-    let mut arrivals = arrivals.to_vec();
-    arrivals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    let mut order: Vec<usize> = (0..arrivals.len()).collect();
+    order.sort_by(|&a, &b| arrivals[a].0.partial_cmp(&arrivals[b].0).unwrap());
 
     let mut i = 0;
     let mut now = SimTime::ZERO;
     loop {
-        let next_arrival = arrivals.get(i).map(|&(t, _, _)| SimTime::from_secs(t));
+        let next_arrival = order.get(i).map(|&k| SimTime::from_secs(arrivals[k].0));
         let next_completion = pending.iter().map(|(&tok, &at)| (at, tok)).min();
         match (next_arrival, next_completion) {
             (None, None) => break,
             (Some(ta), Some((tc, tok))) if tc <= ta => {
                 now = tc;
                 if let Some((job, next)) = f.on_complete(now, tok) {
-                    finished.push(job.tag);
+                    finished.push(job);
                     if let Some(c) = next {
                         pending.insert(c.token, c.at);
                     }
@@ -39,17 +45,18 @@ fn drive(rate: f64, preemptive: usize, arrivals: &[(f64, f64, usize)]) -> (Facil
             }
             (Some(ta), _) => {
                 now = ta;
-                let (_, bits, class) = arrivals[i];
-                let tag = i as u64;
+                let k = order[i];
+                let (_, bits, class) = arrivals[k];
                 i += 1;
-                if let Some(c) = f.submit(now, Job { bits, class, tag }) {
+                let msg = name(k, class);
+                if let Some(c) = f.submit(now, Job { bits, class, msg }) {
                     pending.insert(c.token, c.at);
                 }
             }
             (None, Some((tc, tok))) => {
                 now = tc;
                 if let Some((job, next)) = f.on_complete(now, tok) {
-                    finished.push(job.tag);
+                    finished.push(job);
                     if let Some(c) = next {
                         pending.insert(c.token, c.at);
                     }
@@ -62,6 +69,11 @@ fn drive(rate: f64, preemptive: usize, arrivals: &[(f64, f64, usize)]) -> (Facil
     (f, finished)
 }
 
+/// The payload of arrival `index` in priority class `class`.
+fn name(index: usize, class: usize) -> String {
+    format!("arrival {index} class {class}")
+}
+
 fn arrival_strategy() -> impl Strategy<Value = Vec<(f64, f64, usize)>> {
     prop::collection::vec((0.0f64..1000.0, 1.0f64..10_000.0, 0usize..3), 1..60)
 }
@@ -69,16 +81,25 @@ fn arrival_strategy() -> impl Strategy<Value = Vec<(f64, f64, usize)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// Every submitted job eventually completes exactly once, and the bits
+    /// Every submitted job eventually completes exactly once with its own
+    /// payload intact, through any preemption and resume, and the bits
     /// served per class equal the bits submitted per class.
     #[test]
     fn work_is_conserved(arrivals in arrival_strategy(), preemptive in 0usize..2) {
         let (f, finished) = drive(1000.0, preemptive, &arrivals);
         prop_assert_eq!(finished.len(), arrivals.len());
-        let mut sorted = finished.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        prop_assert_eq!(sorted.len(), arrivals.len(), "duplicate completion");
+        let names: Vec<String> = arrivals.iter().enumerate().map(|(k, a)| name(k, a.2)).collect();
+        let mut seen = vec![false; arrivals.len()];
+        for job in &finished {
+            let k = names
+                .iter()
+                .position(|n| *n == job.msg)
+                .ok_or_else(|| TestCaseError::fail(format!("unknown payload {:?}", job.msg)))?;
+            prop_assert_eq!(job.class, arrivals[k].2, "payload {} on another class's job", &job.msg);
+            prop_assert_eq!(job.bits, arrivals[k].1, "payload {} on another job's bits", &job.msg);
+            prop_assert!(!seen[k], "payload {} completed twice", &job.msg);
+            seen[k] = true;
+        }
         for class in 0..3 {
             let submitted: f64 = arrivals
                 .iter()
@@ -112,9 +133,9 @@ proptest! {
     ) {
         let rate = 1000.0;
         let mut f = Facility::new(FacilityConfig { rate_bps: rate, classes: 3, preemptive_classes: 1 });
-        let _ = f.submit(SimTime::ZERO, Job { bits: data_bits, class: 2, tag: 0 }).unwrap();
+        let _ = f.submit(SimTime::ZERO, Job { bits: data_bits, class: 2, msg: "data" }).unwrap();
         let at = SimTime::from_secs(gap);
-        let c = f.submit(at, Job { bits: ir_bits, class: 0, tag: 1 })
+        let c = f.submit(at, Job { bits: ir_bits, class: 0, msg: "report" })
             .expect("class 0 must start immediately via preemption");
         prop_assert!((c.at - at - ir_bits / rate).abs() < 1e-9);
     }
