@@ -1,13 +1,15 @@
 //! The struct-of-arrays client population.
 //!
 //! A cell serves thousands to millions of mobile hosts, and the
-//! engine's report fan-out walks every client a broadcast can change
-//! (a *quiet* client, see [`ClientPop::stamp_quiet`], only takes the new
-//! `Tlb`). Scattering per-client state across individually boxed client
-//! structs makes that walk a pointer chase; [`ClientPop`] instead keeps
-//! one column per field — disconnect epoch, last-report time, cache,
-//! gap/retry state, pending query, counters — so the walk scans
-//! contiguous columns.
+//! engine's report fan-out walks every client a broadcast can change.
+//! A *quiet* client (see [`ClientPop::stamp_quiet`]) only takes the new
+//! `Tlb`, and costs the tick nothing per client: its bit in the quiet
+//! bitmap marks it, and its `Tlb` is its cell's broadcast epoch until
+//! something reads or changes it. Scattering per-client state across
+//! individually boxed client structs makes the walk of the rest a
+//! pointer chase; [`ClientPop`] instead keeps one column per field —
+//! disconnect epoch, last-report time, cache, gap/retry state, pending
+//! query, counters — so the walk scans contiguous columns.
 //!
 //! The columns are declared once, in `client_columns!`. That one list
 //! gives the population its `Vec` fields, `Cols` its slices and
@@ -62,13 +64,21 @@ enum Rearm {
 /// becomes a `Vec<Type>` field of `Columns` holding `init` for every
 /// fresh client (`$cfg` names the shared configuration there), a
 /// `&mut [Type]` field of `Cols`, and a `&mut Type` field of
-/// [`ClientMut`]. The SIG baseline column is written out beside the
-/// list, as it is materialized only under [`Scheme::Sig`].
+/// [`ClientMut`]. Two columns are written out beside the list: the
+/// quiet bitmap, whose view is one bit of a shared word, and the SIG
+/// baseline, materialized only under [`Scheme::Sig`].
 macro_rules! client_columns {
     ($cfg:ident => $( $(#[$doc:meta])* $col:ident: $ty:ty = $init:expr, )*) => {
         /// Every per-client column, indexed by client.
         struct Columns {
             $( $(#[$doc])* $col: Vec<$ty>, )*
+            /// Bit `i` set iff no report of any kind can change client
+            /// `i` beyond its `Tlb` (see `quiet_predicate`), so the
+            /// fan-out stamps it instead of walking it. Recomputed only
+            /// by `ClientMut`'s `Drop`, and cleared by
+            /// [`ClientPop::start_query`]. Tail bits beyond `len()` are
+            /// zero.
+            quiet: Vec<u64>,
             /// Stored combined signatures; `None` unless the scheme is
             /// [`Scheme::Sig`].
             sig_baseline: Option<Vec<Option<Vec<u64>>>>,
@@ -79,6 +89,11 @@ macro_rules! client_columns {
             fn new($cfg: &ClientConfig, n: usize) -> Self {
                 Columns {
                     $( $col: (0..n).map(|_| $init).collect(), )*
+                    quiet: if $cfg.scheme == Scheme::Sig {
+                        vec![0; n.div_ceil(64)]
+                    } else {
+                        ones(n)
+                    },
                     sig_baseline: ($cfg.scheme == Scheme::Sig).then(|| vec![None; n]),
                 }
             }
@@ -89,6 +104,7 @@ macro_rules! client_columns {
                 Cols {
                     cfg,
                     $( $col: &mut self.$col, )*
+                    quiet: &mut self.quiet,
                     sig_baseline: self.sig_baseline.as_deref_mut(),
                 }
             }
@@ -98,6 +114,7 @@ macro_rules! client_columns {
         struct Cols<'a> {
             cfg: &'a ClientConfig,
             $( $col: &'a mut [$ty], )*
+            quiet: &'a mut [u64],
             sig_baseline: Option<&'a mut [Option<Vec<u64>>]>,
         }
 
@@ -111,6 +128,7 @@ macro_rules! client_columns {
                 Cols {
                     cfg: self.cfg,
                     $( $col: &mut *self.$col, )*
+                    quiet: &mut *self.quiet,
                     sig_baseline: self.sig_baseline.as_deref_mut(),
                 }
             }
@@ -119,10 +137,11 @@ macro_rules! client_columns {
             /// built.
             #[inline(always)]
             fn view(self, i: usize) -> ClientMut<'a> {
-                let Cols { cfg, $( $col, )* sig_baseline } = self;
+                let Cols { cfg, $( $col, )* quiet, sig_baseline } = self;
                 ClientMut {
                     cfg,
                     $( $col: &mut $col[i], )*
+                    quiet: (&mut quiet[i / 64], 1 << (i % 64)),
                     sig_baseline: sig_baseline.map(|col| &mut col[i]),
                 }
             }
@@ -134,6 +153,8 @@ macro_rules! client_columns {
         pub struct ClientMut<'a> {
             cfg: &'a ClientConfig,
             $( $col: &'a mut $ty, )*
+            /// The client's word of the quiet bitmap and its bit there.
+            quiet: (&'a mut u64, u64),
             /// `None` unless the population materialized the SIG column.
             sig_baseline: Option<&'a mut Option<Vec<u64>>>,
         }
@@ -164,11 +185,17 @@ client_columns! {
     stale_scratch: Vec<ItemId> = Vec::new(),
     /// Behaviour counters.
     counters: ClientCounters = ClientCounters::default(),
-    /// No report of any kind can change the client beyond its `Tlb` (see
-    /// `quiet_predicate`), so the fan-out stamps it instead of walking
-    /// it. Recomputed only by `ClientMut`'s `Drop`, and cleared by
-    /// [`ClientPop::start_query`].
-    quiet: bool = cfg.scheme != Scheme::Sig,
+}
+
+/// A bitmap of `n` set bits, tail bits zero.
+fn ones(n: usize) -> Vec<u64> {
+    let mut words = vec![u64::MAX; n.div_ceil(64)];
+    if !n.is_multiple_of(64) {
+        if let Some(last) = words.last_mut() {
+            *last = (1u64 << (n % 64)) - 1;
+        }
+    }
+    words
 }
 
 /// A struct-of-arrays population of mobile clients.
@@ -195,6 +222,18 @@ pub struct ClientPop {
     /// intersects this with `connected_bits` for its delivery mask.
     /// Maintained only by the [`ClientPop::handoff`] wrapper.
     cell_bits: Vec<Vec<u64>>,
+    /// Each cell's broadcast epoch: the broadcast time of the last
+    /// report [`ClientPop::stamp_quiet`] handed out there.
+    epoch: Vec<SimTime>,
+    /// Bit `i` set iff client `i`'s `Tlb` is its cell's epoch rather
+    /// than its `tlb` cell: the stamp sets it for every quiet listener
+    /// in one word operation. A stamped client is quiet and connected,
+    /// and it is *materialized* (the epoch written into its `tlb` cell,
+    /// the bit cleared) before anything reads that cell or can change
+    /// the client: when a view is built, in
+    /// [`ClientPop::start_query`], at a handoff, and when its cell
+    /// broadcasts a report it does not hear.
+    stamped: Vec<u64>,
 }
 
 impl ClientPop {
@@ -221,17 +260,11 @@ impl ClientPop {
         }
         ClientPop {
             col: Columns::new(&cfg, n),
-            connected_bits: {
-                let mut words = vec![u64::MAX; words];
-                if !n.is_multiple_of(64) {
-                    if let Some(last) = words.last_mut() {
-                        *last = (1u64 << (n % 64)) - 1;
-                    }
-                }
-                words
-            },
+            connected_bits: ones(n),
             cell,
             cell_bits,
+            epoch: vec![SimTime::ZERO; cells as usize],
+            stamped: vec![0; words],
             cfg,
         }
     }
@@ -286,6 +319,7 @@ impl ClientPop {
     /// Moves client `i` to cell `dest`, keeping the membership bitmaps
     /// in sync. Re-associating with the current cell is a no-op.
     pub fn handoff(&mut self, i: usize, dest: u32) {
+        self.materialize(i);
         let from = self.cell[i] as usize;
         let dest_idx = dest as usize;
         assert!(dest_idx < self.cell_bits.len(), "cell {dest} out of range");
@@ -339,7 +373,18 @@ impl ClientPop {
 
     /// Timestamp of the last report client `i` received.
     pub fn tlb(&self, i: usize) -> SimTime {
-        self.col.tlb[i]
+        if bit(&self.stamped, i) {
+            self.epoch[self.cell[i] as usize]
+        } else {
+            self.col.tlb[i]
+        }
+    }
+
+    /// Cell `c`'s broadcast epoch: the broadcast time of its last report
+    /// ([`SimTime::ZERO`] before the first), which every member that
+    /// heard that report holds as its `Tlb`.
+    pub fn epoch(&self, c: u32) -> SimTime {
+        self.epoch[c as usize]
     }
 
     /// `true` while client `i` resolves a query.
@@ -356,7 +401,7 @@ impl ClientPop {
     /// The stored quiet flag of client `i`: `true` when a report of any
     /// kind would change nothing of it but its `Tlb`.
     pub fn is_quiet(&self, i: usize) -> bool {
-        self.col.quiet[i]
+        bit(&self.col.quiet, i)
     }
 
     /// The quiet predicate re-derived from client `i`'s columns; the
@@ -372,30 +417,58 @@ impl ClientPop {
         )
     }
 
-    /// Applies a report broadcast at `at` to every quiet client set in
-    /// `words` — which, for a quiet client, is exactly `Tlb ← at` — and
-    /// clears their bits, leaving the clients a report can change.
-    /// Returns the number of clients stamped.
-    pub fn stamp_quiet(&mut self, words: &mut [u64], at: SimTime) -> u64 {
+    /// Applies the report cell `cell` broadcast at `at` to every quiet
+    /// client set in `words` — which, for a quiet client, is exactly
+    /// `Tlb ← at` — and clears their bits, leaving the clients a report
+    /// can change. Returns the number of clients stamped.
+    ///
+    /// The pass works a word at a time and touches no client column: a
+    /// quiet listener's `Tlb` becomes the cell's new epoch through its
+    /// `stamped` bit. Only a stamped member of the cell that `words`
+    /// leaves out (a listener the fault layer made lose the report) is
+    /// materialized first, so it keeps the previous epoch.
+    ///
+    /// `words` must hold only connected members of `cell`.
+    pub fn stamp_quiet(&mut self, cell: u32, words: &mut [u64], at: SimTime) -> u64 {
+        let c = cell as usize;
         let mut stamped = 0;
         for (k, word) in words.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let i = k * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.col.quiet[i] {
-                    debug_assert!(self.quiet_from_columns(i), "client {i} flagged quiet");
-                    self.col.tlb[i] = at;
-                    *word &= !(1u64 << (i % 64));
-                    stamped += 1;
-                }
-            }
+            debug_assert_eq!(
+                *word & !self.cell_bits[c][k],
+                0,
+                "word {k} outside cell {c}"
+            );
+            debug_assert_eq!(*word & !self.connected_bits[k], 0, "word {k} not listening");
+            // Still at the previous epoch, which is what a member that
+            // misses this report keeps.
+            let missed = self.stamped[k] & self.cell_bits[c][k] & !*word;
+            for_each_set_bit(&[missed], 0..64, |b| self.materialize(k * 64 + b));
+            let quiet = *word & self.col.quiet[k];
+            #[cfg(debug_assertions)]
+            for_each_set_bit(&[quiet], 0..64, |b| {
+                let i = k * 64 + b;
+                assert!(self.quiet_from_columns(i), "client {i} flagged quiet");
+            });
+            self.stamped[k] |= quiet;
+            stamped += u64::from(quiet.count_ones());
+            *word &= !quiet;
         }
+        self.epoch[c] = at;
         stamped
+    }
+
+    /// Writes client `i`'s `Tlb` into its column if it is stamped.
+    #[inline]
+    fn materialize(&mut self, i: usize) {
+        if bit(&self.stamped, i) {
+            self.stamped[i / 64] &= !(1 << (i % 64));
+            self.col.tlb[i] = self.epoch[self.cell[i] as usize];
+        }
     }
 
     /// A mutable accessor view of client `i`.
     pub fn client_mut(&mut self, i: usize) -> ClientMut<'_> {
+        self.materialize(i);
         self.col.cols(&self.cfg).view(i)
     }
 
@@ -412,6 +485,13 @@ impl ClientPop {
         mut visit: impl FnMut(usize, ClientMut<'_>),
     ) {
         let len = self.len();
+        // Materialize the stamped visitees. A report walk has none (the
+        // stamp took every quiet client out of its mask), so this is one
+        // AND per word there.
+        for (k, &word) in words.iter().enumerate().take(self.stamped.len()) {
+            let hit = word & self.stamped[k];
+            for_each_set_bit(&[hit], 0..64, |b| self.materialize(k * 64 + b));
+        }
         let mut cols = self.col.cols(&self.cfg);
         for_each_set_bit(words, 0..len, |i| visit(i, cols.reborrow().view(i)));
     }
@@ -424,10 +504,17 @@ impl ClientPop {
     pub fn start_query(&mut self, i: usize, now: SimTime, items: &[ItemId]) {
         assert!(self.col.connected[i], "query while disconnected");
         assert!(self.col.header[i].is_none(), "overlapping queries");
-        self.col.quiet[i] = false;
+        self.materialize(i);
+        self.col.quiet[i / 64] &= !(1 << (i % 64));
         self.col.counters[i].queries_issued += 1;
         self.col.header[i] = Some(QueryHeader::new(now, items, &mut self.col.pending[i]));
     }
+}
+
+/// Bit `i` of the bitmap `words`.
+#[inline]
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] & (1 << (i % 64)) != 0
 }
 
 /// The quiet predicate: a report of any kind can change nothing of the
@@ -460,7 +547,7 @@ fn quiet_predicate(
 /// unwinds.
 impl Drop for ClientMut<'_> {
     fn drop(&mut self) {
-        *self.quiet = quiet_predicate(
+        let quiet = quiet_predicate(
             self.cfg,
             self.cache,
             self.gap,
@@ -468,6 +555,8 @@ impl Drop for ClientMut<'_> {
             self.header,
             self.pending,
         );
+        let (word, bit) = (&mut *self.quiet.0, self.quiet.1);
+        *word = if quiet { *word | bit } else { *word & !bit };
     }
 }
 

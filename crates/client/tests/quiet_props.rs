@@ -8,7 +8,10 @@
 //! the stored flag must equal the predicate re-derived from the columns.
 //! A population-level case runs the stamp-plus-walk fan-out against
 //! walking every delivered client, and the masked walk against a
-//! `client_mut` loop over the same mask.
+//! `client_mut` loop over the same mask. A multi-cell case runs the
+//! stamp's lazy `Tlb` (each cell's broadcast epoch) in lockstep with an
+//! eager population and a plain `Tlb` per client, through lossy
+//! reports, handoffs, dozes and snoops.
 
 use mobicache_cache::CacheEntry;
 use mobicache_client::{
@@ -82,6 +85,10 @@ enum Fanout {
 /// client, ...).
 type Step = (usize, u32, f64, f64);
 
+/// The action lists one step emitted, as `(client, actions)` in client
+/// order.
+type Emitted = Vec<(usize, Vec<ClientAction>)>;
+
 /// A client population, the database it caches and the broadcast clock.
 struct Harness {
     pop: ClientPop,
@@ -103,8 +110,12 @@ struct Harness {
 
 impl Harness {
     fn new(cfg: ClientConfig, n: usize) -> Self {
+        Harness::with_cells(cfg, n, 1)
+    }
+
+    fn with_cells(cfg: ClientConfig, n: usize, cells: u32) -> Self {
         Harness {
-            pop: ClientPop::new(cfg, n),
+            pop: ClientPop::with_cells(cfg, n, cells),
             tick: 0,
             sub: 0,
             last: vec![None; DB as usize],
@@ -202,7 +213,7 @@ impl Harness {
             let quiet = (0..self.pop.len())
                 .filter(|&i| self.pop.is_connected(i) && self.pop.is_quiet(i))
                 .count();
-            assert_eq!(self.pop.stamp_quiet(&mut walk, at), quiet as u64);
+            assert_eq!(self.pop.stamp_quiet(0, &mut walk, at), quiet as u64);
         }
         let plan = &self.plan;
         let apply = |mut client: ClientMut<'_>| {
@@ -448,6 +459,187 @@ fn applies_to(probe: Probe, scheme: Scheme) -> bool {
     }
 }
 
+/// A `[0, 1)` coin for client `i` drawn from `seed` (splitmix64).
+fn coin(seed: f64, i: usize) -> f64 {
+    let mut z = seed.to_bits() ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) as f64 / u64::MAX as f64
+}
+
+/// A multi-cell population whose fan-out stamps quiet clients (their
+/// `Tlb` then lives in the cell's epoch until materialized), next to an
+/// eager twin whose fan-out walks every listener through `client_mut`
+/// and never stamps, and the `Tlb` each client must hold: the broadcast
+/// time of the last report it heard. Every view the stamped side builds
+/// must already read that `Tlb`.
+struct Lockstep {
+    /// The database, the clock and the stamped population.
+    h: Harness,
+    eager: ClientPop,
+    tlb: Vec<SimTime>,
+    plans: Vec<PlanCache>,
+}
+
+impl Lockstep {
+    fn new(cfg: ClientConfig, n: usize, cells: u32) -> Self {
+        Lockstep {
+            h: Harness::with_cells(cfg, n, cells),
+            eager: ClientPop::with_cells(cfg, n, cells),
+            tlb: vec![SimTime::ZERO; n],
+            plans: (0..cells).map(|_| PlanCache::new()).collect(),
+        }
+    }
+
+    /// Bit `i` of `words`.
+    fn has(words: &[u64], i: usize) -> bool {
+        words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// The connected members of `cell`, as `stamp_quiet` takes them.
+    fn listeners(&self, cell: u32) -> Vec<u64> {
+        let pop = &self.h.pop;
+        pop.connected_words()
+            .iter()
+            .zip(pop.cell_words(cell))
+            .map(|(&c, &m)| c & m)
+            .collect()
+    }
+
+    /// One step on both populations. Returns the actions each emitted,
+    /// stamped side first, as `(client, actions)` in client order.
+    fn step(&mut self, &(c, op, a, b): &Step) -> Result<(Emitted, Emitted), TestCaseError> {
+        let n = self.tlb.len();
+        let c = c % n;
+        let cells = self.h.pop.cells();
+        self.h.sub += 1;
+        let now = self.h.now();
+        let connected = self.h.pop.is_connected(c);
+        let pending = self.h.pop.has_pending_query(c);
+        let (mut stamped, mut eager) = (Vec::new(), Vec::new());
+        let mut view_tlb_ok = true;
+        match op {
+            0 => {
+                for item in [id(a), id(b)] {
+                    self.h.last[item.0 as usize] = Some(now);
+                }
+            }
+            // A report from client `c`'s cell, lost by each listener
+            // with probability `b / 2`.
+            1 => {
+                let cell = self.h.pop.cell_of(c);
+                let at = self.h.next_broadcast();
+                let payload = self.h.scheme_report(at, a, b);
+                self.h.tick += 1;
+                self.h.sub = 0;
+                let at = t(at);
+                let mut heard = self.listeners(cell);
+                for i in 0..n {
+                    if Self::has(&heard, i) && coin(a + b, i) < b / 2.0 {
+                        heard[i / 64] &= !(1 << (i % 64));
+                    }
+                }
+                let plan = &mut self.plans[cell as usize];
+                plan.decode_for_tick(&payload, self.h.pop.epoch(cell), DB);
+                let plan = &*plan;
+                let mut walk = heard.clone();
+                self.h.pop.stamp_quiet(cell, &mut walk, at);
+                let tlb = &self.tlb;
+                let mut apply = |i: usize, mut client: ClientMut<'_>, out: &mut Vec<_>| {
+                    view_tlb_ok &= client.tlb() == tlb[i];
+                    let mut actions = Vec::new();
+                    client.on_report_planned(
+                        at,
+                        &payload,
+                        plan,
+                        &mut actions,
+                        &mut PlanStats::default(),
+                    );
+                    if !actions.is_empty() {
+                        out.push((i, actions));
+                    }
+                };
+                self.h
+                    .pop
+                    .for_each_delivered(&walk, |i, client| apply(i, client, &mut stamped));
+                for i in (0..n).filter(|&i| Self::has(&heard, i)) {
+                    apply(i, self.eager.client_mut(i), &mut eager);
+                }
+                for i in (0..n).filter(|&i| Self::has(&heard, i)) {
+                    self.tlb[i] = at;
+                }
+            }
+            2 if connected && !pending => {
+                let items = [id(a)];
+                self.h.pop.start_query(c, now, &items);
+                self.eager.start_query(c, now, &items);
+                self.h.asked[c] = items.to_vec();
+            }
+            3 if connected && pending => {
+                let item = self.h.asked[c][0];
+                let version = self.h.version(item);
+                for (pop, out) in [
+                    (&mut self.h.pop, &mut stamped),
+                    (&mut self.eager, &mut eager),
+                ] {
+                    let mut client = pop.client_mut(c);
+                    view_tlb_ok &= client.tlb() == self.tlb[c];
+                    let mut actions = Vec::new();
+                    client.on_data_into(now, item, version, &mut actions);
+                    out.push((c, actions));
+                }
+            }
+            // Client `c`'s cell overhears an item addressed to `c`.
+            4 if connected => {
+                let item = id(a);
+                let version = self.h.version(item);
+                let mut mask = self.listeners(self.h.pop.cell_of(c));
+                mask[c / 64] &= !(1 << (c % 64));
+                let tlb = &self.tlb;
+                self.h.pop.for_each_delivered(&mask, |i, mut client| {
+                    view_tlb_ok &= client.tlb() == tlb[i];
+                    client.on_snooped_data(now, item, version);
+                });
+                for i in (0..n).filter(|&i| Self::has(&mask, i)) {
+                    self.eager.client_mut(i).on_snooped_data(now, item, version);
+                }
+            }
+            5 if connected && !pending => {
+                self.h.pop.disconnect(c, now);
+                self.eager.disconnect(c, now);
+            }
+            6 if !connected => {
+                self.h.pop.reconnect(c, now);
+                self.eager.reconnect(c, now);
+            }
+            // A handoff to another cell, listening or not.
+            7 if cells > 1 => {
+                let hop = 1 + (a * f64::from(cells - 1)) as u32 % (cells - 1);
+                let dest = (self.h.pop.cell_of(c) + hop) % cells;
+                self.h.pop.handoff(c, dest);
+                self.eager.handoff(c, dest);
+            }
+            _ => {}
+        }
+        prop_assert!(view_tlb_ok, "a view read a stale Tlb at op {}", op);
+        Ok((stamped, eager))
+    }
+
+    /// Every client reads the same `Tlb` and quiet flag on both sides and
+    /// in the model, and the stamped side's flag is exact.
+    fn check(&self) -> Result<(), TestCaseError> {
+        let (pop, eager) = (&self.h.pop, &self.eager);
+        for i in 0..self.tlb.len() {
+            prop_assert_eq!(pop.tlb(i), self.tlb[i], "client {}", i);
+            prop_assert_eq!(eager.tlb(i), self.tlb[i], "client {}", i);
+            prop_assert_eq!(pop.is_quiet(i), eager.is_quiet(i), "client {}", i);
+            prop_assert_eq!(pop.cell_of(i), eager.cell_of(i), "client {}", i);
+            prop_assert_eq!(observe(pop, i), observe(eager, i), "client {}", i);
+        }
+        flags_exact(pop)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -551,6 +743,30 @@ proptest! {
             flags_exact(&walked.pop)?;
         }
     }
+
+    /// The lazy `Tlb` of stamped clients matches an eager per-client
+    /// stamp after every step, over two or three cells: lossy reports
+    /// (a stamped client that loses one keeps the previous epoch),
+    /// handoffs, dozes, query starts and snoops each materialize it in
+    /// time, and both populations emit the same actions.
+    #[test]
+    fn stamped_tlb_matches_an_eager_stamp(
+        scheme in 0usize..8,
+        retry in any::<bool>(),
+        full_cache in any::<bool>(),
+        cells in 2u32..4,
+        n in 1usize..140,
+        steps in prop::collection::vec((0usize..140, 0u32..8, 0.0..1.0f64, 0.0..1.0f64), 0..400),
+    ) {
+        let cfg = cfg(SCHEMES[scheme], retry, full_cache);
+        let mut l = Lockstep::new(cfg, n, cells);
+        l.check()?;
+        for s in &steps {
+            let (stamped, eager) = l.step(s)?;
+            prop_assert_eq!(stamped, eager);
+            l.check()?;
+        }
+    }
 }
 
 /// The start state: every client of a non-SIG population is quiet, a
@@ -565,7 +781,7 @@ fn fresh_clients_are_quiet_until_they_wait_on_a_report() {
     assert!(!pop.is_quiet(3) && !pop.is_quiet(66));
     assert!(!pop.quiet_from_columns(3));
     let mut walk = pop.connected_words().to_vec();
-    assert_eq!(pop.stamp_quiet(&mut walk, t(20.0)), 68);
+    assert_eq!(pop.stamp_quiet(0, &mut walk, t(20.0)), 68);
     assert_eq!(walk, vec![1 << 3, 1 << 2]);
     assert_eq!((pop.tlb(0), pop.tlb(3)), (t(20.0), SimTime::ZERO));
 

@@ -59,10 +59,6 @@ pub(crate) struct Broadcast {
     /// report is decoded once into a dense stale bitmap, then read by
     /// every walked client (see `mobicache_reports::plan`).
     plans: Vec<PlanCache>,
-    /// Broadcast time of the last report each cell handed to the
-    /// fan-out — the dominant `Tlb` bucket for that cell's next plan
-    /// decode (every client that heard it holds exactly this `Tlb`).
-    prev_report_at: Vec<SimTime>,
     /// Delivery mask of the current transmission, as bitmap words
     /// (bit `i` = client `i` hears it). A report fan-out thins it to its
     /// walk mask: the quiet clients, whose report is a `Tlb` stamp,
@@ -82,7 +78,6 @@ impl Broadcast {
         Broadcast {
             db_size,
             plans: (0..cells).map(|_| PlanCache::new()).collect(),
-            prev_report_at: vec![SimTime::ZERO; cells],
             ..Broadcast::default()
         }
     }
@@ -133,16 +128,16 @@ impl Broadcast {
         probing: bool,
     ) -> Merge {
         // Decode this tick's invalidation plan once, keyed by the
-        // dominant Tlb bucket: every client that heard the previous
-        // report holds exactly its broadcast time.
+        // dominant Tlb bucket: the cell's broadcast epoch, which every
+        // client that heard the previous report holds.
         let plan = &mut self.plans[cell];
-        plan.decode_for_tick(report, self.prev_report_at[cell], self.db_size);
-        self.prev_report_at[cell] = report.broadcast_at();
+        plan.decode_for_tick(report, clients.epoch(cell as u32), self.db_size);
         // Stamp: a quiet client (empty cache, no gap, nothing waiting on
         // a report) can only take the new `Tlb`, so it gets exactly that
+        // — the cell's new epoch, one word operation per 64 clients —
         // and leaves the walk.
         let walk = &mut self.deliver_words;
-        self.fanout_quiet += clients.stamp_quiet(walk, report.broadcast_at());
+        self.fanout_quiet += clients.stamp_quiet(cell as u32, walk, report.broadcast_at());
         self.fanout_walked += walk.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
         // Walk: each remaining client applies the report, touching only
         // its own columns and the merge records.

@@ -504,6 +504,7 @@ impl<'p> Simulation<'p> {
     fn current_totals(&self) -> RunTotals {
         let sc = self.server_counters();
         let faults = self.faults.as_ref().map(|f| f.metrics).unwrap_or_default();
+        let (client_tx_bits, client_rx_bits) = self.acct.radio_bits();
         let mut t = RunTotals {
             reports_broadcast: sc.window_reports
                 + sc.enlarged_reports
@@ -519,8 +520,8 @@ impl<'p> Simulation<'p> {
             events_scheduled: self.sched.events_scheduled(),
             events_delivered: self.sched.events_delivered(),
             disconnections: self.acct.disconnections,
-            client_tx_bits: self.acct.client_tx_bits,
-            client_rx_bits: self.acct.client_rx_bits,
+            client_tx_bits,
+            client_rx_bits,
             // The client-column sums below.
             ..RunTotals::default()
         };
@@ -768,7 +769,7 @@ impl<'p> Simulation<'p> {
         handle: impl FnOnce(ClientMut<'_>, &mut Vec<ClientAction>),
     ) {
         let i = dest.index();
-        self.acct.client_rx_bits += bits;
+        self.acct.charge_rx(bits, 1);
         let before = self
             .opts
             .probe
@@ -857,7 +858,7 @@ impl<'p> Simulation<'p> {
             ClientAction::Uplink(kind) => {
                 let bits = kind.size_bits(&self.sp);
                 let class = kind.class();
-                self.acct.client_tx_bits += bits;
+                self.acct.charge_tx(bits);
                 let lost = self
                     .faults
                     .as_mut()

@@ -20,10 +20,13 @@ pub(crate) struct Accounting {
     /// The run counters the engine moves itself; the other layers keep
     /// their own. Client disconnections (dozes and handoffs).
     pub(crate) disconnections: u64,
-    /// Bits transmitted by client radios.
-    pub(crate) client_tx_bits: f64,
+    /// Bits transmitted by client radios. Every message size is a whole
+    /// number of bits, so the counters are integers: a sum of `f64`
+    /// sizes taken one message at a time is exact, and equals this
+    /// count converted, while the total stays below 2^53.
+    client_tx_bits: u64,
     /// Bits received by client radios.
-    pub(crate) client_rx_bits: f64,
+    client_rx_bits: u64,
     /// Broadcast periods completed (snapshot stride counter).
     ticks: u64,
     /// The open snapshot interval: its index, start (simulated seconds)
@@ -37,19 +40,26 @@ impl Accounting {
             latency: OnlineStats::new(),
             latency_hist: Histogram::new(0.0, 2_000.0, 200),
             disconnections: 0,
-            client_tx_bits: 0.0,
-            client_rx_bits: 0.0,
+            client_tx_bits: 0,
+            client_rx_bits: 0,
             ticks: 0,
             interval: (0, 0.0, RunTotals::default()),
         }
     }
 
-    /// Charges `listeners` receptions of `bits` bits, one addition each:
-    /// the additions of a per-client loop, so the sum is bit-identical.
+    /// Charges `listeners` receptions of a `bits`-bit message.
     pub(crate) fn charge_rx(&mut self, bits: f64, listeners: u64) {
-        for _ in 0..listeners {
-            self.client_rx_bits += bits;
-        }
+        self.client_rx_bits += whole_bits(bits) * listeners;
+    }
+
+    /// Charges one transmission of a `bits`-bit message.
+    pub(crate) fn charge_tx(&mut self, bits: f64) {
+        self.client_tx_bits += whole_bits(bits);
+    }
+
+    /// Bits transmitted and received by client radios so far.
+    pub(crate) fn radio_bits(&self) -> (f64, f64) {
+        (self.client_tx_bits as f64, self.client_rx_bits as f64)
     }
 
     /// Counts one broadcast period; `true` when it closes an interval.
@@ -69,6 +79,17 @@ impl Accounting {
         let (index, start_secs, prev) = std::mem::replace(&mut self.interval, next);
         (index, start_secs, totals.delta_since(&prev))
     }
+}
+
+/// A message size as a whole number of bits. `SimConfig::validate`
+/// admits only whole `timestamp_bits` and `header_bits`, and every other
+/// term of a size formula is a count or `⌈log₂ N⌉`.
+fn whole_bits(bits: f64) -> u64 {
+    debug_assert!(
+        bits >= 0.0 && bits.fract() == 0.0,
+        "message size {bits} is not a whole number of bits"
+    );
+    bits as u64
 }
 
 /// Declares [`Metrics`] and its `Debug` from one field list; the fields

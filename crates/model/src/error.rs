@@ -29,6 +29,14 @@ pub enum ConfigError {
         /// The rejected value.
         value: f64,
     },
+    /// A message-size parameter that must be a whole number of bits is
+    /// not. Whole sizes keep the radio bit counters exact integers.
+    Fractional {
+        /// Name of the offending `SimConfig` field.
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
     /// An integer count that must be at least 1 is zero.
     ZeroCount {
         /// Name of the offending `SimConfig` field.
@@ -67,6 +75,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::Negative { field, value } => {
                 write!(f, "{field} must be non-negative, got {value}")
+            }
+            ConfigError::Fractional { field, value } => {
+                write!(f, "{field} must be a whole number of bits, got {value}")
             }
             ConfigError::ZeroCount { field } => {
                 write!(f, "{field} must be at least 1")
@@ -115,6 +126,14 @@ mod tests {
         assert_eq!(e.to_string(), "p_disconnect out of [0, 1]: 1.5");
         let e = ConfigError::ZeroCount { field: "db_size" };
         assert_eq!(e.to_string(), "db_size must be at least 1");
+        let e = ConfigError::Fractional {
+            field: "header_bits",
+            value: 0.5,
+        };
+        assert_eq!(
+            e.to_string(),
+            "header_bits must be a whole number of bits, got 0.5"
+        );
     }
 
     #[test]

@@ -558,6 +558,15 @@ impl SimConfig {
                 value: self.header_bits,
             });
         }
+        // Every other term of a message size is a count or `⌈log₂ N⌉`.
+        for (field, value) in [
+            ("timestamp_bits", self.timestamp_bits),
+            ("header_bits", self.header_bits),
+        ] {
+            if value.fract() != 0.0 {
+                return Err(ConfigError::Fractional { field, value });
+            }
+        }
         count("num_clients", u64::from(self.num_clients))?;
         count("db_size", self.db_size as u64)?;
         count("item_bytes", self.item_bytes)?;
@@ -693,6 +702,25 @@ mod tests {
         assert_eq!(
             c.validate(),
             Err(ConfigError::ZeroCount { field: "db_size" })
+        );
+
+        let mut c = SimConfig::paper_default();
+        c.timestamp_bits = 47.5;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::Fractional {
+                field: "timestamp_bits",
+                value: 47.5,
+            })
+        );
+        let mut c = SimConfig::paper_default();
+        c.header_bits = 0.25;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::Fractional {
+                field: "header_bits",
+                value: 0.25,
+            })
         );
 
         let c = SimConfig::paper_default()

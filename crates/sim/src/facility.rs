@@ -91,11 +91,6 @@ struct Active<M> {
     token: u64,
 }
 
-struct Suspended<M> {
-    job: Job<M>,
-    remaining_bits: f64,
-}
-
 /// The facility itself. See the module docs for the protocol.
 ///
 /// ```
@@ -119,7 +114,12 @@ struct Suspended<M> {
 /// ```
 pub struct Facility<M> {
     cfg: FacilityConfig,
-    queues: Vec<VecDeque<Suspended<M>>>,
+    queues: Vec<VecDeque<Job<M>>>,
+    /// Per class, the preempted job and its remaining bits. A class holds
+    /// at most one: its suspended job resumes before the class queue, so
+    /// no other job of the class starts while it waits, and only the
+    /// job in service is ever preempted.
+    suspended: Vec<Option<(Job<M>, f64)>>,
     current: Option<Active<M>>,
     next_token: u64,
     // Statistics.
@@ -135,6 +135,7 @@ impl<M> Facility<M> {
         let cfg = cfg.validated();
         Facility {
             queues: (0..cfg.classes).map(|_| VecDeque::new()).collect(),
+            suspended: (0..cfg.classes).map(|_| None).collect(),
             current: None,
             next_token: 0,
             busy_time: 0.0,
@@ -155,9 +156,10 @@ impl<M> Facility<M> {
         self.current.is_some()
     }
 
-    /// Total jobs waiting across all classes.
+    /// Total jobs waiting across all classes, suspended ones included.
     pub fn backlog(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        let suspended = self.suspended.iter().filter(|s| s.is_some()).count();
+        self.queues.iter().map(|q| q.len()).sum::<usize>() + suspended
     }
 
     /// Total busy time accumulated so far (excluding any in-progress
@@ -239,23 +241,19 @@ impl<M> Facility<M> {
                     job.class < self.cfg.preemptive_classes && job.class < active.job.class;
                 if preempts {
                     // Suspend the in-service job: bank the work done so far
-                    // and put it at the *front* of its class queue so it
-                    // resumes before anything queued behind it.
+                    // and park it in its class's slot so it resumes before
+                    // anything queued behind it.
                     let active = self.current.take().expect("checked above");
                     let served = now.saturating_since(active.resumed_at) * self.cfg.rate_bps;
                     let remaining = (active.remaining_bits - served).max(0.0);
                     self.busy_time += now.saturating_since(active.resumed_at);
                     self.preemptions += 1;
-                    self.queues[active.job.class].push_front(Suspended {
-                        job: active.job,
-                        remaining_bits: remaining,
-                    });
+                    let slot = &mut self.suspended[active.job.class];
+                    debug_assert!(slot.is_none(), "two suspended jobs in one class");
+                    *slot = Some((active.job, remaining));
                     Some(self.start(now, job, bits))
                 } else {
-                    self.queues[job.class].push_back(Suspended {
-                        job,
-                        remaining_bits: bits,
-                    });
+                    self.queues[job.class].push_back(job);
                     None
                 }
             }
@@ -282,13 +280,22 @@ impl<M> Facility<M> {
         self.bits_served[active.job.class] += active.job.bits;
         self.jobs_served[active.job.class] += 1;
 
-        // Start the next job: highest-priority non-empty queue, front first
-        // (suspended jobs were pushed to the front of their queue).
-        let next = self.queues.iter_mut().find_map(|q| q.pop_front());
-        let completion = next.map(|s| {
-            let resumed = s.remaining_bits.max(f64::MIN_POSITIVE);
-            self.start(now, s.job, resumed)
-        });
+        // Start the next job: the highest-priority class with work, its
+        // suspended job first, then its queue's front.
+        let next = self
+            .suspended
+            .iter_mut()
+            .zip(&mut self.queues)
+            .find_map(|(slot, q)| {
+                if slot.is_some() {
+                    return slot.take();
+                }
+                let job = q.pop_front()?;
+                let bits = job.bits;
+                Some((job, bits))
+            });
+        let completion =
+            next.map(|(job, remaining)| self.start(now, job, remaining.max(f64::MIN_POSITIVE)));
         Some((active.job, completion))
     }
 }
