@@ -8,16 +8,11 @@
 //! Sections:
 //!
 //! * **popscale** — the struct-of-arrays population sweep: one AAW run
-//!   at 10 k, 100 k and 1 M clients (shortening the horizon as the
-//!   population grows), pinning events/second *and* peak RSS per
+//!   at 10 k, 100 k and 1 M clients (each over at least ten broadcast
+//!   periods), pinning events/second *and* peak RSS per
 //!   population. Runs first and in ascending order because the RSS
 //!   figure is `VmHWM` — the process high-water mark, which only ever
 //!   rises.
-//! * **sched** — the future-event-list micro-benchmark: the retired
-//!   `BinaryHeap` scheduler (kept here as a local baseline) vs the live
-//!   hierarchical timing wheel on a deterministic fill/churn/drain
-//!   workload at 10 k, 100 k and 1 M pending events, in ns per push/pop
-//!   operation.
 //! * **invplan** — the invalidation-plan micro-benchmark: one AAW-shaped
 //!   window report applied to 10 k real `LruCache`s, comparing the two
 //!   arms a client selects between — one plan-bit probe per cached item
@@ -29,21 +24,16 @@
 //! `--quick` shrinks every section for the CI smoke step; `--out PATH`
 //! writes the JSON file (otherwise stdout).
 //!
-//! CI smokes each run one section. `--smoke-sched`, `--smoke-invplan`
-//! and `--smoke-bsbuild` compare two paths timed in one process and
-//! exit non-zero on a miss, so they hold on any host.
-//! `--smoke-popscale CLIENTS` runs one popscale row and prints it; it
-//! gates nothing.
+//! CI smokes each run one section. `--smoke-invplan` compares two
+//! paths timed in one process and exits non-zero on a miss, so it holds
+//! on any host. `--smoke-popscale CLIENTS` runs one popscale row and
+//! prints it; it gates nothing.
 
 use mobicache::{run, IntervalSampler, RunOptions};
 use mobicache_cache::LruCache;
-use mobicache_model::msg::SizeParams;
 use mobicache_model::{ItemId, Scheme, SimConfig};
-use mobicache_reports::{BitSequences, PlanCache, ReportPayload, WindowReport};
-use mobicache_server::Server;
-use mobicache_sim::{Scheduler, SimRng, SimTime};
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
+use mobicache_reports::{PlanCache, ReportPayload, WindowReport};
+use mobicache_sim::SimTime;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -86,19 +76,6 @@ macro_rules! json_row {
     };
 }
 
-/// The stress shape: a big database (large caches and BS reports), 200
-/// clients (wide fan-out) and updates every 5 s (full windows), where
-/// report building and application dominate. `bsbuild` replays its
-/// update stream and `invplan` freezes one of its ticks.
-fn stress_cfg() -> SimConfig {
-    let mut cfg = SimConfig::paper_default();
-    cfg.sim_time_secs = 8_000.0;
-    cfg.db_size = 40_000;
-    cfg.num_clients = 200;
-    cfg.mean_update_interarrival_secs = 5.0;
-    cfg
-}
-
 json_row! {
     PopRow {
         clients: u32 => "{}",
@@ -118,15 +95,15 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// The pinned popscale configuration for one population size. The
-/// horizon shrinks as the population grows so every row costs seconds,
-/// not minutes, while still spanning many broadcast periods.
+/// The pinned popscale configuration for one population size. Every
+/// row spans at least ten 20 s broadcast periods, so its time goes to
+/// ticks rather than set-up, and costs seconds, not minutes.
 fn popscale_cfg(clients: u32) -> SimConfig {
     let mut cfg = SimConfig::paper_default().with_scheme(Scheme::Aaw);
     cfg.db_size = 1_000;
     cfg.num_clients = clients;
     cfg.sim_time_secs = match clients {
-        c if c >= 1_000_000 => 60.0,
+        c if c >= 1_000_000 => 600.0,
         c if c >= 100_000 => 200.0,
         _ => 600.0,
     };
@@ -164,138 +141,6 @@ fn bench_popscale(quick: bool) -> Vec<PopRow> {
         .collect()
 }
 
-/// The pre-wheel future-event list, verbatim: a `BinaryHeap` with the
-/// `(at, seq)` comparator reversed for min-first pops. Kept here as the
-/// `sched` section's baseline now that the live scheduler is a timing
-/// wheel.
-#[derive(Default)]
-struct HeapSched {
-    heap: BinaryHeap<HeapEntry>,
-    now: SimTime,
-    seq: u64,
-}
-
-struct HeapEntry {
-    at: SimTime,
-    seq: u64,
-    value: u64,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// The push/pop surface the `sched` section drives — implemented by the
-/// heap baseline and the live timing wheel.
-trait EventList {
-    fn push(&mut self, at: SimTime, value: u64);
-    fn pop(&mut self) -> Option<(SimTime, u64)>;
-}
-
-impl EventList for HeapSched {
-    fn push(&mut self, at: SimTime, value: u64) {
-        assert!(at >= self.now);
-        self.heap.push(HeapEntry {
-            at,
-            seq: self.seq,
-            value,
-        });
-        self.seq += 1;
-    }
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        let e = self.heap.pop()?;
-        self.now = e.at;
-        Some((e.at, e.value))
-    }
-}
-
-impl EventList for Scheduler<u64> {
-    fn push(&mut self, at: SimTime, value: u64) {
-        self.schedule(at, value);
-    }
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        Scheduler::pop(self)
-    }
-}
-
-/// The simulator-shaped scheduler workload: fill `n` events over a
-/// 10 000 s horizon, then `n` pop → re-push churn steps (the steady
-/// state: every delivery schedules a successor a bounded delay out),
-/// then drain. 4·n push/pop operations total.
-fn drive_event_list(s: &mut impl EventList, n: usize) {
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut unit = move || {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    for i in 0..n {
-        s.push(SimTime::from_secs(unit() * 10_000.0), i as u64);
-    }
-    for i in 0..n {
-        let (at, v) = s.pop().expect("list is full");
-        black_box(v);
-        s.push(at + (1.0 + unit() * 99.0), (n + i) as u64);
-    }
-    while let Some((_, v)) = s.pop() {
-        black_box(v);
-    }
-}
-
-json_row! {
-    SchedRow {
-        pending: usize => "{}",
-        heap_ns_per_op: f64 => "{:.1}",
-        wheel_ns_per_op: f64 => "{:.1}",
-        speedup: f64 => "{:.2}",
-    }
-}
-
-/// Scheduler micro-benchmark: the heap baseline vs the timing wheel on
-/// the same deterministic workload, at several steady-state sizes. Best
-/// of `reps` full passes; ns amortized over all 4·n operations.
-fn bench_sched(quick: bool) -> Vec<SchedRow> {
-    let sizes: &[usize] = if quick {
-        &[10_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-    let reps = if quick { 2 } else { 3 };
-    let rows = sizes.iter().map(|&n| {
-        let ops = (4 * n) as f64;
-        let mut heap_ns = f64::INFINITY;
-        let mut wheel_ns = f64::INFINITY;
-        for _ in 0..reps {
-            let mut heap = HeapSched::default();
-            heap_ns = heap_ns.min(timed(|| drive_event_list(&mut heap, n)).0 * 1e9);
-            let mut wheel: Scheduler<u64> = Scheduler::new();
-            wheel_ns = wheel_ns.min(timed(|| drive_event_list(&mut wheel, n)).0 * 1e9);
-        }
-        SchedRow {
-            pending: n,
-            heap_ns_per_op: heap_ns / ops,
-            wheel_ns_per_op: wheel_ns / ops,
-            speedup: heap_ns / wheel_ns,
-        }
-        .logged("sched")
-    });
-    rows.collect()
-}
-
 json_row! {
     InvplanRow {
         clients: u32 => "{}",
@@ -319,9 +164,9 @@ json_row! {
     }
 }
 
-/// The AAW stress shape (`stress_cfg`: db 40 000, paper cache fraction →
-/// 800-item caches, updates every 5 s → a 200 s window lists ~40 items)
-/// frozen at one tick. Caches are real `LruCache`s so both arms pay
+/// The AAW stress shape (db 40 000, paper cache fraction → 800-item
+/// caches, updates every 5 s → a 200 s window lists ~40 items) frozen at
+/// one tick. Caches are real `LruCache`s so both arms pay
 /// their true costs — the per-item arm its ~25 KB slab iteration + one
 /// plan-bit probe per entry, the word arm its 5 KB membership-bitmap AND
 /// + `peek` per surviving candidate.
@@ -450,100 +295,21 @@ fn invplan_probe(quick: bool) -> InvplanProbe {
     .logged("invplan probe")
 }
 
-/// Prints a CI gate's `ok` or `REGRESSION` line and returns the process
-/// exit code.
-fn verdict(name: &str, pass: bool, line: &str) -> i32 {
-    eprintln!(
-        "{name}: {} — {line}",
-        if pass { "ok" } else { "REGRESSION" }
-    );
-    i32::from(!pass)
-}
-
 /// The invalidation-plan CI smoke: at the stress shape's 800-item
 /// caches the client selection picks the word arm, so the word arm must
-/// beat the per-item arm timed in the same process.
+/// beat the per-item arm timed in the same process. Prints `ok` or
+/// `REGRESSION` and returns the process exit code.
 fn smoke_invplan() -> i32 {
     let row = run_invplan_once(INVPLAN_CLIENTS, 3);
-    let line = format!(
-        "word arm {:.0} ns/client vs per-item arm {:.0} ns/client ({:.2}x)",
-        row.plan_ns_per_client, row.per_item_ns_per_client, row.speedup
+    let pass = row.speedup > 1.0;
+    eprintln!(
+        "smoke-invplan: {} — word arm {:.0} ns/client vs per-item arm {:.0} ns/client ({:.2}x)",
+        if pass { "ok" } else { "REGRESSION" },
+        row.plan_ns_per_client,
+        row.per_item_ns_per_client,
+        row.speedup
     );
-    verdict("smoke-invplan", row.speedup > 1.0, &line)
-}
-
-/// One replay of the stress shape's update stream (its database, txn
-/// size and rate, broadcast period and horizon; fixed interarrivals,
-/// uniform items) through a BS server. Returns the host seconds spent
-/// in the per-tick `build_report_shared` and in a from-scratch
-/// `BitSequences::from_recency` of the same log state.
-fn bsbuild_once(seed: u64) -> (f64, f64) {
-    let cfg = stress_cfg();
-    let params = SizeParams {
-        db_size: u64::from(cfg.db_size),
-        group_count: u64::from(cfg.gcore_groups),
-        timestamp_bits: cfg.timestamp_bits,
-        header_bits: cfg.header_bits,
-        control_bytes: cfg.control_bytes,
-        item_bytes: cfg.item_bytes,
-    };
-    let mut server = Server::new(Scheme::Bs, cfg.db_size, cfg.window_secs(), params);
-    let mut rng = SimRng::new(seed);
-    let txn_items = cfg.items_per_update_mean.round() as usize;
-    let mut next_update = cfg.mean_update_interarrival_secs;
-    let (mut shared, mut scratch) = (0.0, 0.0);
-    let mut now = cfg.broadcast_period_secs;
-    while now <= cfg.sim_time_secs {
-        while next_update < now {
-            let items: Vec<ItemId> = (0..txn_items)
-                .map(|_| ItemId(rng.next_below(u64::from(cfg.db_size)) as u32))
-                .collect();
-            server.apply_txn(SimTime::from_secs(next_update), &items);
-            next_update += cfg.mean_update_interarrival_secs;
-        }
-        let at = SimTime::from_secs(now);
-        let (secs, report) = timed(|| server.build_report_shared(at));
-        shared += secs;
-        drop(black_box(report));
-        let (secs, rebuilt) =
-            timed(|| BitSequences::from_recency(at, cfg.db_size, server.log().recency_desc()));
-        scratch += secs;
-        drop(black_box(rebuilt));
-        now += cfg.broadcast_period_secs;
-    }
-    (shared, scratch)
-}
-
-/// The BS build CI smoke: the shared-index build must beat the
-/// from-scratch build by at least 10× (best of three replays per side,
-/// timed in one process, so no committed numbers are needed).
-fn smoke_bsbuild() -> i32 {
-    let (mut shared, mut scratch) = (f64::INFINITY, f64::INFINITY);
-    for seed in 0..3 {
-        let (a, b) = bsbuild_once(seed);
-        shared = shared.min(a);
-        scratch = scratch.min(b);
-    }
-    let ratio = scratch / shared;
-    let line = format!(
-        "shared build {:.2} ms vs from-scratch build {:.2} ms per replay ({ratio:.1}x)",
-        shared * 1e3,
-        scratch * 1e3
-    );
-    verdict("smoke-bsbuild", ratio >= 10.0, &line)
-}
-
-/// The scheduler CI smoke: the 10k-pending `sched` row must show the
-/// wheel at least matching the heap baseline (the committed full run
-/// pins the ≥2x margin at 1M pending; this leg catches a wheel that
-/// regressed to worse-than-heap without burning CI minutes).
-fn smoke_sched() -> i32 {
-    let row = &bench_sched(true)[0];
-    let line = format!(
-        "wheel {:.1} ns/op vs heap {:.1} ns/op ({:.2}x)",
-        row.wheel_ns_per_op, row.heap_ns_per_op, row.speedup
-    );
-    verdict("smoke-sched", row.speedup >= 1.0, &line)
+    i32::from(!pass)
 }
 
 /// `rows` one per line at `indent`, comma-separated.
@@ -565,14 +331,9 @@ fn note_section(name: &str, note: &str, head: &str, rows: &[impl JsonRow], tail:
 const AAW_HEAD: &str = "    \"scheme\": \"Aaw\",\n";
 
 const POPSCALE_NOTE: &str = "struct-of-arrays population sweep: one AAW run per \
-    population (horizon shrinks as clients grow), pinning throughput and \
+    population (each over at least ten broadcast periods), pinning throughput and \
     peak RSS. Runs first, populations ascending, because peak_rss_mb is \
     VmHWM — the process-lifetime high-water mark.";
-
-const SCHED_NOTE: &str = "future-event-list micro-benchmark: the retired \
-    BinaryHeap scheduler vs the live hierarchical timing wheel on the \
-    same deterministic fill/churn/drain workload (4n ops at n pending, \
-    10000 s horizon). ns amortized per push/pop op, best-of-reps.";
 
 const INVPLAN_NOTE: &str = "invalidation-plan micro-benchmark: one AAW-shaped window \
     report at the stress shape (db 40000, 40 records, 800-item caches) \
@@ -608,7 +369,6 @@ fn bench_all(quick: bool) -> String {
             &bench_popscale(quick),
             "",
         ),
-        note_section("sched", SCHED_NOTE, "", &bench_sched(quick), ""),
         note_section(
             "invplan",
             INVPLAN_NOTE,
@@ -637,15 +397,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let has = |name: &str| args.iter().any(|a| a == name);
 
-    let code = if let Some(clients) = flag(&args, "--smoke-popscale") {
+    if let Some(clients) = flag(&args, "--smoke-popscale") {
         run_popscale_once(clients);
-        0
-    } else if has("--smoke-sched") {
-        smoke_sched()
     } else if has("--smoke-invplan") {
-        smoke_invplan()
-    } else if has("--smoke-bsbuild") {
-        smoke_bsbuild()
+        std::process::exit(smoke_invplan());
     } else {
         let body = bench_all(has("--quick"));
         match flag::<String>(&args, "--out") {
@@ -655,7 +410,5 @@ fn main() {
             }
             None => print!("{body}"),
         }
-        return;
-    };
-    std::process::exit(code);
+    }
 }

@@ -1,13 +1,11 @@
 //! # mobicache-bench
 //!
-//! Benchmark targets (no library code). Whole-simulation throughput is
-//! measured by `mobibench` (its own package in `mobibench/`); this crate
-//! keeps what no whole run isolates:
+//! Benchmark targets (no library code). Whole-simulation throughput and
+//! every per-layer timing are measured by `mobibench` (its own package
+//! in `mobibench/`); this crate keeps what no `mobibench` workload
+//! reaches:
 //!
-//! * `benches/micro.rs` — criterion micro-benchmarks of the hot
-//!   algorithmic pieces: bit-sequence construction and application,
-//!   window-report decisions, LRU operations, signature combination, the
-//!   channel facility and the RNG.
 //! * `src/bin/report_pipeline.rs` — the `BENCH_report_pipeline.json`
-//!   harness: the population sweep up to 1 M clients, the scheduler and
-//!   invalidation-plan micro-benchmarks, and the same-process CI smokes.
+//!   harness: the population sweep up to 1 M clients, the
+//!   invalidation-plan timing on full 800-item caches, and their
+//!   CI smokes.

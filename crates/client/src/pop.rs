@@ -167,11 +167,10 @@ client_columns! {
     cache: LruCache = LruCache::new(cfg.cache_capacity),
     /// Timestamp of the last report received.
     tlb: SimTime = SimTime::ZERO,
-    /// `true` while listening to broadcasts.
-    connected: bool = true,
     /// Reconnected, and no report has been applied since.
     reconnect_pending: bool = false,
-    /// When the current doze began.
+    /// When the current doze began; `None` while listening to
+    /// broadcasts.
     disconnected_at: Option<SimTime> = None,
     /// The open reconnection gap, if any.
     gap: Option<GapState> = None,
@@ -207,10 +206,10 @@ fn ones(n: usize) -> Vec<u64> {
 pub struct ClientPop {
     cfg: ClientConfig,
     col: Columns,
-    /// Dense mirror of the `connected` column: bit `i` set iff client `i`
-    /// listens. The fan-out copies this as its delivery-mask seed, so
-    /// the walk skips 64 disconnected clients per zero word instead of
-    /// branching each. Maintained only by [`ClientPop::disconnect`] and
+    /// Dense mirror of the `disconnected_at` column: bit `i` set iff
+    /// client `i` listens (its `disconnected_at` is `None`). The fan-out
+    /// copies this as its delivery-mask seed, so the walk skips 64
+    /// disconnected clients per zero word instead of branching each. Maintained only by [`ClientPop::disconnect`] and
     /// [`ClientPop::reconnect`], the only ways to doze and wake a
     /// client.
     connected_bits: Vec<u64>,
@@ -368,7 +367,7 @@ impl ClientPop {
 
     /// `true` while client `i` listens to broadcasts.
     pub fn is_connected(&self, i: usize) -> bool {
-        self.col.connected[i]
+        self.col.disconnected_at[i].is_none()
     }
 
     /// Timestamp of the last report client `i` received.
@@ -502,7 +501,7 @@ impl ClientPop {
     /// Panics if a query is already in flight, the client is
     /// disconnected, or `items` is empty.
     pub fn start_query(&mut self, i: usize, now: SimTime, items: &[ItemId]) {
-        assert!(self.col.connected[i], "query while disconnected");
+        assert!(self.is_connected(i), "query while disconnected");
         assert!(self.col.header[i].is_none(), "overlapping queries");
         self.materialize(i);
         self.col.quiet[i / 64] &= !(1 << (i % 64));
@@ -578,7 +577,7 @@ impl ClientMut<'_> {
 
     /// `true` while listening to broadcasts.
     pub fn is_connected(&self) -> bool {
-        *self.connected
+        self.disconnected_at.is_none()
     }
 
     /// Timestamp of the last report received.
@@ -605,8 +604,7 @@ impl ClientMut<'_> {
     /// between queries).
     fn disconnect(&mut self, now: SimTime) {
         assert!(self.header.is_none(), "disconnect with a query in flight");
-        assert!(*self.connected, "already disconnected");
-        *self.connected = false;
+        assert!(self.is_connected(), "already disconnected");
         *self.disconnected_at = Some(now);
     }
 
@@ -614,8 +612,7 @@ impl ClientMut<'_> {
     /// in seconds; reached only through [`ClientPop::reconnect`]. Cache
     /// reconciliation happens at the next broadcast report.
     fn reconnect(&mut self, now: SimTime) -> f64 {
-        assert!(!*self.connected, "already connected");
-        *self.connected = true;
+        assert!(!self.is_connected(), "already connected");
         *self.reconnect_pending = true;
         self.disconnected_at.take().map_or(0.0, |at| now - at)
     }
@@ -651,7 +648,10 @@ impl ClientMut<'_> {
         actions: &mut Vec<ClientAction>,
         stats: &mut PlanStats,
     ) {
-        assert!(*self.connected, "report delivered to a disconnected client");
+        assert!(
+            self.is_connected(),
+            "report delivered to a disconnected client"
+        );
         self.apply_report(now, payload, plan, actions, stats);
         *self.tlb = payload.broadcast_at();
         self.resolve_query(now, actions);
@@ -1344,7 +1344,7 @@ mod tests {
         actions
     }
 
-    /// The connected bitmap mirrors the connected column.
+    /// The connected bitmap mirrors the `disconnected_at` column.
     fn assert_bitmap_mirrors(pop: &ClientPop) {
         for i in 0..pop.len() {
             let bit = pop.connected_words()[i / 64] & (1 << (i % 64)) != 0;
@@ -1464,8 +1464,8 @@ mod tests {
         );
     }
 
-    /// The connected bitmap mirrors the bool column through the
-    /// pop-level disconnect/reconnect wrappers, with tail bits zero.
+    /// The connected bitmap mirrors the `disconnected_at` column through
+    /// the pop-level disconnect/reconnect wrappers, with tail bits zero.
     #[test]
     fn connected_bitmap_mirrors_column() {
         let n = 70; // crosses a word boundary

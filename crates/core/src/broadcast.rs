@@ -96,12 +96,6 @@ impl Broadcast {
         &mut self.deliver_words
     }
 
-    /// Sets the delivery mask to all `n` clients.
-    pub(crate) fn all_listeners(&mut self, n: usize) {
-        self.deliver_words.clear();
-        self.deliver_words.resize(n.div_ceil(64), !0);
-    }
-
     /// The delivery mask.
     pub(crate) fn mask(&self) -> &[u64] {
         &self.deliver_words

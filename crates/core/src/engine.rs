@@ -31,6 +31,7 @@ use mobicache_model::{ClientId, ConfigError, DownlinkTopology, ItemId, SimConfig
 use mobicache_net::Channel;
 use mobicache_reports::ReportPayload;
 use mobicache_server::{GroupVerdict, Server, ServerCounters, ValidityVerdict};
+use mobicache_sim::bits::for_each_set_bit;
 use mobicache_sim::{Scheduler, SimRng, SimTime, StreamId};
 use mobicache_workload::{GapKind, GapProcess, QueryGen, UpdateGen};
 use std::sync::Arc;
@@ -479,12 +480,12 @@ impl<'p> Simulation<'p> {
         self.check_all_consistency();
     }
 
-    /// Full-population oracle scan (crash/recovery boundaries), over an
-    /// all-ones delivery mask.
+    /// Full-population oracle scan (crash/recovery boundaries).
     fn check_all_consistency(&mut self) {
-        if self.oracle.is_some() {
-            self.broadcast.all_listeners(self.clients.len());
-            self.check_delivered();
+        if let Some(oracle) = &mut self.oracle {
+            for (i, cache) in self.clients.caches_col().iter().enumerate() {
+                oracle.assert_cache_consistent(ClientId(i as u32), cache);
+            }
         }
     }
 
@@ -956,24 +957,17 @@ impl<'p> Simulation<'p> {
         }
     }
 
-    /// Oracle pass over every client in the delivery mask — the
-    /// read-only full-cache scans of a broadcast tick. Violations come
-    /// back in client-index order, so the first one re-raised here is
-    /// the same panic, with the same message, a per-client check would
-    /// raise.
+    /// Oracle pass over every client in the delivery mask, in
+    /// client-index order — the read-only full-cache scans of a
+    /// broadcast tick.
     fn check_delivered(&mut self) {
         let Some(oracle) = self.oracle.as_mut() else {
             return;
         };
-        // Columnar scan: no per-call `(ClientId, &cache)` list — the
-        // oracle walks the cache column directly, masked by the
-        // delivery mask.
-        let (checks, violations) =
-            oracle.scan_cols(self.clients.caches_col(), self.broadcast.mask());
-        oracle.note_checks(checks);
-        if let Some(v) = violations.first() {
-            panic!("{v}");
-        }
+        let caches = self.clients.caches_col();
+        for_each_set_bit(self.broadcast.mask(), 0..caches.len(), |i| {
+            oracle.assert_cache_consistent(ClientId(i as u32), &caches[i]);
+        });
     }
 
     fn finish(mut self) -> RunResult {
@@ -1088,56 +1082,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fanout_is_bit_identical_for_every_scheme() {
-        // `threads` is accepted and ignored: the full Debug rendering of
-        // the metrics (every counter and every float) must match the
-        // default run exactly at any value.
-        for scheme in Scheme::ALL {
-            let cfg = short_cfg(scheme);
-            let serial = run(&cfg, RunOptions::default()).unwrap();
-            for threads in [2, 4, 0] {
-                let threaded =
-                    run(&cfg.clone().with_threads(threads), RunOptions::default()).unwrap();
-                assert_eq!(
-                    format!("{:?}", serial.metrics),
-                    format!("{:?}", threaded.metrics),
-                    "{scheme:?} diverged at threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharding_is_bit_identical_under_loss_and_snooping() {
+    fn lossy_snooping_run_passes_the_oracle() {
         // Report loss draws coins, snooping walks a second mask, and
-        // the oracle checks every delivery; none of them may see
-        // `threads`.
+        // the oracle checks every delivery of both.
         let mut cfg = short_cfg(Scheme::Aaw);
         cfg.p_report_loss = 0.2;
         cfg.snoop_broadcasts = true;
-        let serial = run(&cfg, RunOptions::new().check_consistency(true)).unwrap();
-        let threaded = run(
-            &cfg.clone().with_threads(4),
-            RunOptions::new().check_consistency(true),
-        )
-        .unwrap();
-        assert!(serial.metrics.reports_lost > 0);
-        assert_eq!(
-            format!("{:?}", serial.metrics),
-            format!("{:?}", threaded.metrics)
-        );
-    }
-
-    #[test]
-    fn more_threads_than_clients_is_fine() {
-        let mut cfg = short_cfg(Scheme::Bs);
-        cfg.num_clients = 3;
-        let serial = run(&cfg, RunOptions::default()).unwrap();
-        let threaded = run(&cfg.clone().with_threads(64), RunOptions::default()).unwrap();
-        assert_eq!(
-            format!("{:?}", serial.metrics),
-            format!("{:?}", threaded.metrics)
-        );
+        let result = run(&cfg, RunOptions::new().check_consistency(true)).unwrap();
+        assert!(result.metrics.reports_lost > 0);
     }
 
     #[test]
@@ -1405,10 +1357,8 @@ mod tests {
         });
         let mut snoop = short_cfg(Scheme::Aaw);
         snoop.snoop_broadcasts = true;
-        for threads in [1, 4] {
-            assert_eq!(checks(&cells.clone().with_threads(threads)), Some(8_729));
-            assert_eq!(checks(&snoop.clone().with_threads(threads)), Some(72_296));
-        }
+        assert_eq!(checks(&cells), Some(8_729));
+        assert_eq!(checks(&snoop), Some(72_296));
     }
 
     #[test]
@@ -1487,24 +1437,6 @@ mod tests {
             m.queries_answered,
             m.queries_issued
         );
-    }
-
-    #[test]
-    fn fault_injection_is_bit_identical_across_thread_counts() {
-        for scheme in [Scheme::Aaw, Scheme::Afw, Scheme::SimpleChecking, Scheme::Bs] {
-            let mut cfg = faulty_cfg(scheme);
-            cfg.p_disconnect = 0.3;
-            let serial = run(&cfg, RunOptions::default()).unwrap();
-            for threads in [2, 4, 0] {
-                let threaded =
-                    run(&cfg.clone().with_threads(threads), RunOptions::default()).unwrap();
-                assert_eq!(
-                    format!("{:?}", serial.metrics),
-                    format!("{:?}", threaded.metrics),
-                    "{scheme:?} fault coins diverged at threads={threads}"
-                );
-            }
-        }
     }
 
     #[test]

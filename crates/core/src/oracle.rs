@@ -16,47 +16,13 @@
 
 use mobicache_cache::{EntryState, LruCache};
 use mobicache_model::{ClientId, ItemId};
-use mobicache_sim::bits::for_each_set_bit;
 use mobicache_sim::SimTime;
-use std::collections::HashMap;
-use std::fmt;
-
-/// One breach of the consistency invariant: a valid cached entry whose
-/// version misses an update that happened at or before its validation
-/// time. `Display` renders the exact diagnostic the engine panics with.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Violation {
-    pub client: ClientId,
-    pub item: ItemId,
-    /// The version the cache holds.
-    pub version: SimTime,
-    /// The true version as of `validated_at` (a later update than
-    /// `version`, or the invariant would hold).
-    pub truth: SimTime,
-    /// When the scheme last vouched for the entry.
-    pub validated_at: SimTime,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "consistency violation at {:?}: {:?} cached version {} but an update at {} predates \
-             its validation time {}",
-            self.client,
-            self.item,
-            self.version.as_secs(),
-            self.truth.as_secs(),
-            self.validated_at.as_secs(),
-        )
-    }
-}
 
 /// Full update history for ground-truth checks.
 #[derive(Default)]
 pub struct Oracle {
-    /// Per-item update timestamps, in order.
-    history: HashMap<ItemId, Vec<SimTime>>,
+    /// Per-item update timestamps, in order, indexed by `ItemId`.
+    history: Vec<Vec<SimTime>>,
     checks: u64,
 }
 
@@ -68,25 +34,26 @@ impl Oracle {
 
     /// Records an update.
     pub fn record_update(&mut self, now: SimTime, item: ItemId) {
-        let h = self.history.entry(item).or_default();
+        let idx = item.0 as usize;
+        if idx >= self.history.len() {
+            self.history.resize_with(idx + 1, Vec::new);
+        }
+        let h = &mut self.history[idx];
         debug_assert!(h.last().is_none_or(|&last| last <= now));
         h.push(now);
+    }
+
+    /// The item's update timestamps, in order (empty if never updated).
+    fn updates(&self, item: ItemId) -> &[SimTime] {
+        self.history.get(item.0 as usize).map_or(&[], Vec::as_slice)
     }
 
     /// The item's version as of `asof`: its last update at or before that
     /// time (zero if none).
     pub fn version_asof(&self, item: ItemId, asof: SimTime) -> SimTime {
-        match self.history.get(&item) {
-            None => SimTime::ZERO,
-            Some(h) => {
-                let idx = h.partition_point(|&ts| ts <= asof);
-                if idx == 0 {
-                    SimTime::ZERO
-                } else {
-                    h[idx - 1]
-                }
-            }
-        }
+        let h = self.updates(item);
+        let idx = h.partition_point(|&ts| ts <= asof);
+        idx.checked_sub(1).map_or(SimTime::ZERO, |i| h[i])
     }
 
     /// Number of invariant evaluations performed.
@@ -94,69 +61,36 @@ impl Oracle {
         self.checks
     }
 
-    /// Read-only invariant scan over one client's cache: violations are
-    /// appended to `out` in cache-entry order, and the number of
-    /// invariant evaluations is returned (fold it back in with
-    /// [`Oracle::note_checks`]).
-    pub fn collect_violations(
-        &self,
-        client: ClientId,
-        cache: &LruCache,
-        out: &mut Vec<Violation>,
-    ) -> u64 {
-        let mut checks = 0;
+    /// Asserts the consistency invariant over one client's cache, one
+    /// evaluation per valid entry.
+    ///
+    /// # Panics
+    /// Panics with a diagnostic at the first valid entry, in cache-entry
+    /// order, that misses an update it should have seen.
+    pub fn assert_cache_consistent(&mut self, client: ClientId, cache: &LruCache) {
         for (item, entry) in cache.entries_iter() {
             if entry.state != EntryState::Valid {
                 continue;
             }
-            checks += 1;
+            self.checks += 1;
+            // No update after the cached version: nothing to miss.
+            if self
+                .updates(item)
+                .last()
+                .is_none_or(|&last| last <= entry.version)
+            {
+                continue;
+            }
             let truth = self.version_asof(item, entry.validated_at);
             if truth > entry.version {
-                out.push(Violation {
-                    client,
-                    item,
-                    version: entry.version,
-                    truth,
-                    validated_at: entry.validated_at,
-                });
+                panic!(
+                    "consistency violation at {client:?}: {item:?} cached version {} but an \
+                     update at {} predates its validation time {}",
+                    entry.version.as_secs(),
+                    truth.as_secs(),
+                    entry.validated_at.as_secs(),
+                );
             }
-        }
-        checks
-    }
-
-    /// Folds externally collected invariant evaluations into
-    /// [`Oracle::checks_performed`].
-    pub fn note_checks(&mut self, n: u64) {
-        self.checks += n;
-    }
-
-    /// Scans every cache of a column whose bit is set in `deliver` (bit
-    /// `i` of word `i / 64` is client `i`; bits past the column are
-    /// ignored). The column index *is* the client id, so no
-    /// `(ClientId, &cache)` pair list is ever built — the
-    /// struct-of-arrays engine calls this straight on its cache column
-    /// with its delivery words every broadcast tick. Returns the total
-    /// evaluation count and every violation in column-index (then
-    /// cache-entry) order.
-    pub fn scan_cols(&self, caches: &[LruCache], deliver: &[u64]) -> (u64, Vec<Violation>) {
-        let mut checks = 0;
-        let mut out = Vec::new();
-        for_each_set_bit(deliver, 0..caches.len(), |i| {
-            checks += self.collect_violations(ClientId(i as u32), &caches[i], &mut out);
-        });
-        (checks, out)
-    }
-
-    /// Asserts the consistency invariant over one client's cache.
-    ///
-    /// # Panics
-    /// Panics with a diagnostic if a valid entry misses an update it
-    /// should have seen.
-    pub fn assert_cache_consistent(&mut self, client: ClientId, cache: &LruCache) {
-        let mut out = Vec::new();
-        self.checks += self.collect_violations(client, cache, &mut out);
-        if let Some(v) = out.first() {
-            panic!("{v}");
         }
     }
 }
@@ -203,55 +137,32 @@ mod tests {
     }
 
     #[test]
-    fn sharded_scan_matches_serial_order_and_count() {
+    fn checks_count_entries_the_fast_path_skips() {
         let mut o = Oracle::new();
-        for k in 0..8u32 {
-            o.record_update(t(10.0 + k as f64), ItemId(k));
-        }
-        // 150 caches, so the mask spans a partial last word; every
-        // seventh client holds a stale-valid entry.
-        let n: usize = 150;
-        let caches: Vec<LruCache> = (0..n)
-            .map(|c| {
-                let mut cache = LruCache::new(4);
-                let version = if c % 7 == 1 { SimTime::ZERO } else { t(50.0) };
-                cache.insert(ItemId(c as u32 % 8), version, t(40.0));
-                cache
-            })
-            .collect();
-        // The reference: a plain loop over the masked clients.
-        let serial = |mask: &dyn Fn(usize) -> bool| {
-            let mut out = Vec::new();
-            let mut checks = 0;
-            for (i, cache) in caches.iter().enumerate().filter(|&(i, _)| mask(i)) {
-                checks += o.collect_violations(ClientId(i as u32), cache, &mut out);
-            }
-            (checks, out)
-        };
-        let words = |mask: &dyn Fn(usize) -> bool| {
-            let mut w = vec![0u64; n.div_ceil(64)];
-            for i in (0..n).filter(|&i| mask(i)) {
-                w[i / 64] |= 1 << (i % 64);
-            }
-            w
-        };
-        let all = serial(&|_| true);
-        assert_eq!(all.0, n as u64);
-        assert_eq!(all.1.len(), (0..n).filter(|c| c % 7 == 1).count());
-        // Hide client 1 and everything in 64..100 from the mask.
-        let partial: &dyn Fn(usize) -> bool = &|i| i != 1 && !(64..100).contains(&i);
-        let masked = serial(partial);
-        assert_eq!(masked.1.first().map(|v| v.client), Some(ClientId(8)));
-        assert_eq!(o.scan_cols(&caches, &words(&|_| true)), all);
-        assert_eq!(o.scan_cols(&caches, &words(partial)), masked);
+        o.record_update(t(10.0), ItemId(1));
+        let mut cache = LruCache::new(4);
+        cache.insert(ItemId(1), t(10.0), t(12.0)); // last update ≤ version
+        cache.insert(ItemId(2), SimTime::ZERO, t(12.0)); // never updated
+        cache.insert(ItemId(9), SimTime::ZERO, t(5.0)); // past the history
+        o.assert_cache_consistent(ClientId(0), &cache);
+        assert_eq!(o.checks_performed(), 3);
     }
 
     #[test]
-    fn note_checks_folds_into_counter() {
+    #[should_panic(
+        expected = "consistency violation at client#3: item#2 cached version 10 but an \
+                    update at 20 predates its validation time 25"
+    )]
+    fn first_stale_entry_in_cache_order_panics() {
         let mut o = Oracle::new();
-        o.note_checks(5);
-        o.note_checks(2);
-        assert_eq!(o.checks_performed(), 7);
+        for (at, item) in [(10.0, 1), (10.0, 2), (20.0, 2), (30.0, 1)] {
+            o.record_update(t(at), ItemId(item));
+        }
+        let mut cache = LruCache::new(4);
+        // Updated again after its validation time: not stale.
+        cache.insert(ItemId(1), t(10.0), t(25.0));
+        cache.insert(ItemId(2), t(10.0), t(25.0));
+        o.assert_cache_consistent(ClientId(3), &cache);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 # fingerprint (`host_cores`, `cpu_model`) and has these sections:
 #   popscale        — struct-of-arrays population sweep (10k/100k/1M AAW
 #                     clients, ascending): events/sec and peak RSS (VmHWM)
-#   sched           — heap-vs-timing-wheel scheduler micro-benchmark
 #   invplan         — bitmap invalidation plans at the stress shape (40k db,
 #                     800-item caches): the per-item plan-bit probe arm vs
 #                     the word-wise PlanCache intersection arm, ns/client
@@ -22,15 +21,12 @@
 #
 # Every simulation in it runs on the serial engine.
 #
-# ci.sh runs three gates on this binary, each timing two paths in one
-# process, so none needs committed numbers: --smoke-sched (wheel at
-# least matches heap), --smoke-invplan (word arm beats per-item arm) and
-# --smoke-bsbuild (shared-index BS build at least 10x a from-scratch
-# build). --smoke-popscale CLIENTS prints one popscale row and gates
-# nothing.
-#
-# Criterion micro-benchmarks live separately under
-# `cargo bench -p mobicache-bench --bench micro`.
+# ci.sh runs one gate on this binary, --smoke-invplan (the word arm
+# beats the per-item arm); it times both arms in one process, so it
+# needs no committed numbers. --smoke-popscale CLIENTS prints one
+# popscale row and gates nothing. Per-layer timings (scheduler, LRU,
+# channel, report build) come from `mobibench --trace` inside real
+# workloads.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
