@@ -362,8 +362,9 @@ impl LruCache {
 
     /// Inserts (or replaces) an item just fetched from the server,
     /// evicting the least recently used entry if the cache is full.
-    /// The new entry is `Valid` with the given version.
-    pub fn insert(&mut self, item: ItemId, version: SimTime, now: SimTime) {
+    /// The new entry is `Valid` with the given version. Returns the
+    /// evicted item, if any.
+    pub fn insert(&mut self, item: ItemId, version: SimTime, now: SimTime) -> Option<ItemId> {
         let entry = CacheEntry {
             version,
             validated_at: now,
@@ -372,11 +373,13 @@ impl LruCache {
         if let Some(&i) = self.index.get(&item) {
             self.write(i as usize, entry);
             self.touch(i);
-            return;
+            return None;
         }
+        let mut evicted = None;
         if self.slots.len() == self.capacity {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL, "cache full but list empty");
+            evicted = Some(self.slots[victim as usize].item);
             self.remove_slot(victim);
             self.evictions += 1;
         }
@@ -391,6 +394,7 @@ impl LruCache {
         self.push_front(i);
         self.index.insert(item, i);
         self.member_set(item);
+        evicted
     }
 
     /// Drops a single entry (invalidation). Returns `true` if it was
@@ -620,7 +624,7 @@ mod tests {
         c.insert(ItemId(3), t(1.0), t(3.0));
         // Touch 1 so 2 becomes the LRU victim.
         c.get_valid(ItemId(1));
-        c.insert(ItemId(4), t(1.0), t(4.0));
+        assert_eq!(c.insert(ItemId(4), t(1.0), t(4.0)), Some(ItemId(2)));
         assert!(c.peek(ItemId(2)).is_none(), "LRU entry evicted");
         assert!(c.peek(ItemId(1)).is_some());
         assert_eq!(c.len(), 3);

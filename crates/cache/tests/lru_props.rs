@@ -300,7 +300,7 @@ proptest! {
         for (step, op) in ops.iter().enumerate() {
             let now = now_at(step);
             match *op {
-                Op::Insert(id) => cache.insert(ItemId(id), now, now),
+                Op::Insert(id) => { cache.insert(ItemId(id), now, now); }
                 Op::Get(id) => {
                     let got = cache.get_valid(ItemId(id)).is_some();
                     let expect = model
@@ -438,7 +438,7 @@ proptest! {
         let now = SimTime::from_secs(1.0);
         for (step, op) in ops.iter().enumerate() {
             match op {
-                SlabOp::Insert(id) => cache.insert(ItemId(*id), now, now),
+                SlabOp::Insert(id) => { cache.insert(ItemId(*id), now, now); }
                 SlabOp::Get(id) => { cache.get_valid(ItemId(*id)); }
                 SlabOp::Invalidate(id) => { cache.invalidate(ItemId(*id)); }
                 SlabOp::InvalidateMany(ids) => {

@@ -37,6 +37,7 @@
 //! [`ClientPop::for_each_delivered`]. A single client is a population of
 //! one.
 
+mod holders;
 mod machine;
 mod pop;
 mod query;

@@ -1,11 +1,14 @@
 //! The struct-of-arrays client population.
 //!
 //! A cell serves thousands to millions of mobile hosts, and the
-//! engine's report fan-out walks every client a broadcast can change.
-//! A *quiet* client (see [`ClientPop::stamp_quiet`]) only takes the new
-//! `Tlb`, and costs the tick nothing per client: its bit in the quiet
-//! bitmap marks it, and its `Tlb` is its cell's broadcast epoch until
-//! something reads or changes it. Scattering per-client state across
+//! engine's report fan-out walks only the clients a broadcast can
+//! change. A *vouched* client (see [`ClientPop::stamp`]) only takes the
+//! new `Tlb` and has its cache revalidated as of the broadcast, and
+//! costs the tick nothing per client: its bit in the `stamped` bitmap
+//! marks it, and its `Tlb` and its cache's vouch time are its cell's
+//! broadcast epoch until something reads or changes them. The clients a
+//! report can change are found through an item → holders index
+//! ([`crate::holders`]). Scattering per-client state across
 //! individually boxed client structs makes the walk of the rest a
 //! pointer chase; [`ClientPop`] instead keeps one column per field —
 //! disconnect epoch, last-report time, cache, gap/retry state, pending
@@ -23,9 +26,10 @@
 //! scheme: the `SIG` baseline column exists only when the population
 //! runs [`Scheme::Sig`], so the other seven schemes pay nothing for it.
 
+use crate::holders::{HeldCache, Holders};
 use crate::machine::{ClientAction, ClientConfig, ClientCounters};
 use crate::query::{PendingItem, PendingState, QueryHeader};
-use mobicache_cache::{EntryState, LruCache};
+use mobicache_cache::{CacheEntry, EntryState, LruCache};
 use mobicache_model::{CheckingMode, ItemId, Scheme, UplinkKind};
 use mobicache_reports::{BsSelect, PlanCache, PlanStats, ReportPayload, SigDecision};
 use mobicache_sim::bits::for_each_set_bit;
@@ -64,21 +68,36 @@ enum Rearm {
 /// becomes a `Vec<Type>` field of `Columns` holding `init` for every
 /// fresh client (`$cfg` names the shared configuration there), a
 /// `&mut [Type]` field of `Cols`, and a `&mut Type` field of
-/// [`ClientMut`]. Two columns are written out beside the list: the
-/// quiet bitmap, whose view is one bit of a shared word, and the SIG
-/// baseline, materialized only under [`Scheme::Sig`].
+/// [`ClientMut`]. The rest is written out beside the list: the cache
+/// column with the holders index, viewed as one [`HeldCache`] that keeps
+/// the index in step; the quiet and vouch bitmaps, whose views are one
+/// bit of a shared word; and the SIG baseline, materialized only under
+/// [`Scheme::Sig`].
 macro_rules! client_columns {
     ($cfg:ident => $( $(#[$doc:meta])* $col:ident: $ty:ty = $init:expr, )*) => {
         /// Every per-client column, indexed by client.
         struct Columns {
             $( $(#[$doc])* $col: Vec<$ty>, )*
-            /// Bit `i` set iff no report of any kind can change client
-            /// `i` beyond its `Tlb` (see `quiet_predicate`), so the
-            /// fan-out stamps it instead of walking it. Recomputed only
+            /// The client's cache. Mutated only through a view's
+            /// [`HeldCache`], or revalidated by `ClientPop::materialize`.
+            cache: Vec<LruCache>,
+            /// Item → the clients whose cache holds it.
+            holders: Holders,
+            /// Bit `i` set iff client `i` is vouchable (see
+            /// `vouch_predicate`) with an empty cache, so no report of
+            /// any kind can change it beyond its `Tlb`. Recomputed only
             /// by `ClientMut`'s `Drop`, and cleared by
             /// [`ClientPop::start_query`]. Tail bits beyond `len()` are
             /// zero.
             quiet: Vec<u64>,
+            /// Bit `i` set iff client `i` is vouchable (see
+            /// `vouch_predicate`): a report that covers its `Tlb` changes
+            /// it beyond `Tlb` and the cache's vouch time only through
+            /// the items the report marks. Recomputed only by
+            /// `ClientMut`'s `Drop`, and cleared by
+            /// [`ClientPop::start_query`]. Tail bits beyond `len()` are
+            /// zero.
+            vouch: Vec<u64>,
             /// Stored combined signatures; `None` unless the scheme is
             /// [`Scheme::Sig`].
             sig_baseline: Option<Vec<Option<Vec<u64>>>>,
@@ -87,13 +106,16 @@ macro_rules! client_columns {
         impl Columns {
             /// The columns of `n` fresh clients.
             fn new($cfg: &ClientConfig, n: usize) -> Self {
+                let fresh = || match $cfg.scheme {
+                    Scheme::Sig => vec![0; n.div_ceil(64)],
+                    _ => ones(n),
+                };
                 Columns {
                     $( $col: (0..n).map(|_| $init).collect(), )*
-                    quiet: if $cfg.scheme == Scheme::Sig {
-                        vec![0; n.div_ceil(64)]
-                    } else {
-                        ones(n)
-                    },
+                    cache: (0..n).map(|_| LruCache::new($cfg.cache_capacity)).collect(),
+                    holders: Holders::new(),
+                    quiet: fresh(),
+                    vouch: fresh(),
                     sig_baseline: ($cfg.scheme == Scheme::Sig).then(|| vec![None; n]),
                 }
             }
@@ -104,7 +126,10 @@ macro_rules! client_columns {
                 Cols {
                     cfg,
                     $( $col: &mut self.$col, )*
+                    cache: &mut self.cache,
+                    holders: &mut self.holders,
                     quiet: &mut self.quiet,
+                    vouch: &mut self.vouch,
                     sig_baseline: self.sig_baseline.as_deref_mut(),
                 }
             }
@@ -114,7 +139,10 @@ macro_rules! client_columns {
         struct Cols<'a> {
             cfg: &'a ClientConfig,
             $( $col: &'a mut [$ty], )*
+            cache: &'a mut [LruCache],
+            holders: &'a mut Holders,
             quiet: &'a mut [u64],
+            vouch: &'a mut [u64],
             sig_baseline: Option<&'a mut [Option<Vec<u64>>]>,
         }
 
@@ -128,7 +156,10 @@ macro_rules! client_columns {
                 Cols {
                     cfg: self.cfg,
                     $( $col: &mut *self.$col, )*
+                    cache: &mut *self.cache,
+                    holders: &mut *self.holders,
                     quiet: &mut *self.quiet,
+                    vouch: &mut *self.vouch,
                     sig_baseline: self.sig_baseline.as_deref_mut(),
                 }
             }
@@ -137,11 +168,12 @@ macro_rules! client_columns {
             /// built.
             #[inline(always)]
             fn view(self, i: usize) -> ClientMut<'a> {
-                let Cols { cfg, $( $col, )* quiet, sig_baseline } = self;
+                let Cols { cfg, $( $col, )* cache, holders, quiet, vouch, sig_baseline } = self;
                 ClientMut {
                     cfg,
                     $( $col: &mut $col[i], )*
-                    quiet: (&mut quiet[i / 64], 1 << (i % 64)),
+                    cache: HeldCache::new(&mut cache[i], holders, i),
+                    flags: (&mut quiet[i / 64], &mut vouch[i / 64], 1 << (i % 64)),
                     sig_baseline: sig_baseline.map(|col| &mut col[i]),
                 }
             }
@@ -153,8 +185,11 @@ macro_rules! client_columns {
         pub struct ClientMut<'a> {
             cfg: &'a ClientConfig,
             $( $col: &'a mut $ty, )*
-            /// The client's word of the quiet bitmap and its bit there.
-            quiet: (&'a mut u64, u64),
+            /// The client's cache and the holders index.
+            cache: HeldCache<'a>,
+            /// The client's words of the quiet and vouch bitmaps, and its
+            /// bit there.
+            flags: (&'a mut u64, &'a mut u64, u64),
             /// `None` unless the population materialized the SIG column.
             sig_baseline: Option<&'a mut Option<Vec<u64>>>,
         }
@@ -163,8 +198,6 @@ macro_rules! client_columns {
 
 client_columns! {
     cfg =>
-    /// The client's cache.
-    cache: LruCache = LruCache::new(cfg.cache_capacity),
     /// Timestamp of the last report received.
     tlb: SimTime = SimTime::ZERO,
     /// Reconnected, and no report has been applied since.
@@ -222,17 +255,21 @@ pub struct ClientPop {
     /// Maintained only by the [`ClientPop::handoff`] wrapper.
     cell_bits: Vec<Vec<u64>>,
     /// Each cell's broadcast epoch: the broadcast time of the last
-    /// report [`ClientPop::stamp_quiet`] handed out there.
+    /// report [`ClientPop::stamp`] handed out there.
     epoch: Vec<SimTime>,
-    /// Bit `i` set iff client `i`'s `Tlb` is its cell's epoch rather
-    /// than its `tlb` cell: the stamp sets it for every quiet listener
-    /// in one word operation. A stamped client is quiet and connected,
-    /// and it is *materialized* (the epoch written into its `tlb` cell,
-    /// the bit cleared) before anything reads that cell or can change
-    /// the client: when a view is built, in
+    /// Bit `i` set iff client `i` is *vouched*: its `Tlb` is its cell's
+    /// epoch rather than its `tlb` cell, and its cache is revalidated as
+    /// of that epoch (a pending [`LruCache::revalidate_all`]). The stamp
+    /// sets it for every vouched listener in one word operation. A
+    /// stamped client is vouchable and connected, and it is
+    /// *materialized* (the epoch written into its `tlb` cell and its
+    /// cache revalidated, the bit cleared) before anything reads those
+    /// cells or can change the client: when a view is built, in
     /// [`ClientPop::start_query`], at a handoff, and when its cell
-    /// broadcasts a report it does not hear.
+    /// broadcasts a report that does not stamp it again.
     stamped: Vec<u64>,
+    /// The stamp's scratch: the holders of the items a report marks.
+    held: Vec<u64>,
 }
 
 impl ClientPop {
@@ -264,6 +301,7 @@ impl ClientPop {
             cell_bits,
             epoch: vec![SimTime::ZERO; cells as usize],
             stamped: vec![0; words],
+            held: Vec::new(),
             cfg,
         }
     }
@@ -283,20 +321,62 @@ impl ClientPop {
         &self.cfg
     }
 
-    /// Read access to client `i`'s cache.
+    /// Read access to client `i`'s cache as last written. A stamped
+    /// client's cache lacks its pending revalidation: read its entries
+    /// through [`ClientPop::entries`].
     pub fn cache(&self, i: usize) -> &LruCache {
         &self.col.cache[i]
     }
 
-    /// The whole cache column (the oracle's masked scan walks this).
+    /// The whole cache column, as [`ClientPop::cache`] reads it.
     pub fn caches_col(&self) -> &[LruCache] {
         &self.col.cache
+    }
+
+    /// Client `i`'s cache entries with their effective state, reading
+    /// through the stamp: a stamped client's entries are valid as of
+    /// its cell's epoch, exactly as its pending `revalidate_all` will
+    /// leave them (nothing writes its cache before that).
+    pub fn entries(&self, i: usize) -> impl Iterator<Item = (ItemId, CacheEntry)> + '_ {
+        let vouched_at = bit(&self.stamped, i).then(|| self.epoch[self.cell[i] as usize]);
+        self.col.cache[i]
+            .entries_iter()
+            .map(move |(item, entry)| match vouched_at {
+                Some(at) => (
+                    item,
+                    CacheEntry {
+                        validated_at: at,
+                        state: EntryState::Valid,
+                        ..entry
+                    },
+                ),
+                None => (item, entry),
+            })
+    }
+
+    /// The clients whose cache holds `item`, in any state.
+    pub fn holders_of(&self, item: ItemId) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.col.holders.for_each(item, |c| out.push(c));
+        out
+    }
+
+    /// Nodes of the holders index, live and free: never more than the
+    /// peak number of cached entries across the population.
+    pub fn holders_arena_len(&self) -> usize {
+        self.col.holders.arena_len()
     }
 
     /// The connected set as bitmap words (bit `i` = client `i` listens).
     /// The last word's tail bits beyond `len()` are zero.
     pub fn connected_words(&self) -> &[u64] {
         &self.connected_bits
+    }
+
+    /// The quiet flags as bitmap words (bit `i` = [`ClientPop::is_quiet`]
+    /// of client `i`). A quiet client's cache is empty.
+    pub fn quiet_words(&self) -> &[u64] {
+        &self.col.quiet
     }
 
     /// Number of cells the population is spread over.
@@ -403,12 +483,25 @@ impl ClientPop {
         bit(&self.col.quiet, i)
     }
 
-    /// The quiet predicate re-derived from client `i`'s columns; the
-    /// stored flag must always equal it.
+    /// The quiet predicate re-derived from client `i`'s columns (the
+    /// vouch predicate and an empty cache); the stored flag must always
+    /// equal it.
     pub fn quiet_from_columns(&self, i: usize) -> bool {
-        quiet_predicate(
+        self.vouchable_from_columns(i) && self.col.cache[i].is_empty()
+    }
+
+    /// The stored vouch flag of client `i`: `true` when a report that
+    /// covers its `Tlb` could change it only through the cached items
+    /// the report marks, beyond its `Tlb` and its cache's vouch time.
+    pub fn is_vouchable(&self, i: usize) -> bool {
+        bit(&self.col.vouch, i)
+    }
+
+    /// The vouch predicate re-derived from client `i`'s columns; the
+    /// stored flag must always equal it.
+    pub fn vouchable_from_columns(&self, i: usize) -> bool {
+        vouch_predicate(
             &self.cfg,
-            &self.col.cache[i],
             &self.col.gap[i],
             self.col.reconnect_pending[i],
             &self.col.header[i],
@@ -416,52 +509,101 @@ impl ClientPop {
         )
     }
 
-    /// Applies the report cell `cell` broadcast at `at` to every quiet
-    /// client set in `words` — which, for a quiet client, is exactly
-    /// `Tlb ← at` — and clears their bits, leaving the clients a report
-    /// can change. Returns the number of clients stamped.
+    /// Applies `report`, which cell `cell` broadcast, to every vouched
+    /// client set in `words`, and clears their bits, leaving the
+    /// clients the report can change. Returns the number of clients
+    /// stamped. `plan` must be this tick's decode of `report` for the
+    /// cell's epoch ([`PlanCache::decode_for_tick`]).
+    ///
+    /// A listener is vouched when it is quiet (no report of any kind
+    /// can change it beyond its `Tlb`), or when it is vouchable (no
+    /// gap, nothing waiting on a report), its `Tlb` is the epoch, the
+    /// report covers the epoch, and its cache holds none of the items
+    /// the plan marks (the holders index names those clients). Every
+    /// report arm then does exactly `Tlb ← T_i` and `revalidate_all(T_i)`
+    /// to it, for the report's broadcast time `T_i`: a window or AT
+    /// report covers its `Tlb`, BS selects the plan's bucket, and its
+    /// stale set, the marked items it caches, is empty.
     ///
     /// The pass works a word at a time and touches no client column: a
-    /// quiet listener's `Tlb` becomes the cell's new epoch through its
-    /// `stamped` bit. Only a stamped member of the cell that `words`
-    /// leaves out (a listener the fault layer made lose the report) is
-    /// materialized first, so it keeps the previous epoch.
+    /// vouched listener's `Tlb` and cache vouch time become the cell's
+    /// new epoch through its `stamped` bit. Only a stamped member of the
+    /// cell that is not stamped again — one the fault layer made lose
+    /// the report, or one the report can change — is materialized
+    /// first, so it keeps the previous epoch.
     ///
     /// `words` must hold only connected members of `cell`.
-    pub fn stamp_quiet(&mut self, cell: u32, words: &mut [u64], at: SimTime) -> u64 {
+    pub fn stamp(
+        &mut self,
+        cell: u32,
+        words: &mut [u64],
+        report: &ReportPayload,
+        plan: &PlanCache,
+    ) -> u64 {
         let c = cell as usize;
+        let epoch = self.epoch[c];
+        let covered = covers(report, plan, epoch);
+        if covered {
+            self.held.clear();
+            self.held.resize(self.stamped.len(), 0);
+            for item in plan.marked() {
+                let held = &mut self.held;
+                self.col
+                    .holders
+                    .for_each(item, |h| held[h / 64] |= 1 << (h % 64));
+            }
+        }
         let mut stamped = 0;
         for (k, word) in words.iter_mut().enumerate() {
-            debug_assert_eq!(
-                *word & !self.cell_bits[c][k],
-                0,
-                "word {k} outside cell {c}"
-            );
+            let members = self.cell_bits[c][k];
+            debug_assert_eq!(*word & !members, 0, "word {k} outside cell {c}");
             debug_assert_eq!(*word & !self.connected_bits[k], 0, "word {k} not listening");
+            let mut vouched = 0;
+            if covered {
+                // A stamped client is at the epoch; any other one is if
+                // its `tlb` cell says so (it heard the last report).
+                vouched = *word & self.col.vouch[k] & !self.col.quiet[k] & !self.held[k];
+                let unstamped = vouched & !self.stamped[k];
+                for_each_set_bit(&[unstamped], 0..64, |b| {
+                    if self.col.tlb[k * 64 + b] != epoch {
+                        vouched &= !(1 << b);
+                    }
+                });
+            }
+            let stamp = *word & (self.col.quiet[k] | vouched);
             // Still at the previous epoch, which is what a member that
-            // misses this report keeps.
-            let missed = self.stamped[k] & self.cell_bits[c][k] & !*word;
-            for_each_set_bit(&[missed], 0..64, |b| self.materialize(k * 64 + b));
-            let quiet = *word & self.col.quiet[k];
+            // misses this report keeps and what a walked one starts from.
+            let off = self.stamped[k] & members & !stamp;
+            for_each_set_bit(&[off], 0..64, |b| self.materialize(k * 64 + b));
             #[cfg(debug_assertions)]
-            for_each_set_bit(&[quiet], 0..64, |b| {
+            for_each_set_bit(&[stamp], 0..64, |b| {
                 let i = k * 64 + b;
-                assert!(self.quiet_from_columns(i), "client {i} flagged quiet");
+                let cache = &self.col.cache[i];
+                assert!(
+                    self.quiet_from_columns(i)
+                        || (self.vouchable_from_columns(i)
+                            && self.tlb(i) == epoch
+                            && plan.marked().all(|item| !cache.is_resident(item))),
+                    "client {i} stamped but not vouched"
+                );
             });
-            self.stamped[k] |= quiet;
-            stamped += u64::from(quiet.count_ones());
-            *word &= !quiet;
+            self.stamped[k] |= stamp;
+            stamped += u64::from(stamp.count_ones());
+            *word &= !stamp;
         }
-        self.epoch[c] = at;
+        self.epoch[c] = report.broadcast_at();
         stamped
     }
 
-    /// Writes client `i`'s `Tlb` into its column if it is stamped.
+    /// Writes client `i`'s `Tlb` into its column, and revalidates its
+    /// cache as of that `Tlb`, if it is stamped.
     #[inline]
     fn materialize(&mut self, i: usize) {
         if bit(&self.stamped, i) {
             self.stamped[i / 64] &= !(1 << (i % 64));
-            self.col.tlb[i] = self.epoch[self.cell[i] as usize];
+            let epoch = self.epoch[self.cell[i] as usize];
+            self.col.tlb[i] = epoch;
+            self.col.cache[i].revalidate_all(epoch);
         }
     }
 
@@ -485,8 +627,8 @@ impl ClientPop {
     ) {
         let len = self.len();
         // Materialize the stamped visitees. A report walk has none (the
-        // stamp took every quiet client out of its mask), so this is one
-        // AND per word there.
+        // stamp materialized every listener it did not stamp again), so
+        // this is one AND per word there.
         for (k, &word) in words.iter().enumerate().take(self.stamped.len()) {
             let hit = word & self.stamped[k];
             for_each_set_bit(&[hit], 0..64, |b| self.materialize(k * 64 + b));
@@ -504,7 +646,9 @@ impl ClientPop {
         assert!(self.is_connected(i), "query while disconnected");
         assert!(self.col.header[i].is_none(), "overlapping queries");
         self.materialize(i);
-        self.col.quiet[i / 64] &= !(1 << (i % 64));
+        // Its items wait on the next report.
+        set_bit(&mut self.col.quiet, i, false);
+        set_bit(&mut self.col.vouch, i, false);
         self.col.counters[i].queries_issued += 1;
         self.col.header[i] = Some(QueryHeader::new(now, items, &mut self.col.pending[i]));
     }
@@ -516,23 +660,47 @@ fn bit(words: &[u64], i: usize) -> bool {
     words[i / 64] & (1 << (i % 64)) != 0
 }
 
-/// The quiet predicate: a report of any kind can change nothing of the
-/// client but its `Tlb`. With an empty cache, no gap and no pending
-/// reconnection, every report arm invalidates, revalidates, drops or
-/// salvages nothing, and an uncovered window opens and closes a gap in
-/// one step; with no query waiting on a report and no retry policy to
-/// re-send requests, the query phases emit nothing. `SIG` is never
-/// quiet: it stores a baseline on every report.
-fn quiet_predicate(
+/// Whether `report` covers `epoch`: for a client whose `Tlb` is
+/// `epoch`, a window or AT report reaches back to it and BS selects a
+/// bucket that is not `DropAll`. `plan` is the report's decode for
+/// `epoch`. SIG reports are never taken as covering.
+fn covers(report: &ReportPayload, plan: &PlanCache, epoch: SimTime) -> bool {
+    match report {
+        ReportPayload::Window(w) => w.covers(epoch),
+        ReportPayload::At(at) => at.covers(epoch),
+        ReportPayload::BitSeq(bs) => plan.bs_select(bs, epoch) != BsSelect::DropAll,
+        ReportPayload::Sig(..) => false,
+    }
+}
+
+/// Sets bit `i` of the bitmap `words` to `on`.
+#[inline]
+fn set_bit(words: &mut [u64], i: usize, on: bool) {
+    set_masked(&mut words[i / 64], 1 << (i % 64), on);
+}
+
+/// Sets the `mask` bits of `word` to `on`.
+#[inline]
+fn set_masked(word: &mut u64, mask: u64, on: bool) {
+    *word = if on { *word | mask } else { *word & !mask };
+}
+
+/// The vouch predicate: a report can change the client only through
+/// its cache. With no gap and no pending reconnection, a report that
+/// covers the client's `Tlb` drops the cached items it marks (or, for
+/// an uncovered one, the cache) and revalidates the rest, and a client
+/// with an empty cache keeps nothing to drop, salvage or revalidate;
+/// with no query waiting on a report and no retry policy to re-send
+/// requests, the query phases emit nothing. `SIG` is never vouchable:
+/// it stores a baseline on every report.
+fn vouch_predicate(
     cfg: &ClientConfig,
-    cache: &LruCache,
     gap: &Option<GapState>,
     reconnect_pending: bool,
     header: &Option<QueryHeader>,
     pending: &[PendingItem],
 ) -> bool {
     cfg.scheme != Scheme::Sig
-        && cache.is_empty()
         && gap.is_none()
         && !reconnect_pending
         && header.is_none_or(|_| {
@@ -540,22 +708,22 @@ fn quiet_predicate(
         })
 }
 
-/// Every handler runs through a view, so refreshing the quiet flag when
-/// the view goes away keeps it exact on every path.
+/// Every handler runs through a view, so refreshing the quiet and vouch
+/// flags when the view goes away keeps them exact on every path.
 /// The predicate cannot panic, as `Drop` also runs while a handler
 /// unwinds.
 impl Drop for ClientMut<'_> {
     fn drop(&mut self) {
-        let quiet = quiet_predicate(
+        let vouchable = vouch_predicate(
             self.cfg,
-            self.cache,
             self.gap,
             *self.reconnect_pending,
             self.header,
             self.pending,
         );
-        let (word, bit) = (&mut *self.quiet.0, self.quiet.1);
-        *word = if quiet { *word | bit } else { *word & !bit };
+        let (quiet, vouch, bit) = (&mut *self.flags.0, &mut *self.flags.1, self.flags.2);
+        set_masked(quiet, bit, vouchable && self.cache.is_empty());
+        set_masked(vouch, bit, vouchable);
     }
 }
 
@@ -567,7 +735,7 @@ impl ClientMut<'_> {
 
     /// Read access to the cache.
     pub fn cache(&self) -> &LruCache {
-        self.cache
+        &self.cache
     }
 
     /// Behaviour counters.

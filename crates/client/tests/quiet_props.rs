@@ -1,17 +1,19 @@
-//! The quiet rule of the report fan-out, checked against the handler it
-//! short-cuts. A client whose quiet flag is set — empty cache, no open
-//! gap, no pending reconnection, and no query a report could move — must
-//! come out of *any* report exactly as a `Tlb` stamp leaves it: no
-//! actions, every other column unchanged, and the same behaviour from
-//! then on. Random client histories drive all eight schemes, with and
-//! without a retry policy, under both checking modes; after every step
-//! the stored flag must equal the predicate re-derived from the columns.
-//! A population-level case runs the stamp-plus-walk fan-out against
-//! walking every delivered client, and the masked walk against a
-//! `client_mut` loop over the same mask. A multi-cell case runs the
-//! stamp's lazy `Tlb` (each cell's broadcast epoch) in lockstep with an
-//! eager population and a plain `Tlb` per client, through lossy
-//! reports, handoffs, dozes and snoops.
+//! The vouched-stamp rule of the report fan-out, checked against the
+//! handler it short-cuts. A client whose quiet flag is set — empty
+//! cache, no open gap, no pending reconnection, and no query a report
+//! could move — must come out of *any* report exactly as a `Tlb` stamp
+//! leaves it: no actions, every other column unchanged, and the same
+//! behaviour from then on. Random client histories drive all eight
+//! schemes, with and without a retry policy, under both checking modes;
+//! after every step the stored quiet and vouch flags must equal the
+//! predicates re-derived from the columns. A population-level case runs
+//! the stamp-plus-walk fan-out against walking every delivered client,
+//! and the masked walk against a `client_mut` loop over the same mask.
+//! Two multi-cell cases run the stamp's lazy `Tlb` and cache vouch time
+//! (each cell's broadcast epoch) in lockstep with an eager population
+//! that walks every listener and a plain `Tlb` per client, through
+//! lossy reports, handoffs, dozes, snoops and validity verdicts; the
+//! second also holds the item → holders index to the caches.
 
 use mobicache_cache::CacheEntry;
 use mobicache_client::{
@@ -69,7 +71,7 @@ fn hears_windows(scheme: Scheme) -> bool {
     )
 }
 
-/// Whether the fan-out stamps a quiet client or walks it like the rest,
+/// Whether the fan-out stamps a vouched client or walks it like the rest,
 /// and whether the walk is `for_each_delivered` or a `client_mut` loop.
 #[derive(Clone, Copy)]
 enum Fanout {
@@ -195,9 +197,9 @@ impl Harness {
         }
     }
 
-    /// Delivers `payload` to every connected client, stamping the quiet
-    /// ones unless under [`Fanout::WalkAll`], and returns the non-empty
-    /// action lists in client order.
+    /// Delivers `payload` to every connected client, stamping the
+    /// vouched ones unless under [`Fanout::WalkAll`], and returns the
+    /// non-empty action lists in client order.
     fn broadcast(
         &mut self,
         payload: &ReportPayload,
@@ -206,14 +208,23 @@ impl Harness {
         let at = payload.broadcast_at();
         self.tick += 1;
         self.sub = 0;
-        self.plan.decode_for_tick(payload, self.prev_at, DB);
+        // The stamp reads a plan decoded for the cell's epoch.
+        let dominant = match fanout {
+            Fanout::WalkAll => self.prev_at,
+            Fanout::Stamp | Fanout::StampLoop => self.pop.epoch(0),
+        };
+        self.plan.decode_for_tick(payload, dominant, DB);
         self.prev_at = at;
         let mut walk = self.pop.connected_words().to_vec();
         if let Fanout::Stamp | Fanout::StampLoop = fanout {
+            let listeners = |words: &[u64]| words.iter().map(|w| w.count_ones()).sum::<u32>();
+            let heard = listeners(&walk);
             let quiet = (0..self.pop.len())
                 .filter(|&i| self.pop.is_connected(i) && self.pop.is_quiet(i))
                 .count();
-            assert_eq!(self.pop.stamp_quiet(0, &mut walk, at), quiet as u64);
+            let stamped = self.pop.stamp(0, &mut walk, payload, &self.plan);
+            assert!(stamped >= quiet as u64, "every quiet listener is stamped");
+            assert_eq!(stamped + u64::from(listeners(&walk)), u64::from(heard));
         }
         let plan = &self.plan;
         let apply = |mut client: ClientMut<'_>| {
@@ -343,10 +354,8 @@ struct Observed {
 
 fn observe(pop: &ClientPop, i: usize) -> Observed {
     let cache = pop.cache(i);
-    let mut entries: Vec<(ItemId, CacheEntry)> = cache
-        .items_iter()
-        .map(|(item, _)| (item, cache.peek(item).expect("resident")))
-        .collect();
+    // Effective entries, read through the stamp.
+    let mut entries: Vec<(ItemId, CacheEntry)> = pop.entries(i).collect();
     entries.sort_unstable_by_key(|&(item, _)| item);
     Observed {
         tlb: pop.tlb(i),
@@ -364,9 +373,30 @@ fn observe(pop: &ClientPop, i: usize) -> Observed {
 fn flags_exact(pop: &ClientPop) -> Result<(), TestCaseError> {
     for i in 0..pop.len() {
         prop_assert_eq!(pop.is_quiet(i), pop.quiet_from_columns(i), "client {}", i);
+        prop_assert_eq!(
+            pop.is_vouchable(i),
+            pop.vouchable_from_columns(i),
+            "client {}",
+            i
+        );
         if pop.config().scheme == Scheme::Sig {
             prop_assert!(!pop.is_quiet(i), "a SIG client is never quiet");
+            prop_assert!(!pop.is_vouchable(i), "a SIG client is never vouchable");
         }
+    }
+    Ok(())
+}
+
+/// The holders index names exactly the clients whose cache holds each
+/// item, once each.
+fn holders_exact(pop: &ClientPop) -> Result<(), TestCaseError> {
+    for item in (0..DB).map(ItemId) {
+        let mut indexed = pop.holders_of(item);
+        indexed.sort_unstable();
+        let holding: Vec<usize> = (0..pop.len())
+            .filter(|&i| pop.cache(i).is_resident(item))
+            .collect();
+        prop_assert_eq!(indexed, holding, "holders of {:?}", item);
     }
     Ok(())
 }
@@ -467,18 +497,20 @@ fn coin(seed: f64, i: usize) -> f64 {
     (z ^ (z >> 31)) as f64 / u64::MAX as f64
 }
 
-/// A multi-cell population whose fan-out stamps quiet clients (their
-/// `Tlb` then lives in the cell's epoch until materialized), next to an
-/// eager twin whose fan-out walks every listener through `client_mut`
-/// and never stamps, and the `Tlb` each client must hold: the broadcast
-/// time of the last report it heard. Every view the stamped side builds
-/// must already read that `Tlb`.
+/// A multi-cell population whose fan-out stamps vouched clients (their
+/// `Tlb` and cache vouch time then live in the cell's epoch until
+/// materialized), next to an eager twin whose fan-out walks every
+/// listener through `client_mut` and never stamps, and the `Tlb` each
+/// client must hold: the broadcast time of the last report it heard.
+/// Every view the stamped side builds must already read that `Tlb`.
 struct Lockstep {
     /// The database, the clock and the stamped population.
     h: Harness,
     eager: ClientPop,
     tlb: Vec<SimTime>,
     plans: Vec<PlanCache>,
+    /// The most entries the stamped side's caches have held at once.
+    peak_entries: usize,
 }
 
 impl Lockstep {
@@ -488,6 +520,7 @@ impl Lockstep {
             eager: ClientPop::with_cells(cfg, n, cells),
             tlb: vec![SimTime::ZERO; n],
             plans: (0..cells).map(|_| PlanCache::new()).collect(),
+            peak_entries: 0,
         }
     }
 
@@ -496,7 +529,7 @@ impl Lockstep {
         words[i / 64] & (1 << (i % 64)) != 0
     }
 
-    /// The connected members of `cell`, as `stamp_quiet` takes them.
+    /// The connected members of `cell`, as `stamp` takes them.
     fn listeners(&self, cell: u32) -> Vec<u64> {
         let pop = &self.h.pop;
         pop.connected_words()
@@ -543,7 +576,7 @@ impl Lockstep {
                 plan.decode_for_tick(&payload, self.h.pop.epoch(cell), DB);
                 let plan = &*plan;
                 let mut walk = heard.clone();
-                self.h.pop.stamp_quiet(cell, &mut walk, at);
+                self.h.pop.stamp(cell, &mut walk, &payload, plan);
                 let tlb = &self.tlb;
                 let mut apply = |i: usize, mut client: ClientMut<'_>, out: &mut Vec<_>| {
                     view_tlb_ok &= client.tlb() == tlb[i];
@@ -569,8 +602,14 @@ impl Lockstep {
                     self.tlb[i] = at;
                 }
             }
+            // A query for one item: half the time one the client caches
+            // (so limbo entries get checked), else any item.
             2 if connected && !pending => {
-                let items = [id(a)];
+                let cached: Vec<ItemId> = self.eager.cache(c).items_iter().map(|e| e.0).collect();
+                let items = match cached.len() {
+                    k if k > 0 && b < 0.5 => [cached[((b * 2.0 * k as f64) as usize).min(k - 1)]],
+                    _ => [id(a)],
+                };
                 self.h.pop.start_query(c, now, &items);
                 self.eager.start_query(c, now, &items);
                 self.h.asked[c] = items.to_vec();
@@ -619,23 +658,65 @@ impl Lockstep {
                 self.h.pop.handoff(c, dest);
                 self.eager.handoff(c, dest);
             }
+            // A validity verdict on client `c`'s cache (checking
+            // schemes): salvages or drops its limbo entries.
+            8 if connected => {
+                let scheme = self.h.pop.config().scheme;
+                let cache: Vec<(ItemId, SimTime)> = self.eager.cache(c).items_iter().collect();
+                let last = &self.h.last;
+                let current =
+                    |&(i, v): &(ItemId, SimTime)| v >= last[i.0 as usize].unwrap_or(SimTime::ZERO);
+                let valid: Vec<ItemId> = cache.iter().filter(|e| current(e)).map(|e| e.0).collect();
+                let stale: Vec<ItemId> =
+                    cache.iter().filter(|e| !current(e)).map(|e| e.0).collect();
+                for (pop, out) in [
+                    (&mut self.h.pop, &mut stamped),
+                    (&mut self.eager, &mut eager),
+                ] {
+                    let mut client = pop.client_mut(c);
+                    view_tlb_ok &= client.tlb() == self.tlb[c];
+                    let mut actions = Vec::new();
+                    match scheme {
+                        Scheme::SimpleChecking => {
+                            client.on_validity_into(now, now, &valid, &mut actions);
+                        }
+                        Scheme::Gcore => {
+                            client.on_group_validity_into(now, now, b < 0.8, &stale, &mut actions);
+                        }
+                        _ => {}
+                    }
+                    out.push((c, actions));
+                }
+            }
             _ => {}
         }
         prop_assert!(view_tlb_ok, "a view read a stale Tlb at op {}", op);
         Ok((stamped, eager))
     }
 
-    /// Every client reads the same `Tlb` and quiet flag on both sides and
-    /// in the model, and the stamped side's flag is exact.
-    fn check(&self) -> Result<(), TestCaseError> {
+    /// Every client reads the same `Tlb`, flags and effective cache on
+    /// both sides and the model's `Tlb`; the stamped side's flags and
+    /// holders index are exact, and its index arena stays within the
+    /// peak number of cached entries.
+    fn check(&mut self) -> Result<(), TestCaseError> {
         let (pop, eager) = (&self.h.pop, &self.eager);
         for i in 0..self.tlb.len() {
             prop_assert_eq!(pop.tlb(i), self.tlb[i], "client {}", i);
             prop_assert_eq!(eager.tlb(i), self.tlb[i], "client {}", i);
             prop_assert_eq!(pop.is_quiet(i), eager.is_quiet(i), "client {}", i);
+            prop_assert_eq!(pop.is_vouchable(i), eager.is_vouchable(i), "client {}", i);
             prop_assert_eq!(pop.cell_of(i), eager.cell_of(i), "client {}", i);
             prop_assert_eq!(observe(pop, i), observe(eager, i), "client {}", i);
         }
+        let entries: usize = (0..pop.len()).map(|i| pop.cache(i).len()).sum();
+        self.peak_entries = self.peak_entries.max(entries);
+        prop_assert!(
+            pop.holders_arena_len() <= self.peak_entries,
+            "holders arena {} past the peak of {} entries",
+            pop.holders_arena_len(),
+            self.peak_entries
+        );
+        holders_exact(pop)?;
         flags_exact(pop)
     }
 }
@@ -767,6 +848,37 @@ proptest! {
             l.check()?;
         }
     }
+
+    /// The vouched stamp against an eager twin that walks every
+    /// listener: over two or three cells, clients with caches of four
+    /// items over a 32-item database (so caches fill and evict), and
+    /// window, BS and AT reports — covering some listeners and not
+    /// others, lost by some — interleaved with updates, queries, data,
+    /// snoops, dozes, reconnections, handoffs and validity verdicts.
+    /// After every step both sides hold the same `Tlb`, effective cache
+    /// entries (version, vouch time, state), counters and flags, and
+    /// emitted the same actions; the holders index is exact and its
+    /// arena bounded by the peak number of cached entries.
+    #[test]
+    fn vouched_stamp_matches_an_eager_walk(
+        scheme in 0usize..7,
+        retry in any::<bool>(),
+        full_cache in any::<bool>(),
+        cells in 2u32..4,
+        n in 1usize..24,
+        steps in prop::collection::vec((0usize..24, 0u32..9, 0.0..1.0f64, 0.0..1.0f64), 0..500),
+    ) {
+        // Every scheme but SIG, which is never vouched. Few clients, so
+        // each lives through long histories (dozes, limbo, verdicts).
+        let vouching = SCHEMES.into_iter().filter(|&s| s != Scheme::Sig).collect::<Vec<_>>();
+        let mut l = Lockstep::new(cfg(vouching[scheme], retry, full_cache), n, cells);
+        l.check()?;
+        for s in &steps {
+            let (stamped, eager) = l.step(s)?;
+            prop_assert_eq!(stamped, eager);
+            l.check()?;
+        }
+    }
 }
 
 /// The start state: every client of a non-SIG population is quiet, a
@@ -780,8 +892,16 @@ fn fresh_clients_are_quiet_until_they_wait_on_a_report() {
     pop.start_query(66, t(1.0), &[ItemId(5)]);
     assert!(!pop.is_quiet(3) && !pop.is_quiet(66));
     assert!(!pop.quiet_from_columns(3));
+    let report = ReportPayload::Window(WindowReport {
+        broadcast_at: t(20.0),
+        window_start: t(-180.0),
+        records: Vec::new(),
+        dummy: None,
+    });
+    let mut plan = PlanCache::new();
+    plan.decode_for_tick(&report, pop.epoch(0), DB);
     let mut walk = pop.connected_words().to_vec();
-    assert_eq!(pop.stamp_quiet(0, &mut walk, t(20.0)), 68);
+    assert_eq!(pop.stamp(0, &mut walk, &report, &plan), 68);
     assert_eq!(walk, vec![1 << 3, 1 << 2]);
     assert_eq!((pop.tlb(0), pop.tlb(3)), (t(20.0), SimTime::ZERO));
 

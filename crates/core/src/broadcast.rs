@@ -60,10 +60,11 @@ pub(crate) struct Broadcast {
     /// every walked client (see `mobicache_reports::plan`).
     plans: Vec<PlanCache>,
     /// Delivery mask of the current transmission, as bitmap words
-    /// (bit `i` = client `i` hears it). A report fan-out thins it to its
-    /// walk mask: the quiet clients, whose report is a `Tlb` stamp,
-    /// leave it.
+    /// (bit `i` = client `i` hears it).
     deliver_words: Vec<u64>,
+    /// A report's walk mask: the delivery mask minus the vouched
+    /// clients, whose report is a stamp.
+    walk_words: Vec<u64>,
     /// The walk's records, reused across ticks.
     merge: Merge,
     pub(crate) plan_hits: u64,
@@ -110,9 +111,9 @@ impl Broadcast {
     }
 
     /// Applies `cell`'s `report` to the delivery mask's clients and
-    /// returns their actions for the engine's merge. The quiet clients
-    /// are stamped and leave the mask, so afterwards it holds the walked
-    /// clients only.
+    /// returns their actions for the engine's merge. The vouched clients
+    /// are stamped; the rest are walked. The delivery mask is left as
+    /// it was.
     pub(crate) fn apply_report(
         &mut self,
         clients: &mut ClientPop,
@@ -126,12 +127,15 @@ impl Broadcast {
         // client that heard the previous report holds.
         let plan = &mut self.plans[cell];
         plan.decode_for_tick(report, clients.epoch(cell as u32), self.db_size);
-        // Stamp: a quiet client (empty cache, no gap, nothing waiting on
-        // a report) can only take the new `Tlb`, so it gets exactly that
-        // — the cell's new epoch, one word operation per 64 clients —
-        // and leaves the walk.
-        let walk = &mut self.deliver_words;
-        self.fanout_quiet += clients.stamp_quiet(cell as u32, walk, report.broadcast_at());
+        // Stamp: a vouched client (no gap, nothing waiting on a report,
+        // and an empty cache or, at the epoch of a report that covers
+        // it, none of the items the plan marks) can only take the new
+        // `Tlb` and a cache revalidation, so it gets exactly that — the
+        // cell's new epoch, one word operation per 64 clients — and is
+        // not walked. The holders index names the clients a plan marks.
+        let walk = &mut self.walk_words;
+        walk.clone_from(&self.deliver_words);
+        self.fanout_quiet += clients.stamp(cell as u32, walk, report, plan);
         self.fanout_walked += walk.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
         // Walk: each remaining client applies the report, touching only
         // its own columns and the merge records.

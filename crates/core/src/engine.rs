@@ -483,8 +483,8 @@ impl<'p> Simulation<'p> {
     /// Full-population oracle scan (crash/recovery boundaries).
     fn check_all_consistency(&mut self) {
         if let Some(oracle) = &mut self.oracle {
-            for (i, cache) in self.clients.caches_col().iter().enumerate() {
-                oracle.assert_cache_consistent(ClientId(i as u32), cache);
+            for i in 0..self.clients.len() {
+                oracle.assert_cache_consistent(ClientId(i as u32), self.clients.entries(i));
             }
         }
     }
@@ -688,7 +688,7 @@ impl<'p> Simulation<'p> {
                 }
                 self.acct
                     .charge_rx(delivered.bits, self.broadcast.count_listeners());
-                // Phase 1 (walk): plan decode, quiet stamp, report
+                // Phase 1 (walk): plan decode, vouched stamp, report
                 // application, recorded for the merge.
                 let mut merge = self.broadcast.apply_report(
                     &mut self.clients,
@@ -711,9 +711,8 @@ impl<'p> Simulation<'p> {
                 self.broadcast.end_merge(merge);
                 // Oracle pass after the merge (actions never touch a
                 // cache, so checking here sees exactly the state a
-                // per-client check would see).
-                // The mask now holds the walked clients only: a stamped
-                // quiet client has an empty cache and adds no checks.
+                // per-client check would see), over every listener,
+                // stamped or walked.
                 self.check_delivered();
             }
             DownPayload::Data { item, dest } => {
@@ -784,7 +783,7 @@ impl<'p> Simulation<'p> {
         self.action_scratch = actions;
         self.post_observe(now, dest, before);
         if let Some(oracle) = &mut self.oracle {
-            oracle.assert_cache_consistent(dest, self.clients.cache(i));
+            oracle.assert_cache_consistent(dest, self.clients.entries(i));
         }
     }
 
@@ -959,15 +958,21 @@ impl<'p> Simulation<'p> {
 
     /// Oracle pass over every client in the delivery mask, in
     /// client-index order — the read-only full-cache scans of a
-    /// broadcast tick.
+    /// broadcast tick. A stamped client's entries read as vouched at its
+    /// cell's epoch. Quiet clients are skipped a word at a time: their
+    /// caches are empty, so they hold nothing to check.
     fn check_delivered(&mut self) {
         let Some(oracle) = self.oracle.as_mut() else {
             return;
         };
-        let caches = self.clients.caches_col();
-        for_each_set_bit(self.broadcast.mask(), 0..caches.len(), |i| {
-            oracle.assert_cache_consistent(ClientId(i as u32), &caches[i]);
-        });
+        let clients = &self.clients;
+        let mask = self.broadcast.mask().iter().zip(clients.quiet_words());
+        for (k, (&heard, &quiet)) in mask.enumerate() {
+            for_each_set_bit(&[heard & !quiet], 0..64, |b| {
+                let i = k * 64 + b;
+                oracle.assert_cache_consistent(ClientId(i as u32), clients.entries(i));
+            });
+        }
     }
 
     fn finish(mut self) -> RunResult {
@@ -1340,12 +1345,12 @@ mod tests {
 
     #[test]
     fn oracle_checks_match_a_delivery_mask_scan() {
-        // The report's oracle pass scans the delivery mask after the
-        // fan-out has thinned it to the walked clients: a stamped quiet
-        // client has an empty cache and adds no checks. The pinned
-        // counts are those of a scan over every listener,
-        // over roaming cells with faults (crash and recovery scans
-        // included) and under snooping (its own delivery-mask scan).
+        // The report's oracle pass scans every listener, a stamped one
+        // through its vouched entries, so the stamp hides no client from
+        // it. The pinned counts are those of a scan over every listener
+        // walked eagerly, over roaming cells with faults (crash and
+        // recovery scans included) and under snooping (its own
+        // delivery-mask scan).
         let checks = |cfg: &SimConfig| {
             let mut sim = Simulation::new(cfg, RunOptions::new().check_consistency(true)).unwrap();
             sim.run_events();

@@ -159,8 +159,10 @@ impl PlanCache {
     /// bucket), whose BS selection is memoized for
     /// [`PlanCache::bs_select`]. Window and AT decodes are
     /// `Tlb`-independent. A SIG payload, or a BS dominant bucket
-    /// resolving to Clean/DropAll, leaves the bitmap empty (a client
-    /// with another prefix walks it itself).
+    /// resolving to Clean/DropAll, decodes no bitmap: the plan then
+    /// marks nothing ([`PlanCache::contains`], [`PlanCache::words`],
+    /// [`PlanCache::intersect_into`] and [`PlanCache::marked`] all read
+    /// empty), and a client with another prefix walks it itself.
     pub fn decode_for_tick(
         &mut self,
         payload: &ReportPayload,
@@ -168,6 +170,8 @@ impl PlanCache {
         db_size: u32,
     ) {
         self.kind = PlanKind::None;
+        // An undecoded tick must not read the previous tick's bits.
+        self.reset_bits(0);
         let words = (db_size as usize).div_ceil(64);
         match payload {
             ReportPayload::Window(w) => {
@@ -269,6 +273,18 @@ impl PlanCache {
         self.contains(item) && version < self.listed_ts(item)
     }
 
+    /// The items the plan marks, ascending: the listed items of a
+    /// window or AT report, or the decoded BS prefix. The summary names
+    /// the non-zero words, so this costs the marked items plus one load
+    /// per 64 plan words.
+    pub fn marked(&self) -> impl Iterator<Item = ItemId> + '_ {
+        self.summary
+            .iter()
+            .enumerate()
+            .flat_map(|(j, &s)| bit_indices(s).map(move |b| j * 64 + b))
+            .flat_map(|k| bit_indices(self.bits[k]).map(move |b| ItemId((k * 64 + b) as u32)))
+    }
+
     /// Word-wise `plan & member` intersection: for every set bit of the
     /// AND (ascending item id, extracted via `trailing_zeros`), pushes
     /// the item onto `out` if `keep` accepts it. The summary names the
@@ -294,6 +310,17 @@ impl PlanCache {
             }
         });
     }
+}
+
+/// The set bits of `w`, ascending.
+fn bit_indices(mut w: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (w != 0).then(|| {
+            let b = w.trailing_zeros() as usize;
+            w &= w - 1;
+            b
+        })
+    })
 }
 
 #[cfg(test)]
@@ -443,6 +470,44 @@ mod tests {
         assert!(!plan.window_active() && !plan.at_active());
         assert_eq!(plan.bs_prefix(), None);
         assert_eq!(plan.decodes(), 0);
+    }
+
+    #[test]
+    fn marked_lists_the_plan_ascending() {
+        let mut plan = PlanCache::new();
+        plan.decode_for_tick(
+            &window(vec![(4_000, 990.0), (3, 950.0), (70, 920.0)]),
+            t(0.0),
+            4_096,
+        );
+        let marked: Vec<ItemId> = plan.marked().collect();
+        assert_eq!(marked, vec![ItemId(3), ItemId(70), ItemId(4_000)]);
+    }
+
+    #[test]
+    fn an_undecoded_tick_marks_nothing() {
+        // A BS prefix decodes a bitmap; the next tick's report selects
+        // Clean for the dominant bucket and decodes none, so nothing of
+        // the prefix may show through any reader.
+        let recency = vec![(ItemId(9), t(95.0)), (ItemId(4), t(85.0))];
+        let prefix = BitSequences::from_recency(t(100.0), 64, recency.clone());
+        let mut plan = PlanCache::new();
+        plan.decode_for_tick(&ReportPayload::BitSeq(prefix), t(90.0), 64);
+        assert!(plan.bs_prefix().is_some() && plan.contains(ItemId(9)));
+        let clean = BitSequences::from_recency(t(120.0), 64, recency);
+        let clean = ReportPayload::BitSeq(clean);
+        plan.decode_for_tick(&clean, t(100.0), 64);
+        let ReportPayload::BitSeq(bs) = &clean else {
+            unreachable!()
+        };
+        assert_eq!(plan.bs_select(bs, t(100.0)), BsSelect::Clean);
+        let member = member_of(&[4, 9], 64);
+        let mut out = Vec::new();
+        plan.intersect_into(&member, &mut out, |_| true);
+        assert!(out.is_empty());
+        assert!(!plan.contains(ItemId(9)) && !plan.contains(ItemId(4)));
+        assert!(plan.words().iter().all(|&w| w == 0));
+        assert_eq!(plan.marked().count(), 0);
     }
 
     #[test]
