@@ -1073,17 +1073,22 @@ impl ClientMut<'_> {
                 // lands on the plan's pre-decoded bucket (the dominant
                 // Tlb — everyone who heard the previous report; the plan
                 // memoizes its selection) reads the plan. Another bucket
-                // walks its own marked prefix and tests the membership
-                // bitmap — Figure 2's `decide` with the bitmap for its
-                // `HashSet`.
+                // tests each cached item against its level's cut: an
+                // item is marked iff its recency slot is at or past the
+                // slot of the prefix's oldest mark. That costs the cache,
+                // not the prefix.
                 let sel = plan.bs_select(bs, etlb);
                 if let BsSelect::Prefix(prefix) = sel {
                     if plan.bs_prefix() == Some(prefix) {
                         self.collect_stale(plan, stats);
                     } else {
-                        let cache = &*self.cache;
-                        self.stale_scratch
-                            .extend(bs.marked(prefix).filter(|&item| cache.is_resident(item)));
+                        let cut = bs.cut(prefix);
+                        self.stale_scratch.extend(
+                            self.cache
+                                .items_iter()
+                                .map(|(item, _)| item)
+                                .filter(|&item| bs.slot(item).is_some_and(|s| s >= cut)),
+                        );
                         stats.misses += 1;
                     }
                 }

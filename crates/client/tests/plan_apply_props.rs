@@ -4,23 +4,28 @@
 //! side of the word-arm/per-item-arm selection — the cache after
 //! `on_report_planned` holds exactly what applying the linear `decide`
 //! verdict leaves. A BS client whose `Tlb` selects a prefix other than
-//! the decoded bucket takes the off-bucket prefix walk, which no
-//! report-level property reaches; one on the bucket takes the plan's
-//! memoized selection. BS reports come both from a plain recency list
-//! and from a `Server`, whose reports share its update log's index
-//! while later updates wait to be folded in.
+//! the decoded bucket takes the off-bucket arm (each cached item's
+//! recency slot against its level's cut), which no report-level
+//! property reaches; one on the bucket takes the plan's memoized
+//! selection. BS reports come both from a plain recency list and from a
+//! `Server`, whose reports share its update log's index while later
+//! updates wait to be folded in. Their histories include equal update
+//! times and runs of re-updates to a few hot items, so the server's
+//! index shifts equal-timestamp runs and compacts tombstones, and the
+//! off-bucket arm meets caches both larger and smaller than its prefix.
 
 use mobicache_client::{ClientConfig, ClientPop};
 use mobicache_model::msg::SizeParams;
 use mobicache_model::{CheckingMode, ItemId, Scheme};
 use mobicache_reports::{
-    AtDecision, AtReport, BitSequences, BsDecision, PlanCache, PlanStats, ReportPayload,
+    AtDecision, AtReport, BitSequences, BsDecision, BsSelect, PlanCache, PlanStats, ReportPayload,
     WindowDecision, WindowReport,
 };
 use mobicache_server::Server;
 use mobicache_sim::SimTime;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const HORIZON: f64 = 1000.0;
 
@@ -29,10 +34,15 @@ fn t(s: f64) -> SimTime {
 }
 
 /// The report of `kind` (0 = window, 1 = BS, 2 = AT, 3 = BS built by a
-/// `Server`) broadcast at `HORIZON` over a `db`-item database with the
-/// given last-update times. `since` is the window start (window) or the
-/// previous broadcast (AT).
-fn report(kind: u32, last: &BTreeMap<u32, f64>, db: u32, since: f64) -> ReportPayload {
+/// `Server`) broadcast at `HORIZON` over a `db`-item database after the
+/// `(time, item)` updates in `history`. `since` is the window start
+/// (window) or the previous broadcast (AT).
+fn report(kind: u32, history: &[(f64, u32)], db: u32, since: f64) -> ReportPayload {
+    let mut last = BTreeMap::new();
+    for &(ts, item) in history {
+        let e = last.entry(item).or_insert(ts);
+        *e = f64::max(*e, ts);
+    }
     let listed = last.iter().filter(|&(_, &ts)| ts > since);
     match kind {
         0 => ReportPayload::Window(WindowReport {
@@ -52,16 +62,16 @@ fn report(kind: u32, last: &BTreeMap<u32, f64>, db: u32, since: f64) -> ReportPa
             prev_broadcast: t(since),
             items: listed.map(|(&i, _)| ItemId(i)).collect(),
         }),
-        _ => server_bs(last, db),
+        _ => server_bs(history, db),
     }
 }
 
-/// A BS report built by a `Server` that applied `last` in time order.
-/// A report built halfway through is held across the second half, so
-/// those updates wait and the final build folds them into a copy; the
-/// final report is then held across two more updates, which it must
-/// never show.
-fn server_bs(last: &BTreeMap<u32, f64>, db: u32) -> ReportPayload {
+/// A BS report built by a `Server` that applied `history` in time order,
+/// re-updates included. A report built halfway through is held across
+/// the second half, so those updates wait and the final build folds
+/// them into a copy; the final report is then held across two more
+/// updates, which it must never show.
+fn server_bs(history: &[(f64, u32)], db: u32) -> ReportPayload {
     let params = SizeParams {
         db_size: u64::from(db),
         group_count: 64,
@@ -71,7 +81,7 @@ fn server_bs(last: &BTreeMap<u32, f64>, db: u32) -> ReportPayload {
         item_bytes: 8192,
     };
     let mut server = Server::new(Scheme::Bs, db, 200.0, params);
-    let mut history: Vec<(f64, u32)> = last.iter().map(|(&i, &ts)| (ts, i)).collect();
+    let mut history = history.to_vec();
     history.sort_by(|a, b| a.0.total_cmp(&b.0));
     let half = history.len() / 2;
     let mut held = None;
@@ -177,14 +187,21 @@ fn expected(
     kept
 }
 
+/// Off-bucket BS applications seen by `planned_cases`,
+/// by whether the cache held more items than the prefix, or fewer.
+static OFF_BUCKET_LARGER: AtomicUsize = AtomicUsize::new(0);
+static OFF_BUCKET_SMALLER: AtomicUsize = AtomicUsize::new(0);
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    #[test]
-    fn planned_application_matches_linear_decide(
+    fn planned_cases(
         kind in 0u32..4,
         db in 64u32..4_096,
         updates in prop::collection::vec((0.0..HORIZON, 0.0..1.0f64), 0..160),
+        // Coarse update times (multiples of 50 s) make ties; hot ids
+        // (eight of them) make re-updates.
+        (coarse, hot) in (any::<bool>(), any::<bool>()),
         since in 0.0..HORIZON,
         dominant in 0.0..HORIZON,
         (same_bucket, tlb) in (any::<bool>(), 0.0..HORIZON),
@@ -194,41 +211,66 @@ proptest! {
         // database size: small caches over a large database sit on the
         // per-item side of the selection, the rest on the word side.
         let id = |frac: f64| ((frac * f64::from(db)) as u32).min(db - 1);
-        let mut last = BTreeMap::new();
-        for &(ts, frac) in &updates {
-            let e = last.entry(id(frac)).or_insert(ts);
-            *e = e.max(ts);
-        }
+        let update_id = |frac: f64| if hot { id((frac * 8.0).floor() / 8.0) } else { id(frac) };
+        let history: Vec<(f64, u32)> = updates
+            .iter()
+            .map(|&(ts, frac)| {
+                let ts = if coarse { (ts / 50.0).floor() * 50.0 } else { ts };
+                (ts, update_id(frac))
+            })
+            .collect();
         // Half the cached ids are updated items, so reports list cached
         // entries often enough to reach every prefix boundary.
         let cached: BTreeMap<u32, f64> = cached
             .iter()
             .map(|&(frac, v, updated)| {
-                let pick = (frac * updates.len() as f64) as usize;
-                match updates.get(pick) {
-                    Some(&(_, u)) if updated => (id(u), v),
+                let pick = (frac * history.len() as f64) as usize;
+                match history.get(pick) {
+                    Some(&(_, item)) if updated => (item, v),
                     _ => (id(frac), v),
                 }
             })
             .collect();
-        let payload = report(kind, &last, db, since);
+        let payload = report(kind, &history, db, since);
         let tlb = if same_bucket { dominant } else { tlb };
 
         let (before, after, stats) = apply(&payload, db, dominant, tlb, &cached);
         prop_assert_eq!(before.len(), cached.len());
         prop_assert!(stats.hits + stats.misses <= 1);
         prop_assert_eq!(after, expected(&payload, tlb, &before));
+        if let ReportPayload::BitSeq(bs) = &payload {
+            if let BsSelect::Prefix(p) = bs.select(t(tlb)) {
+                if bs.select(t(dominant)) != BsSelect::Prefix(p) && !before.is_empty() {
+                    let tally = if before.len() > p { &OFF_BUCKET_LARGER } else { &OFF_BUCKET_SMALLER };
+                    tally.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
     }
+}
+
+/// Whole applications match the linear `decide`, and the off-bucket BS
+/// arm is reached with caches larger than the client's prefix (where it
+/// once walked the prefix) and smaller (where it walks the cache).
+#[test]
+fn planned_application_matches_linear_decide() {
+    planned_cases();
+    let larger = OFF_BUCKET_LARGER.load(Ordering::Relaxed);
+    let smaller = OFF_BUCKET_SMALLER.load(Ordering::Relaxed);
+    assert!(
+        larger > 0 && smaller > 0,
+        "off-bucket cases: {larger} larger, {smaller} smaller"
+    );
 }
 
 /// The selection really splits the cases: a few cached items over a
 /// large database take the per-item arm, a cache spanning few words
 /// takes the word arm, and a BS client off the decoded bucket takes the
-/// prefix walk (also tallied per item).
+/// cut test (also tallied per item).
 #[test]
 fn every_arm_is_exercised() {
-    let last: BTreeMap<u32, f64> = (0..40).map(|i| (i * 97, 500.0 + f64::from(i))).collect();
-    let window = report(0, &last, 4_096, 200.0);
+    let history: Vec<(f64, u32)> = (0..40).map(|i| (500.0 + f64::from(i), i * 97)).collect();
+    let window = report(0, &history, 4_096, 200.0);
 
     let sparse = BTreeMap::from([(3_880, 100.0)]);
     let (_, _, stats) = apply(&window, 4_096, 900.0, 900.0, &sparse);
@@ -239,17 +281,18 @@ fn every_arm_is_exercised() {
     assert_eq!((stats.hits, stats.misses), (1, 0), "word arm");
     assert_eq!(after, expected(&window, 900.0, &before));
 
-    let bs = report(1, &last, 4_096, 0.0);
+    let bs = report(1, &history, 4_096, 0.0);
     // Dominant bucket: a Tlb after every update but the newest; the
     // client's older Tlb selects a longer prefix.
     let (before, after, stats) = apply(&bs, 4_096, 538.5, 510.0, &dense);
-    assert_eq!((stats.hits, stats.misses), (0, 1), "off-bucket prefix walk");
-    assert!(after.len() < before.len(), "the walk invalidates");
+    assert_eq!((stats.hits, stats.misses), (0, 1), "off-bucket cut test");
+    assert!(after.len() < before.len(), "the cut test invalidates");
     assert_eq!(after, expected(&bs, 510.0, &before));
 
     // A server-built report: a client on the dominant bucket reads the
-    // plan through the memoized selection, one off it walks its prefix.
-    let bs = report(3, &last, 4_096, 0.0);
+    // plan through the memoized selection, one off it tests its cache
+    // against its level's cut.
+    let bs = report(3, &history, 4_096, 0.0);
     let (before, after, stats) = apply(&bs, 4_096, 538.5, 538.5, &dense);
     assert_eq!(
         (stats.hits, stats.misses),
@@ -258,6 +301,6 @@ fn every_arm_is_exercised() {
     );
     assert_eq!(after, expected(&bs, 538.5, &before));
     let (before, after, stats) = apply(&bs, 4_096, 538.5, 510.0, &dense);
-    assert_eq!((stats.hits, stats.misses), (0, 1), "off-bucket prefix walk");
+    assert_eq!((stats.hits, stats.misses), (0, 1), "off-bucket cut test");
     assert_eq!(after, expected(&bs, 510.0, &before));
 }

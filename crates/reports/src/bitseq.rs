@@ -17,9 +17,12 @@
 //! `len` marks covers a client's `Tlb` iff at most `len` items were
 //! updated after `Tlb`. So the report needs nothing but the server's
 //! recency index ([`RecencyIndex`]), which it shares rather than copies:
-//! building a report is `O(1)`, and [`BitSequences::select`] resolves a
-//! `Tlb` with one capped rank count. The bit-level wire encoding (for
-//! size verification) is produced by [`BitSequences::encode_wire`].
+//! building a report is `O(1)`, [`BitSequences::select`] resolves a `Tlb`
+//! with one popcount over the index's liveness bitmap, and
+//! [`BitSequences::cut`] turns a level into a slot bound that tests any
+//! item's membership in `O(1)` ([`BitSequences::slot`]). The bit-level
+//! wire encoding (for size verification) is produced by
+//! [`BitSequences::encode_wire`].
 //!
 //! Client algorithm (Figure 2 of the paper):
 //!
@@ -179,6 +182,22 @@ impl BitSequences {
             .map(|(item, _)| item)
     }
 
+    /// The slot bound of the level of length `p` (capped at `N/2`): an
+    /// item is among [`BitSequences::marked`]`(p)` iff its
+    /// [`BitSequences::slot`] is at least this. A popcount walk back
+    /// from the index's tail, `O(s/64)` for the `s` slots it spans.
+    pub fn cut(&self, p: usize) -> usize {
+        self.index.cut(p.min(self.top()))
+    }
+
+    /// The recency slot of `item`'s last update, `None` if it was never
+    /// updated (or, for a [`BitSequences::from_recency`] report, is older
+    /// than its `N/2 + 1` newest): `O(1)`.
+    #[inline]
+    pub fn slot(&self, item: ItemId) -> Option<usize> {
+        self.index.slot(item)
+    }
+
     /// Runs the Figure-2 client algorithm for a client whose last report
     /// was at `tlb`.
     ///
@@ -216,8 +235,9 @@ impl BitSequences {
     /// A level of `len` marks covers `Tlb` iff at most `len` items were
     /// updated after it, so the smallest covering level is the count of
     /// those items rounded up to the next level length, and no level
-    /// covers once the count exceeds `N/2`. The count stops at `N/2 + 1`:
-    /// `O(log U + min(k, N/2))` for `k` updates after `Tlb`.
+    /// covers once the count exceeds `N/2`. The count is a popcount of
+    /// the index's liveness words after `Tlb`: `O(log s + s/64)` for the
+    /// `s` slots after it.
     pub fn select(&self, tlb: SimTime) -> BsSelect {
         match self.latest_update() {
             None => return BsSelect::Clean,
@@ -225,7 +245,7 @@ impl BitSequences {
             _ => {}
         }
         let top = self.top();
-        match self.index.count_since_capped(tlb, top) {
+        match self.index.count_since(tlb) {
             k if k > top => BsSelect::DropAll,
             k => BsSelect::Prefix(k.next_power_of_two().min(top)),
         }

@@ -26,8 +26,9 @@
 //!   report's broadcast time — every client that heard it lands there)
 //!   and memoizes its selection, so such a client resolves its `Tlb`
 //!   with no rank count ([`PlanCache::bs_select`]); a client in another
-//!   bucket selects for itself and walks its own marked prefix of the
-//!   report against its cache-membership bitmap instead.
+//!   bucket selects for itself and tests each of its cached items'
+//!   recency slots against its level's cut
+//!   ([`crate::BitSequences::cut`]) instead.
 //! * **AT** — the listed-item bitmap is `Tlb`-independent; coverage is a
 //!   scalar check, an uncovered client drops its whole cache anyway.
 //! * **SIG** — no plan: the verdict depends on each client's stored
@@ -162,7 +163,8 @@ impl PlanCache {
     /// resolving to Clean/DropAll, decodes no bitmap: the plan then
     /// marks nothing ([`PlanCache::contains`], [`PlanCache::words`],
     /// [`PlanCache::intersect_into`] and [`PlanCache::marked`] all read
-    /// empty), and a client with another prefix walks it itself.
+    /// empty), and a client with another prefix tests its cache against
+    /// that prefix's cut itself.
     pub fn decode_for_tick(
         &mut self,
         payload: &ReportPayload,

@@ -6,11 +6,14 @@
 //! simulation time only moves forward, so every new entry lands in (or
 //! just inside) the tail, and a re-updated item's old entry becomes a
 //! *tombstone* — it keeps its slot and its sort key, but the per-item
-//! position table no longer points at it. Scans skip dead entries; when
-//! more than half the index is dead it is compacted in place. A window
-//! extraction is a galloping search back from the tail plus a contiguous
-//! forward walk, and the whole history for a large database sits in two
-//! flat arrays.
+//! position table no longer points at it. A slot-liveness bitmap marks
+//! the live slots, so scans test liveness sequentially, and the two
+//! order statistics a bit-sequences client needs are popcounts: how many
+//! items changed after a time ([`RecencyIndex::count_since`]) and where
+//! the `p` newest begin ([`RecencyIndex::cut`]). When more than half the
+//! index is dead it is compacted in place. A window extraction is a
+//! galloping search back from the tail plus a contiguous forward walk,
+//! and the whole history for a large database sits in three flat arrays.
 //!
 //! The server's `UpdateLog` owns the index behind an `Arc` and a BS
 //! report holds a second handle to it, so a report is built without
@@ -24,7 +27,7 @@ const NIL: u32 = u32::MAX;
 
 /// Updated items in ascending `(last update, item)` order, with
 /// tombstones.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct RecencyIndex {
     /// `(last_update, item)` ascending, including tombstones (entries
     /// `pos` no longer points at). The log's inserts break ties
@@ -32,18 +35,46 @@ pub struct RecencyIndex {
     entries: Vec<(SimTime, ItemId)>,
     /// Per-item position of the live entry (`NIL` if none).
     pos: Vec<u32>,
+    /// Slot-liveness bitmap: bit `j` set iff `entries[j]` is its item's
+    /// live entry; bits from `entries.len()` on are clear. Its length is
+    /// fixed at creation: live entries are at most `N` and tombstones at
+    /// most as many, so an insert reaches at most `2N + 1` slots before
+    /// it compacts.
+    live: Box<[u64]>,
     /// Tombstone count in `entries`.
     dead: usize,
+}
+
+/// The liveness bitmap's length for a database of `db_size` items.
+fn bitmap_words(db_size: u32) -> usize {
+    (2 * db_size as usize + 2).div_ceil(64)
 }
 
 impl RecencyIndex {
     /// An empty index over items `0..db_size`.
     pub fn new(db_size: u32) -> Self {
-        RecencyIndex {
-            entries: Vec::new(),
-            pos: vec![NIL; db_size as usize],
-            dead: 0,
+        // Slots never exceed `2N + 1`, so the history is reserved once and
+        // never reallocates while it grows (a copy-on-write clone starts
+        // from its length). Only the pages it reaches become resident.
+        Self::with_entries(db_size, Vec::with_capacity(2 * db_size as usize + 1))
+    }
+
+    /// An index over tombstone-free `entries` (ascending, distinct items
+    /// below `db_size`).
+    fn with_entries(db_size: u32, entries: Vec<(SimTime, ItemId)>) -> Self {
+        let mut pos = vec![NIL; db_size as usize];
+        for (j, &(_, item)) in entries.iter().enumerate() {
+            debug_assert_eq!(pos[item.index()], NIL, "recency input repeats {item:?}");
+            pos[item.index()] = j as u32;
         }
+        let mut idx = RecencyIndex {
+            entries,
+            pos,
+            live: vec![0; bitmap_words(db_size)].into_boxed_slice(),
+            dead: 0,
+        };
+        idx.rebuild_live();
+        idx
     }
 
     /// An index holding the first `cap` entries of a **recency-descending**
@@ -67,22 +98,35 @@ impl RecencyIndex {
             "recency input must be sorted by descending timestamp"
         );
         entries.reverse();
-        let mut pos = vec![NIL; db_size as usize];
-        for (j, &(_, item)) in entries.iter().enumerate() {
-            debug_assert_eq!(pos[item.index()], NIL, "recency input repeats {item:?}");
-            pos[item.index()] = j as u32;
-        }
-        RecencyIndex {
-            entries,
-            pos,
-            dead: 0,
-        }
+        Self::with_entries(db_size, entries)
     }
 
     /// `true` when the entry at `j` is the live one for its item.
     #[inline]
-    fn live(&self, j: usize) -> bool {
-        self.pos[self.entries[j].1.index()] == j as u32
+    fn is_live(&self, j: usize) -> bool {
+        self.live[j / 64] >> (j % 64) & 1 != 0
+    }
+
+    /// Sets slot `j`'s liveness bit to `on`.
+    #[inline]
+    fn set_live(&mut self, j: usize, on: bool) {
+        let bit = 1u64 << (j % 64);
+        if on {
+            self.live[j / 64] |= bit;
+        } else {
+            self.live[j / 64] &= !bit;
+        }
+    }
+
+    /// Re-derives the bitmap for a tombstone-free index: the first
+    /// `entries.len()` bits set, the rest clear.
+    fn rebuild_live(&mut self) {
+        let (full, rest) = (self.entries.len() / 64, self.entries.len() % 64);
+        self.live.fill(0);
+        self.live[..full].fill(u64::MAX);
+        if rest > 0 {
+            self.live[full] = (1u64 << rest) - 1;
+        }
     }
 
     /// Number of items with a live entry.
@@ -95,11 +139,28 @@ impl RecencyIndex {
         self.entries.len()
     }
 
+    /// The slot of `item`'s live entry, if it has one. Slots ascend with
+    /// recency: `item` is among the `p` newest iff its slot is at least
+    /// [`RecencyIndex::cut`]`(p)`.
+    #[inline]
+    pub fn slot(&self, item: ItemId) -> Option<usize> {
+        match self.pos[item.index()] {
+            NIL => None,
+            j => Some(j as usize),
+        }
+    }
+
+    /// The slot-liveness bitmap: bit `j` set iff slot `j` holds its
+    /// item's live entry. Its length is fixed by the database size.
+    pub fn live_words(&self) -> &[u64] {
+        &self.live
+    }
+
     /// Drops every tombstone, keeping live entries in order.
     fn compact(&mut self) {
         let mut w = 0usize;
         for j in 0..self.entries.len() {
-            if self.live(j) {
+            if self.is_live(j) {
                 let e = self.entries[j];
                 self.entries[w] = e;
                 self.pos[e.1.index()] = w as u32;
@@ -108,6 +169,7 @@ impl RecencyIndex {
         }
         self.entries.truncate(w);
         self.dead = 0;
+        self.rebuild_live();
     }
 
     /// Makes `(now, item)` the item's live entry; its previous entry, if
@@ -115,10 +177,11 @@ impl RecencyIndex {
     /// timestamp by more than the tail's equal-timestamp run — simulation
     /// time is monotone, so inserts land in the tail.
     pub fn insert(&mut self, now: SimTime, item: ItemId) {
-        if self.pos[item.index()] != NIL {
+        if let Some(old) = self.slot(item) {
             // The old entry keeps its slot and key (so the vec stays
             // sorted) but stops being the item's position.
             self.dead += 1;
+            self.set_live(old, false);
         }
         // Time is globally monotone, so the insertion point is in the
         // tail's equal-timestamp run; ties order item-ascending. Only
@@ -133,6 +196,11 @@ impl RecencyIndex {
         }
         self.entries.insert(at, key);
         self.pos[item.index()] = at as u32;
+        // The shifted run's liveness bits move with it: re-derive them.
+        for j in at..self.entries.len() {
+            let on = self.pos[self.entries[j].1.index()] == j as u32;
+            self.set_live(j, on);
+        }
         if self.dead * 2 > self.entries.len() {
             self.compact();
         }
@@ -179,27 +247,51 @@ impl RecencyIndex {
         self.entries[start..]
             .iter()
             .enumerate()
-            .filter_map(move |(k, &(ts, item))| {
-                (self.pos[item.index()] == (start + k) as u32).then_some((item, ts))
-            })
+            .filter_map(move |(k, &(ts, item))| self.is_live(start + k).then_some((item, ts)))
     }
 
-    /// `min(number of items updated after since, cap + 1)`, walking at
-    /// most `cap + 1` live entries: `O(log k + min(k, cap + 1))` plus
-    /// skipped tombstones. When the slots after `since` outnumber the
-    /// tombstones by more than `cap`, the answer is `cap + 1` without a
-    /// walk.
-    pub fn count_since_capped(&self, since: SimTime, cap: usize) -> usize {
+    /// Number of items updated strictly after `since`: one galloping
+    /// search plus a popcount of the liveness words after it —
+    /// `O(log k + s/64)` for the `s` slots after `since`.
+    pub fn count_since(&self, since: SimTime) -> usize {
         let start = self.start_after(since);
-        if (self.entries.len() - start).saturating_sub(self.dead) > cap {
-            return cap + 1;
+        if start == self.entries.len() {
+            return 0;
         }
-        self.entries[start..]
+        let (w, b) = (start / 64, start % 64);
+        let last = (self.entries.len() - 1) / 64;
+        let head = (self.live[w] >> b).count_ones() as usize;
+        head + self.live[w + 1..=last]
             .iter()
-            .enumerate()
-            .filter(|&(k, &(_, item))| self.pos[item.index()] == (start + k) as u32)
-            .take(cap + 1)
-            .count()
+            .map(|x| x.count_ones() as usize)
+            .sum::<usize>()
+    }
+
+    /// The slot of the `p`-th newest live entry: a live slot is at least
+    /// this iff its item is among the `p` newest. `0` when `p` reaches
+    /// past every live entry, `slots()` when `p == 0`. A popcount walk
+    /// back from the tail plus one in-word select: `O(s/64 + 64)` for
+    /// the `s` slots from the cut on.
+    pub fn cut(&self, p: usize) -> usize {
+        if p == 0 {
+            return self.entries.len();
+        }
+        let mut left = p;
+        let top = self.entries.len().div_ceil(64);
+        for w in (0..top).rev() {
+            let mut word = self.live[w];
+            let ones = word.count_ones() as usize;
+            if ones >= left {
+                // The `left`-th highest set bit is the `(ones - left)`-th
+                // lowest: clear the lower ones first.
+                for _ in 0..ones - left {
+                    word &= word - 1;
+                }
+                return w * 64 + word.trailing_zeros() as usize;
+            }
+            left -= ones;
+        }
+        0
     }
 
     /// Items ordered most recently updated first.
@@ -208,9 +300,7 @@ impl RecencyIndex {
             .iter()
             .enumerate()
             .rev()
-            .filter_map(|(j, &(ts, item))| {
-                (self.pos[item.index()] == j as u32).then_some((item, ts))
-            })
+            .filter_map(|(j, &(ts, item))| self.is_live(j).then_some((item, ts)))
     }
 }
 
@@ -236,6 +326,10 @@ mod tests {
         let desc: Vec<ItemId> = idx.desc().map(|(i, _)| i).collect();
         assert_eq!(desc, vec![ItemId(9), ItemId(1)]);
         assert_eq!(idx.latest(), Some(t(3.0)));
-        assert_eq!(idx.count_since_capped(t(2.0), 5), 2);
+        assert_eq!(idx.count_since(t(2.0)), 2);
+        assert_eq!(idx.cut(1), 1);
+        assert_eq!(idx.cut(3), 0);
+        let ones: u32 = idx.live_words().iter().map(|w| w.count_ones()).sum();
+        assert_eq!(ones, 2);
     }
 }

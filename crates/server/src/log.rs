@@ -1,13 +1,17 @@
 //! The server's update history.
 //!
-//! Two access paths, both cheap:
+//! Three access paths, all cheap:
 //!
 //! * **point lookup** — the current version (last update time) of an item,
 //!   for data delivery and validity checking: `O(1)`;
 //! * **window extraction** — every item updated after a timestamp, for
 //!   `TS` window reports (plain, enlarged, and `AT`): `O(log U + k)` via
 //!   the shared [`RecencyIndex`] (`U` = items ever updated, `k` = result
-//!   size).
+//!   size);
+//! * **count** — how many items were updated after a timestamp, for
+//!   pricing reports and the adaptive schemes' `N/2` test: a popcount
+//!   over the index's liveness bitmap, `O(log U + s/64)` for the `s`
+//!   index slots after it, whatever the count.
 //!
 //! A bit-sequences report is not extracted at all: it holds a second
 //! handle to the same index ([`UpdateLog::share`]). An update folds into
@@ -170,21 +174,11 @@ impl UpdateLog {
         self.settled().since(since)
     }
 
-    /// Number of items updated strictly after `since`: `O(log U + k)` —
-    /// the count walks the recency index, so callers that only compare the
-    /// count against a threshold should use
-    /// [`UpdateLog::count_since_capped`] to bound the walk.
+    /// Number of items updated strictly after `since`: a popcount over
+    /// the index's liveness bitmap, `O(log s + s/64)` for the `s` index
+    /// slots after `since` — no walk of the updates themselves.
     pub fn count_since(&self, since: SimTime) -> usize {
-        self.updates_since_iter(since).count()
-    }
-
-    /// `min(count_since(since), cap + 1)`, stopping the index walk after
-    /// `cap + 1` entries: `O(log U + min(k, cap + 1))`. The adaptive
-    /// schemes test "at most `N/2` items updated after `Tlb`" per pending
-    /// `Tlb` every period; the cap keeps that test from scanning the whole
-    /// history when the `Tlb` is ancient.
-    pub fn count_since_capped(&self, since: SimTime, cap: usize) -> usize {
-        self.settled().count_since_capped(since, cap)
+        self.settled().count_since(since)
     }
 
     /// Items ordered most recently updated first.
@@ -258,19 +252,21 @@ mod tests {
     }
 
     #[test]
-    fn capped_count_matches_contract() {
+    fn count_matches_the_updates_since() {
         let mut log = UpdateLog::new(100);
         for i in 0..20u32 {
             log.apply_update(t(1.0 + f64::from(i)), ItemId(i));
         }
-        // The contract: count_since_capped(s, cap) == min(count_since(s), cap + 1),
-        // so `capped <= cap` decides `count <= cap` without a full walk.
-        for &(since, cap) in &[(0.0, 5), (0.0, 19), (0.0, 50), (10.0, 3), (25.0, 0)] {
-            let exact = log.count_since(t(since));
-            let capped = log.count_since_capped(t(since), cap);
-            assert_eq!(capped, exact.min(cap + 1), "since={since} cap={cap}");
-            assert_eq!(capped <= cap, exact <= cap, "threshold test must agree");
+        // Re-updates leave tombstones the popcount must skip.
+        for i in 0..5u32 {
+            log.apply_update(t(30.0), ItemId(i));
         }
+        for since in [0.0, 1.0, 10.0, 20.0, 25.0, 30.0] {
+            let walked = log.updates_since_iter(t(since)).count();
+            assert_eq!(log.count_since(t(since)), walked, "since={since}");
+        }
+        assert_eq!(log.count_since(t(0.0)), 20);
+        assert_eq!(log.count_since(t(20.0)), 5);
     }
 
     #[test]

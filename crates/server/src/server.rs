@@ -469,14 +469,16 @@ impl Server {
     /// (`TS(B_n) ≤ Tlb ≤ T − w·L`, Figure 3). `TS(B_n) ≤ Tlb` is
     /// equivalent to "at most `N/2` items updated after `Tlb`". Returns
     /// `(eligible count, oldest eligible Tlb)` without allocating; each
-    /// membership test walks the recency index at most `N/2 + 1` steps.
+    /// membership test is one popcount over the recency index's
+    /// liveness bitmap ([`UpdateLog::count_since`]), whatever the `Tlb`'s
+    /// age.
     fn eligible_tlb_stats(&self, now: SimTime) -> (usize, Option<SimTime>) {
         let wstart = self.window_start(now);
         let half = (self.log.db_size() / 2) as usize;
         let mut count = 0;
         let mut oldest = None;
         for &tlb in &self.pending_tlbs {
-            if tlb < wstart && self.log.count_since_capped(tlb, half) <= half {
+            if tlb < wstart && self.log.count_since(tlb) <= half {
                 count += 1;
                 if oldest.is_none_or(|o| tlb < o) {
                     oldest = Some(tlb);
