@@ -25,6 +25,8 @@
 //! Per-scheme column groups are materialized only for the active
 //! scheme: the `SIG` baseline column exists only when the population
 //! runs [`Scheme::Sig`], so the other seven schemes pay nothing for it.
+//! Likewise the retry-armed bitmap and its deadlines exist only under a
+//! retry policy, so fault-free runs carry no retry column.
 
 use crate::holders::{HeldCache, Holders};
 use crate::machine::{ClientAction, ClientConfig, ClientCounters};
@@ -71,8 +73,9 @@ enum Rearm {
 /// [`ClientMut`]. The rest is written out beside the list: the cache
 /// column with the holders index, viewed as one [`HeldCache`] that keeps
 /// the index in step; the quiet and vouch bitmaps, whose views are one
-/// bit of a shared word; and the SIG baseline, materialized only under
-/// [`Scheme::Sig`].
+/// bit of a shared word; the retry-armed bitmap and its deadlines,
+/// materialized only under a retry policy; and the SIG baseline,
+/// materialized only under [`Scheme::Sig`].
 macro_rules! client_columns {
     ($cfg:ident => $( $(#[$doc:meta])* $col:ident: $ty:ty = $init:expr, )*) => {
         /// Every per-client column, indexed by client.
@@ -84,20 +87,23 @@ macro_rules! client_columns {
             /// Item → the clients whose cache holds it.
             holders: Holders,
             /// Bit `i` set iff client `i` is vouchable (see
-            /// `vouch_predicate`) with an empty cache, so no report of
-            /// any kind can change it beyond its `Tlb`. Recomputed only
-            /// by `ClientMut`'s `Drop`, and cleared by
+            /// `vouch_predicate`) with an empty cache and no retry armed,
+            /// so no report of any kind can change it beyond its `Tlb`.
+            /// Recomputed only by `ClientMut`'s `Drop`, and cleared by
             /// [`ClientPop::start_query`]. Tail bits beyond `len()` are
             /// zero.
             quiet: Vec<u64>,
             /// Bit `i` set iff client `i` is vouchable (see
-            /// `vouch_predicate`): a report that covers its `Tlb` changes
-            /// it beyond `Tlb` and the cache's vouch time only through
-            /// the items the report marks. Recomputed only by
-            /// `ClientMut`'s `Drop`, and cleared by
-            /// [`ClientPop::start_query`]. Tail bits beyond `len()` are
-            /// zero.
+            /// `vouch_predicate`): a report that covers its `Tlb`, and
+            /// finds any retry it has armed not yet due, changes it
+            /// beyond `Tlb` and the cache's vouch time only through the
+            /// items the report marks. Recomputed only by `ClientMut`'s
+            /// `Drop`, and cleared by [`ClientPop::start_query`]. Tail
+            /// bits beyond `len()` are zero.
             vouch: Vec<u64>,
+            /// The retry-armed clients and their deadlines; `None`
+            /// unless the configuration has a retry policy.
+            armed: Option<Armed>,
             /// Stored combined signatures; `None` unless the scheme is
             /// [`Scheme::Sig`].
             sig_baseline: Option<Vec<Option<Vec<u64>>>>,
@@ -116,6 +122,10 @@ macro_rules! client_columns {
                     holders: Holders::new(),
                     quiet: fresh(),
                     vouch: fresh(),
+                    armed: $cfg.retry.is_some().then(|| Armed {
+                        bits: vec![0; n.div_ceil(64)],
+                        deadline: vec![0.0; n],
+                    }),
                     sig_baseline: ($cfg.scheme == Scheme::Sig).then(|| vec![None; n]),
                 }
             }
@@ -130,6 +140,7 @@ macro_rules! client_columns {
                     holders: &mut self.holders,
                     quiet: &mut self.quiet,
                     vouch: &mut self.vouch,
+                    armed: self.armed.as_mut().map(|a| (&mut a.bits[..], &mut a.deadline[..])),
                     sig_baseline: self.sig_baseline.as_deref_mut(),
                 }
             }
@@ -143,6 +154,7 @@ macro_rules! client_columns {
             holders: &'a mut Holders,
             quiet: &'a mut [u64],
             vouch: &'a mut [u64],
+            armed: Option<(&'a mut [u64], &'a mut [f64])>,
             sig_baseline: Option<&'a mut [Option<Vec<u64>>]>,
         }
 
@@ -160,6 +172,7 @@ macro_rules! client_columns {
                     holders: &mut *self.holders,
                     quiet: &mut *self.quiet,
                     vouch: &mut *self.vouch,
+                    armed: self.armed.as_mut().map(|(bits, at)| (&mut **bits, &mut **at)),
                     sig_baseline: self.sig_baseline.as_deref_mut(),
                 }
             }
@@ -168,12 +181,13 @@ macro_rules! client_columns {
             /// built.
             #[inline(always)]
             fn view(self, i: usize) -> ClientMut<'a> {
-                let Cols { cfg, $( $col, )* cache, holders, quiet, vouch, sig_baseline } = self;
+                let Cols { cfg, $( $col, )* cache, holders, quiet, vouch, armed, sig_baseline } = self;
                 ClientMut {
                     cfg,
                     $( $col: &mut $col[i], )*
                     cache: HeldCache::new(&mut cache[i], holders, i),
                     flags: (&mut quiet[i / 64], &mut vouch[i / 64], 1 << (i % 64)),
+                    armed: armed.map(|(bits, at)| (&mut bits[i / 64], &mut at[i])),
                     sig_baseline: sig_baseline.map(|col| &mut col[i]),
                 }
             }
@@ -190,6 +204,9 @@ macro_rules! client_columns {
             /// The client's words of the quiet and vouch bitmaps, and its
             /// bit there.
             flags: (&'a mut u64, &'a mut u64, u64),
+            /// The client's word of the retry-armed bitmap and its
+            /// deadline; `None` unless the population materialized them.
+            armed: Option<(&'a mut u64, &'a mut f64)>,
             /// `None` unless the population materialized the SIG column.
             sig_baseline: Option<&'a mut Option<Vec<u64>>>,
         }
@@ -217,6 +234,21 @@ client_columns! {
     stale_scratch: Vec<ItemId> = Vec::new(),
     /// Behaviour counters.
     counters: ClientCounters = ClientCounters::default(),
+}
+
+/// The retry columns of a population whose configuration has a retry
+/// policy. A client is *retry-armed* while it has a data or validity
+/// request in flight, which a report re-sends once its backoff deadline
+/// has passed (`ClientMut::retry_pending_requests`).
+struct Armed {
+    /// Bit `i` set iff client `i` is retry-armed. Recomputed only by
+    /// `ClientMut`'s `Drop`: a client with no query is never armed, so
+    /// [`ClientPop::start_query`] finds it clear. Tail bits beyond
+    /// `len()` are zero.
+    bits: Vec<u64>,
+    /// Client `i`'s earliest retry deadline, in seconds (see
+    /// `earliest_deadline`); meaningful only while its bit is set.
+    deadline: Vec<f64>,
 }
 
 /// A bitmap of `n` set bits, tail bits zero.
@@ -484,15 +516,18 @@ impl ClientPop {
     }
 
     /// The quiet predicate re-derived from client `i`'s columns (the
-    /// vouch predicate and an empty cache); the stored flag must always
-    /// equal it.
+    /// vouch predicate, no retry armed and an empty cache); the stored
+    /// flag must always equal it.
     pub fn quiet_from_columns(&self, i: usize) -> bool {
-        self.vouchable_from_columns(i) && self.col.cache[i].is_empty()
+        self.vouchable_from_columns(i)
+            && earliest_deadline(&self.cfg, &self.col.pending[i]).is_none()
+            && self.col.cache[i].is_empty()
     }
 
     /// The stored vouch flag of client `i`: `true` when a report that
-    /// covers its `Tlb` could change it only through the cached items
-    /// the report marks, beyond its `Tlb` and its cache's vouch time.
+    /// covers its `Tlb`, delivered before its retry deadline, could
+    /// change it only through the cached items the report marks, beyond
+    /// its `Tlb` and its cache's vouch time.
     pub fn is_vouchable(&self, i: usize) -> bool {
         bit(&self.col.vouch, i)
     }
@@ -504,9 +539,18 @@ impl ClientPop {
             &self.cfg,
             &self.col.gap[i],
             self.col.reconnect_pending[i],
-            &self.col.header[i],
             &self.col.pending[i],
         )
+    }
+
+    /// The stored retry deadline of client `i`, in seconds: `Some` while
+    /// it is retry-armed (a data or validity request in flight under a
+    /// retry policy), the earliest [`PendingItem::retry_deadline`] of
+    /// its items. A report delivered at `now < deadline` re-sends
+    /// nothing.
+    pub fn retry_deadline(&self, i: usize) -> Option<f64> {
+        let armed = self.col.armed.as_ref()?;
+        bit(&armed.bits, i).then(|| armed.deadline[i])
     }
 
     /// Applies `report`, which cell `cell` broadcast, to every vouched
@@ -517,28 +561,33 @@ impl ClientPop {
     ///
     /// A listener is vouched when it is quiet (no report of any kind
     /// can change it beyond its `Tlb`), or when it is vouchable (no
-    /// gap, nothing waiting on a report), its `Tlb` is the epoch, the
-    /// report covers the epoch, and its cache holds none of the items
-    /// the plan marks (the holders index names those clients). Every
-    /// report arm then does exactly `Tlb ← T_i` and `revalidate_all(T_i)`
-    /// to it, for the report's broadcast time `T_i`: a window or AT
-    /// report covers its `Tlb`, BS selects the plan's bucket, and its
-    /// stale set, the marked items it caches, is empty.
+    /// gap, nothing waiting on a report), any retry it has armed is not
+    /// yet due at `now`, its `Tlb` is the epoch, the report covers the
+    /// epoch, and its cache holds none of the items the plan marks (the
+    /// holders index names those clients). Every report arm then does
+    /// exactly `Tlb ← T_i` and `revalidate_all(T_i)` to it, for the
+    /// report's broadcast time `T_i`: a window or AT report covers its
+    /// `Tlb`, BS selects the plan's bucket, its stale set, the marked
+    /// items it caches, is empty, and the retry pass re-sends nothing.
     ///
     /// The pass works a word at a time and touches no client column: a
     /// vouched listener's `Tlb` and cache vouch time become the cell's
-    /// new epoch through its `stamped` bit. Only a stamped member of the
+    /// new epoch through its `stamped` bit. A retry-armed candidate
+    /// costs one load of its deadline. Only a stamped member of the
     /// cell that is not stamped again — one the fault layer made lose
     /// the report, or one the report can change — is materialized
     /// first, so it keeps the previous epoch.
     ///
-    /// `words` must hold only connected members of `cell`.
+    /// `words` must hold only connected members of `cell`, and `now`
+    /// must be the report's delivery time, the one the walk passes to
+    /// [`ClientMut::on_report_planned`].
     pub fn stamp(
         &mut self,
         cell: u32,
         words: &mut [u64],
         report: &ReportPayload,
         plan: &PlanCache,
+        now: SimTime,
     ) -> u64 {
         let c = cell as usize;
         let epoch = self.epoch[c];
@@ -569,6 +618,16 @@ impl ClientPop {
                         vouched &= !(1 << b);
                     }
                 });
+                // A retry-armed candidate is walked once one of its
+                // requests is due: the walk's retry pass re-sends it.
+                if let Some(armed) = &self.col.armed {
+                    for_each_set_bit(&[vouched & armed.bits[k]], 0..64, |b| {
+                        if now.as_secs() < armed.deadline[k * 64 + b] {
+                            return;
+                        }
+                        vouched &= !(1 << b);
+                    });
+                }
             }
             let stamp = *word & (self.col.quiet[k] | vouched);
             // Still at the previous epoch, which is what a member that
@@ -586,6 +645,14 @@ impl ClientPop {
                             && plan.marked().all(|item| !cache.is_resident(item))),
                     "client {i} stamped but not vouched"
                 );
+                let period = self.cfg.broadcast_period_secs;
+                let due = self.col.pending[i].iter().any(|p| {
+                    self.cfg
+                        .retry
+                        .and_then(|policy| p.retry_deadline(policy, period))
+                        .is_some_and(|deadline| now.as_secs() >= deadline)
+                });
+                assert!(!due, "client {i} stamped with a retry due");
             });
             self.stamped[k] |= stamp;
             stamped += u64::from(stamp.count_ones());
@@ -646,9 +713,14 @@ impl ClientPop {
         assert!(self.is_connected(i), "query while disconnected");
         assert!(self.col.header[i].is_none(), "overlapping queries");
         self.materialize(i);
-        // Its items wait on the next report.
+        // Its items wait on the next report. It has no request out:
+        // the view that closed its last query left it unarmed.
         set_bit(&mut self.col.quiet, i, false);
         set_bit(&mut self.col.vouch, i, false);
+        debug_assert!(
+            self.retry_deadline(i).is_none(),
+            "client {i} armed with no query"
+        );
         self.col.counters[i].queries_issued += 1;
         self.col.header[i] = Some(QueryHeader::new(now, items, &mut self.col.pending[i]));
     }
@@ -686,43 +758,56 @@ fn set_masked(word: &mut u64, mask: u64, on: bool) {
 }
 
 /// The vouch predicate: a report can change the client only through
-/// its cache. With no gap and no pending reconnection, a report that
-/// covers the client's `Tlb` drops the cached items it marks (or, for
-/// an uncovered one, the cache) and revalidates the rest, and a client
-/// with an empty cache keeps nothing to drop, salvage or revalidate;
-/// with no query waiting on a report and no retry policy to re-send
-/// requests, the query phases emit nothing. `SIG` is never vouchable:
-/// it stores a baseline on every report.
+/// its cache and its retries. With no gap and no pending reconnection,
+/// a report that covers the client's `Tlb` drops the cached items it
+/// marks (or, for an uncovered one, the cache) and revalidates the
+/// rest, and a client with an empty cache keeps nothing to drop,
+/// salvage or revalidate; with no query item waiting on a report,
+/// `resolve_query` moves nothing, and the retry pass re-sends only the
+/// requests due at the report (see `earliest_deadline`, which the
+/// stamp tests). `SIG` is never vouchable: it stores a baseline on every
+/// report.
 fn vouch_predicate(
     cfg: &ClientConfig,
     gap: &Option<GapState>,
     reconnect_pending: bool,
-    header: &Option<QueryHeader>,
     pending: &[PendingItem],
 ) -> bool {
     cfg.scheme != Scheme::Sig
         && gap.is_none()
         && !reconnect_pending
-        && header.is_none_or(|_| {
-            cfg.retry.is_none() && pending.iter().all(|p| p.state != PendingState::WaitReport)
-        })
+        && pending.iter().all(|p| p.state != PendingState::WaitReport)
 }
 
-/// Every handler runs through a view, so refreshing the quiet and vouch
-/// flags when the view goes away keeps them exact on every path.
-/// The predicate cannot panic, as `Drop` also runs while a handler
-/// unwinds.
+/// The earliest retry deadline of a client's in-flight requests, in
+/// seconds (see [`PendingItem::retry_deadline`]); `None` with no retry
+/// policy or no request out, when the client is not retry-armed.
+fn earliest_deadline(cfg: &ClientConfig, pending: &[PendingItem]) -> Option<f64> {
+    let policy = cfg.retry?;
+    pending
+        .iter()
+        .filter_map(|p| p.retry_deadline(policy, cfg.broadcast_period_secs))
+        .reduce(f64::min)
+}
+
+/// Every handler runs through a view, so refreshing the quiet, vouch
+/// and retry-armed flags when the view goes away keeps them exact on
+/// every path. The predicates cannot panic, as `Drop` also runs while a
+/// handler unwinds.
 impl Drop for ClientMut<'_> {
     fn drop(&mut self) {
-        let vouchable = vouch_predicate(
-            self.cfg,
-            self.gap,
-            *self.reconnect_pending,
-            self.header,
-            self.pending,
-        );
+        let vouchable = vouch_predicate(self.cfg, self.gap, *self.reconnect_pending, self.pending);
         let (quiet, vouch, bit) = (&mut *self.flags.0, &mut *self.flags.1, self.flags.2);
-        set_masked(quiet, bit, vouchable && self.cache.is_empty());
+        let mut armed = false;
+        if let Some((word, at)) = &mut self.armed {
+            let deadline = earliest_deadline(self.cfg, self.pending);
+            if let Some(deadline) = deadline {
+                **at = deadline;
+            }
+            armed = deadline.is_some();
+            set_masked(word, bit, armed);
+        }
+        set_masked(quiet, bit, vouchable && !armed && self.cache.is_empty());
         set_masked(vouch, bit, vouchable);
     }
 }
@@ -1412,23 +1497,20 @@ impl ClientMut<'_> {
         let Some(policy) = self.cfg.retry else { return };
         let l = self.cfg.broadcast_period_secs;
         for p in self.pending.iter_mut() {
-            let Some(at) = p.requested_at else { continue };
-            let wait = f64::from(policy.timeout_intervals_for(p.retries)) * l;
-            if now.as_secs() < at.as_secs() + wait {
+            // The stamp skips a retry-armed client on the same test.
+            let Some(deadline) = p.retry_deadline(policy, l) else {
+                continue;
+            };
+            if now.as_secs() < deadline {
                 continue;
             }
-            match p.state {
-                PendingState::WaitData | PendingState::WaitValidity => {
-                    p.state = PendingState::WaitData;
-                    p.requested_at = Some(now);
-                    p.retries = p.retries.saturating_add(1);
-                    actions.push(ClientAction::Uplink(UplinkKind::QueryRequest {
-                        item: p.item,
-                    }));
-                    self.counters.retries_sent += 1;
-                }
-                PendingState::WaitReport | PendingState::Done => {}
-            }
+            p.state = PendingState::WaitData;
+            p.requested_at = Some(now);
+            p.retries = p.retries.saturating_add(1);
+            actions.push(ClientAction::Uplink(UplinkKind::QueryRequest {
+                item: p.item,
+            }));
+            self.counters.retries_sent += 1;
         }
     }
 
@@ -1743,5 +1825,56 @@ mod tests {
         assert_eq!(walked, serial);
         assert_eq!(pop.counters_col(), serial_pop.counters_col());
         assert_eq!(pop.col.tlb, serial_pop.col.tlb);
+    }
+
+    /// Delivers a window report broadcast at `at` to every listener at
+    /// `now`, stamping the vouched ones and walking the rest as the
+    /// engine's fan-out does. Returns the number stamped and the walk's
+    /// actions.
+    fn deliver(pop: &mut ClientPop, at: f64, now: SimTime) -> (u64, Vec<ClientAction>) {
+        let report = window(at, -180.0, vec![]);
+        let mut plan = PlanCache::new();
+        plan.decode_for_tick(&report, pop.epoch(0), 16);
+        let mut walk = pop.connected_words().to_vec();
+        let stamped = pop.stamp(0, &mut walk, &report, &plan, now);
+        let mut actions = Vec::new();
+        pop.for_each_delivered(&walk, |_, mut client| {
+            client.on_report_planned(now, &report, &plan, &mut actions, &mut PlanStats::default());
+        });
+        (stamped, actions)
+    }
+
+    /// The stamp and the retry pass compare one deadline with one strict
+    /// `<`: a retry-armed client whose deadline is the report's delivery
+    /// time is walked and re-sends its request, and one a report
+    /// delivered an ulp earlier is stamped.
+    #[test]
+    fn a_retry_is_due_at_its_deadline_not_an_ulp_before() {
+        let retry = ClientConfig {
+            retry: Some(mobicache_model::RetryPolicy::default()),
+            ..cfg(Scheme::Aaw)
+        };
+        let request = ClientAction::Uplink(UplinkKind::QueryRequest { item: ItemId(5) });
+        for (now, due) in [(60.0, true), (f64::next_down(60.0), false)] {
+            let mut pop = ClientPop::new(retry, 1);
+            pop.start_query(0, t(1.0), &[ItemId(5)]);
+            // The report at 20 s sends the data request, whose first
+            // retry waits two periods: due at 60 s.
+            assert_eq!(deliver(&mut pop, 20.0, t(20.0)), (0, vec![request.clone()]));
+            assert_eq!(pop.retry_deadline(0), Some(60.0));
+            assert!(pop.is_vouchable(0) && !pop.is_quiet(0));
+            assert_eq!(deliver(&mut pop, 40.0, t(40.0)), (1, vec![]));
+            let (stamped, actions) = deliver(&mut pop, 50.0, t(now));
+            assert_eq!(pop.tlb(0), t(50.0));
+            if due {
+                assert_eq!((stamped, actions), (0, vec![request.clone()]));
+                assert_eq!(pop.counters(0).retries_sent, 1);
+                assert_eq!(pop.retry_deadline(0), Some(60.0 + 4.0 * 20.0));
+            } else {
+                assert_eq!((stamped, actions), (1, vec![]));
+                assert_eq!(pop.counters(0).retries_sent, 0);
+                assert_eq!(pop.retry_deadline(0), Some(60.0));
+            }
+        }
     }
 }

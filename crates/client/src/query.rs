@@ -7,7 +7,7 @@
 //! parameter. The `Vec` keeps its capacity from query to query, so after
 //! warm-up a query allocates nothing.
 
-use mobicache_model::ItemId;
+use mobicache_model::{ItemId, RetryPolicy};
 use mobicache_sim::SimTime;
 
 /// How one referenced item is currently being resolved.
@@ -48,6 +48,22 @@ impl PendingItem {
             state: PendingState::WaitReport,
             requested_at: None,
             retries: 0,
+        }
+    }
+
+    /// When `policy` re-sends this item's in-flight data or validity
+    /// request, in seconds: `period` times the backoff's wait for its
+    /// re-sends so far, after the request went up. A request is due at
+    /// a report delivered at `now` unless `now < deadline`. `None` for an
+    /// item with no request in flight, which no retry touches.
+    #[inline]
+    pub fn retry_deadline(&self, policy: RetryPolicy, period: f64) -> Option<f64> {
+        match self.state {
+            PendingState::WaitData | PendingState::WaitValidity => {
+                let at = self.requested_at?;
+                Some(at.as_secs() + f64::from(policy.timeout_intervals_for(self.retries)) * period)
+            }
+            PendingState::WaitReport | PendingState::Done => None,
         }
     }
 }

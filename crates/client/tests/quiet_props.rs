@@ -13,11 +13,15 @@
 //! (each cell's broadcast epoch) in lockstep with an eager population
 //! that walks every listener and a plain `Tlb` per client, through
 //! lossy reports, handoffs, dozes, snoops and validity verdicts; the
-//! second also holds the item → holders index to the caches.
+//! second also holds the item → holders index to the caches. Under a
+//! retry policy a client with a data or validity request in flight is
+//! stamped until its backoff deadline: after every step its stored
+//! deadline must equal one re-derived from its pending items, and the
+//! two multi-cell cases must stamp an armed client and walk a due one.
 
 use mobicache_cache::CacheEntry;
 use mobicache_client::{
-    ClientAction, ClientConfig, ClientCounters, ClientMut, ClientPop, PendingItem,
+    ClientAction, ClientConfig, ClientCounters, ClientMut, ClientPop, PendingItem, PendingState,
 };
 use mobicache_model::{CheckingMode, ItemId, RetryPolicy, Scheme};
 use mobicache_reports::{
@@ -26,6 +30,7 @@ use mobicache_reports::{
 };
 use mobicache_sim::SimTime;
 use proptest::prelude::*;
+use proptest::TestRng;
 
 const DB: u32 = 32;
 const PERIOD: f64 = 20.0;
@@ -222,7 +227,7 @@ impl Harness {
             let quiet = (0..self.pop.len())
                 .filter(|&i| self.pop.is_connected(i) && self.pop.is_quiet(i))
                 .count();
-            let stamped = self.pop.stamp(0, &mut walk, payload, &self.plan);
+            let stamped = self.pop.stamp(0, &mut walk, payload, &self.plan, at);
             assert!(stamped >= quiet as u64, "every quiet listener is stamped");
             assert_eq!(stamped + u64::from(listeners(&walk)), u64::from(heard));
         }
@@ -370,12 +375,33 @@ fn observe(pop: &ClientPop, i: usize) -> Observed {
     }
 }
 
+/// Client `i`'s retry deadline re-derived from its pending items: under
+/// a retry policy, the earliest `requested_at + timeout · PERIOD` of its
+/// data and validity requests in flight.
+fn deadline_from_pending(pop: &ClientPop, i: usize) -> Option<f64> {
+    let policy = pop.config().retry?;
+    pop.pending_items(i)
+        .iter()
+        .filter(|p| matches!(p.state, PendingState::WaitData | PendingState::WaitValidity))
+        .filter_map(|p| {
+            let wait = f64::from(policy.timeout_intervals_for(p.retries)) * PERIOD;
+            p.requested_at.map(|at| at.as_secs() + wait)
+        })
+        .reduce(f64::min)
+}
+
 fn flags_exact(pop: &ClientPop) -> Result<(), TestCaseError> {
     for i in 0..pop.len() {
         prop_assert_eq!(pop.is_quiet(i), pop.quiet_from_columns(i), "client {}", i);
         prop_assert_eq!(
             pop.is_vouchable(i),
             pop.vouchable_from_columns(i),
+            "client {}",
+            i
+        );
+        prop_assert_eq!(
+            pop.retry_deadline(i),
+            deadline_from_pending(pop, i),
             "client {}",
             i
         );
@@ -497,6 +523,14 @@ fn coin(seed: f64, i: usize) -> f64 {
     (z ^ (z >> 31)) as f64 / u64::MAX as f64
 }
 
+/// How often a report's stamp met a retry-armed listener: stamped it
+/// (its deadline still ahead), or left it to the walk with a request due.
+#[derive(Clone, Copy, Default)]
+struct RetryArm {
+    stamped: u64,
+    walked_due: u64,
+}
+
 /// A multi-cell population whose fan-out stamps vouched clients (their
 /// `Tlb` and cache vouch time then live in the cell's epoch until
 /// materialized), next to an eager twin whose fan-out walks every
@@ -511,6 +545,8 @@ struct Lockstep {
     plans: Vec<PlanCache>,
     /// The most entries the stamped side's caches have held at once.
     peak_entries: usize,
+    /// The stamp's retry-armed listeners so far.
+    arm: RetryArm,
 }
 
 impl Lockstep {
@@ -521,6 +557,7 @@ impl Lockstep {
             tlb: vec![SimTime::ZERO; n],
             plans: (0..cells).map(|_| PlanCache::new()).collect(),
             peak_entries: 0,
+            arm: RetryArm::default(),
         }
     }
 
@@ -575,8 +612,17 @@ impl Lockstep {
                 let plan = &mut self.plans[cell as usize];
                 plan.decode_for_tick(&payload, self.h.pop.epoch(cell), DB);
                 let plan = &*plan;
+                let armed: Vec<Option<f64>> =
+                    (0..n).map(|i| self.h.pop.retry_deadline(i)).collect();
                 let mut walk = heard.clone();
-                self.h.pop.stamp(cell, &mut walk, &payload, plan);
+                self.h.pop.stamp(cell, &mut walk, &payload, plan, at);
+                for i in (0..n).filter(|&i| Self::has(&heard, i)) {
+                    match armed[i] {
+                        Some(_) if !Self::has(&walk, i) => self.arm.stamped += 1,
+                        Some(deadline) if at.as_secs() >= deadline => self.arm.walked_due += 1,
+                        _ => {}
+                    }
+                }
                 let tlb = &self.tlb;
                 let mut apply = |i: usize, mut client: ClientMut<'_>, out: &mut Vec<_>| {
                     view_tlb_ok &= client.tlb() == tlb[i];
@@ -824,61 +870,111 @@ proptest! {
             flags_exact(&walked.pop)?;
         }
     }
+}
 
-    /// The lazy `Tlb` of stamped clients matches an eager per-client
-    /// stamp after every step, over two or three cells: lossy reports
-    /// (a stamped client that loses one keeps the previous epoch),
-    /// handoffs, dozes, query starts and snoops each materialize it in
-    /// time, and both populations emit the same actions.
-    #[test]
-    fn stamped_tlb_matches_an_eager_stamp(
-        scheme in 0usize..8,
-        retry in any::<bool>(),
-        full_cache in any::<bool>(),
-        cells in 2u32..4,
-        n in 1usize..140,
-        steps in prop::collection::vec((0usize..140, 0u32..8, 0.0..1.0f64, 0.0..1.0f64), 0..400),
-    ) {
-        let cfg = cfg(SCHEMES[scheme], retry, full_cache);
-        let mut l = Lockstep::new(cfg, n, cells);
-        l.check()?;
-        for s in &steps {
-            let (stamped, eager) = l.step(s)?;
-            prop_assert_eq!(stamped, eager);
-            l.check()?;
+/// Runs 64 histories of [`Lockstep`] drawn from `strategy`, with the
+/// stream `proptest!` draws for the test `name` in this module, and
+/// returns how often their stamps met a retry-armed listener.
+fn lockstep_cases<S: Strategy>(
+    name: &str,
+    strategy: S,
+    run: impl Fn(S::Value) -> Result<RetryArm, TestCaseError>,
+) -> RetryArm {
+    let mut rng = TestRng::deterministic(&format!("{}::{name}", module_path!()));
+    let mut total = RetryArm::default();
+    for case in 0..64 {
+        match run(strategy.sample(&mut rng)) {
+            Ok(arm) => {
+                total.stamped += arm.stamped;
+                total.walked_due += arm.walked_due;
+            }
+            Err(e) => panic!("property failed at case {case}: {e}"),
         }
     }
+    total
+}
 
-    /// The vouched stamp against an eager twin that walks every
-    /// listener: over two or three cells, clients with caches of four
-    /// items over a 32-item database (so caches fill and evict), and
-    /// window, BS and AT reports — covering some listeners and not
-    /// others, lost by some — interleaved with updates, queries, data,
-    /// snoops, dozes, reconnections, handoffs and validity verdicts.
-    /// After every step both sides hold the same `Tlb`, effective cache
-    /// entries (version, vouch time, state), counters and flags, and
-    /// emitted the same actions; the holders index is exact and its
-    /// arena bounded by the peak number of cached entries.
-    #[test]
-    fn vouched_stamp_matches_an_eager_walk(
-        scheme in 0usize..7,
-        retry in any::<bool>(),
-        full_cache in any::<bool>(),
-        cells in 2u32..4,
-        n in 1usize..24,
-        steps in prop::collection::vec((0usize..24, 0u32..9, 0.0..1.0f64, 0.0..1.0f64), 0..500),
-    ) {
-        // Every scheme but SIG, which is never vouched. Few clients, so
-        // each lives through long histories (dozes, limbo, verdicts).
-        let vouching = SCHEMES.into_iter().filter(|&s| s != Scheme::Sig).collect::<Vec<_>>();
-        let mut l = Lockstep::new(cfg(vouching[scheme], retry, full_cache), n, cells);
-        l.check()?;
-        for s in &steps {
-            let (stamped, eager) = l.step(s)?;
-            prop_assert_eq!(stamped, eager);
+/// Both lockstep cases reach the stamp's retry arm: some retry-armed
+/// client is stamped before its deadline and some due one is walked.
+fn assert_retry_arm_reached(arm: RetryArm) {
+    assert!(arm.stamped > 0, "no retry-armed client was stamped");
+    assert!(arm.walked_due > 0, "no due client was walked");
+}
+
+/// The lazy `Tlb` of stamped clients matches an eager per-client
+/// stamp after every step, over two or three cells: lossy reports
+/// (a stamped client that loses one keeps the previous epoch),
+/// handoffs, dozes, query starts and snoops each materialize it in
+/// time, and both populations emit the same actions.
+#[test]
+fn stamped_tlb_matches_an_eager_stamp() {
+    let strategy = (
+        (0usize..8, any::<bool>(), any::<bool>()),
+        (
+            2u32..4,
+            1usize..140,
+            prop::collection::vec((0usize..140, 0u32..8, 0.0..1.0f64, 0.0..1.0f64), 0..400),
+        ),
+    );
+    let arm = lockstep_cases(
+        "stamped_tlb_matches_an_eager_stamp",
+        strategy,
+        |((scheme, retry, full_cache), (cells, n, steps))| {
+            let cfg = cfg(SCHEMES[scheme], retry, full_cache);
+            let mut l = Lockstep::new(cfg, n, cells);
             l.check()?;
-        }
-    }
+            for s in &steps {
+                let (stamped, eager) = l.step(s)?;
+                prop_assert_eq!(stamped, eager);
+                l.check()?;
+            }
+            Ok(l.arm)
+        },
+    );
+    assert_retry_arm_reached(arm);
+}
+
+/// The vouched stamp against an eager twin that walks every
+/// listener: over two or three cells, clients with caches of four
+/// items over a 32-item database (so caches fill and evict), and
+/// window, BS and AT reports — covering some listeners and not
+/// others, lost by some — interleaved with updates, queries, data,
+/// snoops, dozes, reconnections, handoffs and validity verdicts.
+/// After every step both sides hold the same `Tlb`, effective cache
+/// entries (version, vouch time, state), counters, flags and retry
+/// deadlines, and emitted the same actions; the holders index is exact
+/// and its arena bounded by the peak number of cached entries.
+#[test]
+fn vouched_stamp_matches_an_eager_walk() {
+    // Every scheme but SIG, which is never vouched. Few clients, so
+    // each lives through long histories (dozes, limbo, verdicts).
+    let strategy = (
+        (0usize..7, any::<bool>(), any::<bool>()),
+        (
+            2u32..4,
+            1usize..24,
+            prop::collection::vec((0usize..24, 0u32..9, 0.0..1.0f64, 0.0..1.0f64), 0..500),
+        ),
+    );
+    let vouching = SCHEMES
+        .into_iter()
+        .filter(|&s| s != Scheme::Sig)
+        .collect::<Vec<_>>();
+    let arm = lockstep_cases(
+        "vouched_stamp_matches_an_eager_walk",
+        strategy,
+        |((scheme, retry, full_cache), (cells, n, steps))| {
+            let mut l = Lockstep::new(cfg(vouching[scheme], retry, full_cache), n, cells);
+            l.check()?;
+            for s in &steps {
+                let (stamped, eager) = l.step(s)?;
+                prop_assert_eq!(stamped, eager);
+                l.check()?;
+            }
+            Ok(l.arm)
+        },
+    );
+    assert_retry_arm_reached(arm);
 }
 
 /// The start state: every client of a non-SIG population is quiet, a
@@ -901,7 +997,7 @@ fn fresh_clients_are_quiet_until_they_wait_on_a_report() {
     let mut plan = PlanCache::new();
     plan.decode_for_tick(&report, pop.epoch(0), DB);
     let mut walk = pop.connected_words().to_vec();
-    assert_eq!(pop.stamp(0, &mut walk, &report, &plan), 68);
+    assert_eq!(pop.stamp(0, &mut walk, &report, &plan, t(20.0)), 68);
     assert_eq!(walk, vec![1 << 3, 1 << 2]);
     assert_eq!((pop.tlb(0), pop.tlb(3)), (t(20.0), SimTime::ZERO));
 

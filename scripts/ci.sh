@@ -93,10 +93,13 @@ done
 echo "==> mobibench harness tests"
 cargo test -q --offline --manifest-path mobibench/Cargo.toml
 
-# The quiet rule of the report fan-out: random client histories over
-# every scheme, checking that a quiet client takes any report as a `Tlb`
-# stamp, and that stamp-plus-walk equals walking every client. Under
-# timeout, like the other proptest legs.
+# The vouched-stamp rule of the report fan-out: random client histories
+# over every scheme, checking that a quiet client takes any report as a
+# `Tlb` stamp, that stamp-plus-walk equals walking every client, and
+# that the lazy stamp (the cell's epoch, and a retry-armed client
+# stamped until its backoff deadline) matches an eager walk in lockstep,
+# with each client's stored retry deadline equal to one re-derived from
+# its pending items. Under timeout, like the other proptest legs.
 echo "==> quiet-client proptest suite (release, under timeout)"
 timeout 600 cargo test -q --release -p mobicache-client --test quiet_props
 

@@ -5,7 +5,10 @@
 //! entry is stale. Whatever the faults do to liveness, they must never
 //! touch safety.
 
-use mobicache::{run, ChannelFaults, FaultPlan, RetryPolicy, RunOptions, Scheme, SimConfig};
+use mobicache::{
+    run, CellTopology, ChannelFaults, FaultPlan, IntervalSampler, RetryPolicy, RunOptions, Scheme,
+    SimConfig,
+};
 use proptest::prelude::*;
 
 fn faulty_cfg(scheme: Scheme, plan: &FaultPlan) -> SimConfig {
@@ -186,4 +189,48 @@ fn empty_plan_is_bit_identical_to_no_plan() {
     let a = run(&base, RunOptions::default()).unwrap();
     let b = run(&with_plan, RunOptions::default()).unwrap();
     assert_eq!(format!("{:?}", a.metrics), format!("{:?}", b.metrics));
+}
+
+/// A roaming, lossy fault run with the retry policy armed keeps its
+/// report fan-out stamp-bound: a client whose data request is out is
+/// stamped until the request's backoff deadline, so most deliveries are
+/// stamps, not walks. A smaller copy of the `mobile-faults` benchmark
+/// shape (four cells, dozing clients, bursty loss, crashes).
+#[test]
+fn retry_armed_fault_run_stamps_most_deliveries() {
+    let horizon = 4_000.0;
+    let mut cfg = SimConfig::paper_default()
+        .with_scheme(Scheme::Aaw)
+        .with_sim_time(horizon)
+        .with_num_clients(400)
+        .with_cells(CellTopology {
+            cells: 4,
+            mean_residency_secs: 250.0,
+            handoff_secs: 12.0,
+            p_roam: 0.8,
+        })
+        .with_faults(FaultPlan {
+            downlink: ChannelFaults {
+                p_enter_burst: 0.05,
+                mean_burst_intervals: 4.0,
+                p_loss_good: 0.01,
+                p_loss_bad: 0.9,
+            },
+            p_uplink_loss: 0.05,
+            crashes: vec![0.3 * horizon, 0.7 * horizon],
+            recovery_secs: 90.0,
+            ..FaultPlan::none()
+        });
+    cfg.mean_update_interarrival_secs = 20.0;
+    cfg.p_disconnect = 0.2;
+    cfg.mean_disconnect_secs = 1_000.0;
+    let mut sampler = IntervalSampler::every(10);
+    let m = run(&cfg, RunOptions::new().probe(&mut sampler))
+        .expect("valid config")
+        .metrics;
+    assert!(m.faults.retries_sent > 0, "the retry policy never fired");
+    let s = sampler.snapshots().last().expect("non-empty series");
+    let share = s.fanout_quiet as f64 / (s.fanout_quiet + s.fanout_walked) as f64;
+    // 0.78 at the default seed; 0.10 when every armed client was walked.
+    assert!(share > 0.5, "quiet share {share}: {s:?}");
 }
