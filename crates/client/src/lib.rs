@@ -33,9 +33,9 @@
 //! included, one `Vec` per client that keeps its capacity across
 //! queries — and the scheme handlers run against [`ClientMut`] accessor
 //! views. [`ClientPop::client_mut`] views one client; the engine's
-//! report fan-out walks the masked clients through
-//! [`ClientPop::for_each_delivered`]. A single client is a population of
-//! one.
+//! report fan-out stamps the vouched listeners
+//! ([`ClientPop::stamp`]) and views each other one in turn. A single
+//! client is a population of one.
 
 mod holders;
 mod machine;

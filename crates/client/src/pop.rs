@@ -15,12 +15,12 @@
 //! query, counters — so the walk scans contiguous columns.
 //!
 //! The columns are declared once, in `client_columns!`. That one list
-//! gives the population its `Vec` fields, `Cols` its slices and
-//! [`ClientMut`] its per-client `&mut` cells. The state-machine handlers
-//! are written once, against [`ClientMut`], so the scheme logic never
-//! sees column indices, and every view is built by `Cols::view`:
-//! [`ClientPop::client_mut`] views one client, and
-//! [`ClientPop::for_each_delivered`] views each masked client in turn.
+//! gives the population its `Vec` fields and [`ClientMut`] its
+//! per-client `&mut` cells. The state-machine handlers are written
+//! once, against [`ClientMut`], so the scheme logic never sees column
+//! indices. Every view is built by [`ClientPop::client_mut`], which the
+//! engine calls once per client a message reaches, in client-index
+//! order within a broadcast.
 //!
 //! Per-scheme column groups are materialized only for the active
 //! scheme: the `SIG` baseline column exists only when the population
@@ -68,14 +68,13 @@ enum Rearm {
 
 /// Declares the per-client columns once. Each `name: Type = init` entry
 /// becomes a `Vec<Type>` field of `Columns` holding `init` for every
-/// fresh client (`$cfg` names the shared configuration there), a
-/// `&mut [Type]` field of `Cols`, and a `&mut Type` field of
-/// [`ClientMut`]. The rest is written out beside the list: the cache
-/// column with the holders index, viewed as one [`HeldCache`] that keeps
-/// the index in step; the quiet and vouch bitmaps, whose views are one
-/// bit of a shared word; the retry-armed bitmap and its deadlines,
-/// materialized only under a retry policy; and the SIG baseline,
-/// materialized only under [`Scheme::Sig`].
+/// fresh client (`$cfg` names the shared configuration there) and a
+/// `&mut Type` field of [`ClientMut`]. The rest is written out beside
+/// the list: the cache column with the holders index, viewed as one
+/// [`HeldCache`] that keeps the index in step; the quiet and vouch
+/// bitmaps, whose views are one bit of a shared word; the retry-armed
+/// bitmap and its deadlines, materialized only under a retry policy;
+/// and the SIG baseline, materialized only under [`Scheme::Sig`].
 macro_rules! client_columns {
     ($cfg:ident => $( $(#[$doc:meta])* $col:ident: $ty:ty = $init:expr, )*) => {
         /// Every per-client column, indexed by client.
@@ -130,65 +129,17 @@ macro_rules! client_columns {
                 }
             }
 
-            /// Every column of every client.
-            #[inline]
-            fn cols<'a>(&'a mut self, cfg: &'a ClientConfig) -> Cols<'a> {
-                Cols {
-                    cfg,
-                    $( $col: &mut self.$col, )*
-                    cache: &mut self.cache,
-                    holders: &mut self.holders,
-                    quiet: &mut self.quiet,
-                    vouch: &mut self.vouch,
-                    armed: self.armed.as_mut().map(|a| (&mut a.bits[..], &mut a.deadline[..])),
-                    sig_baseline: self.sig_baseline.as_deref_mut(),
-                }
-            }
-        }
-
-        /// Every column, as `&mut` slices: what a view borrows from.
-        struct Cols<'a> {
-            cfg: &'a ClientConfig,
-            $( $col: &'a mut [$ty], )*
-            cache: &'a mut [LruCache],
-            holders: &'a mut Holders,
-            quiet: &'a mut [u64],
-            vouch: &'a mut [u64],
-            armed: Option<(&'a mut [u64], &'a mut [f64])>,
-            sig_baseline: Option<&'a mut [Option<Vec<u64>>]>,
-        }
-
-        impl<'a> Cols<'a> {
-            /// The same columns, borrowed for a shorter lifetime.
-            // `reborrow` and `view` run once per walked client: out of
-            // line, the call and the returned view cost the fan-out a
-            // few per cent of a small population's run time.
-            #[inline(always)]
-            fn reborrow(&mut self) -> Cols<'_> {
-                Cols {
-                    cfg: self.cfg,
-                    $( $col: &mut *self.$col, )*
-                    cache: &mut *self.cache,
-                    holders: &mut *self.holders,
-                    quiet: &mut *self.quiet,
-                    vouch: &mut *self.vouch,
-                    armed: self.armed.as_mut().map(|(bits, at)| (&mut **bits, &mut **at)),
-                    sig_baseline: self.sig_baseline.as_deref_mut(),
-                }
-            }
-
             /// The view of client `i`: the one place a [`ClientMut`] is
             /// built.
             #[inline(always)]
-            fn view(self, i: usize) -> ClientMut<'a> {
-                let Cols { cfg, $( $col, )* cache, holders, quiet, vouch, armed, sig_baseline } = self;
+            fn view<'a>(&'a mut self, cfg: &'a ClientConfig, i: usize) -> ClientMut<'a> {
                 ClientMut {
                     cfg,
-                    $( $col: &mut $col[i], )*
-                    cache: HeldCache::new(&mut cache[i], holders, i),
-                    flags: (&mut quiet[i / 64], &mut vouch[i / 64], 1 << (i % 64)),
-                    armed: armed.map(|(bits, at)| (&mut bits[i / 64], &mut at[i])),
-                    sig_baseline: sig_baseline.map(|col| &mut col[i]),
+                    $( $col: &mut self.$col[i], )*
+                    cache: HeldCache::new(&mut self.cache[i], &mut self.holders, i),
+                    flags: (&mut self.quiet[i / 64], &mut self.vouch[i / 64], 1 << (i % 64)),
+                    armed: self.armed.as_mut().map(|a| (&mut a.bits[i / 64], &mut a.deadline[i])),
+                    sig_baseline: self.sig_baseline.as_mut().map(|col| &mut col[i]),
                 }
             }
         }
@@ -266,8 +217,7 @@ fn ones(n: usize) -> Vec<u64> {
 ///
 /// All clients share one [`ClientConfig`]; per-client state lives in
 /// parallel columns indexed by `ClientId::index()`. Mutating access
-/// goes through [`ClientPop::client_mut`] (one client) or
-/// [`ClientPop::for_each_delivered`] (every client of a mask).
+/// to one client goes through [`ClientPop::client_mut`].
 pub struct ClientPop {
     cfg: ClientConfig,
     col: Columns,
@@ -675,33 +625,10 @@ impl ClientPop {
     }
 
     /// A mutable accessor view of client `i`.
+    #[inline]
     pub fn client_mut(&mut self, i: usize) -> ClientMut<'_> {
         self.materialize(i);
-        self.col.cols(&self.cfg).view(i)
-    }
-
-    /// Visits every client whose bit is set in `words` (bit `i` of word
-    /// `i / 64` is client `i`) in ascending index order: `visit(i, view)`
-    /// gets the client index and a mutable view of that client.
-    ///
-    /// # Panics
-    /// Panics if `words` holds fewer than `self.len().div_ceil(64)`
-    /// words.
-    pub fn for_each_delivered(
-        &mut self,
-        words: &[u64],
-        mut visit: impl FnMut(usize, ClientMut<'_>),
-    ) {
-        let len = self.len();
-        // Materialize the stamped visitees. A report walk has none (the
-        // stamp materialized every listener it did not stamp again), so
-        // this is one AND per word there.
-        for (k, &word) in words.iter().enumerate().take(self.stamped.len()) {
-            let hit = word & self.stamped[k];
-            for_each_set_bit(&[hit], 0..64, |b| self.materialize(k * 64 + b));
-        }
-        let mut cols = self.col.cols(&self.cfg);
-        for_each_set_bit(words, 0..len, |i| visit(i, cols.reborrow().view(i)));
+        self.col.view(&self.cfg, i)
     }
 
     /// Issues a query for client `i` referencing `items`.
@@ -1783,50 +1710,6 @@ mod tests {
         assert_eq!(single.cell_words(0), single.connected_words());
     }
 
-    /// The masked walk visits exactly the masked clients, in index
-    /// order, and leaves every client in the state a `client_mut` loop
-    /// leaves it, over a mask that skips clients.
-    #[test]
-    fn for_each_delivered_matches_serial_views() {
-        let n: usize = 200;
-        let payload = window(20.0, -180.0, vec![]);
-        let words: Vec<u64> = {
-            let mut w = vec![0u64; n.div_ceil(64)];
-            for i in (0..n).filter(|i| i % 3 != 1 && !(70..140).contains(i)) {
-                w[i / 64] |= 1 << (i % 64);
-            }
-            w
-        };
-        let fresh = || {
-            let mut pop = ClientPop::new(cfg(Scheme::SimpleChecking), n);
-            for i in 0..n {
-                pop.start_query(i, t(1.0), &[ItemId(i as u32)]);
-            }
-            pop
-        };
-        let mut serial_pop = fresh();
-        let mut serial = Vec::new();
-        for i in 0..n {
-            if words[i / 64] & (1 << (i % 64)) != 0 {
-                let mut acts = Vec::new();
-                serial_pop
-                    .client_mut(i)
-                    .on_report_into(t(20.0), &payload, &mut acts);
-                serial.push((i, acts));
-            }
-        }
-        let mut pop = fresh();
-        let mut walked = Vec::new();
-        pop.for_each_delivered(&words, |i, mut client| {
-            let mut acts = Vec::new();
-            client.on_report_into(t(20.0), &payload, &mut acts);
-            walked.push((i, acts));
-        });
-        assert_eq!(walked, serial);
-        assert_eq!(pop.counters_col(), serial_pop.counters_col());
-        assert_eq!(pop.col.tlb, serial_pop.col.tlb);
-    }
-
     /// Delivers a window report broadcast at `at` to every listener at
     /// `now`, stamping the vouched ones and walking the rest as the
     /// engine's fan-out does. Returns the number stamped and the walk's
@@ -1838,8 +1721,14 @@ mod tests {
         let mut walk = pop.connected_words().to_vec();
         let stamped = pop.stamp(0, &mut walk, &report, &plan, now);
         let mut actions = Vec::new();
-        pop.for_each_delivered(&walk, |_, mut client| {
-            client.on_report_planned(now, &report, &plan, &mut actions, &mut PlanStats::default());
+        for_each_set_bit(&walk, 0..pop.len(), |i| {
+            pop.client_mut(i).on_report_planned(
+                now,
+                &report,
+                &plan,
+                &mut actions,
+                &mut PlanStats::default(),
+            );
         });
         (stamped, actions)
     }

@@ -149,28 +149,11 @@ impl QueryHeader {
         false
     }
 
-    /// Moves `item` from one pending state to another. Returns `false` if
-    /// it is not in the expected state.
-    pub fn transition(
-        &mut self,
-        items: &mut [PendingItem],
-        item: ItemId,
-        from: PendingState,
-        to: PendingState,
-    ) -> bool {
-        for p in items {
-            if p.item == item && p.state == from {
-                p.state = to;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Like [`QueryHeader::transition`], but also stamps the transitioned
-    /// item's request timestamp (and resets its retry count) — used when
-    /// the transition puts a request on the uplink, so the
-    /// fault-injection retry timer knows when it went up.
+    /// Moves `item` from one pending state to another, stamping its
+    /// request timestamp (and resetting its retry count) — the transition
+    /// puts a request on the uplink, so the fault-injection retry timer
+    /// knows when it went up. Returns `false` if the item is not in the
+    /// expected state.
     pub fn transition_at(
         &mut self,
         items: &mut [PendingItem],
@@ -232,17 +215,19 @@ mod tests {
     fn lifecycle_multi_item_mixed() {
         let (mut q, mut items) = query(t(0.0), &[1, 2, 3]);
         assert!(q.resolve(&mut items, ItemId(1), PendingState::WaitReport, true));
-        assert!(q.transition(
+        assert!(q.transition_at(
             &mut items,
             ItemId(2),
             PendingState::WaitReport,
-            PendingState::WaitData
+            PendingState::WaitData,
+            t(1.0)
         ));
-        assert!(q.transition(
+        assert!(q.transition_at(
             &mut items,
             ItemId(3),
             PendingState::WaitReport,
-            PendingState::WaitValidity
+            PendingState::WaitValidity,
+            t(1.0)
         ));
         assert!(!q.is_complete(&items));
         assert!(q.resolve(&mut items, ItemId(2), PendingState::WaitData, false));

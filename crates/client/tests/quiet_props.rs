@@ -7,8 +7,7 @@
 //! schemes, with and without a retry policy, under both checking modes;
 //! after every step the stored quiet and vouch flags must equal the
 //! predicates re-derived from the columns. A population-level case runs
-//! the stamp-plus-walk fan-out against walking every delivered client,
-//! and the masked walk against a `client_mut` loop over the same mask.
+//! the stamp-plus-walk fan-out against walking every delivered client.
 //! Two multi-cell cases run the stamp's lazy `Tlb` and cache vouch time
 //! (each cell's broadcast epoch) in lockstep with an eager population
 //! that walks every listener and a plain `Tlb` per client, through
@@ -76,12 +75,10 @@ fn hears_windows(scheme: Scheme) -> bool {
     )
 }
 
-/// Whether the fan-out stamps a vouched client or walks it like the rest,
-/// and whether the walk is `for_each_delivered` or a `client_mut` loop.
+/// Whether the fan-out stamps a vouched client or walks it like the rest.
 #[derive(Clone, Copy)]
 enum Fanout {
     Stamp,
-    StampLoop,
     WalkAll,
 }
 
@@ -110,9 +107,6 @@ struct Harness {
     signer: Signer,
     plan: PlanCache,
     prev_at: SimTime,
-    /// The last broadcast's `(client, actions)` record of every walked
-    /// client, in index order.
-    walked: Vec<(usize, Vec<ClientAction>)>,
 }
 
 impl Harness {
@@ -130,7 +124,6 @@ impl Harness {
             signer: Signer::new(8, 16, 7),
             plan: PlanCache::new(),
             prev_at: SimTime::ZERO,
-            walked: Vec::new(),
         }
     }
 
@@ -203,8 +196,9 @@ impl Harness {
     }
 
     /// Delivers `payload` to every connected client, stamping the
-    /// vouched ones unless under [`Fanout::WalkAll`], and returns the
-    /// non-empty action lists in client order.
+    /// vouched ones unless under [`Fanout::WalkAll`] and walking the rest
+    /// through `client_mut` in index order, and returns the non-empty
+    /// action lists in client order.
     fn broadcast(
         &mut self,
         payload: &ReportPayload,
@@ -216,12 +210,12 @@ impl Harness {
         // The stamp reads a plan decoded for the cell's epoch.
         let dominant = match fanout {
             Fanout::WalkAll => self.prev_at,
-            Fanout::Stamp | Fanout::StampLoop => self.pop.epoch(0),
+            Fanout::Stamp => self.pop.epoch(0),
         };
         self.plan.decode_for_tick(payload, dominant, DB);
         self.prev_at = at;
         let mut walk = self.pop.connected_words().to_vec();
-        if let Fanout::Stamp | Fanout::StampLoop = fanout {
+        if let Fanout::Stamp = fanout {
             let listeners = |words: &[u64]| words.iter().map(|w| w.count_ones()).sum::<u32>();
             let heard = listeners(&walk);
             let quiet = (0..self.pop.len())
@@ -231,25 +225,20 @@ impl Harness {
             assert!(stamped >= quiet as u64, "every quiet listener is stamped");
             assert_eq!(stamped + u64::from(listeners(&walk)), u64::from(heard));
         }
-        let plan = &self.plan;
-        let apply = |mut client: ClientMut<'_>| {
+        let mut out = Vec::new();
+        for i in (0..self.pop.len()).filter(|&i| walk[i / 64] & (1 << (i % 64)) != 0) {
             let mut actions = Vec::new();
-            client.on_report_planned(at, payload, plan, &mut actions, &mut PlanStats::default());
-            actions
-        };
-        self.walked = if let Fanout::StampLoop = fanout {
-            (0..self.pop.len())
-                .filter(|&i| walk[i / 64] & (1 << (i % 64)) != 0)
-                .map(|i| (i, apply(self.pop.client_mut(i))))
-                .collect()
-        } else {
-            let mut walked = Vec::new();
-            self.pop
-                .for_each_delivered(&walk, |i, client| walked.push((i, apply(client))));
-            walked
-        };
-        let mut out = self.walked.clone();
-        out.retain(|(_, a)| !a.is_empty());
+            self.pop.client_mut(i).on_report_planned(
+                at,
+                payload,
+                &self.plan,
+                &mut actions,
+                &mut PlanStats::default(),
+            );
+            if !actions.is_empty() {
+                out.push((i, actions));
+            }
+        }
         out
     }
 
@@ -638,9 +627,9 @@ impl Lockstep {
                         out.push((i, actions));
                     }
                 };
-                self.h
-                    .pop
-                    .for_each_delivered(&walk, |i, client| apply(i, client, &mut stamped));
+                for i in (0..n).filter(|&i| Self::has(&walk, i)) {
+                    apply(i, self.h.pop.client_mut(i), &mut stamped);
+                }
                 for i in (0..n).filter(|&i| Self::has(&heard, i)) {
                     apply(i, self.eager.client_mut(i), &mut eager);
                 }
@@ -680,12 +669,10 @@ impl Lockstep {
                 let version = self.h.version(item);
                 let mut mask = self.listeners(self.h.pop.cell_of(c));
                 mask[c / 64] &= !(1 << (c % 64));
-                let tlb = &self.tlb;
-                self.h.pop.for_each_delivered(&mask, |i, mut client| {
-                    view_tlb_ok &= client.tlb() == tlb[i];
-                    client.on_snooped_data(now, item, version);
-                });
                 for i in (0..n).filter(|&i| Self::has(&mask, i)) {
+                    let mut client = self.h.pop.client_mut(i);
+                    view_tlb_ok &= client.tlb() == self.tlb[i];
+                    client.on_snooped_data(now, item, version);
                     self.eager.client_mut(i).on_snooped_data(now, item, version);
                 }
             }
@@ -836,10 +823,8 @@ proptest! {
 
     /// A whole population, stamping its quiet clients and walking the
     /// rest, emits the same actions and ends every step in the same
-    /// state as one walking every delivered client. The masked walk also
-    /// matches a `client_mut` loop over the same mask, record
-    /// for record and column for column, at population sizes that leave
-    /// a partial last bitmap word.
+    /// state as one walking every delivered client, at population sizes
+    /// that leave a partial last bitmap word.
     #[test]
     fn stamp_plus_walk_equals_walking_everyone(
         scheme in 0usize..8,
@@ -851,22 +836,15 @@ proptest! {
         let n = n + usize::from(n % 64 == 0);
         let cfg = cfg(SCHEMES[scheme], retry, full_cache);
         let mut stamped = Harness::new(cfg, n);
-        let mut looped = Harness::new(cfg, n);
         let mut walked = Harness::new(cfg, n);
         for s in &steps {
             let x = stamped.step(s, Fanout::Stamp);
-            let z = looped.step(s, Fanout::StampLoop);
             let y = walked.step(s, Fanout::WalkAll);
-            prop_assert_eq!(&stamped.walked, &looped.walked);
-            prop_assert_eq!(&x, &z);
             prop_assert_eq!(x, y);
             for i in 0..n {
-                let o = observe(&stamped.pop, i);
-                prop_assert_eq!(&o, &observe(&looped.pop, i), "client {}", i);
-                prop_assert_eq!(o, observe(&walked.pop, i), "client {}", i);
+                prop_assert_eq!(observe(&stamped.pop, i), observe(&walked.pop, i), "client {}", i);
             }
             flags_exact(&stamped.pop)?;
-            flags_exact(&looped.pop)?;
             flags_exact(&walked.pop)?;
         }
     }

@@ -1,54 +1,11 @@
-//! The broadcast fan-out: who hears a transmission, and the walk that
-//! applies a report to its listeners. The merge of their actions stays
-//! in the engine.
+//! The broadcast fan-out: who hears a transmission, and which of a
+//! report's listeners take it as a stamp. The engine walks the rest in
+//! client-index order, one client's report, actions and observations
+//! at a time, through [`Broadcast::apply_planned`].
 
-use mobicache_client::{ClientAction, ClientCounters, ClientMut, ClientPop};
-use mobicache_model::ClientId;
+use mobicache_client::{ClientAction, ClientMut, ClientPop};
 use mobicache_reports::{PlanCache, PlanStats, ReportPayload};
 use mobicache_sim::SimTime;
-
-/// A client's counters and cache evictions from just before it
-/// processed a message; the probe events are the difference.
-pub(crate) type Before = (ClientCounters, u64);
-
-/// The records of one report walk, lent to the engine by
-/// [`Broadcast::apply_report`] for the merge (which may then borrow the
-/// whole engine) and handed back by [`Broadcast::end_merge`], so steady
-/// state allocates nothing. The walk touches only its clients and these
-/// buffers — no scheduler, channel, RNG or stats — and the merge replays
-/// them in client-index order, the order the digests pin.
-#[derive(Default)]
-pub(crate) struct Merge {
-    /// Actions appended by the walked clients, in client-index order.
-    actions: Vec<ClientAction>,
-    /// `(client, actions appended)`: one record per walked client that
-    /// appended actions — per walked client when a probe is attached. A
-    /// client with neither is a no-op in the merge, so it leaves no
-    /// record.
-    outcomes: Vec<(u32, u32)>,
-    /// Probe only: each recorded client's counters and cache evictions
-    /// captured just before it processed the message, parallel to
-    /// `outcomes`, so the merge emits exactly the probe events a
-    /// per-client loop would.
-    before: Vec<Before>,
-}
-
-impl Merge {
-    /// Drains the records in client-index order: `client` gets each
-    /// recorded client's actions and, probe only, its counters and
-    /// cache evictions from before the report.
-    pub(crate) fn drain(
-        &mut self,
-        mut client: impl FnMut(ClientId, &mut dyn Iterator<Item = ClientAction>, Option<Before>),
-    ) {
-        let mut actions = self.actions.drain(..);
-        let mut before = self.before.drain(..);
-        for (c, n) in self.outcomes.drain(..) {
-            let mut own = actions.by_ref().take(n as usize);
-            client(ClientId(c), &mut own, before.next());
-        }
-    }
-}
 
 /// Fan-out state of one run. The counters are cumulative; see
 /// [`IntervalSnapshot`](crate::IntervalSnapshot) for their meaning.
@@ -65,10 +22,7 @@ pub(crate) struct Broadcast {
     /// A report's walk mask: the delivery mask minus the vouched
     /// clients, whose report is a stamp.
     walk_words: Vec<u64>,
-    /// The walk's records, reused across ticks.
-    merge: Merge,
-    pub(crate) plan_hits: u64,
-    pub(crate) plan_misses: u64,
+    pub(crate) plan_stats: PlanStats,
     pub(crate) fanout_words_skipped: u64,
     pub(crate) fanout_quiet: u64,
     pub(crate) fanout_walked: u64,
@@ -110,18 +64,16 @@ impl Broadcast {
         mask.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
-    /// Applies `cell`'s `report` to the delivery mask's clients and
-    /// returns their actions for the engine's merge. The vouched clients
-    /// are stamped; the rest are walked. The delivery mask is left as
-    /// it was.
-    pub(crate) fn apply_report(
+    /// Decodes `cell`'s plan for `report` and stamps the delivery
+    /// mask's vouched clients; the rest make up the walk mask
+    /// ([`Broadcast::walk`]). The delivery mask is left as it was.
+    pub(crate) fn stamp(
         &mut self,
         clients: &mut ClientPop,
         cell: usize,
         report: &ReportPayload,
         now: SimTime,
-        probing: bool,
-    ) -> Merge {
+    ) {
         // Decode this tick's invalidation plan once, keyed by the
         // dominant Tlb bucket: the cell's broadcast epoch, which every
         // client that heard the previous report holds.
@@ -138,41 +90,31 @@ impl Broadcast {
         walk.clone_from(&self.deliver_words);
         self.fanout_quiet += clients.stamp(cell as u32, walk, report, plan, now);
         self.fanout_walked += walk.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-        // Walk: each remaining client applies the report, touching only
-        // its own columns and the merge records.
-        let plan = &*plan;
-        let m = &mut self.merge;
-        let mut stats = PlanStats::default();
-        clients.for_each_delivered(walk, |i, mut client| {
-            if probing {
-                m.before
-                    .push((client.counters(), client.cache().evictions()));
-            }
-            let a0 = m.actions.len();
-            client.on_report_planned(now, report, plan, &mut m.actions, &mut stats);
-            let actions = (m.actions.len() - a0) as u32;
-            if actions > 0 || probing {
-                m.outcomes.push((i as u32, actions));
-            }
-        });
-        self.plan_hits += stats.hits;
-        self.plan_misses += stats.misses;
-        std::mem::take(&mut self.merge)
     }
 
-    /// Lets every delivery-mask client overhear a data item; snooping
-    /// produces no actions, so there is nothing to merge.
-    pub(crate) fn apply_snoop(
+    /// The last report's walk mask: its listeners that were not stamped.
+    pub(crate) fn walk(&self) -> &[u64] {
+        &self.walk_words
+    }
+
+    /// Applies `cell`'s report, `now`, to one walked client through the
+    /// tick's plan, appending its actions to `actions`.
+    #[inline]
+    pub(crate) fn apply_planned(
         &mut self,
-        clients: &mut ClientPop,
-        mut snoop: impl FnMut(ClientMut<'_>),
+        client: &mut ClientMut<'_>,
+        cell: usize,
+        report: &ReportPayload,
+        now: SimTime,
+        actions: &mut Vec<ClientAction>,
     ) {
-        clients.for_each_delivered(&self.deliver_words, |_, c| snoop(c));
-    }
-
-    /// Takes the drained records back for the next tick.
-    pub(crate) fn end_merge(&mut self, merge: Merge) {
-        self.merge = merge;
+        client.on_report_planned(
+            now,
+            report,
+            &self.plans[cell],
+            actions,
+            &mut self.plan_stats,
+        );
     }
 
     pub(crate) fn plan_decodes(&self) -> u64 {

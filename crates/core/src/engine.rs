@@ -18,14 +18,20 @@
 //! (the fan-out), `Accounting` (run accumulators) and the `Faults` and
 //! `Mobility` layers, which are `None` — no state, no question asked —
 //! when their concern is off.
+//!
+//! Every message a client handles, addressed or broadcast, takes one
+//! path: the handler runs on the client's view, then its actions are
+//! applied and its probe events emitted, before any other client is
+//! touched. A report first stamps its vouched listeners (`Broadcast`),
+//! then walks the rest down that path in client-index order.
 
-use crate::broadcast::{Before, Broadcast};
+use crate::broadcast::Broadcast;
 use crate::faults::Faults;
 use crate::metrics::{Accounting, ClientStats, FaultMetrics, Metrics};
 use crate::mobility::Mobility;
 use crate::oracle::Oracle;
 use crate::probe::{CacheEventKind, IntervalSnapshot, Probe, ProbeEvent, ReportKind, RunTotals};
-use mobicache_client::{ClientAction, ClientConfig, ClientMut, ClientPop};
+use mobicache_client::{ClientAction, ClientConfig, ClientCounters, ClientMut, ClientPop};
 use mobicache_model::msg::{DownlinkKind, SizeParams, UplinkKind, CLASS_CHECK, CLASS_REPORT};
 use mobicache_model::{ClientId, ConfigError, DownlinkTopology, ItemId, SimConfig};
 use mobicache_net::Channel;
@@ -35,6 +41,10 @@ use mobicache_sim::bits::for_each_set_bit;
 use mobicache_sim::{Scheduler, SimRng, SimTime, StreamId};
 use mobicache_workload::{GapKind, GapProcess, QueryGen, UpdateGen};
 use std::sync::Arc;
+
+/// A client's counters and cache evictions from just before it
+/// processed a message; the probe events are the difference.
+type Before = (ClientCounters, u64);
 
 /// Options orthogonal to the modelled system, built fluently:
 ///
@@ -138,8 +148,8 @@ enum Ev {
 
 /// Downlink message payloads.
 enum DownPayload {
-    /// Broadcast invalidation report, shared with the server's report
-    /// cache (never copied per delivery).
+    /// Broadcast invalidation report, shared by every listener (never
+    /// copied per delivery).
     Report(Arc<ReportPayload>),
     /// A data item for one client.
     Data { item: ItemId, dest: ClientId },
@@ -446,8 +456,8 @@ impl<'p> Simulation<'p> {
     }
 
     /// A scheduled crash wipes the server's volatile state (pending
-    /// `Tlb`s, cached report payloads, shared signature state); the
-    /// durable update log survives. Overlapping crash windows nest.
+    /// `Tlb`s, shared signature state); the durable update log
+    /// survives. Overlapping crash windows nest.
     fn on_server_crash(&mut self, now: SimTime) {
         // Crashes are global: the paper's single base station is the
         // whole fixed network here, so every cell's server goes down
@@ -560,8 +570,8 @@ impl<'p> Simulation<'p> {
             slot_high_water: self.sched.slot_high_water(),
             sched_cascades: self.sched.cascades(),
             plan_decodes: b.plan_decodes(),
-            plan_hits: b.plan_hits,
-            plan_misses: b.plan_misses,
+            plan_hits: b.plan_stats.hits,
+            plan_misses: b.plan_stats.misses,
             fanout_words_skipped: b.fanout_words_skipped,
             fanout_quiet: b.fanout_quiet,
             fanout_walked: b.fanout_walked,
@@ -688,28 +698,23 @@ impl<'p> Simulation<'p> {
                 }
                 self.acct
                     .charge_rx(delivered.bits, self.broadcast.count_listeners());
-                // Phase 1 (walk): plan decode, vouched stamp, report
-                // application, recorded for the merge.
-                let mut merge = self.broadcast.apply_report(
-                    &mut self.clients,
-                    cell,
-                    &report,
-                    now,
-                    self.opts.probe.is_some(),
-                );
-                // Phase 2 (merge, client-index order): replay each
-                // client's actions and observations exactly as a
-                // per-client loop would interleave them — the scheduler,
-                // the channels, the stats and the per-client RNG streams
-                // are only touched here.
-                merge.drain(|c, actions, before| {
-                    for action in actions {
-                        self.apply_action(now, c, action);
+                // Phase 1 (stamp): plan decode, and the vouched
+                // listeners take the report as the cell's new epoch.
+                self.broadcast.stamp(&mut self.clients, cell, &report, now);
+                // Phase 2 (walk, client-index order): each other
+                // listener applies the report, then its actions and
+                // observations go through before the next client's.
+                for k in 0..self.broadcast.walk().len() {
+                    let mut word = self.broadcast.walk()[k];
+                    while word != 0 {
+                        let c = ClientId((k * 64) as u32 + word.trailing_zeros());
+                        word &= word - 1;
+                        self.handle(now, c, |mut client, fanout, actions| {
+                            fanout.apply_planned(&mut client, cell, &report, now, actions);
+                        });
                     }
-                    self.post_observe(now, c, before);
-                });
-                self.broadcast.end_merge(merge);
-                // Oracle pass after the merge (actions never touch a
+                }
+                // Oracle pass after the walk (actions never touch a
                 // cache, so checking here sees exactly the state a
                 // per-client check would see), over every listener,
                 // stamped or walked.
@@ -725,32 +730,33 @@ impl<'p> Simulation<'p> {
                 // Under zero cross-cell skew every server holds the same
                 // version.
                 let version = self.servers[cell].version(item);
-                self.deliver_to(now, dest, delivered.bits, |mut client, actions| {
+                self.deliver_to(now, dest, delivered.bits, |mut client, _, actions| {
                     client.on_data_into(now, item, version, actions);
                 });
                 // Snooping extension: the downlink is a broadcast medium,
                 // so every other connected member of the serving cell
-                // overhears the item. Same phases as the report fan-out,
-                // minus the merge: snooped items produce no actions.
+                // overhears the item. Snooped items produce no actions,
+                // so the walk is one `client_mut` per listener.
                 if self.cfg.snoop_broadcasts {
                     let mask = self.broadcast.listeners(&self.clients, cell as u32);
                     let d = dest.index();
                     mask[d / 64] &= !(1u64 << (d % 64));
                     self.acct
                         .charge_rx(delivered.bits, self.broadcast.count_listeners());
-                    self.broadcast.apply_snoop(&mut self.clients, |mut client| {
-                        client.on_snooped_data(now, item, version)
+                    let clients = &mut self.clients;
+                    for_each_set_bit(self.broadcast.mask(), 0..clients.len(), |i| {
+                        clients.client_mut(i).on_snooped_data(now, item, version);
                     });
                     self.check_delivered();
                 }
             }
             DownPayload::Validity(dest, v) if self.clients.is_connected(dest.index()) => {
-                self.deliver_to(now, dest, delivered.bits, |mut client, actions| {
+                self.deliver_to(now, dest, delivered.bits, |mut client, _, actions| {
                     client.on_validity_into(now, v.asof, &v.valid, actions);
                 });
             }
             DownPayload::GroupVerdict(dest, v) if self.clients.is_connected(dest.index()) => {
-                self.deliver_to(now, dest, delivered.bits, |mut client, actions| {
+                self.deliver_to(now, dest, delivered.bits, |mut client, _, actions| {
                     client.on_group_validity_into(now, v.asof, v.covered, &v.stale, actions);
                 });
             }
@@ -760,31 +766,54 @@ impl<'p> Simulation<'p> {
     }
 
     /// Delivers an addressed `bits`-bit message to `dest` through the
-    /// client handler `handle`, then applies, observes and checks.
+    /// client handler `handle`, then checks its cache.
     fn deliver_to(
         &mut self,
         now: SimTime,
         dest: ClientId,
         bits: f64,
-        handle: impl FnOnce(ClientMut<'_>, &mut Vec<ClientAction>),
+        handle: impl FnOnce(ClientMut<'_>, &mut Broadcast, &mut Vec<ClientAction>),
     ) {
-        let i = dest.index();
         self.acct.charge_rx(bits, 1);
+        self.handle(now, dest, handle);
+        if let Some(oracle) = &mut self.oracle {
+            oracle.assert_cache_consistent(dest, self.clients.entries(dest.index()));
+        }
+    }
+
+    /// Runs `handle` on client `c`'s view (with the fan-out state, for a
+    /// report's plan), then applies the actions it appended and emits
+    /// the probe events for whatever else changed in the client, before
+    /// any other client is touched: the steps of every message a client
+    /// handles, addressed or broadcast.
+    ///
+    /// A handler must touch only `c`'s columns and the fan-out's plan
+    /// counters, and an action only the shared state and `c`'s columns:
+    /// what one walked client does then cannot change what the report
+    /// does to the next (DESIGN.md §8.2).
+    fn handle(
+        &mut self,
+        now: SimTime,
+        c: ClientId,
+        handle: impl FnOnce(ClientMut<'_>, &mut Broadcast, &mut Vec<ClientAction>),
+    ) {
+        let i = c.index();
         let before = self
             .opts
             .probe
             .is_some()
             .then(|| (self.clients.counters(i), self.clients.cache(i).evictions()));
         let mut actions = std::mem::take(&mut self.action_scratch);
-        handle(self.clients.client_mut(i), &mut actions);
+        handle(
+            self.clients.client_mut(i),
+            &mut self.broadcast,
+            &mut actions,
+        );
         for action in actions.drain(..) {
-            self.apply_action(now, dest, action);
+            self.apply_action(now, c, action);
         }
         self.action_scratch = actions;
-        self.post_observe(now, dest, before);
-        if let Some(oracle) = &mut self.oracle {
-            oracle.assert_cache_consistent(dest, self.clients.entries(i));
-        }
+        self.post_observe(now, c, before);
     }
 
     fn on_uplink_done(&mut self, now: SimTime, token: u64) {
@@ -851,8 +880,7 @@ impl<'p> Simulation<'p> {
 
     /// Applies one client action to the shared simulation state. Every
     /// scheduler, channel, stats and RNG touch a client triggers funnels
-    /// through here, in client-index order — the merge half of the
-    /// fan-out's determinism argument.
+    /// through here, in client-index order within a broadcast.
     fn apply_action(&mut self, now: SimTime, c: ClientId, action: ClientAction) {
         match action {
             ClientAction::Uplink(kind) => {

@@ -334,17 +334,6 @@ impl ClientStats {
     }
 }
 
-impl Metrics {
-    /// Throughput in queries per second of simulated time.
-    pub fn throughput_per_sec(&self) -> f64 {
-        if self.sim_time_secs <= 0.0 {
-            0.0
-        } else {
-            self.queries_answered as f64 / self.sim_time_secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,17 +365,6 @@ mod tests {
         let rendered = format!("{mobile:?}");
         assert!(rendered.contains("mobility: MobilityMetrics"));
         assert!(rendered.contains("handoffs: 2"));
-    }
-
-    #[test]
-    fn throughput_math() {
-        let m = Metrics {
-            queries_answered: 15_000,
-            sim_time_secs: 100_000.0,
-            ..Metrics::default()
-        };
-        assert!((m.throughput_per_sec() - 0.15).abs() < 1e-12);
-        assert_eq!(Metrics::default().throughput_per_sec(), 0.0);
     }
 
     #[test]

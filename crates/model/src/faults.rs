@@ -31,12 +31,12 @@
 //! ## Determinism contract
 //!
 //! Every fault coin is drawn from a **dedicated per-client RNG stream**
-//! (`SimRng::stream(seed, 0xFA17… + client)`) in the engine's *serial*
-//! phases — the phase-0 delivery pass for downlink coins, the serial
-//! merge for uplink coins. The fan-out walk never touches fault state,
-//! so golden digests are bit-identical with faults on or off. When the
-//! plan is inactive no fault stream is ever
-//! advanced, so `faults = off` reproduces historical digests bit-for-bit.
+//! (`SimRng::stream(seed, 0xFA17… + client)`) in client-index order —
+//! the phase-0 delivery pass for downlink coins, each client's actions
+//! for uplink coins. A client's report handler never touches fault
+//! state, so golden digests are bit-identical with faults on or off.
+//! When the plan is inactive no fault stream is ever advanced, so
+//! `faults = off` reproduces historical digests bit-for-bit.
 //!
 //! [`p_loss_good`]: ChannelFaults::p_loss_good
 //! [`p_loss_bad`]: ChannelFaults::p_loss_bad

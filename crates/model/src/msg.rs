@@ -109,18 +109,6 @@ impl UplinkKind {
         }
     }
 
-    /// `true` when this message counts toward the paper's "uplink cost for
-    /// validity checking" metric (query requests do not — every scheme
-    /// pays those equally, and the paper's BS curve sits at exactly zero).
-    pub fn is_validity_traffic(&self) -> bool {
-        matches!(
-            self,
-            UplinkKind::TlbReport { .. }
-                | UplinkKind::CheckRequest { .. }
-                | UplinkKind::GroupCheckRequest { .. }
-        )
-    }
-
     /// The channel priority class of this message (§4).
     pub fn class(&self) -> usize {
         match self {
@@ -224,7 +212,6 @@ mod tests {
         let m = UplinkKind::QueryRequest { item: ItemId(3) };
         assert_eq!(m.size_bits(&p), 64.0 + 4096.0);
         assert_eq!(m.class(), CLASS_DATA);
-        assert!(!m.is_validity_traffic());
     }
 
     #[test]
@@ -233,7 +220,6 @@ mod tests {
         let m = UplinkKind::TlbReport { tlb_secs: 123.0 };
         assert_eq!(m.size_bits(&p), 64.0 + 48.0);
         assert_eq!(m.class(), CLASS_CHECK);
-        assert!(m.is_validity_traffic());
     }
 
     #[test]
@@ -242,7 +228,7 @@ mod tests {
         let entries: Vec<(ItemId, f64)> = (0..200).map(|i| (ItemId(i), 0.0)).collect();
         let m = UplinkKind::CheckRequest { entries };
         assert_eq!(m.size_bits(&p), 64.0 + 200.0 * 62.0);
-        assert!(m.is_validity_traffic());
+        assert_eq!(m.class(), CLASS_CHECK);
         let empty = UplinkKind::CheckRequest { entries: vec![] };
         assert_eq!(empty.size_bits(&p), 64.0);
     }
@@ -275,7 +261,6 @@ mod tests {
         // full-cache checking once caches grow.
         assert_eq!(m.size_bits(&p), 64.0 + 3.0 * 54.0);
         assert_eq!(m.class(), CLASS_CHECK);
-        assert!(m.is_validity_traffic());
     }
 
     #[test]

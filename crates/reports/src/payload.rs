@@ -54,11 +54,6 @@ impl ReportPayload {
         matches!(self, ReportPayload::BitSeq(_))
     }
 
-    /// `true` for an AAW-enlarged window report.
-    pub fn is_enlarged_window(&self) -> bool {
-        matches!(self, ReportPayload::Window(w) if w.dummy.is_some())
-    }
-
     /// Does nothing: a report is no longer pre-indexed, its only decoded
     /// form is the invalidation plan (`crate::PlanCache`). Kept only
     /// because the `mobibench` harness still times this call
@@ -106,18 +101,6 @@ mod tests {
         assert_eq!(payload.broadcast_at(), t(100.0));
         assert_eq!(payload.size_bits(&p()), w.size_bits(&p()));
         assert!(!payload.is_bitseq());
-        assert!(!payload.is_enlarged_window());
-    }
-
-    #[test]
-    fn enlarged_window_detection() {
-        let w = WindowReport {
-            broadcast_at: t(100.0),
-            window_start: t(0.0),
-            records: vec![],
-            dummy: Some(t(10.0)),
-        };
-        assert!(ReportPayload::Window(w).is_enlarged_window());
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! * [`Poisson`] — number of items touched by an update transaction or
 //!   referenced by a query ("mean data items updated by a transaction = 5").
 //! * [`UniformRange`] — uniform item selection inside a database region.
-//! * [`Bernoulli`] — the hot/cold and disconnection coins.
 //! * [`Zipf`] — an extension used by the skewed-access ablation.
 //!
 //! All samplers draw from [`SimRng`] and are plain value types, so a
@@ -141,34 +140,6 @@ impl UniformRange {
     }
 }
 
-/// Bernoulli coin with fixed success probability.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// A coin landing `true` with probability `p`.
-    ///
-    /// # Panics
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn new(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-        Bernoulli { p }
-    }
-
-    /// The success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Flips the coin.
-    #[inline]
-    pub fn sample(&self, rng: &mut SimRng) -> bool {
-        rng.coin(self.p)
-    }
-}
-
 /// Zipf distribution over ranks `1..=n` with exponent `theta`.
 ///
 /// Not part of the paper's Table 2 (which uses hot/cold regions), but a
@@ -285,13 +256,6 @@ mod tests {
             let v = d.sample(&mut r);
             assert!((10..=19).contains(&v));
         }
-    }
-
-    #[test]
-    fn bernoulli_extremes() {
-        let mut r = rng();
-        assert!(!Bernoulli::new(0.0).sample(&mut r));
-        assert!(Bernoulli::new(1.0).sample(&mut r));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   a single `u64` seed and every stochastic process gets an independent
 //!   stream.
 //! * [`dist`] — the distributions the model uses (exponential think/update
-//!   times, Poisson transaction sizes, bounded uniforms, Bernoulli coins,
-//!   and a Zipf extension).
+//!   times, Poisson transaction sizes, bounded uniforms, and a Zipf
+//!   extension; coins are [`SimRng::coin`]).
 //! * [`stats`] — online statistics accumulators (Welford mean/variance,
 //!   histograms).
 //! * [`facility`] — a single-server queueing facility with priority classes
@@ -35,7 +35,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use dist::{Bernoulli, Exp, Poisson, UniformRange, Zipf};
+pub use dist::{Exp, Poisson, UniformRange, Zipf};
 pub use event::Scheduler;
 pub use facility::{Completion, Facility, FacilityConfig, Job};
 pub use rng::{SimRng, StreamId};

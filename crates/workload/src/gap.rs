@@ -69,12 +69,6 @@ impl GapProcess {
             }
         }
     }
-
-    /// Expected gap length: `(1−p)·think + p·disconnect` — used by
-    /// capacity sanity checks in the experiments crate.
-    pub fn mean_secs(&self) -> f64 {
-        (1.0 - self.p_disconnect) * self.think.mean() + self.p_disconnect * self.disconnect.mean()
-    }
 }
 
 #[cfg(test)]
@@ -116,12 +110,6 @@ mod tests {
         }
         assert!((think_sum / think_n as f64 - 100.0).abs() < 3.0);
         assert!((disc_sum / disc_n as f64 - 400.0).abs() < 10.0);
-    }
-
-    #[test]
-    fn mean_formula() {
-        let g = GapProcess::new(0.1, 100.0, 4000.0);
-        assert!((g.mean_secs() - 490.0).abs() < 1e-9);
     }
 
     #[test]

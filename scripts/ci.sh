@@ -50,9 +50,10 @@ cargo test -q
 # The golden-digest suite in release too (tier-1 above runs it in
 # debug) — release reorders enough (inlining, vectorized loops) to have
 # caught ordering bugs debug masks. It includes the fault and
-# multi-cell digests.
+# multi-cell digests, and the observer suite's pin of the probe-event
+# stream, which sees the order of events the digests only count.
 echo "==> determinism suite (release)"
-cargo test -q --release --test determinism
+cargo test -q --release --test determinism --test observer
 
 # The any-fault-schedule proptests run the oracle under arbitrary fault
 # plans. Timeout because their failure mode includes a retry loop that

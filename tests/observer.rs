@@ -167,6 +167,45 @@ fn faulty_two_cell_cfg() -> SimConfig {
     cfg
 }
 
+/// Hashes every event's `(now, event)` `Debug` line with 64-bit FNV-1a,
+/// in arrival order.
+struct StreamDigest {
+    hash: u64,
+    events: u64,
+}
+
+impl Probe for StreamDigest {
+    fn on_event(&mut self, now: SimTime, event: &ProbeEvent) {
+        for &b in format!("{now:?} {event:?}\n").as_bytes() {
+            self.hash ^= u64::from(b);
+            self.hash = self.hash.wrapping_mul(0x1_0000_01b3);
+        }
+        self.events += 1;
+    }
+}
+
+/// The probe-event stream of the faulty two-cell AAW run at 100
+/// clients, in order. The metrics digests see counts, not sequence:
+/// this pin is what fails when a client's observations (limbo salvage,
+/// cache events) move relative to its actions (queries resolved,
+/// disconnections, uplink losses) or to another client's. At the
+/// config's own 20 clients no client emits both on one message, so
+/// that swap would not show.
+#[test]
+fn probe_event_stream_is_pinned() {
+    let mut probe = StreamDigest {
+        hash: 0xcbf2_9ce4_8422_2325,
+        events: 0,
+    };
+    let cfg = faulty_two_cell_cfg().with_num_clients(100);
+    run(&cfg, RunOptions::new().probe(&mut probe)).expect("valid config");
+    assert_eq!(
+        (probe.events, probe.hash),
+        (4_499, 0x517c_c90c_52e0_cc36),
+        "probe-event stream moved"
+    );
+}
+
 #[test]
 fn interval_snapshot_deltas_sum_to_final_metrics() {
     let cases = [
