@@ -6,6 +6,5 @@
 //! reaches:
 //!
 //! * `src/bin/report_pipeline.rs` — the `BENCH_report_pipeline.json`
-//!   harness: the population sweep up to 1 M clients, the
-//!   invalidation-plan timing on full 800-item caches, and their
-//!   CI smokes.
+//!   harness: the population sweep up to 1 M clients, and its CI
+//!   smoke.

@@ -25,8 +25,8 @@
 //! Per-scheme column groups are materialized only for the active
 //! scheme: the `SIG` baseline column exists only when the population
 //! runs [`Scheme::Sig`], so the other seven schemes pay nothing for it.
-//! Likewise the retry-armed bitmap and its deadlines exist only under a
-//! retry policy, so fault-free runs carry no retry column.
+//! Likewise the retry deadlines exist only under a retry policy, so
+//! fault-free runs carry no retry column.
 
 use crate::holders::{HeldCache, Holders};
 use crate::machine::{ClientAction, ClientConfig, ClientCounters};
@@ -71,10 +71,10 @@ enum Rearm {
 /// fresh client (`$cfg` names the shared configuration there) and a
 /// `&mut Type` field of [`ClientMut`]. The rest is written out beside
 /// the list: the cache column with the holders index, viewed as one
-/// [`HeldCache`] that keeps the index in step; the quiet and vouch
-/// bitmaps, whose views are one bit of a shared word; the retry-armed
-/// bitmap and its deadlines, materialized only under a retry policy;
-/// and the SIG baseline, materialized only under [`Scheme::Sig`].
+/// [`HeldCache`] that keeps the index in step; the vouch bitmap, whose
+/// view is one bit of a shared word; the retry deadlines, materialized
+/// only under a retry policy; and the SIG baseline, materialized only
+/// under [`Scheme::Sig`].
 macro_rules! client_columns {
     ($cfg:ident => $( $(#[$doc:meta])* $col:ident: $ty:ty = $init:expr, )*) => {
         /// Every per-client column, indexed by client.
@@ -86,13 +86,6 @@ macro_rules! client_columns {
             /// Item → the clients whose cache holds it.
             holders: Holders,
             /// Bit `i` set iff client `i` is vouchable (see
-            /// `vouch_predicate`) with an empty cache and no retry armed,
-            /// so no report of any kind can change it beyond its `Tlb`.
-            /// Recomputed only by `ClientMut`'s `Drop`, and cleared by
-            /// [`ClientPop::start_query`]. Tail bits beyond `len()` are
-            /// zero.
-            quiet: Vec<u64>,
-            /// Bit `i` set iff client `i` is vouchable (see
             /// `vouch_predicate`): a report that covers its `Tlb`, and
             /// finds any retry it has armed not yet due, changes it
             /// beyond `Tlb` and the cache's vouch time only through the
@@ -100,9 +93,13 @@ macro_rules! client_columns {
             /// `Drop`, and cleared by [`ClientPop::start_query`]. Tail
             /// bits beyond `len()` are zero.
             vouch: Vec<u64>,
-            /// The retry-armed clients and their deadlines; `None`
+            /// Client `i`'s earliest retry deadline, in seconds (see
+            /// `earliest_deadline`), or infinity while it has no request
+            /// out. Recomputed only by `ClientMut`'s `Drop`: a client
+            /// with no query has no request out, so
+            /// [`ClientPop::start_query`] finds it infinite. `None`
             /// unless the configuration has a retry policy.
-            armed: Option<Armed>,
+            deadline: Option<Vec<f64>>,
             /// Stored combined signatures; `None` unless the scheme is
             /// [`Scheme::Sig`].
             sig_baseline: Option<Vec<Option<Vec<u64>>>>,
@@ -111,20 +108,15 @@ macro_rules! client_columns {
         impl Columns {
             /// The columns of `n` fresh clients.
             fn new($cfg: &ClientConfig, n: usize) -> Self {
-                let fresh = || match $cfg.scheme {
-                    Scheme::Sig => vec![0; n.div_ceil(64)],
-                    _ => ones(n),
-                };
                 Columns {
                     $( $col: (0..n).map(|_| $init).collect(), )*
                     cache: (0..n).map(|_| LruCache::new($cfg.cache_capacity)).collect(),
                     holders: Holders::new(),
-                    quiet: fresh(),
-                    vouch: fresh(),
-                    armed: $cfg.retry.is_some().then(|| Armed {
-                        bits: vec![0; n.div_ceil(64)],
-                        deadline: vec![0.0; n],
-                    }),
+                    vouch: match $cfg.scheme {
+                        Scheme::Sig => vec![0; n.div_ceil(64)],
+                        _ => ones(n),
+                    },
+                    deadline: $cfg.retry.is_some().then(|| vec![f64::INFINITY; n]),
                     sig_baseline: ($cfg.scheme == Scheme::Sig).then(|| vec![None; n]),
                 }
             }
@@ -137,8 +129,8 @@ macro_rules! client_columns {
                     cfg,
                     $( $col: &mut self.$col[i], )*
                     cache: HeldCache::new(&mut self.cache[i], &mut self.holders, i),
-                    flags: (&mut self.quiet[i / 64], &mut self.vouch[i / 64], 1 << (i % 64)),
-                    armed: self.armed.as_mut().map(|a| (&mut a.bits[i / 64], &mut a.deadline[i])),
+                    vouch: (&mut self.vouch[i / 64], 1 << (i % 64)),
+                    deadline: self.deadline.as_mut().map(|col| &mut col[i]),
                     sig_baseline: self.sig_baseline.as_mut().map(|col| &mut col[i]),
                 }
             }
@@ -152,12 +144,11 @@ macro_rules! client_columns {
             $( $col: &'a mut $ty, )*
             /// The client's cache and the holders index.
             cache: HeldCache<'a>,
-            /// The client's words of the quiet and vouch bitmaps, and its
-            /// bit there.
-            flags: (&'a mut u64, &'a mut u64, u64),
-            /// The client's word of the retry-armed bitmap and its
-            /// deadline; `None` unless the population materialized them.
-            armed: Option<(&'a mut u64, &'a mut f64)>,
+            /// The client's word of the vouch bitmap, and its bit there.
+            vouch: (&'a mut u64, u64),
+            /// The client's retry deadline; `None` unless the population
+            /// materialized the column.
+            deadline: Option<&'a mut f64>,
             /// `None` unless the population materialized the SIG column.
             sig_baseline: Option<&'a mut Option<Vec<u64>>>,
         }
@@ -185,21 +176,6 @@ client_columns! {
     stale_scratch: Vec<ItemId> = Vec::new(),
     /// Behaviour counters.
     counters: ClientCounters = ClientCounters::default(),
-}
-
-/// The retry columns of a population whose configuration has a retry
-/// policy. A client is *retry-armed* while it has a data or validity
-/// request in flight, which a report re-sends once its backoff deadline
-/// has passed (`ClientMut::retry_pending_requests`).
-struct Armed {
-    /// Bit `i` set iff client `i` is retry-armed. Recomputed only by
-    /// `ClientMut`'s `Drop`: a client with no query is never armed, so
-    /// [`ClientPop::start_query`] finds it clear. Tail bits beyond
-    /// `len()` are zero.
-    bits: Vec<u64>,
-    /// Client `i`'s earliest retry deadline, in seconds (see
-    /// `earliest_deadline`); meaningful only while its bit is set.
-    deadline: Vec<f64>,
 }
 
 /// A bitmap of `n` set bits, tail bits zero.
@@ -355,12 +331,6 @@ impl ClientPop {
         &self.connected_bits
     }
 
-    /// The quiet flags as bitmap words (bit `i` = [`ClientPop::is_quiet`]
-    /// of client `i`). A quiet client's cache is empty.
-    pub fn quiet_words(&self) -> &[u64] {
-        &self.col.quiet
-    }
-
     /// Number of cells the population is spread over.
     pub fn cells(&self) -> u32 {
         self.cell_bits.len() as u32
@@ -459,21 +429,6 @@ impl ClientPop {
         &self.col.pending[i]
     }
 
-    /// The stored quiet flag of client `i`: `true` when a report of any
-    /// kind would change nothing of it but its `Tlb`.
-    pub fn is_quiet(&self, i: usize) -> bool {
-        bit(&self.col.quiet, i)
-    }
-
-    /// The quiet predicate re-derived from client `i`'s columns (the
-    /// vouch predicate, no retry armed and an empty cache); the stored
-    /// flag must always equal it.
-    pub fn quiet_from_columns(&self, i: usize) -> bool {
-        self.vouchable_from_columns(i)
-            && earliest_deadline(&self.cfg, &self.col.pending[i]).is_none()
-            && self.col.cache[i].is_empty()
-    }
-
     /// The stored vouch flag of client `i`: `true` when a report that
     /// covers its `Tlb`, delivered before its retry deadline, could
     /// change it only through the cached items the report marks, beyond
@@ -499,8 +454,8 @@ impl ClientPop {
     /// its items. A report delivered at `now < deadline` re-sends
     /// nothing.
     pub fn retry_deadline(&self, i: usize) -> Option<f64> {
-        let armed = self.col.armed.as_ref()?;
-        bit(&armed.bits, i).then(|| armed.deadline[i])
+        let deadline = self.col.deadline.as_ref()?[i];
+        deadline.is_finite().then_some(deadline)
     }
 
     /// Applies `report`, which cell `cell` broadcast, to every vouched
@@ -509,23 +464,22 @@ impl ClientPop {
     /// stamped. `plan` must be this tick's decode of `report` for the
     /// cell's epoch ([`PlanCache::decode_for_tick`]).
     ///
-    /// A listener is vouched when it is quiet (no report of any kind
-    /// can change it beyond its `Tlb`), or when it is vouchable (no
-    /// gap, nothing waiting on a report), any retry it has armed is not
-    /// yet due at `now`, its `Tlb` is the epoch, the report covers the
-    /// epoch, and its cache holds none of the items the plan marks (the
-    /// holders index names those clients). Every report arm then does
+    /// A listener is vouched when it is vouchable (no gap, nothing
+    /// waiting on a report), any retry it has armed is not yet due at
+    /// `now`, its `Tlb` is the epoch, the report covers the epoch, and
+    /// its cache holds none of the items the plan marks (the holders
+    /// index names those clients). Every report arm then does
     /// exactly `Tlb ← T_i` and `revalidate_all(T_i)` to it, for the
     /// report's broadcast time `T_i`: a window or AT report covers its
     /// `Tlb`, BS selects the plan's bucket, its stale set, the marked
     /// items it caches, is empty, and the retry pass re-sends nothing.
     ///
-    /// The pass works a word at a time and touches no client column: a
+    /// The pass works a word at a time and writes no client column: a
     /// vouched listener's `Tlb` and cache vouch time become the cell's
-    /// new epoch through its `stamped` bit. A retry-armed candidate
-    /// costs one load of its deadline. Only a stamped member of the
-    /// cell that is not stamped again — one the fault layer made lose
-    /// the report, or one the report can change — is materialized
+    /// new epoch through its `stamped` bit. Under a retry policy, each
+    /// candidate costs one load of its deadline. Only a stamped member
+    /// of the cell that is not stamped again — one the fault layer made
+    /// lose the report, or one the report can change — is materialized
     /// first, so it keeps the previous epoch.
     ///
     /// `words` must hold only connected members of `cell`, and `now`
@@ -557,29 +511,27 @@ impl ClientPop {
             let members = self.cell_bits[c][k];
             debug_assert_eq!(*word & !members, 0, "word {k} outside cell {c}");
             debug_assert_eq!(*word & !self.connected_bits[k], 0, "word {k} not listening");
-            let mut vouched = 0;
+            let mut stamp = 0;
             if covered {
                 // A stamped client is at the epoch; any other one is if
                 // its `tlb` cell says so (it heard the last report).
-                vouched = *word & self.col.vouch[k] & !self.col.quiet[k] & !self.held[k];
-                let unstamped = vouched & !self.stamped[k];
+                stamp = *word & self.col.vouch[k] & !self.held[k];
+                let unstamped = stamp & !self.stamped[k];
                 for_each_set_bit(&[unstamped], 0..64, |b| {
                     if self.col.tlb[k * 64 + b] != epoch {
-                        vouched &= !(1 << b);
+                        stamp &= !(1 << b);
                     }
                 });
-                // A retry-armed candidate is walked once one of its
-                // requests is due: the walk's retry pass re-sends it.
-                if let Some(armed) = &self.col.armed {
-                    for_each_set_bit(&[vouched & armed.bits[k]], 0..64, |b| {
-                        if now.as_secs() < armed.deadline[k * 64 + b] {
-                            return;
+                // A candidate is walked once one of its requests is due:
+                // the walk's retry pass re-sends it.
+                if let Some(deadline) = &self.col.deadline {
+                    for_each_set_bit(&[stamp], 0..64, |b| {
+                        if now.as_secs() >= deadline[k * 64 + b] {
+                            stamp &= !(1 << b);
                         }
-                        vouched &= !(1 << b);
                     });
                 }
             }
-            let stamp = *word & (self.col.quiet[k] | vouched);
             // Still at the previous epoch, which is what a member that
             // misses this report keeps and what a walked one starts from.
             let off = self.stamped[k] & members & !stamp;
@@ -589,10 +541,9 @@ impl ClientPop {
                 let i = k * 64 + b;
                 let cache = &self.col.cache[i];
                 assert!(
-                    self.quiet_from_columns(i)
-                        || (self.vouchable_from_columns(i)
-                            && self.tlb(i) == epoch
-                            && plan.marked().all(|item| !cache.is_resident(item))),
+                    self.vouchable_from_columns(i)
+                        && self.tlb(i) == epoch
+                        && plan.marked().all(|item| !cache.is_resident(item)),
                     "client {i} stamped but not vouched"
                 );
                 let period = self.cfg.broadcast_period_secs;
@@ -642,7 +593,6 @@ impl ClientPop {
         self.materialize(i);
         // Its items wait on the next report. It has no request out:
         // the view that closed its last query left it unarmed.
-        set_bit(&mut self.col.quiet, i, false);
         set_bit(&mut self.col.vouch, i, false);
         debug_assert!(
             self.retry_deadline(i).is_none(),
@@ -717,25 +667,17 @@ fn earliest_deadline(cfg: &ClientConfig, pending: &[PendingItem]) -> Option<f64>
         .reduce(f64::min)
 }
 
-/// Every handler runs through a view, so refreshing the quiet, vouch
-/// and retry-armed flags when the view goes away keeps them exact on
-/// every path. The predicates cannot panic, as `Drop` also runs while a
+/// Every handler runs through a view, so refreshing the vouch flag and
+/// the retry deadline when the view goes away keeps them exact on every
+/// path. The predicates cannot panic, as `Drop` also runs while a
 /// handler unwinds.
 impl Drop for ClientMut<'_> {
     fn drop(&mut self) {
         let vouchable = vouch_predicate(self.cfg, self.gap, *self.reconnect_pending, self.pending);
-        let (quiet, vouch, bit) = (&mut *self.flags.0, &mut *self.flags.1, self.flags.2);
-        let mut armed = false;
-        if let Some((word, at)) = &mut self.armed {
-            let deadline = earliest_deadline(self.cfg, self.pending);
-            if let Some(deadline) = deadline {
-                **at = deadline;
-            }
-            armed = deadline.is_some();
-            set_masked(word, bit, armed);
+        set_masked(self.vouch.0, self.vouch.1, vouchable);
+        if let Some(at) = &mut self.deadline {
+            **at = earliest_deadline(self.cfg, self.pending).unwrap_or(f64::INFINITY);
         }
-        set_masked(quiet, bit, vouchable && !armed && self.cache.is_empty());
-        set_masked(vouch, bit, vouchable);
     }
 }
 
@@ -1733,6 +1675,35 @@ mod tests {
         (stamped, actions)
     }
 
+    /// The arm choice at the `bigdb` shape: over a 40 000-item window
+    /// plan (625 words) a full 800-item cache takes the word-wise
+    /// intersection, and a 5-item cache spread over the same ids probes
+    /// its items one by one.
+    #[test]
+    fn plan_profitable_picks_the_word_arm_for_full_caches_only() {
+        let db = 40_000;
+        let records = (0..40).map(|k| (k * 1_000, 10.0)).collect();
+        let report = window(20.0, -180.0, records);
+        let mut plan = PlanCache::new();
+        plan.decode_for_tick(&report, SimTime::ZERO, db);
+        for (len, stride, arm) in [(800, 50, (1, 0)), (5, 9_999, (0, 1))] {
+            let mut pop = ClientPop::new(
+                ClientConfig {
+                    cache_capacity: 800,
+                    ..cfg(Scheme::Aaw)
+                },
+                1,
+            );
+            let mut client = pop.client_mut(0);
+            for k in 0..len {
+                client.on_snooped_data(t(1.0), ItemId(k * stride), t(0.5));
+            }
+            let mut stats = PlanStats::default();
+            client.on_report_planned(t(20.0), &report, &plan, &mut Vec::new(), &mut stats);
+            assert_eq!((stats.hits, stats.misses), arm, "{len}-item cache");
+        }
+    }
+
     /// The stamp and the retry pass compare one deadline with one strict
     /// `<`: a retry-armed client whose deadline is the report's delivery
     /// time is walked and re-sends its request, and one a report
@@ -1751,7 +1722,7 @@ mod tests {
             // retry waits two periods: due at 60 s.
             assert_eq!(deliver(&mut pop, 20.0, t(20.0)), (0, vec![request.clone()]));
             assert_eq!(pop.retry_deadline(0), Some(60.0));
-            assert!(pop.is_vouchable(0) && !pop.is_quiet(0));
+            assert!(pop.is_vouchable(0));
             assert_eq!(deliver(&mut pop, 40.0, t(40.0)), (1, vec![]));
             let (stamped, actions) = deliver(&mut pop, 50.0, t(now));
             assert_eq!(pop.tlb(0), t(50.0));

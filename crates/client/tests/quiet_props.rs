@@ -1,13 +1,15 @@
 //! The vouched-stamp rule of the report fan-out, checked against the
-//! handler it short-cuts. A client whose quiet flag is set — empty
-//! cache, no open gap, no pending reconnection, and no query a report
-//! could move — must come out of *any* report exactly as a `Tlb` stamp
-//! leaves it: no actions, every other column unchanged, and the same
-//! behaviour from then on. Random client histories drive all eight
-//! schemes, with and without a retry policy, under both checking modes;
-//! after every step the stored quiet and vouch flags must equal the
-//! predicates re-derived from the columns. A population-level case runs
-//! the stamp-plus-walk fan-out against walking every delivered client.
+//! handler it short-cuts. A *quiet* client — vouchable (no open gap, no
+//! pending reconnection, no query item waiting on a report), no retry
+//! armed and an empty cache — must come out of *any* report exactly as
+//! a `Tlb` stamp leaves it: no actions, every other column unchanged,
+//! and the same behaviour from then on. Random client histories drive
+//! all eight schemes, with and without a retry policy, under both
+//! checking modes; after every step the stored vouch flag and retry
+//! deadline must equal the predicates re-derived from the columns. A
+//! population-level case runs the stamp-plus-walk fan-out against
+//! walking every delivered client, and checks that the stamp serves
+//! exactly the listeners the vouched rule names.
 //! Two multi-cell cases run the stamp's lazy `Tlb` and cache vouch time
 //! (each cell's broadcast epoch) in lockstep with an eager population
 //! that walks every listener and a plain `Tlb` per client, through
@@ -198,7 +200,8 @@ impl Harness {
     /// Delivers `payload` to every connected client, stamping the
     /// vouched ones unless under [`Fanout::WalkAll`] and walking the rest
     /// through `client_mut` in index order, and returns the non-empty
-    /// action lists in client order.
+    /// action lists in client order. The stamp must serve exactly the
+    /// listeners [`vouched`] names.
     fn broadcast(
         &mut self,
         payload: &ReportPayload,
@@ -216,14 +219,21 @@ impl Harness {
         self.prev_at = at;
         let mut walk = self.pop.connected_words().to_vec();
         if let Fanout::Stamp = fanout {
-            let listeners = |words: &[u64]| words.iter().map(|w| w.count_ones()).sum::<u32>();
-            let heard = listeners(&walk);
-            let quiet = (0..self.pop.len())
-                .filter(|&i| self.pop.is_connected(i) && self.pop.is_quiet(i))
-                .count();
+            let expected: Vec<bool> = (0..self.pop.len())
+                .map(|i| self.pop.is_connected(i) && vouched(&self.pop, payload, &self.plan, at, i))
+                .collect();
             let stamped = self.pop.stamp(0, &mut walk, payload, &self.plan, at);
-            assert!(stamped >= quiet as u64, "every quiet listener is stamped");
-            assert_eq!(stamped + u64::from(listeners(&walk)), u64::from(heard));
+            for (i, &vouched) in expected.iter().enumerate() {
+                let walked = walk[i / 64] & (1 << (i % 64)) != 0;
+                let heard = self.pop.is_connected(i);
+                assert_eq!(
+                    (heard && !walked),
+                    vouched,
+                    "client {i} stamped iff vouched"
+                );
+            }
+            let vouched = expected.iter().filter(|&&v| v).count();
+            assert_eq!(stamped, vouched as u64);
         }
         let mut out = Vec::new();
         for i in (0..self.pop.len()).filter(|&i| walk[i / 64] & (1 << (i % 64)) != 0) {
@@ -332,6 +342,38 @@ impl Harness {
     }
 }
 
+/// The vouched rule, re-derived from client `i`'s observable state for a
+/// report of cell 0 delivered at `at` (its broadcast time), with `plan`
+/// its decode for the cell's epoch: the client is vouchable, at the
+/// epoch, any retry it has armed is not yet due, the report covers the
+/// epoch and the client caches none of the items the plan marks.
+fn vouched(
+    pop: &ClientPop,
+    payload: &ReportPayload,
+    plan: &PlanCache,
+    at: SimTime,
+    i: usize,
+) -> bool {
+    let epoch = pop.epoch(0);
+    let covered = match payload {
+        ReportPayload::Window(w) => w.covers(epoch),
+        ReportPayload::At(report) => report.covers(epoch),
+        ReportPayload::BitSeq(bs) => bs.select(epoch) != BsSelect::DropAll,
+        ReportPayload::Sig(..) => false,
+    };
+    covered
+        && pop.is_vouchable(i)
+        && pop.tlb(i) == epoch
+        && pop.retry_deadline(i).is_none_or(|d| at.as_secs() < d)
+        && plan.marked().all(|item| !pop.cache(i).is_resident(item))
+}
+
+/// A quiet client: vouchable, no retry armed and an empty cache, so no
+/// report of any kind can change it beyond its `Tlb`.
+fn quiet(pop: &ClientPop, i: usize) -> bool {
+    pop.is_vouchable(i) && pop.retry_deadline(i).is_none() && pop.cache(i).is_empty()
+}
+
 /// Everything observable of client `i`.
 #[derive(Debug, PartialEq)]
 struct Observed {
@@ -339,7 +381,7 @@ struct Observed {
     connected: bool,
     pending_query: bool,
     open_gap: bool,
-    quiet: bool,
+    vouchable: bool,
     pending: Vec<PendingItem>,
     counters: ClientCounters,
     evictions: u64,
@@ -356,7 +398,7 @@ fn observe(pop: &ClientPop, i: usize) -> Observed {
         connected: pop.is_connected(i),
         pending_query: pop.has_pending_query(i),
         open_gap: pop.has_open_gap(i),
-        quiet: pop.is_quiet(i),
+        vouchable: pop.is_vouchable(i),
         pending: pop.pending_items(i).to_vec(),
         counters: pop.counters(i),
         evictions: cache.evictions(),
@@ -381,7 +423,6 @@ fn deadline_from_pending(pop: &ClientPop, i: usize) -> Option<f64> {
 
 fn flags_exact(pop: &ClientPop) -> Result<(), TestCaseError> {
     for i in 0..pop.len() {
-        prop_assert_eq!(pop.is_quiet(i), pop.quiet_from_columns(i), "client {}", i);
         prop_assert_eq!(
             pop.is_vouchable(i),
             pop.vouchable_from_columns(i),
@@ -395,7 +436,6 @@ fn flags_exact(pop: &ClientPop) -> Result<(), TestCaseError> {
             i
         );
         if pop.config().scheme == Scheme::Sig {
-            prop_assert!(!pop.is_quiet(i), "a SIG client is never quiet");
             prop_assert!(!pop.is_vouchable(i), "a SIG client is never vouchable");
         }
     }
@@ -736,8 +776,6 @@ impl Lockstep {
         for i in 0..self.tlb.len() {
             prop_assert_eq!(pop.tlb(i), self.tlb[i], "client {}", i);
             prop_assert_eq!(eager.tlb(i), self.tlb[i], "client {}", i);
-            prop_assert_eq!(pop.is_quiet(i), eager.is_quiet(i), "client {}", i);
-            prop_assert_eq!(pop.is_vouchable(i), eager.is_vouchable(i), "client {}", i);
             prop_assert_eq!(pop.cell_of(i), eager.cell_of(i), "client {}", i);
             prop_assert_eq!(observe(pop, i), observe(eager, i), "client {}", i);
         }
@@ -757,10 +795,10 @@ impl Lockstep {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// At every point of a history where the client reads quiet, every
-    /// report kind applied through the handler leaves it exactly as the
-    /// fan-out's stamp does — then both copies replay the rest of the
-    /// history in lockstep.
+    /// At every point of a history where the client is quiet, every
+    /// report kind applied through the handler leaves it exactly as a
+    /// `Tlb` stamp does — then it and a copy whose fan-out stamps replay
+    /// the rest of the history in lockstep.
     #[test]
     fn a_quiet_client_takes_any_report_as_a_stamp(
         scheme in 0usize..8,
@@ -774,7 +812,7 @@ proptest! {
         let mut quiet_at = Vec::new();
         for k in 0..=steps.len() {
             flags_exact(&h.pop)?;
-            if h.pop.is_connected(0) && h.pop.is_quiet(0) {
+            if h.pop.is_connected(0) && quiet(&h.pop, 0) {
                 quiet_at.push(k);
             }
             if let Some(s) = steps.get(k) {
@@ -821,7 +859,7 @@ proptest! {
         }
     }
 
-    /// A whole population, stamping its quiet clients and walking the
+    /// A whole population, stamping its vouched clients and walking the
     /// rest, emits the same actions and ends every step in the same
     /// state as one walking every delivered client, at population sizes
     /// that leave a partial last bitmap word.
@@ -955,17 +993,17 @@ fn vouched_stamp_matches_an_eager_walk() {
     assert_retry_arm_reached(arm);
 }
 
-/// The start state: every client of a non-SIG population is quiet, a
-/// query with an item waiting on the next report makes its client
-/// loud, and the stamp serves exactly the quiet ones.
+/// The start state: every client of a non-SIG population is vouchable,
+/// a query with an item waiting on the next report makes its client
+/// unvouchable, and the stamp serves exactly the vouchable ones.
 #[test]
 fn fresh_clients_are_quiet_until_they_wait_on_a_report() {
     let mut pop = ClientPop::new(cfg(Scheme::Aaw, false, true), 70);
-    assert!((0..70).all(|i| pop.is_quiet(i)));
+    assert!((0..70).all(|i| pop.is_vouchable(i)));
     pop.start_query(3, t(1.0), &[ItemId(5)]);
     pop.start_query(66, t(1.0), &[ItemId(5)]);
-    assert!(!pop.is_quiet(3) && !pop.is_quiet(66));
-    assert!(!pop.quiet_from_columns(3));
+    assert!(!pop.is_vouchable(3) && !pop.is_vouchable(66));
+    assert!(!pop.vouchable_from_columns(3));
     let report = ReportPayload::Window(WindowReport {
         broadcast_at: t(20.0),
         window_start: t(-180.0),
@@ -980,5 +1018,5 @@ fn fresh_clients_are_quiet_until_they_wait_on_a_report() {
     assert_eq!((pop.tlb(0), pop.tlb(3)), (t(20.0), SimTime::ZERO));
 
     let sig = ClientPop::new(cfg(Scheme::Sig, false, true), 3);
-    assert!((0..3).all(|i| !sig.is_quiet(i) && !sig.quiet_from_columns(i)));
+    assert!((0..3).all(|i| !sig.is_vouchable(i) && !sig.vouchable_from_columns(i)));
 }

@@ -80,12 +80,12 @@ impl Broadcast {
         let plan = &mut self.plans[cell];
         plan.decode_for_tick(report, clients.epoch(cell as u32), self.db_size);
         // Stamp: a vouched client (no gap, nothing waiting on a report,
-        // and an empty cache or, at the epoch of a report that covers
-        // it, none of the items the plan marks and no retry due at
-        // `now`) can only take the new `Tlb` and a cache revalidation,
-        // so it gets exactly that — the cell's new epoch, one word
-        // operation per 64 clients — and is not walked. The holders
-        // index names the clients a plan marks.
+        // and, at the epoch of a report that covers it, none of the
+        // items the plan marks and no retry due at `now`) can only take
+        // the new `Tlb` and a cache revalidation, so it gets exactly
+        // that — the cell's new epoch, one word operation per 64
+        // clients — and is not walked. The holders index names the
+        // clients a plan marks.
         let walk = &mut self.walk_words;
         walk.clone_from(&self.deliver_words);
         self.fanout_quiet += clients.stamp(cell as u32, walk, report, plan, now);

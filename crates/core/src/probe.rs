@@ -303,13 +303,14 @@ interval_snapshot! {
     /// (absolute, cumulative) — 64 dozing/unlucky clients apiece that
     /// cost one word load instead of 64 per-client branches.
     fanout_words_skipped: u64,
-    /// Report deliveries to stamped (vouched) listeners so far
-    /// (absolute, cumulative): the client had no open gap and nothing
-    /// waiting on a report, and its cache was empty or, at its cell's
-    /// epoch under a report covering it, held none of the items the
-    /// report marks — so the report could do nothing but set its `Tlb`
-    /// and revalidate its cache. Stamped clients are not plan
-    /// applications.
+    /// Stamped deliveries so far (absolute, cumulative): report
+    /// deliveries to vouched listeners, which had no open gap, nothing
+    /// waiting on a report and no retry due, were at their cell's epoch
+    /// under a report covering it, and cached none of the items the
+    /// report marks — so the report could do nothing but set their `Tlb`
+    /// and revalidate their cache. Stamped clients are not plan
+    /// applications. The key keeps its older name: the trace schema is
+    /// pinned.
     fanout_quiet: u64,
     /// Report deliveries walked through the client handler so far
     /// (absolute, cumulative). `fanout_quiet + fanout_walked` is the

@@ -201,16 +201,6 @@ impl Server {
         }
     }
 
-    /// The scheme this server runs.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
-    /// The signature parameters (used by `SIG` clients).
-    pub fn signer(&self) -> Signer {
-        self.signer
-    }
-
     /// Read access to the update history (the simulation oracle uses
     /// this as ground truth). Its index reads need a settled log, which
     /// every report build leaves behind.

@@ -30,11 +30,6 @@ impl Exp {
         Exp { mean }
     }
 
-    /// The configured mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
     /// Draws a sample via inverse-transform: `-mean * ln(U)`, `U ∈ (0, 1]`.
     #[inline]
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
@@ -48,7 +43,6 @@ impl Exp {
 /// 10 items per query), where Knuth's method is both exact and fast.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Poisson {
-    mean: f64,
     exp_neg_mean: f64,
 }
 
@@ -64,14 +58,8 @@ impl Poisson {
             "Poisson mean must be in (0, 700), got {mean}"
         );
         Poisson {
-            mean,
             exp_neg_mean: (-mean).exp(),
         }
-    }
-
-    /// The configured mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
     }
 
     /// Draws a sample.
@@ -111,26 +99,6 @@ impl UniformRange {
     pub fn new_inclusive(lo: u64, hi: u64) -> Self {
         assert!(lo <= hi, "empty uniform range [{lo}, {hi}]");
         UniformRange { lo, hi }
-    }
-
-    /// Lower bound (inclusive).
-    pub fn lo(&self) -> u64 {
-        self.lo
-    }
-
-    /// Upper bound (inclusive).
-    pub fn hi(&self) -> u64 {
-        self.hi
-    }
-
-    /// Number of values in the range.
-    pub fn len(&self) -> u64 {
-        self.hi - self.lo + 1
-    }
-
-    /// `true` when the range holds a single value.
-    pub fn is_empty(&self) -> bool {
-        false // by construction the range is never empty
     }
 
     /// Draws a sample.
@@ -250,12 +218,14 @@ mod tests {
     #[test]
     fn uniform_range_bounds() {
         let d = UniformRange::new_inclusive(10, 19);
-        assert_eq!(d.len(), 10);
         let mut r = rng();
+        let mut seen = [false; 10];
         for _ in 0..10_000 {
             let v = d.sample(&mut r);
             assert!((10..=19).contains(&v));
+            seen[(v - 10) as usize] = true;
         }
+        assert!(seen.iter().all(|&s| s), "every value of the range drawn");
     }
 
     #[test]

@@ -234,9 +234,10 @@ fn fault_injection_digests_are_thread_invariant() {
 /// the struct-of-arrays client core reproduces itself, and ignores
 /// `threads`.
 ///
-/// Almost every client is quiet on almost every tick, so the fan-out
-/// stamps them and walks only the rest: the run is cheap enough for the
-/// debug suite. `scripts/ci.sh` also runs it in release.
+/// Almost every client is vouched on almost every tick (at its cell's
+/// epoch, caching none of the report's items), so the fan-out stamps
+/// them and walks only the rest: the run is cheap enough for the debug
+/// suite. `scripts/ci.sh` also runs it in release.
 #[test]
 fn hundred_k_clients_digest_is_thread_invariant() {
     let mut cfg = SimConfig::paper_default().with_scheme(Scheme::Aaw);

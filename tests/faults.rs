@@ -232,5 +232,5 @@ fn retry_armed_fault_run_stamps_most_deliveries() {
     let s = sampler.snapshots().last().expect("non-empty series");
     let share = s.fanout_quiet as f64 / (s.fanout_quiet + s.fanout_walked) as f64;
     // 0.78 at the default seed; 0.10 when every armed client was walked.
-    assert!(share > 0.5, "quiet share {share}: {s:?}");
+    assert!(share > 0.5, "stamped share {share}: {s:?}");
 }

@@ -419,12 +419,12 @@ fn fanout_counters_split_report_deliveries() {
         let share = s.fanout_quiet as f64 / delivered as f64;
         assert!(
             share >= 0.9,
-            "quiet share {share} at p_disconnect {p_disconnect}"
+            "stamped share {share} at p_disconnect {p_disconnect}"
         );
         assert!(s.plan_hits + s.plan_misses <= s.fanout_walked, "{s:?}");
     }
 
-    // SIG stores a baseline on every report: no client is ever quiet.
+    // SIG stores a baseline on every report: no client is ever stamped.
     let mut sampler = IntervalSampler::every(10);
     run(
         &short_cfg(Scheme::Sig),
@@ -434,4 +434,61 @@ fn fanout_counters_split_report_deliveries() {
     let s = sampler.snapshots().last().expect("non-empty series");
     assert_eq!(s.fanout_quiet, 0);
     assert!(s.fanout_walked > 0);
+}
+
+/// A three-cell roaming population that dozes and loses nothing: every
+/// report reaches every listener of its cell.
+fn roaming_three_cell_cfg(scheme: Scheme) -> SimConfig {
+    let mut cfg = short_cfg(scheme).with_cells(CellTopology {
+        cells: 3,
+        mean_residency_secs: 300.0,
+        handoff_secs: 12.0,
+        p_roam: 0.8,
+    });
+    cfg.p_disconnect = 0.2;
+    cfg
+}
+
+/// A run's final `(fanout_quiet, fanout_walked, plan_hits,
+/// plan_misses)`.
+type Fanout = (u64, u64, u64, u64);
+
+/// The final snapshot's fan-out counters of a run.
+fn fanout_of(cfg: &SimConfig) -> Fanout {
+    let mut sampler = IntervalSampler::every(10);
+    run(cfg, RunOptions::new().probe(&mut sampler)).expect("valid config");
+    let s = sampler.snapshots().last().expect("non-empty series");
+    (s.fanout_quiet, s.fanout_walked, s.plan_hits, s.plan_misses)
+}
+
+/// Which deliveries a run that loses no report stamps and which it
+/// walks, and which plan arm served each walked client:
+/// `(scheme, short_cfg, roaming_three_cell_cfg)`. A client the fan-out
+/// walks where it used to stamp shows up here, though no digest moves.
+const FANOUT_PIN: &[(Scheme, Fanout, Fanout)] = &[
+    (Scheme::TsNoCheck, (1231, 247, 238, 9), (672, 216, 190, 26)),
+    (Scheme::At, (1237, 241, 216, 12), (671, 216, 128, 44)),
+    (
+        Scheme::SimpleChecking,
+        (1227, 250, 245, 5),
+        (671, 217, 210, 7),
+    ),
+    (Scheme::Bs, (1234, 245, 47, 10), (670, 218, 31, 26)),
+    (Scheme::Afw, (1219, 258, 237, 13), (662, 226, 199, 21)),
+    (Scheme::Aaw, (1218, 259, 245, 11), (662, 226, 203, 20)),
+    (Scheme::Sig, (0, 1479, 0, 0), (0, 888, 0, 0)),
+    (Scheme::Gcore, (1230, 248, 241, 7), (671, 217, 201, 16)),
+];
+
+#[test]
+fn fanout_of_lossless_runs_is_pinned() {
+    assert_eq!(FANOUT_PIN.len(), Scheme::ALL.len());
+    for &(scheme, single, roaming) in FANOUT_PIN {
+        assert_eq!(fanout_of(&short_cfg(scheme)), single, "{scheme:?}");
+        assert_eq!(
+            fanout_of(&roaming_three_cell_cfg(scheme)),
+            roaming,
+            "{scheme:?} roaming"
+        );
+    }
 }
