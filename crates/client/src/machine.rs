@@ -743,14 +743,14 @@ mod tests {
     #[test]
     fn sig_client_uses_baseline() {
         let mut c = Solo::new(cfg(Scheme::Sig));
-        let signer = mobicache_reports::Signer::new(16, 32, 1);
+        let signer = mobicache_reports::Signer::new(16, 32, 1, 32);
         let versions = vec![SimTime::ZERO; 32];
         let sig0 = ReportPayload::Sig(
             mobicache_reports::SigReport {
                 broadcast_at: t(20.0),
                 combined: signer.combine(&versions),
             },
-            signer,
+            signer.clone(),
         );
         // First report: no baseline yet, cache empty, fine.
         c.start_query(t(5.0), vec![ItemId(3)]);
@@ -766,7 +766,7 @@ mod tests {
                 broadcast_at: t(40.0),
                 combined: signer.combine(&versions),
             },
-            signer,
+            signer.clone(),
         );
         c.on_report(t(40.0), &sig1);
         assert!(c.cache().peek(ItemId(3)).is_some());

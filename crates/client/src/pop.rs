@@ -25,6 +25,8 @@
 //! Per-scheme column groups are materialized only for the active
 //! scheme: the `SIG` baseline column exists only when the population
 //! runs [`Scheme::Sig`], so the other seven schemes pay nothing for it.
+//! A baseline is the shared buffer of the last report its client heard,
+//! never a per-client copy.
 //! Likewise the retry deadlines exist only under a retry policy, so
 //! fault-free runs carry no retry column.
 
@@ -33,10 +35,15 @@ use crate::machine::{ClientAction, ClientConfig, ClientCounters};
 use crate::query::{PendingItem, PendingState, QueryHeader};
 use mobicache_cache::{CacheEntry, EntryState, LruCache};
 use mobicache_model::{CheckingMode, ItemId, Scheme, UplinkKind};
-use mobicache_reports::{BsSelect, PlanCache, PlanStats, ReportPayload, SigDecision};
+use mobicache_reports::{BsSelect, PlanCache, PlanStats, ReportPayload};
 use mobicache_sim::bits::for_each_set_bit;
 use mobicache_sim::SimTime;
 use std::collections::HashSet;
+use std::sync::Arc;
+
+/// A client's stored combined signatures: the buffer of the last `SIG`
+/// report it heard (`None` before the first).
+type Baseline = Option<Arc<[u64]>>;
 
 /// A reconnection gap: the period of history the client missed and has
 /// not yet been vouched for.
@@ -101,8 +108,9 @@ macro_rules! client_columns {
             /// unless the configuration has a retry policy.
             deadline: Option<Vec<f64>>,
             /// Stored combined signatures; `None` unless the scheme is
-            /// [`Scheme::Sig`].
-            sig_baseline: Option<Vec<Option<Vec<u64>>>>,
+            /// [`Scheme::Sig`]. A stamped client's lives in its cell's
+            /// epoch signatures until `ClientPop::materialize`.
+            sig_baseline: Option<Vec<Baseline>>,
         }
 
         impl Columns {
@@ -112,6 +120,8 @@ macro_rules! client_columns {
                     $( $col: (0..n).map(|_| $init).collect(), )*
                     cache: (0..n).map(|_| LruCache::new($cfg.cache_capacity)).collect(),
                     holders: Holders::new(),
+                    // A fresh client is vouchable unless it needs a
+                    // baseline it has not heard yet.
                     vouch: match $cfg.scheme {
                         Scheme::Sig => vec![0; n.div_ceil(64)],
                         _ => ones(n),
@@ -150,7 +160,7 @@ macro_rules! client_columns {
             /// materialized the column.
             deadline: Option<&'a mut f64>,
             /// `None` unless the population materialized the SIG column.
-            sig_baseline: Option<&'a mut Option<Vec<u64>>>,
+            sig_baseline: Option<&'a mut Baseline>,
         }
     };
 }
@@ -215,16 +225,21 @@ pub struct ClientPop {
     /// Each cell's broadcast epoch: the broadcast time of the last
     /// report [`ClientPop::stamp`] handed out there.
     epoch: Vec<SimTime>,
+    /// Each cell's epoch signatures: the combined signatures of the
+    /// `SIG` report [`ClientPop::stamp`] last handed out there (`None`
+    /// before the first, and under every other scheme).
+    sig_epoch: Vec<Baseline>,
     /// Bit `i` set iff client `i` is *vouched*: its `Tlb` is its cell's
-    /// epoch rather than its `tlb` cell, and its cache is revalidated as
-    /// of that epoch (a pending [`LruCache::revalidate_all`]). The stamp
+    /// epoch rather than its `tlb` cell, its cache is revalidated as of
+    /// that epoch (a pending [`LruCache::revalidate_all`]), and under
+    /// `SIG` its baseline is the cell's epoch signatures. The stamp
     /// sets it for every vouched listener in one word operation. A
     /// stamped client is vouchable and connected, and it is
-    /// *materialized* (the epoch written into its `tlb` cell and its
-    /// cache revalidated, the bit cleared) before anything reads those
-    /// cells or can change the client: when a view is built, in
-    /// [`ClientPop::start_query`], at a handoff, and when its cell
-    /// broadcasts a report that does not stamp it again.
+    /// *materialized* (the epoch written into its `tlb` cell, its cache
+    /// revalidated, its baseline stored, the bit cleared) before
+    /// anything reads those cells or can change the client: when a view
+    /// is built, in [`ClientPop::start_query`], at a handoff, and when
+    /// its cell broadcasts a report that does not stamp it again.
     stamped: Vec<u64>,
     /// The stamp's scratch: the holders of the items a report marks.
     held: Vec<u64>,
@@ -258,6 +273,7 @@ impl ClientPop {
             cell,
             cell_bits,
             epoch: vec![SimTime::ZERO; cells as usize],
+            sig_epoch: vec![None; cells as usize],
             stamped: vec![0; words],
             held: Vec::new(),
             cfg,
@@ -441,11 +457,22 @@ impl ClientPop {
     /// stored flag must always equal it.
     pub fn vouchable_from_columns(&self, i: usize) -> bool {
         vouch_predicate(
-            &self.cfg,
+            self.col.sig_baseline.as_ref().map(|col| &col[i]),
             &self.col.gap[i],
             self.col.reconnect_pending[i],
             &self.col.pending[i],
         )
+    }
+
+    /// Client `i`'s `SIG` baseline, read through the stamp: the buffer of
+    /// the last `SIG` report it heard, `None` before the first and under
+    /// every other scheme.
+    pub fn sig_baseline(&self, i: usize) -> Option<&Arc<[u64]>> {
+        if bit(&self.stamped, i) {
+            self.sig_epoch[self.cell[i] as usize].as_ref()
+        } else {
+            self.col.sig_baseline.as_ref()?[i].as_ref()
+        }
     }
 
     /// The stored retry deadline of client `i`, in seconds: `Some` while
@@ -465,14 +492,16 @@ impl ClientPop {
     /// cell's epoch ([`PlanCache::decode_for_tick`]).
     ///
     /// A listener is vouched when it is vouchable (no gap, nothing
-    /// waiting on a report), any retry it has armed is not yet due at
-    /// `now`, its `Tlb` is the epoch, the report covers the epoch, and
-    /// its cache holds none of the items the plan marks (the holders
-    /// index names those clients). Every report arm then does
-    /// exactly `Tlb ← T_i` and `revalidate_all(T_i)` to it, for the
-    /// report's broadcast time `T_i`: a window or AT report covers its
-    /// `Tlb`, BS selects the plan's bucket, its stale set, the marked
-    /// items it caches, is empty, and the retry pass re-sends nothing.
+    /// waiting on a report, under `SIG` a baseline), any retry it has
+    /// armed is not yet due at `now`, its `Tlb` is the epoch, the report
+    /// covers the epoch, and its cache holds none of the items the plan
+    /// marks (the holders index names those clients). Every report arm
+    /// then does exactly `Tlb ← T_i` and `revalidate_all(T_i)` to it,
+    /// for the report's broadcast time `T_i`: a window or AT report
+    /// covers its `Tlb`, BS selects the plan's bucket, its stale set,
+    /// the marked items it caches, is empty, a `SIG` report equal to the
+    /// epoch's (whose signatures its baseline holds) flags nothing and
+    /// becomes its baseline, and the retry pass re-sends nothing.
     ///
     /// The pass works a word at a time and writes no client column: a
     /// vouched listener's `Tlb` and cache vouch time become the cell's
@@ -495,7 +524,7 @@ impl ClientPop {
     ) -> u64 {
         let c = cell as usize;
         let epoch = self.epoch[c];
-        let covered = covers(report, plan, epoch);
+        let covered = covers(report, plan, epoch, self.sig_epoch[c].as_deref());
         if covered {
             self.held.clear();
             self.held.resize(self.stamped.len(), 0);
@@ -554,24 +583,38 @@ impl ClientPop {
                         .is_some_and(|deadline| now.as_secs() >= deadline)
                 });
                 assert!(!due, "client {i} stamped with a retry due");
+                if let Some(epoch_sigs) = &self.sig_epoch[c] {
+                    assert!(
+                        self.sig_baseline(i).is_some_and(|b| b == epoch_sigs),
+                        "client {i} stamped off its cell's epoch signatures"
+                    );
+                }
             });
             self.stamped[k] |= stamp;
             stamped += u64::from(stamp.count_ones());
             *word &= !stamp;
         }
         self.epoch[c] = report.broadcast_at();
+        if let ReportPayload::Sig(sig, _) = report {
+            self.sig_epoch[c] = Some(Arc::clone(&sig.combined));
+        }
         stamped
     }
 
-    /// Writes client `i`'s `Tlb` into its column, and revalidates its
-    /// cache as of that `Tlb`, if it is stamped.
+    /// Writes client `i`'s `Tlb` into its column, revalidates its cache
+    /// as of that `Tlb`, and stores its cell's epoch signatures as its
+    /// baseline, if it is stamped.
     #[inline]
     fn materialize(&mut self, i: usize) {
         if bit(&self.stamped, i) {
             self.stamped[i / 64] &= !(1 << (i % 64));
-            let epoch = self.epoch[self.cell[i] as usize];
+            let cell = self.cell[i] as usize;
+            let epoch = self.epoch[cell];
             self.col.tlb[i] = epoch;
             self.col.cache[i].revalidate_all(epoch);
+            if let Some(col) = &mut self.col.sig_baseline {
+                col[i].clone_from(&self.sig_epoch[cell]);
+            }
         }
     }
 
@@ -610,15 +653,21 @@ fn bit(words: &[u64], i: usize) -> bool {
 }
 
 /// Whether `report` covers `epoch`: for a client whose `Tlb` is
-/// `epoch`, a window or AT report reaches back to it and BS selects a
-/// bucket that is not `DropAll`. `plan` is the report's decode for
-/// `epoch`. SIG reports are never taken as covering.
-fn covers(report: &ReportPayload, plan: &PlanCache, epoch: SimTime) -> bool {
+/// `epoch`, a window or AT report reaches back to it, BS selects a
+/// bucket that is not `DropAll`, and a `SIG` report carries the
+/// signatures of the epoch's, `epoch_sigs`, so it flags nothing. `plan`
+/// is the report's decode for `epoch`.
+fn covers(
+    report: &ReportPayload,
+    plan: &PlanCache,
+    epoch: SimTime,
+    epoch_sigs: Option<&[u64]>,
+) -> bool {
     match report {
         ReportPayload::Window(w) => w.covers(epoch),
         ReportPayload::At(at) => at.covers(epoch),
         ReportPayload::BitSeq(bs) => plan.bs_select(bs, epoch) != BsSelect::DropAll,
-        ReportPayload::Sig(..) => false,
+        ReportPayload::Sig(sig, _) => epoch_sigs == Some(&*sig.combined),
     }
 }
 
@@ -642,15 +691,16 @@ fn set_masked(word: &mut u64, mask: u64, on: bool) {
 /// salvage or revalidate; with no query item waiting on a report,
 /// `resolve_query` moves nothing, and the retry pass re-sends only the
 /// requests due at the report (see `earliest_deadline`, which the
-/// stamp tests). `SIG` is never vouchable: it stores a baseline on every
-/// report.
+/// stamp tests). A `SIG` client also needs a baseline (`baseline` is
+/// `None` without a baseline column): with none, a report drops its
+/// whole cache.
 fn vouch_predicate(
-    cfg: &ClientConfig,
+    baseline: Option<&Baseline>,
     gap: &Option<GapState>,
     reconnect_pending: bool,
     pending: &[PendingItem],
 ) -> bool {
-    cfg.scheme != Scheme::Sig
+    baseline.is_none_or(Option::is_some)
         && gap.is_none()
         && !reconnect_pending
         && pending.iter().all(|p| p.state != PendingState::WaitReport)
@@ -673,7 +723,12 @@ fn earliest_deadline(cfg: &ClientConfig, pending: &[PendingItem]) -> Option<f64>
 /// handler unwinds.
 impl Drop for ClientMut<'_> {
     fn drop(&mut self) {
-        let vouchable = vouch_predicate(self.cfg, self.gap, *self.reconnect_pending, self.pending);
+        let vouchable = vouch_predicate(
+            self.sig_baseline.as_deref(),
+            self.gap,
+            *self.reconnect_pending,
+            self.pending,
+        );
         set_masked(self.vouch.0, self.vouch.1, vouchable);
         if let Some(at) = &mut self.deadline {
             **at = earliest_deadline(self.cfg, self.pending).unwrap_or(f64::INFINITY);
@@ -1085,27 +1140,27 @@ impl ClientMut<'_> {
                 }
             }
             ReportPayload::Sig(sig, signer) => {
-                let cached = self.cache.items_iter().map(|(i, _)| i);
-                let baseline = self.sig_baseline.as_ref().and_then(|b| b.as_deref());
-                match sig.decide(signer, baseline, cached) {
-                    SigDecision::NoBaseline => {
+                match self.sig_baseline.as_deref().and_then(Option::as_deref) {
+                    // No stored signatures to compare against (the first
+                    // report heard): the cache is unverifiable.
+                    None => {
                         *self.gap = None;
                         if !self.cache.is_empty() {
                             self.counters.full_drops += 1;
                             self.cache.clear();
                         }
                     }
-                    SigDecision::Invalidate(flagged) => {
-                        self.cache.invalidate_many(flagged);
+                    Some(baseline) => {
+                        let cached = self.cache.items_iter().map(|(item, _)| item);
+                        sig.stale_into(signer, baseline, cached, self.stale_scratch);
+                        self.cache.invalidate_many(self.stale_scratch.drain(..));
                         self.resolve_gap();
                         self.cache.revalidate_all(report_asof);
                     }
                 }
-                let slot = self
-                    .sig_baseline
-                    .as_mut()
-                    .expect("SIG column materialized for the SIG scheme");
-                **slot = Some(sig.combined.clone());
+                if let Some(baseline) = self.sig_baseline.as_deref_mut() {
+                    *baseline = Some(Arc::clone(&sig.combined));
+                }
             }
         }
     }

@@ -19,6 +19,10 @@
 //! stamped until its backoff deadline: after every step its stored
 //! deadline must equal one re-derived from its pending items, and the
 //! two multi-cell cases must stamp an armed client and walk a due one.
+//! A `SIG` client with a baseline is vouched by a report that carries
+//! its cell's epoch signatures; the multi-cell cases hold every
+//! client's baseline, read through the stamp, to be the very buffer of
+//! the last report its eager twin heard.
 
 use mobicache_cache::CacheEntry;
 use mobicache_client::{
@@ -32,6 +36,7 @@ use mobicache_reports::{
 use mobicache_sim::SimTime;
 use proptest::prelude::*;
 use proptest::TestRng;
+use std::sync::Arc;
 
 const DB: u32 = 32;
 const PERIOD: f64 = 20.0;
@@ -109,6 +114,9 @@ struct Harness {
     signer: Signer,
     plan: PlanCache,
     prev_at: SimTime,
+    /// The signatures of the last `SIG` report a [`Fanout::Stamp`]
+    /// broadcast handed out: the epoch a stamp covers.
+    epoch_sigs: Option<Arc<[u64]>>,
 }
 
 impl Harness {
@@ -123,9 +131,10 @@ impl Harness {
             sub: 0,
             last: vec![None; DB as usize],
             asked: vec![Vec::new(); n],
-            signer: Signer::new(8, 16, 7),
+            signer: Signer::new(8, 16, 7, DB),
             plan: PlanCache::new(),
             prev_at: SimTime::ZERO,
+            epoch_sigs: None,
         }
     }
 
@@ -181,7 +190,7 @@ impl Harness {
                         broadcast_at: t(at),
                         combined: self.signer.combine(&versions),
                     },
-                    self.signer,
+                    self.signer.clone(),
                 )
             }
             scheme => {
@@ -219,10 +228,17 @@ impl Harness {
         self.prev_at = at;
         let mut walk = self.pop.connected_words().to_vec();
         if let Fanout::Stamp = fanout {
+            let epoch_sigs = self.epoch_sigs.as_deref();
             let expected: Vec<bool> = (0..self.pop.len())
-                .map(|i| self.pop.is_connected(i) && vouched(&self.pop, payload, &self.plan, at, i))
+                .map(|i| {
+                    self.pop.is_connected(i)
+                        && vouched(&self.pop, payload, &self.plan, epoch_sigs, at, i)
+                })
                 .collect();
             let stamped = self.pop.stamp(0, &mut walk, payload, &self.plan, at);
+            if let ReportPayload::Sig(sig, _) = payload {
+                self.epoch_sigs = Some(Arc::clone(&sig.combined));
+            }
             for (i, &vouched) in expected.iter().enumerate() {
                 let walked = walk[i / 64] & (1 << (i % 64)) != 0;
                 let heard = self.pop.is_connected(i);
@@ -344,13 +360,16 @@ impl Harness {
 
 /// The vouched rule, re-derived from client `i`'s observable state for a
 /// report of cell 0 delivered at `at` (its broadcast time), with `plan`
-/// its decode for the cell's epoch: the client is vouchable, at the
-/// epoch, any retry it has armed is not yet due, the report covers the
-/// epoch and the client caches none of the items the plan marks.
+/// its decode for the cell's epoch and `epoch_sigs` the signatures of
+/// the cell's last `SIG` report: the client is vouchable, at the epoch,
+/// any retry it has armed is not yet due, the report covers the epoch
+/// (a `SIG` report carries the epoch's signatures) and the client
+/// caches none of the items the plan marks.
 fn vouched(
     pop: &ClientPop,
     payload: &ReportPayload,
     plan: &PlanCache,
+    epoch_sigs: Option<&[u64]>,
     at: SimTime,
     i: usize,
 ) -> bool {
@@ -359,7 +378,7 @@ fn vouched(
         ReportPayload::Window(w) => w.covers(epoch),
         ReportPayload::At(report) => report.covers(epoch),
         ReportPayload::BitSeq(bs) => bs.select(epoch) != BsSelect::DropAll,
-        ReportPayload::Sig(..) => false,
+        ReportPayload::Sig(sig, _) => epoch_sigs == Some(&*sig.combined),
     };
     covered
         && pop.is_vouchable(i)
@@ -369,7 +388,8 @@ fn vouched(
 }
 
 /// A quiet client: vouchable, no retry armed and an empty cache, so no
-/// report of any kind can change it beyond its `Tlb`.
+/// report of any kind can change it beyond its `Tlb` (and, under `SIG`,
+/// its baseline).
 fn quiet(pop: &ClientPop, i: usize) -> bool {
     pop.is_vouchable(i) && pop.retry_deadline(i).is_none() && pop.cache(i).is_empty()
 }
@@ -386,6 +406,7 @@ struct Observed {
     counters: ClientCounters,
     evictions: u64,
     cache: Vec<(ItemId, CacheEntry)>,
+    baseline: Option<Vec<u64>>,
 }
 
 fn observe(pop: &ClientPop, i: usize) -> Observed {
@@ -403,6 +424,7 @@ fn observe(pop: &ClientPop, i: usize) -> Observed {
         counters: pop.counters(i),
         evictions: cache.evictions(),
         cache: entries,
+        baseline: pop.sig_baseline(i).map(|b| b.to_vec()),
     }
 }
 
@@ -435,9 +457,6 @@ fn flags_exact(pop: &ClientPop) -> Result<(), TestCaseError> {
             "client {}",
             i
         );
-        if pop.config().scheme == Scheme::Sig {
-            prop_assert!(!pop.is_vouchable(i), "a SIG client is never vouchable");
-        }
     }
     Ok(())
 }
@@ -469,9 +488,11 @@ enum Probe {
     BsDropAll,
     AtCovered,
     AtUncovered,
+    SigUnchanged,
+    SigChanged,
 }
 
-const PROBES: [Probe; 9] = [
+const PROBES: [Probe; 11] = [
     Probe::WindowCovered,
     Probe::WindowUncovered,
     Probe::EnlargedCovered,
@@ -481,6 +502,8 @@ const PROBES: [Probe; 9] = [
     Probe::BsDropAll,
     Probe::AtCovered,
     Probe::AtUncovered,
+    Probe::SigUnchanged,
+    Probe::SigChanged,
 ];
 
 /// `k` items updated strictly between `from` and `to`, newest first.
@@ -494,8 +517,14 @@ fn updates_between(k: u32, from: f64, to: f64) -> Vec<(ItemId, SimTime)> {
 }
 
 /// The probe report broadcast at `at` for a client whose `Tlb` is
-/// `tlb < at`.
-fn probe_report(probe: Probe, tlb: f64, at: f64) -> ReportPayload {
+/// `tlb < at` and whose `SIG` baseline is `baseline`.
+fn probe_report(
+    probe: Probe,
+    tlb: f64,
+    at: f64,
+    baseline: Option<&Arc<[u64]>>,
+    signer: &Signer,
+) -> ReportPayload {
     let mid = (tlb + at) / 2.0;
     let window = |start: f64, dummy: Option<f64>| {
         let mut records = updates_between(3, tlb, at);
@@ -509,6 +538,19 @@ fn probe_report(probe: Probe, tlb: f64, at: f64) -> ReportPayload {
     };
     let bs = |recency: Vec<(ItemId, SimTime)>| {
         ReportPayload::BitSeq(BitSequences::from_recency(t(at), DB, recency))
+    };
+    let sig = |flip: u64| {
+        let mut combined = baseline
+            .expect("a quiet SIG client has a baseline")
+            .to_vec();
+        combined[0] ^= flip;
+        ReportPayload::Sig(
+            SigReport {
+                broadcast_at: t(at),
+                combined: combined.into(),
+            },
+            signer.clone(),
+        )
     };
     let at_report = |prev: f64| {
         ReportPayload::At(AtReport {
@@ -531,6 +573,8 @@ fn probe_report(probe: Probe, tlb: f64, at: f64) -> ReportPayload {
         Probe::BsDropAll => bs(updates_between(DB / 2 + 3, tlb, at)),
         Probe::AtCovered => at_report(tlb),
         Probe::AtUncovered => at_report(mid),
+        Probe::SigUnchanged => sig(0),
+        Probe::SigChanged => sig(1),
     }
 }
 
@@ -540,6 +584,7 @@ fn applies_to(probe: Probe, scheme: Scheme) -> bool {
         | Probe::WindowUncovered
         | Probe::EnlargedCovered
         | Probe::EnlargedUncovered => hears_windows(scheme),
+        Probe::SigUnchanged | Probe::SigChanged => scheme == Scheme::Sig,
         _ => scheme != Scheme::Sig,
     }
 }
@@ -787,6 +832,13 @@ impl Lockstep {
             pop.holders_arena_len(),
             self.peak_entries
         );
+        for i in 0..self.tlb.len() {
+            let shared = match (pop.sig_baseline(i), eager.sig_baseline(i)) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (a, b) => a.is_none() && b.is_none(),
+            };
+            prop_assert!(shared, "client {}'s baseline is not its last report's", i);
+        }
         holders_exact(pop)?;
         flags_exact(pop)
     }
@@ -825,7 +877,8 @@ proptest! {
                 let mut handled = Harness::replay(cfg, &steps[..k]);
                 let at = handled.next_broadcast();
                 let tlb = handled.pop.tlb(0);
-                let payload = probe_report(probe, tlb.as_secs(), at);
+                let baseline = handled.pop.sig_baseline(0);
+                let payload = probe_report(probe, tlb.as_secs(), at, baseline, &handled.signer);
                 if let ReportPayload::BitSeq(bs) = &payload {
                     let sel = bs.select(tlb);
                     prop_assert!(
@@ -845,7 +898,11 @@ proptest! {
                 let actions = handled.broadcast(&payload, Fanout::WalkAll);
                 prop_assert!(actions.is_empty(), "{:?} on a quiet client: {:?}", probe, actions);
                 let after = observe(&handled.pop, 0);
-                prop_assert_eq!(&after, &Observed { tlb: t(at), ..before });
+                let baseline = match &payload {
+                    ReportPayload::Sig(sig, _) => Some(sig.combined.to_vec()),
+                    _ => before.baseline.clone(),
+                };
+                prop_assert_eq!(&after, &Observed { tlb: t(at), baseline, ..before });
                 prop_assert_eq!(observe(&stamped.pop, 0), after);
                 flags_exact(&handled.pop)?;
                 for s in &steps[k..] {
@@ -953,7 +1010,7 @@ fn stamped_tlb_matches_an_eager_stamp() {
 /// The vouched stamp against an eager twin that walks every
 /// listener: over two or three cells, clients with caches of four
 /// items over a 32-item database (so caches fill and evict), and
-/// window, BS and AT reports — covering some listeners and not
+/// window, BS, AT and SIG reports — covering some listeners and not
 /// others, lost by some — interleaved with updates, queries, data,
 /// snoops, dozes, reconnections, handoffs and validity verdicts.
 /// After every step both sides hold the same `Tlb`, effective cache
@@ -962,25 +1019,21 @@ fn stamped_tlb_matches_an_eager_stamp() {
 /// and its arena bounded by the peak number of cached entries.
 #[test]
 fn vouched_stamp_matches_an_eager_walk() {
-    // Every scheme but SIG, which is never vouched. Few clients, so
-    // each lives through long histories (dozes, limbo, verdicts).
+    // Few clients, so each lives through long histories (dozes, limbo,
+    // verdicts).
     let strategy = (
-        (0usize..7, any::<bool>(), any::<bool>()),
+        (0usize..8, any::<bool>(), any::<bool>()),
         (
             2u32..4,
             1usize..24,
             prop::collection::vec((0usize..24, 0u32..9, 0.0..1.0f64, 0.0..1.0f64), 0..500),
         ),
     );
-    let vouching = SCHEMES
-        .into_iter()
-        .filter(|&s| s != Scheme::Sig)
-        .collect::<Vec<_>>();
     let arm = lockstep_cases(
         "vouched_stamp_matches_an_eager_walk",
         strategy,
         |((scheme, retry, full_cache), (cells, n, steps))| {
-            let mut l = Lockstep::new(cfg(vouching[scheme], retry, full_cache), n, cells);
+            let mut l = Lockstep::new(cfg(SCHEMES[scheme], retry, full_cache), n, cells);
             l.check()?;
             for s in &steps {
                 let (stamped, eager) = l.step(s)?;
@@ -995,7 +1048,9 @@ fn vouched_stamp_matches_an_eager_walk() {
 
 /// The start state: every client of a non-SIG population is vouchable,
 /// a query with an item waiting on the next report makes its client
-/// unvouchable, and the stamp serves exactly the vouchable ones.
+/// unvouchable, and the stamp serves exactly the vouchable ones. A SIG
+/// client becomes vouchable once a report gives it a baseline, and a
+/// report with the same signatures then stamps it.
 #[test]
 fn fresh_clients_are_quiet_until_they_wait_on_a_report() {
     let mut pop = ClientPop::new(cfg(Scheme::Aaw, false, true), 70);
@@ -1017,6 +1072,31 @@ fn fresh_clients_are_quiet_until_they_wait_on_a_report() {
     assert_eq!(walk, vec![1 << 3, 1 << 2]);
     assert_eq!((pop.tlb(0), pop.tlb(3)), (t(20.0), SimTime::ZERO));
 
-    let sig = ClientPop::new(cfg(Scheme::Sig, false, true), 3);
+    let mut sig = ClientPop::new(cfg(Scheme::Sig, false, true), 3);
     assert!((0..3).all(|i| !sig.is_vouchable(i) && !sig.vouchable_from_columns(i)));
+    let signer = Signer::new(8, 16, 7, DB);
+    let combined = signer.combine(&[SimTime::ZERO; DB as usize]);
+    for (at, stamped) in [(20.0, 0), (40.0, 3)] {
+        let report = ReportPayload::Sig(
+            SigReport {
+                broadcast_at: t(at),
+                combined: Arc::clone(&combined),
+            },
+            signer.clone(),
+        );
+        plan.decode_for_tick(&report, sig.epoch(0), DB);
+        let mut walk = sig.connected_words().to_vec();
+        assert_eq!(sig.stamp(0, &mut walk, &report, &plan, t(at)), stamped);
+        for i in (0..3).filter(|&i| walk[0] & (1 << i) != 0) {
+            sig.client_mut(i).on_report_planned(
+                t(at),
+                &report,
+                &plan,
+                &mut Vec::new(),
+                &mut PlanStats::default(),
+            );
+        }
+        assert!((0..3).all(|i| sig.is_vouchable(i) && sig.tlb(i) == t(at)));
+        assert!((0..3).all(|i| sig.sig_baseline(i) == Some(&combined)));
+    }
 }

@@ -32,7 +32,11 @@
 //! * **AT** — the listed-item bitmap is `Tlb`-independent; coverage is a
 //!   scalar check, an uncovered client drops its whole cache anyway.
 //! * **SIG** — no plan: the verdict depends on each client's stored
-//!   signature baseline, which is per-client by construction.
+//!   signature baseline, one `differs` word per client, and then costs
+//!   one mask AND per cached item ([`crate::SigReport::stale_into`]).
+//!   The stamp needs none either: a report whose signatures equal the
+//!   cell's epoch report's flags nothing for a client at the epoch, so
+//!   the plan it reads marks nothing.
 //!
 //! The plan is **two-level**: next to the stale bitmap `bits` sits a
 //! summary bitmap with bit `k` set iff `bits[k] != 0`. A report lists

@@ -25,39 +25,68 @@
 //! The membership relation and per-item signatures are derived
 //! deterministically from a shared seed (in a real system: a protocol
 //! constant), so server and clients agree without communication.
+//!
+//! **The mask decode.** A [`Signer`] hashes each item's membership once,
+//! into a table of `num_sigs`-bit masks (bit `j` set iff the item joins
+//! signature `j`) that the server and every client share. A client's
+//! decode ([`SigReport::stale_into`]) is then one word, `differs` (bit
+//! `j` set iff signature `j` differs from the client's stored one), and
+//! one AND per cached item: the item is stale iff its mask is non-zero
+//! and `mask & !differs == 0`. A report whose signatures all match
+//! tests no item. [`SigReport::decide`], which hashes every membership
+//! per cached item, is the decode's reference.
 
 use mobicache_model::msg::SizeParams;
 use mobicache_model::units::Bits;
 use mobicache_model::ItemId;
 use mobicache_sim::SimTime;
+use std::fmt;
+use std::sync::Arc;
 
-/// Deterministic signature/membership oracle shared by server and clients.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Deterministic signature/membership oracle shared by server and
+/// clients, with each item's membership mask hashed once. The fields
+/// are private: the masks are a function of the others.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Signer {
-    /// Number of combined signatures per report.
-    pub num_sigs: u32,
+    /// Number of combined signatures per report (≤ 64, the mask width).
+    num_sigs: u32,
     /// Width of each signature in bits (≤ 64).
-    pub sig_bits: u32,
+    sig_bits: u32,
     /// Protocol constant seeding membership and hashing.
-    pub seed: u64,
+    seed: u64,
+    /// Item `i`'s membership mask ([`Signer::mask`]), shared by every
+    /// clone.
+    masks: Arc<[u64]>,
 }
 
 impl Signer {
-    /// A signer with `num_sigs` combined signatures of `sig_bits` bits.
+    /// A signer with `num_sigs` combined signatures of `sig_bits` bits
+    /// over the items `0..items`, whose membership masks it hashes here,
+    /// once.
     ///
     /// # Panics
-    /// Panics if `sig_bits` is 0 or exceeds 64, or `num_sigs` is 0.
-    pub fn new(num_sigs: u32, sig_bits: u32, seed: u64) -> Self {
-        assert!(num_sigs > 0, "need at least one combined signature");
+    /// Panics if `sig_bits` is 0 or exceeds 64, or `num_sigs` is 0 or
+    /// exceeds 64.
+    pub fn new(num_sigs: u32, sig_bits: u32, seed: u64, items: u32) -> Self {
+        assert!(
+            (1..=64).contains(&num_sigs),
+            "num_sigs must be in 1..=64, the mask width, got {num_sigs}"
+        );
         assert!(
             (1..=64).contains(&sig_bits),
             "sig_bits must be in 1..=64, got {sig_bits}"
         );
-        Signer {
+        let mut signer = Signer {
             num_sigs,
             sig_bits,
             seed,
-        }
+            masks: Arc::from([]),
+        };
+        let member = |j: u32, i: u32| u64::from(signer.is_member(j, ItemId(i))) << j;
+        signer.masks = (0..items)
+            .map(|i| (0..num_sigs).fold(0, |m, j| m | member(j, i)))
+            .collect();
+        signer
     }
 
     #[inline]
@@ -79,6 +108,16 @@ impl Signer {
         self.mix(sig_index as u64 ^ 0xA5A5_A5A5, item.0 as u64) & 1 == 1
     }
 
+    /// The signatures `item` joins, from the table: bit `j` set iff
+    /// [`Signer::is_member`]`(j, item)`.
+    ///
+    /// # Panics
+    /// Panics if `item` is outside the items the signer was built for.
+    #[inline]
+    pub fn mask(&self, item: ItemId) -> u64 {
+        self.masks[item.0 as usize]
+    }
+
     /// The `sig_bits`-bit signature of `(item, version)`.
     #[inline]
     pub fn item_signature(&self, item: ItemId, version: SimTime) -> u64 {
@@ -90,20 +129,38 @@ impl Signer {
         }
     }
 
+    /// XORs `delta` into every combined signature of `sigs` that `item`
+    /// joins, branch-free: one update's incremental maintenance, and one
+    /// item's term of [`Signer::combine`].
+    #[inline]
+    pub fn xor_member(&self, sigs: &mut [u64], item: ItemId, delta: u64) {
+        let m = self.mask(item);
+        for (j, sig) in sigs.iter_mut().enumerate() {
+            *sig ^= delta & 0u64.wrapping_sub((m >> j) & 1);
+        }
+    }
+
     /// Builds the combined signatures over the whole database given each
     /// item's current version (indexed by item id).
-    pub fn combine(&self, versions: &[SimTime]) -> Vec<u64> {
+    pub fn combine(&self, versions: &[SimTime]) -> Arc<[u64]> {
         let mut sigs = vec![0u64; self.num_sigs as usize];
         for (idx, &version) in versions.iter().enumerate() {
             let item = ItemId(idx as u32);
-            let s = self.item_signature(item, version);
-            for (j, sig) in sigs.iter_mut().enumerate() {
-                if self.is_member(j as u32, item) {
-                    *sig ^= s;
-                }
-            }
+            self.xor_member(&mut sigs, item, self.item_signature(item, version));
         }
-        sigs
+        sigs.into()
+    }
+}
+
+/// The mask table prints as its length.
+impl fmt::Debug for Signer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Signer")
+            .field("num_sigs", &self.num_sigs)
+            .field("sig_bits", &self.sig_bits)
+            .field("seed", &self.seed)
+            .field("items", &self.masks.len())
+            .finish()
     }
 }
 
@@ -112,8 +169,10 @@ impl Signer {
 pub struct SigReport {
     /// Broadcast timestamp `T_i`.
     pub broadcast_at: SimTime,
-    /// The `m` combined signatures.
-    pub combined: Vec<u64>,
+    /// The `m` combined signatures, shared: reports of an unchanged
+    /// database share one buffer, and a client stores the buffer of the
+    /// last report it heard as its baseline.
+    pub combined: Arc<[u64]>,
 }
 
 /// Outcome of comparing a new report with the client's stored one.
@@ -128,9 +187,39 @@ pub enum SigDecision {
 }
 
 impl SigReport {
-    /// Group-testing decode: given the client's stored combined
+    /// The mask decode: appends to `out` the items of `cached` that every
+    /// signature they join flags, against the client's stored
+    /// `baseline`. An item in no signature is never flagged, and a
+    /// report equal to the baseline tests no item. Flags exactly what
+    /// [`SigReport::decide`] flags, in `cached` order.
+    pub fn stale_into<I>(&self, signer: &Signer, baseline: &[u64], cached: I, out: &mut Vec<ItemId>)
+    where
+        I: IntoIterator<Item = ItemId>,
+    {
+        debug_assert_eq!(
+            baseline.len(),
+            self.combined.len(),
+            "baseline/report signature count mismatch"
+        );
+        // Bit `j` set iff signature `j` differs from the baseline's.
+        let differs = baseline
+            .iter()
+            .zip(self.combined.iter())
+            .enumerate()
+            .fold(0, |d, (j, (a, b))| d | (u64::from(a != b) << j));
+        if differs == 0 {
+            return;
+        }
+        out.extend(cached.into_iter().filter(|&item| {
+            let m = signer.mask(item);
+            m != 0 && m & !differs == 0
+        }));
+    }
+
+    /// Group-testing decode by hashing: given the client's stored combined
     /// signatures (from time `Tlb`) and its cached items, flags the items
-    /// to invalidate.
+    /// to invalidate. The reference [`SigReport::stale_into`] is tested
+    /// against; the simulator never calls it.
     pub fn decide<I>(&self, signer: &Signer, baseline: Option<&[u64]>, cached: I) -> SigDecision
     where
         I: IntoIterator<Item = ItemId>,
@@ -145,7 +234,7 @@ impl SigReport {
         );
         let differs: Vec<bool> = baseline
             .iter()
-            .zip(&self.combined)
+            .zip(self.combined.iter())
             .map(|(a, b)| a != b)
             .collect();
         let stale = cached
@@ -182,7 +271,7 @@ mod tests {
     }
 
     fn signer() -> Signer {
-        Signer::new(32, 32, 0x516)
+        Signer::new(32, 32, 0x516, 1000)
     }
 
     fn versions(n: usize) -> Vec<SimTime> {
@@ -194,6 +283,30 @@ mod tests {
         let s = signer();
         let members = (0..1000).filter(|&i| s.is_member(0, ItemId(i))).count();
         assert!((400..600).contains(&members), "members {members}");
+    }
+
+    #[test]
+    fn masks_hold_the_hashed_membership() {
+        let s = signer();
+        for i in [0, 1, 17, 999].map(ItemId) {
+            let hashed = (0..32)
+                .filter(|&j| s.is_member(j, i))
+                .fold(0, |m, j| m | 1 << j);
+            assert_eq!(s.mask(i), hashed, "{i:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "num_sigs must be in 1..=64")]
+    fn more_signatures_than_the_mask_width_are_rejected() {
+        Signer::new(65, 32, 0x516, 10);
+    }
+
+    #[test]
+    fn sixty_four_signatures_fill_the_mask() {
+        let s = Signer::new(64, 16, 0x516, 100);
+        let all = (0..100).fold(0, |m, i| m | s.mask(ItemId(i)));
+        assert_eq!(all, u64::MAX, "every signature has a member");
     }
 
     #[test]
@@ -310,7 +423,7 @@ mod tests {
         };
         let report = SigReport {
             broadcast_at: t(10.0),
-            combined: vec![0; 32],
+            combined: vec![0; 32].into(),
         };
         assert_eq!(report.size_bits(&s, &p), 48.0 + 32.0 * 32.0);
     }

@@ -1,4 +1,6 @@
-//! Property tests for the `AT` and `SIG` report algorithms.
+//! Property tests for the `AT` and `SIG` report algorithms. The `SIG`
+//! mask decode the clients run is checked against the hash-per-item
+//! reference, `SigReport::decide`.
 
 use mobicache_model::ItemId;
 use mobicache_reports::{AtDecision, AtReport, SigDecision, SigReport, Signer};
@@ -55,7 +57,7 @@ proptest! {
         updates in prop::collection::hash_map(0u32..128, 1.0f64..100.0, 1..10),
         cached in prop::collection::hash_set(0u32..128, 0..40),
     ) {
-        let signer = Signer::new(32, 32, 42);
+        let signer = Signer::new(32, 32, 42, 128);
         let n = 128usize;
         let base_versions = vec![SimTime::ZERO; n];
         let baseline = signer.combine(&base_versions);
@@ -83,7 +85,7 @@ proptest! {
         cached in prop::collection::hash_set(0u32..128, 0..40),
         seed in 0u64..1000,
     ) {
-        let signer = Signer::new(32, 32, seed);
+        let signer = Signer::new(32, 32, seed, 128);
         let versions = vec![SimTime::ZERO; 128];
         let baseline = signer.combine(&versions);
         let report = SigReport { broadcast_at: t(10.0), combined: signer.combine(&versions) };
@@ -99,10 +101,10 @@ proptest! {
     fn sig_incremental_equals_batch(
         updates in prop::collection::vec((0u32..64, 1.0f64..1000.0), 0..50),
     ) {
-        let signer = Signer::new(16, 24, 9);
+        let signer = Signer::new(16, 24, 9, 64);
         let n = 64usize;
         let mut versions = vec![SimTime::ZERO; n];
-        let mut combined = signer.combine(&versions);
+        let mut combined = signer.combine(&versions).to_vec();
         let mut latest: HashMap<u32, f64> = HashMap::new();
         // Apply updates in increasing-time order, as the server would.
         let mut ordered = updates.clone();
@@ -118,6 +120,43 @@ proptest! {
             }
             versions[item as usize] = t(ts);
         }
-        prop_assert_eq!(combined, signer.combine(&versions));
+        prop_assert_eq!(combined, signer.combine(&versions).to_vec());
+    }
+
+    /// The mask decode flags exactly what the hash-per-item reference
+    /// flags, in cache order, for any signature count up to the mask
+    /// width: against a baseline whose signatures differ from the
+    /// report's sparsely, densely, all or not at all, and for any cache.
+    #[test]
+    fn sig_mask_decode_equals_the_hashed_reference(
+        (num_sigs, seed) in (1u32..65, any::<u64>()),
+        updates in prop::collection::hash_map(0u32..256, 1.0f64..100.0, 0..8),
+        (density, a, b, c) in (0u32..5, any::<u64>(), any::<u64>(), any::<u64>()),
+        cached in prop::collection::vec(0u32..256, 0..80),
+    ) {
+        let signer = Signer::new(num_sigs, 32, seed, 256);
+        let mut versions = vec![SimTime::ZERO; 256];
+        for (&item, &ts) in &updates {
+            versions[item as usize] = t(ts);
+        }
+        let report = SigReport { broadcast_at: t(200.0), combined: signer.combine(&versions) };
+        let flips = match density {
+            0 => 0,
+            1 => a & b,
+            2 => a,
+            3 => a | b | c,
+            _ => u64::MAX,
+        };
+        let baseline: Vec<u64> = report
+            .combined
+            .iter()
+            .enumerate()
+            .map(|(j, &s)| s ^ (((flips >> j) & 1) * (c | 1)))
+            .collect();
+        let cached: Vec<ItemId> = cached.into_iter().map(ItemId).collect();
+        let mut decoded = Vec::new();
+        report.stale_into(&signer, &baseline, cached.iter().copied(), &mut decoded);
+        let reference = report.decide(&signer, Some(&baseline), cached.iter().copied());
+        prop_assert_eq!(SigDecision::Invalidate(decoded), reference);
     }
 }

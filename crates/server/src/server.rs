@@ -125,9 +125,12 @@ pub struct Server {
     /// the only per-period client feedback the adaptive schemes keep).
     pending_tlbs: Vec<SimTime>,
     prev_broadcast: SimTime,
-    /// Signature state (maintained incrementally when running `SIG`).
-    signer: Signer,
-    combined: Option<Vec<u64>>,
+    /// Signature state, `Some` only under `SIG`: the signer, which
+    /// hashes each item's membership once per run, and the combined
+    /// signatures it maintains incrementally, shared with the reports
+    /// until an update copies them. A crash wipes the signatures
+    /// (`None`) until [`Server::recover`] rebuilds them.
+    sig: Option<(Signer, Option<Arc<[u64]>>)>,
     /// Grouped-checking parameters: `(group count, retention seconds)`.
     gcore: (u32, f64),
     counters: ServerCounters,
@@ -137,9 +140,11 @@ impl Server {
     /// A server for `scheme` over a database of `db_size` items, with the
     /// invalidation window `w · L` in seconds.
     pub fn new(scheme: Scheme, db_size: u32, window_secs: f64, params: SizeParams) -> Self {
-        let signer = Signer::new(32, 32, 0x5161_5161);
-        let combined =
-            (scheme == Scheme::Sig).then(|| signer.combine(&vec![SimTime::ZERO; db_size as usize]));
+        let sig = (scheme == Scheme::Sig).then(|| {
+            let signer = Signer::new(32, 32, 0x5161_5161, db_size);
+            let combined = signer.combine(&vec![SimTime::ZERO; db_size as usize]);
+            (signer, Some(combined))
+        });
         Server {
             scheme,
             params,
@@ -147,8 +152,7 @@ impl Server {
             log: UpdateLog::new(db_size),
             pending_tlbs: Vec::new(),
             prev_broadcast: SimTime::ZERO,
-            signer,
-            combined,
+            sig,
             gcore: (64, 100.0 * window_secs),
             counters: ServerCounters::default(),
         }
@@ -227,16 +231,11 @@ impl Server {
         for &item in items {
             let prev = self.log.apply_update(now, item);
             self.counters.updates_applied += 1;
-            if let Some(combined) = &mut self.combined {
+            if let Some((signer, Some(combined))) = &mut self.sig {
                 // Incremental signature maintenance: swap the item's old
                 // signature for the new one in every subset containing it.
-                let delta =
-                    self.signer.item_signature(item, prev) ^ self.signer.item_signature(item, now);
-                for (j, sig) in combined.iter_mut().enumerate() {
-                    if self.signer.is_member(j as u32, item) {
-                        *sig ^= delta;
-                    }
-                }
+                let delta = signer.item_signature(item, prev) ^ signer.item_signature(item, now);
+                signer.xor_member(Arc::make_mut(combined), item, delta);
             }
         }
     }
@@ -274,7 +273,9 @@ impl Server {
     pub fn crash(&mut self) -> u64 {
         let dropped = self.pending_tlbs.len() as u64;
         self.pending_tlbs.clear();
-        self.combined = None;
+        if let Some((_, combined)) = &mut self.sig {
+            *combined = None;
+        }
         // Forgetting the last broadcast makes the next AT report cover
         // the whole history — conservative (clients invalidate more than
         // strictly needed) but never lets a stale entry through.
@@ -287,11 +288,11 @@ impl Server {
     /// a rebuild (it is maintained incrementally in steady state); every
     /// report is built from the log anyway.
     pub fn recover(&mut self) {
-        if self.scheme == Scheme::Sig {
+        if let Some((signer, combined)) = &mut self.sig {
             let versions: Vec<SimTime> = (0..self.log.db_size())
                 .map(|i| self.log.version(ItemId(i)))
                 .collect();
-            self.combined = Some(self.signer.combine(&versions));
+            *combined = Some(signer.combine(&versions));
         }
     }
 
@@ -344,15 +345,20 @@ impl Server {
         Arc::new(ReportPayload::BitSeq(bs))
     }
 
-    /// A signatures report for the broadcast at `now`: a copy of the
-    /// combined signatures, which updates maintain.
+    /// A signatures report for the broadcast at `now`: it shares the
+    /// combined signatures, which updates maintain, `O(1)`.
     fn sig_report(&self, now: SimTime) -> Arc<ReportPayload> {
+        let (signer, combined) = self
+            .sig
+            .as_ref()
+            .and_then(|(signer, combined)| Some((signer, combined.as_ref()?)))
+            .expect("SIG state maintained");
         Arc::new(ReportPayload::Sig(
             SigReport {
                 broadcast_at: now,
-                combined: self.combined.clone().expect("SIG state maintained"),
+                combined: Arc::clone(combined),
             },
-            self.signer,
+            signer.clone(),
         ))
     }
 
@@ -1001,9 +1007,9 @@ mod tests {
         assert_eq!(w.records.len(), 2);
     }
 
-    /// Across a quiet period a SIG report carries the same combined
-    /// signatures, and an update moves them. (The name is the retired
-    /// report cache's.)
+    /// Across a quiet period a SIG report shares the previous one's
+    /// combined signatures, and an update moves them. (The name is the
+    /// retired report cache's.)
     #[test]
     fn quiet_period_reuses_cached_sig() {
         let mut s = server(Scheme::Sig, 50);
@@ -1013,7 +1019,7 @@ mod tests {
         let (ReportPayload::Sig(a, _), ReportPayload::Sig(b, _)) = (&*first, &*second) else {
             panic!("expected SIG");
         };
-        assert_eq!(a.combined, b.combined);
+        assert!(Arc::ptr_eq(&a.combined, &b.combined), "one shared buffer");
         assert_eq!(b.broadcast_at, t(40.0));
         // An update: the combined signatures must move.
         s.apply_txn(t(45.0), &[ItemId(1)]);

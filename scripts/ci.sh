@@ -108,11 +108,13 @@ timeout 600 cargo test -q --release -p mobicache-client --test quiet_props
 
 # Report application: the LRU cache against its reference models
 # (states and `validated_at` under the O(1) vouch epoch), the two-level
-# plan against fresh decodes and the dense intersection, and plan
-# application against the linear decide. Tier-1 runs them in debug only.
+# plan against fresh decodes and the dense intersection, the SIG mask
+# decode against the hash-per-item decide, and plan application against
+# the linear decide. Tier-1 runs them in debug only.
 echo "==> report-application proptests (release, under timeout)"
 timeout 600 cargo test -q --release -p mobicache-cache --test lru_props
 timeout 600 cargo test -q --release -p mobicache-reports --test plan_props
+timeout 600 cargo test -q --release -p mobicache-reports --test at_sig_props
 timeout 600 cargo test -q --release -p mobicache-client --test plan_apply_props
 
 echo "==> bench smoke: report_pipeline --quick"
