@@ -136,7 +136,6 @@ pub struct LruCache {
     /// cold cache costs nothing; invalidation plans AND this against a
     /// report's stale bitmap word-wise instead of walking the slab.
     member: Vec<u64>,
-    evictions: u64,
     /// The vouch epoch: a slot whose `epoch` is older reads as `Valid`
     /// as of `vouched_at`.
     epoch: u32,
@@ -164,7 +163,6 @@ impl LruCache {
             head: NIL,
             tail: NIL,
             member: Vec::new(),
-            evictions: 0,
             epoch: 0,
             vouched_at: SimTime::ZERO,
         }
@@ -257,11 +255,6 @@ impl LruCache {
     /// `true` when the cache holds nothing.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// Number of entries evicted so far by capacity pressure.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Detaches slot `i` from the recency list (the slot stays in the
@@ -381,7 +374,6 @@ impl LruCache {
             debug_assert_ne!(victim, NIL, "cache full but list empty");
             evicted = Some(self.slots[victim as usize].item);
             self.remove_slot(victim);
-            self.evictions += 1;
         }
         let i = self.slots.len() as u32;
         self.slots.push(Slot {
@@ -628,7 +620,6 @@ mod tests {
         assert!(c.peek(ItemId(2)).is_none(), "LRU entry evicted");
         assert!(c.peek(ItemId(1)).is_some());
         assert_eq!(c.len(), 3);
-        assert_eq!(c.evictions(), 1);
         c.check_invariants();
     }
 
@@ -636,10 +627,9 @@ mod tests {
     fn reinsert_updates_in_place() {
         let mut c = LruCache::new(2);
         c.insert(ItemId(1), t(1.0), t(1.0));
-        c.insert(ItemId(1), t(9.0), t(9.0));
+        assert_eq!(c.insert(ItemId(1), t(9.0), t(9.0)), None, "nothing evicted");
         assert_eq!(c.len(), 1);
         assert_eq!(c.get_valid(ItemId(1)).unwrap().version, t(9.0));
-        assert_eq!(c.evictions(), 0);
         c.check_invariants();
     }
 
@@ -759,12 +749,11 @@ mod tests {
         c.invalidate(ItemId(2)); // interior removal swaps slot 3 into 1
         c.check_invariants();
         c.get_valid(ItemId(1)); // 1 touched; LRU order now 3, 4, 1
-        c.insert(ItemId(5), t(9.0), t(9.0));
-        c.insert(ItemId(6), t(9.5), t(9.5)); // evicts 3
+        assert_eq!(c.insert(ItemId(5), t(9.0), t(9.0)), None);
+        assert_eq!(c.insert(ItemId(6), t(9.5), t(9.5)), Some(ItemId(3)));
         assert!(c.peek(ItemId(3)).is_none(), "oldest untouched entry went");
         assert!(c.peek(ItemId(4)).is_some());
         assert!(c.peek(ItemId(1)).is_some());
-        assert_eq!(c.evictions(), 1);
         c.check_invariants();
     }
 

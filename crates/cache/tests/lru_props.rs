@@ -118,7 +118,7 @@ impl Model {
 /// `BTreeMap<seq, ItemId>` keyed by a monotonically increasing sequence
 /// number (smallest = least recently used). Every observable behaviour
 /// of the slab — membership, states, `validated_at`, get results,
-/// return values, and the eviction counter — must match this model
+/// return values, and each evicted victim — must match this model
 /// exactly. Entries are `(state, seq, validated_at)`.
 struct MapLru {
     capacity: usize,
@@ -148,23 +148,28 @@ impl MapLru {
         }
     }
 
-    fn insert(&mut self, item: ItemId, now: SimTime) {
+    /// Inserts `item`, returning the least recently used entry it
+    /// evicted, if any.
+    fn insert(&mut self, item: ItemId, now: SimTime) -> Option<ItemId> {
         if let Some((state, _, at)) = self.map.get_mut(&item) {
             *state = EntryState::Valid;
             *at = now;
             self.touch(item);
-            return;
+            return None;
         }
+        let mut evicted = None;
         if self.map.len() == self.capacity {
             let (&seq, &victim) = self.recency.iter().next().expect("full but untracked");
             self.recency.remove(&seq);
             self.map.remove(&victim);
             self.evictions += 1;
+            evicted = Some(victim);
         }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.map.insert(item, (EntryState::Valid, seq, now));
         self.recency.insert(seq, item);
+        evicted
     }
 
     fn get_valid(&mut self, item: ItemId) -> bool {
@@ -335,8 +340,8 @@ proptest! {
 
     /// The dense slab must be observation-equivalent to the old
     /// `HashMap` + `BTreeMap` implementation it replaced — including
-    /// return values and the eviction counter, which the first model
-    /// does not track.
+    /// return values and the victim of every insert, which the first
+    /// model does not track.
     #[test]
     fn slab_matches_old_map_btreemap_model(
         capacity in 1usize..8,
@@ -344,12 +349,17 @@ proptest! {
     ) {
         let mut cache = LruCache::new(capacity);
         let mut old = MapLru::new(capacity);
+        // The cache keeps no eviction count: the victims `insert`
+        // returned are its count.
+        let mut evicted = 0u64;
         for (step, op) in ops.iter().enumerate() {
             let now = now_at(step);
             match op {
                 SlabOp::Insert(id) => {
-                    cache.insert(ItemId(*id), now, now);
-                    old.insert(ItemId(*id), now);
+                    let got = cache.insert(ItemId(*id), now, now);
+                    let expect = old.insert(ItemId(*id), now);
+                    prop_assert_eq!(got, expect, "evicted victim at step {}", step);
+                    evicted += u64::from(got.is_some());
                 }
                 SlabOp::Get(id) => {
                     let got = cache.get_valid(ItemId(*id)).is_some();
@@ -396,10 +406,7 @@ proptest! {
             }
             cache.check_invariants();
             prop_assert_eq!(cache.len(), old.map.len(), "len mismatch at step {}", step);
-            prop_assert_eq!(
-                cache.evictions(), old.evictions,
-                "eviction counter mismatch at step {}", step
-            );
+            prop_assert_eq!(evicted, old.evictions, "eviction count at step {}", step);
             for (&item, &(state, _, at)) in &old.map {
                 let entry = cache.peek(item);
                 prop_assert!(entry.is_some(), "missing {:?} at step {}", item, step);

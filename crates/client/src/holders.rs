@@ -19,6 +19,7 @@
 //!
 //! [`ClientPop::stamp`]: crate::ClientPop::stamp
 
+use crate::machine::ClientCounters;
 use mobicache_cache::{CacheEntry, LruCache};
 use mobicache_model::ItemId;
 use mobicache_sim::SimTime;
@@ -144,11 +145,18 @@ impl<'a> HeldCache<'a> {
     }
 
     /// [`LruCache::insert`]: a new item gains this client as a holder,
-    /// an evicted one loses it.
-    pub(crate) fn insert(&mut self, item: ItemId, version: SimTime, now: SimTime) {
+    /// an evicted one loses it and counts in `counters`.
+    pub(crate) fn insert(
+        &mut self,
+        item: ItemId,
+        version: SimTime,
+        now: SimTime,
+        counters: &mut ClientCounters,
+    ) {
         let fresh = !self.cache.is_resident(item);
         if let Some(gone) = self.cache.insert(item, version, now) {
             self.holders.remove(gone, self.client);
+            counters.evictions += 1;
         }
         if fresh {
             self.holders.add(item, self.client);

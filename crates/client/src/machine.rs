@@ -37,7 +37,10 @@ pub enum ClientAction {
     QueryDone(QueryOutcome),
 }
 
-/// Client behaviour counters.
+/// Client behaviour counters. A population keeps one set, the sum over
+/// its clients (see [`ClientPop::counters`]).
+///
+/// [`ClientPop::counters`]: crate::ClientPop::counters
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClientCounters {
     /// Queries issued.
@@ -65,6 +68,8 @@ pub struct ClientCounters {
     /// Times the retry budget ran out and the client degraded to a
     /// whole-cache drop.
     pub backoff_exhaustions: u64,
+    /// Cache entries evicted by capacity pressure.
+    pub evictions: u64,
 }
 
 #[cfg(test)]
@@ -90,7 +95,7 @@ mod tests {
         }
 
         fn counters(&self) -> ClientCounters {
-            self.0.counters(0)
+            self.0.counters()
         }
 
         fn has_pending_query(&self) -> bool {

@@ -12,7 +12,12 @@
 //! individually boxed client structs makes the walk of the rest a
 //! pointer chase; [`ClientPop`] instead keeps one column per field —
 //! disconnect epoch, last-report time, cache, gap/retry state, pending
-//! query, counters — so the walk scans contiguous columns.
+//! query — so the walk scans contiguous columns.
+//!
+//! A client holds only what differs per client. The behaviour counters,
+//! which are only ever summed, and the stale-item scratch, which every
+//! report handler drains before it returns, are one population-wide
+//! value each that every view borrows: handlers run one at a time.
 //!
 //! The columns are declared once, in `client_columns!`. That one list
 //! gives the population its `Vec` fields and [`ClientMut`] its
@@ -80,11 +85,16 @@ enum Rearm {
 /// the list: the cache column with the holders index, viewed as one
 /// [`HeldCache`] that keeps the index in step; the vouch bitmap, whose
 /// view is one bit of a shared word; the retry deadlines, materialized
-/// only under a retry policy; and the SIG baseline, materialized only
-/// under [`Scheme::Sig`].
+/// only under a retry policy; the SIG baseline, materialized only
+/// under [`Scheme::Sig`]; and the population-wide counters and stale
+/// scratch, which every view borrows whole.
 macro_rules! client_columns {
     ($cfg:ident => $( $(#[$doc:meta])* $col:ident: $ty:ty = $init:expr, )*) => {
-        /// Every per-client column, indexed by client.
+        /// Bytes a client costs in the listed columns.
+        const LISTED_BYTES: usize = 0 $( + std::mem::size_of::<$ty>() )*;
+
+        /// Every per-client column, indexed by client, and the
+        /// population-wide state the views share.
         struct Columns {
             $( $(#[$doc])* $col: Vec<$ty>, )*
             /// The client's cache. Mutated only through a view's
@@ -92,6 +102,11 @@ macro_rules! client_columns {
             cache: Vec<LruCache>,
             /// Item → the clients whose cache holds it.
             holders: Holders,
+            /// The behaviour counters, summed over every client.
+            counters: ClientCounters,
+            /// Stale items found while applying a report, drained before
+            /// the handler returns.
+            stale_scratch: Vec<ItemId>,
             /// Bit `i` set iff client `i` is vouchable (see
             /// `vouch_predicate`): a report that covers its `Tlb`, and
             /// finds any retry it has armed not yet due, changes it
@@ -120,6 +135,8 @@ macro_rules! client_columns {
                     $( $col: (0..n).map(|_| $init).collect(), )*
                     cache: (0..n).map(|_| LruCache::new($cfg.cache_capacity)).collect(),
                     holders: Holders::new(),
+                    counters: ClientCounters::default(),
+                    stale_scratch: Vec::new(),
                     // A fresh client is vouchable unless it needs a
                     // baseline it has not heard yet.
                     vouch: match $cfg.scheme {
@@ -139,6 +156,8 @@ macro_rules! client_columns {
                     cfg,
                     $( $col: &mut self.$col[i], )*
                     cache: HeldCache::new(&mut self.cache[i], &mut self.holders, i),
+                    counters: &mut self.counters,
+                    stale_scratch: &mut self.stale_scratch,
                     vouch: (&mut self.vouch[i / 64], 1 << (i % 64)),
                     deadline: self.deadline.as_mut().map(|col| &mut col[i]),
                     sig_baseline: self.sig_baseline.as_mut().map(|col| &mut col[i]),
@@ -154,6 +173,10 @@ macro_rules! client_columns {
             $( $col: &'a mut $ty, )*
             /// The client's cache and the holders index.
             cache: HeldCache<'a>,
+            /// The population's counters.
+            counters: &'a mut ClientCounters,
+            /// The population's stale scratch, empty between handlers.
+            stale_scratch: &'a mut Vec<ItemId>,
             /// The client's word of the vouch bitmap, and its bit there.
             vouch: (&'a mut u64, u64),
             /// The client's retry deadline; `None` unless the population
@@ -181,11 +204,6 @@ client_columns! {
     /// The query in flight's items, empty when there is none. The `Vec`
     /// keeps its capacity across queries.
     pending: Vec<PendingItem> = Vec::new(),
-    /// Stale items found while applying a report, drained before the
-    /// handler returns.
-    stale_scratch: Vec<ItemId> = Vec::new(),
-    /// Behaviour counters.
-    counters: ClientCounters = ClientCounters::default(),
 }
 
 /// A bitmap of `n` set bits, tail bits zero.
@@ -246,6 +264,10 @@ pub struct ClientPop {
 }
 
 impl ClientPop {
+    /// Bytes every client costs whatever the scheme and faults, before
+    /// its cache's contents: the listed columns and the cache header.
+    pub const CLIENT_BYTES: usize = LISTED_BYTES + std::mem::size_of::<LruCache>();
+
     /// A population of `n` fresh, connected clients with empty caches
     /// in a single cell (the legacy topology).
     pub fn new(cfg: ClientConfig, n: usize) -> Self {
@@ -300,11 +322,6 @@ impl ClientPop {
     /// through [`ClientPop::entries`].
     pub fn cache(&self, i: usize) -> &LruCache {
         &self.col.cache[i]
-    }
-
-    /// The whole cache column, as [`ClientPop::cache`] reads it.
-    pub fn caches_col(&self) -> &[LruCache] {
-        &self.col.cache
     }
 
     /// Client `i`'s cache entries with their effective state, reading
@@ -402,15 +419,10 @@ impl ClientPop {
         self.client_mut(i).reconnect(now)
     }
 
-    /// The whole counters column — snapshot samplers sum straight over
-    /// this contiguous slice, no per-client cloning.
-    pub fn counters_col(&self) -> &[ClientCounters] {
-        &self.col.counters
-    }
-
-    /// Client `i`'s behaviour counters.
-    pub fn counters(&self, i: usize) -> ClientCounters {
-        self.col.counters[i]
+    /// The behaviour counters summed over every client. Handlers run
+    /// one at a time, so the change across one handler is that client's.
+    pub fn counters(&self) -> ClientCounters {
+        self.col.counters
     }
 
     /// `true` while client `i` listens to broadcasts.
@@ -641,7 +653,7 @@ impl ClientPop {
             self.retry_deadline(i).is_none(),
             "client {i} armed with no query"
         );
-        self.col.counters[i].queries_issued += 1;
+        self.col.counters.queries_issued += 1;
         self.col.header[i] = Some(QueryHeader::new(now, items, &mut self.col.pending[i]));
     }
 }
@@ -747,11 +759,6 @@ impl ClientMut<'_> {
         &self.cache
     }
 
-    /// Behaviour counters.
-    pub fn counters(&self) -> ClientCounters {
-        *self.counters
-    }
-
     /// `true` while listening to broadcasts.
     pub fn is_connected(&self) -> bool {
         self.disconnected_at.is_none()
@@ -813,7 +820,7 @@ impl ClientMut<'_> {
     /// the resulting actions to `actions` (which is *not* cleared).
     ///
     /// The fan-out hot path, allocation-free: stale lists land in a
-    /// buffer owned by the client, actions in the caller's. Which plan
+    /// buffer the population lends, actions in the caller's. Which plan
     /// arm served the client is tallied in `stats` (not cleared); the
     /// arms yield the same stale set, pinned by the `plan ≡ decide`
     /// proptests and the engine's golden digests.
@@ -882,7 +889,7 @@ impl ClientMut<'_> {
         version: SimTime,
         actions: &mut Vec<ClientAction>,
     ) {
-        self.cache.insert(item, version, now);
+        self.cache.insert(item, version, now, self.counters);
         if let Some(q) = self.header.as_mut() {
             q.resolve(self.pending, item, PendingState::WaitData, false);
         }
@@ -902,7 +909,7 @@ impl ClientMut<'_> {
             .iter()
             .any(|p| p.item == item && p.state != PendingState::Done);
         if !awaiting {
-            self.cache.insert(item, version, now);
+            self.cache.insert(item, version, now, self.counters);
         }
     }
 
@@ -1523,6 +1530,26 @@ mod tests {
         actions
     }
 
+    /// The counts added between `before` and `after`, two readings of
+    /// the same counters.
+    fn since(after: &ClientCounters, before: &ClientCounters) -> ClientCounters {
+        ClientCounters {
+            queries_issued: after.queries_issued - before.queries_issued,
+            queries_answered: after.queries_answered - before.queries_answered,
+            item_hits: after.item_hits - before.item_hits,
+            item_misses: after.item_misses - before.item_misses,
+            tlbs_sent: after.tlbs_sent - before.tlbs_sent,
+            checks_sent: after.checks_sent - before.checks_sent,
+            full_drops: after.full_drops - before.full_drops,
+            salvaged: after.salvaged - before.salvaged,
+            limbo_dropped: after.limbo_dropped - before.limbo_dropped,
+            limbo_episodes: after.limbo_episodes - before.limbo_episodes,
+            retries_sent: after.retries_sent - before.retries_sent,
+            backoff_exhaustions: after.backoff_exhaustions - before.backoff_exhaustions,
+            evictions: after.evictions - before.evictions,
+        }
+    }
+
     /// The connected bitmap mirrors the `disconnected_at` column.
     fn assert_bitmap_mirrors(pop: &ClientPop) {
         for i in 0..pop.len() {
@@ -1533,9 +1560,11 @@ mod tests {
 
     /// An N-client population must be observationally identical to N
     /// one-client populations running the same scripts: same actions,
-    /// same counters, same cache contents, and a connected bitmap that
-    /// tracks every doze and wake. This pins the per-client column
-    /// bookkeeping (neighbours never clobbered).
+    /// the same counts added by every step, same cache contents, and a
+    /// connected bitmap that tracks every doze and wake. This pins the
+    /// per-client column bookkeeping (neighbours never clobbered) and
+    /// the attribution of the shared counters to the client a step
+    /// drove.
     #[test]
     fn population_matches_independent_clients() {
         let schemes = [Scheme::SimpleChecking, Scheme::Afw, Scheme::Gcore];
@@ -1576,19 +1605,20 @@ mod tests {
                         continue;
                     };
                     clock += 1.0;
+                    let (pop_before, solo_before) = (pop.counters(), solo[i].counters());
                     let pop_actions = apply(&mut pop, i, step, clock);
                     let solo_actions = apply(&mut solo[i], 0, step, clock);
                     assert_eq!(pop_actions, solo_actions, "{scheme:?} client {i}");
+                    assert_eq!(
+                        since(&pop.counters(), &pop_before),
+                        since(&solo[i].counters(), &solo_before),
+                        "{scheme:?} client {i} step {step_idx}"
+                    );
                     assert_bitmap_mirrors(&pop);
                     assert_bitmap_mirrors(&solo[i]);
                 }
             }
             for (i, solo_client) in solo.iter().enumerate() {
-                assert_eq!(
-                    pop.counters(i),
-                    solo_client.counters(0),
-                    "{scheme:?} client {i}"
-                );
                 let mut a: Vec<(ItemId, SimTime)> = pop.cache(i).items_iter().collect();
                 let mut b: Vec<(ItemId, SimTime)> = solo_client.cache(0).items_iter().collect();
                 a.sort_unstable();
@@ -1759,6 +1789,14 @@ mod tests {
         }
     }
 
+    /// A new per-client column moves this figure. State that is only
+    /// ever summed or drained belongs to the population, not to a
+    /// column.
+    #[test]
+    fn per_client_footprint_is_pinned() {
+        assert_eq!(ClientPop::CLIENT_BYTES, 217);
+    }
+
     /// The stamp and the retry pass compare one deadline with one strict
     /// `<`: a retry-armed client whose deadline is the report's delivery
     /// time is walked and re-sends its request, and one a report
@@ -1783,11 +1821,11 @@ mod tests {
             assert_eq!(pop.tlb(0), t(50.0));
             if due {
                 assert_eq!((stamped, actions), (0, vec![request.clone()]));
-                assert_eq!(pop.counters(0).retries_sent, 1);
+                assert_eq!(pop.counters().retries_sent, 1);
                 assert_eq!(pop.retry_deadline(0), Some(60.0 + 4.0 * 20.0));
             } else {
                 assert_eq!((stamped, actions), (1, vec![]));
-                assert_eq!(pop.counters(0).retries_sent, 0);
+                assert_eq!(pop.counters().retries_sent, 0);
                 assert_eq!(pop.retry_deadline(0), Some(60.0));
             }
         }

@@ -394,7 +394,8 @@ fn quiet(pop: &ClientPop, i: usize) -> bool {
     pop.is_vouchable(i) && pop.retry_deadline(i).is_none() && pop.cache(i).is_empty()
 }
 
-/// Everything observable of client `i`.
+/// Everything observable of client `i`, with the population's counters
+/// (a population keeps one set, the sum over its clients).
 #[derive(Debug, PartialEq)]
 struct Observed {
     tlb: SimTime,
@@ -404,13 +405,11 @@ struct Observed {
     vouchable: bool,
     pending: Vec<PendingItem>,
     counters: ClientCounters,
-    evictions: u64,
     cache: Vec<(ItemId, CacheEntry)>,
     baseline: Option<Vec<u64>>,
 }
 
 fn observe(pop: &ClientPop, i: usize) -> Observed {
-    let cache = pop.cache(i);
     // Effective entries, read through the stamp.
     let mut entries: Vec<(ItemId, CacheEntry)> = pop.entries(i).collect();
     entries.sort_unstable_by_key(|&(item, _)| item);
@@ -421,8 +420,7 @@ fn observe(pop: &ClientPop, i: usize) -> Observed {
         open_gap: pop.has_open_gap(i),
         vouchable: pop.is_vouchable(i),
         pending: pop.pending_items(i).to_vec(),
-        counters: pop.counters(i),
-        evictions: cache.evictions(),
+        counters: pop.counters(),
         cache: entries,
         baseline: pop.sig_baseline(i).map(|b| b.to_vec()),
     }

@@ -42,10 +42,6 @@ use mobicache_sim::{Scheduler, SimRng, SimTime, StreamId};
 use mobicache_workload::{GapKind, GapProcess, QueryGen, UpdateGen};
 use std::sync::Arc;
 
-/// A client's counters and cache evictions from just before it
-/// processed a message; the probe events are the difference.
-type Before = (ClientCounters, u64);
-
 /// Options orthogonal to the modelled system, built fluently:
 ///
 /// ```
@@ -317,9 +313,13 @@ impl<'p> Simulation<'p> {
             }
         }
 
+        // One signature state for every cell: hashing it is most of a
+        // `SIG` server's set-up.
+        let sig = Server::fresh_sig(cfg.scheme, cfg.db_size);
         let servers: Vec<Server> = (0..cells)
             .map(|_| {
-                let mut server = Server::new(cfg.scheme, cfg.db_size, cfg.window_secs(), sp);
+                let mut server =
+                    Server::with_sig(cfg.scheme, cfg.db_size, cfg.window_secs(), sp, sig.clone());
                 server.configure_gcore(
                     cfg.gcore_groups,
                     cfg.gcore_retention_intervals as f64 * cfg.broadcast_period_secs,
@@ -516,7 +516,8 @@ impl<'p> Simulation<'p> {
         let sc = self.server_counters();
         let faults = self.faults.as_ref().map(|f| f.metrics).unwrap_or_default();
         let (client_tx_bits, client_rx_bits) = self.acct.radio_bits();
-        let mut t = RunTotals {
+        let c = self.clients.counters();
+        RunTotals {
             reports_broadcast: sc.window_reports
                 + sc.enlarged_reports
                 + sc.bs_reports
@@ -533,26 +534,13 @@ impl<'p> Simulation<'p> {
             disconnections: self.acct.disconnections,
             client_tx_bits,
             client_rx_bits,
-            // The client-column sums below.
-            ..RunTotals::default()
-        };
-        // Dense column scan: two contiguous slices, no per-client view
-        // construction and no cloning — cheap enough to sample every
-        // interval at a million clients.
-        for (c, cache) in self
-            .clients
-            .counters_col()
-            .iter()
-            .zip(self.clients.caches_col())
-        {
-            t.queries_issued += c.queries_issued;
-            t.queries_answered += c.queries_answered;
-            t.item_hits += c.item_hits;
-            t.item_misses += c.item_misses;
-            t.fault_retries += c.retries_sent;
-            t.cache_evictions += cache.evictions();
+            queries_issued: c.queries_issued,
+            queries_answered: c.queries_answered,
+            item_hits: c.item_hits,
+            item_misses: c.item_misses,
+            fault_retries: c.retries_sent,
+            cache_evictions: c.evictions,
         }
-        t
     }
 
     /// Closes the current snapshot interval at `end_secs` and hands the
@@ -797,15 +785,10 @@ impl<'p> Simulation<'p> {
         c: ClientId,
         handle: impl FnOnce(ClientMut<'_>, &mut Broadcast, &mut Vec<ClientAction>),
     ) {
-        let i = c.index();
-        let before = self
-            .opts
-            .probe
-            .is_some()
-            .then(|| (self.clients.counters(i), self.clients.cache(i).evictions()));
+        let before = self.opts.probe.is_some().then(|| self.clients.counters());
         let mut actions = std::mem::take(&mut self.action_scratch);
         handle(
-            self.clients.client_mut(i),
+            self.clients.client_mut(c.index()),
             &mut self.broadcast,
             &mut actions,
         );
@@ -951,19 +934,20 @@ impl<'p> Simulation<'p> {
         }
     }
 
-    /// Emits events for whatever changed in a client since `before`: its
-    /// counters and cache evictions captured before it processed a
-    /// message, so limbo salvage and cache-population changes surface
-    /// as probe events without threading observers through the client
-    /// crate. `None` (no probe attached) makes the pair free.
-    fn post_observe(&mut self, now: SimTime, c: ClientId, before: Option<Before>) {
-        let Some((before, ev_before)) = before else {
+    /// Emits events for whatever changed in a client since `before`: the
+    /// population's counters captured before it processed a message, so
+    /// limbo salvage and cache-population changes surface as probe
+    /// events without threading observers through the client crate.
+    /// Only `c` ran in between, and its actions count nothing, so the
+    /// change is `c`'s. `None` (no probe attached) makes the pair free.
+    fn post_observe(&mut self, now: SimTime, c: ClientId, before: Option<ClientCounters>) {
+        let Some(before) = before else {
             return;
         };
-        let after = self.clients.counters(c.index());
-        let evicted = self.clients.cache(c.index()).evictions() - ev_before;
+        let after = self.clients.counters();
         let salvaged = after.salvaged - before.salvaged;
         let dropped = after.limbo_dropped - before.limbo_dropped;
+        let evicted = after.evictions - before.evictions;
         if salvaged + dropped > 0 {
             self.opts.emit(
                 now,
@@ -1008,15 +992,14 @@ impl<'p> Simulation<'p> {
         let up = self.uplink.stats(horizon);
         let totals = self.current_totals();
         let sc = self.server_counters();
+        let c = self.clients.counters();
         let mut clients = ClientStats::default();
+        clients.absorb(&c);
         let mut faults = self
             .faults
             .map_or_else(FaultMetrics::default, |f| f.finish(sc.duplicate_tlbs));
-        faults.retries_sent = totals.fault_retries;
-        for c in self.clients.counters_col() {
-            clients.absorb(c);
-            faults.backoff_exhaustions += c.backoff_exhaustions;
-        }
+        faults.retries_sent = c.retries_sent;
+        faults.backoff_exhaustions = c.backoff_exhaustions;
         // Aggregate downlink accounting across channels; utilization is
         // bandwidth-weighted so a Shared run and a Dedicated run report
         // comparable figures.
@@ -1313,6 +1296,20 @@ mod tests {
         let cfg = short_cfg(Scheme::Aaw);
         let a = run(&cfg, RunOptions::default()).unwrap();
         assert_eq!(a.metrics.reports_lost, 0);
+    }
+
+    /// A multi-cell `SIG` run hashes its mask table once: every cell's
+    /// server signs with the same table.
+    #[test]
+    fn sig_cells_share_one_mask_table() {
+        let cfg = short_cfg(Scheme::Sig).with_cells(CellTopology {
+            cells: 4,
+            ..CellTopology::single()
+        });
+        let sim = Simulation::new(&cfg, RunOptions::default()).unwrap();
+        let signers: Vec<_> = sim.servers.iter().filter_map(Server::signer).collect();
+        assert_eq!(signers.len(), 4);
+        assert!(signers.iter().all(|s| s.shares_masks(signers[0])));
     }
 
     #[test]

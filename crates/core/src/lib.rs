@@ -52,8 +52,8 @@ pub use probe::{
 
 // The struct-of-arrays client population and its mutable view are the
 // public way to reach per-client state (e.g. from probes): `ClientPop`'s
-// per-client getters read one client, and columnar aggregates read the
-// dense columns (`counters_col`, `caches_col`).
+// per-client getters read one client, and `counters` the population's
+// summed counters.
 pub use mobicache_client::{ClientMut, ClientPop};
 // Re-export the configuration vocabulary so downstream users need only
 // this crate plus `mobicache-model`.

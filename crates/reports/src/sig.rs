@@ -108,6 +108,12 @@ impl Signer {
         self.mix(sig_index as u64 ^ 0xA5A5_A5A5, item.0 as u64) & 1 == 1
     }
 
+    /// `true` when `other` reads the same mask table as this signer (one
+    /// is a clone of the other), not a copy hashed again.
+    pub fn shares_masks(&self, other: &Signer) -> bool {
+        Arc::ptr_eq(&self.masks, &other.masks)
+    }
+
     /// The signatures `item` joins, from the table: bit `j` set iff
     /// [`Signer::is_member`]`(j, item)`.
     ///

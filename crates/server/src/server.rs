@@ -140,11 +140,38 @@ impl Server {
     /// A server for `scheme` over a database of `db_size` items, with the
     /// invalidation window `w · L` in seconds.
     pub fn new(scheme: Scheme, db_size: u32, window_secs: f64, params: SizeParams) -> Self {
-        let sig = (scheme == Scheme::Sig).then(|| {
+        let sig = Server::fresh_sig(scheme, db_size);
+        Server::with_sig(scheme, db_size, window_secs, params, sig)
+    }
+
+    /// The signature state a fresh `scheme` server over `db_size` items
+    /// starts from, `Some` only under [`Scheme::Sig`]: the signer and
+    /// the combined signatures of the database at version zero. Both
+    /// are protocol constants, and a clone shares their buffers, so the
+    /// servers of every cell can start from one.
+    pub fn fresh_sig(scheme: Scheme, db_size: u32) -> Option<(Signer, Arc<[u64]>)> {
+        (scheme == Scheme::Sig).then(|| {
             let signer = Signer::new(32, 32, 0x5161_5161, db_size);
             let combined = signer.combine(&vec![SimTime::ZERO; db_size as usize]);
-            (signer, Some(combined))
-        });
+            (signer, combined)
+        })
+    }
+
+    /// [`Server::new`] starting from `sig`, which must be
+    /// [`Server::fresh_sig`]`(scheme, db_size)` or a clone of it.
+    pub fn with_sig(
+        scheme: Scheme,
+        db_size: u32,
+        window_secs: f64,
+        params: SizeParams,
+        sig: Option<(Signer, Arc<[u64]>)>,
+    ) -> Self {
+        debug_assert_eq!(
+            sig.is_some(),
+            scheme == Scheme::Sig,
+            "SIG state for {scheme:?}"
+        );
+        let sig = sig.map(|(signer, combined)| (signer, Some(combined)));
         Server {
             scheme,
             params,
@@ -156,6 +183,11 @@ impl Server {
             gcore: (64, 100.0 * window_secs),
             counters: ServerCounters::default(),
         }
+    }
+
+    /// The signer, `Some` only under [`Scheme::Sig`].
+    pub fn signer(&self) -> Option<&Signer> {
+        self.sig.as_ref().map(|(signer, _)| signer)
     }
 
     /// Sets the grouped-checking parameters (group count and retention
