@@ -121,8 +121,19 @@ impl Holders {
 /// Client `client`'s cache with its part of the holders index: a
 /// read-only [`LruCache`] through `Deref`, and every call that changes
 /// which items are resident updates the index as well.
+///
+/// A client that has never cached an item has no body of its own and
+/// reads the population's shared empty body, which nothing writes:
+/// every mutator but [`HeldCache::insert`] leaves such a client alone
+/// (an empty cache has nothing to drop, and its vouch time cannot be
+/// observed), and its first insert gives it a body from the arena,
+/// which it keeps.
 pub(crate) struct HeldCache<'a> {
+    /// The client's body, or the shared empty one while it has none.
     cache: &'a mut LruCache,
+    /// While the client has no body: its handle and the arena its first
+    /// insert takes a body from.
+    cold: Option<(&'a mut u32, &'a mut Vec<LruCache>)>,
     holders: &'a mut Holders,
     client: u32,
 }
@@ -130,22 +141,48 @@ pub(crate) struct HeldCache<'a> {
 impl Deref for HeldCache<'_> {
     type Target = LruCache;
 
+    #[inline]
     fn deref(&self) -> &LruCache {
         self.cache
     }
 }
 
 impl<'a> HeldCache<'a> {
-    pub(crate) fn new(cache: &'a mut LruCache, holders: &'a mut Holders, client: usize) -> Self {
+    /// The view of client `client`, whose handle is `handle`: 0 while it
+    /// has no body and reads `empty`, else `h` for `bodies[h - 1]`.
+    #[inline(always)]
+    pub(crate) fn new(
+        handle: &'a mut u32,
+        bodies: &'a mut Vec<LruCache>,
+        empty: &'a mut LruCache,
+        holders: &'a mut Holders,
+        client: usize,
+    ) -> Self {
+        let (cache, cold) = match *handle {
+            0 => (empty, Some((handle, bodies))),
+            h => (&mut bodies[h as usize - 1], None),
+        };
         HeldCache {
             cache,
+            cold,
             holders,
             client: client as u32,
         }
     }
 
+    /// The client's own body, the index and the client, or `None` while
+    /// it has no body.
+    #[inline]
+    fn body(&mut self) -> Option<(&mut LruCache, &mut Holders, u32)> {
+        match self.cold {
+            Some(_) => None,
+            None => Some((&mut *self.cache, &mut *self.holders, self.client)),
+        }
+    }
+
     /// [`LruCache::insert`]: a new item gains this client as a holder,
-    /// an evicted one loses it and counts in `counters`.
+    /// an evicted one loses it and counts in `counters`. A client with
+    /// no body takes one from the arena first.
     pub(crate) fn insert(
         &mut self,
         item: ItemId,
@@ -153,6 +190,11 @@ impl<'a> HeldCache<'a> {
         now: SimTime,
         counters: &mut ClientCounters,
     ) {
+        if let Some((handle, bodies)) = self.cold.take() {
+            bodies.push(LruCache::new(self.cache.capacity()));
+            *handle = bodies.len() as u32;
+            self.cache = &mut bodies[*handle as usize - 1];
+        }
         let fresh = !self.cache.is_resident(item);
         if let Some(gone) = self.cache.insert(item, version, now) {
             self.holders.remove(gone, self.client);
@@ -165,9 +207,12 @@ impl<'a> HeldCache<'a> {
 
     /// [`LruCache::invalidate_many`].
     pub(crate) fn invalidate_many(&mut self, items: impl IntoIterator<Item = ItemId>) {
+        let Some((cache, holders, client)) = self.body() else {
+            return;
+        };
         for item in items {
-            if self.cache.invalidate(item) {
-                self.holders.remove(item, self.client);
+            if cache.invalidate(item) {
+                holders.remove(item, client);
             }
         }
     }
@@ -175,10 +220,13 @@ impl<'a> HeldCache<'a> {
     /// [`LruCache::clear`].
     #[inline(never)]
     pub(crate) fn clear(&mut self) {
-        for (item, _) in self.cache.items_iter() {
-            self.holders.remove(item, self.client);
+        let Some((cache, holders, client)) = self.body() else {
+            return;
+        };
+        for (item, _) in cache.items_iter() {
+            holders.remove(item, client);
         }
-        self.cache.clear();
+        cache.clear();
     }
 
     /// [`LruCache::salvage_limbo`]: a limbo entry judged invalid goes.
@@ -188,8 +236,10 @@ impl<'a> HeldCache<'a> {
         now: SimTime,
         mut is_valid: impl FnMut(ItemId) -> bool,
     ) -> (usize, usize) {
-        let (holders, client) = (&mut *self.holders, self.client);
-        self.cache.salvage_limbo(now, |item| {
+        let Some((cache, holders, client)) = self.body() else {
+            return (0, 0);
+        };
+        cache.salvage_limbo(now, |item| {
             let valid = is_valid(item);
             if !valid {
                 holders.remove(item, client);
@@ -201,9 +251,12 @@ impl<'a> HeldCache<'a> {
     /// [`LruCache::salvage_item`]: a limbo entry judged invalid goes.
     #[inline(never)]
     pub(crate) fn salvage_item(&mut self, item: ItemId, valid: bool, now: SimTime) -> bool {
-        let done = self.cache.salvage_item(item, valid, now);
+        let Some((cache, holders, client)) = self.body() else {
+            return false;
+        };
+        let done = cache.salvage_item(item, valid, now);
         if done && !valid {
-            self.holders.remove(item, self.client);
+            holders.remove(item, client);
         }
         done
     }
@@ -211,24 +264,31 @@ impl<'a> HeldCache<'a> {
     /// [`LruCache::drop_limbo`].
     #[inline(never)]
     pub(crate) fn drop_limbo(&mut self) -> usize {
-        for item in self.cache.limbo_iter() {
-            self.holders.remove(item, self.client);
+        let Some((cache, holders, client)) = self.body() else {
+            return 0;
+        };
+        for item in cache.limbo_iter() {
+            holders.remove(item, client);
         }
-        self.cache.drop_limbo()
+        cache.drop_limbo()
     }
 
     /// [`LruCache::get_valid`] (refreshes recency only).
     pub(crate) fn get_valid(&mut self, item: ItemId) -> Option<CacheEntry> {
-        self.cache.get_valid(item)
+        self.body()?.0.get_valid(item)
     }
 
     /// [`LruCache::mark_all_limbo`] (every entry stays resident).
     pub(crate) fn mark_all_limbo(&mut self) {
-        self.cache.mark_all_limbo();
+        if let Some((cache, ..)) = self.body() {
+            cache.mark_all_limbo();
+        }
     }
 
     /// [`LruCache::revalidate_all`] (every entry stays resident).
     pub(crate) fn revalidate_all(&mut self, now: SimTime) {
-        self.cache.revalidate_all(now);
+        if let Some((cache, ..)) = self.body() {
+            cache.revalidate_all(now);
+        }
     }
 }

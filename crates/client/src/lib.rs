@@ -30,9 +30,10 @@
 //!
 //! The per-client layer is columnar: a [`ClientPop`] stores the whole
 //! cell's client state as parallel columns — the pending query's items
-//! included, one `Vec` per client that keeps its capacity across
-//! queries — and the scheme handlers run against [`ClientMut`] accessor
-//! views. [`ClientPop::client_mut`] views one client; the engine's
+//! included, inline for a one-item query, and the cache as a 4-byte
+//! handle to a body that only a client that caches gets — and the
+//! scheme handlers run against [`ClientMut`] accessor views.
+//! [`ClientPop::client_mut`] views one client; the engine's
 //! report fan-out stamps the vouched listeners
 //! ([`ClientPop::stamp`]) and views each other one in turn. A single
 //! client is a population of one.
@@ -44,4 +45,4 @@ mod query;
 
 pub use machine::{ClientAction, ClientConfig, ClientCounters};
 pub use pop::{ClientMut, ClientPop};
-pub use query::{PendingItem, PendingState, QueryHeader, QueryOutcome};
+pub use query::{PendingItem, PendingItems, PendingState, QueryHeader, QueryOutcome};

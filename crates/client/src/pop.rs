@@ -37,7 +37,7 @@
 
 use crate::holders::{HeldCache, Holders};
 use crate::machine::{ClientAction, ClientConfig, ClientCounters};
-use crate::query::{PendingItem, PendingState, QueryHeader};
+use crate::query::{PendingItem, PendingItems, PendingState, QueryHeader};
 use mobicache_cache::{CacheEntry, EntryState, LruCache};
 use mobicache_model::{CheckingMode, ItemId, Scheme, UplinkKind};
 use mobicache_reports::{BsSelect, PlanCache, PlanStats, ReportPayload};
@@ -82,8 +82,9 @@ enum Rearm {
 /// becomes a `Vec<Type>` field of `Columns` holding `init` for every
 /// fresh client (`$cfg` names the shared configuration there) and a
 /// `&mut Type` field of [`ClientMut`]. The rest is written out beside
-/// the list: the cache column with the holders index, viewed as one
-/// [`HeldCache`] that keeps the index in step; the vouch bitmap, whose
+/// the list: the cache handle column with the shared empty body, the
+/// body arena and the holders index, viewed as one [`HeldCache`] that
+/// keeps the index in step; the vouch bitmap, whose
 /// view is one bit of a shared word; the retry deadlines, materialized
 /// only under a retry policy; the SIG baseline, materialized only
 /// under [`Scheme::Sig`]; and the population-wide counters and stale
@@ -97,9 +98,18 @@ macro_rules! client_columns {
         /// population-wide state the views share.
         struct Columns {
             $( $(#[$doc])* $col: Vec<$ty>, )*
-            /// The client's cache. Mutated only through a view's
-            /// [`HeldCache`], or revalidated by `ClientPop::materialize`.
-            cache: Vec<LruCache>,
+            /// The client's cache handle: 0 for `empty` until its first
+            /// insert gives it a body of its own, then `h` for
+            /// `bodies[h - 1]`.
+            body: Vec<u32>,
+            /// The shared empty body of every client that has never
+            /// cached an item. Nothing writes it.
+            empty: LruCache,
+            /// One body per client that ever cached an item, in the
+            /// order of their first inserts. Mutated only through a
+            /// view's [`HeldCache`], or revalidated by
+            /// `ClientPop::materialize`.
+            bodies: Vec<LruCache>,
             /// Item → the clients whose cache holds it.
             holders: Holders,
             /// The behaviour counters, summed over every client.
@@ -133,7 +143,9 @@ macro_rules! client_columns {
             fn new($cfg: &ClientConfig, n: usize) -> Self {
                 Columns {
                     $( $col: (0..n).map(|_| $init).collect(), )*
-                    cache: (0..n).map(|_| LruCache::new($cfg.cache_capacity)).collect(),
+                    body: vec![0; n],
+                    empty: LruCache::new($cfg.cache_capacity),
+                    bodies: Vec::new(),
                     holders: Holders::new(),
                     counters: ClientCounters::default(),
                     stale_scratch: Vec::new(),
@@ -155,7 +167,13 @@ macro_rules! client_columns {
                 ClientMut {
                     cfg,
                     $( $col: &mut self.$col[i], )*
-                    cache: HeldCache::new(&mut self.cache[i], &mut self.holders, i),
+                    cache: HeldCache::new(
+                        &mut self.body[i],
+                        &mut self.bodies,
+                        &mut self.empty,
+                        &mut self.holders,
+                        i,
+                    ),
                     counters: &mut self.counters,
                     stale_scratch: &mut self.stale_scratch,
                     vouch: (&mut self.vouch[i / 64], 1 << (i % 64)),
@@ -201,9 +219,9 @@ client_columns! {
     gap: Option<GapState> = None,
     /// The per-query scalars of the query in flight, if any.
     header: Option<QueryHeader> = None,
-    /// The query in flight's items, empty when there is none. The `Vec`
-    /// keeps its capacity across queries.
-    pending: Vec<PendingItem> = Vec::new(),
+    /// The query in flight's items, empty when there is none: one item
+    /// inline, more in a `Vec` that keeps its capacity across queries.
+    pending: PendingItems = PendingItems::default(),
 }
 
 /// A bitmap of `n` set bits, tail bits zero.
@@ -264,9 +282,10 @@ pub struct ClientPop {
 }
 
 impl ClientPop {
-    /// Bytes every client costs whatever the scheme and faults, before
-    /// its cache's contents: the listed columns and the cache header.
-    pub const CLIENT_BYTES: usize = LISTED_BYTES + std::mem::size_of::<LruCache>();
+    /// Bytes every client costs whatever the scheme and faults: the
+    /// listed columns and the cache handle. A client that caches pays
+    /// for its body besides, the [`LruCache`] header and its contents.
+    pub const CLIENT_BYTES: usize = LISTED_BYTES + std::mem::size_of::<u32>();
 
     /// A population of `n` fresh, connected clients with empty caches
     /// in a single cell (the legacy topology).
@@ -304,12 +323,12 @@ impl ClientPop {
 
     /// Number of clients in the population.
     pub fn len(&self) -> usize {
-        self.col.cache.len()
+        self.col.body.len()
     }
 
     /// `true` for the empty population.
     pub fn is_empty(&self) -> bool {
-        self.col.cache.is_empty()
+        self.col.body.is_empty()
     }
 
     /// The shared static configuration.
@@ -321,7 +340,17 @@ impl ClientPop {
     /// client's cache lacks its pending revalidation: read its entries
     /// through [`ClientPop::entries`].
     pub fn cache(&self, i: usize) -> &LruCache {
-        &self.col.cache[i]
+        match self.col.body[i] {
+            0 => &self.col.empty,
+            h => &self.col.bodies[h as usize - 1],
+        }
+    }
+
+    /// Cache bodies in the population's arena, the shared empty one
+    /// included: one more than the number of clients that ever cached
+    /// an item.
+    pub fn cache_bodies(&self) -> usize {
+        1 + self.col.bodies.len()
     }
 
     /// Client `i`'s cache entries with their effective state, reading
@@ -330,7 +359,7 @@ impl ClientPop {
     /// leave them (nothing writes its cache before that).
     pub fn entries(&self, i: usize) -> impl Iterator<Item = (ItemId, CacheEntry)> + '_ {
         let vouched_at = bit(&self.stamped, i).then(|| self.epoch[self.cell[i] as usize]);
-        self.col.cache[i]
+        self.cache(i)
             .entries_iter()
             .map(move |(item, entry)| match vouched_at {
                 Some(at) => (
@@ -580,7 +609,7 @@ impl ClientPop {
             #[cfg(debug_assertions)]
             for_each_set_bit(&[stamp], 0..64, |b| {
                 let i = k * 64 + b;
-                let cache = &self.col.cache[i];
+                let cache = self.cache(i);
                 assert!(
                     self.vouchable_from_columns(i)
                         && self.tlb(i) == epoch
@@ -623,7 +652,10 @@ impl ClientPop {
             let cell = self.cell[i] as usize;
             let epoch = self.epoch[cell];
             self.col.tlb[i] = epoch;
-            self.col.cache[i].revalidate_all(epoch);
+            match self.col.body[i] {
+                0 => {}
+                h => self.col.bodies[h as usize - 1].revalidate_all(epoch),
+            }
             if let Some(col) = &mut self.col.sig_baseline {
                 col[i].clone_from(&self.sig_epoch[cell]);
             }
@@ -1362,13 +1394,13 @@ impl ClientMut<'_> {
             return;
         };
         let mut check_entries: Vec<(ItemId, f64)> = Vec::new();
-        let waiting: Vec<ItemId> = self
-            .pending
-            .iter()
-            .filter(|p| p.state == PendingState::WaitReport)
-            .map(|p| p.item)
-            .collect();
-        for item in waiting {
+        // By index, with no list of the waiting items: each step moves
+        // only the entry it reads out of `WaitReport`.
+        for k in 0..self.pending.len() {
+            let PendingItem { item, state, .. } = self.pending[k];
+            if state != PendingState::WaitReport {
+                continue;
+            }
             if self.cache.get_valid(item).is_some() {
                 q.resolve(self.pending, item, PendingState::WaitReport, true);
                 continue;
@@ -1789,12 +1821,60 @@ mod tests {
         }
     }
 
+    /// A fresh population holds one cache body, the shared empty one.
+    /// Reads, the stamp and its `materialize`, and every mutator but
+    /// insert leave a cold client on it; a client's first insert gives
+    /// it exactly one body of its own, which it keeps through emptying
+    /// and refilling.
+    #[test]
+    fn a_cold_client_holds_no_body_until_its_first_insert() {
+        let n = 70;
+        let mut pop = ClientPop::new(cfg(Scheme::Aaw), n);
+        assert_eq!(pop.cache_bodies(), 1);
+        assert_eq!(deliver(&mut pop, 20.0, t(20.0)), (n as u64, vec![]));
+        for i in 0..n {
+            assert!(pop.cache(i).is_empty());
+            assert_eq!(pop.entries(i).count(), 0);
+            let mut c = pop.client_mut(i);
+            c.cache.revalidate_all(t(21.0));
+            c.cache.mark_all_limbo();
+            c.cache.clear();
+            c.cache.invalidate_many([ItemId(1)]);
+            assert_eq!(c.cache.drop_limbo(), 0);
+            assert_eq!(c.cache.salvage_limbo(t(21.0), |_| true), (0, 0));
+            assert!(!c.cache.salvage_item(ItemId(1), true, t(21.0)));
+            assert!(c.cache.get_valid(ItemId(1)).is_none());
+        }
+        assert_eq!(pop.tlb(0), t(20.0), "materialized");
+        assert_eq!(pop.cache_bodies(), 1);
+
+        let snoop = |pop: &mut ClientPop, i: usize, item: u32| {
+            pop.client_mut(i)
+                .on_snooped_data(t(22.0), ItemId(item), t(1.0));
+        };
+        snoop(&mut pop, 5, 3);
+        assert_eq!(pop.cache_bodies(), 2);
+        snoop(&mut pop, 5, 4);
+        assert_eq!(pop.cache_bodies(), 2);
+        pop.client_mut(5).cache.clear();
+        assert!(pop.cache(5).is_empty());
+        snoop(&mut pop, 5, 9);
+        assert_eq!(pop.cache_bodies(), 2, "refilled in its own body");
+        assert_eq!(pop.col.body[5], 1);
+        assert!(pop.cache(5).is_resident(ItemId(9)));
+        snoop(&mut pop, 64, 9);
+        assert_eq!(pop.cache_bodies(), 3);
+        assert_eq!(pop.holders_of(ItemId(9)), vec![64, 5]);
+        assert!(pop.col.empty.is_empty(), "the shared body stays empty");
+        assert!((0..n).all(|i| pop.cache(i).is_empty() == (i != 5 && i != 64)));
+    }
+
     /// A new per-client column moves this figure. State that is only
     /// ever summed or drained belongs to the population, not to a
     /// column.
     #[test]
     fn per_client_footprint_is_pinned() {
-        assert_eq!(ClientPop::CLIENT_BYTES, 217);
+        assert_eq!(ClientPop::CLIENT_BYTES, 117);
     }
 
     /// The stamp and the retry pass compare one deadline with one strict

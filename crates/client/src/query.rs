@@ -2,13 +2,15 @@
 //!
 //! A query in progress is two columns of the client population: the
 //! per-query scalars in a small Copy [`QueryHeader`], and per-item
-//! progress in the client's `Vec<PendingItem>`, whose length is the
+//! progress in the client's [`PendingItems`], whose length is the
 //! active query's. The header's methods take that item slice as a
-//! parameter. The `Vec` keeps its capacity from query to query, so after
-//! warm-up a query allocates nothing.
+//! parameter. A one-item query, the common case, keeps its item inline;
+//! a longer one spills to a heap `Vec` that keeps its capacity from
+//! query to query, so after warm-up a query allocates nothing.
 
 use mobicache_model::{ItemId, RetryPolicy};
 use mobicache_sim::SimTime;
+use std::ops::{Deref, DerefMut};
 
 /// How one referenced item is currently being resolved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,6 +70,78 @@ impl PendingItem {
     }
 }
 
+/// The items of a client's query in flight, read and advanced as a
+/// slice: empty when there is none, one item inline, or more in a heap
+/// `Vec`. A client keeps its `Vec` once a multi-item query spilled it,
+/// so later queries of any length reuse its capacity.
+#[derive(Clone, Debug, Default)]
+pub struct PendingItems(Slots);
+
+#[derive(Clone, Debug, Default)]
+enum Slots {
+    #[default]
+    Empty,
+    One(PendingItem),
+    Many(Vec<PendingItem>),
+}
+
+impl PendingItems {
+    /// Replaces the contents with fresh wait-for-report entries for
+    /// `items`.
+    fn start(&mut self, items: &[ItemId]) {
+        let fresh = items.iter().map(|&item| PendingItem::fresh(item));
+        match (&mut self.0, items) {
+            (Slots::Many(v), _) => {
+                v.clear();
+                v.extend(fresh);
+            }
+            (slots, &[item]) => *slots = Slots::One(PendingItem::fresh(item)),
+            (slots, _) => *slots = Slots::Many(fresh.collect()),
+        }
+    }
+
+    /// Empties the list, keeping a spilled `Vec`'s capacity.
+    pub fn clear(&mut self) {
+        match &mut self.0 {
+            Slots::Many(v) => v.clear(),
+            slots => *slots = Slots::Empty,
+        }
+    }
+
+    /// How many items the list holds without allocating: one inline, or
+    /// the capacity of the `Vec` it spilled to.
+    pub fn capacity(&self) -> usize {
+        match &self.0 {
+            Slots::Many(v) => v.capacity(),
+            Slots::Empty | Slots::One(_) => 1,
+        }
+    }
+}
+
+impl Deref for PendingItems {
+    type Target = [PendingItem];
+
+    #[inline]
+    fn deref(&self) -> &[PendingItem] {
+        match &self.0 {
+            Slots::Empty => &[],
+            Slots::One(p) => std::slice::from_ref(p),
+            Slots::Many(v) => v,
+        }
+    }
+}
+
+impl DerefMut for PendingItems {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [PendingItem] {
+        match &mut self.0 {
+            Slots::Empty => &mut [],
+            Slots::One(p) => std::slice::from_mut(p),
+            Slots::Many(v) => v,
+        }
+    }
+}
+
 /// Summary of a completed query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QueryOutcome {
@@ -98,22 +172,16 @@ pub struct QueryHeader {
 
 impl QueryHeader {
     /// A fresh header for a query over `items`, whose wait-for-report
-    /// entries replace the contents of `pending` (keeping its capacity).
+    /// entries replace the contents of `pending`.
     ///
     /// # Panics
     /// Panics if `items` is empty.
-    pub fn new(issued_at: SimTime, items: &[ItemId], pending: &mut Vec<PendingItem>) -> Self {
+    pub fn new(issued_at: SimTime, items: &[ItemId], pending: &mut PendingItems) -> Self {
         assert!(
             !items.is_empty(),
             "a query must reference at least one item"
         );
-        pending.clear();
-        // Grow to the query's exact size rather than `Vec`'s minimum of
-        // four: the common one-item query then takes a 32-byte block,
-        // which a million-client population allocates and frees far
-        // faster than 128-byte ones.
-        pending.reserve_exact(items.len());
-        pending.extend(items.iter().map(|&item| PendingItem::fresh(item)));
+        pending.start(items);
         QueryHeader {
             issued_at,
             hits: 0,
@@ -193,9 +261,9 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    fn query(issued_at: SimTime, ids: &[u32]) -> (QueryHeader, Vec<PendingItem>) {
+    fn query(issued_at: SimTime, ids: &[u32]) -> (QueryHeader, PendingItems) {
         let ids: Vec<ItemId> = ids.iter().map(|&i| ItemId(i)).collect();
-        let mut items = Vec::new();
+        let mut items = PendingItems::default();
         (QueryHeader::new(issued_at, &ids, &mut items), items)
     }
 
@@ -261,6 +329,28 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one item")]
     fn empty_query_rejected() {
-        QueryHeader::new(t(0.0), &[], &mut Vec::new());
+        QueryHeader::new(t(0.0), &[], &mut PendingItems::default());
+    }
+
+    /// A one-item query keeps its item inline, in no more room than the
+    /// item itself; a longer one spills to a `Vec` that every later
+    /// query, one-item ones included, reuses.
+    #[test]
+    fn one_item_queries_stay_inline() {
+        assert_eq!(
+            std::mem::size_of::<PendingItems>(),
+            std::mem::size_of::<PendingItem>()
+        );
+        let (_, mut items) = query(t(0.0), &[4]);
+        assert!(matches!(items.0, Slots::One(_)));
+        assert_eq!(items[0], PendingItem::fresh(ItemId(4)));
+        items.clear();
+        assert!(items.is_empty() && matches!(items.0, Slots::Empty));
+        QueryHeader::new(t(1.0), &[ItemId(1), ItemId(2), ItemId(3)], &mut items);
+        assert!(matches!(&items.0, Slots::Many(v) if v.capacity() == 3));
+        items.clear();
+        QueryHeader::new(t(2.0), &[ItemId(7)], &mut items);
+        assert!(matches!(&items.0, Slots::Many(v) if v.capacity() == 3));
+        assert_eq!(&*items, &[PendingItem::fresh(ItemId(7))]);
     }
 }

@@ -617,6 +617,8 @@ struct Lockstep {
     plans: Vec<PlanCache>,
     /// The most entries the stamped side's caches have held at once.
     peak_entries: usize,
+    /// Which clients have held an item at some check so far.
+    ever_cached: Vec<bool>,
     /// The stamp's retry-armed listeners so far.
     arm: RetryArm,
 }
@@ -629,6 +631,7 @@ impl Lockstep {
             tlb: vec![SimTime::ZERO; n],
             plans: (0..cells).map(|_| PlanCache::new()).collect(),
             peak_entries: 0,
+            ever_cached: vec![false; n],
             arm: RetryArm::default(),
         }
     }
@@ -812,8 +815,11 @@ impl Lockstep {
 
     /// Every client reads the same `Tlb`, flags and effective cache on
     /// both sides and the model's `Tlb`; the stamped side's flags and
-    /// holders index are exact, and its index arena stays within the
-    /// peak number of cached entries.
+    /// holders index are exact, its index arena stays within the peak
+    /// number of cached entries, and both sides hold one cache body per
+    /// client that ever cached an item, besides the shared empty one.
+    /// (A step that inserts into a cache leaves it non-empty, so a check
+    /// after every step sees every such client.)
     fn check(&mut self) -> Result<(), TestCaseError> {
         let (pop, eager) = (&self.h.pop, &self.eager);
         for i in 0..self.tlb.len() {
@@ -824,6 +830,12 @@ impl Lockstep {
         }
         let entries: usize = (0..pop.len()).map(|i| pop.cache(i).len()).sum();
         self.peak_entries = self.peak_entries.max(entries);
+        for (i, ever) in self.ever_cached.iter_mut().enumerate() {
+            *ever |= !pop.cache(i).is_empty();
+        }
+        let cachers = self.ever_cached.iter().filter(|&&e| e).count();
+        prop_assert_eq!(pop.cache_bodies(), 1 + cachers);
+        prop_assert_eq!(eager.cache_bodies(), 1 + cachers);
         prop_assert!(
             pop.holders_arena_len() <= self.peak_entries,
             "holders arena {} past the peak of {} entries",

@@ -208,6 +208,8 @@ pub struct Simulation<'p> {
     /// Reusable client-action buffer, threaded through every addressed
     /// delivery so the hot paths never allocate an action list.
     action_scratch: Vec<ClientAction>,
+    /// Reusable query reference set, refilled at every query arrival.
+    query_scratch: Vec<ItemId>,
 }
 
 /// Builds and runs a simulation in one call.
@@ -350,6 +352,7 @@ impl<'p> Simulation<'p> {
             acct: Accounting::new(),
             oracle: opts.check_consistency.then(Oracle::new),
             action_scratch: Vec::new(),
+            query_scratch: Vec::new(),
             sched,
             cfg: cfg.clone(),
             opts,
@@ -604,10 +607,10 @@ impl<'p> Simulation<'p> {
                 return;
             }
         }
-        let items = self
-            .query_gen
-            .next_query_items(&mut self.rng_clients[c.index()]);
-        self.clients.start_query(c.index(), now, &items);
+        self.query_gen
+            .next_query_items(&mut self.rng_clients[c.index()], &mut self.query_scratch);
+        self.clients
+            .start_query(c.index(), now, &self.query_scratch);
         // The query waits for the next broadcast report (§2).
     }
 

@@ -94,10 +94,17 @@ impl ItemSampler {
     }
 
     /// Draws `count` **distinct** items (by rejection; `count` is clamped
-    /// to the database size).
-    pub fn sample_distinct(&self, rng: &mut SimRng, count: usize, db_size: u32) -> Vec<ItemId> {
+    /// to the database size) into `out`, replacing its contents.
+    pub fn sample_distinct(
+        &self,
+        rng: &mut SimRng,
+        count: usize,
+        db_size: u32,
+        out: &mut Vec<ItemId>,
+    ) {
         let count = count.min(db_size as usize);
-        let mut out = Vec::with_capacity(count);
+        out.clear();
+        out.reserve(count);
         // Rejection is fine: the model draws ≤ 10 items from databases of
         // ≥ 1000, so collisions are rare.
         let mut guard = 0u32;
@@ -121,7 +128,6 @@ impl ItemSampler {
                 }
             }
         }
-        out
     }
 }
 
@@ -218,8 +224,9 @@ mod tests {
     fn distinct_sampling_has_no_duplicates() {
         let s = ItemSampler::new(Pattern::Uniform, 1000);
         let mut r = rng();
+        let mut items = Vec::new();
         for _ in 0..100 {
-            let items = s.sample_distinct(&mut r, 10, 1000);
+            s.sample_distinct(&mut r, 10, 1000, &mut items);
             let mut dedup = items.clone();
             dedup.sort_unstable();
             dedup.dedup();
@@ -232,8 +239,11 @@ mod tests {
     fn distinct_sampling_clamps_to_db() {
         let s = ItemSampler::new(Pattern::Uniform, 3);
         let mut r = rng();
-        let items = s.sample_distinct(&mut r, 10, 3);
+        // Whatever `out` held is replaced.
+        let mut items = vec![ItemId(7)];
+        s.sample_distinct(&mut r, 10, 3, &mut items);
         assert_eq!(items.len(), 3);
+        assert!(items.iter().all(|i| i.0 < 3));
     }
 
     #[test]
@@ -249,7 +259,8 @@ mod tests {
             100,
         );
         let mut r = rng();
-        let items = s.sample_distinct(&mut r, 5, 100);
+        let mut items = Vec::new();
+        s.sample_distinct(&mut r, 5, 100, &mut items);
         assert_eq!(items.len(), 5);
     }
 }

@@ -40,7 +40,10 @@ impl UpdateGen {
     /// The distinct items touched by one transaction.
     pub fn next_txn_items(&self, rng: &mut SimRng) -> Vec<ItemId> {
         let count = self.txn_size.sample_at_least_one(rng) as usize;
-        self.sampler.sample_distinct(rng, count, self.db_size)
+        let mut items = Vec::new();
+        self.sampler
+            .sample_distinct(rng, count, self.db_size, &mut items);
+        items
     }
 }
 
@@ -73,13 +76,19 @@ impl QueryGen {
         }
     }
 
-    /// The distinct items referenced by one query.
-    pub fn next_query_items(&self, rng: &mut SimRng) -> Vec<ItemId> {
+    /// The distinct items referenced by one query, replacing the
+    /// contents of `items`: a caller that keeps one buffer across
+    /// queries allocates only when a query outgrows it.
+    pub fn next_query_items(&self, rng: &mut SimRng, items: &mut Vec<ItemId>) {
         match &self.count {
-            None => vec![self.sampler.sample(rng)],
+            None => {
+                items.clear();
+                items.push(self.sampler.sample(rng));
+            }
             Some(p) => {
                 let count = p.sample_at_least_one(rng) as usize;
-                self.sampler.sample_distinct(rng, count, self.db_size)
+                self.sampler
+                    .sample_distinct(rng, count, self.db_size, items);
             }
         }
     }
@@ -134,8 +143,10 @@ mod tests {
     fn single_item_queries_are_exact() {
         let g = QueryGen::new(Pattern::Uniform, 1000, 1.0);
         let mut r = rng();
+        let mut items = Vec::new();
         for _ in 0..200 {
-            assert_eq!(g.next_query_items(&mut r).len(), 1);
+            g.next_query_items(&mut r, &mut items);
+            assert_eq!(items.len(), 1);
         }
     }
 
@@ -144,8 +155,12 @@ mod tests {
         let g = QueryGen::new(Pattern::Uniform, 10_000, 10.0);
         let mut r = rng();
         let n = 10_000;
+        let mut items = Vec::new();
         let mean: f64 = (0..n)
-            .map(|_| g.next_query_items(&mut r).len())
+            .map(|_| {
+                g.next_query_items(&mut r, &mut items);
+                items.len()
+            })
             .sum::<usize>() as f64
             / n as f64;
         assert!((mean - 10.0).abs() < 0.3, "mean {mean}");
@@ -156,8 +171,12 @@ mod tests {
         let g = QueryGen::new(Pattern::paper_hotcold(), 10_000, 1.0);
         let mut r = rng();
         let n = 20_000;
+        let mut items = Vec::new();
         let hot = (0..n)
-            .filter(|_| g.next_query_items(&mut r)[0].0 < 100)
+            .filter(|_| {
+                g.next_query_items(&mut r, &mut items);
+                items[0].0 < 100
+            })
             .count() as f64
             / n as f64;
         assert!((hot - 0.8).abs() < 0.02, "hot fraction {hot}");

@@ -90,12 +90,14 @@ proptest! {
     fn queries_are_wellformed(db in 10u32..2_000, seed in any::<u64>()) {
         let mut rng = SimRng::new(seed);
         let single = QueryGen::new(Pattern::Uniform, db, 1.0);
+        let mut items = Vec::new();
         for _ in 0..50 {
-            prop_assert_eq!(single.next_query_items(&mut rng).len(), 1);
+            single.next_query_items(&mut rng, &mut items);
+            prop_assert_eq!(items.len(), 1);
         }
         let multi = QueryGen::new(Pattern::Uniform, db, 4.0);
         for _ in 0..50 {
-            let items = multi.next_query_items(&mut rng);
+            multi.next_query_items(&mut rng, &mut items);
             prop_assert!(!items.is_empty());
             let mut d = items.clone();
             d.sort_unstable();

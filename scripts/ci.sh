@@ -23,18 +23,28 @@ if git grep -n unsafe -- '*.rs'; then
   exit 1
 fi
 
-# The size the roadmap tracks: non-test lines in crates/*/src, counting
-# each file up to its first #[cfg(test)].
+# Both counts below stop each file at its test module: the
+# `#[cfg(test)]` that opens a `mod`, on the attribute's line or the
+# next. A `#[cfg(test)]` item anywhere else stays counted. `skip` is set
+# from the `mod` line on; `attrs` counts the attribute lines above such
+# a `mod`, which were counted before the cut was seen.
+test_mod='FNR == 1 { skip = 0; prev = "" }
+  !skip && /^[[:space:]]*(pub(\([^)]*\))? )?mod / &&
+    prev ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { skip = 1; attrs++ }
+  !skip && /#\[cfg\(test\)\][[:space:]]*(pub(\([^)]*\))? )?mod / { skip = 1 }
+  { prev = $0 }'
+
+# The size the roadmap tracks: non-test lines in crates/*/src.
 echo "==> non-test lines in crates/*/src"
 git ls-files ':(glob)crates/*/src/**/*.rs' |
-  xargs awk 'FNR == 1 { skip = 0 } /#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n }'
+  xargs awk "$test_mod"' !skip { n++ } END { print n - attrs }'
 
 # The panic count the roadmap tracks: non-test panic!, .expect(,
 # .unwrap( and unreachable! sites per crate, with the same cut-off
 # (comment lines, doc examples included, do not count). Print-only.
 echo "==> non-test panic sites per crate in crates/*/src"
 git ls-files ':(glob)crates/*/src/**/*.rs' |
-  xargs awk 'FNR == 1 { skip = 0 } /#\[cfg\(test\)\]/ { skip = 1 }
+  xargs awk "$test_mod"'
     !skip && !/^[[:space:]]*\/\// {
       split(FILENAME, path, "/")
       n[path[2]] += gsub(/panic!|\.expect\(|\.unwrap\(|unreachable!/, "&")
