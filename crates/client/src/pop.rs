@@ -43,7 +43,6 @@ use mobicache_model::{CheckingMode, ItemId, Scheme, UplinkKind};
 use mobicache_reports::{BsSelect, PlanCache, PlanStats, ReportPayload};
 use mobicache_sim::bits::for_each_set_bit;
 use mobicache_sim::SimTime;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A client's stored combined signatures: the buffer of the last `SIG`
@@ -946,7 +945,8 @@ impl ClientMut<'_> {
     }
 
     /// Processes a validity report (answer to a check request): `valid`
-    /// lists the checked items that are still current as of `asof`.
+    /// lists, in ascending order, the checked items that are still current
+    /// as of `asof`.
     /// Appends the resulting actions to `actions` (not cleared).
     pub fn on_validity_into(
         &mut self,
@@ -955,29 +955,25 @@ impl ClientMut<'_> {
         valid: &[ItemId],
         actions: &mut Vec<ClientAction>,
     ) {
-        let valid_set: HashSet<ItemId> = valid.iter().copied().collect();
+        debug_assert!(valid.is_sorted(), "validity list not ascending");
+        let is_valid = |item: ItemId| valid.binary_search(&item).is_ok();
         match self.cfg.checking_mode {
             CheckingMode::FullCache => {
                 // The check covered the whole cache: every limbo entry
                 // gets a verdict.
-                let (salvaged, dropped) = self
-                    .cache
-                    .salvage_limbo(asof, |item| valid_set.contains(&item));
+                let (salvaged, dropped) = self.cache.salvage_limbo(asof, is_valid);
                 self.counters.salvaged += salvaged as u64;
                 self.counters.limbo_dropped += dropped as u64;
                 *self.gap = None;
             }
             CheckingMode::QueriedItems => {
                 // Only the pending query's items were checked.
-                let checked: Vec<ItemId> = self
-                    .pending
-                    .iter()
-                    .filter(|p| p.state == PendingState::WaitValidity)
-                    .map(|p| p.item)
-                    .collect();
-                for item in checked {
-                    let ok = valid_set.contains(&item);
-                    if self.cache.salvage_item(item, ok, asof) {
+                for p in self.pending.iter() {
+                    if p.state != PendingState::WaitValidity {
+                        continue;
+                    }
+                    let ok = is_valid(p.item);
+                    if self.cache.salvage_item(p.item, ok, asof) {
                         if ok {
                             self.counters.salvaged += 1;
                         } else {
@@ -1030,13 +1026,13 @@ impl ClientMut<'_> {
     /// Resolve query items that were waiting on a validity/group verdict.
     fn resolve_validity_waiters(&mut self, now: SimTime, actions: &mut Vec<ClientAction>) {
         if let Some(q) = self.header.as_mut() {
-            let waiting: Vec<ItemId> = self
-                .pending
-                .iter()
-                .filter(|p| p.state == PendingState::WaitValidity)
-                .map(|p| p.item)
-                .collect();
-            for item in waiting {
+            // By index, as `resolve_query` walks: each step moves only the
+            // entry it reads out of `WaitValidity`.
+            for k in 0..self.pending.len() {
+                let PendingItem { item, state, .. } = self.pending[k];
+                if state != PendingState::WaitValidity {
+                    continue;
+                }
                 if self.cache.get_valid(item).is_some() {
                     q.resolve(self.pending, item, PendingState::WaitValidity, true);
                 } else {

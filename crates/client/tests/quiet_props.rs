@@ -313,13 +313,15 @@ impl Harness {
                 self.pop.reconnect(c, now);
             }
             7 if connected && scheme == Scheme::SimpleChecking => {
-                let valid: Vec<ItemId> = self
+                let mut valid: Vec<ItemId> = self
                     .pop
                     .cache(c)
                     .items_iter()
                     .filter(|&(i, v)| v >= self.version(i))
                     .map(|(i, _)| i)
                     .collect();
+                // The server lists the valid items in ascending order.
+                valid.sort_unstable();
                 self.pop
                     .client_mut(c)
                     .on_validity_into(now, now, &valid, &mut actions);
@@ -785,7 +787,10 @@ impl Lockstep {
                 let last = &self.h.last;
                 let current =
                     |&(i, v): &(ItemId, SimTime)| v >= last[i.0 as usize].unwrap_or(SimTime::ZERO);
-                let valid: Vec<ItemId> = cache.iter().filter(|e| current(e)).map(|e| e.0).collect();
+                let mut valid: Vec<ItemId> =
+                    cache.iter().filter(|e| current(e)).map(|e| e.0).collect();
+                // The server lists the valid items in ascending order.
+                valid.sort_unstable();
                 let stale: Vec<ItemId> =
                     cache.iter().filter(|e| !current(e)).map(|e| e.0).collect();
                 for (pop, out) in [

@@ -27,7 +27,7 @@
 
 use crate::broadcast::Broadcast;
 use crate::faults::Faults;
-use crate::metrics::{Accounting, ClientStats, FaultMetrics, Metrics};
+use crate::metrics::{Accounting, FaultMetrics, Metrics};
 use crate::mobility::Mobility;
 use crate::oracle::Oracle;
 use crate::probe::{CacheEventKind, IntervalSnapshot, Probe, ProbeEvent, ReportKind, RunTotals};
@@ -126,9 +126,9 @@ enum Ev {
     QueryArrival(ClientId),
     /// A dozing client wakes up.
     Reconnect(ClientId),
-    /// A downlink transmission finished (channel index, facility token).
+    /// A downlink transmission finished (channel index, completion token).
     DownlinkDone(usize, u64),
-    /// An uplink transmission finished (facility token).
+    /// An uplink transmission finished (completion token).
     UplinkDone(u64),
     /// A scheduled server crash wipes the volatile server state.
     ServerCrash,
@@ -847,17 +847,13 @@ impl<'p> Simulation<'p> {
                 let verdict = self.servers[cell].process_check(now, &timed(&entries));
                 let dk = DownlinkKind::ValidityReport {
                     checked: verdict.checked,
-                    valid: verdict.valid.clone(),
-                    asof_secs: verdict.asof.as_secs(),
                 };
                 self.send_downlink(now, &dk, cell, DownPayload::Validity(from, verdict));
             }
             UplinkKind::GroupCheckRequest { groups } => {
                 let verdict = self.servers[cell].process_group_check(now, &timed(&groups));
                 let dk = DownlinkKind::GroupValidity {
-                    stale: verdict.stale.clone(),
-                    covered: verdict.covered,
-                    asof_secs: verdict.asof.as_secs(),
+                    stale: verdict.stale.len() as u32,
                 };
                 self.send_downlink(now, &dk, cell, DownPayload::GroupVerdict(from, verdict));
             }
@@ -996,8 +992,6 @@ impl<'p> Simulation<'p> {
         let totals = self.current_totals();
         let sc = self.server_counters();
         let c = self.clients.counters();
-        let mut clients = ClientStats::default();
-        clients.absorb(&c);
         let mut faults = self
             .faults
             .map_or_else(FaultMetrics::default, |f| f.finish(sc.duplicate_tlbs));
@@ -1050,7 +1044,7 @@ impl<'p> Simulation<'p> {
             energy_per_query: per(energy_total, totals.queries_answered),
             reports_lost: totals.reports_lost,
             server: sc.into(),
-            clients,
+            clients: c.into(),
             cache_evictions: totals.cache_evictions,
             disconnections: totals.disconnections,
             events_processed: self.sched.events_delivered(),

@@ -305,7 +305,7 @@ impl From<ServerCounters> for ServerStats {
     }
 }
 
-/// Serializable sum of [`ClientCounters`] over all clients.
+/// Serializable copy of the population's [`ClientCounters`] totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClientStats {
     /// `Tlb` messages sent.
@@ -322,15 +322,16 @@ pub struct ClientStats {
     pub limbo_episodes: u64,
 }
 
-impl ClientStats {
-    /// Accumulates one client's counters.
-    pub fn absorb(&mut self, c: &ClientCounters) {
-        self.tlbs_sent += c.tlbs_sent;
-        self.checks_sent += c.checks_sent;
-        self.full_drops += c.full_drops;
-        self.salvaged += c.salvaged;
-        self.limbo_dropped += c.limbo_dropped;
-        self.limbo_episodes += c.limbo_episodes;
+impl From<ClientCounters> for ClientStats {
+    fn from(c: ClientCounters) -> Self {
+        ClientStats {
+            tlbs_sent: c.tlbs_sent,
+            checks_sent: c.checks_sent,
+            full_drops: c.full_drops,
+            salvaged: c.salvaged,
+            limbo_dropped: c.limbo_dropped,
+            limbo_episodes: c.limbo_episodes,
+        }
     }
 }
 
@@ -368,8 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn client_stats_absorb_sums() {
-        let mut s = ClientStats::default();
+    fn client_stats_from_counters() {
         let c = ClientCounters {
             tlbs_sent: 2,
             checks_sent: 3,
@@ -379,9 +379,16 @@ mod tests {
             limbo_episodes: 6,
             ..ClientCounters::default()
         };
-        s.absorb(&c);
-        s.absorb(&c);
-        assert_eq!(s.tlbs_sent, 4);
-        assert_eq!(s.limbo_episodes, 12);
+        assert_eq!(
+            ClientStats::from(c),
+            ClientStats {
+                tlbs_sent: 2,
+                checks_sent: 3,
+                full_drops: 1,
+                salvaged: 4,
+                limbo_dropped: 5,
+                limbo_episodes: 6,
+            }
+        );
     }
 }

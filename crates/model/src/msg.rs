@@ -140,22 +140,13 @@ pub enum DownlinkKind {
     ValidityReport {
         /// Number of items checked (one bit each on the wire).
         checked: u32,
-        /// The checked items that are still valid.
-        valid: Vec<ItemId>,
-        /// Server time the verdict holds as of (raw seconds).
-        asof_secs: f64,
     },
     /// Answer to a grouped-checking request: the stale items of the
-    /// checked groups (extension). `covered = false` means some group's
-    /// `Tlb` predates the retention window and the client must drop its
-    /// cache.
+    /// checked groups (extension), a covered flag and the server
+    /// timestamp the verdict holds as of.
     GroupValidity {
-        /// Items of the checked groups updated since their `Tlb`s.
-        stale: Vec<ItemId>,
-        /// `false` when the retention window was exceeded.
-        covered: bool,
-        /// Server time the verdict holds as of (raw seconds).
-        asof_secs: f64,
+        /// Number of stale items listed (one id each on the wire).
+        stale: u32,
     },
 }
 
@@ -165,11 +156,11 @@ impl DownlinkKind {
         match self {
             DownlinkKind::InvalidationReport { content_bits } => p.header_bits + content_bits,
             DownlinkKind::DataItem { .. } => p.header_bits + bits_of_bytes(p.item_bytes),
-            DownlinkKind::ValidityReport { checked, .. } => {
+            DownlinkKind::ValidityReport { checked } => {
                 p.header_bits + *checked as f64 + p.timestamp_bits
             }
-            DownlinkKind::GroupValidity { stale, .. } => {
-                p.header_bits + 1.0 + p.timestamp_bits + stale.len() as f64 * p.id_bits()
+            DownlinkKind::GroupValidity { stale } => {
+                p.header_bits + 1.0 + p.timestamp_bits + *stale as f64 * p.id_bits()
             }
         }
     }
@@ -266,11 +257,7 @@ mod tests {
     #[test]
     fn group_validity_sizes_by_stale_items() {
         let p = params();
-        let m = DownlinkKind::GroupValidity {
-            stale: vec![ItemId(1), ItemId(2)],
-            covered: true,
-            asof_secs: 5.0,
-        };
+        let m = DownlinkKind::GroupValidity { stale: 2 };
         assert_eq!(m.size_bits(&p), 64.0 + 1.0 + 48.0 + 2.0 * 14.0);
         assert_eq!(m.class(), CLASS_CHECK);
     }
@@ -278,11 +265,7 @@ mod tests {
     #[test]
     fn validity_report_is_bitmap_sized() {
         let p = params();
-        let m = DownlinkKind::ValidityReport {
-            checked: 200,
-            valid: vec![ItemId(1), ItemId(2)],
-            asof_secs: 9.0,
-        };
+        let m = DownlinkKind::ValidityReport { checked: 200 };
         assert_eq!(m.size_bits(&p), 64.0 + 200.0 + 48.0);
         assert_eq!(m.class(), CLASS_CHECK);
     }

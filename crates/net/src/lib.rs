@@ -10,13 +10,12 @@
 //! * the **uplink** (clients → server) carries query requests, `Tlb`
 //!   reports and checking requests.
 //!
-//! A [`Channel`] wraps the generic preemptive-priority
-//! [`Facility`](mobicache_sim::Facility) with the paper's three classes:
-//! callers submit a typed message with its bit size and priority class,
-//! receive a `(time, token)` completion to schedule, and get the message
-//! back on completion (it waits in the facility's queue in between).
-//! Stale completions (preempted service) return `None` and must be
-//! dropped, mirroring the facility protocol.
+//! A [`Channel`] is a single server with the paper's three priority
+//! classes, reports preemptive: callers submit a typed message with its
+//! bit size and priority class, receive a `(time, token)` completion to
+//! schedule, and get the message back on completion (it waits in its
+//! class's queue in between). Stale completions (preempted service)
+//! return `None` and must be dropped.
 
 mod channel;
 

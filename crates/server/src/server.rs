@@ -97,7 +97,7 @@ pub enum AdaptiveDecision {
 pub struct ValidityVerdict {
     /// Server time the verdict is valid as of.
     pub asof: SimTime,
-    /// The checked items that are still valid.
+    /// The checked items that are still valid, in ascending order.
     pub valid: Vec<ItemId>,
     /// Number of items checked (sizes the downlink validity report).
     pub checked: u32,
@@ -329,20 +329,23 @@ impl Server {
     }
 
     /// Answers a simple-checking validity request: which of the client's
-    /// `(item, version)` pairs are still current.
+    /// `(item, version)` pairs are still current, listed in ascending
+    /// order so the client can binary-search them.
     pub fn process_check(
         &mut self,
         now: SimTime,
         entries: &[(ItemId, SimTime)],
     ) -> ValidityVerdict {
         self.counters.checks_processed += 1;
+        let mut valid: Vec<ItemId> = entries
+            .iter()
+            .filter(|&&(item, version)| self.log.is_valid(item, version))
+            .map(|&(item, _)| item)
+            .collect();
+        valid.sort_unstable();
         ValidityVerdict {
             asof: now,
-            valid: entries
-                .iter()
-                .filter(|&&(item, version)| self.log.is_valid(item, version))
-                .map(|&(item, _)| item)
-                .collect(),
+            valid,
             checked: entries.len() as u32,
         }
     }
@@ -790,11 +793,12 @@ mod tests {
                 (ItemId(1), SimTime::ZERO), // stale
                 (ItemId(1), t(50.0)),       // current
                 (ItemId(2), SimTime::ZERO), // never updated
+                (ItemId(0), SimTime::ZERO), // listed first: ascending
             ],
         );
         assert_eq!(verdict.asof, t(60.0));
-        assert_eq!(verdict.checked, 3);
-        assert_eq!(verdict.valid, vec![ItemId(1), ItemId(2)]);
+        assert_eq!(verdict.checked, 4);
+        assert_eq!(verdict.valid, vec![ItemId(0), ItemId(1), ItemId(2)]);
         assert_eq!(s.counters().checks_processed, 1);
     }
 

@@ -138,6 +138,17 @@ impl<E> Level<E> {
     }
 }
 
+/// A service completion a passive component (a channel) hands back for
+/// its caller to turn into an event.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Completion {
+    /// Absolute time at which the service finishes.
+    pub at: SimTime,
+    /// Token to pass back with the event; the component rejects a stale
+    /// one (a service it has since preempted).
+    pub token: u64,
+}
+
 /// A future event list over an application-defined event type `E`.
 ///
 /// The scheduler owns the simulation clock: [`Scheduler::pop`] advances

@@ -6,7 +6,8 @@
 //! simulator needs.
 //!
 //! * [`time`] — the simulation clock type ([`SimTime`]) and durations.
-//! * [`event`] — a stable-ordered future event list ([`Scheduler`]).
+//! * [`event`] — a stable-ordered future event list ([`Scheduler`]), and
+//!   the [`Completion`] a passive component hands its caller to schedule.
 //! * [`rng`] — a deterministic, splittable pseudo-random generator
 //!   (xoshiro256++ seeded via SplitMix64), so every run is reproducible from
 //!   a single `u64` seed and every stochastic process gets an independent
@@ -16,9 +17,6 @@
 //!   extension; coins are [`SimRng::coin`]).
 //! * [`stats`] — online statistics accumulators (Welford mean/variance,
 //!   histograms).
-//! * [`facility`] — a single-server queueing facility with priority classes
-//!   and preemptive-resume service, modelling a wireless channel whose
-//!   invalidation reports must go out exactly on the broadcast period.
 //! * [`bits`] — ascending set-bit walks over `u64` bitmaps, the shape of
 //!   the engine's per-client masks.
 //!
@@ -26,18 +24,18 @@
 //! process-oriented: the driving loop lives in the `mobicache` core crate
 //! and dispatches on an application event enum. All components here are
 //! passive data structures, which keeps them unit-testable in isolation.
+//! The paper's wireless channel, a preemptive-priority server, is one of
+//! them and lives in `mobicache-net`.
 
 pub mod bits;
 pub mod dist;
 pub mod event;
-pub mod facility;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use dist::{Exp, Poisson, UniformRange, Zipf};
-pub use event::Scheduler;
-pub use facility::{Completion, Facility, FacilityConfig, Job};
+pub use event::{Completion, Scheduler};
 pub use rng::{SimRng, StreamId};
 pub use stats::{Histogram, OnlineStats};
 pub use time::SimTime;

@@ -116,16 +116,19 @@ cargo test -q --offline --manifest-path mobibench/Cargo.toml
 echo "==> quiet-client proptest suite (release, under timeout)"
 timeout 600 cargo test -q --release -p mobicache-client --test quiet_props
 
-# Report application: the LRU cache against its reference models
-# (states and `validated_at` under the O(1) vouch epoch), the two-level
-# plan against fresh decodes and the dense intersection, the SIG mask
-# decode against the hash-per-item decide, and plan application against
-# the linear decide. Tier-1 runs them in debug only.
-echo "==> report-application proptests (release, under timeout)"
+# Report application and delivery: the LRU cache against its reference
+# models (states and `validated_at` under the O(1) vouch epoch), the
+# two-level plan against fresh decodes and the dense intersection, the
+# SIG mask decode against the hash-per-item decide, plan application
+# against the linear decide, and the preemptive-priority channel (work
+# conserved through preemption, busy time, backlog after every step,
+# report latency). Tier-1 runs them in debug only.
+echo "==> report-application and channel proptests (release, under timeout)"
 timeout 600 cargo test -q --release -p mobicache-cache --test lru_props
 timeout 600 cargo test -q --release -p mobicache-reports --test plan_props
 timeout 600 cargo test -q --release -p mobicache-reports --test at_sig_props
 timeout 600 cargo test -q --release -p mobicache-client --test plan_apply_props
+timeout 600 cargo test -q --release -p mobicache-net --test channel_props
 
 echo "==> bench smoke: report_pipeline --quick"
 cargo build --release -p mobicache-bench
