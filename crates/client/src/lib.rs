@@ -45,4 +45,4 @@ mod query;
 
 pub use machine::{ClientAction, ClientConfig, ClientCounters};
 pub use pop::{ClientMut, ClientPop};
-pub use query::{PendingItem, PendingItems, PendingState, QueryHeader, QueryOutcome};
+pub use query::{PendingItem, PendingItems, PendingState, QueryOutcome};

@@ -102,12 +102,12 @@ mod tests {
             self.0.has_pending_query(0)
         }
 
-        fn disconnect(&mut self, now: SimTime) {
-            self.0.disconnect(0, now);
+        fn disconnect(&mut self) {
+            self.0.disconnect(0);
         }
 
-        fn reconnect(&mut self, now: SimTime) -> f64 {
-            self.0.reconnect(0, now)
+        fn reconnect(&mut self) {
+            self.0.reconnect(0);
         }
 
         fn start_query(&mut self, now: SimTime, items: Vec<ItemId>) {
@@ -252,8 +252,8 @@ mod tests {
     fn ts_no_check_drops_cache_after_long_disconnection() {
         let mut c = Solo::new(cfg(Scheme::TsNoCheck));
         warm(&mut c, 20.0, 3);
-        c.disconnect(t(30.0));
-        c.reconnect(t(800.0));
+        c.disconnect();
+        c.reconnect();
         // Report at 800 with window starting at 600 — tlb = 22 is older.
         let acts = c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         assert!(acts.is_empty());
@@ -266,8 +266,8 @@ mod tests {
         let mut c = Solo::new(cfg(Scheme::SimpleChecking));
         warm(&mut c, 20.0, 3);
         warm(&mut c, 40.0, 4);
-        c.disconnect(t(50.0));
-        c.reconnect(t(800.0));
+        c.disconnect();
+        c.reconnect();
         let acts = c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         match &acts[0] {
             ClientAction::Uplink(UplinkKind::CheckRequest { entries }) => {
@@ -291,8 +291,8 @@ mod tests {
     fn limbo_entry_does_not_answer_query_before_verdict() {
         let mut c = Solo::new(cfg(Scheme::SimpleChecking));
         warm(&mut c, 20.0, 3);
-        c.disconnect(t(30.0));
-        c.reconnect(t(800.0));
+        c.disconnect();
+        c.reconnect();
         c.start_query(t(800.0), vec![ItemId(3)]);
         let acts = c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         // Check goes up; the query waits for the verdict, not for data.
@@ -318,8 +318,8 @@ mod tests {
         });
         warm(&mut c, 20.0, 3);
         warm(&mut c, 40.0, 4);
-        c.disconnect(t(50.0));
-        c.reconnect(t(800.0));
+        c.disconnect();
+        c.reconnect();
         // No proactive check on the uncovering report.
         let acts = c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         assert!(
@@ -351,8 +351,8 @@ mod tests {
     fn adaptive_client_sends_tlb_once_and_salvages_from_bs() {
         let mut c = Solo::new(cfg(Scheme::Afw));
         warm(&mut c, 20.0, 3);
-        c.disconnect(t(30.0));
-        c.reconnect(t(800.0));
+        c.disconnect();
+        c.reconnect();
         let acts = c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         match &acts[0] {
             ClientAction::Uplink(UplinkKind::TlbReport { tlb_secs }) => {
@@ -379,8 +379,8 @@ mod tests {
     fn adaptive_client_gives_up_after_grace() {
         let mut c = Solo::new(cfg(Scheme::Afw));
         warm(&mut c, 20.0, 3);
-        c.disconnect(t(30.0));
-        c.reconnect(t(800.0));
+        c.disconnect();
+        c.reconnect();
         c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         // Two more uncovering windows; the second is past the grace.
         let acts = c.on_report(t(820.0), &window(820.0, 620.0, vec![]));
@@ -399,8 +399,8 @@ mod tests {
         let mut c = Solo::new(cfg(Scheme::Aaw));
         warm(&mut c, 20.0, 3);
         warm(&mut c, 40.0, 5);
-        c.disconnect(t(50.0));
-        c.reconnect(t(800.0));
+        c.disconnect();
+        c.reconnect();
         c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         assert!(c.cache().has_limbo());
         // Enlarged window with dummy ≤ our gap start, listing item 5 as
@@ -442,8 +442,8 @@ mod tests {
             ClientAction::Uplink(UplinkKind::QueryRequest { .. })
         ));
         c.on_data(t(22.0), ItemId(3), SimTime::ZERO);
-        c.disconnect(t(30.0));
-        c.reconnect(t(2000.0));
+        c.disconnect();
+        c.reconnect();
         let acts = c.on_report(t(2000.0), &empty_bs(2000.0));
         assert!(acts.is_empty());
         assert!(!c.cache().has_limbo());
@@ -464,8 +464,8 @@ mod tests {
         ));
         c.on_report(t(20.0), &bs0);
         c.on_data(t(22.0), ItemId(3), SimTime::ZERO);
-        c.disconnect(t(30.0));
-        c.reconnect(t(900.0));
+        c.disconnect();
+        c.reconnect();
         // More than half of the 4-item DB updated after tlb=20.
         let bs = ReportPayload::BitSeq(mobicache_reports::BitSequences::from_recency(
             t(900.0),
@@ -507,8 +507,8 @@ mod tests {
         warm(&mut c, 20.0, 1);
         warm(&mut c, 40.0, 5);
         warm(&mut c, 60.0, 2);
-        c.disconnect(t(70.0));
-        c.reconnect(t(790.0));
+        c.disconnect();
+        c.reconnect();
         let acts = c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         match &acts[0] {
             ClientAction::Uplink(UplinkKind::GroupCheckRequest { groups }) => {
@@ -533,8 +533,8 @@ mod tests {
     fn gcore_uncovered_verdict_drops_cache() {
         let mut c = Solo::new(cfg(Scheme::Gcore));
         warm(&mut c, 20.0, 1);
-        c.disconnect(t(30.0));
-        c.reconnect(t(790.0));
+        c.disconnect();
+        c.reconnect();
         c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         let acts = c.on_group_validity(t(802.0), t(801.0), false, &[]);
         assert!(acts.is_empty());
@@ -546,8 +546,8 @@ mod tests {
     fn gcore_query_on_limbo_item_waits_for_group_verdict() {
         let mut c = Solo::new(cfg(Scheme::Gcore));
         warm(&mut c, 20.0, 1);
-        c.disconnect(t(30.0));
-        c.reconnect(t(790.0));
+        c.disconnect();
+        c.reconnect();
         c.start_query(t(795.0), vec![ItemId(1)]);
         let acts = c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         assert_eq!(acts.len(), 1, "only the group check goes up: {acts:?}");
@@ -571,8 +571,8 @@ mod tests {
         // client dozed.
         let mut c = Solo::new(cfg(Scheme::Afw));
         warm(&mut c, 20.0, 3);
-        c.disconnect(t(30.0));
-        c.reconnect(t(790.0));
+        c.disconnect();
+        c.reconnect();
         // First report after reconnect: uncovered -> gap opens, Tlb sent.
         let acts = c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         assert!(matches!(
@@ -586,8 +586,8 @@ mod tests {
         assert!(c.cache().peek(ItemId(9)).unwrap().state == mobicache_cache::EntryState::Valid);
         // Second disconnection; item 9 is updated at t=900 and the
         // listing reports (900..1100) are all missed.
-        c.disconnect(t(810.0));
-        c.reconnect(t(1_190.0));
+        c.disconnect();
+        c.reconnect();
         // First report after the second reconnect does not cover tlb=805:
         // everything must fall back into limbo and the Tlb be re-armed.
         let acts = c.on_report(t(1_200.0), &window(1_200.0, 1_000.0, vec![]));
@@ -617,15 +617,15 @@ mod tests {
         // sufficient) and only the original limbo persists.
         let mut c = Solo::new(cfg(Scheme::Afw));
         warm(&mut c, 20.0, 3);
-        c.disconnect(t(30.0));
-        c.reconnect(t(790.0));
+        c.disconnect();
+        c.reconnect();
         c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         c.start_query(t(802.0), vec![ItemId(9)]);
         c.on_report(t(805.0), &window(805.0, 605.0, vec![]));
         c.on_data(t(807.0), ItemId(9), t(400.0));
         // Short nap within the give-up grace; the next window covers tlb.
-        c.disconnect(t(810.0));
-        c.reconnect(t(815.0));
+        c.disconnect();
+        c.reconnect();
         c.on_report(t(820.0), &window(820.0, 620.0, vec![]));
         assert_eq!(
             c.cache().peek(ItemId(9)).unwrap().state,
@@ -672,8 +672,8 @@ mod tests {
         c.start_query(t(45.0), vec![ItemId(5)]);
         c.on_report(t(60.0), &at(60.0, 40.0, vec![]));
         c.on_data(t(62.0), ItemId(5), SimTime::ZERO);
-        c.disconnect(t(65.0));
-        c.reconnect(t(95.0)); // missed the report at 80
+        c.disconnect();
+        c.reconnect(); // missed the report at 80
         c.on_report(t(100.0), &at(100.0, 80.0, vec![]));
         assert!(c.cache().is_empty(), "amnesic terminals drop after any gap");
         assert_eq!(c.counters().full_drops, 1);
@@ -686,8 +686,8 @@ mod tests {
         warm(&mut c, 40.0, 4);
         // Short disconnection, still inside the window: normal TS logic,
         // no full drop.
-        c.disconnect(t(50.0));
-        c.reconnect(t(90.0));
+        c.disconnect();
+        c.reconnect();
         c.on_report(t(100.0), &window(100.0, -100.0, vec![(3, 70.0)]));
         assert!(c.cache().peek(ItemId(3)).is_none(), "stale entry dropped");
         assert!(c.cache().peek(ItemId(4)).is_some(), "fresh entry kept");
@@ -704,8 +704,8 @@ mod tests {
             ..cfg(Scheme::SimpleChecking)
         });
         warm(&mut c, 20.0, 3);
-        c.disconnect(t(30.0));
-        c.reconnect(t(790.0));
+        c.disconnect();
+        c.reconnect();
         c.start_query(t(795.0), vec![ItemId(3)]);
         let acts = c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         assert!(matches!(
@@ -812,8 +812,8 @@ mod tests {
     fn adaptive_client_retries_tlb_with_backoff_then_degrades() {
         let mut c = Solo::new(cfg_retry(Scheme::Afw, 1, 2));
         warm(&mut c, 20.0, 3);
-        c.disconnect(t(30.0));
-        c.reconnect(t(800.0));
+        c.disconnect();
+        c.reconnect();
         // Initial Tlb goes up on the first uncovering report.
         let acts = c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         assert_eq!(tlb_reports(&acts), 1);
@@ -846,8 +846,8 @@ mod tests {
     fn checking_client_retries_check_then_degrades() {
         let mut c = Solo::new(cfg_retry(Scheme::SimpleChecking, 1, 1));
         warm(&mut c, 20.0, 3);
-        c.disconnect(t(30.0));
-        c.reconnect(t(800.0));
+        c.disconnect();
+        c.reconnect();
         c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         assert_eq!(c.counters().checks_sent, 1);
         // Lost reply: the check is re-sent after one interval.
@@ -902,8 +902,8 @@ mod tests {
             ..cfg_retry(Scheme::SimpleChecking, 1, 2)
         });
         warm(&mut c, 20.0, 3);
-        c.disconnect(t(30.0));
-        c.reconnect(t(800.0));
+        c.disconnect();
+        c.reconnect();
         c.on_report(t(800.0), &window(800.0, 600.0, vec![]));
         assert!(c.cache().has_limbo());
         // Query the limbo item: a targeted check goes up.

@@ -11,8 +11,10 @@
 //! ([`crate::holders`]). Scattering per-client state across
 //! individually boxed client structs makes the walk of the rest a
 //! pointer chase; [`ClientPop`] instead keeps one column per field —
-//! disconnect epoch, last-report time, cache, gap/retry state, pending
-//! query — so the walk scans contiguous columns.
+//! last-report time, cache, gap/retry state, the query's issue time and
+//! its pending items — so the walk scans contiguous columns. Whether a
+//! client listens is one bit of a connected bitmap, and a query is in
+//! flight exactly while its pending items are non-empty.
 //!
 //! A client holds only what differs per client. The behaviour counters,
 //! which are only ever summed, and the stale-item scratch, which every
@@ -37,7 +39,7 @@
 
 use crate::holders::{HeldCache, Holders};
 use crate::machine::{ClientAction, ClientConfig, ClientCounters};
-use crate::query::{PendingItem, PendingItems, PendingState, QueryHeader};
+use crate::query::{PendingItem, PendingItems, PendingState};
 use mobicache_cache::{CacheEntry, EntryState, LruCache};
 use mobicache_model::{CheckingMode, ItemId, Scheme, UplinkKind};
 use mobicache_reports::{BsSelect, PlanCache, PlanStats, ReportPayload};
@@ -159,12 +161,18 @@ macro_rules! client_columns {
                 }
             }
 
-            /// The view of client `i`: the one place a [`ClientMut`] is
-            /// built.
+            /// The view of client `i`, which listens iff `connected`: the
+            /// one place a [`ClientMut`] is built.
             #[inline(always)]
-            fn view<'a>(&'a mut self, cfg: &'a ClientConfig, i: usize) -> ClientMut<'a> {
+            fn view<'a>(
+                &'a mut self,
+                cfg: &'a ClientConfig,
+                i: usize,
+                connected: bool,
+            ) -> ClientMut<'a> {
                 ClientMut {
                     cfg,
+                    connected,
                     $( $col: &mut self.$col[i], )*
                     cache: HeldCache::new(
                         &mut self.body[i],
@@ -187,6 +195,9 @@ macro_rules! client_columns {
         /// the state lives in the population columns.
         pub struct ClientMut<'a> {
             cfg: &'a ClientConfig,
+            /// The client's bit of the connected bitmap when the view was
+            /// built; no handler dozes or wakes it.
+            connected: bool,
             $( $col: &'a mut $ty, )*
             /// The client's cache and the holders index.
             cache: HeldCache<'a>,
@@ -211,15 +222,13 @@ client_columns! {
     tlb: SimTime = SimTime::ZERO,
     /// Reconnected, and no report has been applied since.
     reconnect_pending: bool = false,
-    /// When the current doze began; `None` while listening to
-    /// broadcasts.
-    disconnected_at: Option<SimTime> = None,
     /// The open reconnection gap, if any.
     gap: Option<GapState> = None,
-    /// The per-query scalars of the query in flight, if any.
-    header: Option<QueryHeader> = None,
-    /// The query in flight's items, empty when there is none: one item
-    /// inline, more in a `Vec` that keeps its capacity across queries.
+    /// When the query in flight was issued; stale while there is none.
+    issued_at: SimTime = SimTime::ZERO,
+    /// The query in flight's items, empty exactly when there is none:
+    /// one item inline, more in a `Vec` that keeps its capacity across
+    /// queries.
     pending: PendingItems = PendingItems::default(),
 }
 
@@ -242,10 +251,10 @@ fn ones(n: usize) -> Vec<u64> {
 pub struct ClientPop {
     cfg: ClientConfig,
     col: Columns,
-    /// Dense mirror of the `disconnected_at` column: bit `i` set iff
-    /// client `i` listens (its `disconnected_at` is `None`). The fan-out
-    /// copies this as its delivery-mask seed, so the walk skips 64
-    /// disconnected clients per zero word instead of branching each. Maintained only by [`ClientPop::disconnect`] and
+    /// Bit `i` set iff client `i` listens to broadcasts: the only record
+    /// of who dozes. The fan-out copies this as its delivery-mask seed,
+    /// so the walk skips 64 disconnected clients per zero word instead
+    /// of branching each. Written only by [`ClientPop::disconnect`] and
     /// [`ClientPop::reconnect`], the only ways to doze and wake a
     /// client.
     connected_bits: Vec<u64>,
@@ -428,23 +437,31 @@ impl ClientPop {
         self.col.gap[i].is_some()
     }
 
-    /// Disconnects client `i`, keeping the connected bitmap in sync.
+    /// Puts client `i` into doze mode: it hears no broadcast until
+    /// [`ClientPop::reconnect`].
     ///
     /// # Panics
-    /// Panics if already disconnected or a query is in flight.
-    pub fn disconnect(&mut self, i: usize, now: SimTime) {
-        self.connected_bits[i / 64] &= !(1u64 << (i % 64));
-        self.client_mut(i).disconnect(now);
+    /// Panics if a query is still in flight (the model only disconnects
+    /// between queries) or the client already dozes.
+    pub fn disconnect(&mut self, i: usize) {
+        assert!(
+            !self.has_pending_query(i),
+            "disconnect with a query in flight"
+        );
+        assert!(self.is_connected(i), "already disconnected");
+        self.materialize(i);
+        set_bit(&mut self.connected_bits, i, false);
     }
 
-    /// Reconnects client `i`, keeping the connected bitmap in sync and
-    /// returning the doze period in seconds.
+    /// Wakes client `i` from doze mode. Cache reconciliation happens at
+    /// the next broadcast report.
     ///
     /// # Panics
-    /// Panics if already connected.
-    pub fn reconnect(&mut self, i: usize, now: SimTime) -> f64 {
-        self.connected_bits[i / 64] |= 1u64 << (i % 64);
-        self.client_mut(i).reconnect(now)
+    /// Panics if the client already listens.
+    pub fn reconnect(&mut self, i: usize) {
+        assert!(!self.is_connected(i), "already connected");
+        set_bit(&mut self.connected_bits, i, true);
+        *self.client_mut(i).reconnect_pending = true;
     }
 
     /// The behaviour counters summed over every client. Handlers run
@@ -455,7 +472,7 @@ impl ClientPop {
 
     /// `true` while client `i` listens to broadcasts.
     pub fn is_connected(&self, i: usize) -> bool {
-        self.col.disconnected_at[i].is_none()
+        bit(&self.connected_bits, i)
     }
 
     /// Timestamp of the last report client `i` received.
@@ -476,7 +493,7 @@ impl ClientPop {
 
     /// `true` while client `i` resolves a query.
     pub fn has_pending_query(&self, i: usize) -> bool {
-        self.col.header[i].is_some()
+        !self.col.pending[i].is_empty()
     }
 
     /// The items of client `i`'s query in flight and how far each has
@@ -665,7 +682,7 @@ impl ClientPop {
     #[inline]
     pub fn client_mut(&mut self, i: usize) -> ClientMut<'_> {
         self.materialize(i);
-        self.col.view(&self.cfg, i)
+        self.col.view(&self.cfg, i, bit(&self.connected_bits, i))
     }
 
     /// Issues a query for client `i` referencing `items`.
@@ -675,7 +692,7 @@ impl ClientPop {
     /// disconnected, or `items` is empty.
     pub fn start_query(&mut self, i: usize, now: SimTime, items: &[ItemId]) {
         assert!(self.is_connected(i), "query while disconnected");
-        assert!(self.col.header[i].is_none(), "overlapping queries");
+        assert!(!self.has_pending_query(i), "overlapping queries");
         self.materialize(i);
         // Its items wait on the next report. It has no request out:
         // the view that closed its last query left it unarmed.
@@ -685,7 +702,8 @@ impl ClientPop {
             "client {i} armed with no query"
         );
         self.col.counters.queries_issued += 1;
-        self.col.header[i] = Some(QueryHeader::new(now, items, &mut self.col.pending[i]));
+        self.col.issued_at[i] = now;
+        self.col.pending[i].start(items);
     }
 }
 
@@ -792,7 +810,7 @@ impl ClientMut<'_> {
 
     /// `true` while listening to broadcasts.
     pub fn is_connected(&self) -> bool {
-        self.disconnected_at.is_none()
+        self.connected
     }
 
     /// Timestamp of the last report received.
@@ -802,34 +820,13 @@ impl ClientMut<'_> {
 
     /// `true` while a query is being resolved.
     pub fn has_pending_query(&self) -> bool {
-        self.header.is_some()
+        !self.pending.is_empty()
     }
 
     /// The coverage target: with an open gap, reports must reach back to
     /// the gap start; otherwise to the last report heard.
     fn effective_tlb(&self) -> SimTime {
         self.gap.map_or(*self.tlb, |g| g.since)
-    }
-
-    /// Enters doze mode; reached only through [`ClientPop::disconnect`],
-    /// which keeps the connected bitmap in sync.
-    ///
-    /// # Panics
-    /// Panics if a query is still in flight (the model only disconnects
-    /// between queries).
-    fn disconnect(&mut self, now: SimTime) {
-        assert!(self.header.is_none(), "disconnect with a query in flight");
-        assert!(self.is_connected(), "already disconnected");
-        *self.disconnected_at = Some(now);
-    }
-
-    /// Wakes up from doze mode, returning the length of the doze period
-    /// in seconds; reached only through [`ClientPop::reconnect`]. Cache
-    /// reconciliation happens at the next broadcast report.
-    fn reconnect(&mut self, now: SimTime) -> f64 {
-        assert!(!self.is_connected(), "already connected");
-        *self.reconnect_pending = true;
-        self.disconnected_at.take().map_or(0.0, |at| now - at)
     }
 
     /// Processes a broadcast invalidation report outside a tick fan-out,
@@ -921,9 +918,7 @@ impl ClientMut<'_> {
         actions: &mut Vec<ClientAction>,
     ) {
         self.cache.insert(item, version, now, self.counters);
-        if let Some(q) = self.header.as_mut() {
-            q.resolve(self.pending, item, PendingState::WaitData, false);
-        }
+        self.pending.resolve(item, PendingState::WaitData, false);
         self.try_finish(now, actions);
     }
 
@@ -938,7 +933,7 @@ impl ClientMut<'_> {
         let awaiting = self
             .pending
             .iter()
-            .any(|p| p.item == item && p.state != PendingState::Done);
+            .any(|p| p.item == item && !matches!(p.state, PendingState::Done { .. }));
         if !awaiting {
             self.cache.insert(item, version, now, self.counters);
         }
@@ -1025,26 +1020,23 @@ impl ClientMut<'_> {
 
     /// Resolve query items that were waiting on a validity/group verdict.
     fn resolve_validity_waiters(&mut self, now: SimTime, actions: &mut Vec<ClientAction>) {
-        if let Some(q) = self.header.as_mut() {
-            // By index, as `resolve_query` walks: each step moves only the
-            // entry it reads out of `WaitValidity`.
-            for k in 0..self.pending.len() {
-                let PendingItem { item, state, .. } = self.pending[k];
-                if state != PendingState::WaitValidity {
-                    continue;
-                }
-                if self.cache.get_valid(item).is_some() {
-                    q.resolve(self.pending, item, PendingState::WaitValidity, true);
-                } else {
-                    q.transition_at(
-                        self.pending,
-                        item,
-                        PendingState::WaitValidity,
-                        PendingState::WaitData,
-                        now,
-                    );
-                    actions.push(ClientAction::Uplink(UplinkKind::QueryRequest { item }));
-                }
+        // By index, as `resolve_query` walks: each step moves only the
+        // entry it reads out of `WaitValidity`.
+        for k in 0..self.pending.len() {
+            let PendingItem { item, state, .. } = self.pending[k];
+            if state != PendingState::WaitValidity {
+                continue;
+            }
+            if self.cache.get_valid(item).is_some() {
+                self.pending.resolve(item, PendingState::WaitValidity, true);
+            } else {
+                self.pending.transition_at(
+                    item,
+                    PendingState::WaitValidity,
+                    PendingState::WaitData,
+                    now,
+                );
+                actions.push(ClientAction::Uplink(UplinkKind::QueryRequest { item }));
             }
         }
     }
@@ -1386,9 +1378,6 @@ impl ClientMut<'_> {
     /// After the cache has been reconciled with a report, move the
     /// pending query forward.
     fn resolve_query(&mut self, now: SimTime, actions: &mut Vec<ClientAction>) {
-        let Some(q) = self.header.as_mut() else {
-            return;
-        };
         let mut check_entries: Vec<(ItemId, f64)> = Vec::new();
         // By index, with no list of the waiting items: each step moves
         // only the entry it reads out of `WaitReport`.
@@ -1398,7 +1387,7 @@ impl ClientMut<'_> {
                 continue;
             }
             if self.cache.get_valid(item).is_some() {
-                q.resolve(self.pending, item, PendingState::WaitReport, true);
+                self.pending.resolve(item, PendingState::WaitReport, true);
                 continue;
             }
             let limbo = self
@@ -1414,8 +1403,7 @@ impl ClientMut<'_> {
                 if self.cfg.checking_mode == CheckingMode::QueriedItems {
                     check_entries.push((item, entry.version.as_secs()));
                 }
-                q.transition_at(
-                    self.pending,
+                self.pending.transition_at(
                     item,
                     PendingState::WaitReport,
                     PendingState::WaitValidity,
@@ -1423,8 +1411,7 @@ impl ClientMut<'_> {
                 );
             } else {
                 // Absent, or limbo under a scheme that fetches fresh.
-                q.transition_at(
-                    self.pending,
+                self.pending.transition_at(
                     item,
                     PendingState::WaitReport,
                     PendingState::WaitData,
@@ -1474,10 +1461,7 @@ impl ClientMut<'_> {
     }
 
     fn try_finish(&mut self, now: SimTime, actions: &mut Vec<ClientAction>) {
-        let pending = &mut *self.pending;
-        if let Some(q) = self.header.take_if(|q| q.is_complete(pending)) {
-            let outcome = q.outcome(pending, now);
-            pending.clear();
+        if let Some(outcome) = self.pending.finish(*self.issued_at, now) {
             self.counters.queries_answered += 1;
             self.counters.item_hits += outcome.hits as u64;
             self.counters.item_misses += outcome.misses as u64;
@@ -1546,10 +1530,8 @@ mod tests {
                     .on_data_into(now, ItemId(*item), t(*v), &mut actions);
             }
             Step::Snoop(item, v) => pop.client_mut(i).on_snooped_data(now, ItemId(*item), t(*v)),
-            Step::Disconnect => pop.disconnect(i, now),
-            Step::Reconnect => {
-                pop.reconnect(i, now);
-            }
+            Step::Disconnect => pop.disconnect(i),
+            Step::Reconnect => pop.reconnect(i),
             Step::Validity(valid) => {
                 pop.client_mut(i)
                     .on_validity_into(now, t(clock - 0.5), &ids(valid), &mut actions);
@@ -1575,14 +1557,6 @@ mod tests {
             retries_sent: after.retries_sent - before.retries_sent,
             backoff_exhaustions: after.backoff_exhaustions - before.backoff_exhaustions,
             evictions: after.evictions - before.evictions,
-        }
-    }
-
-    /// The connected bitmap mirrors the `disconnected_at` column.
-    fn assert_bitmap_mirrors(pop: &ClientPop) {
-        for i in 0..pop.len() {
-            let bit = pop.connected_words()[i / 64] & (1 << (i % 64)) != 0;
-            assert_eq!(bit, pop.is_connected(i), "client {i}");
         }
     }
 
@@ -1642,8 +1616,11 @@ mod tests {
                         since(&solo[i].counters(), &solo_before),
                         "{scheme:?} client {i} step {step_idx}"
                     );
-                    assert_bitmap_mirrors(&pop);
-                    assert_bitmap_mirrors(&solo[i]);
+                    assert_eq!(
+                        pop.is_connected(i),
+                        solo[i].is_connected(0),
+                        "{scheme:?} client {i} step {step_idx}"
+                    );
                 }
             }
             for (i, solo_client) in solo.iter().enumerate() {
@@ -1701,29 +1678,64 @@ mod tests {
         );
     }
 
-    /// The connected bitmap mirrors the `disconnected_at` column through
-    /// the pop-level disconnect/reconnect wrappers, with tail bits zero.
+    /// The connected bitmap tracks every doze and wake through
+    /// `disconnect` and `reconnect`, neighbours untouched, with tail bits
+    /// zero, and `is_connected` reads it.
     #[test]
     fn connected_bitmap_mirrors_column() {
         let n = 70; // crosses a word boundary
         let mut pop = ClientPop::new(cfg(Scheme::Aaw), n);
-        let check = |pop: &ClientPop| {
-            for i in 0..n {
+        let mut listening = vec![true; n];
+        let check = |pop: &ClientPop, listening: &[bool]| {
+            for (i, &on) in listening.iter().enumerate() {
                 let bit = pop.connected_words()[i / 64] & (1 << (i % 64)) != 0;
-                assert_eq!(bit, pop.is_connected(i), "client {i}");
+                assert_eq!((bit, pop.is_connected(i)), (on, on), "client {i}");
             }
-            let tail: u32 = pop.connected_words()[n / 64].count_ones();
-            assert!(tail as usize <= n % 64, "tail bits beyond len set");
+            let tail = pop.connected_words()[n / 64] >> (n % 64);
+            assert_eq!(tail, 0, "tail bits beyond len set");
         };
-        check(&pop);
-        pop.disconnect(3, t(1.0));
-        pop.disconnect(64, t(1.0));
-        pop.disconnect(69, t(1.0));
-        check(&pop);
-        assert!(!pop.is_connected(64));
-        pop.reconnect(64, t(5.0));
-        check(&pop);
-        assert!(pop.is_connected(64));
+        check(&pop, &listening);
+        for i in [3, 64, 69] {
+            pop.disconnect(i);
+            listening[i] = false;
+        }
+        check(&pop, &listening);
+        pop.reconnect(64);
+        listening[64] = true;
+        check(&pop, &listening);
+    }
+
+    /// The lifecycle asserts: a client dozes only between queries and
+    /// while listening, wakes only while dozing, and queries only while
+    /// listening.
+    #[test]
+    #[should_panic(expected = "disconnect with a query in flight")]
+    fn disconnect_with_a_query_in_flight_panics() {
+        let mut pop = ClientPop::new(cfg(Scheme::Aaw), 1);
+        pop.start_query(0, t(1.0), &[ItemId(3)]);
+        pop.disconnect(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "already disconnected")]
+    fn disconnect_while_dozing_panics() {
+        let mut pop = ClientPop::new(cfg(Scheme::Aaw), 1);
+        pop.disconnect(0);
+        pop.disconnect(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "already connected")]
+    fn reconnect_while_listening_panics() {
+        ClientPop::new(cfg(Scheme::Aaw), 1).reconnect(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "query while disconnected")]
+    fn query_while_dozing_panics() {
+        let mut pop = ClientPop::new(cfg(Scheme::Aaw), 1);
+        pop.disconnect(0);
+        pop.start_query(0, t(1.0), &[ItemId(3)]);
     }
 
     /// Cell membership bitmaps mirror the cell column through the
@@ -1870,7 +1882,7 @@ mod tests {
     /// column.
     #[test]
     fn per_client_footprint_is_pinned() {
-        assert_eq!(ClientPop::CLIENT_BYTES, 117);
+        assert_eq!(ClientPop::CLIENT_BYTES, 85);
     }
 
     /// The stamp and the retry pass compare one deadline with one strict

@@ -1,12 +1,13 @@
 //! Pending query bookkeeping.
 //!
-//! A query in progress is two columns of the client population: the
-//! per-query scalars in a small Copy [`QueryHeader`], and per-item
-//! progress in the client's [`PendingItems`], whose length is the
-//! active query's. The header's methods take that item slice as a
-//! parameter. A one-item query, the common case, keeps its item inline;
-//! a longer one spills to a heap `Vec` that keeps its capacity from
-//! query to query, so after warm-up a query allocates nothing.
+//! A query in progress is the client's [`PendingItems`]: one entry per
+//! referenced item, with how far it has got. The list is non-empty
+//! exactly while a query is in flight, and a query's hits and misses
+//! are read from its items' final states, so the list is the whole
+//! query apart from its issue time, which the population keeps in a
+//! column of its own. A one-item query, the common case, keeps its item
+//! inline; a longer one spills to a heap `Vec` that keeps its capacity
+//! from query to query, so after warm-up a query allocates nothing.
 
 use mobicache_model::{ItemId, RetryPolicy};
 use mobicache_sim::SimTime;
@@ -23,8 +24,11 @@ pub enum PendingState {
     WaitValidity,
     /// A data request for this item is in flight.
     WaitData,
-    /// Answered (from cache or by download).
-    Done,
+    /// Answered: from the cache (`hit`) or by download.
+    Done {
+        /// Whether the cache answered it.
+        hit: bool,
+    },
 }
 
 /// One item referenced by the pending query.
@@ -65,7 +69,7 @@ impl PendingItem {
                 let at = self.requested_at?;
                 Some(at.as_secs() + f64::from(policy.timeout_intervals_for(self.retries)) * period)
             }
-            PendingState::WaitReport | PendingState::Done => None,
+            PendingState::WaitReport | PendingState::Done { .. } => None,
         }
     }
 }
@@ -86,9 +90,16 @@ enum Slots {
 }
 
 impl PendingItems {
-    /// Replaces the contents with fresh wait-for-report entries for
-    /// `items`.
-    fn start(&mut self, items: &[ItemId]) {
+    /// Starts a query over `items`: replaces the contents with fresh
+    /// wait-for-report entries.
+    ///
+    /// # Panics
+    /// Panics if `items` is empty.
+    pub(crate) fn start(&mut self, items: &[ItemId]) {
+        assert!(
+            !items.is_empty(),
+            "a query must reference at least one item"
+        );
         let fresh = items.iter().map(|&item| PendingItem::fresh(item));
         match (&mut self.0, items) {
             (Slots::Many(v), _) => {
@@ -100,8 +111,78 @@ impl PendingItems {
         }
     }
 
+    /// Marks `item` done as a hit or miss. Returns `false` if the item is
+    /// not pending in the expected state.
+    pub(crate) fn resolve(&mut self, item: ItemId, from: PendingState, hit: bool) -> bool {
+        self.transition(item, from, PendingState::Done { hit })
+            .is_some()
+    }
+
+    /// Moves `item` from one pending state to another, stamping its
+    /// request timestamp (and resetting its retry count) — the transition
+    /// puts a request on the uplink, so the fault-injection retry timer
+    /// knows when it went up. Returns `false` if the item is not in the
+    /// expected state.
+    pub(crate) fn transition_at(
+        &mut self,
+        item: ItemId,
+        from: PendingState,
+        to: PendingState,
+        now: SimTime,
+    ) -> bool {
+        let Some(p) = self.transition(item, from, to) else {
+            return false;
+        };
+        p.requested_at = Some(now);
+        p.retries = 0;
+        true
+    }
+
+    /// Moves the first entry for `item` in state `from` to `to`.
+    fn transition(
+        &mut self,
+        item: ItemId,
+        from: PendingState,
+        to: PendingState,
+    ) -> Option<&mut PendingItem> {
+        let p = self
+            .iter_mut()
+            .find(|p| p.item == item && p.state == from)?;
+        p.state = to;
+        Some(p)
+    }
+
+    /// Closes the query once every item is answered: empties the list and
+    /// returns the outcome, its hits and misses counted from the items'
+    /// final states. `None`, leaving the list alone, while an item is
+    /// unresolved or when no query is in flight.
+    pub(crate) fn finish(
+        &mut self,
+        issued_at: SimTime,
+        completed_at: SimTime,
+    ) -> Option<QueryOutcome> {
+        if self.is_empty() {
+            return None;
+        }
+        let (mut hits, mut misses) = (0, 0);
+        for p in self.iter() {
+            match p.state {
+                PendingState::Done { hit: true } => hits += 1,
+                PendingState::Done { hit: false } => misses += 1,
+                _ => return None,
+            }
+        }
+        self.clear();
+        Some(QueryOutcome {
+            issued_at,
+            completed_at,
+            hits,
+            misses,
+        })
+    }
+
     /// Empties the list, keeping a spilled `Vec`'s capacity.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         match &mut self.0 {
             Slots::Many(v) => v.clear(),
             slots => *slots = Slots::Empty,
@@ -155,104 +236,6 @@ pub struct QueryOutcome {
     pub misses: u32,
 }
 
-/// The per-query scalars of a query in progress.
-///
-/// The referenced items themselves live in the owning population's
-/// pending column. Every method that inspects or advances per-item state
-/// takes the client's item slice as a parameter.
-#[derive(Clone, Copy, Debug)]
-pub struct QueryHeader {
-    /// When the query was issued.
-    pub issued_at: SimTime,
-    /// Cache hits so far.
-    pub hits: u32,
-    /// Downloads so far.
-    pub misses: u32,
-}
-
-impl QueryHeader {
-    /// A fresh header for a query over `items`, whose wait-for-report
-    /// entries replace the contents of `pending`.
-    ///
-    /// # Panics
-    /// Panics if `items` is empty.
-    pub fn new(issued_at: SimTime, items: &[ItemId], pending: &mut PendingItems) -> Self {
-        assert!(
-            !items.is_empty(),
-            "a query must reference at least one item"
-        );
-        pending.start(items);
-        QueryHeader {
-            issued_at,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// `true` when every referenced item is resolved.
-    pub fn is_complete(&self, items: &[PendingItem]) -> bool {
-        items.iter().all(|p| p.state == PendingState::Done)
-    }
-
-    /// Marks `item` done as a hit or miss. Returns `false` if the item is
-    /// not pending in the expected state.
-    pub fn resolve(
-        &mut self,
-        items: &mut [PendingItem],
-        item: ItemId,
-        from: PendingState,
-        hit: bool,
-    ) -> bool {
-        for p in items {
-            if p.item == item && p.state == from {
-                p.state = PendingState::Done;
-                if hit {
-                    self.hits += 1;
-                } else {
-                    self.misses += 1;
-                }
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Moves `item` from one pending state to another, stamping its
-    /// request timestamp (and resetting its retry count) — the transition
-    /// puts a request on the uplink, so the fault-injection retry timer
-    /// knows when it went up. Returns `false` if the item is not in the
-    /// expected state.
-    pub fn transition_at(
-        &mut self,
-        items: &mut [PendingItem],
-        item: ItemId,
-        from: PendingState,
-        to: PendingState,
-        now: SimTime,
-    ) -> bool {
-        for p in items {
-            if p.item == item && p.state == from {
-                p.state = to;
-                p.requested_at = Some(now);
-                p.retries = 0;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Finishes the query into an outcome summary.
-    pub fn outcome(&self, items: &[PendingItem], completed_at: SimTime) -> QueryOutcome {
-        debug_assert!(self.is_complete(items));
-        QueryOutcome {
-            issued_at: self.issued_at,
-            completed_at,
-            hits: self.hits,
-            misses: self.misses,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,62 +244,62 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    fn query(issued_at: SimTime, ids: &[u32]) -> (QueryHeader, PendingItems) {
+    fn query(ids: &[u32]) -> PendingItems {
         let ids: Vec<ItemId> = ids.iter().map(|&i| ItemId(i)).collect();
         let mut items = PendingItems::default();
-        (QueryHeader::new(issued_at, &ids, &mut items), items)
+        items.start(&ids);
+        items
     }
 
     #[test]
     fn lifecycle_single_item_hit() {
-        let (mut q, mut items) = query(t(1.0), &[4]);
-        assert!(!q.is_complete(&items));
-        assert!(q.resolve(&mut items, ItemId(4), PendingState::WaitReport, true));
-        assert!(q.is_complete(&items));
-        let o = q.outcome(&items, t(5.0));
+        let mut items = query(&[4]);
+        assert_eq!(items.finish(t(1.0), t(2.0)), None);
+        assert!(items.resolve(ItemId(4), PendingState::WaitReport, true));
+        assert_eq!(items[0].state, PendingState::Done { hit: true });
+        let o = items.finish(t(1.0), t(5.0)).expect("complete");
         assert_eq!((o.hits, o.misses), (1, 0));
         assert_eq!(o.issued_at, t(1.0));
         assert_eq!(o.completed_at, t(5.0));
+        assert!(items.is_empty(), "a finished query leaves no items");
+        assert_eq!(items.finish(t(1.0), t(6.0)), None, "finished once");
     }
 
     #[test]
     fn lifecycle_multi_item_mixed() {
-        let (mut q, mut items) = query(t(0.0), &[1, 2, 3]);
-        assert!(q.resolve(&mut items, ItemId(1), PendingState::WaitReport, true));
-        assert!(q.transition_at(
-            &mut items,
+        let mut items = query(&[1, 2, 3]);
+        assert!(items.resolve(ItemId(1), PendingState::WaitReport, true));
+        assert!(items.transition_at(
             ItemId(2),
             PendingState::WaitReport,
             PendingState::WaitData,
             t(1.0)
         ));
-        assert!(q.transition_at(
-            &mut items,
+        assert!(items.transition_at(
             ItemId(3),
             PendingState::WaitReport,
             PendingState::WaitValidity,
             t(1.0)
         ));
-        assert!(!q.is_complete(&items));
-        assert!(q.resolve(&mut items, ItemId(2), PendingState::WaitData, false));
-        assert!(q.resolve(&mut items, ItemId(3), PendingState::WaitValidity, true));
-        assert!(q.is_complete(&items));
-        let o = q.outcome(&items, t(9.0));
+        assert_eq!(items.finish(t(0.0), t(2.0)), None);
+        assert!(items.resolve(ItemId(2), PendingState::WaitData, false));
+        assert!(items.resolve(ItemId(3), PendingState::WaitValidity, true));
+        let o = items.finish(t(0.0), t(9.0)).expect("complete");
         assert_eq!((o.hits, o.misses), (2, 1));
     }
 
     #[test]
     fn resolve_rejects_wrong_state() {
-        let (mut q, mut items) = query(t(0.0), &[1]);
-        assert!(!q.resolve(&mut items, ItemId(1), PendingState::WaitData, false));
-        assert!(!q.resolve(&mut items, ItemId(9), PendingState::WaitReport, false));
+        let mut items = query(&[1]);
+        assert!(!items.resolve(ItemId(1), PendingState::WaitData, false));
+        assert!(!items.resolve(ItemId(9), PendingState::WaitReport, false));
+        assert_eq!(items[0], PendingItem::fresh(ItemId(1)));
     }
 
     #[test]
     fn transition_at_stamps_retry_timer() {
-        let (mut q, mut items) = query(t(0.0), &[1]);
-        assert!(q.transition_at(
-            &mut items,
+        let mut items = query(&[1]);
+        assert!(items.transition_at(
             ItemId(1),
             PendingState::WaitReport,
             PendingState::WaitData,
@@ -329,7 +312,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one item")]
     fn empty_query_rejected() {
-        QueryHeader::new(t(0.0), &[], &mut PendingItems::default());
+        PendingItems::default().start(&[]);
     }
 
     /// A one-item query keeps its item inline, in no more room than the
@@ -341,15 +324,15 @@ mod tests {
             std::mem::size_of::<PendingItems>(),
             std::mem::size_of::<PendingItem>()
         );
-        let (_, mut items) = query(t(0.0), &[4]);
+        let mut items = query(&[4]);
         assert!(matches!(items.0, Slots::One(_)));
         assert_eq!(items[0], PendingItem::fresh(ItemId(4)));
         items.clear();
         assert!(items.is_empty() && matches!(items.0, Slots::Empty));
-        QueryHeader::new(t(1.0), &[ItemId(1), ItemId(2), ItemId(3)], &mut items);
+        items.start(&[ItemId(1), ItemId(2), ItemId(3)]);
         assert!(matches!(&items.0, Slots::Many(v) if v.capacity() == 3));
         items.clear();
-        QueryHeader::new(t(2.0), &[ItemId(7)], &mut items);
+        items.start(&[ItemId(7)]);
         assert!(matches!(&items.0, Slots::Many(v) if v.capacity() == 3));
         assert_eq!(&*items, &[PendingItem::fresh(ItemId(7))]);
     }

@@ -308,10 +308,8 @@ impl Harness {
                 let version = self.version(item);
                 self.pop.client_mut(c).on_snooped_data(now, item, version);
             }
-            5 if connected && !pending => self.pop.disconnect(c, now),
-            6 if !connected => {
-                self.pop.reconnect(c, now);
-            }
+            5 if connected && !pending => self.pop.disconnect(c),
+            6 if !connected => self.pop.reconnect(c),
             7 if connected && scheme == Scheme::SimpleChecking => {
                 let mut valid: Vec<ItemId> = self
                     .pop
@@ -765,12 +763,12 @@ impl Lockstep {
                 }
             }
             5 if connected && !pending => {
-                self.h.pop.disconnect(c, now);
-                self.eager.disconnect(c, now);
+                self.h.pop.disconnect(c);
+                self.eager.disconnect(c);
             }
             6 if !connected => {
-                self.h.pop.reconnect(c, now);
-                self.eager.reconnect(c, now);
+                self.h.pop.reconnect(c);
+                self.eager.reconnect(c);
             }
             // A handoff to another cell, listening or not.
             7 if cells > 1 => {

@@ -124,8 +124,8 @@ enum Ev {
     UpdateArrival,
     /// A client's next query is issued.
     QueryArrival(ClientId),
-    /// A dozing client wakes up.
-    Reconnect(ClientId),
+    /// A dozing client wakes up; it went offline at the given instant.
+    Reconnect(ClientId, SimTime),
     /// A downlink transmission finished (channel index, completion token).
     DownlinkDone(usize, u64),
     /// An uplink transmission finished (completion token).
@@ -138,8 +138,9 @@ enum Ev {
     /// it while the client is mid-flight). Multi-cell topologies only.
     Handoff(ClientId),
     /// The client finishes its handoff blackout and re-associates with
-    /// the destination cell. Multi-cell topologies only.
-    HandoffArrive(ClientId, u32),
+    /// the destination cell; the blackout began at the given instant.
+    /// Multi-cell topologies only.
+    HandoffArrive(ClientId, u32, SimTime),
 }
 
 /// Downlink message payloads.
@@ -393,13 +394,13 @@ impl<'p> Simulation<'p> {
                 Ev::Tick => self.on_tick(now),
                 Ev::UpdateArrival => self.on_update(now),
                 Ev::QueryArrival(c) => self.on_query_arrival(now, c),
-                Ev::Reconnect(c) => {
-                    let offline_secs = self.clients.reconnect(c.index(), now);
+                Ev::Reconnect(c, since) => {
+                    self.clients.reconnect(c.index());
                     self.opts.emit(
                         now,
                         ProbeEvent::Reconnect {
                             client: c,
-                            offline_secs,
+                            offline_secs: now - since,
                         },
                     );
                 }
@@ -408,7 +409,7 @@ impl<'p> Simulation<'p> {
                 Ev::ServerCrash => self.on_server_crash(now),
                 Ev::ServerRecover => self.on_server_recover(now),
                 Ev::Handoff(c) => self.on_handoff(now, c),
-                Ev::HandoffArrive(c, dest) => self.on_handoff_arrive(now, c, dest),
+                Ev::HandoffArrive(c, dest, since) => self.on_handoff_arrive(now, c, dest, since),
             }
         }
     }
@@ -596,8 +597,9 @@ impl<'p> Simulation<'p> {
             // arrival on a disconnected client (a legacy doze delivers
             // `Reconnect` before the same-instant `QueryArrival`); park
             // it and re-issue when the client reaches its new cell. A
-            // single-cell run never gets here; should it, the query
-            // starts as usual rather than vanish.
+            // single-cell run never gets here; should it, the debug
+            // assert below fires, and in release `ClientPop::start_query`
+            // panics with "query while disconnected".
             debug_assert!(
                 self.mobility.is_some(),
                 "query arrival on dozing {c:?} in a single-cell run"
@@ -627,9 +629,9 @@ impl<'p> Simulation<'p> {
         let (dest, mut next_secs) = mobility.on_expiry(i, self.clients.cell_of(i), busy);
         if let Some(dest) = dest {
             let blackout_secs = self.cfg.cells.handoff_secs;
-            self.clients.disconnect(i, now);
+            self.clients.disconnect(i);
             self.sched
-                .schedule_in(blackout_secs, Ev::HandoffArrive(c, dest));
+                .schedule_in(blackout_secs, Ev::HandoffArrive(c, dest, now));
             // The next residency clock starts at arrival.
             next_secs += blackout_secs;
         }
@@ -637,17 +639,17 @@ impl<'p> Simulation<'p> {
     }
 
     /// The handoff blackout ended: re-associate with the destination
-    /// cell and reconnect. A roamer's `Tlb` now refers to another cell's
+    /// cell and reconnect, offline since `since`. A roamer's `Tlb` now refers to another cell's
     /// broadcast history; under zero cross-cell skew the destination
     /// server's reports vouch for the same updates, so the regular
     /// reconnection-gap machinery (window coverage, `Tlb` uplinks, the
     /// AFW/AAW long-disconnection recovery) takes it from here exactly
     /// as if the client had dozed in place.
-    fn on_handoff_arrive(&mut self, now: SimTime, c: ClientId, dest: u32) {
+    fn on_handoff_arrive(&mut self, now: SimTime, c: ClientId, dest: u32, since: SimTime) {
         let i = c.index();
         let from_cell = self.clients.cell_of(i);
         self.clients.handoff(i, dest);
-        let offline_secs = self.clients.reconnect(i, now);
+        self.clients.reconnect(i);
         let parked_query = self.mobility.as_mut().is_some_and(|m| m.arrive(i));
         self.opts.emit(
             now,
@@ -655,7 +657,7 @@ impl<'p> Simulation<'p> {
                 client: c,
                 from_cell,
                 to_cell: dest,
-                offline_secs,
+                offline_secs: now - since,
             },
         );
         if parked_query {
@@ -913,7 +915,7 @@ impl<'p> Simulation<'p> {
                     }
                     GapKind::Disconnect => {
                         self.acct.disconnections += 1;
-                        self.clients.disconnect(c.index(), now);
+                        self.clients.disconnect(c.index());
                         self.opts.emit(
                             now,
                             ProbeEvent::Disconnect {
@@ -924,7 +926,8 @@ impl<'p> Simulation<'p> {
                         // Reconnect is scheduled before the query at
                         // the same instant; FIFO tie-breaking delivers
                         // it first.
-                        self.sched.schedule_in(gap.duration_secs, Ev::Reconnect(c));
+                        self.sched
+                            .schedule_in(gap.duration_secs, Ev::Reconnect(c, now));
                         self.sched
                             .schedule_in(gap.duration_secs, Ev::QueryArrival(c));
                     }
@@ -1070,6 +1073,15 @@ mod tests {
         cfg.db_size = 1_000;
         cfg.num_clients = 20;
         cfg
+    }
+
+    /// The scheduler's wheel stores one `Ev` per pending event, so every
+    /// byte added to the largest variant is paid per queued event. The
+    /// offline instant `Reconnect` and `HandoffArrive` carry fits beside
+    /// the client and cell ids.
+    #[test]
+    fn an_event_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Ev>(), 24);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! wheel serves with O(1) schedule/pop where a binary heap pays
 //! O(log n) comparisons against cold cache lines.
 //!
-//! Layout: [`LEVELS`] levels of [`SLOTS`] slots each. The leaf level
-//! has fixed resolution (0.25 s by default — a power of two, so
+//! Layout: `LEVELS` = 4 levels of `SLOTS` = 256 slots each. The leaf
+//! level has fixed resolution (0.25 s by default — a power of two, so
 //! `at / resolution` is an exact float scaling); each coarser level's
-//! slot spans [`SLOTS`] slots of the level below. With the defaults the
+//! slot spans `SLOTS` slots of the level below. With the defaults the
 //! leaf window covers 64 s, level 1 covers ~4.6 h, level 2 ~48 days and
 //! level 3 ~34 years of simulated time; anything beyond the top window
 //! (including the [`SimTime::INFINITY`] sentinel) waits in a small
@@ -29,9 +29,10 @@
 //! seed requires a stable service order.
 //!
 //! Memory: a slot's vector grows to its own burst and is released
-//! (capacity above [`SLOT_KEEP_CAPACITY`]) as soon as it drains, so the
-//! million-client wake-up burst no longer pins its peak footprint for
-//! the rest of the run the way the old heap's retained capacity did.
+//! (capacity above `SLOT_KEEP_CAPACITY`, 32 entries) as soon as it
+//! drains, so the million-client wake-up burst no longer pins its peak
+//! footprint for the rest of the run the way the old heap's retained
+//! capacity did.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;

@@ -14,6 +14,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc with warnings as errors: a doc link to a private or deleted
+# name fails here rather than rendering as plain text.
+echo "==> cargo doc --workspace (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 # No `unsafe` anywhere: the workspace lint (`unsafe_code = "forbid"`)
 # rejects it at compile time in every member crate, and this leg also
 # catches any tracked .rs file outside them (mobibench/, for one).
