@@ -144,6 +144,10 @@ enum Ev {
 }
 
 /// Downlink message payloads.
+///
+/// A channel queues one per waiting message, so the payload is held to
+/// 16 bytes: the two verdicts, rare and each already owning a heap
+/// `Vec`, are boxed rather than widening every queued report and item.
 enum DownPayload {
     /// Broadcast invalidation report, shared by every listener (never
     /// copied per delivery).
@@ -151,19 +155,60 @@ enum DownPayload {
     /// A data item for one client.
     Data { item: ItemId, dest: ClientId },
     /// A validity verdict for one client.
-    Validity(ClientId, ValidityVerdict),
+    Validity(ClientId, Box<ValidityVerdict>),
     /// A grouped-checking verdict for one client.
-    GroupVerdict(ClientId, GroupVerdict),
+    GroupVerdict(ClientId, Box<GroupVerdict>),
 }
 
 /// An uplink message in flight: who sent it, what it is, and whether a
 /// fault coin already doomed it. A doomed message still charges the
 /// sender's radio and occupies the channel — the transmission happens;
 /// the receiver just never hears it.
-struct UpMsg {
-    from: ClientId,
-    kind: UplinkKind,
-    lost: bool,
+///
+/// The uplink queues one per waiting request (a fault run's retry flood
+/// leaves ~10⁵ queued), so the message is held to 16 bytes: the hot
+/// query request and the `Tlb` report travel inline, and only the two
+/// check requests, rare and each already owning a heap `Vec`, are boxed.
+enum UpMsg {
+    Query {
+        from: ClientId,
+        item: ItemId,
+        lost: bool,
+    },
+    Tlb {
+        from: ClientId,
+        tlb_secs: f64,
+        lost: bool,
+    },
+    /// A [`UplinkKind::CheckRequest`] or [`UplinkKind::GroupCheckRequest`].
+    Check(Box<(ClientId, UplinkKind, bool)>),
+}
+
+impl UpMsg {
+    fn new(from: ClientId, kind: UplinkKind, lost: bool) -> Self {
+        match kind {
+            UplinkKind::QueryRequest { item } => UpMsg::Query { from, item, lost },
+            UplinkKind::TlbReport { tlb_secs } => UpMsg::Tlb {
+                from,
+                tlb_secs,
+                lost,
+            },
+            check => UpMsg::Check(Box::new((from, check, lost))),
+        }
+    }
+
+    /// The sender, the message and whether it was lost, as sent.
+    fn into_parts(self) -> (ClientId, UplinkKind, bool) {
+        match self {
+            UpMsg::Query { from, item, lost } => (from, UplinkKind::QueryRequest { item }, lost),
+            UpMsg::Tlb {
+                from,
+                tlb_secs,
+                lost,
+            } => (from, UplinkKind::TlbReport { tlb_secs }, lost),
+            UpMsg::Check(check) => *check,
+        }
+    }
 }
 
 /// `(key, seconds)` pairs off the wire as `(key, SimTime)`.
@@ -289,7 +334,6 @@ impl<'p> Simulation<'p> {
                 (rng, (at, Ev::QueryArrival(ClientId(c))))
             })
             .unzip();
-        sched.reserve(n);
         sched.schedule_batch(wake);
 
         // Each client's residency clock starts at t = 0.
@@ -390,27 +434,32 @@ impl<'p> Simulation<'p> {
             if now > self.horizon {
                 break;
             }
-            match ev {
-                Ev::Tick => self.on_tick(now),
-                Ev::UpdateArrival => self.on_update(now),
-                Ev::QueryArrival(c) => self.on_query_arrival(now, c),
-                Ev::Reconnect(c, since) => {
-                    self.clients.reconnect(c.index());
-                    self.opts.emit(
-                        now,
-                        ProbeEvent::Reconnect {
-                            client: c,
-                            offline_secs: now - since,
-                        },
-                    );
-                }
-                Ev::DownlinkDone(idx, token) => self.on_downlink_done(now, idx, token),
-                Ev::UplinkDone(token) => self.on_uplink_done(now, token),
-                Ev::ServerCrash => self.on_server_crash(now),
-                Ev::ServerRecover => self.on_server_recover(now),
-                Ev::Handoff(c) => self.on_handoff(now, c),
-                Ev::HandoffArrive(c, dest, since) => self.on_handoff_arrive(now, c, dest, since),
+            self.dispatch(now, ev);
+        }
+    }
+
+    /// Delivers one event.
+    fn dispatch(&mut self, now: SimTime, ev: Ev) {
+        match ev {
+            Ev::Tick => self.on_tick(now),
+            Ev::UpdateArrival => self.on_update(now),
+            Ev::QueryArrival(c) => self.on_query_arrival(now, c),
+            Ev::Reconnect(c, since) => {
+                self.clients.reconnect(c.index());
+                self.opts.emit(
+                    now,
+                    ProbeEvent::Reconnect {
+                        client: c,
+                        offline_secs: now - since,
+                    },
+                );
             }
+            Ev::DownlinkDone(idx, token) => self.on_downlink_done(now, idx, token),
+            Ev::UplinkDone(token) => self.on_uplink_done(now, token),
+            Ev::ServerCrash => self.on_server_crash(now),
+            Ev::ServerRecover => self.on_server_recover(now),
+            Ev::Handoff(c) => self.on_handoff(now, c),
+            Ev::HandoffArrive(c, dest, since) => self.on_handoff_arrive(now, c, dest, since),
         }
     }
 
@@ -811,7 +860,7 @@ impl<'p> Simulation<'p> {
         if let Some(c) = delivered.next {
             self.sched.schedule(c.at, Ev::UplinkDone(c.token));
         }
-        let UpMsg { from, kind, lost } = delivered.msg;
+        let (from, kind, lost) = delivered.msg.into_parts();
         // A message the fault coin doomed at send time (tallied there),
         // or one reaching a crashed server, goes unanswered.
         if lost
@@ -846,14 +895,15 @@ impl<'p> Simulation<'p> {
                 self.servers[cell].receive_tlb(SimTime::from_secs(tlb_secs));
             }
             UplinkKind::CheckRequest { entries } => {
-                let verdict = self.servers[cell].process_check(now, &timed(&entries));
+                let verdict = Box::new(self.servers[cell].process_check(now, &timed(&entries)));
                 let dk = DownlinkKind::ValidityReport {
                     checked: verdict.checked,
                 };
                 self.send_downlink(now, &dk, cell, DownPayload::Validity(from, verdict));
             }
             UplinkKind::GroupCheckRequest { groups } => {
-                let verdict = self.servers[cell].process_group_check(now, &timed(&groups));
+                let verdict =
+                    Box::new(self.servers[cell].process_group_check(now, &timed(&groups)));
                 let dk = DownlinkKind::GroupValidity {
                     stale: verdict.stale.len() as u32,
                 };
@@ -878,16 +928,9 @@ impl<'p> Simulation<'p> {
                 if lost {
                     self.opts.emit(now, ProbeEvent::UplinkLost { client: c });
                 }
-                let completion = self.uplink.send(
-                    now,
-                    bits,
-                    class,
-                    UpMsg {
-                        from: c,
-                        kind,
-                        lost,
-                    },
-                );
+                let completion = self
+                    .uplink
+                    .send(now, bits, class, UpMsg::new(c, kind, lost));
                 if let Some(comp) = completion {
                     self.sched.schedule(comp.at, Ev::UplinkDone(comp.token));
                 }
@@ -1082,6 +1125,131 @@ mod tests {
     #[test]
     fn an_event_is_24_bytes() {
         assert_eq!(std::mem::size_of::<Ev>(), 24);
+    }
+
+    /// A channel stores one payload per waiting message (a fault run's
+    /// uplink holds ~10⁵), so every byte here is paid per queued message.
+    #[test]
+    fn wire_payloads_are_16_bytes() {
+        assert_eq!(std::mem::size_of::<UpMsg>(), 16);
+        assert_eq!(std::mem::size_of::<DownPayload>(), 16);
+    }
+
+    #[test]
+    fn every_uplink_kind_comes_off_the_channel_as_sent() {
+        use mobicache_model::msg::CLASS_DATA;
+        let kinds = [
+            UplinkKind::QueryRequest { item: ItemId(7) },
+            UplinkKind::TlbReport { tlb_secs: 1_234.5 },
+            UplinkKind::CheckRequest {
+                entries: vec![(ItemId(1), 2.0), (ItemId(9), 3.5)],
+            },
+            UplinkKind::GroupCheckRequest {
+                groups: vec![(4, 10.0), (6, 20.25)],
+            },
+        ];
+        let mut uplink = Channel::new(1_000.0);
+        let mut now = SimTime::ZERO;
+        for (k, kind) in kinds.iter().enumerate() {
+            for lost in [false, true] {
+                let from = ClientId(40 + k as u32);
+                let msg = UpMsg::new(from, kind.clone(), lost);
+                let c = uplink.send(now, 100.0, CLASS_DATA, msg).unwrap();
+                now = c.at;
+                let delivered = uplink.complete(now, c.token).unwrap();
+                assert_eq!(delivered.msg.into_parts(), (from, kind.clone(), lost));
+            }
+        }
+    }
+
+    /// Delivering a boxed verdict through the downlink leaves its client
+    /// exactly where handing the same verdict to the handler directly
+    /// does: the box hands the handler the verdict the server made.
+    #[test]
+    fn boxed_verdicts_reach_the_client_unchanged() {
+        for scheme in [Scheme::SimpleChecking, Scheme::Gcore] {
+            let mut cfg = short_cfg(scheme);
+            cfg.p_disconnect = 0.5;
+            // Twin runs, stepped to the first connected client whose
+            // cache awaits a verdict.
+            let awaiting = |sim: &Simulation<'_>| {
+                (0..sim.clients.len())
+                    .find(|&i| sim.clients.is_connected(i) && sim.clients.cache(i).has_limbo())
+            };
+            let twin = || {
+                let mut sim = Simulation::new(&cfg, RunOptions::default()).unwrap();
+                while awaiting(&sim).is_none() {
+                    let (now, ev) = sim.sched.pop().unwrap();
+                    sim.dispatch(now, ev);
+                }
+                sim
+            };
+            let (mut a, mut b) = (twin(), twin());
+            let i = awaiting(&a).unwrap();
+            let dest = ClientId(i as u32);
+            let asof = a.sched.now();
+            // Every other limbo entry is stale.
+            let mut limbo: Vec<ItemId> = a.clients.cache(i).limbo_iter().collect();
+            limbo.sort_unstable();
+            let kept: Vec<ItemId> = limbo.iter().copied().step_by(2).collect();
+            let stale: Vec<ItemId> = limbo.iter().copied().skip(1).step_by(2).collect();
+            let (kind, payload) = match scheme {
+                Scheme::SimpleChecking => {
+                    let v = ValidityVerdict {
+                        asof,
+                        valid: kept.clone(),
+                        checked: limbo.len() as u32,
+                    };
+                    let dk = DownlinkKind::ValidityReport { checked: v.checked };
+                    (dk, DownPayload::Validity(dest, Box::new(v)))
+                }
+                _ => {
+                    let v = GroupVerdict {
+                        asof,
+                        covered: true,
+                        stale: stale.clone(),
+                    };
+                    let dk = DownlinkKind::GroupValidity {
+                        stale: v.stale.len() as u32,
+                    };
+                    (dk, DownPayload::GroupVerdict(dest, Box::new(v)))
+                }
+            };
+            let bits = kind.size_bits(&a.sp);
+            let before = b.clients.counters();
+            // Twin `a` takes the verdict off an idle downlink…
+            a.downlinks[0] = Channel::new(cfg.downlink_bps);
+            let c = a.downlinks[0]
+                .send(asof, bits, kind.class(), payload)
+                .unwrap();
+            a.on_downlink_done(c.at, 0, c.token);
+            // …twin `b` hands it to the handler directly.
+            let at = c.at;
+            match scheme {
+                Scheme::SimpleChecking => {
+                    b.deliver_to(at, dest, bits, |mut client, _, actions| {
+                        client.on_validity_into(at, asof, &kept, actions);
+                    });
+                }
+                _ => {
+                    b.deliver_to(at, dest, bits, |mut client, _, actions| {
+                        client.on_group_validity_into(at, asof, true, &stale, actions);
+                    });
+                }
+            }
+            assert_ne!(
+                b.clients.counters(),
+                before,
+                "{scheme:?}: the verdict did nothing"
+            );
+            assert_eq!(a.clients.counters(), b.clients.counters(), "{scheme:?}");
+            assert!(
+                a.clients.entries(i).eq(b.clients.entries(i)),
+                "{scheme:?}: client {i}'s cache"
+            );
+            assert_eq!(a.current_totals(), b.current_totals(), "{scheme:?}");
+            assert_eq!(a.uplink.backlog(), b.uplink.backlog(), "{scheme:?}");
+        }
     }
 
     #[test]

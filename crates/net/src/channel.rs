@@ -247,6 +247,14 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// A waiting message costs its payload plus its 8-byte size: the
+    /// queue it waits in names its class, so no tag rides along.
+    #[test]
+    fn a_queued_entry_is_its_payload_plus_8_bytes() {
+        assert_eq!(std::mem::size_of::<Queued<u64>>(), 16);
+        assert_eq!(std::mem::size_of::<Queued<[u64; 2]>>(), 24);
+    }
+
     #[test]
     fn send_and_deliver_roundtrip() {
         let mut ch: Channel<&str> = Channel::new(1000.0);

@@ -346,15 +346,6 @@ impl<E> Scheduler<E> {
         self.schedule(at, event);
     }
 
-    /// Capacity hint, retained for API compatibility. The wheel spreads
-    /// a burst across per-slot vectors that each grow to their own share
-    /// (amortized O(1), no single doubling cascade), so there is no
-    /// global buffer to pre-size; drained slots are bounded back to a
-    /// small keep-capacity regardless.
-    pub fn reserve(&mut self, additional: usize) {
-        let _ = additional;
-    }
-
     /// Schedules a burst of events in iteration order, preserving the
     /// FIFO tie-break contract (the `n`-th item gets the `n`-th sequence
     /// number, exactly as `n` individual [`Scheduler::schedule`] calls
@@ -581,23 +572,12 @@ mod tests {
         let want: Vec<_> = std::iter::from_fn(|| serial.pop()).collect();
         for chunk in [1usize, 7, 13, 40, 64] {
             let mut chained: Scheduler<u32> = Scheduler::new();
-            chained.reserve(burst.len());
             for piece in burst.chunks(chunk) {
                 chained.schedule_batch(piece.iter().copied());
             }
             let got: Vec<_> = std::iter::from_fn(|| chained.pop()).collect();
             assert_eq!(got, want, "chunk size {chunk}");
         }
-    }
-
-    #[test]
-    fn reserve_does_not_disturb_counters() {
-        let mut s: Scheduler<u8> = Scheduler::new();
-        s.reserve(128);
-        assert_eq!(s.events_scheduled(), 0);
-        assert!(s.is_empty());
-        s.schedule_in(1.0, 1);
-        assert_eq!(s.len(), 1);
     }
 
     #[test]

@@ -308,7 +308,6 @@ proptest! {
         let mut serial: Scheduler<u32> = Scheduler::new();
         serial.schedule_batch(events.iter().copied());
         let mut chained: Scheduler<u32> = Scheduler::new();
-        chained.reserve(events.len());
         for piece in events.chunks(chunk) {
             chained.schedule_batch(piece.iter().copied());
         }
